@@ -8,7 +8,7 @@ several waveform profiles and fault-injection scenarios, and must separate
 healthy units from faulty ones.
 """
 
-from repro.bist import BistCampaign, BistConfig, CampaignScenario, default_converter
+from repro.bist import BistConfig, CampaignRunner, CampaignScenario, ConverterSpec
 from repro.rf import IqImbalance, RappAmplifier
 from repro.transmitter import ImpairmentConfig
 
@@ -44,14 +44,13 @@ def run_campaign():
         num_cost_points=150,
         measure_evm_enabled=True,
     )
-    campaign = BistCampaign(
-        build_scenarios(),
+    runner = CampaignRunner(
         bist_config=config,
-        converter_factory=lambda bandwidth: default_converter(
-            bandwidth, dcde_static_error_seconds=5e-12, channel1_skew_seconds=2e-12, seed=314
+        converter_factory=ConverterSpec(
+            dcde_static_error_seconds=5e-12, channel1_skew_seconds=2e-12, seed=314
         ),
     )
-    return campaign.run()
+    return runner.run(build_scenarios())
 
 
 def test_bist_campaign(benchmark):
@@ -65,6 +64,7 @@ def test_bist_campaign(benchmark):
         print()
 
     # --- Expected behaviour ---------------------------------------------------
+    assert not result.errors
     by_label = dict(result.entries)
     # Healthy units pass under every profile.
     assert by_label["paper-qpsk nominal"].passed

@@ -59,7 +59,7 @@ def timed_run(scenarios, config, **run_kwargs):
     runner_kwargs = {
         key: run_kwargs.pop(key) for key in ("max_workers",) if key in run_kwargs
     }
-    runner = CampaignRunner(bist_config=config, dedup=False, **runner_kwargs)
+    runner = CampaignRunner(bist_config=config, **runner_kwargs)
     start = time.perf_counter()
     execution = runner.run(scenarios, **run_kwargs)
     elapsed = time.perf_counter() - start

@@ -13,7 +13,7 @@ Run with:  python examples/multistandard_campaign.py
 couple of minutes.)
 """
 
-from repro.bist import BistCampaign, BistConfig, CampaignScenario, default_converter
+from repro.bist import BistConfig, CampaignRunner, CampaignScenario, ConverterSpec
 from repro.rf import IqImbalance, RappAmplifier
 from repro.transmitter import ImpairmentConfig
 
@@ -54,17 +54,15 @@ def main() -> None:
         num_cost_points=200,
         measure_evm_enabled=True,
     )
-    campaign = BistCampaign(
-        build_scenarios(),
+    runner = CampaignRunner(
         bist_config=config,
-        converter_factory=lambda bandwidth: default_converter(
-            bandwidth,
+        converter_factory=ConverterSpec(
             dcde_static_error_seconds=5e-12,
             channel1_skew_seconds=2e-12,
             seed=123,
         ),
     )
-    result = campaign.run()
+    result = runner.run(build_scenarios())
 
     print(result.summary_table())
     print()

@@ -21,19 +21,10 @@ radio transmitters end to end:
 * :mod:`repro.faults` — fault models, fault-injection campaigns, the fault
   dictionary and coverage / test-escape / yield-loss analytics;
 * :mod:`repro.store` — persistent content-addressed campaign store:
-  resumable execution, shard merging and golden-baseline regression gating;
-* :mod:`repro.core` — flat re-exports of the primary API.
+  resumable execution, shard merging and golden-baseline regression gating.
 """
 
-from . import adc, bist, calibration, core, dsp, faults, rf, sampling, signals, store, transmitter, utils
-from .backend import (
-    ArrayBackend,
-    active_backend,
-    available_backends,
-    get_backend,
-    set_backend,
-    use_backend,
-)
+from . import adc, bist, calibration, dsp, faults, rf, sampling, signals, store, transmitter, utils
 from .errors import (
     AliasingError,
     CalibrationError,
@@ -54,7 +45,6 @@ __all__ = [
     "adc",
     "bist",
     "calibration",
-    "core",
     "dsp",
     "faults",
     "rf",
@@ -63,12 +53,6 @@ __all__ = [
     "store",
     "transmitter",
     "utils",
-    "ArrayBackend",
-    "active_backend",
-    "available_backends",
-    "get_backend",
-    "set_backend",
-    "use_backend",
     "ReproError",
     "ConfigurationError",
     "ValidationError",

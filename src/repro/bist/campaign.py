@@ -8,9 +8,8 @@ the same hardware and the same DSP pipeline are reused for every profile by
 merely re-parameterising the acquisition.
 
 This module holds the campaign *data model* (scenarios, converter
-specifications, per-scenario execution) and the backward-compatible
-:class:`BistCampaign` facade; the parallel orchestration machinery lives in
-:mod:`repro.bist.runner`.
+specifications, per-scenario execution); the orchestration machinery lives
+in :mod:`repro.bist.runner`.
 """
 
 from __future__ import annotations
@@ -29,12 +28,10 @@ from ..transmitter.chain import HomodyneTransmitter
 from ..transmitter.config import ImpairmentConfig, TransmitterConfig
 from ..utils.serialization import field_dict, known_field_kwargs
 from .engine import BistConfig, TransmitterBist
-from .report import BistReport, CampaignSummary
+from .report import BistReport
 
 __all__ = [
     "CampaignScenario",
-    "CampaignResult",
-    "BistCampaign",
     "ConverterSpec",
     "default_converter",
     "scenario_bandwidth",
@@ -75,15 +72,15 @@ def default_converter(
 class ConverterSpec:
     """Declarative, picklable description of the BIST acquisition converter.
 
-    :class:`BistCampaign` historically accepted an arbitrary
-    ``converter_factory`` callable; lambdas and closures cannot cross process
-    boundaries, so the parallel :class:`~repro.bist.runner.CampaignRunner`
-    needs a *value* that builds the converter instead.  A ``ConverterSpec``
-    captures the same knobs as :func:`default_converter` plus the channel-1
-    static gain/offset mismatch and an optional channel-1 input-bandwidth
-    limitation (``channel1_bandwidth_hz`` with the ``bandwidth_reference_hz``
-    carrier it is evaluated at), and is itself the factory: calling it with
-    the acquisition bandwidth returns the :class:`~repro.adc.tiadc.BpTiadc`.
+    A campaign may take an arbitrary ``converter_factory`` callable, but
+    lambdas and closures cannot cross process boundaries, so the parallel
+    :class:`~repro.bist.runner.CampaignRunner` needs a *value* that builds
+    the converter instead.  A ``ConverterSpec`` captures the same knobs as
+    :func:`default_converter` plus the channel-1 static gain/offset mismatch
+    and an optional channel-1 input-bandwidth limitation
+    (``channel1_bandwidth_hz`` with the ``bandwidth_reference_hz`` carrier it
+    is evaluated at), and is itself the factory: calling it with the
+    acquisition bandwidth returns the :class:`~repro.adc.tiadc.BpTiadc`.
 
     With the mismatch fields at zero the built converter is identical to the
     one produced by :func:`default_converter` with the same arguments.
@@ -350,118 +347,3 @@ def execute_scenario(
         scenario, bist_config=bist_config, converter_factory=converter_factory, seed=seed
     )
     return engine.run(burst)
-
-
-@dataclass(frozen=True)
-class CampaignResult:
-    """Aggregated result of a campaign run."""
-
-    entries: tuple
-
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise ValidationError("a campaign result needs at least one entry")
-
-    @property
-    def reports(self) -> list[BistReport]:
-        """The individual BIST reports, in execution order."""
-        return [report for _, report in self.entries]
-
-    @property
-    def all_passed(self) -> bool:
-        """Whether every scenario passed."""
-        return all(report.passed for report in self.reports)
-
-    def failures(self) -> list[str]:
-        """Labels of the scenarios that failed."""
-        return [label for label, report in self.entries if not report.passed]
-
-    def summary(self) -> CampaignSummary:
-        """Aggregate statistics (per-profile pass rates, margins, skew errors)."""
-        return CampaignSummary.from_entries(self.entries)
-
-    def summary_table(self) -> str:
-        """A fixed-width text table of the campaign outcome."""
-        header = f"{'scenario':<32} {'verdict':<8} {'ACPR dB':>9} {'OBW MHz':>9} {'EVM %':>7}"
-        lines = [header, "-" * len(header)]
-        for label, report in self.entries:
-            evm = report.measurements.evm_percent
-            lines.append(
-                f"{label:<32} {report.verdict.value:<8} "
-                f"{report.measurements.acpr_db['worst_db']:>9.1f} "
-                f"{report.measurements.occupied_bandwidth_hz / 1e6:>9.2f} "
-                f"{'  n/a' if evm is None else f'{evm:>7.2f}'}"
-            )
-        return "\n".join(lines)
-
-
-class BistCampaign:
-    """Run the BIST across several waveform profiles / fault scenarios.
-
-    This is the stable, high-level facade; execution is delegated to
-    :class:`~repro.bist.runner.CampaignRunner`, which supports process-pool
-    parallelism and structured per-scenario error capture.
-
-    Parameters
-    ----------
-    scenarios:
-        The scenarios to execute.
-    bist_config:
-        Engine configuration shared by every scenario (the per-channel
-        acquisition rate adapts automatically to narrowband profiles so that
-        the uniqueness conditions stay comfortable).
-    converter_factory:
-        Callable ``(acquisition_bandwidth_hz) -> BpTiadc`` building the
-        converter for each scenario; defaults to :func:`default_converter`.
-        Must be picklable (e.g. a :class:`ConverterSpec`) when running with
-        ``max_workers > 1``.
-    max_workers:
-        Default worker count for :meth:`run`; 1 executes serially in-process,
-        larger values fan scenarios out over a process pool.
-    """
-
-    def __init__(
-        self,
-        scenarios,
-        bist_config: BistConfig | None = None,
-        converter_factory=None,
-        max_workers: int = 1,
-    ) -> None:
-        scenarios = tuple(scenarios)
-        if not scenarios:
-            raise ValidationError("a campaign needs at least one scenario")
-        for scenario in scenarios:
-            if not isinstance(scenario, CampaignScenario):
-                raise ValidationError("all scenarios must be CampaignScenario instances")
-        self._scenarios = scenarios
-        self._bist_config = bist_config if bist_config is not None else BistConfig()
-        self._converter_factory = (
-            converter_factory if converter_factory is not None else default_converter
-        )
-        self._max_workers = max_workers
-
-    @property
-    def scenarios(self) -> tuple:
-        """The campaign's scenarios, in execution order."""
-        return self._scenarios
-
-    def _scenario_bandwidth(self, profile: WaveformProfile) -> float:
-        """Acquisition bandwidth used for a profile (see :func:`scenario_bandwidth`)."""
-        return scenario_bandwidth(profile, self._bist_config)
-
-    def run(self, max_workers: int | None = None) -> CampaignResult:
-        """Execute every scenario and aggregate the reports.
-
-        Raises :class:`~repro.errors.CampaignExecutionError` if any scenario
-        raised instead of producing a report; use
-        :meth:`~repro.bist.runner.CampaignRunner.run` directly for structured
-        per-scenario error capture.
-        """
-        from .runner import CampaignRunner
-
-        runner = CampaignRunner(
-            bist_config=self._bist_config,
-            converter_factory=self._converter_factory,
-            max_workers=self._max_workers if max_workers is None else max_workers,
-        )
-        return runner.run(self._scenarios).to_result()

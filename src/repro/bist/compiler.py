@@ -51,7 +51,6 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..sampling.reconstruction import PlanStructureCache, evaluate_stacked
-from ..utils.validation import check_integer
 from .campaign import build_scenario_engine, scenario_bist_config
 from .runner import ScenarioOutcome, _ScenarioTask
 
@@ -113,31 +112,14 @@ class CampaignCompiler:
     """Groups and executes fingerprint-adjacent scenario batches.
 
     One compiler instance serves one :meth:`CampaignRunner.run` call: it
-    owns the shared structure cache, executes the homogeneous groups, and
-    accumulates the :class:`CompilerStats` the runner surfaces in the
-    campaign summary.
-
-    Parameters
-    ----------
-    structure_cache:
-        Optional pre-built structure cache (mainly for tests); a fresh one
-        with the default element budget is created otherwise.
-    chunk_scenarios:
-        Scenarios prepared and stacked per kernel launch (memory bound, see
-        :data:`GROUP_CHUNK_SCENARIOS`); chunking never changes results.
+    owns the shared structure cache, executes the homogeneous groups in
+    stacked launches of :data:`GROUP_CHUNK_SCENARIOS` rows (chunking never
+    changes results), and accumulates the :class:`CompilerStats` the runner
+    surfaces in the campaign summary.
     """
 
-    def __init__(
-        self,
-        structure_cache: PlanStructureCache | None = None,
-        chunk_scenarios: int = GROUP_CHUNK_SCENARIOS,
-    ) -> None:
-        if structure_cache is not None and not isinstance(structure_cache, PlanStructureCache):
-            raise ValidationError("structure_cache must be a PlanStructureCache")
-        self._structure_cache = (
-            structure_cache if structure_cache is not None else PlanStructureCache()
-        )
-        self._chunk_scenarios = check_integer(chunk_scenarios, "chunk_scenarios", minimum=1)
+    def __init__(self) -> None:
+        self._structure_cache = PlanStructureCache()
         self._groups_formed = 0
         self._scenarios_batched = 0
         self._scenarios_pooled = 0
@@ -278,8 +260,8 @@ class CampaignCompiler:
             sub_batches.setdefault(entry["times"].tobytes(), []).append(entry)
 
         for batch in sub_batches.values():
-            for start_index in range(0, len(batch), self._chunk_scenarios):
-                chunk = batch[start_index : start_index + self._chunk_scenarios]
+            for start_index in range(0, len(batch), GROUP_CHUNK_SCENARIOS):
+                chunk = batch[start_index : start_index + GROUP_CHUNK_SCENARIOS]
                 self._execute_chunk(chunk, worker, outcomes, on_outcome)
 
         self._groups_formed += 1

@@ -140,11 +140,7 @@ def render_uniform(
     engine renders each dense grid once and shares the samples between the
     output-power and spectrum measurements (see
     :func:`measure_spectrum_from_samples`), so prefer reusing the returned
-    samples over calling this twice for the same interval.  The evaluation
-    runs on whichever array backend the reconstructor's plans were built
-    against (:mod:`repro.backend`); the returned samples are always host
-    NumPy — the measurement DSP below this boundary is conventional host
-    code.
+    samples over calling this twice for the same interval.
     """
     times, sample_rate = uniform_render_grid(
         reconstructor, start_time, stop_time, sample_rate=sample_rate

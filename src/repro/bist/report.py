@@ -440,7 +440,6 @@ class CampaignSummary:
 
     Built from ``(label, report)`` entries (plus optional ``(label, error)``
     pairs for scenarios that raised) by :meth:`from_entries`; exposed through
-    :meth:`CampaignResult.summary` and
     :meth:`~repro.bist.runner.CampaignExecution.summary`.
     """
 

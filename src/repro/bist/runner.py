@@ -14,8 +14,8 @@ and engine), so this module provides:
   transmitter impairments × converter faults into scenario lists;
 * :class:`ScenarioOutcome` / :class:`CampaignExecution` — structured results
   (report or error per scenario, wall-clock, worker identity) that aggregate
-  into the classic :class:`~repro.bist.campaign.CampaignResult` and the
-  statistical :class:`~repro.bist.report.CampaignSummary`.
+  into the statistical :class:`~repro.bist.report.CampaignSummary` and a
+  fixed-width summary table.
 
 Determinism contract: the worker rebuilds everything from the picklable
 scenario description, so serial and parallel execution produce bit-identical
@@ -33,21 +33,10 @@ import zlib
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-from ..errors import (
-    BudgetExhaustedError,
-    CampaignExecutionError,
-    ConfigurationError,
-    ValidationError,
-)
+from ..errors import BudgetExhaustedError, ConfigurationError, ValidationError
 from ..signals.standards import WaveformProfile
 from ..transmitter.config import ImpairmentConfig
-from .campaign import (
-    CampaignResult,
-    CampaignScenario,
-    ConverterSpec,
-    default_converter,
-    execute_scenario,
-)
+from .campaign import CampaignScenario, ConverterSpec, execute_scenario
 from .engine import BistConfig
 from .report import BistReport, CampaignSummary
 
@@ -174,11 +163,11 @@ class ScenarioOutcome:
 class CampaignExecution:
     """Structured result of a :class:`CampaignRunner` run.
 
-    Unlike :class:`~repro.bist.campaign.CampaignResult`, this keeps failed
-    scenarios (as error outcomes) alongside the successful reports.
-    ``compiler_stats`` carries the :class:`~repro.bist.compiler.CompilerStats`
-    of a ``compile=True`` run (``None`` for uncompiled runs and archives
-    written before the compiler existed).
+    Scenarios that raised are kept as error outcomes alongside the
+    successful reports.  ``compiler_stats`` carries the
+    :class:`~repro.bist.compiler.CompilerStats` of a ``compile=True`` run
+    (``None`` for uncompiled runs and archives written before the compiler
+    existed).
     """
 
     outcomes: tuple
@@ -230,18 +219,27 @@ class CampaignExecution:
         """Scenarios that actually executed (neither cached nor deduplicated)."""
         return len(self.outcomes) - self.cache_hits - self.dedup_hits
 
-    def to_result(self) -> CampaignResult:
-        """Convert to the classic :class:`CampaignResult`.
+    def failures(self) -> list[str]:
+        """Labels of the scenarios whose report failed (raised ones: :attr:`errors`)."""
+        return [label for label, report in self.entries if not report.passed]
 
-        Raises :class:`~repro.errors.CampaignExecutionError` when any
-        scenario raised, since a ``CampaignResult`` cannot represent errors.
-        """
-        if self.errors:
-            details = "; ".join(f"{label}: {error}" for label, error in self.errors)
-            raise CampaignExecutionError(
-                f"{len(self.errors)} scenario(s) failed to execute: {details}"
+    def summary_table(self) -> str:
+        """A fixed-width text table of the campaign outcome."""
+        header = f"{'scenario':<32} {'verdict':<8} {'ACPR dB':>9} {'OBW MHz':>9} {'EVM %':>7}"
+        lines = [header, "-" * len(header)]
+        for outcome in self.outcomes:
+            if not outcome.ok:
+                lines.append(f"{outcome.label:<32} {'error':<8}")
+                continue
+            measurements = outcome.report.measurements
+            evm = measurements.evm_percent
+            lines.append(
+                f"{outcome.label:<32} {outcome.report.verdict.value:<8} "
+                f"{measurements.acpr_db['worst_db']:>9.1f} "
+                f"{measurements.occupied_bandwidth_hz / 1e6:>9.2f} "
+                f"{'  n/a' if evm is None else f'{evm:>7.2f}'}"
             )
-        return CampaignResult(entries=tuple(self.entries))
+        return "\n".join(lines)
 
     def summary(self) -> CampaignSummary:
         """Aggregate statistics over reports, captured errors and cache counters."""
@@ -428,19 +426,20 @@ class CampaignRunner:
         interrupted campaign resumes from where it stopped and re-runs are
         incremental.  Requires declarative :class:`ConverterSpec` converter
         factories (arbitrary callables cannot be fingerprinted).
-    dedup:
-        Whether :meth:`run` collapses identical-fingerprint scenarios within
-        one grid onto a single execution, fanning the result out to every
-        duplicate label (``deduplicated=True`` outcomes).  Identical
-        fingerprints guarantee bit-identical reports, so dedup never changes
-        results; it is skipped silently when the converter factory is not a
-        declarative :class:`ConverterSpec` (nothing can be fingerprinted).
-    chunk_size:
-        Scenarios shipped to a pool worker per future.  ``None`` (default)
-        auto-tunes to roughly four chunks per worker, which amortises the
-        per-future pickle/IPC overhead on large grids while keeping the
-        pool load-balanced; serial==parallel bit-identity is unaffected.
+
+    Scenarios sharing a fingerprint within one :meth:`run` execute once and
+    the result fans out to every duplicate label (``deduplicated=True``
+    outcomes).  Identical fingerprints guarantee bit-identical reports, so
+    dedup never changes results; it stands down silently when the converter
+    factory is not a declarative :class:`ConverterSpec` (nothing can be
+    fingerprinted).  Pool submission ships scenarios in about
+    :attr:`_CHUNKS_PER_WORKER` chunks per worker, which amortises the
+    per-future pickle/IPC overhead on large grids while keeping the pool
+    load-balanced; serial==parallel bit-identity is unaffected.
     """
+
+    #: Pool chunks per worker (see :meth:`_effective_chunk_size`).
+    _CHUNKS_PER_WORKER = 4
 
     def __init__(
         self,
@@ -450,8 +449,6 @@ class CampaignRunner:
         seed_policy: str = "shared",
         progress_callback=None,
         store=None,
-        dedup: bool = True,
-        chunk_size: int | None = None,
     ) -> None:
         if not isinstance(max_workers, int) or max_workers < 1:
             raise ValidationError("max_workers must be a positive integer")
@@ -459,10 +456,6 @@ class CampaignRunner:
             raise ValidationError(
                 f"seed_policy must be one of {_SEED_POLICIES}, got {seed_policy!r}"
             )
-        if chunk_size is not None and (
-            not isinstance(chunk_size, int) or isinstance(chunk_size, bool) or chunk_size < 1
-        ):
-            raise ValidationError("chunk_size must be a positive integer or None")
         self._bist_config = bist_config if bist_config is not None else BistConfig()
         # The nominal ConverterSpec builds the same converter as
         # default_converter but stays reseedable under "per-scenario".
@@ -473,8 +466,6 @@ class CampaignRunner:
         self._seed_policy = seed_policy
         self._progress_callback = progress_callback
         self._store = store
-        self._dedup = bool(dedup)
-        self._chunk_size = chunk_size
 
     @property
     def max_workers(self) -> int:
@@ -482,10 +473,8 @@ class CampaignRunner:
         return self._max_workers
 
     def _effective_chunk_size(self, num_tasks: int) -> int:
-        """Scenarios per pool future: explicit override or ~4 chunks/worker."""
-        if self._chunk_size is not None:
-            return self._chunk_size
-        return max(1, -(-num_tasks // (self._max_workers * 4)))
+        """Scenarios per pool future: about ``_CHUNKS_PER_WORKER`` per worker."""
+        return max(1, -(-num_tasks // (self._max_workers * self._CHUNKS_PER_WORKER)))
 
     def _build_tasks(self, scenarios, indices=None) -> list[_ScenarioTask]:
         scenarios = tuple(scenarios)
@@ -545,13 +534,13 @@ class CampaignRunner:
         campaign store attached, archived scenarios are served as cache hits
         (no execution) and fresh outcomes are flushed to the store as they
         complete, so an interrupted run resumes incrementally.  Scenarios
-        sharing a fingerprint within the batch execute once and fan out
-        (see the ``dedup`` constructor flag).
+        sharing a fingerprint within the batch execute once and fan out.
 
         ``budget`` charges an :class:`ExecutionBudget` for the scenarios that
         will actually execute (cache hits and fingerprint duplicates are
         free), raising :class:`~repro.errors.BudgetExhaustedError` before any
-        of them runs when the batch would overrun the cap.
+        of them runs when the batch would overrun the cap.  Its type is
+        checked up front, even when nothing ends up executing.
 
         ``compile=True`` routes the batch through the
         :class:`~repro.bist.compiler.CampaignCompiler`: fingerprint-adjacent
@@ -569,12 +558,12 @@ class CampaignRunner:
         scenarios executed inside the full grid.  Defaults to
         ``0..len(scenarios)-1`` (the historical behaviour).
         """
+        if budget is not None and not isinstance(budget, ExecutionBudget):
+            raise ValidationError("budget must be an ExecutionBudget")
         tasks = self._build_tasks(scenarios, indices=indices)
         cached, pending, fingerprints = self._consult_store(tasks)
         pending, duplicates = self._dedup_pending(pending, fingerprints)
         if budget is not None and pending:
-            if not isinstance(budget, ExecutionBudget):
-                raise ValidationError("budget must be an ExecutionBudget")
             budget.charge(len(pending))
         compiler_stats = None
         executed: list[ScenarioOutcome] = []
@@ -611,7 +600,7 @@ class CampaignRunner:
         and a non-declarative converter factory disables dedup for the whole
         batch (nothing can be fingerprinted safely).
         """
-        if not self._dedup or len(pending) < 2:
+        if len(pending) < 2:
             return list(pending), {}
         from ..store.fingerprint import scenario_fingerprint
 
@@ -786,10 +775,10 @@ class CampaignRunner:
     def _pool_round(self, tasks, outcomes, fingerprints) -> list:
         """One process-pool pass; returns tasks lost to worker deaths.
 
-        Tasks are shipped in chunks (see ``chunk_size``) so the pickle/IPC
-        cost of a future is amortised over several scenarios; each chunk's
-        outcomes are completed as the chunk finishes, so progress callbacks
-        and store flushes still fire incrementally.
+        Tasks are shipped in chunks (see :meth:`_effective_chunk_size`) so
+        the pickle/IPC cost of a future is amortised over several scenarios;
+        each chunk's outcomes are completed as the chunk finishes, so
+        progress callbacks and store flushes still fire incrementally.
         """
         workers = min(self._max_workers, len(tasks))
         chunk_size = self._effective_chunk_size(len(tasks))

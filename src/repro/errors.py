@@ -23,7 +23,6 @@ __all__ = [
     "MeasurementError",
     "MeasurementWarning",
     "MaskError",
-    "CampaignExecutionError",
     "BudgetExhaustedError",
     "ServiceError",
     "JobNotFoundError",
@@ -93,15 +92,6 @@ class MeasurementWarning(UserWarning):
 
 class MaskError(ReproError):
     """A spectral mask definition is invalid (e.g. unsorted breakpoints)."""
-
-
-class CampaignExecutionError(ReproError):
-    """One or more campaign scenarios raised instead of producing a report.
-
-    The runner isolates per-scenario failures into
-    :class:`~repro.bist.runner.ScenarioOutcome` records; this exception is
-    raised only by APIs that promise a complete :class:`CampaignResult`
-    (such as :meth:`~repro.bist.campaign.BistCampaign.run`)."""
 
 
 class BudgetExhaustedError(ReproError):

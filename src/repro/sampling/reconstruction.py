@@ -40,13 +40,6 @@ taps and a Kaiser window).  This module provides:
 * :func:`reference_evaluate` — the direct, pre-plan evaluation of Eq. (6),
   kept verbatim as the numerical oracle for equivalence tests and the
   before/after benchmark baseline.
-
-The per-delay broadcast math runs through the pluggable array backend of
-:mod:`repro.backend` (``xp`` namespace): structures are precomputed on host
-NumPy (Bessel/trig tables, built once per group), the hot multiply-adds and
-einsums then execute on whichever backend was active when the plan was
-built.  Under the default NumPy backend every code path is bit-identical
-with the pre-seam implementation.
 """
 
 from __future__ import annotations
@@ -57,7 +50,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..backend import ArrayBackend, active_backend
 from ..errors import ReconstructionError, ValidationError
 from ..signals.passband import AnalogSignal
 from ..utils.validation import check_1d_array, check_integer, check_positive
@@ -248,26 +240,20 @@ _STACK_ELEMENT_BUDGET = 4_000_000
 _SINC_SERIES_THRESHOLD = 1.0e-6
 
 
-def _sinc_from_parts(sin_pi_x, x, xp=np):
+def _sinc_from_parts(sin_pi_x, x):
     """``sinc(x) = sin(pi x) / (pi x)`` given ``sin(pi x)`` already computed.
 
     The numerator comes from an exact angle-addition expansion, so near the
     removable singularity the quotient is replaced by its Taylor series
-    (accurate to ~1e-24 at the switch-over point).  The NumPy branch is the
-    original in-place implementation (kept verbatim for bit-identity); other
-    backends take the functional branch, which computes the same quantity
-    without ``out=`` writes.
+    (accurate to ~1e-24 at the switch-over point).
     """
-    denominator = xp.pi * x
-    small = xp.abs(x) < _SINC_SERIES_THRESHOLD
-    if xp is np:
-        out = np.empty_like(denominator)
-        np.divide(sin_pi_x, denominator, out=out, where=~small)
-        if small.any():
-            out[small] = 1.0 - denominator[small] ** 2 / 6.0
-        return out
-    safe = xp.where(small, 1.0, denominator)
-    return xp.where(small, 1.0 - denominator**2 / 6.0, sin_pi_x / safe)
+    denominator = np.pi * x
+    small = np.abs(x) < _SINC_SERIES_THRESHOLD
+    out = np.empty_like(denominator)
+    np.divide(sin_pi_x, denominator, out=out, where=~small)
+    if small.any():
+        out[small] = 1.0 - denominator[small] ** 2 / 6.0
+    return out
 
 
 class _KernelTermCache:
@@ -283,10 +269,8 @@ class _KernelTermCache:
     angle-addition identity).  Reconstruction evaluates the term at the two
     argument families ``-v`` (on-grid) and ``v + D`` (delayed channel), where
     ``v = nT - t`` is fixed by the plan.  All trigonometry of ``v`` is
-    computed here once (on host NumPy — it involves Bessel-adjacent table
-    building that runs once per structure); per candidate delay only scalar
-    sines/cosines of ``D`` remain, broadcast against the cached arrays on the
-    structure's array backend.
+    computed here once per structure; per candidate delay only scalar
+    sines/cosines of ``D`` remain, broadcast against the cached arrays.
     """
 
     __slots__ = (
@@ -303,7 +287,6 @@ class _KernelTermCache:
         "sorted_env",
         "on_grid_cos",
         "on_grid_sin",
-        "xp",
     )
 
     def __init__(
@@ -320,7 +303,6 @@ class _KernelTermCache:
         self.c_osc = np.pi * oscillation_hz
         self.c_env = float(envelope_hz)
         self.c_phi = self.order * np.pi * bandwidth
-        self.xp = np
         oscillation = self.c_osc * v
         self.sin_osc = np.sin(oscillation)
         self.cos_osc = np.cos(oscillation)
@@ -328,9 +310,9 @@ class _KernelTermCache:
         self.sin_env = np.sin(envelope_phase)
         self.cos_env = np.cos(envelope_phase)
         self.env_argument = self.c_env * v
-        # Sorted copy (host-side) so delayed_contribution can detect the rare
-        # near-singular sinc arguments with an O(m log np) interval query
-        # instead of a full-size |argument| scan per delay batch.
+        # Sorted copy so delayed_contribution can detect the rare near-singular
+        # sinc arguments with an O(m log np) interval query instead of a
+        # full-size |argument| scan per delay batch.
         self.sorted_env = np.sort(self.env_argument, axis=None)
         # On-grid kernel argument is -v: sinc is even, cos(c_osc*(-v)) is
         # cos_osc and sin(c_osc*(-v)) is -sin_osc, so the on-grid term reduces
@@ -339,21 +321,10 @@ class _KernelTermCache:
         self.on_grid_cos = scaled_envelope * self.cos_osc
         self.on_grid_sin = scaled_envelope * self.sin_osc
 
-    def move_to(self, backend: ArrayBackend) -> None:
-        """Transfer the cached arrays onto ``backend`` (no-op for NumPy)."""
-        if backend.is_numpy:
-            self.xp = np
-            return
-        for name in ("sin_osc", "cos_osc", "sin_env", "cos_env",
-                     "env_argument", "on_grid_cos", "on_grid_sin"):
-            setattr(self, name, backend.asarray(getattr(self, name)))
-        self.xp = backend.xp
-
     def cot_phi(self, delay_column):
         """``cot(order * pi * B * D)`` for a column of delays (same shape)."""
-        xp = self.xp
         phi = self.c_phi * delay_column
-        return xp.cos(phi) / xp.sin(phi)
+        return np.cos(phi) / np.sin(phi)
 
     def delayed_contribution(self, delay_column, cot_phi):
         """Kernel values at ``v + D`` for a column of delays.
@@ -364,29 +335,21 @@ class _KernelTermCache:
         ``cot_phi`` alone, so plans fold it into precomputed dot products
         (see :attr:`ReconstructionPlan._on_grid_dots`).
         """
-        xp = self.xp
         alpha = self.c_osc * delay_column
-        sin_alpha = xp.sin(alpha)
-        cos_alpha = xp.cos(alpha)
+        sin_alpha = np.sin(alpha)
+        cos_alpha = np.cos(alpha)
         # cos(osc + alpha) - sin(osc + alpha) * cot_phi, regrouped so the
         # delay-only factors combine as (m, 1, 1) scalars before touching the
         # (num_times, num_taps) tables.
         on_grid_factor = cos_alpha - cot_phi * sin_alpha
         quadrature_factor = sin_alpha + cot_phi * cos_alpha
-        gamma = xp.pi * self.c_env * delay_column
-        cos_gamma = xp.cos(gamma)
-        sin_gamma = xp.sin(gamma)
-        if xp is not np:
-            combined = on_grid_factor * self.cos_osc - quadrature_factor * self.sin_osc
-            numerator = self.sin_env * cos_gamma + self.cos_env * sin_gamma
-            envelope = _sinc_from_parts(
-                numerator, self.env_argument + self.c_env * delay_column, xp
-            )
-            return (self.scale * envelope) * combined
-        # NumPy fast path: this is the inner loop of both the LMS search and
-        # the stacked dense renders, so the scalar ``scale`` folds into the
-        # (m, 1, 1) gamma factors and every full-size array after the first
-        # is written in place.
+        gamma = np.pi * self.c_env * delay_column
+        cos_gamma = np.cos(gamma)
+        sin_gamma = np.sin(gamma)
+        # This is the inner loop of both the LMS search and the stacked dense
+        # renders, so the scalar ``scale`` folds into the (m, 1, 1) gamma
+        # factors and every full-size array after the first is written in
+        # place.
         combined = on_grid_factor * self.cos_osc
         combined -= quadrature_factor * self.sin_osc
         numerator = self.sin_env * (self.scale * cos_gamma)
@@ -434,7 +397,6 @@ class _PlanStructure:
         "clipped",
         "weight",
         "terms",
-        "backend",
         "num_elements",
     )
 
@@ -445,7 +407,6 @@ class _PlanStructure:
         num_taps: int,
         window: str,
         kaiser_beta: float,
-        backend: ArrayBackend,
     ) -> None:
         period = sample_set.sample_period
         half = num_taps // 2
@@ -495,11 +456,8 @@ class _PlanStructure:
         self.num_taps = num_taps
         self.window = window
         self.kaiser_beta = kaiser_beta
-        self.backend = backend
-        self.clipped = backend.asarray(clipped)
-        self.weight = backend.asarray(weight)
-        for term in terms:
-            term.move_to(backend)
+        self.clipped = clipped
+        self.weight = weight
         self.terms = tuple(terms)
         self.num_elements = int(times.size * (num_taps + 1))
 
@@ -510,7 +468,6 @@ def _structure_key(
     num_taps: int,
     window: str,
     kaiser_beta: float,
-    backend_name: str,
 ) -> tuple:
     """Cache key of the plan structure: acquisition geometry + exact grid.
 
@@ -530,7 +487,6 @@ def _structure_key(
         len(sample_set),
         float(sample_set.band.f_low),
         float(sample_set.band.bandwidth),
-        backend_name,
     )
 
 
@@ -546,13 +502,11 @@ class PlanStructureCache:
     so an oversized dense structure still serves the group being executed.
     """
 
-    #: Default retained-element budget: roughly two dense single-carrier
-    #: measurement structures (each structure pins ~16 arrays of
-    #: ``num_elements`` values).
-    DEFAULT_MAX_ELEMENTS = 2_000_000
+    #: Retained-element budget: roughly two dense single-carrier measurement
+    #: structures (each structure pins ~16 arrays of ``num_elements`` values).
+    MAX_ELEMENTS = 2_000_000
 
-    def __init__(self, max_elements: int = DEFAULT_MAX_ELEMENTS) -> None:
-        self._max_elements = check_integer(max_elements, "max_elements", minimum=1)
+    def __init__(self) -> None:
         self._entries: OrderedDict[tuple, _PlanStructure] = OrderedDict()
         self._total_elements = 0
         self._hits = 0
@@ -576,7 +530,7 @@ class PlanStructureCache:
             return
         self._entries[key] = structure
         self._total_elements += structure.num_elements
-        while self._total_elements > self._max_elements and len(self._entries) > 1:
+        while self._total_elements > self.MAX_ELEMENTS and len(self._entries) > 1:
             _, evicted = self._entries.popitem(last=False)
             self._total_elements -= evicted.num_elements
             self._evictions += 1
@@ -662,36 +616,29 @@ class ReconstructionPlan:
         self._kaiser_beta = float(kaiser_beta)
         self._delay_tolerance = float(delay_tolerance)
 
-        backend = active_backend()
         structure = None
         if structure_cache is not None:
             if not isinstance(structure_cache, PlanStructureCache):
                 raise ValidationError("structure_cache must be a PlanStructureCache")
-            key = _structure_key(
-                sample_set, times, num_taps, self._window, self._kaiser_beta, backend.name
-            )
+            key = _structure_key(sample_set, times, num_taps, self._window, self._kaiser_beta)
             structure = structure_cache.lookup(key)
         if structure is None:
             structure = _PlanStructure(
-                sample_set, times, num_taps, self._window, self._kaiser_beta, backend
+                sample_set, times, num_taps, self._window, self._kaiser_beta
             )
             if structure_cache is not None:
                 structure_cache.store(key, structure)
         self._structure = structure
-        self._backend = structure.backend
-        xp = self._backend.xp
-        samples_on_grid = self._backend.asarray(sample_set.on_grid)
-        samples_delayed = self._backend.asarray(sample_set.delayed)
-        weighted_on_grid = samples_on_grid[structure.clipped] * structure.weight
-        self._weighted_delayed = samples_delayed[structure.clipped] * structure.weight
+        weighted_on_grid = sample_set.on_grid[structure.clipped] * structure.weight
+        self._weighted_delayed = sample_set.delayed[structure.clipped] * structure.weight
         # The on-grid channel's only delay dependence is the scalar cot_phi
         # of each term, so its tap contraction folds into two delay-free dot
         # products per term; evaluating a candidate then reduces the channel
         # to (num_times,)-sized work instead of (num_times, num_taps).
         self._on_grid_dots = tuple(
             (
-                xp.einsum("np,np->n", weighted_on_grid, term.on_grid_cos),
-                xp.einsum("np,np->n", weighted_on_grid, term.on_grid_sin),
+                np.einsum("np,np->n", weighted_on_grid, term.on_grid_cos),
+                np.einsum("np,np->n", weighted_on_grid, term.on_grid_sin),
             )
             for term in structure.terms
         )
@@ -733,11 +680,6 @@ class ReconstructionPlan:
         exactly this identity.
         """
         return self._structure
-
-    @property
-    def backend(self) -> ArrayBackend:
-        """The array backend the plan's kernels execute on."""
-        return self._backend
 
     def valid_time_range(self, assumed_delay: float | None = None) -> tuple[float, float]:
         """Interval over which the truncated sum has full kernel support."""
@@ -782,8 +724,7 @@ class ReconstructionPlan:
 
     def _evaluate_batch(self, delays: np.ndarray) -> np.ndarray:
         """Core batched evaluation over a validated chunk of delays."""
-        xp = self._backend.xp
-        delay_column = self._backend.asarray(delays).reshape(-1, 1, 1)
+        delay_column = delays.reshape(-1, 1, 1)
         on_grid_total = None
         delayed_total = None
         for term, (dot_cos, dot_sin) in zip(self._structure.terms, self._on_grid_dots):
@@ -795,8 +736,7 @@ class ReconstructionPlan:
             else:
                 on_grid_total += on_grid
                 delayed_total += delayed
-        result = on_grid_total + xp.einsum("np,mnp->mn", self._weighted_delayed, delayed_total)
-        return self._backend.to_numpy(result)
+        return on_grid_total + np.einsum("np,mnp->mn", self._weighted_delayed, delayed_total)
 
     def _validate_delay(self, delay: float) -> float:
         """Reject delays Eq. (3) forbids, mirroring the direct evaluator."""
@@ -862,8 +802,6 @@ def evaluate_stacked(plans, assumed_delays, validate: bool = True) -> np.ndarray
             out[index] = plan._evaluate_batch(delays[index : index + 1])[0]
         return out
 
-    backend = structure.backend
-    xp = backend.xp
     per_row = max(1, num_times * (structure.num_taps + 1))
     chunk = max(1, _STACK_ELEMENT_BUDGET // per_row)
     for start in range(0, len(plans), chunk):
@@ -871,14 +809,14 @@ def evaluate_stacked(plans, assumed_delays, validate: bool = True) -> np.ndarray
         if len(rows) == 1:
             out[start] = rows[0]._evaluate_batch(delays[start : start + 1])[0]
             continue
-        weighted_delayed = xp.stack([plan._weighted_delayed for plan in rows])
-        delay_column = backend.asarray(delays[start : start + len(rows)]).reshape(-1, 1, 1)
+        weighted_delayed = np.stack([plan._weighted_delayed for plan in rows])
+        delay_column = delays[start : start + len(rows)].reshape(-1, 1, 1)
         on_grid_total = None
         delayed_total = None
         for index, term in enumerate(structure.terms):
             cot_phi = term.cot_phi(delay_column)
-            dot_cos = xp.stack([plan._on_grid_dots[index][0] for plan in rows])
-            dot_sin = xp.stack([plan._on_grid_dots[index][1] for plan in rows])
+            dot_cos = np.stack([plan._on_grid_dots[index][0] for plan in rows])
+            dot_sin = np.stack([plan._on_grid_dots[index][1] for plan in rows])
             on_grid = dot_cos + cot_phi[:, :, 0] * dot_sin
             delayed = term.delayed_contribution(delay_column, cot_phi)
             if on_grid_total is None:
@@ -886,8 +824,9 @@ def evaluate_stacked(plans, assumed_delays, validate: bool = True) -> np.ndarray
             else:
                 on_grid_total += on_grid
                 delayed_total += delayed
-        block = on_grid_total + xp.einsum("snp,snp->sn", weighted_delayed, delayed_total)
-        out[start : start + len(rows)] = backend.to_numpy(block)
+        out[start : start + len(rows)] = on_grid_total + np.einsum(
+            "snp,snp->sn", weighted_delayed, delayed_total
+        )
     return out
 
 

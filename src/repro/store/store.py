@@ -26,9 +26,12 @@ fingerprint (:mod:`repro.store.fingerprint`), which makes the store:
 Durability model: incremental puts *append* to the shard file and flush, so
 a crash can tear at most the final line; :meth:`load` (and every read path)
 skips lines that fail to parse and emits a :class:`CampaignStoreWarning`
-instead of failing the whole shard.  Whole-file writes — :meth:`compact`
-and :meth:`merge` output — go through a temporary file and an atomic
-``os.replace`` so readers never observe a half-written shard.
+instead of failing the whole shard.  Before an instance first appends to a
+shard whose last line is torn it ends that line, so a resumed run loses only
+the torn record and never glues its own first record onto it.  Whole-file
+writes — :meth:`compact` and :meth:`replace_shard` — go through a temporary
+file and an atomic ``os.replace`` so readers never observe a half-written
+shard.
 """
 
 from __future__ import annotations
@@ -83,6 +86,7 @@ class CampaignStore:
         self._shard = shard
         self._index: dict[str, ScenarioOutcome] | None = None
         self._stored_at: dict[str, float] = {}
+        self._tail_checked = False
 
     # ------------------------------------------------------------------ #
     # Paths
@@ -256,14 +260,30 @@ class CampaignStore:
         if fingerprint in index:
             return False
         stamp = time.time() if stored_at is None else float(stored_at)
-        self._root.mkdir(parents=True, exist_ok=True)
-        with open(self.shard_path, "a", encoding="utf-8") as handle:
-            handle.write(self._record_line(fingerprint, outcome, stamp) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        self._append([self._record_line(fingerprint, outcome, stamp)])
         index[fingerprint] = outcome
         self._stored_at[fingerprint] = stamp
         return True
+
+    def _append(self, lines: list[str]) -> None:
+        """Append whole lines to this instance's shard and fsync them.
+
+        On the instance's first append, a shard that does not end in a
+        newline (a crash tore its last line) gets one first, so the torn
+        bytes stay a line of their own that :meth:`load` skips.
+        """
+        self._root.mkdir(parents=True, exist_ok=True)
+        with open(self.shard_path, "ab+") as handle:
+            if not self._tail_checked:
+                size = handle.seek(0, os.SEEK_END)
+                if size:
+                    handle.seek(size - 1)
+                    if handle.read(1) != b"\n":
+                        handle.write(b"\n")
+                self._tail_checked = True
+            handle.write("".join(line + "\n" for line in lines).encode("utf-8"))
+            handle.flush()
+            os.fsync(handle.fileno())
 
     def _write_shard_atomic(self, path: Path, lines: list[str]) -> None:
         """Replace a shard file atomically (tmp file + ``os.replace``)."""
@@ -360,10 +380,5 @@ class CampaignStore:
                         self._stored_at[fingerprint] = stamp
                     added.append((fingerprint, outcome, stamp))
         if added:
-            self._root.mkdir(parents=True, exist_ok=True)
-            with open(self.shard_path, "a", encoding="utf-8") as handle:
-                for fingerprint, outcome, stamp in added:
-                    handle.write(self._record_line(fingerprint, outcome, stamp) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
+            self._append([self._record_line(*record) for record in added])
         return len(added)

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.bist import BistCampaign, CampaignScenario, default_converter
-from repro.errors import ValidationError
+from repro.bist import BistConfig, CampaignScenario, default_converter, scenario_bandwidth
 from repro.rf import RappAmplifier
 from repro.signals import get_profile
 from repro.transmitter import ImpairmentConfig
@@ -77,23 +76,13 @@ class TestCampaignScenario:
         assert isinstance(scenario.impairments.amplifier, RappAmplifier)
 
 
-class TestCampaignConstruction:
-    def test_empty_scenarios_rejected(self):
-        with pytest.raises(ValidationError):
-            BistCampaign([])
-
-    def test_non_scenario_rejected(self):
-        with pytest.raises(ValidationError):
-            BistCampaign(["not a scenario"])
-
+class TestScenarioBandwidth:
     def test_scenario_bandwidth_scales_for_narrowband(self):
-        campaign = BistCampaign([CampaignScenario(profile="narrowband-vhf-bpsk")])
         profile = get_profile("narrowband-vhf-bpsk")
-        bandwidth = campaign._scenario_bandwidth(profile)
+        bandwidth = scenario_bandwidth(profile, BistConfig())
         assert bandwidth < 90e6
         assert bandwidth >= 2.5 * profile.occupied_bandwidth_hz
 
     def test_scenario_bandwidth_keeps_nominal_for_wideband(self):
-        campaign = BistCampaign([CampaignScenario(profile="paper-qpsk-1ghz")])
         profile = get_profile("paper-qpsk-1ghz")
-        assert campaign._scenario_bandwidth(profile) == pytest.approx(60e6, rel=0.01)
+        assert scenario_bandwidth(profile, BistConfig()) == pytest.approx(60e6, rel=0.01)

@@ -11,6 +11,8 @@ import json
 import numpy as np
 import pytest
 
+import repro.bist.compiler as compiler_module
+
 from repro.bist import (
     BistConfig,
     CampaignCompiler,
@@ -23,7 +25,6 @@ from repro.bist import (
 )
 from repro.bist.runner import CampaignExecution, ExecutionBudget
 from repro.errors import BudgetExhaustedError, ValidationError
-from repro.sampling import PlanStructureCache
 from repro.store import CampaignStore
 from repro.transmitter import ImpairmentConfig
 
@@ -132,12 +133,6 @@ class TestGrouping:
         with pytest.raises(ValidationError):
             CampaignCompiler().group([object()])
 
-    def test_compiler_rejects_bad_configuration(self):
-        with pytest.raises(ValidationError):
-            CampaignCompiler(structure_cache=object())
-        with pytest.raises(ValidationError):
-            CampaignCompiler(chunk_scenarios=0)
-
 
 class TestCompiledExecution:
     def test_compiled_outcomes_bit_identical_to_serial_and_pooled(self):
@@ -176,11 +171,12 @@ class TestCompiledExecution:
         assert stats.scenarios_batched == 2
         assert stats.scenarios_pooled == 1
 
-    def test_chunking_does_not_change_results(self):
+    def test_chunking_does_not_change_results(self, monkeypatch):
         scenarios = severity_sweep(3)
         tasks = build_tasks(scenarios)
         whole = CampaignCompiler().execute_group(tasks)
-        chopped = CampaignCompiler(chunk_scenarios=1).execute_group(tasks)
+        monkeypatch.setattr(compiler_module, "GROUP_CHUNK_SCENARIOS", 1)
+        chopped = CampaignCompiler().execute_group(tasks)
         for a, b in zip(whole, chopped):
             assert a.ok and b.ok
             assert a.report.to_dict() == b.report.to_dict()
@@ -276,12 +272,20 @@ class TestCompilerStats:
 
 class TestSharedStructureCache:
     def test_group_execution_populates_the_cache(self):
-        cache = PlanStructureCache()
-        compiler = CampaignCompiler(structure_cache=cache)
+        compiler = CampaignCompiler()
         outcomes = compiler.execute_group(build_tasks(severity_sweep(3)))
         assert all(outcome.ok for outcome in outcomes)
-        stats = cache.stats
+        stats = compiler.structure_cache.stats
         # Cost-function plans and dense grids re-use structures across the
         # group: every scenario after the first should hit.
         assert stats["hits"] > 0
         assert stats["entries"] >= 1
+
+    def test_each_compiler_starts_with_its_own_empty_cache(self):
+        # One compiler serves one run: structures never leak into the next.
+        first = CampaignCompiler()
+        first.execute_group(build_tasks(severity_sweep(2)))
+        second = CampaignCompiler()
+        assert second.structure_cache is not first.structure_cache
+        assert first.structure_cache.stats["entries"] >= 1
+        assert second.structure_cache.stats["entries"] == 0

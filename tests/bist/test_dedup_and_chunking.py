@@ -8,9 +8,11 @@ from repro.bist import (
     CampaignRunner,
     CampaignScenario,
     ScenarioGrid,
+    default_converter,
+    execute_scenario,
     skew_sweep,
 )
-from repro.errors import ValidationError
+from repro.bist.runner import ExecutionBudget
 from repro.store import CampaignStore
 
 FAST_CONFIG = BistConfig(
@@ -61,19 +63,12 @@ class TestFingerprintDedup:
         ).run(identical_scenarios(3))
         assert execution.dedup_hits == 0
 
-    def test_dedup_false_executes_every_scenario(self):
-        execution = CampaignRunner(bist_config=FAST_CONFIG, dedup=False).run(
-            identical_scenarios(3)
-        )
-        assert execution.dedup_hits == 0
-        assert all(outcome.worker.startswith("pid-") for outcome in execution.outcomes)
-
-    def test_dedup_results_identical_to_undeduplicated(self):
+    def test_dedup_results_identical_to_direct_execution(self):
         scenarios = identical_scenarios(3)
         deduped = CampaignRunner(bist_config=FAST_CONFIG).run(scenarios)
-        executed = CampaignRunner(bist_config=FAST_CONFIG, dedup=False).run(scenarios)
-        for a, b in zip(deduped.outcomes, executed.outcomes):
-            assert a.report.to_dict() == b.report.to_dict()
+        direct = execute_scenario(scenarios[0], bist_config=FAST_CONFIG)
+        for outcome in deduped.outcomes:
+            assert outcome.report.to_dict() == direct.to_dict()
 
     def test_dedup_with_store_archives_the_primary_once(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
@@ -107,14 +102,35 @@ class TestFingerprintDedup:
         assert not any(outcome.deduplicated for outcome in execution.outcomes)
         assert execution.dedup_hits == 0
 
+    def test_arbitrary_factory_executes_every_scenario(self):
+        # A lambda factory cannot be fingerprinted, so dedup stands down and
+        # each identical scenario executes on its own.
+        execution = CampaignRunner(
+            bist_config=FAST_CONFIG,
+            converter_factory=lambda bandwidth: default_converter(bandwidth),
+        ).run(identical_scenarios(3))
+        assert execution.dedup_hits == 0
+        assert all(outcome.worker.startswith("pid-") for outcome in execution.outcomes)
+
+    def test_duplicates_are_not_charged_to_the_budget(self):
+        # Only the primary executes, so a one-scenario budget covers a batch
+        # of identical scenarios.
+        budget = ExecutionBudget(1)
+        execution = CampaignRunner(bist_config=FAST_CONFIG).run(
+            identical_scenarios(3), budget=budget
+        )
+        assert budget.spent == 1
+        assert execution.dedup_hits == 2
+        assert all(outcome.ok for outcome in execution.outcomes)
+
+
+@pytest.fixture
+def two_per_chunk(monkeypatch):
+    """One chunk per worker, so a 2-worker pool ships ~2 scenarios a future."""
+    monkeypatch.setattr(CampaignRunner, "_CHUNKS_PER_WORKER", 1)
+
 
 class TestChunkedSubmission:
-    def test_chunk_size_validation(self):
-        with pytest.raises(ValidationError):
-            CampaignRunner(bist_config=FAST_CONFIG, chunk_size=0)
-        with pytest.raises(ValidationError):
-            CampaignRunner(bist_config=FAST_CONFIG, chunk_size=True)
-
     def test_effective_chunk_size_scales_with_workers(self):
         runner = CampaignRunner(bist_config=FAST_CONFIG, max_workers=2)
         # ceil(num_tasks / (max_workers * 4)) keeps >= 4 chunks per worker
@@ -122,10 +138,8 @@ class TestChunkedSubmission:
         assert runner._effective_chunk_size(4) == 1
         assert runner._effective_chunk_size(16) == 2
         assert runner._effective_chunk_size(33) == 5
-        explicit = CampaignRunner(bist_config=FAST_CONFIG, max_workers=2, chunk_size=7)
-        assert explicit._effective_chunk_size(100) == 7
 
-    def test_chunked_pool_matches_serial_bit_for_bit(self):
+    def test_chunked_pool_matches_serial_bit_for_bit(self, two_per_chunk):
         scenarios = (
             ScenarioGrid()
             .add_profile("paper-qpsk-1ghz")
@@ -133,15 +147,15 @@ class TestChunkedSubmission:
             .build()
         )
         serial = CampaignRunner(bist_config=FAST_CONFIG).run(scenarios)
-        chunked = CampaignRunner(
-            bist_config=FAST_CONFIG, max_workers=2, chunk_size=2
-        ).run(scenarios)
+        chunked_runner = CampaignRunner(bist_config=FAST_CONFIG, max_workers=2)
+        assert chunked_runner._effective_chunk_size(len(scenarios)) == 2
+        chunked = chunked_runner.run(scenarios)
         assert all(outcome.ok for outcome in chunked.outcomes)
         for a, b in zip(serial.outcomes, chunked.outcomes):
             assert a.label == b.label
             assert a.report.to_dict() == b.report.to_dict()
 
-    def test_chunk_error_isolated_to_its_scenarios(self):
+    def test_chunk_error_isolated_to_its_scenarios(self, two_per_chunk):
         # An unresolvable scenario inside a chunk errors alone; the rest of
         # the chunk (and the other chunk) succeed.
         scenarios = [
@@ -149,9 +163,7 @@ class TestChunkedSubmission:
             CampaignScenario(profile="no-such-profile", label="bad"),
             CampaignScenario(profile="uhf-8psk-400mhz", label="ok-2"),
         ]
-        execution = CampaignRunner(
-            bist_config=FAST_CONFIG, max_workers=2, chunk_size=2, dedup=False
-        ).run(scenarios)
+        execution = CampaignRunner(bist_config=FAST_CONFIG, max_workers=2).run(scenarios)
         by_label = {outcome.label: outcome for outcome in execution.outcomes}
         assert by_label["ok-1"].ok and by_label["ok-2"].ok
         assert not by_label["bad"].ok and "no-such-profile" in by_label["bad"].error

@@ -14,7 +14,6 @@ import pytest
 import repro.bist.runner as runner_module
 
 from repro.bist import (
-    BistCampaign,
     BistConfig,
     CampaignRunner,
     CampaignScenario,
@@ -30,7 +29,9 @@ from repro.bist import (
     pa_saturation_sweep,
     skew_sweep,
 )
-from repro.errors import CampaignExecutionError, ConfigurationError, ValidationError
+from repro.bist.runner import ExecutionBudget
+from repro.errors import ConfigurationError, ValidationError
+from repro.store import CampaignStore
 from repro.transmitter import ImpairmentConfig
 
 #: Small-but-real engine configuration so the execution tests stay fast.
@@ -216,6 +217,21 @@ class TestRunnerValidation:
         with pytest.raises(ConfigurationError):
             runner.run(small_grid())
 
+    def test_bad_budget_rejected_when_fully_cached(self, tmp_path):
+        # Nothing executes on a fully cached grid, yet the budget's type is
+        # still checked before the store is consulted.
+        store = CampaignStore(tmp_path / "store")
+        scenarios = small_grid()[:1]
+        CampaignRunner(bist_config=FAST_CONFIG, store=store).run(scenarios)
+        seen = []
+        runner = CampaignRunner(bist_config=FAST_CONFIG, store=store, progress_callback=seen.append)
+        with pytest.raises(ValidationError, match="ExecutionBudget"):
+            runner.run(scenarios, budget="x")
+        assert seen == [], "the store was consulted before the budget was checked"
+        budget = ExecutionBudget(1)
+        assert runner.run(scenarios, budget=budget).cache_hits == 1
+        assert budget.spent == 0
+
 
 @pytest.mark.slow
 class TestRunnerExecution:
@@ -279,8 +295,6 @@ class TestRunnerExecution:
         assert "ValidationError" in bad.error
         assert bad.traceback_text
         assert execution.errors == [("bad", bad.error)]
-        with pytest.raises(CampaignExecutionError):
-            execution.to_result()
 
     def test_error_isolation_parallel(self):
         scenarios = [
@@ -300,16 +314,16 @@ class TestRunnerExecution:
         global _crash_flag_path
         _crash_flag_path = str(tmp_path / "crashed")
         monkeypatch.setattr(runner_module, "_execute_task", _crash_once_then_execute)
+        # Distinct converter seeds keep the fingerprints apart: identical
+        # scenarios would be deduplicated onto one execution, and this test
+        # needs "victim" to actually reach a worker.
         scenarios = [
-            CampaignScenario(profile="paper-qpsk-1ghz", label=label)
-            for label in ("a", "victim", "b")
+            CampaignScenario(
+                profile="paper-qpsk-1ghz", label=label, converter=ConverterSpec(seed=seed)
+            )
+            for seed, label in enumerate(("a", "victim", "b"))
         ]
-        # dedup=False: the three scenarios are content-identical, and the
-        # fingerprint fan-out would otherwise execute only one of them —
-        # this test needs "victim" to actually reach a worker.
-        execution = CampaignRunner(bist_config=FAST_CONFIG, max_workers=2, dedup=False).run(
-            scenarios
-        )
+        execution = CampaignRunner(bist_config=FAST_CONFIG, max_workers=2).run(scenarios)
         assert os.path.exists(_crash_flag_path), "the crash never happened"
         assert execution.errors == []
         assert [outcome.label for outcome in execution.outcomes] == ["a", "victim", "b"]
@@ -342,32 +356,16 @@ class TestRunnerExecution:
         )
         assert delta == pytest.approx(8e-12)
 
-
-class TestBistCampaignFacade:
-    def test_run_delegates_and_keeps_result_shape(self):
-        scenarios = small_grid()[:2]
-        result = BistCampaign(scenarios, bist_config=FAST_CONFIG).run()
-        assert len(result.entries) == 2
-        assert result.reports[0].profile_name == "paper-qpsk-1ghz"
-        # Identical to the runner's serial path.
-        execution = CampaignRunner(bist_config=FAST_CONFIG).run(scenarios)
-        for (_, a), b in zip(result.entries, execution.reports):
-            assert reports_identical(a, b)
-
-    def test_run_raises_on_scenario_error(self):
-        campaign = BistCampaign(
-            [CampaignScenario(profile="no-such-profile")], bist_config=FAST_CONFIG
-        )
-        with pytest.raises(CampaignExecutionError):
-            campaign.run()
-
-    def test_lambda_factory_still_works_serially(self):
-        result = BistCampaign(
-            small_grid()[:1],
+    def test_lambda_factory_runs_serially(self):
+        # Arbitrary (unpicklable, unfingerprintable) factories stay usable
+        # in-process; only the pool and the store need a ConverterSpec.
+        execution = CampaignRunner(
             bist_config=FAST_CONFIG,
             converter_factory=lambda bandwidth: default_converter(bandwidth, seed=5),
-        ).run()
-        assert len(result.entries) == 1
+        ).run(small_grid()[:2])
+        assert not execution.errors
+        assert len(execution.reports) == 2
+        assert execution.dedup_hits == 0
 
 
 class TestCampaignSummary:
@@ -401,11 +399,26 @@ class TestCampaignSummary:
         assert summary.num_errors == 1
         assert summary.errors[0][0] == "bad"
         assert "ERROR bad" in summary.to_text()
+        # The table keeps the errored row; failures() lists failed reports only.
+        rows = execution.summary_table().splitlines()
+        assert rows[-1].split() == ["bad", "error"]
+        assert "bad" not in execution.failures()
 
-    def test_result_summary_matches_execution_summary(self):
-        scenarios = small_grid()[:2]
-        execution = CampaignRunner(bist_config=FAST_CONFIG).run(scenarios)
-        assert execution.summary().to_dict() == execution.to_result().summary().to_dict()
+    def test_failures_and_table_agree_with_the_verdicts(self):
+        execution = CampaignRunner(bist_config=FAST_CONFIG).run(small_grid())
+        summary = execution.summary()
+        failures = execution.failures()
+        assert len(failures) == summary.num_failed
+        assert execution.all_passed == (not failures)
+        header, rule, *rows = execution.summary_table().splitlines()
+        assert header.split()[:2] == ["scenario", "verdict"]
+        assert set(rule) == {"-"} and len(rule) == len(header)
+        assert [row.split()[0] for row in rows] == [o.label for o in execution.outcomes]
+        for row, (label, report) in zip(rows, execution.entries):
+            assert row.split()[1] == report.verdict.value
+            assert (label in failures) == (not report.passed)
+            # FAST_CONFIG disables EVM, so the column reads n/a.
+            assert row.split()[-1] == "n/a"
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.bist import (
-    BistCampaign,
     BistConfig,
+    CampaignRunner,
     CampaignScenario,
+    ConverterSpec,
     Verdict,
-    default_converter,
 )
 from repro.rf import IqImbalance, RappAmplifier
 from repro.transmitter import ImpairmentConfig
@@ -36,19 +36,17 @@ def campaign_result():
         ),
         CampaignScenario(profile="lband-64qam-1p5ghz", label="lband-nominal"),
     ]
-    campaign = BistCampaign(
-        scenarios,
+    runner = CampaignRunner(
         bist_config=small_bist_config(),
-        converter_factory=lambda bandwidth: default_converter(
-            bandwidth, dcde_static_error_seconds=4e-12, seed=31
-        ),
+        converter_factory=ConverterSpec(dcde_static_error_seconds=4e-12, seed=31),
     )
-    return campaign.run()
+    return runner.run(scenarios)
 
 
 @pytest.mark.slow
 class TestCampaign:
     def test_all_scenarios_executed(self, campaign_result):
+        assert not campaign_result.errors
         assert len(campaign_result.reports) == 3
 
     def test_nominal_units_pass(self, campaign_result):
@@ -97,12 +95,7 @@ class TestFaultSensitivity:
                 ),
             )
         ]
-        campaign = BistCampaign(
-            scenarios,
-            bist_config=config,
-            converter_factory=lambda bandwidth: default_converter(bandwidth, seed=37),
-        )
-        result = campaign.run()
-        report = result.reports[0]
+        runner = CampaignRunner(bist_config=config, converter_factory=ConverterSpec(seed=37))
+        report = runner.run(scenarios).reports[0]
         assert report.check("evm").verdict is Verdict.FAIL
         assert not report.passed

@@ -88,9 +88,10 @@ class TestStructureSharing:
 
 
 class TestPlanStructureCacheBudget:
-    def test_lru_eviction_over_element_budget(self, fast_sample_set, grid):
+    def test_lru_eviction_over_element_budget(self, fast_sample_set, grid, monkeypatch):
         per_structure = grid.size * (NUM_TAPS + 1)
-        cache = PlanStructureCache(max_elements=2 * per_structure)
+        monkeypatch.setattr(PlanStructureCache, "MAX_ELEMENTS", 2 * per_structure)
+        cache = PlanStructureCache()
         windows = ["kaiser", "hann", "hamming"]
         for window in windows:
             ReconstructionPlan(
@@ -106,8 +107,9 @@ class TestPlanStructureCacheBudget:
         )
         assert cache.stats["hits"] == 1
 
-    def test_most_recent_entry_survives_even_oversized(self, fast_sample_set, grid):
-        cache = PlanStructureCache(max_elements=1)
+    def test_most_recent_entry_survives_even_oversized(self, fast_sample_set, grid, monkeypatch):
+        monkeypatch.setattr(PlanStructureCache, "MAX_ELEMENTS", 1)
+        cache = PlanStructureCache()
         plan = ReconstructionPlan(
             fast_sample_set, grid, num_taps=NUM_TAPS, structure_cache=cache
         )
@@ -124,10 +126,6 @@ class TestPlanStructureCacheBudget:
         stats = cache.stats
         assert stats["entries"] == 0 and stats["elements"] == 0
         assert stats["misses"] == 1
-
-    def test_rejects_bad_budget(self):
-        with pytest.raises(ValidationError):
-            PlanStructureCache(max_elements=0)
 
 
 class TestEvaluateStacked:

@@ -1,0 +1,122 @@
+"""Generated-input properties of the reconstruction kernels.
+
+For any band placement, record length, even tap count, window and set of
+delays that :func:`~repro.sampling.nonuniform.check_delay` accepts:
+
+* :meth:`ReconstructionPlan.evaluate_many` rows equal looped
+  :meth:`ReconstructionPlan.evaluate` bit for bit;
+* :func:`evaluate_stacked` rows equal per-plan ``evaluate`` bit for bit;
+* every plan agrees with :func:`reference_evaluate` to 1e-9.
+
+Half the generated grids put one point exactly on a delayed-sample instant
+``t = nT + D`` for the first delay only.  That row needs the Taylor branch of
+the sinc, so the whole batch or stack runs the masked path, including rows
+that alone would take the fast path; they must not change by a bit.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from repro.errors import DelayConstraintError
+from repro.sampling import (
+    BandpassBand,
+    NonuniformSampleSet,
+    PlanStructureCache,
+    ReconstructionPlan,
+    evaluate_stacked,
+    reference_evaluate,
+)
+from repro.sampling.nonuniform import check_delay, delay_upper_bound
+
+WINDOWS = ["kaiser", "hann", "hamming", "blackman", "rectangular"]
+
+
+def accepted(band, delay) -> bool:
+    try:
+        check_delay(band, delay)
+    except DelayConstraintError:
+        return False
+    return True
+
+
+@st.composite
+def kernel_cases(draw):
+    """Plans sharing one structure, one delay each, over one generated grid."""
+    bandwidth = draw(st.floats(10e6, 100e6))
+    # 2 f_l / B; integer positions exercise the single-term kernel.
+    position = draw(st.one_of(st.integers(1, 30).map(float), st.floats(1.0, 30.0)))
+    band = BandpassBand(position * bandwidth / 2.0, (position + 2.0) * bandwidth / 2.0)
+    bound = delay_upper_bound(band)
+    fractions = draw(st.lists(st.floats(0.02, 1.98), min_size=2, max_size=5, unique=True))
+    delays = np.array(fractions) * bound
+    assume(all(accepted(band, delay) for delay in delays))
+    num_taps = 2 * draw(st.integers(1, 20))
+    window = draw(st.sampled_from(WINDOWS))
+    num_samples = draw(st.integers(4, 160))
+    period = 1.0 / bandwidth
+    start = draw(st.floats(-1e-6, 1e-6))
+
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    times = start + period * rng.uniform(-3.0, num_samples + 3.0, draw(st.integers(1, 30)))
+    if draw(st.booleans()):
+        # Exactly on the delayed-sample instant nT + D of the first row only.
+        n = draw(st.integers(0, num_samples - 1))
+        times = np.insert(times, draw(st.integers(0, times.size)), start + n * period + delays[0])
+        assume(np.all(np.abs(delays[1:] - delays[0]) > 1e-6 * bound))
+
+    geometry = NonuniformSampleSet(
+        on_grid=np.zeros(num_samples),
+        delayed=np.zeros(num_samples),
+        sample_period=period,
+        delay=delays[0],
+        start_time=start,
+        band=band,
+    )
+    cache = PlanStructureCache()
+    plans = [
+        ReconstructionPlan(
+            geometry.with_channels(
+                rng.standard_normal(num_samples), rng.standard_normal(num_samples)
+            ),
+            times,
+            num_taps=num_taps,
+            window=window,
+            structure_cache=cache,
+        )
+        for _ in delays
+    ]
+    return plans, delays
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_cases())
+def test_evaluate_many_rows_equal_looped_evaluate(case):
+    plans, delays = case
+    plan = plans[0]
+    looped = np.stack([plan.evaluate(delay) for delay in delays])
+    assert np.array_equal(plan.evaluate_many(delays), looped)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_cases())
+def test_evaluate_stacked_rows_equal_per_plan_evaluate(case):
+    plans, delays = case
+    assert all(plan.structure is plans[0].structure for plan in plans)
+    per_plan = np.stack([plan.evaluate(delay) for plan, delay in zip(plans, delays)])
+    assert np.array_equal(evaluate_stacked(plans, delays), per_plan)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_cases())
+def test_plans_agree_with_reference(case):
+    plans, delays = case
+    for plan, delay in zip(plans, delays):
+        expected = reference_evaluate(
+            plan.sample_set,
+            plan.evaluation_times,
+            delay,
+            num_taps=plan.num_taps,
+            window=plan.window,
+        )
+        np.testing.assert_allclose(plan.evaluate(delay), expected, rtol=1e-9, atol=1e-9)

@@ -7,6 +7,7 @@ immediately visible to fresh store instances.
 """
 
 import json
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -105,6 +106,64 @@ class TestCorruptionRecovery:
             index = fresh.load()
         assert sorted(index) == ["fp-a"]
         assert index["fp-a"].to_dict() == real_outcome.to_dict()
+
+    @pytest.mark.parametrize("append", ["put", "merge"])
+    def test_append_after_torn_tail_keeps_the_new_record(self, tmp_path, real_outcome, append):
+        # A crash tore the shard inside its last record (no trailing newline);
+        # a resumed instance's first append must not glue onto those bytes.
+        store = CampaignStore(tmp_path / "store")
+        store.put("fp-a", real_outcome)
+        store.put("fp-b", replace(real_outcome, label="torn"))
+        text = store.shard_path.read_text()
+        last_start = text.rstrip("\n").rfind("\n") + 1
+        store.shard_path.write_text(text[: (last_start + len(text)) // 2])
+        resumed = CampaignStore(tmp_path / "store")
+        new = replace(real_outcome, label="new")
+        with pytest.warns(CampaignStoreWarning, match="corrupt record"):
+            if append == "put":
+                resumed.put("fp-c", new)
+            else:
+                source = CampaignStore(tmp_path / "source")
+                source.put("fp-c", new)
+                assert resumed.merge(source) == 1
+        assert resumed.fingerprints() == ["fp-a", "fp-c"]
+        with pytest.warns(CampaignStoreWarning, match="corrupt record"):
+            index = CampaignStore(tmp_path / "store").load()
+        assert sorted(index) == ["fp-a", "fp-c"]
+        assert index["fp-c"].to_dict() == new.to_dict()
+
+    @pytest.mark.parametrize("append", ["put", "merge"])
+    @pytest.mark.parametrize("existing", ["well-formed", "empty"])
+    def test_append_to_untorn_shard_adds_only_the_record(
+        self, tmp_path, real_outcome, existing, append
+    ):
+        # The torn-tail repair leaves a shard that already ends in a newline
+        # (or holds no bytes at all) alone: the append is exactly one line.
+        store = CampaignStore(tmp_path / "store")
+        if existing == "well-formed":
+            store.put("fp-a", real_outcome)
+        else:
+            store.shard_path.parent.mkdir(parents=True)
+            store.shard_path.write_bytes(b"")
+        before = store.shard_path.read_bytes()
+        resumed = CampaignStore(tmp_path / "store")
+        new = replace(real_outcome, label="new")
+        if append == "put":
+            assert resumed.put("fp-c", new)
+        else:
+            source = CampaignStore(tmp_path / "source")
+            source.put("fp-c", new)
+            assert resumed.merge(source) == 1
+        after = store.shard_path.read_bytes()
+        assert after.startswith(before)
+        added = after[len(before) :].decode("utf-8")
+        assert added.endswith("\n") and added.count("\n") == 1
+        assert json.loads(added)["fingerprint"] == "fp-c"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CampaignStoreWarning)
+            index = CampaignStore(tmp_path / "store").load()
+        expected = ["fp-a", "fp-c"] if existing == "well-formed" else ["fp-c"]
+        assert sorted(index) == expected
 
     def test_garbage_between_good_lines_survives(self, tmp_path, real_outcome):
         good_a = CampaignStore._record_line("fp-a", real_outcome)
