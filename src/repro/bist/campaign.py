@@ -37,6 +37,7 @@ __all__ = [
     "scenario_bandwidth",
     "scenario_num_samples_fast",
     "scenario_bist_config",
+    "resolve_scenario",
     "build_scenario_engine",
     "execute_scenario",
     "MIN_OFDM_SYMBOLS_IN_WINDOW",
@@ -261,6 +262,45 @@ def scenario_bist_config(
     return config
 
 
+def resolve_scenario(
+    scenario: CampaignScenario,
+    bist_config: BistConfig | None = None,
+    converter_factory=None,
+    seed: int | None | type(...) = ...,
+) -> tuple:
+    """The effective inputs of one scenario execution.
+
+    Returns ``(profile, config, transmitter_config, factory)``: the resolved
+    profile, the per-scenario :func:`scenario_bist_config`, the transmitter
+    configuration and the converter factory (the scenario's own
+    :class:`ConverterSpec`, else ``converter_factory``, else a nominal
+    spec).  A ``seed`` override reseeds the transmitter and, for a
+    ``ConverterSpec`` factory, the converter jitter, each on its own derived
+    stream.  Execution (:func:`build_scenario_engine`) and the campaign-store
+    fingerprint (:func:`repro.store.fingerprint_payload`) both resolve here,
+    so a fingerprint covers exactly what the execution uses.
+    """
+    if not isinstance(scenario, CampaignScenario):
+        raise ValidationError("scenario must be a CampaignScenario")
+    base_config = bist_config if bist_config is not None else BistConfig()
+    profile = scenario.resolved_profile()
+    config = scenario_bist_config(scenario, base_config, seed=seed)
+    factory = scenario.converter
+    if factory is None:
+        factory = converter_factory if converter_factory is not None else ConverterSpec()
+    if seed is ...:
+        transmitter_config = TransmitterConfig.from_profile(profile, impairments=scenario.impairments)
+    else:
+        transmitter_seed = None if seed is None else (int(seed) + 0x5DEECE66) % (2**32)
+        transmitter_config = TransmitterConfig.from_profile(
+            profile, impairments=scenario.impairments, seed=transmitter_seed
+        )
+        if isinstance(factory, ConverterSpec):
+            converter_seed = None if seed is None else (int(seed) + 0x2545F491) % (2**32)
+            factory = replace(factory, seed=converter_seed)
+    return profile, config, transmitter_config, factory
+
+
 def build_scenario_engine(
     scenario: CampaignScenario,
     bist_config: BistConfig | None = None,
@@ -272,35 +312,19 @@ def build_scenario_engine(
 
     Factored out of :func:`execute_scenario` so the campaign compiler can
     drive the engine's :meth:`~repro.bist.engine.TransmitterBist.prepare` /
-    :meth:`~repro.bist.engine.TransmitterBist.finish` halves separately while
-    keeping the seed-derivation arithmetic in exactly one place.  Returns
-    ``(engine, burst)`` where ``burst`` is ``None`` unless the scenario pins
-    an explicit ``num_symbols`` (matching ``execute_scenario``'s behaviour of
-    letting the engine transmit for its required duration otherwise).
+    :meth:`~repro.bist.engine.TransmitterBist.finish` halves separately; the
+    inputs come from :func:`resolve_scenario`.  Returns ``(engine, burst)``
+    where ``burst`` is ``None`` unless the scenario pins an explicit
+    ``num_symbols`` (the engine otherwise transmits for its required
+    duration).
     """
-    if not isinstance(scenario, CampaignScenario):
-        raise ValidationError("scenario must be a CampaignScenario")
-    base_config = bist_config if bist_config is not None else BistConfig()
-    profile = scenario.resolved_profile()
-    config = scenario_bist_config(scenario, base_config, seed=seed)
-    factory = scenario.converter
-    if factory is None:
-        factory = converter_factory if converter_factory is not None else ConverterSpec()
-    if seed is ... :
-        transmitter_config = TransmitterConfig.from_profile(profile, impairments=scenario.impairments)
-    else:
-        transmitter_seed = None if seed is None else (int(seed) + 0x5DEECE66) % (2**32)
-        transmitter_config = TransmitterConfig.from_profile(
-            profile, impairments=scenario.impairments, seed=transmitter_seed
-        )
-        if isinstance(factory, ConverterSpec):
-            converter_seed = None if seed is None else (int(seed) + 0x2545F491) % (2**32)
-            factory = replace(factory, seed=converter_seed)
+    profile, config, transmitter_config, factory = resolve_scenario(
+        scenario, bist_config=bist_config, converter_factory=converter_factory, seed=seed
+    )
     transmitter = HomodyneTransmitter(transmitter_config)
-    converter = factory(config.acquisition_bandwidth_hz)
     engine = TransmitterBist(
         transmitter,
-        converter,
+        factory(config.acquisition_bandwidth_hz),
         profile=profile,
         config=config,
         plan_structure_cache=plan_structure_cache,

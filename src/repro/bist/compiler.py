@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import os
 import time
-import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,6 +95,19 @@ class CompilerStats:
             "scenarios_pooled": self.scenarios_pooled,
             "structure_cache": dict(self.structure_cache),
         }
+
+    def __add__(self, other: "CompilerStats") -> "CompilerStats":
+        """Counters of two runs summed (the service merges its workers' stats)."""
+        keys = {**self.structure_cache, **other.structure_cache}
+        return CompilerStats(
+            groups_formed=self.groups_formed + other.groups_formed,
+            scenarios_batched=self.scenarios_batched + other.scenarios_batched,
+            scenarios_pooled=self.scenarios_pooled + other.scenarios_pooled,
+            structure_cache={
+                key: self.structure_cache.get(key, 0) + other.structure_cache.get(key, 0)
+                for key in keys
+            },
+        )
 
     @classmethod
     def from_dict(cls, data: dict) -> "CompilerStats":
@@ -229,14 +241,7 @@ class CampaignCompiler:
                 stage = engine.prepare(burst)
                 grid_times, grid_rate = engine.dense_measurement_grid(stage)
             except Exception as exc:  # noqa: BLE001 - per-scenario isolation
-                outcome = ScenarioOutcome(
-                    index=task.index,
-                    label=task.label,
-                    error=f"{type(exc).__name__}: {exc}",
-                    traceback_text=traceback.format_exc(),
-                    duration_seconds=time.perf_counter() - start,
-                    worker=worker,
-                )
+                outcome = ScenarioOutcome.from_exception(task.index, task.label, exc, start, worker)
                 outcomes.append(outcome)
                 if on_outcome is not None:
                     on_outcome(outcome)
@@ -282,43 +287,32 @@ class CampaignCompiler:
             # the stacked path skips re-validation exactly like
             # NonuniformReconstructor.evaluate does.
             rows = evaluate_stacked(plans, delays, validate=False)
-        except Exception as exc:  # noqa: BLE001 - per-scenario isolation
-            # A stacked failure poisons only this chunk: fall back to
-            # finishing each scenario with its own render (engine-internal),
-            # preserving isolation and identical results.
+        except Exception:  # noqa: BLE001 - fall back to per-scenario renders
+            # A failed stack costs this chunk its shared render only: each
+            # scenario then finishes with its own render, which gives the
+            # same report.
             rows = None
-            stack_error = exc
         finally:
             plans = None
         stack_share = (time.perf_counter() - stack_started) / len(chunk)
         for position, entry in enumerate(chunk):
             task = entry["task"]
-            started = time.perf_counter()
+            # Charge the scenario its preparation and its share of the stack.
+            start = time.perf_counter() - entry["elapsed"] - stack_share
             try:
-                if rows is None:
-                    raise stack_error
-                dense_render = (entry["times"], rows[position], entry["rate"])
+                dense_render = None
+                if rows is not None:
+                    dense_render = (entry["times"], rows[position], entry["rate"])
                 report = entry["engine"].finish(entry["stage"], dense_render=dense_render)
                 outcome = ScenarioOutcome(
                     index=task.index,
                     label=task.label,
                     report=report,
-                    duration_seconds=(
-                        entry["elapsed"] + stack_share + (time.perf_counter() - started)
-                    ),
+                    duration_seconds=time.perf_counter() - start,
                     worker=worker,
                 )
             except Exception as exc:  # noqa: BLE001 - per-scenario isolation
-                outcome = ScenarioOutcome(
-                    index=task.index,
-                    label=task.label,
-                    error=f"{type(exc).__name__}: {exc}",
-                    traceback_text=traceback.format_exc(),
-                    duration_seconds=(
-                        entry["elapsed"] + stack_share + (time.perf_counter() - started)
-                    ),
-                    worker=worker,
-                )
+                outcome = ScenarioOutcome.from_exception(task.index, task.label, exc, start, worker)
             outcomes.append(outcome)
             if on_outcome is not None:
                 on_outcome(outcome)

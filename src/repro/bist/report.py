@@ -293,10 +293,6 @@ def check_margin(report: BistReport, name: str) -> float | None:
     return float(check.limit - check.measured)
 
 
-#: Backward-compatible private alias (the helper predates its public export).
-_check_margin = check_margin
-
-
 def _stats(values: list) -> tuple:
     """``(mean, worst_min, worst_max)`` of a possibly-empty value list."""
     if not values:
@@ -333,46 +329,28 @@ class ProfileSummary:
         return self.num_passed / self.num_scenarios
 
 
-def _store_section(summary: "CampaignSummary") -> str | None:
-    """Cache/dedup counters of a store-backed campaign."""
-    if not (summary.cache_hits or summary.deduplicated):
-        return None
-    dedup = f"{summary.deduplicated} deduplicated, " if summary.deduplicated else ""
-    return (
-        f"campaign store: {summary.cache_hits} cache hit(s), "
-        f"{dedup}{summary.cache_misses} executed"
-    )
-
-
-def _compiler_section(summary: "CampaignSummary") -> str | None:
+def _compiler_line(stats: dict) -> str:
     """Batching statistics of a ``compile=True`` campaign."""
-    if summary.compiler is None:
-        return None
-    cache = summary.compiler.get("structure_cache") or {}
+    cache = stats.get("structure_cache") or {}
     return (
-        f"campaign compiler: {summary.compiler.get('groups_formed', 0)} group(s), "
-        f"{summary.compiler.get('scenarios_batched', 0)} batched, "
-        f"{summary.compiler.get('scenarios_pooled', 0)} pooled "
+        f"campaign compiler: {stats.get('groups_formed', 0)} group(s), "
+        f"{stats.get('scenarios_batched', 0)} batched, "
+        f"{stats.get('scenarios_pooled', 0)} pooled "
         f"(structure cache: {cache.get('hits', 0)} hit(s), "
         f"{cache.get('misses', 0)} miss(es))"
     )
 
 
-def _adaptive_section(summary: "CampaignSummary") -> str | None:
+def _adaptive_line(stats: dict) -> str:
     """Grid-equivalent efficiency of an adaptive threshold campaign."""
-    if summary.scenarios_saved_vs_grid is None:
-        return None
     return (
-        f"adaptive efficiency: {summary.scenarios_saved_vs_grid:.1f}x fewer "
+        f"adaptive efficiency: {stats['scenarios_saved_vs_grid']:.1f}x fewer "
         "scenarios than the exhaustive grid"
     )
 
 
-def _service_section(summary: "CampaignSummary") -> str | None:
+def _service_line(stats: dict) -> str:
     """Queue/worker statistics of a campaign run through the BIST service."""
-    if summary.service is None:
-        return None
-    stats = summary.service
     return (
         f"campaign service: {stats.get('num_workers', 0)} worker(s), "
         f"{stats.get('num_partitions', 0)} partition(s), "
@@ -383,55 +361,13 @@ def _service_section(summary: "CampaignSummary") -> str | None:
     )
 
 
-def _monitor_section(summary: "CampaignSummary") -> str | None:
-    """Streaming-monitor statistics of a continuously monitored campaign."""
-    if summary.monitor is None:
-        return None
-    stats = summary.monitor
-    alarmed = stats.get("alarmed_metrics") or []
-    if stats.get("alarms", 0):
-        first = stats.get("first_alarm_window")
-        verdict = f"{stats.get('alarms', 0)} alarm(s) [{', '.join(alarmed)}], first at window {first}"
-    else:
-        verdict = "no drift alarms"
-    return (
-        f"streaming monitor: {stats.get('windows', 0)} window(s) over "
-        f"{stats.get('samples_ingested', 0)} sample(s) "
-        f"({stats.get('segments_accumulated', 0)} Welch segment(s)); {verdict}"
-    )
-
-
-def _channel_matrix_section(summary: "CampaignSummary") -> str | None:
-    """TX×RX verdict of a MIMO channel-matrix campaign."""
-    if summary.channel_matrix is None:
-        return None
-    stats = summary.channel_matrix
-    combinations = stats.get("combinations") or []
-    failed = [combo["label"] for combo in combinations if not combo.get("passed")]
-    if failed:
-        verdict = f"FAIL at {', '.join(failed)}"
-    else:
-        verdict = "all combinations passed"
-    return (
-        f"channel matrix: {stats.get('num_tx', 0)} TX x {stats.get('num_rx', 0)} RX "
-        f"({len(combinations)} combination(s)); {verdict}"
-    )
-
-
-#: Optional summary sections, rendered in this order between the headline
-#: and the per-profile table.  Each renderer returns its line, or ``None``
-#: when the campaign did not exercise that subsystem — adding a metric
-#: source (store, compiler, adaptive planner, service queue, ...) means
-#: appending one renderer here instead of growing ``to_text`` another
-#: ad-hoc branch.
-_SUMMARY_SECTIONS = (
-    _store_section,
-    _compiler_section,
-    _adaptive_section,
-    _service_section,
-    _monitor_section,
-    _channel_matrix_section,
-)
+#: Renderers of the optional ``CampaignSummary.sections``, keyed by section
+#: name, in the order their lines follow the headline and the store line.
+_SECTION_RENDERERS = {
+    "compiler": _compiler_line,
+    "adaptive": _adaptive_line,
+    "service": _service_line,
+}
 
 
 @dataclass(frozen=True)
@@ -459,26 +395,12 @@ class CampaignSummary:
     #: Scenarios whose outcome was fanned out from an identical-fingerprint
     #: primary inside the same batch (no execution, no store lookup).
     deduplicated: int = 0
-    #: Campaign-compiler statistics (``CompilerStats.to_dict()``) when the
-    #: campaign ran with ``compile=True``; ``None`` otherwise.
-    compiler: dict | None = None
-    #: Adaptive-campaign efficiency: how many exhaustive-grid scenarios each
-    #: executed scenario replaced (``None`` for non-adaptive campaigns).
-    scenarios_saved_vs_grid: float | None = None
-    #: Service-execution statistics (``ServiceStats.to_dict()``) when the
-    #: campaign ran through the distributed BIST service (queue latency,
-    #: warm-cache hit-rate, per-worker throughput, retries); ``None`` for
-    #: in-process campaigns.
-    service: dict | None = None
-    #: Streaming-monitor statistics (``MonitorReport.summary()``) when the
-    #: campaign included a continuously monitored session (window count,
-    #: alarm count/metrics, first alarm window); ``None`` for purely batch
-    #: campaigns.
-    monitor: dict | None = None
-    #: MIMO channel-matrix statistics (``ChannelMatrixReport.summary()``)
-    #: when the campaign ran a TX×RX matrix: per-combination verdict, output
-    #: power and worst margin; ``None`` for single-channel campaigns.
-    channel_matrix: dict | None = None
+    #: Subsystem payloads keyed by section name: ``"compiler"``
+    #: (``CompilerStats.to_dict()`` of a ``compile=True`` run), ``"adaptive"``
+    #: (the adaptive planner's ``scenarios_saved_vs_grid``) and ``"service"``
+    #: (``ServiceStats.to_dict()`` of a service job).  Absent sections were
+    #: not exercised.
+    sections: dict = field(default_factory=dict)
 
     @classmethod
     def from_entries(
@@ -488,13 +410,13 @@ class CampaignSummary:
         cache_hits: int = 0,
         cache_misses: int | None = None,
         deduplicated: int = 0,
-        compiler_stats: dict | None = None,
-        scenarios_saved_vs_grid: float | None = None,
-        service: dict | None = None,
-        monitor: dict | None = None,
-        channel_matrix: dict | None = None,
+        sections: dict | None = None,
     ) -> "CampaignSummary":
-        """Aggregate ``(label, report)`` pairs and ``(label, error)`` pairs."""
+        """Aggregate ``(label, report)`` pairs and ``(label, error)`` pairs.
+
+        ``sections`` maps a section name to its JSON payload; each payload
+        is copied.
+        """
         entries = list(entries)
         errors = tuple((str(label), str(message)) for label, message in errors)
         if not entries and not errors:
@@ -510,7 +432,7 @@ class CampaignSummary:
                 name: [
                     margin
                     for report in reports
-                    if (margin := _check_margin(report, name)) is not None
+                    if (margin := check_margin(report, name)) is not None
                 ]
                 for name in ("acpr", "occupied_bandwidth", "evm", "spectral_mask")
             }
@@ -551,13 +473,7 @@ class CampaignSummary:
             cache_hits=int(cache_hits),
             cache_misses=int(cache_misses),
             deduplicated=int(deduplicated),
-            compiler=(None if compiler_stats is None else dict(compiler_stats)),
-            scenarios_saved_vs_grid=(
-                None if scenarios_saved_vs_grid is None else float(scenarios_saved_vs_grid)
-            ),
-            service=(None if service is None else dict(service)),
-            monitor=(None if monitor is None else dict(monitor)),
-            channel_matrix=(None if channel_matrix is None else dict(channel_matrix)),
+            sections={name: dict(payload) for name, payload in (sections or {}).items()},
         )
 
     @property
@@ -585,10 +501,15 @@ class CampaignSummary:
                 f"{self.num_errors} errored (pass rate {self.pass_rate * 100.0:.1f}%)"
             )
         ]
-        for render_section in _SUMMARY_SECTIONS:
-            section = render_section(self)
-            if section is not None:
-                lines.append(section)
+        if self.cache_hits or self.deduplicated:
+            dedup = f"{self.deduplicated} deduplicated, " if self.deduplicated else ""
+            lines.append(
+                f"campaign store: {self.cache_hits} cache hit(s), "
+                f"{dedup}{self.cache_misses} executed"
+            )
+        for name, render in _SECTION_RENDERERS.items():
+            if name in self.sections:
+                lines.append(render(self.sections[name]))
         header = (
             f"{'profile':<24} {'n':>3} {'pass':>4} {'rate%':>6} "
             f"{'ACPR dB':>8} {'OBW MHz':>8} {'EVM %':>6} {'mask dB':>8} {'skew ps':>8}"
@@ -625,11 +546,7 @@ class CampaignSummary:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "deduplicated": self.deduplicated,
-            "compiler": self.compiler,
-            "scenarios_saved_vs_grid": self.scenarios_saved_vs_grid,
-            "service": self.service,
-            "monitor": self.monitor,
-            "channel_matrix": self.channel_matrix,
+            "sections": self.sections,
             "mean_skew_error_ps": self.mean_skew_error_ps,
             "max_skew_error_ps": self.max_skew_error_ps,
             "profiles": {

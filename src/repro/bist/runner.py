@@ -114,6 +114,24 @@ class ScenarioOutcome:
     cached: bool = False
     deduplicated: bool = False
 
+    @classmethod
+    def from_exception(
+        cls, index: int, label: str, exc: BaseException, start: float | None, worker: str = ""
+    ) -> "ScenarioOutcome":
+        """Error outcome of a scenario that raised ``exc``.
+
+        ``start`` is the scenario's ``time.perf_counter()`` start (``None``
+        records a zero duration).
+        """
+        return cls(
+            index=index,
+            label=label,
+            error=f"{type(exc).__name__}: {exc}",
+            traceback_text="".join(traceback.format_exception(exc)),
+            duration_seconds=0.0 if start is None else time.perf_counter() - start,
+            worker=worker,
+        )
+
     @property
     def ok(self) -> bool:
         """Whether the scenario produced a report."""
@@ -241,17 +259,22 @@ class CampaignExecution:
             )
         return "\n".join(lines)
 
-    def summary(self) -> CampaignSummary:
-        """Aggregate statistics over reports, captured errors and cache counters."""
+    def summary(self, sections: dict | None = None) -> CampaignSummary:
+        """Aggregate statistics over reports, captured errors and cache counters.
+
+        ``sections`` adds subsystem payloads (``{"service": ...}``,
+        ``{"adaptive": ...}``) to the ``"compiler"`` section a compiled
+        execution carries.
+        """
+        if self.compiler_stats is not None:
+            sections = {"compiler": self.compiler_stats.to_dict(), **(sections or {})}
         return CampaignSummary.from_entries(
             self.entries,
             errors=self.errors,
             cache_hits=self.cache_hits,
             cache_misses=self.cache_misses,
             deduplicated=self.dedup_hits,
-            compiler_stats=(
-                None if self.compiler_stats is None else self.compiler_stats.to_dict()
-            ),
+            sections=sections,
         )
 
     def to_dict(self) -> dict:
@@ -365,14 +388,7 @@ def _execute_task(task: _ScenarioTask) -> ScenarioOutcome:
             worker=worker,
         )
     except Exception as exc:  # noqa: BLE001 - error isolation is the contract
-        return ScenarioOutcome(
-            index=task.index,
-            label=task.label,
-            error=f"{type(exc).__name__}: {exc}",
-            traceback_text=traceback.format_exc(),
-            duration_seconds=time.perf_counter() - start,
-            worker=worker,
-        )
+        return ScenarioOutcome.from_exception(task.index, task.label, exc, start, worker)
 
 
 def _execute_chunk(tasks) -> list[ScenarioOutcome]:
@@ -560,8 +576,16 @@ class CampaignRunner:
         """
         if budget is not None and not isinstance(budget, ExecutionBudget):
             raise ValidationError("budget must be an ExecutionBudget")
-        tasks = self._build_tasks(scenarios, indices=indices)
-        cached, pending, fingerprints = self._consult_store(tasks)
+        try:
+            cached, pending, fingerprints = self.plan(scenarios, indices=indices)
+        except ConfigurationError:
+            if self._store is not None:
+                raise
+            # An arbitrary converter factory: nothing can be fingerprinted,
+            # so every task executes and dedup stands down.
+            cached, pending, fingerprints = [], self._build_tasks(scenarios, indices), {}
+        for outcome in cached:
+            self._notify(outcome)
         pending, duplicates = self._dedup_pending(pending, fingerprints)
         if budget is not None and pending:
             budget.charge(len(pending))
@@ -579,60 +603,76 @@ class CampaignRunner:
                     )
                 )
             compiler_stats = compiler.stats
-        if not pending:
-            pass
-        elif self._max_workers == 1 or len(pending) == 1:
+        if self._max_workers == 1 or len(pending) <= 1:
             executed.extend(self._run_serial(pending, fingerprints))
         else:
             executed.extend(self._run_parallel(pending, fingerprints))
-        fanned = self._fan_out_duplicates(executed, duplicates)
-        outcomes = sorted(cached + executed + fanned, key=lambda outcome: outcome.index)
+        executed += self._fan_out_duplicates(executed, duplicates)
+        outcomes = sorted(cached + executed, key=lambda outcome: outcome.index)
         return CampaignExecution(outcomes=tuple(outcomes), compiler_stats=compiler_stats)
 
-    def _dedup_pending(self, pending, fingerprints) -> tuple[list, dict]:
+    def plan(self, scenarios, indices=None) -> tuple[list, list, dict]:
+        """Build the tasks, fingerprint each once and serve store hits.
+
+        ``scenarios`` and ``indices`` are those of :meth:`run`.  Returns
+        ``(cached, pending, fingerprints)``: the store hits as
+        ``cached=True`` outcomes (``worker="store"``, zero duration)
+        re-homed under the current index and label, the tasks still to
+        execute in submission order, and each fingerprinted task's
+        fingerprint by index.  A task whose scenario content does not
+        resolve (:class:`~repro.errors.ValidationError`) stays
+        unfingerprinted and executes, surfacing its own error.  A converter
+        factory that is not a declarative :class:`ConverterSpec` cannot be
+        fingerprinted and raises :class:`~repro.errors.ConfigurationError`.
+        """
+        from ..store.fingerprint import scenario_fingerprint
+
+        cached, pending, fingerprints = [], [], {}
+        for task in self._build_tasks(scenarios, indices=indices):
+            try:
+                fingerprints[task.index] = scenario_fingerprint(
+                    task.scenario,
+                    bist_config=task.bist_config,
+                    converter_factory=task.converter_factory,
+                    seed=task.seed,
+                )
+            except ValidationError:
+                pending.append(task)
+                continue
+            hit = None if self._store is None else self._store.get(fingerprints[task.index])
+            if hit is not None and hit.ok:
+                cached.append(
+                    ScenarioOutcome(
+                        index=task.index,
+                        label=task.label,
+                        report=hit.report,
+                        worker="store",
+                        cached=True,
+                    )
+                )
+            else:
+                pending.append(task)
+        return cached, pending, fingerprints
+
+    @staticmethod
+    def _dedup_pending(pending, fingerprints) -> tuple[list, dict]:
         """Collapse identical-fingerprint pending tasks onto one execution.
 
         Returns ``(primaries, duplicates)`` where ``duplicates`` maps a
         primary task's index to the duplicate tasks whose outcomes will be
-        fanned out from it.  Fingerprints already computed by the store
-        consult are reused; without a store they are computed here.  Tasks
-        whose scenario content cannot be fingerprinted run undeduplicated,
-        and a non-declarative converter factory disables dedup for the whole
-        batch (nothing can be fingerprinted safely).
+        fanned out from it.  Unfingerprinted tasks always execute.
         """
-        if len(pending) < 2:
-            return list(pending), {}
-        from ..store.fingerprint import scenario_fingerprint
-
         primaries: list[_ScenarioTask] = []
         primary_of: dict[str, int] = {}
         duplicates: dict[int, list[_ScenarioTask]] = {}
         for task in pending:
             fingerprint = fingerprints.get(task.index)
-            if fingerprint is None:
-                try:
-                    fingerprint = scenario_fingerprint(
-                        task.scenario,
-                        bist_config=task.bist_config,
-                        converter_factory=task.converter_factory,
-                        seed=task.seed,
-                    )
-                except ValidationError:
-                    # Invalid scenario content: let the execution path surface
-                    # the per-scenario error outcome, undeduplicated.
-                    primaries.append(task)
-                    continue
-                except ConfigurationError:
-                    # Arbitrary converter factory: fingerprints are
-                    # unavailable, so dedup quietly stands down (the
-                    # historical serial path allowed such factories).
-                    return list(pending), {}
-                fingerprints[task.index] = fingerprint
             if fingerprint in primary_of:
                 duplicates.setdefault(primary_of[fingerprint], []).append(task)
-            else:
+                continue
+            if fingerprint is not None:
                 primary_of[fingerprint] = task.index
-                primaries.append(task)
+            primaries.append(task)
         return primaries, duplicates
 
     def _fan_out_duplicates(self, executed, duplicates) -> list[ScenarioOutcome]:
@@ -643,8 +683,6 @@ class CampaignRunner:
         and is not re-archived (the store already holds the fingerprint from
         the primary's flush).
         """
-        if not duplicates:
-            return []
         by_index = {outcome.index: outcome for outcome in executed}
         fanned = []
         for primary_index, tasks in duplicates.items():
@@ -666,52 +704,6 @@ class CampaignRunner:
                 fanned.append(outcome)
         return fanned
 
-    def _consult_store(self, tasks) -> tuple:
-        """Split tasks into store-served outcomes and tasks still to run."""
-        if self._store is None:
-            return [], list(tasks), {}
-        from ..store.fingerprint import scenario_fingerprint
-
-        cached = []
-        pending = []
-        fingerprints: dict[int, str] = {}
-        for task in tasks:
-            try:
-                fingerprint = scenario_fingerprint(
-                    task.scenario,
-                    bist_config=task.bist_config,
-                    converter_factory=task.converter_factory,
-                    seed=task.seed,
-                )
-            except ValidationError:
-                # A scenario with invalid *content* (e.g. unresolvable
-                # profile) must surface as a per-scenario error outcome from
-                # the execution path, not abort the campaign during the
-                # store consult; it simply runs uncached.  A campaign-level
-                # misconfiguration (non-ConverterSpec factory) still raises
-                # ConfigurationError loudly, mirroring _check_picklable.
-                pending.append(task)
-                continue
-            fingerprints[task.index] = fingerprint
-            hit = self._store.get(fingerprint)
-            if hit is not None and hit.ok:
-                # Re-home the archived report under the current campaign's
-                # index/label; wall clock and worker describe the cache hit,
-                # not the original execution.
-                outcome = ScenarioOutcome(
-                    index=task.index,
-                    label=task.label,
-                    report=hit.report,
-                    duration_seconds=0.0,
-                    worker="store",
-                    cached=True,
-                )
-                self._notify(outcome)
-                cached.append(outcome)
-            else:
-                pending.append(task)
-        return cached, pending, fingerprints
-
     def _notify(self, outcome: ScenarioOutcome) -> None:
         if self._progress_callback is not None:
             self._progress_callback(outcome)
@@ -722,8 +714,7 @@ class CampaignRunner:
             self._store.put(fingerprints[outcome.index], outcome)
         self._notify(outcome)
 
-    def _run_serial(self, tasks, fingerprints=None) -> list[ScenarioOutcome]:
-        fingerprints = fingerprints if fingerprints is not None else {}
+    def _run_serial(self, tasks, fingerprints) -> list[ScenarioOutcome]:
         outcomes = []
         for task in tasks:
             outcome = _execute_task(task)
@@ -747,8 +738,7 @@ class CampaignRunner:
     #: every outstanding future, so innocent scenarios deserve a fresh pool).
     _MAX_POOL_ROUNDS = 2
 
-    def _run_parallel(self, tasks, fingerprints=None) -> list[ScenarioOutcome]:
-        fingerprints = fingerprints if fingerprints is not None else {}
+    def _run_parallel(self, tasks, fingerprints) -> list[ScenarioOutcome]:
         self._check_picklable(tasks)
         outcomes: dict[int, ScenarioOutcome] = {}
         pending = list(tasks)
@@ -801,14 +791,7 @@ class CampaignRunner:
                     # The chunk itself could not be executed (e.g. it failed
                     # to unpickle in the worker); synthesise error outcomes.
                     chunk_outcomes = [
-                        ScenarioOutcome(
-                            index=task.index,
-                            label=task.label,
-                            error=f"{type(error).__name__}: {error}",
-                            traceback_text="".join(
-                                traceback.format_exception(type(error), error, error.__traceback__)
-                            ),
-                        )
+                        ScenarioOutcome.from_exception(task.index, task.label, error, None)
                         for task in chunk
                     ]
                 for outcome in chunk_outcomes:

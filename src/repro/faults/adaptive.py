@@ -57,7 +57,7 @@ import numpy as np
 from ..bist.campaign import CampaignScenario, ConverterSpec
 from ..bist.engine import BistConfig
 from ..bist.report import CampaignSummary
-from ..bist.runner import CampaignRunner
+from ..bist.runner import CampaignExecution, CampaignRunner
 from ..errors import ValidationError
 from ..signals.standards import WaveformProfile, get_profile
 from ..transmitter.config import ImpairmentConfig
@@ -426,24 +426,17 @@ class AdaptiveCampaignResult:
     def summary(self) -> CampaignSummary:
         """Aggregate the trajectory into a :class:`CampaignSummary`.
 
-        The summary carries the ``scenarios_saved_vs_grid`` efficiency
-        metric alongside the usual pass/error/cache counters.
+        The summary's ``"adaptive"`` section carries the
+        ``scenarios_saved_vs_grid`` efficiency metric alongside the usual
+        pass/error/cache counters.
         """
         if not self.outcomes:
             raise ValidationError(
                 "this adaptive result has no scenario outcomes to summarise "
                 "(synthetic probe backends do not execute campaign scenarios)"
             )
-        entries = [(o.label, o.report) for o in self.outcomes if o.ok]
-        errors = [(o.label, o.error) for o in self.outcomes if not o.ok]
-        cache_hits = sum(o.cached for o in self.outcomes)
-        return CampaignSummary.from_entries(
-            entries,
-            errors=errors,
-            cache_hits=cache_hits,
-            cache_misses=len(self.outcomes) - cache_hits,
-            scenarios_saved_vs_grid=self.report.scenarios_saved_vs_grid,
-        )
+        adaptive = {"scenarios_saved_vs_grid": self.report.scenarios_saved_vs_grid}
+        return CampaignExecution(outcomes=self.outcomes).summary({"adaptive": adaptive})
 
 
 # --------------------------------------------------------------------------- #

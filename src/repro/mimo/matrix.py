@@ -7,9 +7,8 @@ mirrors that: every chain of a :class:`~repro.mimo.transmitter.MimoTransmitter`
 transmits one simultaneous burst, every (TX, RX) pair runs the *complete*
 BIST loop — acquisition, LMS skew calibration, reconstruction, measurement,
 limit checks — through its own acquisition source, and the verdicts are
-collected into a serialisable :class:`ChannelMatrixReport` that renders both
-the pass/fail table and a :class:`~repro.bist.report.CampaignSummary`
-section.
+collected into a serialisable :class:`ChannelMatrixReport` that renders the
+pass/fail table and a compact JSON summary.
 """
 
 from __future__ import annotations
@@ -196,7 +195,10 @@ class ChannelMatrixReport:
         return "\n".join(lines)
 
     def summary(self) -> dict:
-        """Compact statistics for ``CampaignSummary.channel_matrix``."""
+        """Compact JSON statistics: shape, verdict and per-combination margins.
+
+        ``examples/mimo_campaign.py`` writes it next to the full matrix.
+        """
         return {
             "num_tx": self.num_tx,
             "num_rx": self.num_rx,

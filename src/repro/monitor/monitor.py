@@ -217,7 +217,7 @@ class MonitorReport:
         return min((alarm.window_index for alarm in self.alarms), default=None)
 
     def summary(self) -> dict:
-        """Compact dictionary for :class:`repro.bist.report.CampaignSummary`."""
+        """Compact dictionary of the session: windows, samples and alarms."""
         return {
             "windows": self.num_windows,
             "window_samples": self.config.window_samples,

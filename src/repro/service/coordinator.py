@@ -24,7 +24,8 @@ per-worker message queues:
 
 The merged :class:`ServiceExecution` presents outcomes in grid order with
 per-job :class:`~repro.service.stats.ServiceStats`, and its summary carries
-those stats into :class:`~repro.bist.report.CampaignSummary`.
+those stats as the ``"service"`` section of
+:class:`~repro.bist.report.CampaignSummary`.
 
 Why one queue *per worker* rather than one shared queue: a worker killed
 mid-``put`` (the chaos path CI exercises) can die holding the queue's write
@@ -70,21 +71,8 @@ class ServiceExecution:
     stats: ServiceStats
 
     def summary(self) -> CampaignSummary:
-        """Campaign summary with the service statistics threaded in."""
-        execution = self.execution
-        return CampaignSummary.from_entries(
-            execution.entries,
-            errors=execution.errors,
-            cache_hits=execution.cache_hits,
-            cache_misses=execution.cache_misses,
-            deduplicated=execution.dedup_hits,
-            compiler_stats=(
-                None
-                if execution.compiler_stats is None
-                else execution.compiler_stats.to_dict()
-            ),
-            service=self.stats.to_dict(),
-        )
+        """Campaign summary with a ``"service"`` section of the flow metrics."""
+        return self.execution.summary({"service": self.stats.to_dict()})
 
 
 def with_queue_latency(execution: ServiceExecution, latency_seconds: float) -> ServiceExecution:
@@ -380,10 +368,7 @@ class Coordinator:
                     self._record_outcome(outcome, active, outcomes, worker_counters)
                 elif kind == "partition_done":
                     active.done = True
-                    payload = dict(message[3])
-                    payload["_worker_id"] = active.worker_id
-                    payload["_retries"] = active.retries
-                    done_payloads.append(payload)
+                    done_payloads.append({**message[3], "_retries": active.retries})
                     worker_counters[active.worker_id]["partitions"] += 1
                 elif kind == "partition_failed":
                     active.failed_error = message[3]
@@ -488,35 +473,15 @@ class Coordinator:
                         ),
                         worker="coordinator",
                     )
-        ordered = tuple(outcomes[index] for index in sorted(outcomes))
+        compiled = [
+            CompilerStats.from_dict(payload["compiler_stats"])
+            for payload in done_payloads
+            if payload["compiler_stats"] is not None
+        ]
         return CampaignExecution(
-            outcomes=ordered,
-            compiler_stats=self._merge_compiler_stats(done_payloads),
+            outcomes=tuple(outcomes[index] for index in sorted(outcomes)),
+            compiler_stats=sum(compiled, CompilerStats()) if compiled else None,
         )
-
-    @staticmethod
-    def _merge_compiler_stats(done_payloads):
-        """Sum worker-side compiler statistics (None when nothing compiled)."""
-        merged = None
-        for payload in done_payloads:
-            stats_data = payload.get("compiler_stats")
-            if stats_data is None:
-                continue
-            stats = CompilerStats.from_dict(stats_data)
-            if merged is None:
-                merged = stats
-                continue
-            cache = {
-                key: merged.structure_cache.get(key, 0) + stats.structure_cache.get(key, 0)
-                for key in set(merged.structure_cache) | set(stats.structure_cache)
-            }
-            merged = CompilerStats(
-                groups_formed=merged.groups_formed + stats.groups_formed,
-                scenarios_batched=merged.scenarios_batched + stats.scenarios_batched,
-                scenarios_pooled=merged.scenarios_pooled + stats.scenarios_pooled,
-                structure_cache=cache,
-            )
-        return merged
 
     def _build_stats(
         self,
@@ -548,7 +513,7 @@ class Coordinator:
             scenarios_total=plan.scenarios_total,
             planned_cache_hits=len(plan.cached),
             worker_cache_hits=sum(worker.cache_hits for worker in workers),
-            deduplicated=sum(1 for outcome in execution.outcomes if outcome.deduplicated),
+            deduplicated=execution.dedup_hits,
             executed=sum(worker.executed for worker in workers),
             retries=retries,
             queue_latency_seconds=0.0,

@@ -3,10 +3,10 @@
 The coordinator never ships a raw scenario list to workers; it plans.
 Planning does three things, in order:
 
-1. **Consult the store** — every scenario is fingerprinted (exactly as the
-   runner would) and scenarios whose fingerprints are already archived are
-   served as ``cached=True`` outcomes immediately, so a resubmitted job
-   dispatches nothing;
+1. **Consult the store** — the runner's own planning step
+   (:meth:`~repro.bist.runner.CampaignRunner.plan`) fingerprints every
+   scenario and serves already-archived ones as ``cached=True`` outcomes
+   immediately, so a resubmitted job dispatches nothing;
 2. **Group fingerprint-adjacent work** — the remaining scenarios are
    bucketed by the campaign compiler's
    :meth:`~repro.bist.compiler.CampaignCompiler.group_key` (same resolved
@@ -29,9 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..bist.compiler import CampaignCompiler
-from ..bist.runner import CampaignRunner, ScenarioOutcome
+from ..bist.runner import CampaignRunner
 from ..errors import ValidationError
-from ..store.fingerprint import scenario_fingerprint
 from ..utils.validation import check_integer
 
 __all__ = ["WorkPartition", "PartitionPlan", "plan_partitions"]
@@ -121,61 +120,31 @@ def plan_partitions(
 
     Parameters mirror :class:`~repro.bist.runner.CampaignRunner`; ``store``
     (when given) is consulted so already-archived scenarios never reach a
-    partition.  ``num_partitions`` is an upper bound — trailing empty
+    partition.  A converter factory that is not a declarative
+    :class:`~repro.bist.campaign.ConverterSpec` raises
+    :class:`~repro.errors.ConfigurationError`: such scenarios cannot be
+    fingerprinted.  ``num_partitions`` is an upper bound — trailing empty
     partitions are dropped, so a four-way plan over three pending scenarios
     yields three singleton partitions.
     """
     check_integer(num_partitions, "num_partitions", minimum=1)
-    # The throwaway runner is the single source of truth for label and
-    # per-scenario seed derivation; reusing it guarantees the fingerprints
-    # computed here match the ones the workers' runners will compute.
-    runner = CampaignRunner(
+    # The runner's planning step derives labels, per-scenario seeds and
+    # fingerprints exactly as the workers' runners will.
+    cached, pending, fingerprints = CampaignRunner(
         bist_config=bist_config,
         converter_factory=converter_factory,
         seed_policy=seed_policy,
-    )
-    tasks = runner._build_tasks(scenarios)
-    cached: list[ScenarioOutcome] = []
-    pending = []
-    for task in tasks:
-        try:
-            fingerprint = scenario_fingerprint(
-                task.scenario,
-                bist_config=task.bist_config,
-                converter_factory=task.converter_factory,
-                seed=task.seed,
-            )
-        except ValidationError:
-            # Invalid scenario content: partition it anyway so the worker
-            # surfaces the per-scenario error outcome (runner parity).  A
-            # non-declarative converter factory still raises loudly via
-            # ConfigurationError: such scenarios cannot cross processes.
-            fingerprint = None
-        if fingerprint is not None and store is not None:
-            hit = store.get(fingerprint)
-            if hit is not None and hit.ok:
-                cached.append(
-                    ScenarioOutcome(
-                        index=task.index,
-                        label=task.label,
-                        report=hit.report,
-                        duration_seconds=0.0,
-                        worker="store",
-                        cached=True,
-                    )
-                )
-                continue
-        pending.append((task, fingerprint))
-
-    partitions = _balance(pending, num_partitions, runner)
+        store=store,
+    ).plan(scenarios)
+    pending = [(task, fingerprints.get(task.index)) for task in pending]
     return PartitionPlan(
-        partitions=tuple(partitions),
+        partitions=tuple(_balance(pending, num_partitions)),
         cached=tuple(cached),
-        scenarios_total=len(tasks),
+        scenarios_total=len(cached) + len(pending),
     )
 
 
-def _balance(pending, num_partitions: int, runner) -> list[WorkPartition]:
+def _balance(pending, num_partitions: int) -> list[WorkPartition]:
     """Greedy balanced placement of fingerprint-adjacent chunks."""
     if not pending:
         return []

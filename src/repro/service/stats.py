@@ -6,9 +6,9 @@ service layer adds *how the work flowed*: how long a job waited in the
 queue versus executed, how much of it was served warm, how the partitions
 spread over workers and how often dead workers forced retries.
 :class:`ServiceStats` is carried by every
-:class:`~repro.service.coordinator.ServiceExecution` and threaded into
-:class:`~repro.bist.report.CampaignSummary` (``service=``), so the queue
-metrics appear next to the campaign verdicts in one report.
+:class:`~repro.service.coordinator.ServiceExecution` and becomes the
+``"service"`` section of its :class:`~repro.bist.report.CampaignSummary`,
+so the queue metrics appear next to the campaign verdicts in one report.
 """
 
 from __future__ import annotations

@@ -17,6 +17,17 @@ with self-describing message tuples:
 ``("heartbeat", worker_id, timestamp)``
     Sent by a daemon thread every ``heartbeat_interval`` seconds; the
     coordinator treats a silent worker as dead and re-queues its partition.
+``("outcome", worker_id, partition_id, outcome_dict)``
+    One per completed scenario, store hits included (archived form of
+    :class:`~repro.bist.runner.ScenarioOutcome`), emitted incrementally.
+    The coordinator counts hits, executions and errors from these.
+``("partition_done", worker_id, partition_id, payload)``
+    Terminal success message; ``payload`` is ``{"compiler_stats": ...}``,
+    the partition's :class:`~repro.bist.compiler.CompilerStats` as a
+    dictionary (``None`` when nothing compiled).
+``("partition_failed", worker_id, partition_id, error_text)``
+    Terminal failure message for infrastructure-level errors (per-scenario
+    errors are ordinary error *outcomes*, not partition failures).
 
 The ``timestamp`` fields in ``started`` / ``heartbeat`` messages are wall
 clock (``time.time()``) and **display/log-only**: worker and coordinator
@@ -24,16 +35,6 @@ run in different processes, so comparing their clocks would be meaningless
 even without NTP steps.  Liveness is decided entirely on the coordinator's
 side, from its own ``time.monotonic()`` stamp taken when each message is
 *received* (see :meth:`~repro.service.coordinator.Coordinator`).
-``("outcome", worker_id, partition_id, outcome_dict)``
-    One per completed scenario (archived form of
-    :class:`~repro.bist.runner.ScenarioOutcome`), emitted incrementally so
-    the coordinator's progress and budget accounting track live execution.
-``("partition_done", worker_id, partition_id, payload)``
-    Terminal success message; ``payload`` carries the partition's cache /
-    dedup / execution counters and optional compiler statistics.
-``("partition_failed", worker_id, partition_id, error_text)``
-    Terminal failure message for infrastructure-level errors (per-scenario
-    errors are ordinary error *outcomes*, not partition failures).
 """
 
 from __future__ import annotations
@@ -113,10 +114,6 @@ def run_partition_worker(worker_id, partition, settings, results_queue) -> int:
                 worker_id,
                 partition.partition_id,
                 {
-                    "cache_hits": execution.cache_hits,
-                    "deduplicated": execution.dedup_hits,
-                    "executed": execution.cache_misses,
-                    "errors": len(execution.errors),
                     "compiler_stats": (
                         None
                         if execution.compiler_stats is None

@@ -9,12 +9,12 @@ the effective :class:`~repro.bist.campaign.ConverterSpec`, the full
 :class:`~repro.signals.standards.WaveformProfile` (its limits decide the
 verdicts) and the burst length — plus a schema version.
 
-The resolution mirrors :func:`repro.bist.campaign.execute_scenario` exactly,
-including the per-scenario seed derivation, so two scenarios share a
-fingerprint if and only if executing them produces bit-identical reports
-(for the same library version).  That property is what makes the store a
-safe cache: a hit can be substituted for execution without changing the
-campaign result.
+The inputs come from :func:`repro.bist.campaign.resolve_scenario`, the same
+resolution :func:`repro.bist.campaign.execute_scenario` runs (per-scenario
+seed derivation included), so two scenarios share a fingerprint if and only
+if executing them produces bit-identical reports (for the same library
+version).  That property is what makes the store a safe cache: a hit can be
+substituted for execution without changing the campaign result.
 
 Bump :data:`SCHEMA_VERSION` whenever the engine's numerical behaviour or the
 archive layout changes incompatibly; old fingerprints then simply miss and
@@ -25,13 +25,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import replace
 
-from ..bist.campaign import CampaignScenario, ConverterSpec, scenario_bist_config
+from ..bist.campaign import CampaignScenario, ConverterSpec, resolve_scenario
 from ..bist.engine import BistConfig
 from ..errors import ConfigurationError, ValidationError
 from ..signals.standards import WaveformProfile
-from ..transmitter.config import TransmitterConfig
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -91,14 +89,9 @@ def fingerprint_payload(
     :class:`~repro.bist.campaign.ConverterSpec` factories serialize, and a
     non-serializable factory cannot be fingerprinted safely.
     """
-    if not isinstance(scenario, CampaignScenario):
-        raise ValidationError("scenario must be a CampaignScenario")
-    base_config = bist_config if bist_config is not None else BistConfig()
-    profile = scenario.resolved_profile()
-    config = scenario_bist_config(scenario, base_config, seed=seed)
-    factory = scenario.converter
-    if factory is None:
-        factory = converter_factory if converter_factory is not None else ConverterSpec()
+    profile, config, transmitter_config, factory = resolve_scenario(
+        scenario, bist_config=bist_config, converter_factory=converter_factory, seed=seed
+    )
     if not isinstance(factory, ConverterSpec):
         label = scenario.label if scenario.label is not None else profile.name
         raise ConfigurationError(
@@ -106,19 +99,6 @@ def fingerprint_payload(
             f"({type(factory).__name__}) is not a ConverterSpec; the campaign store "
             "needs declarative converter specifications to address outcomes by content"
         )
-    # Mirror execute_scenario's seed derivation so the fingerprint tracks the
-    # exact randomness the execution would use.
-    if seed is ...:
-        transmitter_config = TransmitterConfig.from_profile(
-            profile, impairments=scenario.impairments
-        )
-    else:
-        transmitter_seed = None if seed is None else (int(seed) + 0x5DEECE66) % (2**32)
-        transmitter_config = TransmitterConfig.from_profile(
-            profile, impairments=scenario.impairments, seed=transmitter_seed
-        )
-        converter_seed = None if seed is None else (int(seed) + 0x2545F491) % (2**32)
-        factory = replace(factory, seed=converter_seed)
     return {
         "schema_version": SCHEMA_VERSION,
         "profile": profile_dict(profile),

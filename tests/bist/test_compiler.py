@@ -181,6 +181,23 @@ class TestCompiledExecution:
             assert a.ok and b.ok
             assert a.report.to_dict() == b.report.to_dict()
 
+    def test_failed_stacked_render_falls_back_to_per_scenario_renders(self, monkeypatch):
+        # A stacked render that raises costs the chunk its shared render
+        # only: each scenario finishes with its own render, same report.
+        scenarios = severity_sweep(3)
+        serial = CampaignRunner(bist_config=FAST_CONFIG).run(scenarios)
+
+        def failing_stack(*args, **kwargs):
+            raise MemoryError("stacked render")
+
+        monkeypatch.setattr(compiler_module, "evaluate_stacked", failing_stack)
+        compiled = CampaignRunner(bist_config=FAST_CONFIG).run(scenarios, compile=True)
+        assert compiled.errors == []
+        assert compiled.compiler_stats.scenarios_batched == 3
+        assert [outcome.report.to_dict() for outcome in compiled.outcomes] == [
+            outcome.report.to_dict() for outcome in serial.outcomes
+        ]
+
     def test_execute_group_isolates_per_scenario_errors(self):
         # An unresolvable scenario inside a group (only reachable by calling
         # execute_group directly) errors alone; its neighbours succeed.
@@ -242,6 +259,13 @@ class TestCompilerStats:
         assert CompilerStats.from_dict(payload) == stats
         assert CompilerStats.from_dict({}) == CompilerStats()
 
+    def test_sum_adds_every_counter(self):
+        first = CompilerStats(1, 2, 3, {"hits": 4, "misses": 1})
+        second = CompilerStats(2, 3, 0, {"hits": 1, "evictions": 2})
+        assert sum([first, second], CompilerStats()) == CompilerStats(
+            3, 5, 3, {"hits": 5, "misses": 1, "evictions": 2}
+        )
+
     def test_execution_round_trip_preserves_compiler_stats(self):
         execution = CampaignRunner(bist_config=FAST_CONFIG).run(
             severity_sweep(2), compile=True
@@ -257,16 +281,16 @@ class TestCompilerStats:
             severity_sweep(2), compile=True
         )
         summary = execution.summary()
-        assert summary.compiler == execution.compiler_stats.to_dict()
+        assert summary.sections == {"compiler": execution.compiler_stats.to_dict()}
         text = summary.to_text()
         assert "campaign compiler: 1 group(s), 2 batched, 0 pooled" in text
         payload = summary.to_dict()
-        assert payload["compiler"]["scenarios_batched"] == 2
+        assert payload["sections"]["compiler"]["scenarios_batched"] == 2
 
     def test_uncompiled_run_has_no_compiler_stats(self):
         execution = CampaignRunner(bist_config=FAST_CONFIG).run(severity_sweep(2))
         assert execution.compiler_stats is None
-        assert execution.summary().compiler is None
+        assert "compiler" not in execution.summary().sections
         assert "campaign compiler" not in execution.summary().to_text()
 
 

@@ -1,23 +1,15 @@
-"""Tests for the table-driven optional sections of ``CampaignSummary.to_text``.
+"""Tests for the optional lines of ``CampaignSummary.to_text``.
 
-Each metric source (store, compiler, adaptive planner, service queue,
-streaming monitor, channel matrix) owns
-one renderer in ``_SUMMARY_SECTIONS``; a renderer returns its line or
-``None`` when the campaign never touched that subsystem.  The contract
-under test: sections appear only when their data is present, in table
-order, and adding a source never requires editing ``to_text`` itself.
+The store line renders from the cache counters every execution carries;
+each subsystem payload in ``CampaignSummary.sections`` (compiler, adaptive
+planner, service queue) renders through its entry in the
+``_SECTION_RENDERERS`` table, keyed by section name.  The contract under
+test: a line appears only when its data is present, in table order, right
+after the headline, and adding a source never requires editing ``to_text``
+itself.
 """
 
-from repro.bist.report import (
-    _SUMMARY_SECTIONS,
-    _adaptive_section,
-    _channel_matrix_section,
-    _compiler_section,
-    _monitor_section,
-    _service_section,
-    _store_section,
-    CampaignSummary,
-)
+from repro.bist.report import _SECTION_RENDERERS, CampaignSummary
 
 SERVICE_PAYLOAD = {
     "num_workers": 4,
@@ -28,34 +20,11 @@ SERVICE_PAYLOAD = {
     "warm_hit_rate": 0.75,
 }
 
-MONITOR_PAYLOAD = {
-    "windows": 8,
-    "window_samples": 1024,
-    "samples_ingested": 8192,
-    "segments_accumulated": 63,
-    "alarms": 2,
-    "alarmed_metrics": ["output_power"],
-    "first_alarm_window": 5,
-}
-
 COMPILER_PAYLOAD = {
     "groups_formed": 2,
     "scenarios_batched": 5,
     "scenarios_pooled": 3,
     "structure_cache": {"hits": 4, "misses": 1},
-}
-
-CHANNEL_MATRIX_PAYLOAD = {
-    "num_tx": 2,
-    "num_rx": 2,
-    "num_passed": 3,
-    "all_passed": False,
-    "combinations": [
-        {"label": "TX1/RX1", "passed": True},
-        {"label": "TX1/RX2", "passed": True},
-        {"label": "TX2/RX1", "passed": False},
-        {"label": "TX2/RX2", "passed": True},
-    ],
 }
 
 
@@ -66,165 +35,98 @@ def make_summary(**kwargs) -> CampaignSummary:
     )
 
 
+def optional_lines(summary: CampaignSummary) -> list:
+    """The lines between the headline and the per-profile table header."""
+    lines = summary.to_text().splitlines()
+    header = next(index for index, line in enumerate(lines) if line.startswith("profile "))
+    return lines[1:header]
+
+
 class TestSectionTable:
     def test_table_covers_every_metric_source_in_order(self):
-        assert _SUMMARY_SECTIONS == (
-            _store_section,
-            _compiler_section,
-            _adaptive_section,
-            _service_section,
-            _monitor_section,
-            _channel_matrix_section,
-        )
+        assert list(_SECTION_RENDERERS) == ["compiler", "adaptive", "service"]
 
     def test_bare_summary_renders_no_optional_sections(self):
-        text = make_summary().to_text()
-        for renderer in _SUMMARY_SECTIONS:
-            assert renderer(make_summary()) is None
-        assert "campaign store:" not in text
-        assert "campaign compiler:" not in text
-        assert "adaptive efficiency:" not in text
-        assert "campaign service:" not in text
-        assert "streaming monitor:" not in text
-        assert "channel matrix:" not in text
+        summary = make_summary()
+        assert summary.sections == {}
+        assert optional_lines(summary) == []
 
     def test_every_section_renders_when_its_source_is_present(self):
         summary = make_summary(
             cache_hits=3,
             cache_misses=1,
             deduplicated=2,
-            compiler_stats=COMPILER_PAYLOAD,
-            scenarios_saved_vs_grid=4.0,
-            service=SERVICE_PAYLOAD,
-            monitor=MONITOR_PAYLOAD,
-            channel_matrix=CHANNEL_MATRIX_PAYLOAD,
+            sections={
+                "service": SERVICE_PAYLOAD,
+                "adaptive": {"scenarios_saved_vs_grid": 4.0},
+                "compiler": COMPILER_PAYLOAD,
+            },
         )
-        text = summary.to_text()
-        lines = text.splitlines()
-        order = [
-            lines.index(next(line for line in lines if line.startswith(prefix)))
-            for prefix in (
-                "campaign store:",
-                "campaign compiler:",
-                "adaptive efficiency:",
-                "campaign service:",
-                "streaming monitor:",
-                "channel matrix:",
-            )
+        # Table order, whatever the order of the mapping.
+        assert [line.split(":")[0] for line in optional_lines(summary)] == [
+            "campaign store",
+            "campaign compiler",
+            "adaptive efficiency",
+            "campaign service",
         ]
-        # Sections appear in table order, right after the headline.
-        assert order == sorted(order)
-        assert order[0] == 1
+
+    def test_a_section_without_renderer_is_kept_but_not_rendered(self):
+        summary = make_summary(sections={"custom": {"value": 1}})
+        assert optional_lines(summary) == []
+        assert summary.to_dict()["sections"] == {"custom": {"value": 1}}
 
 
 class TestStoreSection:
     def test_hits_and_dedup(self):
         summary = make_summary(cache_hits=3, cache_misses=1, deduplicated=2)
-        assert _store_section(summary) == (
+        assert optional_lines(summary) == [
             "campaign store: 3 cache hit(s), 2 deduplicated, 1 executed"
-        )
+        ]
 
     def test_dedup_clause_is_omitted_when_zero(self):
         summary = make_summary(cache_hits=3, cache_misses=1)
-        assert "deduplicated" not in _store_section(summary)
+        assert optional_lines(summary) == ["campaign store: 3 cache hit(s), 1 executed"]
 
     def test_cold_run_renders_nothing(self):
-        assert _store_section(make_summary(cache_misses=1)) is None
+        assert optional_lines(make_summary(cache_misses=1)) == []
 
 
 class TestCompilerSection:
     def test_renders_counts_and_structure_cache(self):
-        summary = make_summary(compiler_stats=COMPILER_PAYLOAD)
-        assert _compiler_section(summary) == (
+        summary = make_summary(sections={"compiler": COMPILER_PAYLOAD})
+        assert optional_lines(summary) == [
             "campaign compiler: 2 group(s), 5 batched, 3 pooled "
             "(structure cache: 4 hit(s), 1 miss(es))"
-        )
+        ]
 
 
 class TestAdaptiveSection:
     def test_renders_grid_equivalent_efficiency(self):
-        summary = make_summary(scenarios_saved_vs_grid=4.25)
-        assert _adaptive_section(summary) == (
+        summary = make_summary(sections={"adaptive": {"scenarios_saved_vs_grid": 4.25}})
+        assert optional_lines(summary) == [
             "adaptive efficiency: 4.2x fewer scenarios than the exhaustive grid"
-        )
+        ]
 
 
 class TestServiceSection:
     def test_renders_queue_and_cache_metrics(self):
-        line = _service_section(make_summary(service=SERVICE_PAYLOAD))
-        assert line == (
+        summary = make_summary(sections={"service": SERVICE_PAYLOAD})
+        assert optional_lines(summary) == [
             "campaign service: 4 worker(s), 3 partition(s), 1 retry(ies); "
             "queue latency 0.125 s, execution 2.50 s; "
             "warm-cache hit rate 75.0%"
-        )
+        ]
 
     def test_missing_keys_default_to_zero(self):
-        line = _service_section(make_summary(service={}))
+        (line,) = optional_lines(make_summary(sections={"service": {}}))
         assert "0 worker(s)" in line
         assert "warm-cache hit rate 0.0%" in line
 
     def test_service_dict_round_trips_through_to_dict(self):
-        summary = make_summary(service=SERVICE_PAYLOAD)
-        assert summary.to_dict()["service"] == SERVICE_PAYLOAD
+        summary = make_summary(sections={"service": SERVICE_PAYLOAD})
+        assert summary.to_dict()["sections"] == {"service": SERVICE_PAYLOAD}
         # from_entries defensively copies: mutating the input doesn't leak.
         payload = dict(SERVICE_PAYLOAD)
-        summary = make_summary(service=payload)
+        summary = make_summary(sections={"service": payload})
         payload["num_workers"] = 99
-        assert summary.service["num_workers"] == 4
-
-
-class TestMonitorSection:
-    def test_renders_windows_and_alarms(self):
-        line = _monitor_section(make_summary(monitor=MONITOR_PAYLOAD))
-        assert line == (
-            "streaming monitor: 8 window(s) over 8192 sample(s) "
-            "(63 Welch segment(s)); 2 alarm(s) [output_power], first at window 5"
-        )
-
-    def test_quiet_session_renders_no_alarm_clause(self):
-        payload = dict(MONITOR_PAYLOAD, alarms=0, alarmed_metrics=[], first_alarm_window=None)
-        line = _monitor_section(make_summary(monitor=payload))
-        assert line.endswith("no drift alarms")
-
-    def test_batch_campaign_renders_nothing(self):
-        assert _monitor_section(make_summary()) is None
-
-    def test_monitor_dict_round_trips_through_to_dict(self):
-        summary = make_summary(monitor=MONITOR_PAYLOAD)
-        assert summary.to_dict()["monitor"] == MONITOR_PAYLOAD
-        payload = dict(MONITOR_PAYLOAD)
-        summary = make_summary(monitor=payload)
-        payload["alarms"] = 99
-        assert summary.monitor["alarms"] == 2
-
-
-class TestChannelMatrixSection:
-    def test_renders_shape_and_failed_combinations(self):
-        line = _channel_matrix_section(make_summary(channel_matrix=CHANNEL_MATRIX_PAYLOAD))
-        assert line == (
-            "channel matrix: 2 TX x 2 RX (4 combination(s)); FAIL at TX2/RX1"
-        )
-
-    def test_healthy_matrix_renders_all_passed(self):
-        payload = dict(
-            CHANNEL_MATRIX_PAYLOAD,
-            all_passed=True,
-            num_passed=4,
-            combinations=[
-                dict(combo, passed=True)
-                for combo in CHANNEL_MATRIX_PAYLOAD["combinations"]
-            ],
-        )
-        line = _channel_matrix_section(make_summary(channel_matrix=payload))
-        assert line.endswith("all combinations passed")
-
-    def test_single_channel_campaign_renders_nothing(self):
-        assert _channel_matrix_section(make_summary()) is None
-
-    def test_channel_matrix_dict_round_trips_through_to_dict(self):
-        summary = make_summary(channel_matrix=CHANNEL_MATRIX_PAYLOAD)
-        assert summary.to_dict()["channel_matrix"] == CHANNEL_MATRIX_PAYLOAD
-        payload = dict(CHANNEL_MATRIX_PAYLOAD)
-        summary = make_summary(channel_matrix=payload)
-        payload["num_tx"] = 99
-        assert summary.channel_matrix["num_tx"] == 2
+        assert summary.sections["service"]["num_workers"] == 4

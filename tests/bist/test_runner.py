@@ -7,6 +7,7 @@ tests are cheap plumbing checks.
 
 import os
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from repro.bist import (
     pa_saturation_sweep,
     skew_sweep,
 )
-from repro.bist.runner import ExecutionBudget
+from repro.bist.runner import ExecutionBudget, ScenarioOutcome
 from repro.errors import ConfigurationError, ValidationError
 from repro.store import CampaignStore
 from repro.transmitter import ImpairmentConfig
@@ -295,6 +296,19 @@ class TestRunnerExecution:
         assert "ValidationError" in bad.error
         assert bad.traceback_text
         assert execution.errors == [("bad", bad.error)]
+
+    def test_error_outcome_from_an_exception(self):
+        try:
+            raise RuntimeError("boom")
+        except RuntimeError as exc:
+            outcome = ScenarioOutcome.from_exception(3, "label", exc, time.perf_counter(), "w")
+            untimed = ScenarioOutcome.from_exception(4, "other", exc, None)
+        assert (outcome.index, outcome.label, outcome.worker) == (3, "label", "w")
+        assert not outcome.ok and outcome.error == "RuntimeError: boom"
+        assert outcome.traceback_text.startswith("Traceback")
+        assert "test_error_outcome_from_an_exception" in outcome.traceback_text
+        assert outcome.duration_seconds >= 0.0
+        assert untimed.duration_seconds == 0.0 and untimed.worker == ""
 
     def test_error_isolation_parallel(self):
         scenarios = [

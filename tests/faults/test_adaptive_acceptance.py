@@ -265,6 +265,6 @@ class TestRealBackendAcceptance:
         result, _ = real_search
         summary = result.summary()
         assert summary.num_errors == 0
-        assert summary.scenarios_saved_vs_grid == pytest.approx(
+        assert summary.sections["adaptive"]["scenarios_saved_vs_grid"] == pytest.approx(
             result.report.scenarios_saved_vs_grid
         )

@@ -14,7 +14,6 @@ from repro.adc.acquisition import (
     SimulatedTiadcSource,
 )
 from repro.bist import BistConfig, ConverterSpec
-from repro.bist.report import CampaignSummary
 from repro.errors import ConfigurationError, ValidationError
 from repro.mimo import (
     ChannelMatrixReport,
@@ -118,15 +117,12 @@ class TestFaultyTx2Matrix:
         assert report.entry(1, 1).passed and report.entry(1, 2).passed
         assert not report.entry(2, 1).passed and not report.entry(2, 2).passed
 
-    def test_summary_feeds_the_campaign_report_section(self, recorded_faulty_run):
+    def test_summary_lists_every_combination_verdict(self, recorded_faulty_run):
         report, _ = recorded_faulty_run
-        summary = CampaignSummary.from_entries(
-            [(entry.label, entry.report) for entry in report.entries],
-            channel_matrix=report.summary(),
-        )
-        text = summary.to_text()
-        assert "channel matrix: 2 TX x 2 RX (4 combination(s))" in text
-        assert "FAIL at TX2/RX1, TX2/RX2" in text
+        summary = report.summary()
+        assert (summary["num_tx"], summary["num_rx"], summary["all_passed"]) == (2, 2, False)
+        failed = [combo["label"] for combo in summary["combinations"] if not combo["passed"]]
+        assert failed == ["TX2/RX1", "TX2/RX2"]
 
     def test_replay_is_bit_identical_to_the_recorded_run(self, recorded_faulty_run):
         report, captures = recorded_faulty_run

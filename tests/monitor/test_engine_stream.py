@@ -34,17 +34,6 @@ class TestEngineStream:
         report = engine.stream(burst)
         assert report.alarms == ()
 
-    def test_summary_feeds_the_campaign_report_section(self, engine_and_burst):
-        from repro.bist.report import CampaignSummary
-
-        engine, burst = engine_and_burst
-        report = engine.stream(burst)
-        summary = CampaignSummary.from_entries(
-            [], errors=[("s", "synthetic")], monitor=report.summary()
-        )
-        assert "streaming monitor:" in summary.to_text()
-        assert summary.to_dict()["monitor"]["windows"] == report.num_windows
-
     def test_ofdm_default_window_holds_whole_symbols(self):
         # The default window used to shrink below one OFDM symbol span, so
         # every window skipped EVM; it must now widen to fit whole symbols.

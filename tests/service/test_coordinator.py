@@ -114,8 +114,8 @@ class TestBitIdentity:
     def test_summary_carries_the_service_section(self, tmp_path):
         execution = make_coordinator(tmp_path).run(grid_scenarios(2))
         summary = execution.summary()
-        assert summary.service is not None
-        assert summary.service["num_workers"] == 4
+        assert summary.sections["service"] == execution.stats.to_dict()
+        assert summary.sections["service"]["num_workers"] == 4
         text = summary.to_text()
         assert "campaign service:" in text
         assert "warm-cache hit rate" in text

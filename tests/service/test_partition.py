@@ -79,7 +79,7 @@ class TestPlanning:
 
     def test_labels_and_indices_stay_aligned_with_the_runner(self):
         scenarios = grid_scenarios(4)
-        tasks = CampaignRunner(bist_config=FAST_CONFIG)._build_tasks(scenarios)
+        _, tasks, _ = CampaignRunner(bist_config=FAST_CONFIG).plan(scenarios)
         by_index = {task.index: task.label for task in tasks}
         plan = plan_partitions(scenarios, num_partitions=2, bist_config=FAST_CONFIG)
         for partition in plan.partitions:

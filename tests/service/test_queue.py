@@ -48,7 +48,7 @@ class TestLifecycle:
             result = queue.result(job_id)
             assert result["state"] == "done"
             assert "campaign service:" in result["summary_text"]
-            service = result["summary"]["service"]
+            service = result["summary"]["sections"]["service"]
             assert service["queue_latency_seconds"] == status["queue_latency_seconds"]
             await queue.drain()
 
@@ -90,7 +90,7 @@ class TestLifecycle:
             await wait_terminal(queue, first)
             second = queue.submit(fast_spec())
             await wait_terminal(queue, second)
-            stats = queue.result(second)["summary"]["service"]
+            stats = queue.result(second)["summary"]["sections"]["service"]
             assert stats["warm_hit_rate"] == 1.0
             assert stats["executed"] == 0
             await queue.drain()

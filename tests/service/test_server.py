@@ -77,7 +77,7 @@ class TestRoundTrip:
         result = service.result(job_id)
         assert result["job_id"] == job_id
         assert "campaign service:" in result["summary_text"]
-        assert result["summary"]["service"]["scenarios_total"] == 1
+        assert result["summary"]["sections"]["service"]["scenarios_total"] == 1
         assert len(result["outcomes"]) == 1
         assert service.stats()["jobs"]["done"] == 1
 

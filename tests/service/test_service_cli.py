@@ -38,7 +38,7 @@ class TestRun:
         assert "service stats:" in captured
         payload = json.loads(output.read_text())
         assert payload["stats"]["scenarios_total"] == 1
-        assert payload["summary"]["service"]["num_workers"] == 2
+        assert payload["summary"]["sections"]["service"]["num_workers"] == 2
 
     def test_run_from_a_spec_file(self, tmp_path, capsys):
         from repro.bist import BistConfig

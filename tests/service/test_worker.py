@@ -10,7 +10,7 @@ message — without any process-management noise.
 import threading
 import time
 
-from repro.bist import BistConfig, ScenarioGrid
+from repro.bist import BistConfig, ScenarioGrid, ScenarioOutcome
 from repro.service.partition import plan_partitions
 from repro.service.worker import (
     DEFAULT_HEARTBEAT_INTERVAL,
@@ -42,6 +42,14 @@ class RecordingQueue:
             if self._fail_after is not None and len(self.messages) >= self._fail_after:
                 raise OSError("queue torn")
             self.messages.append(message)
+
+    def outcomes(self) -> list:
+        with self._lock:
+            return [
+                ScenarioOutcome.from_dict(message[3])
+                for message in self.messages
+                if message[0] == "outcome"
+            ]
 
     def kinds(self) -> list:
         with self._lock:
@@ -75,10 +83,11 @@ class TestSuccessPath:
         done = queue.messages[-1]
         assert done[1] == "worker-000"
         assert done[2] == partition.partition_id
-        payload = done[3]
-        assert payload["executed"] == 1
-        assert payload["cache_hits"] == 0
-        assert payload["errors"] == 0
+        # Counts travel as streamed outcomes; the terminal payload carries
+        # only the compiler statistics (none for an uncompiled partition).
+        assert done[3] == {"compiler_stats": None}
+        (outcome,) = queue.outcomes()
+        assert outcome.ok and not outcome.cached
 
     def test_outcomes_land_in_the_worker_private_shard(self, tmp_path):
         queue = RecordingQueue()
@@ -97,9 +106,8 @@ class TestSuccessPath:
         run_partition_worker("worker-000", one_partition(), settings, RecordingQueue())
         queue = RecordingQueue()
         run_partition_worker("worker-001", one_partition(), settings, queue)
-        payload = queue.messages[-1][3]
-        assert payload["cache_hits"] == 1
-        assert payload["executed"] == 0
+        (outcome,) = queue.outcomes()
+        assert outcome.cached and outcome.worker == "store"
 
 
 class TestFailurePath:

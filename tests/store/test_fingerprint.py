@@ -11,7 +11,13 @@ import pytest
 
 import repro.store.fingerprint as fingerprint_module
 
-from repro.bist import BistConfig, CampaignScenario, ConverterSpec
+from repro.bist import (
+    BistConfig,
+    CampaignScenario,
+    ConverterSpec,
+    derive_scenario_seed,
+    pa_saturation_sweep,
+)
 from repro.errors import ConfigurationError, ValidationError
 from repro.faults import IqImbalanceFault
 from repro.store import canonical_json, fingerprint_payload, scenario_fingerprint
@@ -118,3 +124,55 @@ class TestPayload:
     def test_scenario_type_checked(self):
         with pytest.raises(ValidationError):
             scenario_fingerprint("not-a-scenario", CONFIG)
+
+
+#: Hex digests pinned when scenario resolution moved into
+#: ``repro.bist.campaign.resolve_scenario``.  A change here re-keys every
+#: archived store (all lookups go cold): bump ``SCHEMA_VERSION`` on purpose
+#: instead of editing a digest.
+PAPER = "paper-qpsk-1ghz"
+PINNED = {
+    "paper-shared": (
+        dict(scenario=CampaignScenario(profile=PAPER)),
+        "9a997f73f2309b589940a02ec5a31686070a748783124497b42a15169fb49cee",
+    ),
+    "paper-per-scenario-seed": (
+        dict(
+            scenario=CampaignScenario(profile=PAPER),
+            seed=derive_scenario_seed(BistConfig().seed, 2, PAPER),
+        ),
+        "da5c9ab4d3de2debeff86ecf7291a67a78e0fa7eb1bdfa844ca35bb048c2fdbc",
+    ),
+    "scenario-converter-spec": (
+        dict(
+            scenario=CampaignScenario(
+                profile=PAPER, converter=ConverterSpec(channel1_skew_seconds=2e-12)
+            ),
+            seed=12345,
+        ),
+        "34c9ca9acae4c5c2363ced273c2bf5e88e20aab5d92cc5f68e9737b9c6a70036",
+    ),
+    "fault-model-impairment": (
+        dict(
+            scenario=CampaignScenario(
+                profile=PAPER, impairments=pa_saturation_sweep([0.75])[0][1]
+            )
+        ),
+        "8702fcce61c3181282bc24626c04220436a49105454c4fd93d39854a5baf4d02",
+    ),
+    "ofdm-profile": (
+        dict(scenario=CampaignScenario(profile="ofdm-uhf-qpsk-400mhz")),
+        "b25990f8133daf581c9a914a8da07953afcf684c5a43d8dd0c3f3e7dfa2001df",
+    ),
+    "explicit-num-symbols": (
+        dict(scenario=CampaignScenario(profile="uhf-8psk-400mhz", num_symbols=256)),
+        "b385cdec9ddddd135e0077ebc6d43f92e6e4fc9f4a4b9d7d4c3ef0c9578ef4a8",
+    ),
+}
+
+
+class TestPinnedDigests:
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_digest_is_unchanged(self, name):
+        kwargs, digest = PINNED[name]
+        assert scenario_fingerprint(**kwargs) == digest
