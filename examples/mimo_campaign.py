@@ -13,7 +13,8 @@ simulation on three layers of ``repro.mimo``:
    calibration, nonuniform reconstruction, spectrum measurements, limit
    checks — and the verdicts land in a
    :class:`~repro.mimo.ChannelMatrixReport`;
-3. the recorded acquisitions are replayed through
+3. the recorded acquisitions are saved to ``.npz`` captures in a temporary
+   directory, loaded back and replayed through
    :class:`~repro.adc.acquisition.CapturedSamplesSource` to demonstrate the
    hardware seam: the replayed matrix is bit-identical to the simulated one.
 
@@ -27,13 +28,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import tempfile
 import time
+from pathlib import Path
 
-from repro.adc.acquisition import (
-    CapturedSamplesSource,
-    RecordingSource,
-    SimulatedTiadcSource,
-)
+from repro.adc.acquisition import AcquisitionCapture, CapturedSamplesSource, RecordingSource
 from repro.bist import BistConfig, ConverterSpec
 from repro.mimo import MimoSpec, MimoTransmitter, run_channel_matrix
 from repro.rf import RappAmplifier
@@ -77,7 +76,7 @@ def main() -> int:
     recorders = {}
 
     def recording_factory(tx_index, rx_index, spec, bandwidth):
-        source = RecordingSource(SimulatedTiadcSource(spec.build(bandwidth)))
+        source = RecordingSource(spec.build(bandwidth))
         recorders[(tx_index, rx_index)] = source
         return source
 
@@ -101,24 +100,32 @@ def main() -> int:
     print(f"TX2-only fault isolated: {', '.join(failures)} FAIL, TX1 row PASS")
 
     # ---------------------------------------------------------------- #
-    # Replay through the hardware seam: bit-identical verdicts
+    # Replay from disk through the hardware seam: bit-identical verdicts
     # ---------------------------------------------------------------- #
-    captures = {key: source.capture() for key, source in recorders.items()}
+    with tempfile.TemporaryDirectory() as capture_dir:
+        paths = {}
+        for (tx_index, rx_index), source in recorders.items():
+            path = Path(capture_dir) / f"tx{tx_index + 1}-rx{rx_index + 1}.npz"
+            source.capture().save(path)
+            paths[(tx_index, rx_index)] = path
 
-    def replay_factory(tx_index, rx_index, spec, bandwidth):
-        return CapturedSamplesSource(captures[(tx_index, rx_index)])
+        def replay_factory(tx_index, rx_index, spec, bandwidth):
+            return CapturedSamplesSource(AcquisitionCapture.load(paths[(tx_index, rx_index)]))
 
-    replayed = run_channel_matrix(
-        build_transmitter(),
-        config=config,
-        rx_specs=rx_spec,
-        seed=7,
-        source_factory=replay_factory,
-    )
+        replayed = run_channel_matrix(
+            build_transmitter(),
+            config=config,
+            rx_specs=rx_spec,
+            seed=7,
+            source_factory=replay_factory,
+        )
     assert replayed.to_dict() == report.to_dict(), (
         "replaying the recorded captures must reproduce the matrix bit-for-bit"
     )
-    print("replay through CapturedSamplesSource is bit-identical to the simulated run")
+    print(
+        f"replay of {len(paths)} .npz captures through CapturedSamplesSource is "
+        "bit-identical to the simulated run"
+    )
 
     if args.output:
         payload = {

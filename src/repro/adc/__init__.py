@@ -3,13 +3,10 @@ and the acquisition-source seam for hardware-in-the-loop captures."""
 
 from .acquisition import (
     AcquisitionCapture,
-    AcquisitionMetadata,
     AcquisitionSource,
     CaptureRecord,
     CapturedSamplesSource,
     RecordingSource,
-    SimulatedTiadcSource,
-    as_acquisition_source,
 )
 from .adc import AdcChannel
 from .mismatch import ChannelMismatch
@@ -27,11 +24,8 @@ __all__ = [
     "DigitallyControlledDelayElement",
     "TimeInterleavedAdc",
     "AcquisitionSource",
-    "AcquisitionMetadata",
     "AcquisitionCapture",
     "CaptureRecord",
     "CapturedSamplesSource",
     "RecordingSource",
-    "SimulatedTiadcSource",
-    "as_acquisition_source",
 ]

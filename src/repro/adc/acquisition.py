@@ -8,67 +8,41 @@ needs — program a delay, acquire a :class:`NonuniformSampleSet`, re-run at a
 different per-channel rate — into :class:`AcquisitionSource` so either side
 of the seam can be swapped:
 
-* :class:`SimulatedTiadcSource` — the default; wraps a ``BpTiadc`` and
-  delegates, so existing behaviour is bit-identical.
+* :class:`~repro.adc.tiadc.BpTiadc` — the simulated converter is itself a
+  source (registered as a virtual subclass), so the default path has no
+  wrapper at all.
 * :class:`RecordingSource` — a transparent wrapper that records every
   acquisition of an inner source into an :class:`AcquisitionCapture`.
-* :class:`CapturedSamplesSource` — replays a capture (``.npz`` or JSONL) in
-  call order; the engine, measurements, store fingerprinting and fault
-  coverage run unmodified against it, and a replayed run is bit-identical to
-  the recorded one.
+* :class:`CapturedSamplesSource` — replays a capture in call order; the
+  engine, measurements, store fingerprinting and fault coverage run
+  unmodified against it, and a replayed run is bit-identical to the recorded
+  one.  Replay checks every request against the recording (delay request,
+  band centre, rate, sample count, start time), so configuration drift
+  between the two runs raises instead of measuring the wrong thing.
 
-The capture format keeps full float64 precision in both containers: ``.npz``
-stores the raw arrays, JSONL stores ``repr``-round-tripping floats.
+Captures persist as NumPy ``.npz`` archives at full float64 precision.
 """
 
 from __future__ import annotations
 
 import abc
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigurationError, ValidationError
 from ..sampling.bandpass import BandpassBand
 from ..sampling.reconstruction import NonuniformSampleSet
-from ..utils.serialization import field_dict, known_field_kwargs
 from .tiadc import BpTiadc
 
 __all__ = [
     "AcquisitionSource",
-    "AcquisitionMetadata",
-    "SimulatedTiadcSource",
     "RecordingSource",
     "CaptureRecord",
     "AcquisitionCapture",
     "CapturedSamplesSource",
-    "as_acquisition_source",
 ]
-
-
-@dataclass(frozen=True)
-class AcquisitionMetadata:
-    """Serialisable description of an acquisition source.
-
-    Every field is a scalar, so the dictionary form round-trips exactly and
-    can ride inside store fingerprints or campaign summaries.
-    """
-
-    kind: str = "simulated-tiadc"
-    sample_rate_hz: float = 0.0
-    num_captures: int = 0
-    programmed_delay_seconds: float | None = None
-    true_delay_seconds: float | None = None
-
-    def to_dict(self) -> dict:
-        """Plain JSON-friendly dictionary (exact round trip via :meth:`from_dict`)."""
-        return field_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AcquisitionMetadata":
-        """Rebuild metadata serialized with :meth:`to_dict` (unknown keys ignored)."""
-        return cls(**known_field_kwargs(cls, data))
 
 
 class AcquisitionSource(abc.ABC):
@@ -108,54 +82,11 @@ class AcquisitionSource(abc.ABC):
     def true_delay(self) -> float | None:
         """The physically realised delay, when the source knows it (simulation only)."""
 
-    @abc.abstractmethod
-    def metadata(self) -> AcquisitionMetadata:
-        """Serialisable description of this source."""
 
-
-class SimulatedTiadcSource(AcquisitionSource):
-    """The default source: a simulated :class:`~repro.adc.tiadc.BpTiadc`."""
-
-    def __init__(self, converter: BpTiadc) -> None:
-        if not isinstance(converter, BpTiadc):
-            raise ValidationError("converter must be a BpTiadc")
-        self._converter = converter
-
-    @property
-    def converter(self) -> BpTiadc:
-        """The wrapped simulated converter."""
-        return self._converter
-
-    @property
-    def sample_rate(self) -> float:
-        return self._converter.sample_rate
-
-    def program_delay(self, target_delay_seconds: float) -> float:
-        return self._converter.program_delay(target_delay_seconds)
-
-    def acquire(self, signal, band, num_samples, start_time=0.0) -> NonuniformSampleSet:
-        return self._converter.acquire(signal, band, num_samples, start_time=start_time)
-
-    def with_sample_rate(self, sample_rate: float) -> "SimulatedTiadcSource":
-        return SimulatedTiadcSource(self._converter.with_sample_rate(sample_rate))
-
-    @property
-    def true_delay(self) -> float | None:
-        return self._converter.true_delay
-
-    def metadata(self) -> AcquisitionMetadata:
-        try:
-            programmed = self._converter.programmed_delay
-            true_delay = self._converter.true_delay
-        except ConfigurationError:
-            programmed = None
-            true_delay = None
-        return AcquisitionMetadata(
-            kind="simulated-tiadc",
-            sample_rate_hz=float(self._converter.sample_rate),
-            programmed_delay_seconds=programmed,
-            true_delay_seconds=true_delay,
-        )
+# The simulated converter implements the protocol as it stands; a dataclass
+# cannot subclass the ABC (its ``sample_rate`` field does not override the
+# abstract property), so it registers as a virtual subclass instead.
+AcquisitionSource.register(BpTiadc)
 
 
 @dataclass(frozen=True)
@@ -211,13 +142,15 @@ class AcquisitionCapture:
 
     ``programmed_delay_seconds`` is the value ``program_delay`` returned
     during recording; ``true_delay_seconds`` is the simulated physical delay
-    when the recorded source exposed one (a real device never does).
+    when the recorded source exposed one (a real device never does);
+    ``requested_delay_seconds`` is the target ``program_delay`` was asked
+    for, which replay requires to match.
     """
 
     records: tuple = ()
     programmed_delay_seconds: float | None = None
     true_delay_seconds: float | None = None
-    source_kind: str = "simulated-tiadc"
+    requested_delay_seconds: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "records", tuple(self.records))
@@ -228,21 +161,15 @@ class AcquisitionCapture:
     def __len__(self) -> int:
         return len(self.records)
 
-    # ------------------------------------------------------------------ #
-    # Persistence (.npz and JSONL, both full float64 precision)
-    # ------------------------------------------------------------------ #
-    def _scalar_header(self) -> dict:
-        return {
+    def save(self, path) -> None:
+        """Persist the capture to a NumPy ``.npz`` archive (full float64 precision)."""
+        arrays: dict = {}
+        meta = {
             "programmed_delay_seconds": self.programmed_delay_seconds,
             "true_delay_seconds": self.true_delay_seconds,
-            "source_kind": self.source_kind,
+            "requested_delay_seconds": self.requested_delay_seconds,
+            "records": [],
         }
-
-    def save_npz(self, path) -> None:
-        """Persist the capture to a NumPy ``.npz`` archive."""
-        arrays: dict = {}
-        meta = dict(self._scalar_header())
-        meta["records"] = []
         for index, record in enumerate(self.records):
             arrays[f"on_grid_{index}"] = record.on_grid
             arrays[f"delayed_{index}"] = record.delayed
@@ -261,8 +188,8 @@ class AcquisitionCapture:
         np.savez(path, **arrays)
 
     @classmethod
-    def load_npz(cls, path) -> "AcquisitionCapture":
-        """Load a capture persisted with :meth:`save_npz`."""
+    def load(cls, path) -> "AcquisitionCapture":
+        """Load a capture persisted with :meth:`save`."""
         with np.load(path, allow_pickle=False) as archive:
             meta = json.loads(str(archive["metadata_json"]))
             records = []
@@ -284,83 +211,8 @@ class AcquisitionCapture:
             records=tuple(records),
             programmed_delay_seconds=meta["programmed_delay_seconds"],
             true_delay_seconds=meta["true_delay_seconds"],
-            source_kind=meta["source_kind"],
+            requested_delay_seconds=meta["requested_delay_seconds"],
         )
-
-    def save_jsonl(self, path) -> None:
-        """Persist the capture as JSON lines (header line, then one line per record).
-
-        Python's ``repr``-based float serialisation round-trips float64
-        exactly, so JSONL replay stays bit-identical to ``.npz`` replay.
-        """
-        with open(path, "w", encoding="utf-8") as handle:
-            header = dict(self._scalar_header())
-            header["format"] = "acquisition-capture-v1"
-            handle.write(json.dumps(header) + "\n")
-            for record in self.records:
-                handle.write(
-                    json.dumps(
-                        {
-                            "sample_rate_hz": record.sample_rate_hz,
-                            "num_samples": record.num_samples,
-                            "start_time": record.start_time,
-                            "sample_period": record.sample_period,
-                            "delay": record.delay,
-                            "band_f_low": record.band_f_low,
-                            "band_f_high": record.band_f_high,
-                            "on_grid": record.on_grid.tolist(),
-                            "delayed": record.delayed.tolist(),
-                        }
-                    )
-                    + "\n"
-                )
-
-    @classmethod
-    def load_jsonl(cls, path) -> "AcquisitionCapture":
-        """Load a capture persisted with :meth:`save_jsonl`."""
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = [line for line in (raw.strip() for raw in handle) if line]
-        if not lines:
-            raise ValidationError(f"empty acquisition capture file: {path}")
-        header = json.loads(lines[0])
-        if header.get("format") != "acquisition-capture-v1":
-            raise ValidationError(f"not an acquisition capture file: {path}")
-        records = []
-        for line in lines[1:]:
-            entry = json.loads(line)
-            records.append(
-                CaptureRecord(
-                    sample_rate_hz=float(entry["sample_rate_hz"]),
-                    num_samples=int(entry["num_samples"]),
-                    start_time=float(entry["start_time"]),
-                    on_grid=np.asarray(entry["on_grid"], dtype=float),
-                    delayed=np.asarray(entry["delayed"], dtype=float),
-                    sample_period=float(entry["sample_period"]),
-                    delay=float(entry["delay"]),
-                    band_f_low=float(entry["band_f_low"]),
-                    band_f_high=float(entry["band_f_high"]),
-                )
-            )
-        return cls(
-            records=tuple(records),
-            programmed_delay_seconds=header.get("programmed_delay_seconds"),
-            true_delay_seconds=header.get("true_delay_seconds"),
-            source_kind=header.get("source_kind", "captured"),
-        )
-
-    def save(self, path) -> None:
-        """Persist to ``.npz`` or ``.jsonl`` based on the path suffix."""
-        if str(path).endswith(".npz"):
-            self.save_npz(path)
-        else:
-            self.save_jsonl(path)
-
-    @classmethod
-    def load(cls, path) -> "AcquisitionCapture":
-        """Load from ``.npz`` or ``.jsonl`` based on the path suffix."""
-        if str(path).endswith(".npz"):
-            return cls.load_npz(path)
-        return cls.load_jsonl(path)
 
 
 class RecordingSource(AcquisitionSource):
@@ -378,7 +230,12 @@ class RecordingSource(AcquisitionSource):
         self._shared = (
             _shared
             if _shared is not None
-            else {"records": [], "programmed_delay_seconds": None, "true_delay_seconds": None}
+            else {
+                "records": [],
+                "programmed_delay_seconds": None,
+                "true_delay_seconds": None,
+                "requested_delay_seconds": None,
+            }
         )
 
     @property
@@ -387,6 +244,7 @@ class RecordingSource(AcquisitionSource):
 
     def program_delay(self, target_delay_seconds: float) -> float:
         programmed = self._inner.program_delay(target_delay_seconds)
+        self._shared["requested_delay_seconds"] = float(target_delay_seconds)
         self._shared["programmed_delay_seconds"] = float(programmed)
         return programmed
 
@@ -409,28 +267,26 @@ class RecordingSource(AcquisitionSource):
     def true_delay(self) -> float | None:
         return self._inner.true_delay
 
-    def metadata(self) -> AcquisitionMetadata:
-        inner = self._inner.metadata()
-        return replace(inner, num_captures=len(self._shared["records"]))
-
     def capture(self) -> AcquisitionCapture:
         """The acquisitions recorded so far, as a replayable capture."""
         return AcquisitionCapture(
             records=tuple(self._shared["records"]),
             programmed_delay_seconds=self._shared["programmed_delay_seconds"],
             true_delay_seconds=self._shared["true_delay_seconds"],
-            source_kind=self._inner.metadata().kind,
+            requested_delay_seconds=self._shared["requested_delay_seconds"],
         )
 
 
 class CapturedSamplesSource(AcquisitionSource):
     """Replays a recorded :class:`AcquisitionCapture` in call order.
 
-    Each :meth:`acquire` consumes the next record; the request must match
-    what was recorded (rate, sample count, start time), which catches any
-    configuration drift between the recording run and the replay run.
-    Clones from :meth:`with_sample_rate` share the replay cursor, mirroring
-    how the engine re-rates the converter for the slow acquisition.
+    :meth:`program_delay` must be asked for the delay requested at recording
+    time, and each :meth:`acquire` consumes the next record, whose request
+    must match what was recorded (band centre, rate, sample count, start
+    time); together these catch configuration drift between the recording
+    run and the replay run.  Clones from :meth:`with_sample_rate` share the
+    replay cursor, mirroring how the engine re-rates the converter for the
+    slow acquisition.
     """
 
     def __init__(
@@ -456,6 +312,12 @@ class CapturedSamplesSource(AcquisitionSource):
     def program_delay(self, target_delay_seconds: float) -> float:
         if self._capture.programmed_delay_seconds is None:
             raise ConfigurationError("the capture recorded no programmed delay")
+        if float(target_delay_seconds) != self._capture.requested_delay_seconds:
+            raise ConfigurationError(
+                f"replay mismatch: the capture was recorded for a delay request of "
+                f"{self._capture.requested_delay_seconds} s, requested "
+                f"{float(target_delay_seconds)} s"
+            )
         return self._capture.programmed_delay_seconds
 
     def acquire(self, signal, band, num_samples, start_time=0.0) -> NonuniformSampleSet:
@@ -466,6 +328,16 @@ class CapturedSamplesSource(AcquisitionSource):
                 f"acquisition #{index + 1} requested"
             )
         record = self._capture.records[index]
+        if not isinstance(band, BandpassBand):
+            raise ValidationError("band must be a BandpassBand")
+        # Both acquisitions of a run are centred on the requested band (the
+        # slow one narrows it to its own rate), so the centre is comparable.
+        recorded_centre = BandpassBand(record.band_f_low, record.band_f_high).centre
+        if not np.isclose(band.centre, recorded_centre, rtol=1e-9, atol=0.0):
+            raise ConfigurationError(
+                f"replay mismatch at acquisition #{index}: recorded around "
+                f"{recorded_centre} Hz, requested {band.centre} Hz"
+            )
         if not np.isclose(record.sample_rate_hz, self._sample_rate):
             raise ConfigurationError(
                 f"replay mismatch at acquisition #{index}: recorded at "
@@ -493,29 +365,6 @@ class CapturedSamplesSource(AcquisitionSource):
     def true_delay(self) -> float | None:
         return self._capture.true_delay_seconds
 
-    def metadata(self) -> AcquisitionMetadata:
-        return AcquisitionMetadata(
-            kind="captured-samples",
-            sample_rate_hz=self._sample_rate,
-            num_captures=len(self._capture),
-            programmed_delay_seconds=self._capture.programmed_delay_seconds,
-            true_delay_seconds=self._capture.true_delay_seconds,
-        )
-
     def rewind(self) -> None:
         """Reset the replay cursor to the first recorded acquisition."""
         self._cursor[0] = 0
-
-
-def as_acquisition_source(converter) -> AcquisitionSource:
-    """Coerce a converter-or-source into an :class:`AcquisitionSource`.
-
-    A bare :class:`~repro.adc.tiadc.BpTiadc` is wrapped in a
-    :class:`SimulatedTiadcSource` (the historical engine behaviour); a
-    source passes through unchanged.
-    """
-    if isinstance(converter, AcquisitionSource):
-        return converter
-    if isinstance(converter, BpTiadc):
-        return SimulatedTiadcSource(converter)
-    raise ValidationError("converter must be a BpTiadc or an AcquisitionSource")

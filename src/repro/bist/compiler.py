@@ -278,9 +278,8 @@ class CampaignCompiler:
         """Stack one chunk's dense renders, then finish each scenario."""
         stack_started = time.perf_counter()
         try:
-            # Throwaway dense plans: plan_for bypasses the reconstructor's
-            # small-grid cache but shares the expensive structure through the
-            # group's PlanStructureCache.
+            # One dense plan per scenario; plan_for shares the expensive
+            # structure through the group's PlanStructureCache.
             plans = [entry["stage"].reconstructor.plan_for(entry["times"]) for entry in chunk]
             delays = np.array([entry["stage"].estimate for entry in chunk], dtype=float)
             # The reconstructors validated their delays at construction, so

@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..adc.acquisition import AcquisitionSource, as_acquisition_source
-from ..adc.tiadc import BpTiadc
+from ..adc.acquisition import AcquisitionSource
 from ..calibration.cost import SkewCostFunction, select_slow_sample_rate
 from ..calibration.gain_offset import correct_gain_offset
 from ..calibration.lms import LmsSkewEstimator
@@ -169,10 +168,9 @@ class TransmitterBist:
     transmitter:
         The behavioural transmitter under test.
     converter:
-        The acquisition front end: either the BP-TIADC built from the
-        receiver's I/Q ADCs (wrapped transparently in a
-        :class:`~repro.adc.acquisition.SimulatedTiadcSource`) or any other
-        :class:`~repro.adc.acquisition.AcquisitionSource` — e.g. a
+        The acquisition front end: any
+        :class:`~repro.adc.acquisition.AcquisitionSource` — the BP-TIADC
+        built from the receiver's I/Q ADCs is one itself — e.g. a
         :class:`~repro.adc.acquisition.CapturedSamplesSource` replaying
         recorded IQ from real hardware.  Its per-channel rate must equal
         the BIST configuration's acquisition bandwidth.
@@ -193,14 +191,15 @@ class TransmitterBist:
     def __init__(
         self,
         transmitter: HomodyneTransmitter,
-        converter: BpTiadc | AcquisitionSource,
+        converter: AcquisitionSource,
         profile: WaveformProfile | str | None = None,
         config: BistConfig | None = None,
         plan_structure_cache: PlanStructureCache | None = None,
     ) -> None:
         if not isinstance(transmitter, HomodyneTransmitter):
             raise ValidationError("transmitter must be a HomodyneTransmitter")
-        converter = as_acquisition_source(converter)
+        if not isinstance(converter, AcquisitionSource):
+            raise ValidationError("converter must be a BpTiadc or an AcquisitionSource")
         self._config = config if config is not None else BistConfig()
         if not np.isclose(converter.sample_rate, self._config.acquisition_bandwidth_hz):
             raise ConfigurationError(
@@ -239,11 +238,6 @@ class TransmitterBist:
     def band(self) -> BandpassBand:
         """The acquisition band around the transmitter carrier."""
         return self._band
-
-    @property
-    def acquisition_source(self) -> AcquisitionSource:
-        """The acquisition source the engine drives (e.g. for capture access)."""
-        return self._converter
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -435,13 +429,24 @@ class TransmitterBist:
         """
         if not isinstance(stage, BistStage):
             raise ValidationError("stage must be a BistStage from prepare()")
-        reconstructor = stage.reconstructor
-        valid_low, valid_high = reconstructor.valid_time_range()
-        envelope_rate = (
-            stage.burst.config.envelope_sample_rate if stage.burst.config.ofdm is not None else None
+        valid_low, valid_high = stage.reconstructor.valid_time_range()
+        return uniform_render_grid(
+            stage.reconstructor,
+            valid_low,
+            valid_high,
+            sample_rate=self._dense_rate(stage.burst),
         )
-        dense_rate = dense_measurement_rate(self._band.f_high, envelope_rate)
-        return uniform_render_grid(reconstructor, valid_low, valid_high, sample_rate=dense_rate)
+
+    def _dense_rate(self, burst: TransmissionResult) -> float | None:
+        """The dense measurement rate for ``burst`` (see :func:`dense_measurement_rate`).
+
+        OFDM windows render once at the reduced shared rate, snapped to an
+        integer multiple of the envelope rate so the same render feeds both
+        the spectrum and the EVM demodulation; single-carrier bursts keep
+        :func:`render_uniform`'s default rate.
+        """
+        envelope_rate = burst.config.envelope_sample_rate if burst.config.ofdm is not None else None
+        return dense_measurement_rate(self._band.f_high, envelope_rate)
 
     # ------------------------------------------------------------------ #
     # Steps
@@ -517,25 +522,16 @@ class TransmitterBist:
         single render (supplied externally via ``dense_render`` when a
         compiled campaign evaluated it as part of a stacked kernel).  The
         single-carrier EVM path needs a different grid rate and renders it
-        separately (through a throwaway plan — dense grids are deliberately
-        not cached).
+        separately, through its own plan.
         """
         config = self._config
         profile = self._profile
         if dense_render is None:
             valid_low, valid_high = reconstructor.valid_time_range()
-            # OFDM windows render once at the reduced shared rate, snapped to
-            # an integer multiple of the envelope rate so the same render
-            # feeds both the spectrum and the EVM demodulation; the
-            # single-carrier rate is untouched (see dense_measurement_rate).
-            dense_rate = dense_measurement_rate(
-                self._band.f_high,
-                burst.config.envelope_sample_rate if burst.config.ofdm is not None else None,
-            )
             dense_render = render_uniform(
-                reconstructor, valid_low, valid_high, sample_rate=dense_rate
+                reconstructor, valid_low, valid_high, sample_rate=self._dense_rate(burst)
             )
-        times, samples, rate = dense_render
+        _, samples, rate = dense_render
         output_power = float(np.mean(samples**2))
         spectrum = measure_spectrum_from_samples(
             samples, rate, bandwidth_hz=reconstructor.kernel.band.bandwidth
@@ -561,9 +557,7 @@ class TransmitterBist:
                     # OFDM family: synchronized demodulation yields the
                     # aggregate EVM plus the per-subcarrier structure; it
                     # reuses the dense render from above.
-                    ofdm_metrics = measure_ofdm_evm(
-                        reconstructor, burst, dense_render=(times, samples, rate)
-                    )
+                    ofdm_metrics = measure_ofdm_evm(burst, dense_render)
                     evm = ofdm_metrics.evm_percent
                     per_subcarrier = ofdm_metrics.per_subcarrier_evm_percent
                     subcarrier_indices = ofdm_metrics.subcarrier_indices

@@ -32,7 +32,7 @@ from ..errors import MeasurementError, ValidationError
 from ..sampling.reconstruction import NonuniformReconstructor
 from ..signals.ofdm import OfdmDemodulator, OfdmGridMetrics, build_used_grid, ofdm_grid_metrics
 from ..transmitter.chain import TransmissionResult
-from ..utils.validation import check_integer, check_positive
+from ..utils.validation import check_positive
 
 __all__ = [
     "OFDM_DENSE_OVERSAMPLING",
@@ -41,7 +41,6 @@ __all__ = [
     "render_uniform",
     "reconstructed_envelope",
     "envelope_from_dense_samples",
-    "measure_spectrum",
     "measure_spectrum_from_samples",
     "measure_acpr",
     "measure_occupied_bandwidth",
@@ -154,8 +153,6 @@ def reconstructed_envelope(
     start_time: float,
     stop_time: float,
     envelope_rate: float,
-    dense_rate: float | None = None,
-    filter_taps: int = 129,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Extract the complex envelope of the reconstructed output around a carrier.
 
@@ -170,11 +167,10 @@ def reconstructed_envelope(
     """
     carrier_frequency_hz = check_positive(carrier_frequency_hz, "carrier_frequency_hz")
     envelope_rate = check_positive(envelope_rate, "envelope_rate")
-    if dense_rate is None:
-        # Snap the dense rendering rate to an exact integer multiple of the
-        # requested envelope rate so the decimation below is drift-free.
-        band = reconstructor.kernel.band
-        dense_rate = np.ceil(4.0 * band.f_high / envelope_rate) * envelope_rate
+    # Snap the dense rendering rate to an exact integer multiple of the
+    # requested envelope rate so the decimation is drift-free.
+    band = reconstructor.kernel.band
+    dense_rate = np.ceil(4.0 * band.f_high / envelope_rate) * envelope_rate
     times, samples, dense = render_uniform(
         reconstructor, start_time, stop_time, sample_rate=dense_rate
     )
@@ -184,7 +180,6 @@ def reconstructed_envelope(
         dense,
         carrier_frequency_hz=carrier_frequency_hz,
         envelope_rate=envelope_rate,
-        filter_taps=filter_taps,
     )
 
 
@@ -194,54 +189,34 @@ def envelope_from_dense_samples(
     dense_rate: float,
     carrier_frequency_hz: float,
     envelope_rate: float,
-    filter_taps: int = 129,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Complex envelope of an already-rendered dense passband record.
 
     Split out of :func:`reconstructed_envelope` so callers that have
     rendered the reconstruction once (the BIST engine shares a single dense
     render between the spectrum and OFDM EVM measurements) do not pay for a
-    second full reconstruction pass.  ``dense_rate`` should be an integer
-    multiple of ``envelope_rate`` for drift-free decimation.
+    second full reconstruction pass.  ``dense_rate`` must be an integer
+    multiple of ``envelope_rate``: the record is decimated by that integer,
+    so any other ratio would return samples spaced at a rate other than
+    ``envelope_rate``.
     """
     carrier_frequency_hz = check_positive(carrier_frequency_hz, "carrier_frequency_hz")
     envelope_rate = check_positive(envelope_rate, "envelope_rate")
+    ratio = check_positive(dense_rate, "dense_rate") / envelope_rate
+    decimation = int(round(ratio))
+    if decimation < 1 or abs(ratio - decimation) > 1e-9 * decimation:
+        raise ValidationError(
+            f"dense_rate {dense_rate} Hz is not an integer multiple of envelope_rate "
+            f"{envelope_rate} Hz"
+        )
     analytic = samples * np.exp(-2j * np.pi * carrier_frequency_hz * times)
     cutoff = min(envelope_rate / 2.0, carrier_frequency_hz * 0.8)
-    taps = lowpass_fir(
-        cutoff, dense_rate, num_taps=check_integer(filter_taps, "filter_taps", minimum=31)
-    )
+    taps = lowpass_fir(cutoff, dense_rate, num_taps=129)
     filtered = np.convolve(analytic, taps.astype(complex))
     bulk = (len(taps) - 1) // 2
     filtered = filtered[bulk : bulk + samples.size]
-    decimation = max(1, int(round(dense_rate / envelope_rate)))
     # Factor 2: the complex mixing halves the envelope amplitude.
     return times[::decimation], 2.0 * filtered[::decimation]
-
-
-def measure_spectrum(
-    reconstructor: NonuniformReconstructor,
-    start_time: float,
-    stop_time: float,
-    segment_length: int | None = None,
-    resolution_hz: float | None = None,
-    dense_rate: float | None = None,
-) -> SpectrumEstimate:
-    """Welch PSD of the reconstructed transmitter output.
-
-    Either ``segment_length`` or a target ``resolution_hz`` may be given; by
-    default the resolution is set to 1/256 of the reconstructed bandwidth so
-    that in-band structure (mask skirts, adjacent channels) is resolved
-    regardless of the dense rendering rate.
-    """
-    _, samples, rate = render_uniform(reconstructor, start_time, stop_time, sample_rate=dense_rate)
-    return measure_spectrum_from_samples(
-        samples,
-        rate,
-        bandwidth_hz=reconstructor.kernel.band.bandwidth,
-        segment_length=segment_length,
-        resolution_hz=resolution_hz,
-    )
 
 
 def measure_spectrum_from_samples(
@@ -253,10 +228,13 @@ def measure_spectrum_from_samples(
 ) -> SpectrumEstimate:
     """Welch PSD of an already-rendered uniform waveform.
 
-    Split out of :func:`measure_spectrum` so callers that have rendered the
-    reconstruction once (the BIST engine shares a single dense render between
-    the output-power and spectrum measurements) do not pay for a second full
-    reconstruction pass.
+    Takes a render from :func:`render_uniform` so callers that have rendered
+    the reconstruction once (the BIST engine shares a single dense render
+    between the output-power and spectrum measurements) do not pay for a
+    second full reconstruction pass.  Either ``segment_length`` or a target
+    ``resolution_hz`` may be given; by default the resolution is set to 1/256
+    of ``bandwidth_hz`` so that in-band structure (mask skirts, adjacent
+    channels) is resolved regardless of the dense rendering rate.
     """
     samples = np.asarray(samples, dtype=float)
     sample_rate = check_positive(sample_rate, "sample_rate")
@@ -361,10 +339,9 @@ def measure_evm(
 
 
 def measure_ofdm_evm(
-    reconstructor: NonuniformReconstructor,
     burst: TransmissionResult,
+    dense_render: tuple,
     timing_backoff: int | None = None,
-    dense_render: tuple | None = None,
 ) -> OfdmGridMetrics:
     """Per-subcarrier EVM and spectral flatness of a reconstructed OFDM burst.
 
@@ -378,24 +355,20 @@ def measure_ofdm_evm(
 
     Parameters
     ----------
-    reconstructor:
-        The calibrated nonuniform reconstructor.
     burst:
         The transmission whose data grid is the reference; its
         configuration must carry OFDM parameters.
+    dense_render:
+        The ``(times, samples, sample_rate)`` dense render of the
+        calibrated reconstruction over its valid interval (as returned by
+        :func:`render_uniform`), shared with the spectrum measurement; the
+        rate must be an integer multiple of the burst's envelope rate (see
+        :func:`dense_measurement_rate`).
     timing_backoff:
         FFT-window advance into the cyclic prefix, in critical samples
         (phase-compensated exactly); defaults to a quarter of the CP, which
         keeps the window inside the ISI-free region under small residual
         timing error in either direction.
-    dense_render:
-        Optional ``(times, samples, sample_rate)`` dense render of the
-        reconstruction over its valid interval (as returned by
-        :func:`render_uniform`), letting the caller share one render
-        between this and the spectrum measurement; the rate should be an
-        integer multiple of the burst's envelope rate.  When ``None``, the
-        reconstruction is rendered here at
-        :data:`OFDM_DENSE_OVERSAMPLING` times the band's upper edge.
     """
     if not isinstance(burst, TransmissionResult):
         raise ValidationError("burst must be a TransmissionResult")
@@ -406,15 +379,6 @@ def measure_ofdm_evm(
     if timing_backoff is None:
         timing_backoff = params.cp_length // 4
     envelope_rate = config.envelope_sample_rate
-    if dense_render is None:
-        valid_low, valid_high = reconstructor.valid_time_range()
-        band = reconstructor.kernel.band
-        dense_rate = (
-            np.ceil(OFDM_DENSE_OVERSAMPLING * band.f_high / envelope_rate) * envelope_rate
-        )
-        dense_render = render_uniform(
-            reconstructor, valid_low, valid_high, sample_rate=dense_rate
-        )
     dense_times, dense_samples, dense_rate = dense_render
     times, envelope = envelope_from_dense_samples(
         dense_times,

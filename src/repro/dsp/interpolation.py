@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ValidationError
 from ..utils.validation import check_1d_array, check_integer, check_positive
-from ..utils.windows import make_window
+from ..utils.windows import evaluate_taper, make_window
 
 __all__ = [
     "sinc_interpolate",
@@ -30,8 +29,6 @@ def sinc_interpolate(
     times,
     start_time: float = 0.0,
     num_taps: int = 32,
-    window: str = "kaiser",
-    kaiser_beta: float = 8.0,
 ) -> np.ndarray:
     """Evaluate a uniformly sampled signal at arbitrary time instants.
 
@@ -49,11 +46,8 @@ def sinc_interpolate(
     num_taps:
         Number of neighbouring samples used per output point (one-sided width
         is ``num_taps // 2``).  More taps give higher accuracy at higher cost.
-    window:
-        Window applied to the truncated sinc kernel (see
-        :func:`repro.utils.windows.make_window`).
-    kaiser_beta:
-        Kaiser shape parameter when ``window == "kaiser"``.
+        The truncated sinc kernel is tapered by a Kaiser window (``beta = 8``)
+        spanning ``num_taps / 2`` samples on either side.
 
     Returns
     -------
@@ -90,36 +84,13 @@ def sinc_interpolate(
     # Windowed-sinc weights centred on the fractional position.
     distance = positions[:, None] - index_matrix
     kernel = np.sinc(distance)
-    taper = _evaluate_window(distance, num_taps, window, kaiser_beta)
+    taper = evaluate_taper("kaiser", distance / (num_taps / 2))
     weights = kernel * taper
 
     result = np.sum(gathered * weights, axis=1)
     if np.iscomplexobj(samples):
         return result
     return result.real
-
-
-def _evaluate_window(distance: np.ndarray, num_taps: int, window: str, beta: float) -> np.ndarray:
-    """Evaluate the chosen window as a function of distance from the centre.
-
-    The window is defined over ``[-num_taps/2, num_taps/2]`` and evaluated at
-    the (fractional) distances of each contributing sample.
-    """
-    window = str(window).lower()
-    half_width = num_taps / 2.0
-    x = np.clip(np.abs(distance) / half_width, 0.0, 1.0)
-    if window in ("rectangular", "boxcar", "rect"):
-        return np.ones_like(x)
-    if window == "hann":
-        return 0.5 + 0.5 * np.cos(np.pi * x)
-    if window == "hamming":
-        return 0.54 + 0.46 * np.cos(np.pi * x)
-    if window == "blackman":
-        return 0.42 + 0.5 * np.cos(np.pi * x) + 0.08 * np.cos(2.0 * np.pi * x)
-    if window == "kaiser":
-        argument = beta * np.sqrt(np.clip(1.0 - x**2, 0.0, None))
-        return np.i0(argument) / np.i0(beta)
-    raise ValidationError(f"unknown interpolation window {window!r}")
 
 
 def linear_interpolate(samples, sample_rate: float, times, start_time: float = 0.0) -> np.ndarray:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..adc.acquisition import SimulatedTiadcSource, as_acquisition_source
 from ..bist.campaign import ConverterSpec
 from ..bist.engine import BistConfig, TransmitterBist
 from ..bist.report import BistReport, check_margin
@@ -308,9 +307,8 @@ def run_channel_matrix(
                 spec = replace(spec, seed=derive_matrix_seed(seed, tx_index, rx_index))
             if source_factory is not None:
                 source = source_factory(tx_index, rx_index, spec, bandwidth)
-                source = as_acquisition_source(source)
             else:
-                source = SimulatedTiadcSource(spec.build(bandwidth))
+                source = spec.build(bandwidth)
             engines[(tx_index, rx_index)] = TransmitterBist(
                 transmitter.chain(tx_index),
                 source,

@@ -33,10 +33,10 @@ taps and a Kaiser window).  This module provides:
   bit-identical with evaluating each plan on its own;
 * :class:`NonuniformReconstructor` — a thin façade over
   :class:`ReconstructionPlan` keeping the original arbitrary-times API: it
-  binds one assumed delay ``D_hat`` and builds (and caches) plans for the
-  time grids it is asked to evaluate (the assumed delay is deliberately
-  decoupled from the true delay used during acquisition, because estimating
-  that true delay is exactly the calibration problem of Section IV);
+  binds one assumed delay ``D_hat`` and builds a plan for each time grid it
+  is asked to evaluate (the assumed delay is deliberately decoupled from the
+  true delay used during acquisition, because estimating that true delay is
+  exactly the calibration problem of Section IV);
 * :func:`reference_evaluate` — the direct, pre-plan evaluation of Eq. (6),
   kept verbatim as the numerical oracle for equivalence tests and the
   before/after benchmark baseline.
@@ -70,7 +70,6 @@ __all__ = [
     "PlanStructureCache",
     "NonuniformReconstructor",
     "evaluate_stacked",
-    "reconstruct",
     "reference_evaluate",
 ]
 
@@ -580,9 +579,6 @@ class ReconstructionPlan:
         ``"rectangular"``).
     kaiser_beta:
         Kaiser shape parameter when ``window == "kaiser"``.
-    delay_tolerance:
-        Relative closeness to a forbidden delay (Eq. 3) rejected by
-        :func:`~repro.sampling.nonuniform.check_delay` during evaluation.
     structure_cache:
         Optional :class:`PlanStructureCache`.  When given, the
         sample-independent half of the plan is looked up there (and stored on
@@ -598,7 +594,6 @@ class ReconstructionPlan:
         num_taps: int = 60,
         window: str = "kaiser",
         kaiser_beta: float = 8.0,
-        delay_tolerance: float = DEFAULT_DELAY_TOLERANCE,
         structure_cache: PlanStructureCache | None = None,
     ) -> None:
         if not isinstance(sample_set, NonuniformSampleSet):
@@ -614,7 +609,6 @@ class ReconstructionPlan:
         self._num_taps = num_taps
         self._window = str(window)
         self._kaiser_beta = float(kaiser_beta)
-        self._delay_tolerance = float(delay_tolerance)
 
         structure = None
         if structure_cache is not None:
@@ -741,7 +735,7 @@ class ReconstructionPlan:
     def _validate_delay(self, delay: float) -> float:
         """Reject delays Eq. (3) forbids, mirroring the direct evaluator."""
         delay = check_positive(delay, "assumed_delay")
-        return check_delay(self._samples.band, delay, tolerance=self._delay_tolerance)
+        return check_delay(self._samples.band, delay, tolerance=DEFAULT_DELAY_TOLERANCE)
 
 
 def evaluate_stacked(plans, assumed_delays, validate: bool = True) -> np.ndarray:
@@ -834,11 +828,11 @@ class NonuniformReconstructor:
     """Truncated, windowed Kohlenberg reconstruction (Eq. 6 of the paper).
 
     A thin façade over :class:`ReconstructionPlan` that binds one assumed
-    delay and accepts arbitrary time grids: each distinct small grid compiles
-    a plan that is cached (keyed by the grid's contents), so repeated
-    evaluation over the same instants reuses all delay-independent state
-    instead of rebuilding it; large one-shot grids (dense measurement
-    renders) use throwaway plans so their caches don't accumulate.
+    delay and accepts arbitrary time grids: every :meth:`evaluate` compiles a
+    plan for its grid and evaluates it once.  Every production render
+    evaluates each grid once per reconstructor, so the plan is not kept;
+    sharing across scenarios goes through the optional
+    :class:`PlanStructureCache` instead.
 
     Parameters
     ----------
@@ -860,20 +854,9 @@ class NonuniformReconstructor:
         Kaiser shape parameter when ``window == "kaiser"``.
     structure_cache:
         Optional :class:`PlanStructureCache` threaded into every plan this
-        reconstructor builds — including the throwaway plans of dense
-        grids, which is where fingerprint-adjacent scenarios share the
-        expensive taper/trigonometry work.
+        reconstructor builds, which is where fingerprint-adjacent scenarios
+        share the expensive taper/trigonometry work of their dense grids.
     """
-
-    #: Number of distinct time grids whose plans are kept alive per instance.
-    _PLAN_CACHE_SIZE = 4
-
-    #: Grids larger than this (in ``num_times * (num_taps + 1)`` elements)
-    #: are not cached: a plan's trig caches hold ~16 arrays of that size, so
-    #: keeping plans for one-shot dense measurement renders would pin tens of
-    #: MB per grid for no reuse.  Building a throwaway plan costs about one
-    #: direct evaluation, so large grids lose nothing.
-    _PLAN_CACHE_MAX_ELEMENTS = 65_536
 
     def __init__(
         self,
@@ -898,12 +881,7 @@ class NonuniformReconstructor:
         self._window = str(window)
         self._kaiser_beta = float(kaiser_beta)
         self._kernel = KohlenbergKernel(sample_set.band, self._assumed_delay)
-        self._plans: OrderedDict[bytes, ReconstructionPlan] = OrderedDict()
         self._structure_cache = structure_cache
-        self._plan_cache_hits = 0
-        self._plan_cache_misses = 0
-        self._plan_cache_evictions = 0
-        self._plan_cache_bypasses = 0
 
     @property
     def assumed_delay(self) -> float:
@@ -930,22 +908,6 @@ class NonuniformReconstructor:
         """The shared structure cache threaded into this reconstructor's plans."""
         return self._structure_cache
 
-    @property
-    def plan_cache_stats(self) -> dict:
-        """Counters of the per-instance plan cache (JSON-friendly).
-
-        ``hits``/``misses`` count lookups of cached small grids,
-        ``evictions`` counts LRU drops, ``bypasses`` counts dense grids
-        that were deliberately served through throwaway plans.
-        """
-        return {
-            "hits": self._plan_cache_hits,
-            "misses": self._plan_cache_misses,
-            "evictions": self._plan_cache_evictions,
-            "bypasses": self._plan_cache_bypasses,
-            "entries": len(self._plans),
-        }
-
     def valid_time_range(self) -> tuple[float, float]:
         """Time interval over which the truncated sum has full support.
 
@@ -959,46 +921,19 @@ class NonuniformReconstructor:
         )
 
     def plan_for(self, times) -> ReconstructionPlan:
-        """The precompiled plan for a given evaluation-time grid.
+        """A freshly compiled plan for ``times`` under this reconstructor's settings.
 
-        Small grids (the repeatedly-swept calibration instants) are cached;
-        large one-shot grids (dense measurement renders) get a throwaway plan
-        so their sizeable trig caches are released after use — though with a
-        :class:`PlanStructureCache` attached even throwaway plans share the
-        expensive structure across scenarios.
+        With a :class:`PlanStructureCache` attached, the expensive
+        sample-independent structure is shared across scenarios.
         """
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        if times.size * (self._num_taps + 1) > self._PLAN_CACHE_MAX_ELEMENTS:
-            # Too large to cache — skip the key serialisation entirely.
-            self._plan_cache_bypasses += 1
-            return ReconstructionPlan(
-                self._samples,
-                times,
-                num_taps=self._num_taps,
-                window=self._window,
-                kaiser_beta=self._kaiser_beta,
-                structure_cache=self._structure_cache,
-            )
-        key = times.tobytes()
-        plan = self._plans.get(key)
-        if plan is None:
-            self._plan_cache_misses += 1
-            plan = ReconstructionPlan(
-                self._samples,
-                times,
-                num_taps=self._num_taps,
-                window=self._window,
-                kaiser_beta=self._kaiser_beta,
-                structure_cache=self._structure_cache,
-            )
-            self._plans[key] = plan
-            if len(self._plans) > self._PLAN_CACHE_SIZE:
-                self._plans.popitem(last=False)
-                self._plan_cache_evictions += 1
-        else:
-            self._plan_cache_hits += 1
-            self._plans.move_to_end(key)
-        return plan
+        return ReconstructionPlan(
+            self._samples,
+            times,
+            num_taps=self._num_taps,
+            window=self._window,
+            kaiser_beta=self._kaiser_beta,
+            structure_cache=self._structure_cache,
+        )
 
     def evaluate(self, times) -> np.ndarray:
         """Evaluate the reconstructed waveform at arbitrary time instants.
@@ -1007,7 +942,7 @@ class NonuniformReconstructor:
         the ``nw + 1`` sample pairs nearest to ``t``, each contribution being
         ``f(nT) * s(t - nT) + f(nT + D_hat) * s(nT + D_hat - t)``, windowed
         across the truncated support.  The assumed delay was validated at
-        construction, so the cached plan is evaluated without re-checking it.
+        construction, so the plan is evaluated without re-checking it.
         """
         return self.plan_for(times).evaluate(self._assumed_delay, validate=False)
 
@@ -1077,21 +1012,3 @@ def reference_evaluate(
     contributions = np.where(valid, contributions * taper, 0.0)
     return np.sum(contributions, axis=1)
 
-
-def reconstruct(
-    sample_set: NonuniformSampleSet,
-    times,
-    assumed_delay: float | None = None,
-    num_taps: int = 60,
-    window: str = "kaiser",
-    kaiser_beta: float = 8.0,
-) -> np.ndarray:
-    """One-shot functional wrapper around :class:`NonuniformReconstructor`."""
-    reconstructor = NonuniformReconstructor(
-        sample_set,
-        assumed_delay=assumed_delay,
-        num_taps=num_taps,
-        window=window,
-        kaiser_beta=kaiser_beta,
-    )
-    return reconstructor.evaluate(times)

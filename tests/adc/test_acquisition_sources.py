@@ -1,10 +1,13 @@
 """Tests for repro.adc.acquisition: the hardware seam under the BIST engine.
 
-Covers the protocol coercion, the record/replay pair, both persistence
-containers (``.npz`` and JSONL), the replay-mismatch guard rails, and the
-engine-level determinism contract: a BIST run replayed from its own recorded
-captures yields a bit-identical report.
+Covers the converter as a source, the record/replay pair, ``.npz``
+persistence, the replay-mismatch guard rails (delay request, band centre,
+rate, sample count, start time), and the engine-level determinism contract:
+a BIST run replayed from its own recorded captures yields a bit-identical
+report, and a replay under a drifted configuration raises instead.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,15 +15,14 @@ import pytest
 from repro.adc import BpTiadc
 from repro.adc.acquisition import (
     AcquisitionCapture,
-    AcquisitionMetadata,
+    AcquisitionSource,
     CaptureRecord,
     CapturedSamplesSource,
     RecordingSource,
-    SimulatedTiadcSource,
-    as_acquisition_source,
 )
-from repro.bist import BistConfig, TransmitterBist, default_converter
+from repro.bist import BistConfig, ConverterSpec, TransmitterBist, default_converter
 from repro.errors import ConfigurationError, ValidationError
+from repro.sampling import BandpassBand
 from repro.transmitter import HomodyneTransmitter, TransmitterConfig
 
 FAST = BistConfig(
@@ -39,6 +41,10 @@ def make_converter(config: BistConfig = FAST) -> BpTiadc:
         channel1_skew_seconds=2e-12,
         seed=5,
     )
+
+
+#: The band the synthetic capture's records were acquired around.
+BAND = BandpassBand(0.96e9, 1.04e9)
 
 
 def synthetic_capture(num_records: int = 2) -> AcquisitionCapture:
@@ -63,115 +69,188 @@ def synthetic_capture(num_records: int = 2) -> AcquisitionCapture:
         records=tuple(records),
         programmed_delay_seconds=100e-12,
         true_delay_seconds=102e-12,
+        requested_delay_seconds=100.4e-12,
     )
 
 
-class TestCoercion:
-    def test_bare_tiadc_is_wrapped(self):
-        source = as_acquisition_source(make_converter())
-        assert isinstance(source, SimulatedTiadcSource)
+class TestConverterIsASource:
+    def test_bp_tiadc_is_an_acquisition_source(self):
+        assert isinstance(make_converter(), AcquisitionSource)
 
-    def test_sources_pass_through(self):
-        source = SimulatedTiadcSource(make_converter())
-        assert as_acquisition_source(source) is source
-
-    def test_other_types_are_rejected(self):
+    def test_engine_rejects_other_types(self):
+        transmitter = HomodyneTransmitter(TransmitterConfig.paper_default())
         with pytest.raises(ValidationError, match="AcquisitionSource"):
-            as_acquisition_source("a-driver-handle")
+            TransmitterBist(transmitter, "a-device-handle", config=FAST)
 
-
-class TestSimulatedSource:
-    def test_delegates_rate_and_delay(self):
+    def test_protocol_calls_reach_the_converter(self):
         converter = make_converter()
-        source = SimulatedTiadcSource(converter)
-        assert source.sample_rate == converter.sample_rate
-        programmed = source.program_delay(100e-12)
+        programmed = converter.program_delay(100e-12)
         assert programmed == converter.programmed_delay
-        assert source.true_delay == converter.true_delay
+        assert converter.true_delay != programmed  # static error + skew
+        slow = converter.with_sample_rate(0.5 * converter.sample_rate)
+        assert isinstance(slow, AcquisitionSource)
+        assert slow.sample_rate == 0.5 * converter.sample_rate
 
-    def test_metadata_round_trips(self):
-        source = SimulatedTiadcSource(make_converter())
-        source.program_delay(100e-12)
-        metadata = source.metadata()
-        assert metadata.kind == "simulated-tiadc"
-        assert AcquisitionMetadata.from_dict(metadata.to_dict()) == metadata
+    def test_engine_accepts_every_source_kind(self):
+        transmitter = HomodyneTransmitter(TransmitterConfig.paper_default())
+        replay = CapturedSamplesSource(
+            synthetic_capture(), sample_rate=FAST.acquisition_bandwidth_hz
+        )
+        for source in (make_converter(), RecordingSource(make_converter()), replay):
+            TransmitterBist(transmitter, source, config=FAST)
 
-    def test_unprogrammed_delay_yields_none_metadata(self):
-        metadata = SimulatedTiadcSource(make_converter()).metadata()
-        assert metadata.programmed_delay_seconds is None
+
+class TestRecordingSource:
+    def test_inner_must_be_a_source(self):
+        with pytest.raises(ValidationError, match="inner must be an AcquisitionSource"):
+            RecordingSource("a-device-handle")
+
+    def test_rate_and_delays_pass_through(self):
+        converter = make_converter()
+        recorder = RecordingSource(converter)
+        assert recorder.sample_rate == converter.sample_rate
+        assert recorder.program_delay(180e-12) == converter.programmed_delay
+        assert recorder.true_delay == converter.true_delay
+        capture = recorder.capture()
+        assert capture.requested_delay_seconds == 180e-12
+        assert capture.programmed_delay_seconds == converter.programmed_delay
+        # The true delay is recorded with the first acquisition.
+        assert capture.true_delay_seconds is None
+
+    def test_unprogrammed_recording_is_empty(self):
+        capture = RecordingSource(make_converter()).capture()
+        assert len(capture) == 0
+        assert capture.programmed_delay_seconds is None
+        assert capture.true_delay_seconds is None
+        assert capture.requested_delay_seconds is None
+
+    def test_re_recording_a_replay_reproduces_the_capture(self):
+        capture = synthetic_capture()
+        recorder = RecordingSource(CapturedSamplesSource(capture))
+        recorder.program_delay(capture.requested_delay_seconds)
+        recorder.acquire(None, BAND, 16, start_time=0.0)
+        recorder.with_sample_rate(40e6).acquire(None, BAND, 16, start_time=0.25)
+        again = recorder.capture()
+        assert again.programmed_delay_seconds == capture.programmed_delay_seconds
+        assert again.true_delay_seconds == capture.true_delay_seconds
+        assert again.requested_delay_seconds == capture.requested_delay_seconds
+        assert len(again) == len(capture)
+        for original, rebuilt in zip(capture.records, again.records):
+            np.testing.assert_array_equal(original.on_grid, rebuilt.on_grid)
+            np.testing.assert_array_equal(original.delayed, rebuilt.delayed)
+            assert original.sample_rate_hz == rebuilt.sample_rate_hz
+            assert original.start_time == rebuilt.start_time
 
 
 class TestReplaySource:
     def test_replays_records_in_call_order(self):
         capture = synthetic_capture()
         source = CapturedSamplesSource(capture)
-        assert source.program_delay(123e-12) == 100e-12  # the recorded value
-        first = source.acquire(None, None, 16, start_time=0.0)
+        assert source.program_delay(100.4e-12) == 100e-12  # the recorded value
+        first = source.acquire(None, BAND, 16, start_time=0.0)
         np.testing.assert_array_equal(first.on_grid, capture.records[0].on_grid)
         slow = source.with_sample_rate(40e6)
-        second = slow.acquire(None, None, 16, start_time=0.25)
+        second = slow.acquire(None, BAND, 16, start_time=0.25)
         np.testing.assert_array_equal(second.delayed, capture.records[1].delayed)
+
+    def test_delay_request_mismatch_is_rejected(self):
+        source = CapturedSamplesSource(synthetic_capture())
+        with pytest.raises(ConfigurationError, match="delay request"):
+            source.program_delay(123e-12)
+
+    def test_band_centre_mismatch_is_rejected(self):
+        source = CapturedSamplesSource(synthetic_capture())
+        moved = BandpassBand.from_centre(1.05e9, BAND.bandwidth)
+        with pytest.raises(ConfigurationError, match="recorded around"):
+            source.acquire(None, moved, 16, start_time=0.0)
+
+    def test_band_type_is_checked(self):
+        source = CapturedSamplesSource(synthetic_capture())
+        with pytest.raises(ValidationError, match="BandpassBand"):
+            source.acquire(None, None, 16, start_time=0.0)
 
     def test_rate_mismatch_is_rejected(self):
         source = CapturedSamplesSource(synthetic_capture(), sample_rate=75e6)
         with pytest.raises(ConfigurationError, match="replay mismatch"):
-            source.acquire(None, None, 16, start_time=0.0)
+            source.acquire(None, BAND, 16, start_time=0.0)
 
     def test_sample_count_mismatch_is_rejected(self):
         source = CapturedSamplesSource(synthetic_capture())
         with pytest.raises(ConfigurationError, match="recorded 16 samples"):
-            source.acquire(None, None, 32, start_time=0.0)
+            source.acquire(None, BAND, 32, start_time=0.0)
 
     def test_start_time_mismatch_is_rejected(self):
         source = CapturedSamplesSource(synthetic_capture())
         with pytest.raises(ConfigurationError, match="start time"):
-            source.acquire(None, None, 16, start_time=0.5)
+            source.acquire(None, BAND, 16, start_time=0.5)
 
     def test_exhausted_capture_is_rejected(self):
         source = CapturedSamplesSource(synthetic_capture(num_records=1))
-        source.acquire(None, None, 16, start_time=0.0)
+        source.acquire(None, BAND, 16, start_time=0.0)
         with pytest.raises(ConfigurationError, match="exhausted"):
-            source.acquire(None, None, 16, start_time=0.0)
+            source.acquire(None, BAND, 16, start_time=0.0)
 
     def test_rewind_resets_the_cursor(self):
         source = CapturedSamplesSource(synthetic_capture(num_records=1))
-        first = source.acquire(None, None, 16, start_time=0.0)
+        first = source.acquire(None, BAND, 16, start_time=0.0)
         source.rewind()
-        again = source.acquire(None, None, 16, start_time=0.0)
+        again = source.acquire(None, BAND, 16, start_time=0.0)
         np.testing.assert_array_equal(first.on_grid, again.on_grid)
 
     def test_empty_capture_is_rejected(self):
         with pytest.raises(ValidationError, match="at least one record"):
             CapturedSamplesSource(AcquisitionCapture())
 
-    def test_metadata_describes_the_capture(self):
-        metadata = CapturedSamplesSource(synthetic_capture()).metadata()
-        assert metadata.kind == "captured-samples"
-        assert metadata.num_captures == 2
-        assert metadata.true_delay_seconds == 102e-12
+    def test_source_describes_the_capture(self):
+        capture = synthetic_capture()
+        source = CapturedSamplesSource(capture)
+        assert source.sample_rate == capture.records[0].sample_rate_hz
+        assert source.true_delay == 102e-12
+        # Clones share the replay cursor: the slow clone replays record #1.
+        source.acquire(None, BAND, 16, start_time=0.0)
+        second = source.with_sample_rate(40e6).acquire(None, BAND, 16, start_time=0.25)
+        np.testing.assert_array_equal(second.on_grid, capture.records[1].on_grid)
+
+    def test_unprogrammed_capture_cannot_program_a_delay(self):
+        capture = replace(synthetic_capture(), programmed_delay_seconds=None)
+        with pytest.raises(ConfigurationError, match="recorded no programmed delay"):
+            CapturedSamplesSource(capture).program_delay(100.4e-12)
 
 
 class TestPersistence:
-    @pytest.mark.parametrize("suffix", ["npz", "jsonl"])
-    def test_save_load_round_trip_is_exact(self, tmp_path, suffix):
+    def test_save_load_round_trip_is_exact(self, tmp_path):
         capture = synthetic_capture()
-        path = tmp_path / f"capture.{suffix}"
+        path = tmp_path / "capture.npz"
         capture.save(path)
         loaded = AcquisitionCapture.load(path)
         assert len(loaded) == len(capture)
         assert loaded.programmed_delay_seconds == capture.programmed_delay_seconds
         assert loaded.true_delay_seconds == capture.true_delay_seconds
+        assert loaded.requested_delay_seconds == capture.requested_delay_seconds
         for original, rebuilt in zip(capture.records, loaded.records):
             np.testing.assert_array_equal(original.on_grid, rebuilt.on_grid)
             np.testing.assert_array_equal(original.delayed, rebuilt.delayed)
             assert original.sample_rate_hz == rebuilt.sample_rate_hz
             assert original.start_time == rebuilt.start_time
 
-    def test_jsonl_header_is_checked(self, tmp_path):
-        path = tmp_path / "not-a-capture.jsonl"
-        path.write_text('{"format": "something-else"}\n')
-        with pytest.raises(ValidationError, match="not an acquisition capture"):
-            AcquisitionCapture.load(path)
+    def test_unprogrammed_delays_round_trip_as_none(self, tmp_path):
+        capture = replace(
+            synthetic_capture(num_records=1),
+            programmed_delay_seconds=None,
+            true_delay_seconds=None,
+            requested_delay_seconds=None,
+        )
+        path = tmp_path / "capture.npz"
+        capture.save(path)
+        loaded = AcquisitionCapture.load(path)
+        assert loaded.programmed_delay_seconds is None
+        assert loaded.true_delay_seconds is None
+        assert loaded.requested_delay_seconds is None
+        assert len(loaded) == 1
+
+    def test_records_must_be_capture_records(self):
+        with pytest.raises(ValidationError, match="CaptureRecord instances"):
+            AcquisitionCapture(records=("not-a-record",))
 
 
 class TestEngineDeterminism:
@@ -180,7 +259,7 @@ class TestEngineDeterminism:
     @pytest.fixture(scope="class")
     def recorded_run(self):
         transmitter = HomodyneTransmitter(TransmitterConfig.paper_default(seed=21))
-        recorder = RecordingSource(SimulatedTiadcSource(make_converter()))
+        recorder = RecordingSource(make_converter())
         engine = TransmitterBist(transmitter, recorder, config=FAST)
         report = engine.run()
         return report, recorder.capture()
@@ -212,3 +291,44 @@ class TestEngineDeterminism:
             config=FAST,
         )
         assert engine.run().to_dict() == report.to_dict()
+
+
+class TestReplayDrift:
+    """A replay under a configuration other than the recorded one must raise."""
+
+    CONFIG = BistConfig(
+        num_samples_fast=128,
+        num_samples_slow=64,
+        lms_max_iterations=10,
+        num_cost_points=20,
+        measure_evm_enabled=False,
+    )
+
+    @pytest.fixture(scope="class")
+    def capture(self):
+        recorder = RecordingSource(ConverterSpec().build(90e6))
+        transmitter = HomodyneTransmitter(TransmitterConfig.paper_default())
+        TransmitterBist(transmitter, recorder, config=self.CONFIG).run()
+        return recorder.capture()
+
+    def test_capture_records_the_delay_request(self, capture):
+        assert capture.requested_delay_seconds == self.CONFIG.programmed_delay_seconds
+
+    @pytest.mark.parametrize("carrier_hz", [1.05e9, 1.1e9])
+    def test_moved_carrier_is_rejected(self, capture, carrier_hz):
+        config = replace(TransmitterConfig.paper_default(), carrier_frequency_hz=carrier_hz)
+        engine = TransmitterBist(
+            HomodyneTransmitter(config), CapturedSamplesSource(capture), config=self.CONFIG
+        )
+        with pytest.raises(ConfigurationError, match="recorded around"):
+            engine.run()
+
+    def test_moved_delay_request_is_rejected(self, capture):
+        config = replace(self.CONFIG, programmed_delay_seconds=150e-12)
+        engine = TransmitterBist(
+            HomodyneTransmitter(TransmitterConfig.paper_default()),
+            CapturedSamplesSource(capture),
+            config=config,
+        )
+        with pytest.raises(ConfigurationError, match="delay request"):
+            engine.run()

@@ -6,10 +6,11 @@ import pytest
 from repro.bist import (
     measure_acpr,
     measure_occupied_bandwidth,
-    measure_spectrum,
+    measure_spectrum_from_samples,
     reconstructed_envelope,
     render_uniform,
 )
+from repro.bist.measurements import envelope_from_dense_samples
 from repro.dsp import peak_frequency
 from repro.errors import MeasurementError, ValidationError
 from repro.sampling import BandpassBand, IdealNonuniformSampler, NonuniformReconstructor
@@ -26,6 +27,13 @@ def tone_reconstructor():
     sampler = IdealNonuniformSampler(BAND, delay=180e-12)
     sample_set = sampler.acquire(tone, num_samples=500)
     return NonuniformReconstructor(sample_set, num_taps=60)
+
+
+def tone_spectrum(reconstructor):
+    """Welch PSD of the reconstruction rendered over its valid range."""
+    low, high = reconstructor.valid_time_range()
+    _, samples, rate = render_uniform(reconstructor, low, high)
+    return measure_spectrum_from_samples(samples, rate, bandwidth_hz=BAND.bandwidth)
 
 
 class TestRenderUniform:
@@ -57,25 +65,21 @@ class TestRenderUniform:
 
 class TestSpectrumMeasurements:
     def test_tone_appears_at_rf_frequency(self, tone_reconstructor):
-        low, high = tone_reconstructor.valid_time_range()
-        spectrum = measure_spectrum(tone_reconstructor, low, high)
+        spectrum = tone_spectrum(tone_reconstructor)
         assert peak_frequency(spectrum) == pytest.approx(TONE_FREQUENCY, rel=2e-3)
 
     def test_acpr_of_clean_tone_low(self, tone_reconstructor):
-        low, high = tone_reconstructor.valid_time_range()
-        spectrum = measure_spectrum(tone_reconstructor, low, high)
+        spectrum = tone_spectrum(tone_reconstructor)
         acpr = measure_acpr(spectrum, TONE_FREQUENCY, 5e6, channel_spacing_hz=10e6)
         assert acpr["worst_db"] < -20.0
 
     def test_occupied_bandwidth_of_tone_narrow(self, tone_reconstructor):
-        low, high = tone_reconstructor.valid_time_range()
-        spectrum = measure_spectrum(tone_reconstructor, low, high)
+        spectrum = tone_spectrum(tone_reconstructor)
         obw = measure_occupied_bandwidth(spectrum, TONE_FREQUENCY, search_half_width_hz=40e6)
         assert obw < 5e6
 
     def test_occupied_bandwidth_window_check(self, tone_reconstructor):
-        low, high = tone_reconstructor.valid_time_range()
-        spectrum = measure_spectrum(tone_reconstructor, low, high)
+        spectrum = tone_spectrum(tone_reconstructor)
         with pytest.raises(MeasurementError):
             measure_occupied_bandwidth(spectrum, 5e9, search_half_width_hz=1e3)
 
@@ -102,3 +106,15 @@ class TestReconstructedEnvelope:
         low, high = tone_reconstructor.valid_time_range()
         with pytest.raises(ValidationError):
             reconstructed_envelope(tone_reconstructor, 0.0, low, high, envelope_rate=90e6)
+
+
+class TestEnvelopeFromDenseSamples:
+    def test_non_integer_rate_ratio_rejected(self, tone_reconstructor):
+        """4 x f_high = 4.18 GHz is 52.25 x 80 MHz: decimating by 52 would
+        return samples 80.38 MHz apart labelled as 80 MHz."""
+        low, high = tone_reconstructor.valid_time_range()
+        times, samples, rate = render_uniform(tone_reconstructor, low, high)
+        with pytest.raises(ValidationError, match="integer multiple"):
+            envelope_from_dense_samples(
+                times, samples, rate, carrier_frequency_hz=1.0e9, envelope_rate=80e6
+            )

@@ -64,9 +64,32 @@ class TestSincInterpolation:
         error_many = np.max(np.abs(sinc_interpolate(samples, rate, probe, num_taps=64) - expected))
         assert error_many < error_few
 
-    def test_invalid_window_rejected(self):
+    @pytest.mark.parametrize("num_taps", [8, 32, 48])
+    def test_kernel_is_a_kaiser_tapered_sinc(self, num_taps):
+        """Every weight is ``sinc(d) * I0(8 sqrt(1 - (d/h)^2)) / I0(8)``
+        over the ``num_taps`` samples nearest each instant (``h = num_taps / 2``)."""
+        rng = np.random.default_rng(num_taps)
+        rate = 1e6
+        samples = rng.normal(size=128) + 1j * rng.normal(size=128)
+        times = rng.uniform(40, 88, 25) / rate
+        half = num_taps // 2
+        expected = []
+        for position in times * rate:
+            indices = np.floor(position).astype(int) + np.arange(-half + 1, num_taps - half + 1)
+            distance = position - indices
+            fraction = np.clip(np.abs(distance) / (num_taps / 2), 0.0, 1.0)
+            taper = np.i0(8.0 * np.sqrt(1.0 - fraction**2)) / np.i0(8.0)
+            expected.append(np.sum(samples[indices] * np.sinc(distance) * taper))
+        np.testing.assert_allclose(
+            sinc_interpolate(samples, rate, times, num_taps=num_taps),
+            expected,
+            rtol=1e-12,
+            atol=1e-12,
+        )
+
+    def test_too_few_taps_rejected(self):
         with pytest.raises(ValidationError):
-            sinc_interpolate(np.ones(32), 1e6, 1e-6, window="unknown")
+            sinc_interpolate(np.ones(32), 1e6, 1e-6, num_taps=1)
 
 
 class TestLinearInterpolation:

@@ -8,11 +8,7 @@ simulated run it recorded.
 
 import pytest
 
-from repro.adc.acquisition import (
-    CapturedSamplesSource,
-    RecordingSource,
-    SimulatedTiadcSource,
-)
+from repro.adc.acquisition import CapturedSamplesSource, RecordingSource
 from repro.bist import BistConfig, ConverterSpec
 from repro.errors import ConfigurationError, ValidationError
 from repro.mimo import (
@@ -66,7 +62,7 @@ def recorded_faulty_run() -> tuple:
     recorders = {}
 
     def recording_factory(tx_index, rx_index, spec, bandwidth):
-        source = RecordingSource(SimulatedTiadcSource(spec.build(bandwidth)))
+        source = RecordingSource(spec.build(bandwidth))
         recorders[(tx_index, rx_index)] = source
         return source
 

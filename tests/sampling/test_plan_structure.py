@@ -172,21 +172,17 @@ class TestEvaluateStacked:
             evaluate_stacked([plan, short], [delay, delay])
 
 
-class TestReconstructorPlanCacheStats:
-    def test_hit_miss_and_bypass_accounting(self, fast_sample_set, grid):
+class TestReconstructorPlanFor:
+    def test_repeated_grid_hits_the_structure_cache(self, fast_sample_set, grid):
+        cache = PlanStructureCache()
         reconstructor = NonuniformReconstructor(
-            fast_sample_set, num_taps=NUM_TAPS, assumed_delay=180e-12
+            fast_sample_set, num_taps=NUM_TAPS, assumed_delay=180e-12, structure_cache=cache
         )
         small = grid[:64]
-        reconstructor.plan_for(small)
-        reconstructor.plan_for(small)
-        stats = reconstructor.plan_cache_stats
-        assert stats["misses"] == 1 and stats["hits"] == 1
-        # A grid over the cache's element ceiling is served via bypass.
-        low, high = reconstructor.valid_time_range()
-        dense = np.linspace(low, high, 4096)
-        reconstructor.plan_for(dense)
-        assert reconstructor.plan_cache_stats["bypasses"] == 1
+        first = reconstructor.plan_for(small)
+        second = reconstructor.plan_for(small)
+        assert cache.stats["misses"] == 1 and cache.stats["hits"] == 1
+        assert np.array_equal(first.evaluate(180e-12), second.evaluate(180e-12))
 
     def test_structure_cache_threads_through_plan_for(self, fast_sample_set, grid):
         cache = PlanStructureCache()

@@ -10,7 +10,7 @@ from repro.sampling import (
     IdealNonuniformSampler,
     NonuniformReconstructor,
     NonuniformSampleSet,
-    reconstruct,
+    ReconstructionPlan,
 )
 from repro.signals import multitone_in_band, single_tone
 
@@ -125,14 +125,17 @@ class TestReconstructionAccuracy:
         scaled = base.with_channels(2.0 * base.on_grid, 2.0 * base.delayed)
         times = evaluation_times(NonuniformReconstructor(base), seed=4, count=50)
         np.testing.assert_allclose(
-            reconstruct(scaled, times), 2.0 * reconstruct(base, times), rtol=1e-9
+            NonuniformReconstructor(scaled).evaluate(times),
+            2.0 * NonuniformReconstructor(base).evaluate(times),
+            rtol=1e-9,
         )
 
-    def test_functional_wrapper_matches_class(self, fast_sample_set):
+    def test_plan_matches_class(self, fast_sample_set):
         reconstructor = NonuniformReconstructor(fast_sample_set, num_taps=60)
         times = evaluation_times(reconstructor, count=20, seed=9)
-        np.testing.assert_allclose(
-            reconstruct(fast_sample_set, times, num_taps=60), reconstructor.evaluate(times)
+        plan = ReconstructionPlan(fast_sample_set, times, num_taps=60)
+        np.testing.assert_array_equal(
+            plan.evaluate(fast_sample_set.delay), reconstructor.evaluate(times)
         )
 
 

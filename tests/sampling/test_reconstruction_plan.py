@@ -210,26 +210,35 @@ class TestFacade:
             atol=ATOL,
         )
 
-    def test_plan_cache_reuses_same_grid(self, fast_sample_set, plan_times):
-        facade = NonuniformReconstructor(fast_sample_set, num_taps=60)
-        assert facade.plan_for(plan_times) is facade.plan_for(plan_times.copy())
-        assert facade.plan_for(plan_times[:50]) is not facade.plan_for(plan_times)
+    def test_plan_for_carries_the_facade_settings(self, fast_sample_set, plan_times):
+        facade = NonuniformReconstructor(
+            fast_sample_set, assumed_delay=DELAY, num_taps=32, window="hann", kaiser_beta=6.0
+        )
+        plan = facade.plan_for(plan_times)
+        assert plan.num_taps == 32
+        assert plan.window == "hann"
+        assert plan.kaiser_beta == pytest.approx(6.0)
+        np.testing.assert_array_equal(plan.evaluate(DELAY), facade.evaluate(plan_times))
 
-    def test_plan_cache_bounded(self, fast_sample_set, plan_times):
+    def test_repeated_grid_evaluates_bit_identically(self, fast_sample_set, plan_times):
+        """Each call builds its own plan; a repeated grid gives the same bits."""
         facade = NonuniformReconstructor(fast_sample_set, num_taps=60)
-        for split in range(10, 10 + facade._PLAN_CACHE_SIZE + 3):
-            facade.plan_for(plan_times[:split])
-        assert len(facade._plans) <= facade._PLAN_CACHE_SIZE
+        assert facade.plan_for(plan_times) is not facade.plan_for(plan_times)
+        np.testing.assert_array_equal(
+            facade.evaluate(plan_times), facade.evaluate(plan_times.copy())
+        )
 
-    def test_large_one_shot_grids_not_cached(self, fast_sample_set, plan_times):
-        """Dense measurement renders must not pin their trig caches."""
+    def test_dense_grid_matches_reference(self, fast_sample_set, plan_times):
+        """A measurement-sized render (2,000 instants x 61 taps) takes the
+        same route as a small grid and keeps the reference accuracy."""
         facade = NonuniformReconstructor(fast_sample_set, num_taps=60)
         dense = np.linspace(plan_times[0], plan_times[-1], 2_000)
-        assert dense.size * (facade.num_taps + 1) > facade._PLAN_CACHE_MAX_ELEMENTS
-        facade.evaluate(dense)
-        assert len(facade._plans) == 0
-        facade.evaluate(plan_times)  # small grid still cached
-        assert len(facade._plans) == 1
+        np.testing.assert_allclose(
+            facade.evaluate(dense),
+            reference_evaluate(fast_sample_set, dense, num_taps=60),
+            rtol=RTOL,
+            atol=ATOL,
+        )
 
     def test_scalar_time_input(self, fast_sample_set):
         facade = NonuniformReconstructor(fast_sample_set, num_taps=60)

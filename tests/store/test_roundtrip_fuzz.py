@@ -13,7 +13,6 @@ import random
 
 import pytest
 
-from repro.adc.acquisition import AcquisitionMetadata
 from repro.bist import BistConfig, ConverterSpec
 from repro.bist.masks import MaskCheckResult, MaskViolation
 from repro.bist.measurements import TxMeasurements
@@ -29,7 +28,7 @@ from repro.faults import (
     TestLimits,
     ThresholdReport,
 )
-from repro.mimo import MimoSpec
+from repro.mimo import ChannelMatrixEntry, ChannelMatrixReport, MimoSpec
 from repro.rf.amplifier import (
     IdealAmplifier,
     PolynomialAmplifier,
@@ -383,16 +382,6 @@ def random_threshold_report(rng: random.Random) -> ThresholdReport:
     )
 
 
-def random_acquisition_metadata(rng: random.Random) -> AcquisitionMetadata:
-    return AcquisitionMetadata(
-        kind=rng.choice(["simulated-tiadc", "captured-samples"]),
-        sample_rate_hz=rng.uniform(50e6, 120e6),
-        num_captures=rng.randrange(0, 8),
-        programmed_delay_seconds=maybe(rng, rng.uniform(50e-12, 300e-12)),
-        true_delay_seconds=maybe(rng, rng.uniform(50e-12, 300e-12)),
-    )
-
-
 def random_mimo_spec(rng: random.Random) -> MimoSpec:
     return MimoSpec(
         num_chains=rng.randrange(1, 5),
@@ -417,6 +406,23 @@ def random_importance_estimate(rng: random.Random) -> ImportanceEscapeEstimate:
         effective_sample_size=rng.uniform(1.0, 10**4),
         proposal_floor=rng.uniform(0.05, 1.0),
         seed=rng.randrange(2**31),
+    )
+
+
+def random_matrix_entry(rng: random.Random, tx: int = 1, rx: int = 1) -> ChannelMatrixEntry:
+    return ChannelMatrixEntry(tx=tx, rx=rx, report=random_report(rng))
+
+
+def random_channel_matrix(rng: random.Random) -> ChannelMatrixReport:
+    num_tx, num_rx = rng.randrange(1, 4), rng.randrange(1, 4)
+    return ChannelMatrixReport(
+        num_tx=num_tx,
+        num_rx=num_rx,
+        entries=tuple(
+            random_matrix_entry(rng, tx, rx)
+            for tx in range(1, num_tx + 1)
+            for rx in range(1, num_rx + 1)
+        ),
     )
 
 
@@ -447,12 +453,9 @@ CASES = {
         ImportanceEscapeEstimate.from_dict,
         True,
     ),
-    "AcquisitionMetadata": (
-        random_acquisition_metadata,
-        AcquisitionMetadata.from_dict,
-        True,
-    ),
     "MimoSpec": (random_mimo_spec, MimoSpec.from_dict, True),
+    "ChannelMatrixEntry": (random_matrix_entry, ChannelMatrixEntry.from_dict, False),
+    "ChannelMatrixReport": (random_channel_matrix, ChannelMatrixReport.from_dict, False),
 }
 
 
