@@ -35,7 +35,7 @@ setup(
     packages=find_packages(where="src"),
     package_dir={"": "src"},
     python_requires=">=3.10",
-    install_requires=["numpy>=1.22"],
+    install_requires=["numpy>=1.22", "scipy>=1.8"],
     extras_require={
         "test": ["pytest", "pytest-benchmark", "pytest-cov", "hypothesis"],
     },

@@ -12,7 +12,7 @@ from .adc import AdcChannel
 from .mismatch import ChannelMismatch
 from .quantizer import UniformQuantizer, ideal_quantizer_snr_db
 from .sample_hold import SampleAndHold
-from .tiadc import BpTiadc, DigitallyControlledDelayElement, TimeInterleavedAdc
+from .tiadc import BpTiadc, DigitallyControlledDelayElement
 
 __all__ = [
     "AdcChannel",
@@ -22,7 +22,6 @@ __all__ = [
     "SampleAndHold",
     "BpTiadc",
     "DigitallyControlledDelayElement",
-    "TimeInterleavedAdc",
     "AcquisitionSource",
     "AcquisitionCapture",
     "CaptureRecord",

@@ -1,8 +1,8 @@
 """Uniform amplitude quantisation.
 
 The BP-TIADC of the paper uses two 10-bit converters.  The quantizer model is
-a mid-rise uniform quantizer with symmetric clipping; helper functions expose
-the textbook ideal-SNR and ENOB relations used in tests and benchmarks.
+a mid-rise uniform quantizer with symmetric clipping; a helper exposes the
+textbook ideal-SNR relation used in tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ValidationError
 from ..utils.validation import check_integer, check_positive
 
 __all__ = ["UniformQuantizer", "ideal_quantizer_snr_db"]

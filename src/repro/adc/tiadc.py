@@ -14,9 +14,6 @@ channel's clock by the programmable delay ``D``; the rest of the work
   returns a :class:`~repro.sampling.reconstruction.NonuniformSampleSet`
   whose ``delay`` field carries the *true* (impaired) delay so simulations
   can quantify estimation error, exactly like the paper's Table I.
-* :class:`TimeInterleavedAdc` — a conventional uniform two-channel TIADC
-  (channel 1 nominally at ``T/2``), kept as the reference architecture the
-  paper contrasts against.
 """
 
 from __future__ import annotations
@@ -29,13 +26,12 @@ from ..errors import ConfigurationError, ValidationError
 from ..sampling.bandpass import BandpassBand
 from ..sampling.reconstruction import NonuniformSampleSet
 from ..signals.passband import AnalogSignal
-from ..utils.rng import SeedLike, ensure_generator, spawn_generators
+from ..utils.rng import SeedLike, spawn_generators
 from ..utils.validation import check_integer, check_non_negative, check_positive
 from .adc import AdcChannel
-from .mismatch import ChannelMismatch
 from .quantizer import UniformQuantizer
 
-__all__ = ["DigitallyControlledDelayElement", "BpTiadc", "TimeInterleavedAdc"]
+__all__ = ["DigitallyControlledDelayElement", "BpTiadc"]
 
 
 @dataclass(frozen=True)
@@ -267,52 +263,3 @@ class BpTiadc:
         )
         clone._programmed_code = self._programmed_code
         return clone
-
-
-@dataclass
-class TimeInterleavedAdc:
-    """A conventional uniform two-channel TIADC (the reference architecture).
-
-    Channel 0 converts at ``n * T`` and channel 1 nominally at
-    ``n * T + T/2``; the output stream interleaves the two channels to double
-    the rate.  Channel 1's deterministic skew perturbs its sampling instants,
-    which is the impairment the classic calibration literature corrects.
-    """
-
-    sample_rate: float
-    channel0: AdcChannel | None = None
-    channel1: AdcChannel | None = None
-    seed: SeedLike = None
-
-    def __post_init__(self) -> None:
-        check_positive(self.sample_rate, "sample_rate")
-        channel0_rng, channel1_rng = spawn_generators(self.seed, 2)
-        if self.channel0 is None:
-            self.channel0 = AdcChannel(quantizer=UniformQuantizer(), seed=channel0_rng)
-        if self.channel1 is None:
-            self.channel1 = AdcChannel(quantizer=UniformQuantizer(), seed=channel1_rng)
-
-    @property
-    def sample_period(self) -> float:
-        """Per-channel sampling period."""
-        return 1.0 / self.sample_rate
-
-    @property
-    def output_rate(self) -> float:
-        """Rate of the interleaved output stream."""
-        return 2.0 * self.sample_rate
-
-    def acquire(self, signal: AnalogSignal, num_samples_per_channel: int, start_time: float = 0.0):
-        """Digitise ``signal``; returns ``(channel0, channel1, interleaved)`` arrays."""
-        if not isinstance(signal, AnalogSignal):
-            raise ValidationError("signal must be an AnalogSignal")
-        num_samples_per_channel = check_integer(
-            num_samples_per_channel, "num_samples_per_channel", minimum=2
-        )
-        nominal = float(start_time) + np.arange(num_samples_per_channel) * self.sample_period
-        channel0 = self.channel0.convert(signal, nominal)
-        channel1 = self.channel1.convert(signal, nominal + self.sample_period / 2.0)
-        interleaved = np.empty(2 * num_samples_per_channel)
-        interleaved[0::2] = channel0
-        interleaved[1::2] = channel1
-        return channel0, channel1, interleaved

@@ -36,9 +36,6 @@ from .runner import (
     CampaignRunner,
     ScenarioGrid,
     ScenarioOutcome,
-    channel_mismatch_sweep,
-    dc_offset_sweep,
-    dcde_error_sweep,
     derive_scenario_seed,
     iq_imbalance_sweep,
     pa_saturation_sweep,
@@ -80,9 +77,6 @@ __all__ = [
     "CampaignRunner",
     "ScenarioGrid",
     "ScenarioOutcome",
-    "channel_mismatch_sweep",
-    "dc_offset_sweep",
-    "dcde_error_sweep",
     "derive_scenario_seed",
     "iq_imbalance_sweep",
     "pa_saturation_sweep",

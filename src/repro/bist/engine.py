@@ -20,7 +20,7 @@ instrumentation is involved, which is the paper's cost argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

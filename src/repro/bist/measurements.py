@@ -24,7 +24,6 @@ from ..dsp.metrics import error_vector_magnitude
 from ..dsp.spectrum import (
     SpectrumEstimate,
     adjacent_channel_power_ratio,
-    band_power,
     occupied_bandwidth,
     welch_psd,
 )

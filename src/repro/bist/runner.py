@@ -49,10 +49,7 @@ __all__ = [
     "derive_scenario_seed",
     "pa_saturation_sweep",
     "iq_imbalance_sweep",
-    "dc_offset_sweep",
     "skew_sweep",
-    "dcde_error_sweep",
-    "channel_mismatch_sweep",
 ]
 
 #: Seed policies understood by :class:`CampaignRunner`.
@@ -979,19 +976,6 @@ def iq_imbalance_sweep(points) -> list[tuple]:
     ]
 
 
-def dc_offset_sweep(offsets) -> list[tuple]:
-    """LO-leakage fault axis: I-branch DC offsets."""
-    from ..faults.models import LoLeakageFault
-
-    return [
-        (
-            f"dc-{offset:g}",
-            LoLeakageFault(max_i_offset=offset).apply_transmitter(ImpairmentConfig()),
-        )
-        for offset in offsets
-    ]
-
-
 def skew_sweep(skews_seconds, base: ConverterSpec | None = None) -> list[tuple]:
     """Converter fault axis: channel-1 static skew values."""
     from ..faults.models import TiadcSkewFault
@@ -1003,32 +987,4 @@ def skew_sweep(skews_seconds, base: ConverterSpec | None = None) -> list[tuple]:
             TiadcSkewFault(max_skew_seconds=skew).apply_converter(base),
         )
         for skew in skews_seconds
-    ]
-
-
-def dcde_error_sweep(errors_seconds, base: ConverterSpec | None = None) -> list[tuple]:
-    """Converter fault axis: DCDE static (programmed-vs-real) delay errors."""
-    from ..faults.models import DcdeErrorFault
-
-    base = base if base is not None else ConverterSpec()
-    return [
-        (
-            f"dcde-{error * 1e12:g}ps",
-            DcdeErrorFault(max_static_error_seconds=error).apply_converter(base),
-        )
-        for error in errors_seconds
-    ]
-
-
-def channel_mismatch_sweep(points, base: ConverterSpec | None = None) -> list[tuple]:
-    """Converter fault axis: ``(gain_error, offset)`` static mismatch pairs."""
-    from ..faults.models import TiadcMismatchFault
-
-    base = base if base is not None else ConverterSpec()
-    return [
-        (
-            f"mismatch-g{gain_error:g}-o{offset:g}",
-            TiadcMismatchFault(max_gain_error=gain_error, max_offset=offset).apply_converter(base),
-        )
-        for gain_error, offset in points
     ]

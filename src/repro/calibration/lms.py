@@ -21,7 +21,7 @@ iterations" (Fig. 6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

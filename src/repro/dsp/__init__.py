@@ -1,31 +1,13 @@
 """Digital signal processing substrate: spectra, filters, interpolation, metrics."""
 
-from .filters import (
-    bandpass_fir,
-    filter_group_delay,
-    fir_filter,
-    frequency_response,
-    highpass_fir,
-    lowpass_fir,
-    zero_phase_filter,
-)
-from .interpolation import (
-    apply_fractional_delay,
-    fractional_delay_taps,
-    linear_interpolate,
-    sinc_interpolate,
-)
+from .filters import lowpass_fir, zero_phase_butterworth
+from .interpolation import sinc_interpolate
 from .metrics import (
-    effective_number_of_bits,
     error_vector_magnitude,
-    mean_squared_error,
     normalised_mean_squared_error,
     relative_reconstruction_error,
-    signal_to_noise_ratio_db,
     sinad_db,
-    spurious_free_dynamic_range_db,
 )
-from .resampling import downsample, resample_rational, resample_to_rate, upsample
 from .spectrum import (
     SpectrumEstimate,
     adjacent_channel_power_ratio,
@@ -38,29 +20,13 @@ from .spectrum import (
 )
 
 __all__ = [
-    "bandpass_fir",
-    "filter_group_delay",
-    "fir_filter",
-    "frequency_response",
-    "highpass_fir",
     "lowpass_fir",
-    "zero_phase_filter",
-    "apply_fractional_delay",
-    "fractional_delay_taps",
-    "linear_interpolate",
+    "zero_phase_butterworth",
     "sinc_interpolate",
-    "effective_number_of_bits",
     "error_vector_magnitude",
-    "mean_squared_error",
     "normalised_mean_squared_error",
     "relative_reconstruction_error",
-    "signal_to_noise_ratio_db",
     "sinad_db",
-    "spurious_free_dynamic_range_db",
-    "downsample",
-    "resample_rational",
-    "resample_to_rate",
-    "upsample",
     "SpectrumEstimate",
     "adjacent_channel_power_ratio",
     "band_power",

@@ -1,40 +1,25 @@
-"""FIR filter design and filtering helpers.
+"""Digital filters: FIR low-pass design and the zero-phase Butterworth.
 
-The library needs a small set of digital filters: windowed-sinc low-pass and
-band-pass prototypes (anti-alias and channel-selection filters in the
-behavioural models) and zero-phase filtering for measurement paths where
-group delay would bias time-aligned comparisons.
+:func:`lowpass_fir` is the windowed-sinc low-pass that extracts the complex
+envelope from a dense reconstruction; :func:`zero_phase_butterworth` models
+the transmitter's analog filters (:mod:`repro.rf.filters`) on the envelope
+without the group delay that would bias time-aligned comparisons.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# The library's only SciPy import.  ``repro.dsp`` is among the first
+# subpackages to load, so keep it here at module level: importing SciPy later,
+# through the transmitter chain, measurably slows ``import repro``.
 from scipy import signal as sp_signal
 
 from ..errors import ValidationError
-from ..utils.validation import check_1d_array, check_integer, check_positive
+from ..utils.validation import check_integer, check_positive
 from ..utils.windows import make_window
 
-__all__ = [
-    "lowpass_fir",
-    "highpass_fir",
-    "bandpass_fir",
-    "fir_filter",
-    "zero_phase_filter",
-    "filter_group_delay",
-    "frequency_response",
-]
-
-
-def _normalise_cutoff(cutoff_hz: float, sample_rate: float, name: str) -> float:
-    cutoff_hz = check_positive(cutoff_hz, name)
-    sample_rate = check_positive(sample_rate, "sample_rate")
-    nyquist = sample_rate / 2.0
-    if cutoff_hz >= nyquist:
-        raise ValidationError(
-            f"{name}={cutoff_hz} Hz must be below the Nyquist frequency {nyquist} Hz"
-        )
-    return cutoff_hz / nyquist
+__all__ = ["lowpass_fir", "zero_phase_butterworth"]
 
 
 def lowpass_fir(
@@ -60,96 +45,27 @@ def lowpass_fir(
     num_taps = check_integer(num_taps, "num_taps", minimum=3)
     if num_taps % 2 == 0:
         raise ValidationError("num_taps must be odd for a type-I linear-phase FIR filter")
-    normalised = _normalise_cutoff(cutoff_hz, sample_rate, "cutoff_hz")
+    cutoff_hz = check_positive(cutoff_hz, "cutoff_hz")
+    nyquist = check_positive(sample_rate, "sample_rate") / 2.0
+    if cutoff_hz >= nyquist:
+        raise ValidationError(
+            f"cutoff_hz={cutoff_hz} Hz must be below the Nyquist frequency {nyquist} Hz"
+        )
+    normalised = cutoff_hz / nyquist
     n = np.arange(num_taps) - (num_taps - 1) / 2.0
     taps = normalised * np.sinc(normalised * n)
     taps *= make_window(window, num_taps, beta=kaiser_beta)
     return taps / np.sum(taps)
 
 
-def highpass_fir(
-    cutoff_hz: float,
-    sample_rate: float,
-    num_taps: int = 129,
-    window: str = "kaiser",
-    kaiser_beta: float = 8.0,
-) -> np.ndarray:
-    """Design a linear-phase high-pass FIR filter by spectral inversion."""
-    taps = lowpass_fir(cutoff_hz, sample_rate, num_taps=num_taps, window=window, kaiser_beta=kaiser_beta)
-    inverted = -taps
-    inverted[len(taps) // 2] += 1.0
-    return inverted
+def zero_phase_butterworth(samples, cutoff_hz: float, sample_rate: float, order: int) -> np.ndarray:
+    """Zero-phase Butterworth low-pass of a complex record.
 
-
-def bandpass_fir(
-    low_hz: float,
-    high_hz: float,
-    sample_rate: float,
-    num_taps: int = 257,
-    window: str = "kaiser",
-    kaiser_beta: float = 8.0,
-) -> np.ndarray:
-    """Design a linear-phase band-pass FIR filter for ``[low_hz, high_hz]``."""
-    low_hz = check_positive(low_hz, "low_hz")
-    high_hz = check_positive(high_hz, "high_hz")
-    if high_hz <= low_hz:
-        raise ValidationError(f"high_hz ({high_hz}) must exceed low_hz ({low_hz})")
-    num_taps = check_integer(num_taps, "num_taps", minimum=3)
-    if num_taps % 2 == 0:
-        raise ValidationError("num_taps must be odd for a type-I linear-phase FIR filter")
-    low_norm = _normalise_cutoff(low_hz, sample_rate, "low_hz")
-    high_norm = _normalise_cutoff(high_hz, sample_rate, "high_hz")
-    n = np.arange(num_taps) - (num_taps - 1) / 2.0
-    taps = high_norm * np.sinc(high_norm * n) - low_norm * np.sinc(low_norm * n)
-    taps *= make_window(window, num_taps, beta=kaiser_beta)
-    # Normalise passband gain to unity at the band centre.
-    centre = (low_norm + high_norm) / 2.0
-    gain = np.abs(np.sum(taps * np.exp(-1j * np.pi * centre * np.arange(num_taps))))
-    if gain <= 0.0:
-        raise ValidationError("degenerate band-pass design; widen the band or add taps")
-    return taps / gain
-
-
-def fir_filter(taps, samples) -> np.ndarray:
-    """Causal FIR filtering (full precision, same length as input)."""
-    taps = check_1d_array(taps, "taps")
-    samples = check_1d_array(samples, "samples")
-    return sp_signal.lfilter(taps, [1.0], samples)
-
-
-def zero_phase_filter(taps, samples) -> np.ndarray:
-    """Zero-phase FIR filtering via forward-backward application.
-
-    The effective magnitude response is the square of the single-pass
-    response; use for measurement paths where phase linearity is not enough
-    and any group delay must be removed.
+    An ``order``-th order Butterworth, in second-order sections, runs forward
+    and backward over the real and the imaginary part, so the output has no
+    group delay.  ``cutoff_hz`` must lie below ``sample_rate / 2``.
     """
-    taps = check_1d_array(taps, "taps")
-    samples = check_1d_array(samples, "samples")
-    if samples.size <= 3 * len(taps):
-        raise ValidationError(
-            "input too short for zero-phase filtering; need more than 3x the filter length"
-        )
-    return sp_signal.filtfilt(taps, [1.0], samples)
-
-
-def filter_group_delay(taps) -> float:
-    """Group delay (in samples) of a linear-phase FIR filter."""
-    taps = check_1d_array(taps, "taps")
-    return (len(taps) - 1) / 2.0
-
-
-def frequency_response(taps, sample_rate: float, num_points: int = 2048):
-    """Complex frequency response of an FIR filter.
-
-    Returns
-    -------
-    tuple of numpy.ndarray
-        ``(frequencies_hz, response)`` where frequencies span ``[0, fs/2]``.
-    """
-    taps = check_1d_array(taps, "taps")
-    sample_rate = check_positive(sample_rate, "sample_rate")
-    num_points = check_integer(num_points, "num_points", minimum=8)
-    angular, response = sp_signal.freqz(taps, worN=num_points)
-    frequencies = angular * sample_rate / (2.0 * np.pi)
-    return frequencies, response
+    sos = sp_signal.butter(order, cutoff_hz / (sample_rate / 2.0), btype="low", output="sos")
+    real = sp_signal.sosfiltfilt(sos, samples.real)
+    imag = sp_signal.sosfiltfilt(sos, samples.imag)
+    return real + 1j * imag

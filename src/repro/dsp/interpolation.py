@@ -1,4 +1,4 @@
-"""Band-limited interpolation and fractional-delay utilities.
+"""Band-limited (windowed-sinc) interpolation of uniformly sampled signals.
 
 The behavioural simulation evaluates continuous-time signals at arbitrary
 time instants (the nonuniform sampler needs samples at ``n*T`` and
@@ -13,14 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..utils.validation import check_1d_array, check_integer, check_positive
-from ..utils.windows import evaluate_taper, make_window
+from ..utils.windows import evaluate_taper
 
-__all__ = [
-    "sinc_interpolate",
-    "fractional_delay_taps",
-    "apply_fractional_delay",
-    "linear_interpolate",
-]
+__all__ = ["sinc_interpolate"]
 
 
 def sinc_interpolate(
@@ -91,69 +86,3 @@ def sinc_interpolate(
     if np.iscomplexobj(samples):
         return result
     return result.real
-
-
-def linear_interpolate(samples, sample_rate: float, times, start_time: float = 0.0) -> np.ndarray:
-    """Cheap linear interpolation of a uniformly sampled signal.
-
-    Mostly useful as a low-accuracy reference against
-    :func:`sinc_interpolate` in tests and ablations.
-    """
-    samples = check_1d_array(samples, "samples")
-    sample_rate = check_positive(sample_rate, "sample_rate")
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    positions = (times - float(start_time)) * sample_rate
-    grid = np.arange(samples.size, dtype=float)
-    if np.iscomplexobj(samples):
-        real = np.interp(positions, grid, samples.real, left=0.0, right=0.0)
-        imag = np.interp(positions, grid, samples.imag, left=0.0, right=0.0)
-        return real + 1j * imag
-    return np.interp(positions, grid, samples, left=0.0, right=0.0)
-
-
-def fractional_delay_taps(
-    delay_samples: float,
-    num_taps: int = 32,
-    window: str = "kaiser",
-    kaiser_beta: float = 8.0,
-) -> np.ndarray:
-    """Design a windowed-sinc fractional-delay FIR filter.
-
-    Parameters
-    ----------
-    delay_samples:
-        Desired delay in (possibly fractional) samples.  The returned filter
-        implements a total delay of ``(num_taps - 1) / 2 + delay_samples``
-        samples; the integer bulk delay is the price of causality.
-    num_taps:
-        Filter length.
-    window, kaiser_beta:
-        Kernel window (see :func:`repro.utils.windows.make_window`).
-    """
-    num_taps = check_integer(num_taps, "num_taps", minimum=3)
-    delay_samples = float(delay_samples)
-    centre = (num_taps - 1) / 2.0 + delay_samples
-    n = np.arange(num_taps)
-    taps = np.sinc(n - centre)
-    taps *= make_window(window, num_taps, beta=kaiser_beta)
-    return taps / np.sum(taps)
-
-
-def apply_fractional_delay(
-    samples,
-    delay_samples: float,
-    num_taps: int = 32,
-    window: str = "kaiser",
-    kaiser_beta: float = 8.0,
-) -> np.ndarray:
-    """Delay a uniformly sampled signal by a fractional number of samples.
-
-    The bulk (integer) group delay of the interpolation filter is removed so
-    that the output is aligned with the input up to the requested fractional
-    delay.
-    """
-    samples = check_1d_array(samples, "samples")
-    taps = fractional_delay_taps(delay_samples, num_taps=num_taps, window=window, kaiser_beta=kaiser_beta)
-    filtered = np.convolve(samples, taps.astype(samples.dtype if np.iscomplexobj(samples) else float))
-    bulk = (num_taps - 1) // 2
-    return filtered[bulk : bulk + samples.size]

@@ -1,4 +1,4 @@
-"""Signal-quality metrics: NMSE, reconstruction error, EVM, SNR, SINAD, SFDR.
+"""Signal-quality metrics: NMSE, reconstruction error, EVM and SINAD.
 
 Table I of the paper reports the relative error between the true bandpass
 waveform and its reconstruction from nonuniform samples; the BIST extension
@@ -10,27 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import MeasurementError, ValidationError
+from ..errors import MeasurementError
 from ..utils.validation import check_1d_array, check_positive, check_same_length
 
 __all__ = [
-    "mean_squared_error",
     "normalised_mean_squared_error",
     "relative_reconstruction_error",
-    "signal_to_noise_ratio_db",
     "error_vector_magnitude",
     "sinad_db",
-    "spurious_free_dynamic_range_db",
-    "effective_number_of_bits",
 ]
-
-
-def mean_squared_error(reference, estimate) -> float:
-    """Mean squared error between two equal-length records."""
-    reference = check_1d_array(reference, "reference")
-    estimate = check_1d_array(estimate, "estimate")
-    check_same_length("reference", reference, "estimate", estimate)
-    return float(np.mean(np.abs(estimate - reference) ** 2))
 
 
 def normalised_mean_squared_error(reference, estimate) -> float:
@@ -53,14 +41,6 @@ def relative_reconstruction_error(reference, estimate) -> float:
     (multiply by 100 for percent).
     """
     return float(np.sqrt(normalised_mean_squared_error(reference, estimate)))
-
-
-def signal_to_noise_ratio_db(reference, estimate) -> float:
-    """SNR (dB) of ``estimate`` treating ``reference`` as the noise-free truth."""
-    nmse = normalised_mean_squared_error(reference, estimate)
-    if nmse <= 0.0:
-        return float("inf")
-    return float(-10.0 * np.log10(nmse))
 
 
 def error_vector_magnitude(reference_symbols, received_symbols, as_percent: bool = True) -> float:
@@ -112,32 +92,3 @@ def sinad_db(samples, sample_rate: float, tone_frequency_hz: float) -> float:
     if tone_power <= 0.0:
         raise MeasurementError("no tone found at the requested frequency")
     return float(10.0 * np.log10(tone_power / residual_power))
-
-
-def effective_number_of_bits(sinad_value_db: float) -> float:
-    """ENOB from SINAD via the standard formula ``(SINAD - 1.76) / 6.02``."""
-    return (float(sinad_value_db) - 1.76) / 6.02
-
-
-def spurious_free_dynamic_range_db(samples, sample_rate: float) -> float:
-    """SFDR (dB) of a sampled tone: carrier bin versus strongest other bin."""
-    samples = check_1d_array(samples, "samples", min_length=32, dtype=float)
-    sample_rate = check_positive(sample_rate, "sample_rate")
-    windowed = samples * np.hanning(samples.size)
-    spectrum = np.abs(np.fft.rfft(windowed))
-    spectrum[0] = 0.0  # ignore DC
-    carrier_bin = int(np.argmax(spectrum))
-    carrier_power = spectrum[carrier_bin] ** 2
-    if carrier_power <= 0.0:
-        raise MeasurementError("no carrier found in the record")
-    # Exclude a guard region around the carrier wide enough to skip the Hann
-    # window's main lobe and first sidelobes of a non-coherent tone.
-    guard = 8
-    masked = spectrum.copy()
-    low = max(0, carrier_bin - guard)
-    high = min(spectrum.size, carrier_bin + guard + 1)
-    masked[low:high] = 0.0
-    spur_power = float(np.max(masked) ** 2)
-    if spur_power <= 0.0:
-        return float("inf")
-    return float(10.0 * np.log10(carrier_power / spur_power))

@@ -34,7 +34,7 @@ from ..errors import ValidationError
 from ..utils.serialization import field_dict, known_field_kwargs
 from ..utils.validation import check_integer, check_probability
 from .injection import REFERENCE_FAMILY, FaultCampaignResult, FaultPoint
-from .models import FAULT_FAMILIES, FaultModel
+from .models import FAULT_FAMILIES
 
 __all__ = [
     "FaultSignature",

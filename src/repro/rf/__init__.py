@@ -10,7 +10,7 @@ from .amplifier import (
 from .filters import AnalogBandpass, AnalogLowpass
 from .impairments import DcOffset, IqImbalance, image_rejection_ratio_db
 from .mixer import QuadratureModulator
-from .noise import AdditiveWhiteNoise, add_noise_for_snr, thermal_noise_power
+from .noise import AdditiveWhiteNoise, add_noise_for_snr
 from .oscillator import LocalOscillator, PhaseNoiseModel
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "QuadratureModulator",
     "AdditiveWhiteNoise",
     "add_noise_for_snr",
-    "thermal_noise_power",
     "LocalOscillator",
     "PhaseNoiseModel",
 ]

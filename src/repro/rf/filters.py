@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
+from ..dsp.filters import zero_phase_butterworth
 from ..errors import ValidationError
 from ..signals.baseband import ComplexEnvelope
 from ..utils.validation import check_integer, check_positive
@@ -49,10 +49,9 @@ class AnalogLowpass:
         if self.cutoff_hz >= nyquist:
             # The filter is wider than the representable band: nothing to do.
             return envelope
-        sos = sp_signal.butter(self.order, self.cutoff_hz / nyquist, btype="low", output="sos")
-        real = sp_signal.sosfiltfilt(sos, envelope.samples.real)
-        imag = sp_signal.sosfiltfilt(sos, envelope.samples.imag)
-        return envelope.with_samples(real + 1j * imag)
+        return envelope.with_samples(
+            zero_phase_butterworth(envelope.samples, self.cutoff_hz, envelope.sample_rate, self.order)
+        )
 
 
 @dataclass(frozen=True)
@@ -97,10 +96,7 @@ class AnalogBandpass:
             shift = np.exp(-2j * np.pi * self.centre_offset_hz * times)
             samples = samples * shift
         if cutoff < nyquist:
-            sos = sp_signal.butter(self.order, cutoff / nyquist, btype="low", output="sos")
-            real = sp_signal.sosfiltfilt(sos, samples.real)
-            imag = sp_signal.sosfiltfilt(sos, samples.imag)
-            samples = real + 1j * imag
+            samples = zero_phase_butterworth(samples, cutoff, envelope.sample_rate, self.order)
         if self.centre_offset_hz != 0.0:
             samples = samples * np.exp(2j * np.pi * self.centre_offset_hz * times)
         return envelope.with_samples(samples)

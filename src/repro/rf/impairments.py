@@ -16,7 +16,6 @@ import numpy as np
 from ..errors import ValidationError
 from ..signals.baseband import ComplexEnvelope
 from ..utils.units import db_to_amplitude_ratio
-from ..utils.validation import check_non_negative
 
 __all__ = ["IqImbalance", "DcOffset", "image_rejection_ratio_db"]
 

@@ -17,7 +17,7 @@ from ..signals.baseband import ComplexEnvelope
 from ..signals.passband import ModulatedPassbandSignal
 from ..utils.validation import check_positive
 from .impairments import DcOffset, IqImbalance
-from .oscillator import LocalOscillator, PhaseNoiseModel
+from .oscillator import LocalOscillator
 
 __all__ = ["QuadratureModulator"]
 

@@ -1,4 +1,4 @@
-"""Additive noise models: thermal noise and SNR-targeted white noise.
+"""Additive noise models: fixed-power and SNR-targeted white noise.
 
 The paper notes that bandpass sampling aliases wideband thermal noise into
 the band of interest but argues this does not matter for transmitter
@@ -15,20 +15,8 @@ import numpy as np
 from ..errors import ValidationError
 from ..signals.baseband import ComplexEnvelope
 from ..utils.rng import SeedLike, ensure_generator
-from ..utils.validation import check_positive
 
-__all__ = ["thermal_noise_power", "AdditiveWhiteNoise", "add_noise_for_snr"]
-
-#: Boltzmann constant (J/K).
-BOLTZMANN_CONSTANT = 1.380649e-23
-
-
-def thermal_noise_power(bandwidth_hz: float, temperature_kelvin: float = 290.0, noise_figure_db: float = 0.0) -> float:
-    """Thermal noise power ``k * T * B`` (watts) degraded by a noise figure."""
-    bandwidth_hz = check_positive(bandwidth_hz, "bandwidth_hz")
-    temperature_kelvin = check_positive(temperature_kelvin, "temperature_kelvin")
-    noise_figure = 10.0 ** (float(noise_figure_db) / 10.0)
-    return BOLTZMANN_CONSTANT * temperature_kelvin * bandwidth_hz * noise_figure
+__all__ = ["AdditiveWhiteNoise", "add_noise_for_snr"]
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ import argparse
 import asyncio
 import json
 import sys
-from pathlib import Path
 
 from ..bist.engine import BistConfig
 from ..bist.runner import ExecutionBudget

@@ -19,13 +19,8 @@ from .ofdm import (
     build_used_grid,
     ofdm_grid_metrics,
 )
-from .passband import AnalogSignal, CallableSignal, CompositeSignal, ModulatedPassbandSignal
-from .pulse_shaping import (
-    PulseShaper,
-    gaussian_pulse_taps,
-    raised_cosine_taps,
-    root_raised_cosine_taps,
-)
+from .passband import AnalogSignal, CompositeSignal, ModulatedPassbandSignal
+from .pulse_shaping import PulseShaper, root_raised_cosine_taps
 from .standards import (
     PROFILES,
     WAVEFORM_FAMILIES,
@@ -33,14 +28,7 @@ from .standards import (
     get_profile,
     list_profiles,
 )
-from .symbols import (
-    PRBS_POLYNOMIALS,
-    SymbolSource,
-    prbs_bits,
-    prbs_sequence,
-    random_bits,
-    random_symbols,
-)
+from .symbols import SymbolSource
 
 __all__ = [
     "ComplexEnvelope",
@@ -61,22 +49,14 @@ __all__ = [
     "build_used_grid",
     "ofdm_grid_metrics",
     "AnalogSignal",
-    "CallableSignal",
     "CompositeSignal",
     "ModulatedPassbandSignal",
     "PulseShaper",
-    "gaussian_pulse_taps",
-    "raised_cosine_taps",
     "root_raised_cosine_taps",
     "PROFILES",
     "WAVEFORM_FAMILIES",
     "WaveformProfile",
     "get_profile",
     "list_profiles",
-    "PRBS_POLYNOMIALS",
     "SymbolSource",
-    "prbs_bits",
-    "prbs_sequence",
-    "random_bits",
-    "random_symbols",
 ]

@@ -22,14 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ValidationError
-from ..utils.validation import check_non_negative, check_positive
+from ..utils.validation import check_positive
 from .baseband import ComplexEnvelope
 
 __all__ = [
     "AnalogSignal",
     "ModulatedPassbandSignal",
     "CompositeSignal",
-    "CallableSignal",
 ]
 
 
@@ -168,32 +167,3 @@ class CompositeSignal(AnalogSignal):
         for component in self.components:
             total = total + component.evaluate(times)
         return total
-
-
-@dataclass(frozen=True)
-class CallableSignal(AnalogSignal):
-    """Wrap an arbitrary callable ``f(times) -> values`` as an analog signal.
-
-    Useful in tests where an exact closed-form waveform is wanted.
-    """
-
-    function: object
-    declared_band: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        if not callable(self.function):
-            raise ValidationError("function must be callable")
-        low, high = self.declared_band
-        low = check_non_negative(float(low), "band low edge")
-        high = check_positive(float(high), "band high edge")
-        if high <= low:
-            raise ValidationError("band high edge must exceed the low edge")
-        object.__setattr__(self, "declared_band", (low, high))
-
-    @property
-    def band(self) -> tuple[float, float]:
-        return self.declared_band
-
-    def evaluate(self, times) -> np.ndarray:
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        return np.asarray(self.function(times), dtype=float)

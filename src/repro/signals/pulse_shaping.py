@@ -1,9 +1,9 @@
 """Pulse-shaping filter design and symbol-to-waveform shaping.
 
 The paper shapes 10 MHz QPSK symbols with a square-root raised cosine (SRRC)
-filter with roll-off ``alpha = 0.5``.  This module provides SRRC, raised
-cosine and Gaussian pulse prototypes plus a :class:`PulseShaper` that turns a
-symbol stream into an oversampled complex-envelope waveform.
+filter with roll-off ``alpha = 0.5``.  This module provides the SRRC pulse
+prototype plus a :class:`PulseShaper` that turns a symbol stream into an
+oversampled complex-envelope waveform.
 """
 
 from __future__ import annotations
@@ -13,54 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ValidationError
-from ..utils.validation import check_1d_array, check_in_range, check_integer, check_positive
+from ..utils.validation import check_1d_array, check_in_range, check_integer
 
-__all__ = [
-    "raised_cosine_taps",
-    "root_raised_cosine_taps",
-    "gaussian_pulse_taps",
-    "PulseShaper",
-]
-
-
-def raised_cosine_taps(
-    samples_per_symbol: int,
-    span_symbols: int,
-    rolloff: float,
-) -> np.ndarray:
-    """Raised-cosine (RC) pulse prototype.
-
-    Parameters
-    ----------
-    samples_per_symbol:
-        Oversampling ratio (samples per symbol period).
-    span_symbols:
-        Filter span in symbol periods; the filter has
-        ``span_symbols * samples_per_symbol + 1`` taps.
-    rolloff:
-        Excess-bandwidth factor ``alpha`` in ``[0, 1]``.
-
-    Returns
-    -------
-    numpy.ndarray
-        Filter taps normalised to unit peak (``h(0) == 1``).
-    """
-    sps = check_integer(samples_per_symbol, "samples_per_symbol", minimum=1)
-    span = check_integer(span_symbols, "span_symbols", minimum=1)
-    alpha = check_in_range(rolloff, "rolloff", 0.0, 1.0)
-    num_taps = span * sps + 1
-    t = (np.arange(num_taps) - (num_taps - 1) / 2.0) / sps
-
-    taps = np.empty(num_taps, dtype=float)
-    # h(t) = sinc(t) * cos(pi a t) / (1 - (2 a t)^2), with removable singularities.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        denominator = 1.0 - (2.0 * alpha * t) ** 2
-        taps = np.sinc(t) * np.cos(np.pi * alpha * t) / denominator
-    # t = 0 handled by np.sinc already; fix |2 a t| == 1 singularities.
-    if alpha > 0.0:
-        singular = np.isclose(np.abs(2.0 * alpha * t), 1.0)
-        taps[singular] = (np.pi / 4.0) * np.sinc(1.0 / (2.0 * alpha))
-    return taps
+__all__ = ["root_raised_cosine_taps", "PulseShaper"]
 
 
 def root_raised_cosine_taps(
@@ -100,26 +55,6 @@ def root_raised_cosine_taps(
                 taps[i] = numerator / denominator
     energy = np.sum(taps**2)
     return taps / np.sqrt(energy)
-
-
-def gaussian_pulse_taps(
-    samples_per_symbol: int,
-    span_symbols: int,
-    bandwidth_time_product: float,
-) -> np.ndarray:
-    """Gaussian pulse prototype (as used in GMSK-style modulations).
-
-    ``bandwidth_time_product`` is the usual ``BT`` parameter (e.g. 0.3 for
-    GSM).  Taps are normalised to unit sum so that the DC gain is one.
-    """
-    sps = check_integer(samples_per_symbol, "samples_per_symbol", minimum=1)
-    span = check_integer(span_symbols, "span_symbols", minimum=1)
-    bt = check_positive(bandwidth_time_product, "bandwidth_time_product")
-    num_taps = span * sps + 1
-    t = (np.arange(num_taps) - (num_taps - 1) / 2.0) / sps
-    sigma = np.sqrt(np.log(2.0)) / (2.0 * np.pi * bt)
-    taps = np.exp(-(t**2) / (2.0 * sigma**2))
-    return taps / np.sum(taps)
 
 
 @dataclass(frozen=True)

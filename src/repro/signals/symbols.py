@@ -1,95 +1,14 @@
-"""Bit and symbol sources for transmitter stimuli.
-
-Provides seeded random bit/symbol generation and maximal-length PRBS
-sequences (PRBS7/9/11/15/23/31), which are the standard stimuli used during
-transmitter characterisation.
-"""
+"""Seeded bit and symbol source for transmitter stimuli."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ValidationError
 from ..utils.rng import SeedLike, ensure_generator
 from ..utils.validation import check_integer
 from .constellations import Constellation
 
-__all__ = [
-    "random_bits",
-    "random_symbols",
-    "prbs_sequence",
-    "prbs_bits",
-    "SymbolSource",
-    "PRBS_POLYNOMIALS",
-]
-
-#: Feedback tap pairs (register length, second tap) of the standard maximal-
-#: length PRBS generators.  ``x^n + x^m + 1`` with taps ``(n, m)``.
-PRBS_POLYNOMIALS: dict[int, tuple[int, int]] = {
-    7: (7, 6),
-    9: (9, 5),
-    11: (11, 9),
-    15: (15, 14),
-    23: (23, 18),
-    31: (31, 28),
-}
-
-
-def random_bits(count: int, seed: SeedLike = None) -> np.ndarray:
-    """Generate ``count`` independent equiprobable bits."""
-    count = check_integer(count, "count", minimum=1)
-    rng = ensure_generator(seed)
-    return rng.integers(0, 2, size=count, dtype=np.int64)
-
-
-def random_symbols(count: int, order: int, seed: SeedLike = None) -> np.ndarray:
-    """Generate ``count`` independent uniform symbol indices in ``[0, order)``."""
-    count = check_integer(count, "count", minimum=1)
-    order = check_integer(order, "order", minimum=2)
-    rng = ensure_generator(seed)
-    return rng.integers(0, order, size=count, dtype=np.int64)
-
-
-def prbs_bits(degree: int, length: int, seed_state: int | None = None) -> np.ndarray:
-    """Generate ``length`` bits of the maximal-length PRBS of a given degree.
-
-    Parameters
-    ----------
-    degree:
-        PRBS polynomial degree; one of ``7, 9, 11, 15, 23, 31``.
-    length:
-        Number of bits to produce (may exceed one period; the sequence wraps).
-    seed_state:
-        Initial shift-register state (must be non-zero).  Defaults to all ones.
-    """
-    degree = check_integer(degree, "degree")
-    if degree not in PRBS_POLYNOMIALS:
-        raise ValidationError(
-            f"unsupported PRBS degree {degree}; supported: {sorted(PRBS_POLYNOMIALS)}"
-        )
-    length = check_integer(length, "length", minimum=1)
-    n, m = PRBS_POLYNOMIALS[degree]
-    state = (1 << degree) - 1 if seed_state is None else int(seed_state)
-    if state <= 0 or state >= (1 << degree):
-        raise ValidationError(
-            f"seed_state must be a non-zero {degree}-bit integer, got {seed_state!r}"
-        )
-    bits = np.empty(length, dtype=np.int64)
-    for i in range(length):
-        new_bit = ((state >> (n - 1)) ^ (state >> (m - 1))) & 1
-        bits[i] = state & 1
-        state = ((state << 1) | new_bit) & ((1 << degree) - 1)
-    return bits
-
-
-def prbs_sequence(degree: int, seed_state: int | None = None) -> np.ndarray:
-    """Generate exactly one period (``2**degree - 1`` bits) of a PRBS."""
-    degree = check_integer(degree, "degree")
-    if degree not in PRBS_POLYNOMIALS:
-        raise ValidationError(
-            f"unsupported PRBS degree {degree}; supported: {sorted(PRBS_POLYNOMIALS)}"
-        )
-    return prbs_bits(degree, (1 << degree) - 1, seed_state=seed_state)
+__all__ = ["SymbolSource"]
 
 
 class SymbolSource:

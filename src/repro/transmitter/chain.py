@@ -20,7 +20,7 @@ quadrature modulator, PA, output filter, noise — is family-agnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,45 +1,23 @@
 """Shared low-level utilities: units, validation, windows and RNG plumbing."""
 
 from .rng import SeedLike, ensure_generator, spawn_generators
-from .units import (
-    amplitude_ratio_to_db,
-    db_to_amplitude_ratio,
-    db_to_linear,
-    dbm_to_vrms,
-    dbm_to_watt,
-    ghz,
-    hz,
-    khz,
-    linear_to_db,
-    mhz,
-    ns_to_seconds,
-    period,
-    ps_to_seconds,
-    seconds_to_ns,
-    seconds_to_ps,
-    vrms_to_dbm,
-    watt_to_dbm,
-    wavelength,
-)
+from .units import db_to_amplitude_ratio
 from .validation import (
     check_1d_array,
     check_choice,
     check_in_range,
     check_integer,
     check_non_negative,
-    check_odd,
     check_positive,
     check_power_of_two,
     check_probability,
     check_same_length,
-    require,
 )
 from .windows import (
     AVAILABLE_WINDOWS,
     blackman_window,
     hamming_window,
     hann_window,
-    kaiser_beta_for_attenuation,
     kaiser_window,
     make_window,
     rectangular_window,
@@ -49,30 +27,11 @@ __all__ = [
     "SeedLike",
     "ensure_generator",
     "spawn_generators",
-    "db_to_linear",
-    "linear_to_db",
     "db_to_amplitude_ratio",
-    "amplitude_ratio_to_db",
-    "dbm_to_watt",
-    "watt_to_dbm",
-    "dbm_to_vrms",
-    "vrms_to_dbm",
-    "hz",
-    "khz",
-    "mhz",
-    "ghz",
-    "seconds_to_ps",
-    "ps_to_seconds",
-    "ns_to_seconds",
-    "seconds_to_ns",
-    "wavelength",
-    "period",
-    "require",
     "check_positive",
     "check_non_negative",
     "check_in_range",
     "check_integer",
-    "check_odd",
     "check_power_of_two",
     "check_probability",
     "check_1d_array",
@@ -85,5 +44,4 @@ __all__ = [
     "blackman_window",
     "rectangular_window",
     "make_window",
-    "kaiser_beta_for_attenuation",
 ]

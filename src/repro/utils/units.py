@@ -1,161 +1,15 @@
-"""Unit conversion helpers (power, frequency, time).
-
-RF test code constantly moves between linear and logarithmic power units and
-between convenient engineering prefixes (GHz, MHz, ps, ns).  Keeping all of
-those conversions in one tested module avoids the classic factor-of-10 /
-factor-of-2 mistakes (power vs amplitude dB, dBm vs dBW).
-
-All functions accept scalars or :class:`numpy.ndarray` inputs and vectorise
-naturally.
-"""
+"""Unit conversion: decibels to a linear amplitude ratio."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ValidationError
-
-__all__ = [
-    "db_to_linear",
-    "linear_to_db",
-    "db_to_amplitude_ratio",
-    "amplitude_ratio_to_db",
-    "dbm_to_watt",
-    "watt_to_dbm",
-    "dbm_to_vrms",
-    "vrms_to_dbm",
-    "hz",
-    "khz",
-    "mhz",
-    "ghz",
-    "seconds_to_ps",
-    "ps_to_seconds",
-    "ns_to_seconds",
-    "seconds_to_ns",
-    "wavelength",
-    "period",
-]
-
-#: Default reference impedance used for dBm <-> volt conversions (ohms).
-DEFAULT_IMPEDANCE_OHMS = 50.0
-
-
-def db_to_linear(value_db):
-    """Convert a *power* ratio expressed in dB to a linear ratio.
-
-    ``0 dB -> 1.0``, ``10 dB -> 10.0``, ``-3 dB -> ~0.501``.
-    """
-    return np.power(10.0, np.asarray(value_db, dtype=float) / 10.0)
-
-
-def linear_to_db(ratio):
-    """Convert a linear *power* ratio to dB.
-
-    Raises
-    ------
-    ValidationError
-        If any ratio is not strictly positive (log of zero/negative power).
-    """
-    ratio = np.asarray(ratio, dtype=float)
-    if np.any(ratio <= 0.0):
-        raise ValidationError("power ratio must be strictly positive to convert to dB")
-    return 10.0 * np.log10(ratio)
+__all__ = ["db_to_amplitude_ratio"]
 
 
 def db_to_amplitude_ratio(value_db):
-    """Convert an *amplitude* (voltage) ratio expressed in dB to linear."""
+    """Convert an *amplitude* (voltage) ratio expressed in dB to linear.
+
+    Accepts a scalar or an array: ``0 dB -> 1.0``, ``20 dB -> 10.0``.
+    """
     return np.power(10.0, np.asarray(value_db, dtype=float) / 20.0)
-
-
-def amplitude_ratio_to_db(ratio):
-    """Convert a linear *amplitude* (voltage) ratio to dB."""
-    ratio = np.asarray(ratio, dtype=float)
-    if np.any(ratio <= 0.0):
-        raise ValidationError("amplitude ratio must be strictly positive to convert to dB")
-    return 20.0 * np.log10(ratio)
-
-
-def dbm_to_watt(power_dbm):
-    """Convert a power level in dBm to watts (``0 dBm -> 1 mW``)."""
-    return 1e-3 * db_to_linear(power_dbm)
-
-
-def watt_to_dbm(power_watt):
-    """Convert a power level in watts to dBm."""
-    power_watt = np.asarray(power_watt, dtype=float)
-    if np.any(power_watt <= 0.0):
-        raise ValidationError("power must be strictly positive to convert to dBm")
-    return 10.0 * np.log10(power_watt / 1e-3)
-
-
-def dbm_to_vrms(power_dbm, impedance_ohms: float = DEFAULT_IMPEDANCE_OHMS):
-    """RMS voltage across ``impedance_ohms`` for a given power in dBm."""
-    if impedance_ohms <= 0.0:
-        raise ValidationError("impedance must be strictly positive")
-    return np.sqrt(dbm_to_watt(power_dbm) * impedance_ohms)
-
-
-def vrms_to_dbm(vrms, impedance_ohms: float = DEFAULT_IMPEDANCE_OHMS):
-    """Power in dBm dissipated in ``impedance_ohms`` by an RMS voltage."""
-    if impedance_ohms <= 0.0:
-        raise ValidationError("impedance must be strictly positive")
-    vrms = np.asarray(vrms, dtype=float)
-    if np.any(vrms <= 0.0):
-        raise ValidationError("RMS voltage must be strictly positive to convert to dBm")
-    return watt_to_dbm(vrms**2 / impedance_ohms)
-
-
-def hz(value):
-    """Identity helper, for symmetry with :func:`khz` / :func:`mhz` / :func:`ghz`."""
-    return float(value)
-
-
-def khz(value):
-    """Convert a value in kilohertz to hertz."""
-    return float(value) * 1e3
-
-
-def mhz(value):
-    """Convert a value in megahertz to hertz."""
-    return float(value) * 1e6
-
-
-def ghz(value):
-    """Convert a value in gigahertz to hertz."""
-    return float(value) * 1e9
-
-
-def seconds_to_ps(value_s):
-    """Convert seconds to picoseconds."""
-    return np.asarray(value_s, dtype=float) * 1e12
-
-
-def ps_to_seconds(value_ps):
-    """Convert picoseconds to seconds."""
-    return np.asarray(value_ps, dtype=float) * 1e-12
-
-
-def ns_to_seconds(value_ns):
-    """Convert nanoseconds to seconds."""
-    return np.asarray(value_ns, dtype=float) * 1e-9
-
-
-def seconds_to_ns(value_s):
-    """Convert seconds to nanoseconds."""
-    return np.asarray(value_s, dtype=float) * 1e9
-
-
-def wavelength(frequency_hz, propagation_speed: float = 299_792_458.0):
-    """Free-space wavelength (metres) of a tone at ``frequency_hz``."""
-    frequency_hz = np.asarray(frequency_hz, dtype=float)
-    if np.any(frequency_hz <= 0.0):
-        raise ValidationError("frequency must be strictly positive")
-    return propagation_speed / frequency_hz
-
-
-def period(frequency_hz):
-    """Period (seconds) of a tone at ``frequency_hz``."""
-    frequency_hz = np.asarray(frequency_hz, dtype=float)
-    if np.any(frequency_hz <= 0.0):
-        raise ValidationError("frequency must be strictly positive")
-    return 1.0 / frequency_hz

@@ -14,24 +14,16 @@ import numpy as np
 from ..errors import ValidationError
 
 __all__ = [
-    "require",
     "check_positive",
     "check_non_negative",
     "check_in_range",
     "check_integer",
-    "check_odd",
     "check_power_of_two",
     "check_probability",
     "check_1d_array",
     "check_same_length",
     "check_choice",
 ]
-
-
-def require(condition: bool, message: str) -> None:
-    """Raise :class:`ValidationError` with ``message`` if ``condition`` is false."""
-    if not condition:
-        raise ValidationError(message)
 
 
 def check_positive(value: float, name: str) -> float:
@@ -78,14 +70,6 @@ def check_integer(value, name: str, minimum: int | None = None) -> int:
     value = int(value)
     if minimum is not None and value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def check_odd(value, name: str) -> int:
-    """Validate that ``value`` is an odd integer."""
-    value = check_integer(value, name)
-    if value % 2 == 0:
-        raise ValidationError(f"{name} must be odd, got {value}")
     return value
 
 

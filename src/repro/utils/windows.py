@@ -22,7 +22,6 @@ __all__ = [
     "blackman_window",
     "rectangular_window",
     "make_window",
-    "kaiser_beta_for_attenuation",
     "kaiser_normaliser",
     "evaluate_taper",
     "AVAILABLE_WINDOWS",
@@ -80,19 +79,6 @@ def kaiser_window(num_taps: int, beta: float = 8.0) -> np.ndarray:
     alpha = (num_taps - 1) / 2.0
     argument = beta * np.sqrt(np.clip(1.0 - ((n - alpha) / alpha) ** 2, 0.0, None))
     return np.i0(argument) / kaiser_normaliser(float(beta))
-
-
-def kaiser_beta_for_attenuation(attenuation_db: float) -> float:
-    """Kaiser ``beta`` giving approximately ``attenuation_db`` of side-lobe rejection.
-
-    Standard empirical formula (Oppenheim & Schafer).
-    """
-    attenuation_db = check_non_negative(attenuation_db, "attenuation_db")
-    if attenuation_db > 50.0:
-        return 0.1102 * (attenuation_db - 8.7)
-    if attenuation_db >= 21.0:
-        return 0.5842 * (attenuation_db - 21.0) ** 0.4 + 0.07886 * (attenuation_db - 21.0)
-    return 0.0
 
 
 @lru_cache(maxsize=64)

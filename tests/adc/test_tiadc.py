@@ -1,4 +1,4 @@
-"""Tests for repro.adc.tiadc (DCDE, BP-TIADC and the uniform TIADC)."""
+"""Tests for repro.adc.tiadc (DCDE and BP-TIADC)."""
 
 import numpy as np
 import pytest
@@ -8,13 +8,12 @@ from repro.adc import (
     BpTiadc,
     ChannelMismatch,
     DigitallyControlledDelayElement,
-    TimeInterleavedAdc,
     UniformQuantizer,
 )
 from repro.dsp import relative_reconstruction_error
 from repro.errors import ConfigurationError, ValidationError
 from repro.sampling import BandpassBand, NonuniformReconstructor
-from repro.signals import multitone_in_band, single_tone
+from repro.signals import multitone_in_band
 
 
 BAND = BandpassBand.from_centre(1.0e9, 90.0e6)
@@ -142,30 +141,3 @@ class TestBpTiadc:
         adc.program_delay(100e-12)
         with pytest.raises(ValidationError):
             adc.acquire(np.ones(16), BAND, num_samples=16)
-
-
-class TestTimeInterleavedAdc:
-    def test_interleaved_stream_order(self):
-        adc = TimeInterleavedAdc(sample_rate=90e6, seed=1)
-        tone = single_tone(10e6, amplitude=0.5)
-        ch0, ch1, interleaved = adc.acquire(tone, num_samples_per_channel=32)
-        np.testing.assert_allclose(interleaved[0::2], ch0)
-        np.testing.assert_allclose(interleaved[1::2], ch1)
-
-    def test_output_rate(self):
-        assert TimeInterleavedAdc(sample_rate=90e6).output_rate == pytest.approx(180e6)
-
-    def test_skew_creates_interleaving_error(self):
-        tone = single_tone(40e6, amplitude=0.9)
-        clean = TimeInterleavedAdc(sample_rate=90e6, seed=1)
-        skewed = TimeInterleavedAdc(
-            sample_rate=90e6,
-            channel1=AdcChannel(
-                quantizer=UniformQuantizer(),
-                mismatch=ChannelMismatch(skew_seconds=200e-12),
-            ),
-            seed=1,
-        )
-        _, ch1_clean, _ = clean.acquire(tone, 128)
-        _, ch1_skewed, _ = skewed.acquire(tone, 128)
-        assert not np.allclose(ch1_clean, ch1_skewed, atol=1e-3)

@@ -23,9 +23,6 @@ from repro.bist import (
     ScenarioGrid,
     default_converter,
     derive_scenario_seed,
-    dc_offset_sweep,
-    dcde_error_sweep,
-    channel_mismatch_sweep,
     iq_imbalance_sweep,
     pa_saturation_sweep,
     skew_sweep,
@@ -128,10 +125,10 @@ class TestScenarioGrid:
             ScenarioGrid()
             .add_profile("paper-qpsk-1ghz", label="paper")
             .add_impairment("nominal", ImpairmentConfig())
-            .add_converters(dcde_error_sweep([5e-12]))
+            .add_converters(skew_sweep([5e-12]))
             .build()
         )
-        assert scenarios[0].label == "paper/nominal/dcde-5ps"
+        assert scenarios[0].label == "paper/nominal/skew-5ps"
 
     def test_axes_optional(self):
         scenarios = ScenarioGrid().add_profiles("paper-qpsk-1ghz").build()
@@ -172,12 +169,7 @@ class TestScenarioGrid:
     def test_sweep_helpers_label_values(self):
         assert pa_saturation_sweep([0.75])[0][0] == "pa-sat-0.75"
         assert iq_imbalance_sweep([(2.5, 15.0)])[0][0] == "iq-2.5dB-15deg"
-        assert dc_offset_sweep([0.05])[0][0] == "dc-0.05"
         assert skew_sweep([2e-12])[0][0] == "skew-2ps"
-        assert dcde_error_sweep([5e-12])[0][0] == "dcde-5ps"
-        label, spec = channel_mismatch_sweep([(0.02, 0.01)])[0]
-        assert label == "mismatch-g0.02-o0.01"
-        assert spec.channel1_gain_error == pytest.approx(0.02)
 
 
 class TestSeedDerivation:

@@ -2,16 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy import signal
 
-from repro.dsp import (
-    bandpass_fir,
-    filter_group_delay,
-    fir_filter,
-    frequency_response,
-    highpass_fir,
-    lowpass_fir,
-    zero_phase_filter,
-)
+from repro.dsp import lowpass_fir, zero_phase_butterworth
 from repro.errors import ValidationError
 
 
@@ -25,8 +18,8 @@ class TestLowpassDesign:
 
     def test_passband_and_stopband(self):
         taps = lowpass_fir(10e6, RATE, num_taps=201)
-        freqs, response = frequency_response(taps, RATE, num_points=1024)
-        magnitude = np.abs(response)
+        magnitude = np.abs(np.fft.rfft(taps, n=2048))
+        freqs = np.fft.rfftfreq(2048, d=1.0 / RATE)
         assert np.all(magnitude[freqs < 7e6] > 0.95)
         assert np.all(magnitude[freqs > 15e6] < 0.02)
 
@@ -43,67 +36,69 @@ class TestLowpassDesign:
         np.testing.assert_allclose(taps, taps[::-1], atol=1e-15)
 
 
-class TestHighpassDesign:
-    def test_dc_gain_zero(self):
-        taps = highpass_fir(10e6, RATE, num_taps=101)
-        assert abs(np.sum(taps)) < 1e-9
-
-    def test_high_frequency_passes(self):
-        taps = highpass_fir(10e6, RATE, num_taps=201)
-        freqs, response = frequency_response(taps, RATE, num_points=1024)
-        magnitude = np.abs(response)
-        assert np.all(magnitude[freqs > 20e6] > 0.9)
+def tone(freq_hz, num=4096, rate=RATE):
+    return np.exp(2j * np.pi * freq_hz * np.arange(num) / rate)
 
 
-class TestBandpassDesign:
-    def test_band_centre_unity(self):
-        taps = bandpass_fir(20e6, 30e6, RATE, num_taps=301)
-        freqs, response = frequency_response(taps, RATE, num_points=2048)
-        magnitude = np.abs(response)
-        centre_bin = np.argmin(np.abs(freqs - 25e6))
-        assert magnitude[centre_bin] == pytest.approx(1.0, abs=0.05)
-
-    def test_out_of_band_rejection(self):
-        taps = bandpass_fir(20e6, 30e6, RATE, num_taps=301)
-        freqs, response = frequency_response(taps, RATE, num_points=2048)
-        magnitude = np.abs(response)
-        assert np.all(magnitude[freqs < 10e6] < 0.02)
-        assert np.all(magnitude[freqs > 40e6] < 0.02)
-
-    def test_swapped_edges_rejected(self):
-        with pytest.raises(ValidationError):
-            bandpass_fir(30e6, 20e6, RATE)
-
-    def test_even_taps_rejected(self):
-        with pytest.raises(ValidationError):
-            bandpass_fir(20e6, 30e6, RATE, num_taps=300)
+def steady(samples):
+    """The middle half of a record, clear of the forward-backward edge transients."""
+    quarter = samples.size // 4
+    return samples[quarter:-quarter]
 
 
-class TestFiltering:
-    def test_fir_filter_length_preserved(self):
-        taps = lowpass_fir(10e6, RATE, num_taps=31)
-        signal = np.random.default_rng(0).normal(size=500)
-        assert fir_filter(taps, signal).size == 500
+class TestZeroPhaseButterworth:
+    def test_matches_forward_backward_sos_reference(self):
+        rng = np.random.default_rng(3)
+        samples = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
+        sos = signal.butter(5, 10e6 / (RATE / 2.0), btype="low", output="sos")
+        expected = signal.sosfiltfilt(sos, samples.real) + 1j * signal.sosfiltfilt(sos, samples.imag)
+        np.testing.assert_array_equal(zero_phase_butterworth(samples, 10e6, RATE, 5), expected)
 
-    def test_zero_phase_no_delay(self):
-        taps = lowpass_fir(5e6, RATE, num_taps=63)
-        n = np.arange(4000)
-        slow_tone = np.cos(2 * np.pi * 1e6 * n / RATE)
-        filtered = zero_phase_filter(taps, slow_tone)
-        # No group delay: the filtered tone stays aligned with the input.
-        np.testing.assert_allclose(filtered[500:3500], slow_tone[500:3500], atol=1e-2)
+    def test_length_preserved_and_output_complex(self):
+        out = zero_phase_butterworth(tone(1e6, num=777), 10e6, RATE, 4)
+        assert out.shape == (777,)
+        assert np.iscomplexobj(out)
 
-    def test_zero_phase_too_short_rejected(self):
-        taps = lowpass_fir(5e6, RATE, num_taps=63)
-        with pytest.raises(ValidationError):
-            zero_phase_filter(taps, np.ones(100))
+    def test_passband_tone_unity(self):
+        out = zero_phase_butterworth(tone(2e6), 10e6, RATE, 5)
+        np.testing.assert_allclose(np.abs(steady(out)), 1.0, atol=1e-6)
 
-    def test_group_delay(self):
-        taps = lowpass_fir(5e6, RATE, num_taps=63)
-        assert filter_group_delay(taps) == pytest.approx(31.0)
+    def test_stopband_tone_rejected(self):
+        out = zero_phase_butterworth(tone(40e6), 10e6, RATE, 5)
+        assert np.max(np.abs(steady(out))) < 1e-5
 
-    def test_frequency_response_range(self):
-        taps = lowpass_fir(5e6, RATE, num_taps=63)
-        freqs, _ = frequency_response(taps, RATE, num_points=256)
-        assert freqs[0] == pytest.approx(0.0)
-        assert freqs[-1] <= RATE / 2.0
+    def test_tone_at_cutoff_is_six_db_down(self):
+        # -3 dB per pass, and the record is filtered forward and backward.
+        out = zero_phase_butterworth(tone(10e6), 10e6, RATE, 5)
+        np.testing.assert_allclose(np.abs(steady(out)), 0.5, atol=1e-4)
+
+    def test_no_phase_shift(self):
+        record = tone(7e6)
+        out = zero_phase_butterworth(record, 10e6, RATE, 5)
+        np.testing.assert_allclose(np.angle(steady(out) / steady(record)), 0.0, atol=1e-9)
+
+    def test_higher_order_is_sharper(self):
+        record = tone(20e6)
+        gentle = np.max(np.abs(steady(zero_phase_butterworth(record, 10e6, RATE, 2))))
+        sharp = np.max(np.abs(steady(zero_phase_butterworth(record, 10e6, RATE, 6))))
+        assert sharp < 0.01 * gentle
+
+    def test_real_input_stays_real(self):
+        rng = np.random.default_rng(5)
+        out = zero_phase_butterworth(rng.standard_normal(500).astype(complex), 10e6, RATE, 5)
+        np.testing.assert_array_equal(out.imag, 0.0)
+
+    def test_real_and_imaginary_parts_filtered_separately(self):
+        rng = np.random.default_rng(7)
+        real, imag = rng.standard_normal(500), rng.standard_normal(500)
+        out = zero_phase_butterworth(real + 1j * imag, 10e6, RATE, 5)
+        np.testing.assert_array_equal(out.real, zero_phase_butterworth(real + 0j, 10e6, RATE, 5).real)
+        np.testing.assert_array_equal(out.imag, zero_phase_butterworth(imag + 0j, 10e6, RATE, 5).real)
+
+    def test_linear(self):
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal(500) + 1j * rng.standard_normal(500)
+        b = rng.standard_normal(500) + 1j * rng.standard_normal(500)
+        combined = zero_phase_butterworth(2.0 * a - 3j * b, 10e6, RATE, 5)
+        separate = 2.0 * zero_phase_butterworth(a, 10e6, RATE, 5) - 3j * zero_phase_butterworth(b, 10e6, RATE, 5)
+        np.testing.assert_allclose(combined, separate, atol=1e-12)

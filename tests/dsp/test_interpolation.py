@@ -2,15 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.dsp import (
-    apply_fractional_delay,
-    fractional_delay_taps,
-    linear_interpolate,
-    sinc_interpolate,
-)
+from repro.dsp import sinc_interpolate
 from repro.errors import ValidationError
 
 
@@ -90,61 +83,3 @@ class TestSincInterpolation:
     def test_too_few_taps_rejected(self):
         with pytest.raises(ValidationError):
             sinc_interpolate(np.ones(32), 1e6, 1e-6, num_taps=1)
-
-
-class TestLinearInterpolation:
-    def test_midpoint(self):
-        samples = np.array([0.0, 1.0, 2.0, 3.0])
-        value = linear_interpolate(samples, 1.0, [1.5])
-        assert value[0] == pytest.approx(1.5)
-
-    def test_complex(self):
-        samples = np.array([0.0 + 0j, 1.0 + 1j])
-        value = linear_interpolate(samples, 1.0, [0.5])
-        assert value[0] == pytest.approx(0.5 + 0.5j)
-
-    def test_worse_than_sinc_for_tone(self):
-        rate = 100e6
-        n = np.arange(2048)
-        samples = np.cos(2 * np.pi * 20e6 * n / rate)
-        probe = (n[500:1500] + 0.5) / rate
-        expected = np.cos(2 * np.pi * 20e6 * probe)
-        err_linear = np.max(np.abs(linear_interpolate(samples, rate, probe) - expected))
-        err_sinc = np.max(np.abs(sinc_interpolate(samples, rate, probe, num_taps=48) - expected))
-        assert err_sinc < err_linear
-
-
-class TestFractionalDelay:
-    def test_taps_sum_to_one(self):
-        taps = fractional_delay_taps(0.3, num_taps=33)
-        assert np.sum(taps) == pytest.approx(1.0)
-
-    def test_zero_delay_recovers_signal(self):
-        rng = np.random.default_rng(1)
-        samples = rng.normal(size=512)
-        delayed = apply_fractional_delay(samples, 0.0, num_taps=33)
-        np.testing.assert_allclose(delayed[32:-32], samples[32:-32], atol=1e-6)
-
-    def test_half_sample_delay_of_tone(self):
-        rate = 1.0
-        n = np.arange(1024, dtype=float)
-        tone = np.cos(2 * np.pi * 0.05 * n)
-        delayed = apply_fractional_delay(tone, 0.5, num_taps=65)
-        expected = np.cos(2 * np.pi * 0.05 * (n - 0.5))
-        np.testing.assert_allclose(delayed[100:-100], expected[100:-100], atol=1e-3)
-
-    def test_invalid_num_taps(self):
-        with pytest.raises(ValidationError):
-            fractional_delay_taps(0.5, num_taps=2)
-
-    @given(st.floats(min_value=-0.5, max_value=0.5))
-    @settings(max_examples=20, deadline=None)
-    def test_delay_estimate_matches_request(self, delay):
-        # Cross-correlation peak position of a delayed noise burst matches the
-        # requested integer part (fractional part shifts the parabola peak).
-        rng = np.random.default_rng(7)
-        samples = rng.normal(size=1024)
-        delayed = apply_fractional_delay(samples, delay, num_taps=65)
-        correlation = np.correlate(delayed[100:-100], samples[100:-100], mode="full")
-        peak = np.argmax(correlation) - (len(samples[100:-100]) - 1)
-        assert abs(peak) <= 1

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.dsp import zero_phase_butterworth
 from repro.errors import ValidationError
 from repro.rf import (
     AnalogBandpass,
@@ -19,6 +20,11 @@ from repro.signals import ComplexEnvelope
 def tone_envelope(offset_hz, rate=100e6, num=4096, amplitude=1.0):
     t = np.arange(num) / rate
     return ComplexEnvelope(amplitude * np.exp(2j * np.pi * offset_hz * t), rate)
+
+
+def noise_envelope(seed, rate=100e6, num=2048):
+    rng = np.random.default_rng(seed)
+    return ComplexEnvelope(rng.standard_normal(num) + 1j * rng.standard_normal(num), rate, start_time=1e-6)
 
 
 class TestAnalogLowpass:
@@ -39,6 +45,21 @@ class TestAnalogLowpass:
     def test_type_check(self):
         with pytest.raises(ValidationError):
             AnalogLowpass(cutoff_hz=1e6).apply(np.ones(10))
+
+    def test_apply_is_the_zero_phase_butterworth(self):
+        envelope = noise_envelope(1)
+        filtered = AnalogLowpass(cutoff_hz=10e6, order=5).apply(envelope)
+        np.testing.assert_array_equal(
+            filtered.samples, zero_phase_butterworth(envelope.samples, 10e6, envelope.sample_rate, 5)
+        )
+        assert (filtered.sample_rate, filtered.start_time) == (envelope.sample_rate, envelope.start_time)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"cutoff_hz": 0.0}, {"cutoff_hz": 1e6, "order": 0}], ids=["cutoff", "order"]
+    )
+    def test_invalid_parameters_rejected(self, kwargs):
+        with pytest.raises(ValidationError):
+            AnalogLowpass(**kwargs)
 
 
 class TestAnalogBandpass:
@@ -62,6 +83,23 @@ class TestAnalogBandpass:
             passband_tone.mean_power(), rel=0.05
         )
         assert bandpass.apply(stopband_tone).mean_power() < 0.05 * stopband_tone.mean_power()
+
+    def test_centred_apply_is_the_zero_phase_butterworth_at_half_bandwidth(self):
+        envelope = noise_envelope(2)
+        filtered = AnalogBandpass(bandwidth_hz=20e6, order=4).apply(envelope)
+        np.testing.assert_array_equal(
+            filtered.samples, zero_phase_butterworth(envelope.samples, 10e6, envelope.sample_rate, 4)
+        )
+
+    def test_offset_filter_wider_than_band_only_shifts(self):
+        # Half the bandwidth exceeds Nyquist: the shift down and back cancel out.
+        envelope = noise_envelope(3)
+        filtered = AnalogBandpass(bandwidth_hz=150e6, centre_offset_hz=5e6).apply(envelope)
+        np.testing.assert_allclose(filtered.samples, envelope.samples, atol=1e-12)
+
+    def test_type_check(self):
+        with pytest.raises(ValidationError):
+            AnalogBandpass(bandwidth_hz=20e6).apply(np.ones(10))
 
 
 class TestQuadratureModulator:

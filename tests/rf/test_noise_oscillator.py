@@ -9,28 +9,12 @@ from repro.rf import (
     LocalOscillator,
     PhaseNoiseModel,
     add_noise_for_snr,
-    thermal_noise_power,
 )
 from repro.signals import ComplexEnvelope
 
 
 def flat_envelope(num=8192, rate=100e6):
     return ComplexEnvelope(np.ones(num, dtype=complex), rate)
-
-
-class TestThermalNoise:
-    def test_kTB_at_room_temperature(self):
-        # kTB for 1 Hz at 290 K is about -174 dBm = 4e-21 W.
-        assert thermal_noise_power(1.0) == pytest.approx(4.0e-21, rel=0.01)
-
-    def test_noise_figure_scales_power(self):
-        assert thermal_noise_power(1e6, noise_figure_db=3.0) == pytest.approx(
-            2.0 * thermal_noise_power(1e6), rel=1e-3
-        )
-
-    def test_invalid_bandwidth(self):
-        with pytest.raises(ValidationError):
-            thermal_noise_power(0.0)
 
 
 class TestAdditiveWhiteNoise:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.signals import (
-    CallableSignal,
     ComplexEnvelope,
     CompositeSignal,
     ModulatedPassbandSignal,
@@ -84,23 +83,3 @@ class TestCompositeSignal:
     def test_non_signal_component_rejected(self):
         with pytest.raises(ValidationError):
             CompositeSignal([single_tone(1e6), "not a signal"])
-
-
-class TestCallableSignal:
-    def test_evaluates_function(self):
-        signal = CallableSignal(lambda t: np.cos(2 * np.pi * 1e6 * t), (0.9e6, 1.1e6))
-        times = np.array([0.0, 0.25e-6])
-        np.testing.assert_allclose(signal.evaluate(times), [1.0, 0.0], atol=1e-9)
-
-    def test_band_properties(self):
-        signal = CallableSignal(lambda t: t * 0.0, (10e6, 20e6))
-        assert signal.centre_frequency == pytest.approx(15e6)
-        assert signal.bandwidth == pytest.approx(10e6)
-
-    def test_invalid_band_rejected(self):
-        with pytest.raises(ValidationError):
-            CallableSignal(lambda t: t, (20e6, 10e6))
-
-    def test_non_callable_rejected(self):
-        with pytest.raises(ValidationError):
-            CallableSignal(3.0, (1.0, 2.0))

@@ -4,40 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.signals import (
-    PulseShaper,
-    gaussian_pulse_taps,
-    qpsk,
-    raised_cosine_taps,
-    root_raised_cosine_taps,
-)
-
-
-class TestRaisedCosine:
-    def test_length(self):
-        taps = raised_cosine_taps(8, 10, 0.5)
-        assert taps.size == 81
-
-    def test_peak_is_one_at_centre(self):
-        taps = raised_cosine_taps(8, 10, 0.5)
-        assert taps[40] == pytest.approx(1.0)
-
-    def test_nyquist_zero_crossings(self):
-        # The RC pulse is zero at every nonzero multiple of the symbol period.
-        sps = 8
-        taps = raised_cosine_taps(sps, 10, 0.35)
-        centre = (taps.size - 1) // 2
-        for k in range(1, 5):
-            assert taps[centre + k * sps] == pytest.approx(0.0, abs=1e-12)
-
-    def test_zero_rolloff_is_sinc(self):
-        taps = raised_cosine_taps(4, 6, 0.0)
-        t = (np.arange(taps.size) - (taps.size - 1) / 2) / 4
-        np.testing.assert_allclose(taps, np.sinc(t), atol=1e-12)
-
-    def test_invalid_rolloff(self):
-        with pytest.raises(ValidationError):
-            raised_cosine_taps(8, 10, 1.5)
+from repro.signals import PulseShaper, qpsk, root_raised_cosine_taps
 
 
 class TestRootRaisedCosine:
@@ -70,21 +37,6 @@ class TestRootRaisedCosine:
         # Compare energy beyond the half-symbol-rate bin.
         half_rate_bin = 4096 // (2 * sps)
         assert np.sum(wide[half_rate_bin + 50 :] ** 2) > np.sum(narrow[half_rate_bin + 50 :] ** 2)
-
-
-class TestGaussianPulse:
-    def test_unit_dc_gain(self):
-        taps = gaussian_pulse_taps(8, 6, 0.3)
-        assert np.sum(taps) == pytest.approx(1.0)
-
-    def test_wider_bt_is_narrower_in_time(self):
-        narrow_time = gaussian_pulse_taps(8, 6, 1.0)
-        wide_time = gaussian_pulse_taps(8, 6, 0.2)
-        assert np.max(narrow_time) > np.max(wide_time)
-
-    def test_invalid_bt(self):
-        with pytest.raises(ValidationError):
-            gaussian_pulse_taps(8, 6, 0.0)
 
 
 class TestPulseShaper:

@@ -1,81 +1,8 @@
 """Tests for repro.signals.symbols."""
 
 import numpy as np
-import pytest
 
-from repro.errors import ValidationError
-from repro.signals import (
-    PRBS_POLYNOMIALS,
-    SymbolSource,
-    prbs_bits,
-    prbs_sequence,
-    qpsk,
-    random_bits,
-    random_symbols,
-)
-
-
-class TestRandomSources:
-    def test_random_bits_binary(self):
-        bits = random_bits(1000, seed=1)
-        assert set(np.unique(bits)).issubset({0, 1})
-
-    def test_random_bits_reproducible(self):
-        np.testing.assert_array_equal(random_bits(100, seed=5), random_bits(100, seed=5))
-
-    def test_random_bits_roughly_balanced(self):
-        bits = random_bits(10_000, seed=2)
-        assert 0.45 < np.mean(bits) < 0.55
-
-    def test_random_symbols_range(self):
-        symbols = random_symbols(500, order=8, seed=3)
-        assert symbols.min() >= 0 and symbols.max() <= 7
-
-    def test_random_symbols_all_values_hit(self):
-        symbols = random_symbols(2000, order=4, seed=4)
-        assert set(np.unique(symbols)) == {0, 1, 2, 3}
-
-    def test_invalid_count(self):
-        with pytest.raises(ValidationError):
-            random_bits(0)
-
-
-class TestPrbs:
-    @pytest.mark.parametrize("degree", [7, 9, 11])
-    def test_full_period_is_maximal_length(self, degree):
-        sequence = prbs_sequence(degree)
-        assert sequence.size == 2**degree - 1
-        # A maximal-length sequence has exactly 2^(n-1) ones.
-        assert int(sequence.sum()) == 2 ** (degree - 1)
-
-    def test_period_repeats(self):
-        period = 2**7 - 1
-        bits = prbs_bits(7, 2 * period)
-        np.testing.assert_array_equal(bits[:period], bits[period:])
-
-    def test_balance_of_runs(self):
-        # In one period of PRBS7 there is exactly one run of 7 consecutive ones.
-        sequence = prbs_sequence(7)
-        as_string = "".join(map(str, sequence.tolist()))
-        assert "1111111" in as_string + as_string[:6]
-
-    def test_custom_seed_state_changes_phase(self):
-        default_phase = prbs_bits(7, 64)
-        shifted = prbs_bits(7, 64, seed_state=0b1010101)
-        assert not np.array_equal(default_phase, shifted)
-
-    def test_unsupported_degree(self):
-        with pytest.raises(ValidationError):
-            prbs_bits(8, 10)
-
-    def test_zero_seed_state_rejected(self):
-        with pytest.raises(ValidationError):
-            prbs_bits(7, 10, seed_state=0)
-
-    def test_polynomial_table_is_consistent(self):
-        for degree, (n, m) in PRBS_POLYNOMIALS.items():
-            assert n == degree
-            assert 0 < m < n
+from repro.signals import SymbolSource, qpsk
 
 
 class TestSymbolSource:

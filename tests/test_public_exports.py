@@ -1,7 +1,8 @@
-"""Every ``__all__`` entry of the package and its subpackages resolves.
+"""Every ``__all__`` entry of every ``repro`` module resolves.
 
-Public names leave a package by deleting their import; an ``__all__`` entry
-left behind only fails once a caller star-imports the module.
+Public names leave a module by deleting their definition or import; an
+``__all__`` entry left behind only fails once a caller star-imports the
+module.  ``__main__`` modules are skipped because importing one runs its CLI.
 """
 
 import importlib
@@ -12,7 +13,9 @@ import pytest
 import repro
 
 PUBLIC_MODULES = ["repro"] + sorted(
-    f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__) if info.ispkg
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+    if not info.name.endswith(".__main__")
 )
 
 

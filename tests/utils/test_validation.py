@@ -7,15 +7,6 @@ from repro.errors import ValidationError
 from repro.utils import validation
 
 
-class TestRequire:
-    def test_passes_on_true(self):
-        validation.require(True, "never raised")
-
-    def test_raises_on_false(self):
-        with pytest.raises(ValidationError, match="broken"):
-            validation.require(False, "broken")
-
-
 class TestScalarChecks:
     def test_check_positive_accepts(self):
         assert validation.check_positive(1.5, "x") == 1.5
@@ -64,11 +55,6 @@ class TestIntegerChecks:
     def test_check_integer_minimum(self):
         with pytest.raises(ValidationError):
             validation.check_integer(1, "n", minimum=2)
-
-    def test_check_odd(self):
-        assert validation.check_odd(61, "taps") == 61
-        with pytest.raises(ValidationError):
-            validation.check_odd(60, "taps")
 
     @pytest.mark.parametrize("value,ok", [(1, True), (2, True), (1024, True), (3, False), (0, False)])
     def test_check_power_of_two(self, value, ok):

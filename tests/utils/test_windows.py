@@ -2,10 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.errors import ValidationError
+from repro.errors import ReconstructionError, ValidationError
 from repro.utils import windows
 
 
@@ -37,6 +35,19 @@ class TestWindowShapes:
     def test_single_tap_is_one(self, name):
         np.testing.assert_allclose(windows.make_window(name, 1), [1.0])
 
+    @pytest.mark.parametrize(
+        "name, reference",
+        [
+            ("kaiser", lambda n: np.kaiser(n, 8.0)),
+            ("hann", np.hanning),
+            ("hamming", np.hamming),
+            ("blackman", np.blackman),
+        ],
+        ids=["kaiser", "hann", "hamming", "blackman"],
+    )
+    def test_matches_numpy_reference(self, name, reference):
+        np.testing.assert_allclose(windows.make_window(name, 61), reference(61), atol=1e-12)
+
     def test_rectangular_is_all_ones(self):
         np.testing.assert_allclose(windows.rectangular_window(10), np.ones(10))
 
@@ -58,20 +69,30 @@ class TestWindowShapes:
             windows.kaiser_window(0)
 
 
-class TestKaiserBetaFormula:
-    def test_high_attenuation_branch(self):
-        assert windows.kaiser_beta_for_attenuation(60.0) == pytest.approx(0.1102 * (60.0 - 8.7))
+class TestEvaluateTaper:
+    @pytest.mark.parametrize("name", ALL_WINDOWS)
+    def test_samples_the_window_at_tap_offsets(self, name):
+        # Tap n of an N-tap window sits at offset (n - h) / h from the centre, h = (N - 1) / 2.
+        half_span = 30.0
+        offsets = (np.arange(61) - half_span) / half_span
+        np.testing.assert_allclose(
+            windows.evaluate_taper(name, offsets), windows.make_window(name, 61), atol=1e-12
+        )
 
-    def test_mid_attenuation_branch(self):
-        beta = windows.kaiser_beta_for_attenuation(30.0)
-        assert 0.0 < beta < 5.0
+    def test_offsets_outside_support_clip_to_edge(self):
+        edge = windows.evaluate_taper("kaiser", 1.0, kaiser_beta=6.0)
+        np.testing.assert_allclose(
+            windows.evaluate_taper("kaiser", [1.5, -1.0, -4.0], kaiser_beta=6.0), [edge] * 3
+        )
 
-    def test_low_attenuation_is_zero(self):
-        assert windows.kaiser_beta_for_attenuation(10.0) == 0.0
+    def test_rectangular_aliases(self):
+        offsets = np.linspace(-1.0, 1.0, 9)
+        for alias in ("boxcar", "rect", "Rectangular"):
+            np.testing.assert_array_equal(windows.evaluate_taper(alias, offsets), np.ones(9))
 
-    @given(st.floats(min_value=0.0, max_value=120.0))
-    @settings(max_examples=30, deadline=None)
-    def test_monotone_in_attenuation(self, attenuation):
-        beta_low = windows.kaiser_beta_for_attenuation(attenuation)
-        beta_high = windows.kaiser_beta_for_attenuation(attenuation + 5.0)
-        assert beta_high >= beta_low
+    def test_unknown_window_rejected(self):
+        with pytest.raises(ReconstructionError):
+            windows.evaluate_taper("gaussian", [0.0])
+
+    def test_kaiser_normaliser_is_i0_of_beta(self):
+        assert windows.kaiser_normaliser(8.0) == pytest.approx(float(np.i0(8.0)), rel=1e-15)
