@@ -11,10 +11,15 @@ document so the performance trajectory accumulates across PRs:
 * ``lms`` — a full Algorithm 1 skew estimation through the reference cost
   vs the batched plan-backed estimator;
 * ``full_bist`` — ``TransmitterBist.run`` with the plan layer vs the same
-  engine with every plan evaluation routed through the reference path.
+  engine with every plan evaluation routed through the reference path;
+* ``dense_render`` — the paper-default record (400 samples) rendered over its
+  valid range at the spectrum rate (4 f_high) and at the single-carrier EVM
+  rate, through the plan (which shares one kernel row per distinct grid
+  offset) and through the reference path.
 
 Every comparison also records the worst relative deviation between the two
-paths; the script exits non-zero if it exceeds ``--tolerance`` (1e-9).
+paths; the script exits non-zero if the single-eval, sweep or dense-render
+deviation exceeds ``--tolerance`` (1e-9).
 
 Run with::
 
@@ -37,8 +42,14 @@ from contextlib import contextmanager
 import numpy as np
 
 from repro.bist import BistConfig, TransmitterBist
+from repro.bist.measurements import render_uniform
 from repro.calibration import LmsSkewEstimator, SkewCostFunction
-from repro.sampling import BandpassBand, IdealNonuniformSampler, reference_evaluate
+from repro.sampling import (
+    BandpassBand,
+    IdealNonuniformSampler,
+    NonuniformReconstructor,
+    reference_evaluate,
+)
 from repro.sampling.reconstruction import ReconstructionPlan
 from repro.signals import multitone_in_band
 from repro.transmitter import HomodyneTransmitter, TransmitterConfig
@@ -47,6 +58,7 @@ CARRIER_HZ = 1.0e9
 BANDWIDTH_HZ = 90.0e6
 TRUE_DELAY_S = 180.0e-12
 NUM_TAPS = 60
+PAPER_NUM_SAMPLES = 400
 
 
 class _ReferenceSkewCost(SkewCostFunction):
@@ -272,6 +284,32 @@ def bench_full_bist(smoke: bool, repeats: int) -> dict:
     }
 
 
+def bench_dense_render(repeats: int) -> dict:
+    fast_set, _ = build_acquisitions(PAPER_NUM_SAMPLES)
+    reconstructor = NonuniformReconstructor(fast_set, num_taps=NUM_TAPS)
+    low, high = reconstructor.valid_time_range()
+    envelope_rate = TransmitterConfig.paper_default().envelope_sample_rate
+    evm_rate = np.ceil(4.0 * fast_set.band.f_high / envelope_rate) * envelope_rate
+    results = {}
+    for name, rate in (("spectrum", None), ("evm", evm_rate)):
+        plan_s = best_of(lambda: render_uniform(reconstructor, low, high, rate), repeats)
+        times, rendered, dense_rate = render_uniform(reconstructor, low, high, rate)
+        start = time.perf_counter()
+        reference = reference_evaluate(fast_set, times, TRUE_DELAY_S, num_taps=NUM_TAPS)
+        reference_s = time.perf_counter() - start
+        results[name] = {
+            "rate_hz": float(dense_rate),
+            "num_times": int(times.size),
+            "kernel_rows": int(reconstructor.plan_for(times).structure.taper.shape[0]),
+            "reference_s": reference_s,
+            "plan_s": plan_s,
+            "speedup": reference_s / plan_s,
+            "max_rel_deviation": relative_deviation(rendered, reference),
+        }
+    results["max_rel_deviation"] = max(entry["max_rel_deviation"] for entry in results.values())
+    return results
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true", help="small sizes / few repeats for CI")
@@ -301,6 +339,7 @@ def main(argv=None) -> int:
         "sweep": bench_sweep(fast_set, slow_set, cost_points, num_candidates, repeats),
         "lms": bench_lms(fast_set, slow_set, cost_points, repeats),
         "full_bist": bench_full_bist(args.smoke, max(1, repeats - 1)),
+        "dense_render": bench_dense_render(repeats),
     }
 
     print(f"single eval : reference {results['single_eval']['reference_s'] * 1e3:8.2f} ms  "
@@ -317,6 +356,12 @@ def main(argv=None) -> int:
     print(f"full bist   : reference {results['full_bist']['reference_s'] * 1e3:8.2f} ms  "
           f"plan {results['full_bist']['plan_s'] * 1e3:8.2f} ms  "
           f"({results['full_bist']['speedup']:.1f}x)")
+    for name in ("spectrum", "evm"):
+        dense = results["dense_render"][name]
+        print(f"dense {name:<8}: reference {dense['reference_s'] * 1e3:6.0f} ms  "
+              f"plan {dense['plan_s'] * 1e3:8.2f} ms  "
+              f"({dense['num_times']} times, {dense['kernel_rows']} kernel rows, "
+              f"dev {dense['max_rel_deviation']:.1e})")
 
     with open(args.output, "w") as handle:
         json.dump(results, handle, indent=2)
@@ -325,6 +370,7 @@ def main(argv=None) -> int:
     deviation = max(
         results["single_eval"]["max_rel_deviation"],
         results["sweep"]["max_rel_deviation_cost"],
+        results["dense_render"]["max_rel_deviation"],
     )
     if deviation > args.tolerance:
         print(

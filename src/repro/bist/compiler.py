@@ -4,10 +4,10 @@ A fault campaign is dominated by columns of *fingerprint-adjacent*
 scenarios: a severity sweep of one fault family under one waveform profile
 shares the effective engine configuration and therefore the acquisition
 geometry, the calibration evaluation instants and the dense measurement
-grid — everything but the sample values and the estimated skew.  The
-per-scenario cost is in turn dominated by building reconstruction-plan
-*structures* (taper and kernel trigonometry over dense grids), which are
-exactly the shared part.
+grid — everything but the sample values and the estimated skew.  Each
+scenario builds reconstruction-plan *structures* (taper and kernel
+trigonometry over its calibration and dense grids), which are exactly the
+shared part.
 
 The compiler exploits this the way PR 2 exploited delay batching, one level
 up:
@@ -56,11 +56,14 @@ from .runner import ScenarioOutcome, _ScenarioTask
 __all__ = ["CampaignCompiler", "CompilerStats", "GROUP_CHUNK_SCENARIOS"]
 
 #: Scenarios whose dense renders are stacked per kernel launch.  A dense
-#: single-carrier grid is ~12k times x 61 taps; each prepared scenario in a
-#: chunk pins a throwaway plan (~16 MB of weighted arrays) plus the stacked
-#: broadcast temporaries, so four rows keep the peak under ~200 MB while the
-#: shared structure amortises across the whole group regardless of the
-#: chunking.
+#: single-carrier grid is 16k-24k times x 61 taps, ~8-12 MB per float64
+#: array of that shape.  Each scenario in a chunk pins a throwaway plan (one
+#: such array of weighted delayed-channel samples, plus a few more while it
+#: is built) and adds two rows to the stacked temporaries (its stacked
+#: samples and the kernel gathered from the structure's rows), so four rows
+#: keep the peak near a dozen such arrays.  The structure itself holds only
+#: the grid's distinct kernel rows and is shared by the whole group
+#: regardless of the chunking.
 GROUP_CHUNK_SCENARIOS = 4
 
 

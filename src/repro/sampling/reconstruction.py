@@ -15,14 +15,17 @@ taps and a Kaiser window).  This module provides:
   :mod:`repro.adc.tiadc`;
 * :class:`ReconstructionPlan` — the precompiled evaluator of Eq. (6): for a
   fixed ``(sample_set, evaluation_times, num_taps, window)`` it computes the
-  tap index matrix, validity mask, gathered sample pairs, taper and the
+  tap windows, validity mask, gathered sample pairs, taper and the
   delay-independent kernel trigonometry **once**, then evaluates the
   reconstruction for any assumed delay ``D_hat`` — including a batched
   :meth:`ReconstructionPlan.evaluate_many` that adds a leading delay axis and
   amortises the kernel evaluation across candidate delays (the inner loop of
-  the Section IV skew calibration);
+  the Section IV skew calibration).  The taper and trigonometry are built
+  once per distinct kernel offset of the grid: a dense uniform render at
+  rate ``fs`` has only as many as the numerator of ``fs / B`` (plus one per
+  half-sample tie), while random instants get one per point;
 * :class:`PlanStructureCache` — shares the *sample-independent* half of a
-  plan (tap geometry, taper, kernel trigonometry — the expensive part)
+  plan (centre samples, taper, kernel trigonometry — the expensive part)
   between plans whose acquisition geometry and evaluation grid coincide.
   Fingerprint-adjacent campaign scenarios (a severity sweep of one fault
   family) differ only in sample values, so the campaign compiler builds the
@@ -47,6 +50,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -272,12 +276,8 @@ class _KernelTermCache:
     sines/cosines of ``D`` remain, broadcast against the cached arrays.
     """
 
-    __slots__ = (
-        "order",
-        "scale",
-        "c_osc",
-        "c_env",
-        "c_phi",
+    #: The cached arrays, each with one value per entry of ``v``.
+    TABLES = (
         "sin_osc",
         "cos_osc",
         "sin_env",
@@ -287,6 +287,8 @@ class _KernelTermCache:
         "on_grid_cos",
         "on_grid_sin",
     )
+
+    __slots__ = ("order", "scale", "c_osc", "c_env", "c_phi") + TABLES
 
     def __init__(
         self,
@@ -329,7 +331,8 @@ class _KernelTermCache:
         """Kernel values at ``v + D`` for a column of delays.
 
         ``delay_column`` and ``cot_phi`` have shape ``(m, 1, 1)``; the result
-        broadcasts to ``(m, num_times, num_taps)``.  The on-grid channel has
+        broadcasts to ``(m, rows, taps)``, one row per distinct kernel offset
+        of the structure.  The on-grid channel has
         no array-sized counterpart here: its delay dependence is the scalar
         ``cot_phi`` alone, so plans fold it into precomputed dot products
         (see :attr:`ReconstructionPlan._on_grid_dots`).
@@ -339,7 +342,7 @@ class _KernelTermCache:
         cos_alpha = np.cos(alpha)
         # cos(osc + alpha) - sin(osc + alpha) * cot_phi, regrouped so the
         # delay-only factors combine as (m, 1, 1) scalars before touching the
-        # (num_times, num_taps) tables.
+        # (rows, taps) tables.
         on_grid_factor = cos_alpha - cot_phi * sin_alpha
         quadrature_factor = sin_alpha + cot_phi * cos_alpha
         gamma = np.pi * self.c_env * delay_column
@@ -357,7 +360,7 @@ class _KernelTermCache:
         argument = self.env_argument + self.c_env * delay_column
         # |env + c_env*D| < threshold <=> env falls inside a +-threshold
         # interval around -c_env*D; the sorted table answers that for every
-        # delay without scanning the (m, num_times, num_taps) block.  The
+        # delay without scanning the (m, rows, taps) block.  The
         # closed-interval searchsorted bounds overcount the open condition,
         # which only means the exact masked path runs when it did not have to.
         targets = -(self.c_env * delay_column).ravel()
@@ -377,15 +380,69 @@ class _KernelTermCache:
         return numerator
 
 
+def _kernel_rows(
+    times: np.ndarray, centre: np.ndarray, start: float, period: float
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Group grid points whose Eq. (6) kernels coincide: ``(first, row_index)``.
+
+    A point's kernel depends only on its offset from its centre sample.  A
+    uniform grid whose step is ``q/p`` sample periods repeats its offsets
+    every ``p`` points, so points ``r + k p`` share one kernel row.  The ratio
+    is read from the grid alone and then verified:
+
+    * in integers, ``centre[r + k p] - centre[r] - k q`` is 0, or +-1 where a
+      point sits on a half-sample tie and rounding sent it to the other
+      centre.  Rows are keyed by ``(i mod p, residual)``, so tie points get
+      their own row rather than a window shifted by one sample;
+    * in floats, every point's centre-tap argument equals its row's first
+      point's to within a few ulp of the grid's largest time, the noise of
+      computing it directly.
+
+    Returns ``first`` (the index of each row's first point) and ``row_index``
+    (each point's row), or ``None`` when a check fails or the rows would not
+    be fewer than the points: random instants and arbitrary grids then get
+    one row per point.
+    """
+    num_times = times.size
+    if num_times < 2:
+        return None
+    ratio = (times[-1] - times[0]) / (num_times - 1) / period
+    if not abs(ratio) < 2**32:  # rejects nan and inf, and keeps k*q inside int64
+        return None
+    step = Fraction(ratio).limit_denominator(num_times - 1)
+    index = np.arange(num_times)
+    phase = index % step.denominator
+    residual = centre - centre[phase] - (index // step.denominator) * step.numerator
+    if np.abs(residual).max() > 1:
+        return None
+    _, first, row_index = np.unique(3 * phase + residual, return_index=True, return_inverse=True)
+    if first.size >= num_times:
+        return None
+    centre_argument = (start + centre * period) - times
+    tolerance = 4.0 * np.spacing(np.abs(times).max() + abs(start))
+    if np.abs(centre_argument - centre_argument[first][row_index]).max() > tolerance:
+        return None
+    return first, row_index
+
+
 class _PlanStructure:
     """Sample-independent half of a :class:`ReconstructionPlan`.
 
     Everything here depends only on the acquisition *geometry* (start time,
     period, record length, band) and the evaluation grid — not on the sample
-    values or the candidate delay: the tap index matrix, the validity-masked
-    taper and the kernel term trigonometry.  Fingerprint-adjacent campaign
-    scenarios share all of it, which is what :class:`PlanStructureCache`
-    exploits.
+    values or the candidate delay: each point's centre sample, the Kaiser
+    (or other) taper and the kernel term trigonometry.  Fingerprint-adjacent
+    campaign scenarios share all of it, which is what
+    :class:`PlanStructureCache` exploits.
+
+    The taper and trigonometry are tables with one row per distinct kernel
+    offset (see :func:`_kernel_rows`) and ``num_taps + 1`` columns;
+    ``row_index`` maps each grid point to its row.  A dense uniform render
+    has few rows (419 for the paper's 15,790-point spectrum grid); any other
+    grid has one row per point, ``row_index`` is then the identity slice and
+    each row is its point's own window.  The structure holds no
+    ``(points, taps)`` array: plans derive each point's tap window and
+    validity from ``centre``.
     """
 
     __slots__ = (
@@ -393,8 +450,9 @@ class _PlanStructure:
         "num_taps",
         "window",
         "kaiser_beta",
-        "clipped",
-        "weight",
+        "centre",
+        "row_index",
+        "taper",
         "terms",
         "num_elements",
     )
@@ -408,19 +466,21 @@ class _PlanStructure:
         kaiser_beta: float,
     ) -> None:
         period = sample_set.sample_period
+        start = sample_set.start_time
         half = num_taps // 2
-        centre_index = np.round((times - sample_set.start_time) / period).astype(np.int64)
-        offsets = np.arange(-half, half + 1)
-        index_matrix = centre_index[:, None] + offsets[None, :]
-        valid = (index_matrix >= 0) & (index_matrix < len(sample_set))
-        clipped = np.clip(index_matrix, 0, len(sample_set) - 1)
-        grid_times = sample_set.start_time + clipped * period
+        centre = np.round((times - start) / period).astype(np.int64)
+        rows = _kernel_rows(times, centre, start, period)
+        first, row_index = rows if rows is not None else (slice(None), slice(None))
+        tap_index = centre[first, None] + np.arange(-half, half + 1)
+        if rows is None:
+            # One row per point: clip each window to the record as
+            # reference_evaluate does (plans mask the clipped taps to zero).
+            tap_index = np.clip(tap_index, 0, len(sample_set) - 1)
 
         # v = nT - t: the on-grid kernel argument is -v, the delayed-channel
         # argument is v + D_hat for any candidate delay D_hat.
-        v = grid_times - times[:, None]
+        v = (start + tap_index * period) - times[first, None]
         taper = evaluate_taper(window, v / (half * period + period), kaiser_beta=kaiser_beta)
-        weight = np.where(valid, taper, 0.0)
 
         band = sample_set.band
         k, k_plus = band_order(band)
@@ -455,10 +515,15 @@ class _PlanStructure:
         self.num_taps = num_taps
         self.window = window
         self.kaiser_beta = kaiser_beta
-        self.clipped = clipped
-        self.weight = weight
+        self.centre = centre
+        self.row_index = row_index
+        self.taper = taper
         self.terms = tuple(terms)
-        self.num_elements = int(times.size * (num_taps + 1))
+        held = [times, centre, taper]
+        held += [getattr(term, name) for term in terms for name in _KernelTermCache.TABLES]
+        if rows is not None:
+            held.append(row_index)
+        self.num_elements = sum(array.size for array in held)
 
 
 def _structure_key(
@@ -495,14 +560,18 @@ class PlanStructureCache:
     One cache is typically threaded through every scenario of a compiled
     campaign group: the first scenario pays for the taper and kernel
     trigonometry of each grid, the rest reuse them.  Eviction is sized in
-    retained grid *elements* (``num_times * (num_taps + 1)``) rather than
-    entry count because dense measurement grids are orders of magnitude
-    larger than calibration grids; the most recent entry is never evicted,
-    so an oversized dense structure still serves the group being executed.
+    the values each structure holds (its ``num_elements``) rather than entry
+    count, because structures differ in size by orders of magnitude: a grid
+    with one kernel row per point holds ~17 values per point and tap, a
+    dense uniform render only its distinct rows.  The most recent entry is
+    never evicted, so an oversized structure still serves the group being
+    executed.
     """
 
-    #: Retained-element budget: roughly two dense single-carrier measurement
-    #: structures (each structure pins ~16 arrays of ``num_elements`` values).
+    #: Retained-value budget (16 MB of float64).  One paper-default ``run()``
+    #: builds ~1.2M values of structures: two 300-point calibration grids at
+    #: ~0.31M each, the dense spectrum grid at ~0.48M and the EVM grid at
+    #: ~0.1M.
     MAX_ELEMENTS = 2_000_000
 
     def __init__(self) -> None:
@@ -623,16 +692,21 @@ class ReconstructionPlan:
             if structure_cache is not None:
                 structure_cache.store(key, structure)
         self._structure = structure
-        weighted_on_grid = sample_set.on_grid[structure.clipped] * structure.weight
-        self._weighted_delayed = sample_set.delayed[structure.clipped] * structure.weight
+        half = num_taps // 2
+        tap_index = structure.centre[:, None] + np.arange(-half, half + 1)
+        valid = (tap_index >= 0) & (tap_index < len(sample_set))
+        clipped = np.clip(tap_index, 0, len(sample_set) - 1)
+        weight = np.where(valid, structure.taper[structure.row_index], 0.0)
+        weighted_on_grid = sample_set.on_grid[clipped] * weight
+        self._weighted_delayed = sample_set.delayed[clipped] * weight
         # The on-grid channel's only delay dependence is the scalar cot_phi
         # of each term, so its tap contraction folds into two delay-free dot
         # products per term; evaluating a candidate then reduces the channel
         # to (num_times,)-sized work instead of (num_times, num_taps).
         self._on_grid_dots = tuple(
             (
-                np.einsum("np,np->n", weighted_on_grid, term.on_grid_cos),
-                np.einsum("np,np->n", weighted_on_grid, term.on_grid_sin),
+                np.einsum("np,np->n", weighted_on_grid, term.on_grid_cos[structure.row_index]),
+                np.einsum("np,np->n", weighted_on_grid, term.on_grid_sin[structure.row_index]),
             )
             for term in structure.terms
         )
@@ -730,7 +804,8 @@ class ReconstructionPlan:
             else:
                 on_grid_total += on_grid
                 delayed_total += delayed
-        return on_grid_total + np.einsum("np,mnp->mn", self._weighted_delayed, delayed_total)
+        kernel = delayed_total[:, self._structure.row_index]
+        return on_grid_total + np.einsum("np,mnp->mn", self._weighted_delayed, kernel)
 
     def _validate_delay(self, delay: float) -> float:
         """Reject delays Eq. (3) forbids, mirroring the direct evaluator."""
@@ -819,7 +894,7 @@ def evaluate_stacked(plans, assumed_delays, validate: bool = True) -> np.ndarray
                 on_grid_total += on_grid
                 delayed_total += delayed
         out[start : start + len(rows)] = on_grid_total + np.einsum(
-            "snp,snp->sn", weighted_delayed, delayed_total
+            "snp,snp->sn", weighted_delayed, delayed_total[:, structure.row_index]
         )
     return out
 

@@ -43,7 +43,9 @@ __all__ = [
 #: record.  Bump on any change that invalidates archived outcomes.
 #: v2: waveform-family fields (family / ofdm / flatness limit) joined the
 #: profile payload and reports grew per-subcarrier OFDM metrics.
-SCHEMA_VERSION = 2
+#: v3: dense uniform renders evaluate the Eq. (6) kernel once per distinct
+#: grid offset, which moves report metrics in their last bits.
+SCHEMA_VERSION = 3
 
 
 def canonical_json(payload) -> str:

@@ -89,7 +89,8 @@ class TestStructureSharing:
 
 class TestPlanStructureCacheBudget:
     def test_lru_eviction_over_element_budget(self, fast_sample_set, grid, monkeypatch):
-        per_structure = grid.size * (NUM_TAPS + 1)
+        plan = ReconstructionPlan(fast_sample_set, grid, num_taps=NUM_TAPS)
+        per_structure = plan.structure.num_elements
         monkeypatch.setattr(PlanStructureCache, "MAX_ELEMENTS", 2 * per_structure)
         cache = PlanStructureCache()
         windows = ["kaiser", "hann", "hamming"]

@@ -6,9 +6,16 @@ delays that :func:`~repro.sampling.nonuniform.check_delay` accepts:
 * :meth:`ReconstructionPlan.evaluate_many` rows equal looped
   :meth:`ReconstructionPlan.evaluate` bit for bit;
 * :func:`evaluate_stacked` rows equal per-plan ``evaluate`` bit for bit;
-* every plan agrees with :func:`reference_evaluate` to 1e-9.
+* every plan agrees with :func:`reference_evaluate` to 1e-9;
+* a uniform grid that shares kernel rows evaluates to within 1e-10 of the
+  samples' full scale of the same grid permuted, which takes one row per
+  point.
 
-Half the generated grids put one point exactly on a delayed-sample instant
+Half the generated grids are uniform, ``start + m T + arange(n) / fs`` with
+``fs = B p / q``: most take the shared-row route of the plan structure.  Even
+``p`` with an aligned start puts some points on half-sample ties, and ``m``
+runs from before the record to past its end, so edge windows are clipped.
+Of the random grids, half put one point exactly on a delayed-sample instant
 ``t = nT + D`` for the first delay only.  That row needs the Taylor branch of
 the sinc, so the whole batch or stack runs the masked path, including rows
 that alone would take the fast path; they must not change by a bit.
@@ -18,9 +25,11 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.bist.measurements import uniform_render_grid
 from repro.errors import DelayConstraintError
 from repro.sampling import (
     BandpassBand,
+    NonuniformReconstructor,
     NonuniformSampleSet,
     PlanStructureCache,
     ReconstructionPlan,
@@ -41,7 +50,7 @@ def accepted(band, delay) -> bool:
 
 
 @st.composite
-def kernel_cases(draw):
+def kernel_cases(draw, uniform=None):
     """Plans sharing one structure, one delay each, over one generated grid."""
     bandwidth = draw(st.floats(10e6, 100e6))
     # 2 f_l / B; integer positions exercise the single-term kernel.
@@ -58,12 +67,25 @@ def kernel_cases(draw):
     start = draw(st.floats(-1e-6, 1e-6))
 
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    times = start + period * rng.uniform(-3.0, num_samples + 3.0, draw(st.integers(1, 30)))
-    if draw(st.booleans()):
-        # Exactly on the delayed-sample instant nT + D of the first row only.
-        n = draw(st.integers(0, num_samples - 1))
-        times = np.insert(times, draw(st.integers(0, times.size)), start + n * period + delays[0])
-        assume(np.all(np.abs(delays[1:] - delays[0]) > 1e-6 * bound))
+    if uniform is None:
+        uniform = draw(st.booleans())
+    if uniform:
+        # p points per q sample periods; an integer m aligns the grid with
+        # the samples, which puts points on half-sample ties when p is even.
+        p = draw(st.integers(1, 16))
+        q = draw(st.integers(1, 16))
+        m = draw(st.one_of(st.integers(-3, num_samples + 3), st.floats(-3.0, num_samples + 3.0)))
+        times = start + m * period + np.arange(draw(st.integers(3, 90))) / (bandwidth * p / q)
+        if draw(st.booleans()):
+            # Jitter keeps every centre sample but not the shared offsets.
+            times = times + 1e-6 * period * rng.standard_normal(times.size)
+    else:
+        times = start + period * rng.uniform(-3.0, num_samples + 3.0, draw(st.integers(1, 30)))
+        if draw(st.booleans()):
+            # Exactly on the delayed-sample instant nT + D of the first row only.
+            n = draw(st.integers(0, num_samples - 1))
+            times = np.insert(times, draw(st.integers(0, times.size)), start + n * period + delays[0])
+            assume(np.all(np.abs(delays[1:] - delays[0]) > 1e-6 * bound))
 
     geometry = NonuniformSampleSet(
         on_grid=np.zeros(num_samples),
@@ -120,3 +142,50 @@ def test_plans_agree_with_reference(case):
             window=plan.window,
         )
         np.testing.assert_allclose(plan.evaluate(delay), expected, rtol=1e-9, atol=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_cases(uniform=True), st.randoms(use_true_random=False))
+def test_uniform_grid_equals_permuted_grid(case, random):
+    # Permuted, the grid takes one row per point: the direct route.
+    plans, delays = case
+    plan = plans[0]
+    assume(not isinstance(plan.structure.row_index, slice))
+    order = list(range(plan.evaluation_times.size))
+    random.shuffle(order)
+    order = np.array(order)
+    permuted = ReconstructionPlan(
+        plan.sample_set, plan.evaluation_times[order], num_taps=plan.num_taps, window=plan.window
+    )
+    assume(isinstance(permuted.structure.row_index, slice))
+    expected = np.empty(order.size)
+    expected[order] = permuted.evaluate(delays[0])
+    # Full scale of the samples: a render far outside the record sums only
+    # edge taps and is itself rounding noise, so its own peak is no scale.
+    samples = plan.sample_set
+    full_scale = max(np.max(np.abs(samples.on_grid)), np.max(np.abs(samples.delayed)))
+    np.testing.assert_allclose(
+        plan.evaluate(delays[0]), expected, rtol=0.0, atol=1e-10 * full_scale
+    )
+
+
+def test_paper_dense_grids_share_kernel_rows(paper_band):
+    # 400 samples at B = 90 MHz; the spectrum grid at 4 f_high = 4.18 GHz is
+    # 418 points per 9 sample periods, the EVM grid at 48 B = 4.32 GHz is 48
+    # per period.  Both start on a sample, so one phase of each sits on a
+    # half-sample tie and splits into two rows.
+    samples = NonuniformSampleSet(
+        on_grid=np.ones(400),
+        delayed=np.ones(400),
+        sample_period=1.0 / paper_band.bandwidth,
+        delay=180e-12,
+        start_time=0.0,
+        band=paper_band,
+    )
+    reconstructor = NonuniformReconstructor(samples)
+    low, high = reconstructor.valid_time_range()
+    for rate, rows in ((None, 419), (48 * paper_band.bandwidth, 49)):
+        times, _ = uniform_render_grid(reconstructor, low, high, rate)
+        structure = reconstructor.plan_for(times).structure
+        assert structure.taper.shape == (rows, reconstructor.num_taps + 1)
+        assert structure.row_index.shape == times.shape

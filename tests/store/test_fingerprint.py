@@ -127,21 +127,21 @@ class TestPayload:
 
 
 #: Hex digests pinned when scenario resolution moved into
-#: ``repro.bist.campaign.resolve_scenario``.  A change here re-keys every
-#: archived store (all lookups go cold): bump ``SCHEMA_VERSION`` on purpose
-#: instead of editing a digest.
+#: ``repro.bist.campaign.resolve_scenario``, re-pinned for ``SCHEMA_VERSION``
+#: 3.  A change here re-keys every archived store (all lookups go cold): bump
+#: ``SCHEMA_VERSION`` on purpose instead of editing a digest.
 PAPER = "paper-qpsk-1ghz"
 PINNED = {
     "paper-shared": (
         dict(scenario=CampaignScenario(profile=PAPER)),
-        "9a997f73f2309b589940a02ec5a31686070a748783124497b42a15169fb49cee",
+        "267c994b276145715c17ebe58dec2461e70e2883de32bf0f47f9b3a0308809a5",
     ),
     "paper-per-scenario-seed": (
         dict(
             scenario=CampaignScenario(profile=PAPER),
             seed=derive_scenario_seed(BistConfig().seed, 2, PAPER),
         ),
-        "da5c9ab4d3de2debeff86ecf7291a67a78e0fa7eb1bdfa844ca35bb048c2fdbc",
+        "367c8021932a9b0564ec0b1585dbb8b243508b7988147a68b7160dfc62b25db7",
     ),
     "scenario-converter-spec": (
         dict(
@@ -150,7 +150,7 @@ PINNED = {
             ),
             seed=12345,
         ),
-        "34c9ca9acae4c5c2363ced273c2bf5e88e20aab5d92cc5f68e9737b9c6a70036",
+        "d66d8d915e6afbe69f78540d13e7f6dbad9daddf2b9253bdd732a80e79a2f4a9",
     ),
     "fault-model-impairment": (
         dict(
@@ -158,15 +158,15 @@ PINNED = {
                 profile=PAPER, impairments=pa_saturation_sweep([0.75])[0][1]
             )
         ),
-        "8702fcce61c3181282bc24626c04220436a49105454c4fd93d39854a5baf4d02",
+        "2300d047345788a3c7411e2ec75dcad3ad97292ed6bdeda4aa6d009a58b923b7",
     ),
     "ofdm-profile": (
         dict(scenario=CampaignScenario(profile="ofdm-uhf-qpsk-400mhz")),
-        "b25990f8133daf581c9a914a8da07953afcf684c5a43d8dd0c3f3e7dfa2001df",
+        "c56b863aa1bb4ebe0a9bc0697af1cbb3fd650a1d892218646f86264c3f21b183",
     ),
     "explicit-num-symbols": (
         dict(scenario=CampaignScenario(profile="uhf-8psk-400mhz", num_symbols=256)),
-        "b385cdec9ddddd135e0077ebc6d43f92e6e4fc9f4a4b9d7d4c3ef0c9578ef4a8",
+        "197952dee057190015ee04f32a4fd36f39d04dd6d178b6d18ee46b186da27bec",
     ),
 }
 
