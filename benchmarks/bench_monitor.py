@@ -7,7 +7,9 @@ with realistic block rates.  This benchmark measures and hard-gates both:
 
 * **bit-identity** — the accumulated streamed PSD equals batch
   :func:`~repro.dsp.welch_psd` byte for byte over randomised block
-  partitions (always asserted, smoke or not);
+  partitions, and batch ``welch_psd`` (which periodograms every segment
+  in one batched FFT) equals an explicit one-``periodogram``-per-segment
+  loop on a complex and a real stream (always asserted, smoke or not);
 * **ingest throughput** — samples/second through the bare
   :class:`~repro.monitor.StreamingAccumulator` and through the full
   :class:`~repro.monitor.StreamingMonitor` (windowed metrics + drift
@@ -24,7 +26,7 @@ import time
 
 import numpy as np
 
-from repro.dsp import welch_psd
+from repro.dsp import periodogram, welch_psd
 from repro.monitor import (
     ChannelSpec,
     DriftDetectorConfig,
@@ -71,6 +73,20 @@ def check_bit_identity(stream: np.ndarray, partitions: int) -> int:
     return partitions
 
 
+def check_segment_definition(stream: np.ndarray) -> None:
+    """Assert batch ``welch_psd`` == one ``periodogram`` per segment, summed in order."""
+    step = SEGMENT_LENGTH // 2  # welch_psd's default 50 % overlap
+    for domain, record in (("complex", stream), ("real", stream.real)):
+        batch = welch_psd(record, RATE, segment_length=SEGMENT_LENGTH)
+        starts = range(0, record.size - SEGMENT_LENGTH + 1, step)
+        total = periodogram(record[:SEGMENT_LENGTH], RATE).psd.copy()
+        for start in starts[1:]:
+            total += periodogram(record[start : start + SEGMENT_LENGTH], RATE).psd
+        assert np.array_equal(batch.psd, total / len(starts)), (
+            f"batched welch_psd differs from the per-segment loop on the {domain} stream"
+        )
+
+
 def time_accumulator(stream: np.ndarray, block_samples: int) -> float:
     accumulator = StreamingAccumulator(RATE, segment_length=SEGMENT_LENGTH)
     start = time.perf_counter()
@@ -107,6 +123,8 @@ def main() -> None:
 
     checked = check_bit_identity(stream[: min(num_samples, 100_000)], identity_partitions)
     print(f"bit-identity: {checked} random block partitions == batch welch_psd")
+    check_segment_definition(stream[: min(num_samples, 100_000)])
+    print("bit-identity: batch welch_psd == per-segment periodogram loop (complex, real)")
 
     accumulator_rate = time_accumulator(stream, args.block_samples)
     monitor_rate, summary = time_monitor(stream, args.block_samples)

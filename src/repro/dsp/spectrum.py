@@ -22,6 +22,7 @@ from ..utils.windows import make_window
 __all__ = [
     "SpectrumEstimate",
     "periodogram",
+    "periodogram_rows",
     "welch_psd",
     "band_power",
     "total_power",
@@ -96,6 +97,51 @@ class SpectrumEstimate:
         )
 
 
+def periodogram_rows(
+    segments,
+    sample_rate: float,
+    taper: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Windowed periodogram of every row of a ``(k, L)`` stack of segments.
+
+    One length-``L`` ``taper`` (see :func:`repro.utils.make_window`), one
+    FFT call along the last axis and one frequency axis serve all ``k``
+    rows.  Every PSD estimator here runs through this function, so a row
+    is bit for bit the :func:`periodogram` of that segment alone (NumPy's
+    FFT transforms each row of a stack exactly as it does a lone record).
+
+    Returns
+    -------
+    tuple
+        ``(frequencies_hz, psd_rows, two_sided)``; ``psd_rows`` has one row
+        per segment, over the two-sided (complex input) or one-sided (real
+        input) frequency axis.
+    """
+    segments = np.asarray(segments)
+    if segments.ndim != 2:
+        raise ValidationError(f"segments must be two-dimensional, got shape {segments.shape}")
+    sample_rate = check_positive(sample_rate, "sample_rate")
+    n = segments.shape[1]
+    power_compensation = np.sum(taper**2)
+    windowed = segments * taper
+
+    if np.iscomplexobj(segments):
+        spectrum = np.fft.fftshift(np.fft.fft(windowed, axis=-1), axes=-1)
+        frequencies = np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / sample_rate))
+        psd = np.abs(spectrum) ** 2 / (sample_rate * power_compensation)
+        return frequencies, psd, True
+
+    spectrum = np.fft.rfft(windowed, axis=-1)
+    frequencies = np.fft.rfftfreq(n, d=1.0 / sample_rate)
+    psd = np.abs(spectrum) ** 2 / (sample_rate * power_compensation)
+    # One-sided estimate: double all bins except DC and (if present) Nyquist.
+    psd *= 2.0
+    psd[:, 0] /= 2.0
+    if n % 2 == 0:
+        psd[:, -1] /= 2.0
+    return frequencies, psd, False
+
+
 def periodogram(
     samples,
     sample_rate: float,
@@ -110,26 +156,9 @@ def periodogram(
     """
     samples = check_1d_array(samples, "samples", min_length=8)
     sample_rate = check_positive(sample_rate, "sample_rate")
-    n = samples.size
-    taper = make_window(window, n, beta=kaiser_beta)
-    power_compensation = np.sum(taper**2)
-    windowed = samples * taper
-
-    if np.iscomplexobj(samples):
-        spectrum = np.fft.fftshift(np.fft.fft(windowed))
-        frequencies = np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / sample_rate))
-        psd = np.abs(spectrum) ** 2 / (sample_rate * power_compensation)
-        return SpectrumEstimate(frequencies, psd, sample_rate / n, two_sided=True)
-
-    spectrum = np.fft.rfft(windowed)
-    frequencies = np.fft.rfftfreq(n, d=1.0 / sample_rate)
-    psd = np.abs(spectrum) ** 2 / (sample_rate * power_compensation)
-    # One-sided estimate: double all bins except DC and (if present) Nyquist.
-    psd *= 2.0
-    psd[0] /= 2.0
-    if n % 2 == 0:
-        psd[-1] /= 2.0
-    return SpectrumEstimate(frequencies, psd, sample_rate / n, two_sided=False)
+    taper = make_window(window, samples.size, beta=kaiser_beta)
+    frequencies, psd, two_sided = periodogram_rows(samples[None, :], sample_rate, taper)
+    return SpectrumEstimate(frequencies, psd[0], sample_rate / samples.size, two_sided=two_sided)
 
 
 def welch_psd(
@@ -144,6 +173,12 @@ def welch_psd(
 
     Notes
     -----
+    Segments start every ``max(1, round(segment_length * (1 - overlap)))``
+    samples.  Every complete segment is periodogrammed at once by
+    :func:`periodogram_rows` over a strided view of the record, and the rows
+    are summed in segment order, so the estimate is bit for bit the average
+    of one-segment :func:`periodogram` calls.
+
     When ``segment_length`` exceeds the record length it is clamped to the
     record length, degrading the estimate to a single periodogram with *no*
     variance reduction; a :class:`~repro.errors.MeasurementWarning` is
@@ -171,22 +206,14 @@ def welch_psd(
         segment_length = samples.size
     step = max(1, int(round(segment_length * (1.0 - overlap_fraction))))
 
-    accumulated = None
-    count = 0
-    for start in range(0, samples.size - segment_length + 1, step):
-        segment = samples[start : start + segment_length]
-        estimate = periodogram(segment, sample_rate, window=window, kaiser_beta=kaiser_beta)
-        if accumulated is None:
-            accumulated = estimate.psd.copy()
-            frequencies = estimate.frequencies_hz
-            two_sided = estimate.two_sided
-        else:
-            accumulated += estimate.psd
-        count += 1
-    if accumulated is None or count == 0:
-        raise MeasurementError("record too short for the requested Welch segmentation")
+    segments = np.lib.stride_tricks.sliding_window_view(samples, segment_length)[::step]
+    taper = make_window(window, segment_length, beta=kaiser_beta)
+    frequencies, rows, two_sided = periodogram_rows(segments, sample_rate, taper)
+    accumulated = rows[0].copy()
+    for row in rows[1:]:
+        accumulated += row
     return SpectrumEstimate(
-        frequencies, accumulated / count, sample_rate / segment_length, two_sided=two_sided
+        frequencies, accumulated / len(rows), sample_rate / segment_length, two_sided=two_sided
     )
 
 

@@ -5,9 +5,11 @@ record to :func:`repro.dsp.welch_psd`.  A continuously monitored transmitter
 never *has* the whole record — samples arrive block by block for hours — so
 :class:`StreamingAccumulator` maintains the Welch state incrementally: each
 ingested block is appended to a bounded carry-over buffer, every complete
-segment is periodogrammed and accumulated exactly as the batch estimator
-would, and the buffer retains only the overlap / tail samples the next
-segment needs.
+segment in the buffer is periodogrammed at once — one
+:func:`~repro.dsp.spectrum.periodogram_rows` call, the batch estimator's own
+helper, over a strided view — and accumulated in segment order exactly as
+the batch estimator would, and the buffer retains only the overlap / tail
+samples the next segment needs.
 
 The contract is *bit-identity*: at any point, :meth:`spectrum` equals
 ``welch_psd`` of the concatenated samples ingested so far (restricted to the
@@ -19,15 +21,19 @@ record at once), which is what the metamorphic test suite asserts.
 
 Memory is bounded by ``segment_length + max_block`` samples regardless of
 stream length, which is what makes the hours-of-traffic workload viable.
+Periodogramming a block adds temporaries of its complete segments: about
+``max_block / step`` rows of ``segment_length`` samples (63 rows of 256 for
+8,192-sample blocks at 50 % overlap).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..dsp.spectrum import SpectrumEstimate, periodogram, welch_psd
+from ..dsp.spectrum import SpectrumEstimate, periodogram_rows, welch_psd
 from ..errors import MeasurementError, ValidationError
 from ..utils.validation import check_in_range, check_integer, check_positive
+from ..utils.windows import make_window
 
 __all__ = ["StreamingAccumulator"]
 
@@ -45,13 +51,16 @@ class StreamingAccumulator:
         Segment overlap in ``[0, 1)``.
     window / kaiser_beta:
         Taper applied to each segment (see :func:`repro.utils.make_window`).
+        It is built once, here, so a bad name or beta raises
+        :class:`~repro.errors.ValidationError` before any sample is counted.
 
     Notes
     -----
     The first ingested block pins the stream's domain (real or complex);
-    mixing domains raises :class:`~repro.errors.ValidationError`.  Segments
-    are processed in stream order and summed in the same order as the batch
-    estimator, so the accumulated PSD is bit-identical, not merely close.
+    mixing domains raises :class:`~repro.errors.ValidationError`.  Each
+    block's complete segments are periodogrammed in one batched FFT and
+    summed in stream order, the same order as the batch estimator, so the
+    accumulated PSD is bit-identical, not merely close.
     """
 
     def __init__(
@@ -69,6 +78,7 @@ class StreamingAccumulator:
         )
         self._window = str(window)
         self._kaiser_beta = float(kaiser_beta)
+        self._taper = make_window(self._window, self._segment_length, beta=self._kaiser_beta)
         self._step = max(1, int(round(self._segment_length * (1.0 - self._overlap_fraction))))
         self._buffer: np.ndarray | None = None
         self._accumulated: np.ndarray | None = None
@@ -153,24 +163,22 @@ class StreamingAccumulator:
             self._buffer = np.concatenate([self._buffer, block.astype(target, copy=False)])
         self._ingested += int(block.size)
 
-        added = 0
-        while self._buffer.size >= self._segment_length:
-            segment = self._buffer[: self._segment_length]
-            estimate = periodogram(
-                segment,
-                self._sample_rate,
-                window=self._window,
-                kaiser_beta=self._kaiser_beta,
-            )
-            if self._accumulated is None:
-                self._accumulated = estimate.psd.copy()
-                self._frequencies = estimate.frequencies_hz
-                self._two_sided = estimate.two_sided
-            else:
-                self._accumulated += estimate.psd
-            self._segments += 1
-            added += 1
-            self._buffer = self._buffer[self._step :]
+        if self._buffer.size < self._segment_length:
+            return 0
+        segments = np.lib.stride_tricks.sliding_window_view(
+            self._buffer, self._segment_length
+        )[:: self._step]
+        frequencies, rows, two_sided = periodogram_rows(segments, self._sample_rate, self._taper)
+        if self._accumulated is None:
+            self._accumulated = rows[0].copy()
+            self._frequencies = frequencies
+            self._two_sided = two_sided
+            rows = rows[1:]
+        for row in rows:
+            self._accumulated += row
+        added = len(segments)
+        self._segments += added
+        self._buffer = self._buffer[added * self._step :]
         return added
 
     def extend(self, blocks) -> int:

@@ -11,11 +11,12 @@ waiting for the next offline campaign.
 
 Two invariants the test suite leans on:
 
-* **Partition invariance** — windows are defined in *samples*, each window
-  is measured from exactly its own samples, and the per-window Welch state
-  is a :class:`~repro.monitor.StreamingAccumulator` (bit-identical to batch).
-  Re-blocking the same stream therefore reproduces every metric, alarm and
-  report bit for bit.
+* **Partition invariance** — windows are defined in *samples*, and each
+  window is measured from exactly its own samples: power, EVM and one
+  :func:`~repro.dsp.welch_psd` of the window's concatenated samples.  The
+  session-long spectrum is a :class:`~repro.monitor.StreamingAccumulator`
+  (bit-identical to batch).  Re-blocking the same stream therefore
+  reproduces every metric, alarm and report bit for bit.
 * **Bounded memory** — only the current window and the Welch carry-over are
   retained, independent of stream length; the cumulative spectrum across
   the whole session is held as accumulated Welch state, not samples.
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dsp.spectrum import SpectrumEstimate, occupied_bandwidth
+from ..dsp.spectrum import SpectrumEstimate, occupied_bandwidth, welch_psd
 from ..errors import MeasurementError, ValidationError
 from ..utils.serialization import field_dict, known_field_kwargs
 from ..utils.validation import (
@@ -35,6 +36,7 @@ from ..utils.validation import (
     check_integer,
     check_positive,
 )
+from ..utils.windows import make_window
 from .accumulator import StreamingAccumulator
 from .detector import DriftAlarm, DriftDetector, DriftDetectorConfig
 from .evm import OfdmSymbolReference, SymbolReference, windowed_evm, windowed_ofdm_evm
@@ -95,7 +97,10 @@ class MonitorConfig:
         made once per window.  Must hold at least one Welch segment.
     segment_length / overlap_fraction / window / kaiser_beta:
         Welch parameters of both the per-window and the cumulative spectrum
-        (see :func:`repro.dsp.welch_psd`).
+        (see :func:`repro.dsp.welch_psd`).  ``window`` and ``kaiser_beta``
+        are checked by :func:`repro.utils.make_window`'s rules (aliases
+        accepted; the beta only matters for ``"kaiser"``) when the config
+        is built.
     channel:
         Channel geometry for ACPR / occupied bandwidth; ``None`` monitors
         output power (and EVM when a reference is supplied) only.
@@ -127,6 +132,9 @@ class MonitorConfig:
         check_in_range(
             self.overlap_fraction, "overlap_fraction", 0.0, 1.0, inclusive_high=False
         )
+        # A throwaway taper: a bad window name or Kaiser beta fails here,
+        # not at the first complete Welch segment.
+        make_window(self.window, self.segment_length, beta=self.kaiser_beta)
         check_integer(self.min_evm_symbols, "min_evm_symbols", minimum=1)
         if self.channel is not None and not isinstance(self.channel, ChannelSpec):
             raise ValidationError("channel must be a ChannelSpec (or None)")
@@ -289,23 +297,18 @@ class StreamingMonitor:
         self._config = config
         self._reference = reference
         self._detector = DriftDetector(config.detector, baseline=baseline)
-        self._cumulative = self._new_accumulator()
-        self._window_accumulator = self._new_accumulator()
-        self._window_pieces: list[np.ndarray] = []
-        self._window_fill = 0
-        self._window_index = 0
-        self._samples_ingested = 0
-        self._windows: list[WindowMetrics] = []
-
-    def _new_accumulator(self) -> StreamingAccumulator:
-        config = self._config
-        return StreamingAccumulator(
+        self._cumulative = StreamingAccumulator(
             config.sample_rate,
             segment_length=config.segment_length,
             overlap_fraction=config.overlap_fraction,
             window=config.window,
             kaiser_beta=config.kaiser_beta,
         )
+        self._window_pieces: list[np.ndarray] = []
+        self._window_fill = 0
+        self._window_index = 0
+        self._samples_ingested = 0
+        self._windows: list[WindowMetrics] = []
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -367,7 +370,6 @@ class StreamingMonitor:
             piece = block[:take]
             block = block[take:]
             self._cumulative.ingest(piece)
-            self._window_accumulator.ingest(piece)
             self._window_pieces.append(np.array(piece, copy=True))
             self._window_fill += int(piece.size)
             self._samples_ingested += int(piece.size)
@@ -387,7 +389,14 @@ class StreamingMonitor:
         samples = np.concatenate(self._window_pieces)
         start_sample = self._window_index * config.window_samples
         output_power = float(np.mean(np.abs(samples) ** 2))
-        spectrum = self._window_accumulator.spectrum()
+        spectrum = welch_psd(
+            samples,
+            config.sample_rate,
+            segment_length=config.segment_length,
+            overlap_fraction=config.overlap_fraction,
+            window=config.window,
+            kaiser_beta=config.kaiser_beta,
+        )
         acpr_worst = self._measure_acpr(spectrum)
         obw = self._measure_obw(spectrum)
         evm, evm_skipped_reason = self._measure_evm(samples, start_sample)
@@ -405,7 +414,6 @@ class StreamingMonitor:
         self._window_index += 1
         self._window_pieces.clear()
         self._window_fill = 0
-        self._window_accumulator = self._new_accumulator()
         return self._detector.update(window.metric_values())
 
     def _measure_acpr(self, spectrum: SpectrumEstimate) -> float | None:

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dsp import (
     adjacent_channel_power_ratio,
@@ -15,6 +17,8 @@ from repro.dsp import (
     welch_psd,
 )
 from repro.errors import MeasurementError, MeasurementWarning, ValidationError
+from repro.monitor import StreamingAccumulator
+from repro.utils import AVAILABLE_WINDOWS
 
 
 RATE = 100e6
@@ -102,6 +106,68 @@ class TestWelch:
     def test_bad_overlap_rejected(self):
         with pytest.raises(ValidationError):
             welch_psd(make_tone(1e6), RATE, overlap_fraction=1.0)
+
+
+def segment_loop_welch(samples, segment_length, overlap, window, beta):
+    """The Welch definition spelled out: one ``periodogram`` per segment.
+
+    Segments are clamped to the record and start every
+    ``max(1, round(L * (1 - overlap)))`` samples, as in :func:`welch_psd`;
+    their PSDs are summed in segment order and divided by the count.
+    """
+    length = min(segment_length, samples.size)
+    step = max(1, int(round(length * (1.0 - overlap))))
+    total = None
+    count = 0
+    for start in range(0, samples.size - length + 1, step):
+        psd = periodogram(samples[start : start + length], RATE, window=window, kaiser_beta=beta).psd
+        total = psd.copy() if total is None else total + psd
+        count += 1
+    return total / count
+
+
+class TestBatchedWelchMatchesSegmentLoop:
+    """The batched Welch path (one FFT over every segment) against the
+    one-segment-at-a-time definition, bit for bit: in ``welch_psd`` and in a
+    ``StreamingAccumulator`` fed the record in generated blocks."""
+
+    @given(
+        size=st.integers(min_value=8, max_value=3000),
+        complex_domain=st.booleans(),
+        segment_length=st.integers(min_value=8, max_value=300),
+        overlap=st.floats(min_value=0.0, max_value=0.9, exclude_max=True),
+        window=st.sampled_from(AVAILABLE_WINDOWS),
+        beta=st.floats(min_value=0.0, max_value=20.0),
+        block_sizes=st.lists(st.integers(min_value=1, max_value=512), min_size=1, max_size=12),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_batched_welch_equals_per_segment_periodograms(
+        self, size, complex_domain, segment_length, overlap, window, beta, block_sizes, seed
+    ):
+        rng = np.random.default_rng(seed)
+        samples = rng.standard_normal(size)
+        if complex_domain:
+            samples = samples + 1j * rng.standard_normal(size)
+        expected = segment_loop_welch(samples, segment_length, overlap, window, beta)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MeasurementWarning)
+            batch = welch_psd(
+                samples, RATE, segment_length, overlap, window=window, kaiser_beta=beta
+            )
+            accumulator = StreamingAccumulator(
+                RATE, segment_length, overlap, window=window, kaiser_beta=beta
+            )
+            start, index = 0, 0
+            while start < size:
+                stop = start + block_sizes[index % len(block_sizes)]
+                accumulator.ingest(samples[start:stop])
+                start, index = stop, index + 1
+            streamed = accumulator.finalize()
+
+        assert np.array_equal(batch.psd, expected)
+        assert np.array_equal(streamed.psd, expected)
 
 
 class TestBandPower:

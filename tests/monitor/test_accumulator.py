@@ -171,3 +171,24 @@ class TestValidation:
             StreamingAccumulator(RATE, segment_length=4)
         with pytest.raises(ValidationError):
             StreamingAccumulator(RATE, overlap_fraction=1.0)
+
+
+class TestTaperValidatedAtConstruction:
+    """A bad window name or Kaiser beta fails when the accumulator is built.
+
+    It used to fail at the first complete segment, after the block had
+    already been counted into ``samples_ingested`` and the buffer.
+    """
+
+    @pytest.mark.parametrize(
+        "window,beta", [("hanning", 8.0), ("nope", -3.0), ("kaiser", -3.0)]
+    )
+    def test_bad_taper_rejected_by_the_constructor(self, window, beta):
+        with pytest.raises(ValidationError):
+            StreamingAccumulator(RATE, segment_length=64, window=window, kaiser_beta=beta)
+
+    @pytest.mark.parametrize("window", ["HANN", "boxcar", "rect", "Kaiser"])
+    def test_window_aliases_accepted(self, window):
+        accumulator = StreamingAccumulator(RATE, segment_length=64, window=window)
+        assert accumulator.ingest(np.ones(100)) == 2
+        assert accumulator.samples_ingested == 100

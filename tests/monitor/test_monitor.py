@@ -7,6 +7,8 @@ blocks.  The end-to-end drift scenarios (injected gain/noise ramps against
 a real transmitted burst) live here too.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,35 @@ class TestValidation:
         config = basic_config()
         rebuilt = MonitorConfig.from_dict(config.to_dict())
         assert rebuilt == config
+
+    @pytest.mark.parametrize(
+        "window,beta", [("nope", -3.0), ("hanning", 8.0), ("kaiser", -3.0)]
+    )
+    def test_bad_taper_rejected_when_the_config_is_built(self, window, beta):
+        # Used to construct fine and fail at the first complete segment,
+        # leaving samples_ingested 0 but pending_samples > 0.
+        with pytest.raises(ValidationError):
+            basic_config(window=window, kaiser_beta=beta)
+
+    def test_bad_taper_cannot_arrive_by_round_trip_or_replace(self):
+        data = basic_config().to_dict()
+        data["window"] = "nope"
+        with pytest.raises(ValidationError):
+            MonitorConfig.from_dict(data)
+        with pytest.raises(ValidationError):
+            dataclasses.replace(basic_config(), window="hanning")
+
+    @pytest.mark.parametrize("window", ["HANN", "boxcar", "rect"])
+    def test_window_aliases_accepted(self, window):
+        monitor = StreamingMonitor(basic_config(window=window))
+        monitor.ingest(tone_stream(600))
+        report = monitor.report()
+        assert report.samples_ingested == 600
+        assert report.num_windows == 1
+        # 600 samples in 128-sample segments every 64: 8 segments (starts
+        # 0..448), and the 88 samples from 8 * 64 = 512 on are carried over.
+        assert report.segments_accumulated == 8
+        assert report.pending_samples == 88
 
     def test_channel_spec_round_trip_and_validation(self):
         spec = ChannelSpec(centre_hz=0.0, bandwidth_hz=1e6, spacing_hz=1.5e6)
