@@ -10,11 +10,17 @@ with realistic block rates.  This benchmark measures and hard-gates both:
   partitions, and batch ``welch_psd`` (which periodograms every segment
   in one batched FFT) equals an explicit one-``periodogram``-per-segment
   loop on a complex and a real stream (always asserted, smoke or not);
+* **windowed EVM** — a ``paper-qpsk-1ghz`` burst monitored with its
+  symbol reference: every window's EVM (read through the session's
+  :class:`~repro.monitor.SymbolKernelTable`) agrees within 1e-9 relative
+  with the per-window route it replaced (matched filter over the window,
+  then :func:`~repro.dsp.sinc_interpolate` at each symbol instant), and two
+  block partitions give bit-identical reports (always asserted);
 * **ingest throughput** — samples/second through the bare
-  :class:`~repro.monitor.StreamingAccumulator` and through the full
+  :class:`~repro.monitor.StreamingAccumulator`, through the full
   :class:`~repro.monitor.StreamingMonitor` (windowed metrics + drift
-  charts).  The accumulator floor is armed in both modes; the full-monitor
-  number is reported for trajectory tracking.
+  charts) and through the EVM session.  The accumulator floor is armed in
+  both modes; the monitor numbers are reported for trajectory tracking.
 
 Run with:  PYTHONPATH=../src python bench_monitor.py [--smoke]
 ``--output bench.json`` writes the numbers as JSON.
@@ -26,19 +32,25 @@ import time
 
 import numpy as np
 
-from repro.dsp import periodogram, welch_psd
+from repro.dsp import error_vector_magnitude, periodogram, sinc_interpolate, welch_psd
 from repro.monitor import (
     ChannelSpec,
     DriftDetectorConfig,
     MonitorConfig,
     StreamingAccumulator,
     StreamingMonitor,
+    SymbolReference,
     iter_blocks,
 )
+from repro.signals.standards import get_profile
+from repro.transmitter import HomodyneTransmitter, TransmitterConfig
 
 RATE = 10.0e6
 SEGMENT_LENGTH = 256
 WINDOW_SAMPLES = 2048
+INTERPOLATION_TAPS = 32
+#: Relative agreement of each window's EVM with the per-window route.
+EVM_TOLERANCE = 1e-9
 #: Armed gate: the bare accumulator must ingest at least this many
 #: samples per second (conservative floor, ~50x below a typical host).
 MIN_ACCUMULATOR_THROUGHPUT = 1.0e5
@@ -87,6 +99,77 @@ def check_segment_definition(stream: np.ndarray) -> None:
         )
 
 
+def oracle_window_evm(samples, sample_rate, window_start_time, reference, min_symbols):
+    """Window EVM by the per-window route: matched filter, then ``sinc_interpolate``."""
+    taps = reference.pulse_taps
+    matched = np.convolve(samples, np.conj(taps[::-1].astype(complex)))
+    matched = matched[taps.size // 2 : taps.size // 2 + samples.size]
+    margin = ((taps.size - 1) // 2 + INTERPOLATION_TAPS) / sample_rate
+    usable_low = window_start_time + margin
+    usable_high = window_start_time + (samples.size - 1) / sample_rate - margin
+    symbol_period = 1.0 / reference.symbol_rate_hz
+    first = max(int(np.ceil((usable_low - reference.start_time) / symbol_period)), 0)
+    last = min(
+        int(np.floor((usable_high - reference.start_time) / symbol_period)),
+        reference.symbols.size - 1,
+    )
+    if usable_high <= usable_low or last - first + 1 < min_symbols:
+        return None
+    indices = np.arange(first, last + 1)
+    received = sinc_interpolate(
+        matched,
+        sample_rate,
+        reference.start_time + indices * symbol_period,
+        start_time=window_start_time,
+        num_taps=INTERPOLATION_TAPS,
+    )
+    sent = reference.symbols[indices]
+    gain = np.vdot(received, sent) / np.vdot(received, received)
+    return error_vector_magnitude(sent, received * gain, as_percent=True)
+
+
+def check_evm_session(num_symbols: int, block_samples: int) -> tuple[float, int]:
+    """Monitor a burst with EVM; assert oracle agreement and partition bit-identity.
+
+    Returns the session's samples/second (monitor construction, which
+    builds the kernel table, through the last ingest) and its window count.
+    """
+    config = TransmitterConfig.from_profile(get_profile("paper-qpsk-1ghz"), seed=2014)
+    burst = HomodyneTransmitter(config).transmit(num_symbols=num_symbols)
+    samples = burst.output_envelope.samples
+
+    def session(blocks):
+        start = time.perf_counter()
+        monitor = StreamingMonitor.from_transmission(
+            burst, window_samples=WINDOW_SAMPLES, segment_length=SEGMENT_LENGTH
+        )
+        monitor.ingest_stream(blocks)
+        return time.perf_counter() - start, monitor.report()
+
+    elapsed, report = session(iter_blocks(samples, block_samples))
+    _, repartitioned = session(random_blocks(samples, seed=7))
+    assert report.to_dict() == repartitioned.to_dict(), "EVM session differs under another partition"
+
+    reference = SymbolReference.from_transmission(burst)
+    monitor_config = report.config
+    for window in report.windows:
+        window_samples = samples[window.start_sample : window.start_sample + window.num_samples]
+        expected = oracle_window_evm(
+            window_samples,
+            monitor_config.sample_rate,
+            monitor_config.start_time + window.start_sample / monitor_config.sample_rate,
+            reference,
+            monitor_config.min_evm_symbols,
+        )
+        assert (window.evm_percent is None) == (expected is None), f"window {window.index}"
+        if expected is not None:
+            assert abs(window.evm_percent - expected) <= EVM_TOLERANCE * expected, (
+                f"window {window.index}: EVM {window.evm_percent!r} vs per-window route {expected!r}"
+            )
+    assert any(window.evm_percent is not None for window in report.windows)
+    return samples.size / elapsed, report.num_windows
+
+
 def time_accumulator(stream: np.ndarray, block_samples: int) -> float:
     accumulator = StreamingAccumulator(RATE, segment_length=SEGMENT_LENGTH)
     start = time.perf_counter()
@@ -126,11 +209,16 @@ def main() -> None:
     check_segment_definition(stream[: min(num_samples, 100_000)])
     print("bit-identity: batch welch_psd == per-segment periodogram loop (complex, real)")
 
+    evm_rate, evm_windows = check_evm_session(4096 if args.smoke else 32768, args.block_samples)
+    print(f"windowed EVM: {evm_windows} windows within {EVM_TOLERANCE:g} of the per-window "
+          "route; two block partitions bit-identical")
+
     accumulator_rate = time_accumulator(stream, args.block_samples)
     monitor_rate, summary = time_monitor(stream, args.block_samples)
     print(f"accumulator ingest: {accumulator_rate / 1e6:.2f} Msamples/s")
     print(f"full monitor ingest: {monitor_rate / 1e6:.2f} Msamples/s "
           f"({summary['windows']} windows, {summary['alarms']} alarms)")
+    print(f"EVM monitor session: {evm_rate / 1e6:.2f} Msamples/s ({evm_windows} windows)")
 
     assert summary["alarms"] == 0, "stationary stream must not alarm"
     assert accumulator_rate >= MIN_ACCUMULATOR_THROUGHPUT, (
@@ -145,6 +233,8 @@ def main() -> None:
         "bit_identity_partitions": int(checked),
         "accumulator_samples_per_second": float(accumulator_rate),
         "monitor_samples_per_second": float(monitor_rate),
+        "evm_session_samples_per_second": float(evm_rate),
+        "evm_session_windows": int(evm_windows),
         "monitor_summary": summary,
         "throughput_floor": MIN_ACCUMULATOR_THROUGHPUT,
     }

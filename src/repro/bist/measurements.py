@@ -306,9 +306,12 @@ def measure_evm(
         stop_time=valid_high,
         envelope_rate=envelope_rate,
     )
-    # Matched filter using the transmitter's SRRC taps.
-    matched = np.convolve(envelope, np.conj(burst_pulse_taps(burst)[::-1]))
-    group_delay = (burst_pulse_taps(burst).size - 1) // 2
+    # Matched filter using the transmitter's SRRC taps.  The transmitter
+    # trimmed (N - 1) // 2 samples of the N-tap pulse, so trimming N // 2
+    # here removes the cascade's full N - 1 delay for either parity of N.
+    taps = burst_pulse_taps(burst)
+    matched = np.convolve(envelope, np.conj(taps[::-1]))
+    group_delay = taps.size // 2
     matched = matched[group_delay : group_delay + envelope.size]
 
     # Symbol instants: the transmitted symbol n sits at time n * Tsym

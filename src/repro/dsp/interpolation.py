@@ -47,8 +47,8 @@ def sinc_interpolate(
     Returns
     -------
     numpy.ndarray
-        Interpolated values with the same shape as ``times`` (scalar in,
-        scalar-shaped array out).
+        Interpolated values, one per time: shape ``(len(times),)``, and
+        ``(1,)`` for a scalar time.
 
     Notes
     -----

@@ -31,7 +31,13 @@ calibrated reconstruction.
 from .accumulator import StreamingAccumulator
 from .detector import MONITORED_METRICS, DriftAlarm, DriftDetector, DriftDetectorConfig
 from .drift import apply_gain_drift, apply_noise_drift, gain_drift_profile
-from .evm import OfdmSymbolReference, SymbolReference, windowed_evm, windowed_ofdm_evm
+from .evm import (
+    OfdmSymbolReference,
+    SymbolKernelTable,
+    SymbolReference,
+    windowed_evm,
+    windowed_ofdm_evm,
+)
 from .monitor import (
     ChannelSpec,
     MonitorConfig,
@@ -51,6 +57,7 @@ __all__ = [
     "apply_noise_drift",
     "gain_drift_profile",
     "SymbolReference",
+    "SymbolKernelTable",
     "OfdmSymbolReference",
     "windowed_evm",
     "windowed_ofdm_evm",

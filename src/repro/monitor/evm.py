@@ -9,9 +9,12 @@ invariant to how the stream was partitioned into ingest blocks.
 The demodulation mirrors the batch path symbol for symbol: matched filter
 with the transmitter's own SRRC taps, band-limited (sinc) interpolation at
 the known symbol instants, least-squares complex-gain alignment onto the
-reference constellation, RMS EVM.  Window edges corrupted by the matched
-filter and interpolator transients are excluded via a guard margin, so only
-symbols the window can demodulate cleanly contribute.
+reference constellation, RMS EVM.  Both filters are fixed and linear, so
+:class:`SymbolKernelTable` folds them, once per session, into one kernel per
+fractional symbol phase; a window then reads each symbol as one dot product
+of that kernel with the window's raw samples.  Window edges corrupted by the
+matched filter and interpolator transients are excluded via a guard margin,
+so only symbols the window can demodulate cleanly contribute.
 
 OFDM streams get the same treatment through :class:`OfdmSymbolReference`
 and :func:`windowed_ofdm_evm`: every OFDM symbol that falls *whole* inside
@@ -26,16 +29,20 @@ return ``None`` with an explicit reason instead of silently dropping EVM.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..dsp.interpolation import sinc_interpolate
 from ..dsp.metrics import error_vector_magnitude
 from ..errors import MeasurementError, ValidationError
 from ..utils.validation import check_1d_array, check_integer, check_positive
+from ..utils.windows import evaluate_taper
 
 __all__ = [
     "SymbolReference",
+    "SymbolKernelTable",
     "OfdmSymbolReference",
     "windowed_evm",
     "windowed_ofdm_evm",
@@ -99,6 +106,131 @@ class SymbolReference:
             pulse_taps=burst_pulse_taps(burst),
             start_time=float(burst.output_envelope.start_time),
         )
+
+
+def _shared_phases(positions: np.ndarray, tolerance: float):
+    """Group symbols whose instants share a sample phase: ``(base, phases, row_of)``.
+
+    Symbol ``k`` sits ``positions[k]`` samples into the stream.  A symbol
+    train whose step is ``p/q`` samples repeats its fractional phase every
+    ``q`` symbols, so symbol ``r + m q`` sits ``m p`` whole samples after
+    symbol ``r``, at the same phase.  The step is read from the positions
+    alone and then verified: every symbol must sit at its base sample plus
+    its row's phase to within ``tolerance`` samples, the noise of computing
+    the instants directly.
+
+    Returns each symbol's base sample, the ``q`` phases (each in ``[0, 1)``)
+    and each symbol's row, or ``None`` when the check fails.
+    """
+    count = positions.size
+    if count < 2:
+        return None
+    ratio = (positions[-1] - positions[0]) / (count - 1)
+    if not abs(ratio) < 2**32:  # rejects nan and inf, and keeps m*p inside int64
+        return None
+    step = Fraction(ratio).limit_denominator(count - 1)
+    index = np.arange(count)
+    row_of = index % step.denominator
+    first = np.floor(positions[: step.denominator])
+    phases = positions[: step.denominator] - first
+    base = first.astype(np.int64)[row_of] + (index // step.denominator) * step.numerator
+    if np.abs(positions - base - phases[row_of]).max() > tolerance:
+        return None
+    return base, phases, row_of
+
+
+class SymbolKernelTable:
+    """Matched filter and symbol-instant interpolator, folded once per session.
+
+    A window's received symbol is the matched-filter output sinc-interpolated
+    at the symbol's instant.  Both are fixed linear filters, so together they
+    are one kernel of ``len(pulse_taps) + 31`` taps on the raw envelope: the
+    32-tap Kaiser-sinc row of :func:`~repro.dsp.sinc_interpolate` (beta 8) at
+    the instant's fractional sample phase, convolved with the conjugate
+    pulse.  The kernel depends on the phase alone, so symbols that share a
+    phase share a row.
+
+    The table holds each symbol's first kernel sample in the stream and one
+    row per distinct phase, found from the symbol instants (see
+    :func:`_shared_phases`): a whole number of samples per symbol gives one
+    row, a verified ``p/q`` step ``q`` rows.  Instants that fail the check
+    get one row per symbol, built for each window's own symbols rather than
+    held for the whole session.
+
+    Parameters
+    ----------
+    reference:
+        The known transmitted symbols and pulse shape.
+    sample_rate:
+        Rate of the monitored stream (Hz).
+    start_time:
+        Stream time of the stream's first sample (seconds), on the clock of
+        ``reference.start_time``.
+    """
+
+    def __init__(
+        self, reference: SymbolReference, sample_rate: float, start_time: float = 0.0
+    ) -> None:
+        if not isinstance(reference, SymbolReference):
+            raise ValidationError("reference must be a SymbolReference")
+        self.reference = reference
+        self.sample_rate = check_positive(sample_rate, "sample_rate")
+        self.start_time = float(start_time)
+        taps = reference.pulse_taps
+        width = taps.size + _INTERPOLATION_TAPS - 1
+        # Row j is the conjugate pulse delayed by j samples, so an
+        # interpolation row times this stack is the row convolved with it.
+        padding = np.zeros(_INTERPOLATION_TAPS - 1)
+        padded = np.concatenate([padding, np.conj(taps.astype(complex)), padding])
+        self._shifted_pulse = np.ascontiguousarray(sliding_window_view(padded, width)[::-1])
+
+        times = reference.start_time + np.arange(reference.symbols.size) * (
+            1.0 / reference.symbol_rate_hz
+        )
+        positions = (times - self.start_time) * self.sample_rate
+        tolerance = 4.0 * np.spacing(np.abs(times).max() + abs(self.start_time)) * self.sample_rate
+        shared = _shared_phases(positions, tolerance)
+        if shared is None:
+            base = np.floor(positions).astype(np.int64)
+            self._phases = positions - base
+            self._rows = None
+        else:
+            base, phases, self._row_of = shared
+            self._rows = self._kernels(phases)
+        # The interpolator reads from half - 1 samples before the base, and
+        # the matched filter, trimmed by N // 2 (the transmitter trimmed
+        # (N - 1) // 2, so the two remove the cascade's N - 1 delay), from
+        # N - 1 - N // 2 samples before that.
+        self._first_sample = (
+            base - (taps.size - 1 - taps.size // 2) - (_INTERPOLATION_TAPS // 2 - 1)
+        )
+
+    @property
+    def num_rows(self) -> int:
+        """Kernel rows built for the session; 0 when each window builds its own."""
+        return 0 if self._rows is None else len(self._rows)
+
+    def _kernels(self, phases: np.ndarray) -> np.ndarray:
+        """The ``(len(phases), width)`` kernels at fractional sample ``phases``."""
+        half = _INTERPOLATION_TAPS // 2
+        distance = phases[:, None] - np.arange(1 - half, _INTERPOLATION_TAPS - half + 1)
+        interpolator = np.sinc(distance) * evaluate_taper("kaiser", distance / half)
+        return interpolator @ self._shifted_pulse
+
+    def demodulate(self, envelope: np.ndarray, start_sample: int, first: int, last: int):
+        """Matched-filtered values of symbols ``first..last`` from one window.
+
+        ``envelope`` is the window's samples, starting at stream sample
+        ``start_sample``; every chosen symbol's kernel must lie inside it.
+        """
+        chosen = slice(first, last + 1)
+        if self._rows is None:
+            kernels = self._kernels(self._phases[chosen])
+        else:
+            kernels = self._rows[self._row_of[chosen]]
+        spans = sliding_window_view(envelope, kernels.shape[1])
+        spans = spans[self._first_sample[chosen] - start_sample]
+        return (spans[:, None, :] @ kernels[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -170,9 +302,8 @@ class OfdmSymbolReference:
 
 def windowed_evm(
     envelope: np.ndarray,
-    sample_rate: float,
-    window_start_time: float,
-    reference: SymbolReference,
+    start_sample: int,
+    table: SymbolKernelTable,
     min_symbols: int = 16,
 ) -> float | None:
     """RMS EVM (percent) of one measurement window, or ``None``.
@@ -180,14 +311,14 @@ def windowed_evm(
     Parameters
     ----------
     envelope:
-        Complex-envelope samples of the window (uniform at ``sample_rate``).
-    sample_rate:
-        Envelope sample rate (Hz).
-    window_start_time:
-        Stream time of ``envelope[0]`` (seconds), on the same clock as
-        ``reference.start_time``.
-    reference:
-        The known transmitted symbols and pulse shape.
+        Complex-envelope samples of the window (uniform at
+        ``table.sample_rate``).
+    start_sample:
+        Index of ``envelope[0]`` in the monitored stream, whose sample 0
+        sits at ``table.start_time``.
+    table:
+        The session's :class:`SymbolKernelTable`: the known transmitted
+        symbols and pulse shape, placed on the stream's clock.
     min_symbols:
         Windows demodulating fewer clean symbols than this return ``None``
         (too short / too close to the stream edges), which the drift
@@ -201,17 +332,18 @@ def windowed_evm(
     preserves window boundaries.
     """
     envelope = check_1d_array(envelope, "envelope", dtype=complex)
-    sample_rate = check_positive(sample_rate, "sample_rate")
+    start_sample = check_integer(start_sample, "start_sample", minimum=0)
     min_symbols = check_integer(min_symbols, "min_symbols", minimum=1)
+    if not isinstance(table, SymbolKernelTable):
+        raise ValidationError("table must be a SymbolKernelTable")
+    reference = table.reference
+    sample_rate = table.sample_rate
+    window_start_time = table.start_time + start_sample / sample_rate
 
-    taps = reference.pulse_taps
-    matched = np.convolve(envelope, np.conj(taps[::-1].astype(complex)))
-    group_delay = (taps.size - 1) // 2
-    matched = matched[group_delay : group_delay + envelope.size]
-
-    # Guard margin: half the matched filter span (its transient region at
-    # each window edge) plus the interpolator's half-width.
-    margin = (group_delay + _INTERPOLATION_TAPS) / sample_rate
+    # Guard margin: half the matched filter span plus the interpolator's
+    # width.  It keeps every chosen symbol's kernel at least 15 samples
+    # inside the window.
+    margin = ((reference.pulse_taps.size - 1) // 2 + _INTERPOLATION_TAPS) / sample_rate
     window_end_time = window_start_time + (envelope.size - 1) / sample_rate
     usable_low = window_start_time + margin
     usable_high = window_end_time - margin
@@ -226,16 +358,8 @@ def windowed_evm(
     if last - first + 1 < min_symbols:
         return None
 
-    indices = np.arange(first, last + 1)
-    symbol_times = reference.start_time + indices * symbol_period
-    received = sinc_interpolate(
-        matched,
-        sample_rate,
-        symbol_times,
-        start_time=window_start_time,
-        num_taps=_INTERPOLATION_TAPS,
-    )
-    sent = reference.symbols[indices]
+    received = table.demodulate(envelope, start_sample, first, last)
+    sent = reference.symbols[first : last + 1]
 
     denominator = np.vdot(received, received)
     if float(np.abs(denominator)) <= 0.0:

@@ -39,7 +39,13 @@ from ..utils.validation import (
 from ..utils.windows import make_window
 from .accumulator import StreamingAccumulator
 from .detector import DriftAlarm, DriftDetector, DriftDetectorConfig
-from .evm import OfdmSymbolReference, SymbolReference, windowed_evm, windowed_ofdm_evm
+from .evm import (
+    OfdmSymbolReference,
+    SymbolKernelTable,
+    SymbolReference,
+    windowed_evm,
+    windowed_ofdm_evm,
+)
 
 __all__ = [
     "ChannelSpec",
@@ -296,6 +302,12 @@ class StreamingMonitor:
             )
         self._config = config
         self._reference = reference
+        # Single-carrier EVM reads every window through one kernel table.
+        self._symbol_kernels = (
+            SymbolKernelTable(reference, config.sample_rate, config.start_time)
+            if isinstance(reference, SymbolReference)
+            else None
+        )
         self._detector = DriftDetector(config.detector, baseline=baseline)
         self._cumulative = StreamingAccumulator(
             config.sample_rate,
@@ -464,7 +476,6 @@ class StreamingMonitor:
         if not np.iscomplexobj(samples):
             return None, "EVM needs a complex-envelope stream (real passband ingested)"
         config = self._config
-        window_start_time = config.start_time + start_sample / config.sample_rate
         if isinstance(self._reference, OfdmSymbolReference):
             # min_evm_symbols counts demodulated constellation cells; one
             # whole OFDM symbol contributes num_subcarriers of them (and the
@@ -474,15 +485,14 @@ class StreamingMonitor:
             return windowed_ofdm_evm(
                 samples,
                 config.sample_rate,
-                window_start_time,
+                config.start_time + start_sample / config.sample_rate,
                 self._reference,
                 min_symbols=min_ofdm_symbols,
             )
         evm = windowed_evm(
             samples,
-            config.sample_rate,
-            window_start_time,
-            self._reference,
+            start_sample,
+            self._symbol_kernels,
             min_symbols=config.min_evm_symbols,
         )
         if evm is None:

@@ -27,7 +27,9 @@ def root_raised_cosine_taps(
 
     The cascade of two identical SRRC filters is (approximately, for a finite
     span) a raised-cosine Nyquist pulse, which is what matched-filter
-    receivers rely on.  Taps are normalised to unit energy.
+    receivers rely on.  Taps are normalised to unit energy.  The closed form
+    is 0/0 at ``t = 0`` and at ``|t| = 1/(4 alpha)`` (in symbols); those
+    taps take the pulse's limits there.
     """
     sps = check_integer(samples_per_symbol, "samples_per_symbol", minimum=1)
     span = check_integer(span_symbols, "span_symbols", minimum=1)
@@ -35,24 +37,26 @@ def root_raised_cosine_taps(
     num_taps = span * sps + 1
     t = (np.arange(num_taps) - (num_taps - 1) / 2.0) / sps
 
-    taps = np.zeros(num_taps, dtype=float)
     if alpha == 0.0:
         taps = np.sinc(t)
     else:
-        for i, ti in enumerate(t):
-            if np.isclose(ti, 0.0):
-                taps[i] = 1.0 - alpha + 4.0 * alpha / np.pi
-            elif np.isclose(abs(ti), 1.0 / (4.0 * alpha)):
-                taps[i] = (alpha / np.sqrt(2.0)) * (
-                    (1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * alpha))
-                    + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * alpha))
-                )
-            else:
-                numerator = np.sin(np.pi * ti * (1.0 - alpha)) + 4.0 * alpha * ti * np.cos(
-                    np.pi * ti * (1.0 + alpha)
-                )
-                denominator = np.pi * ti * (1.0 - (4.0 * alpha * ti) ** 2)
-                taps[i] = numerator / denominator
+        centre = np.isclose(t, 0.0)
+        edge = np.isclose(np.abs(t), 1.0 / (4.0 * alpha)) & ~centre
+        regular = ~(centre | edge)
+        tr = t[regular]
+        taps = np.empty(num_taps, dtype=float)
+        # float_power calls pow() per element, as a scalar ``**`` does; an
+        # array ``** 2`` multiplies instead and differs in the last bit of
+        # some taps.
+        taps[regular] = (
+            np.sin(np.pi * tr * (1.0 - alpha)) + 4.0 * alpha * tr * np.cos(np.pi * tr * (1.0 + alpha))
+        ) / (np.pi * tr * (1.0 - np.float_power(4.0 * alpha * tr, 2.0)))
+        taps[centre] = 1.0 - alpha + 4.0 * alpha / np.pi
+        if edge.any():  # pi / (4 alpha) overflows for a tiny alpha, which has no edge tap
+            taps[edge] = (alpha / np.sqrt(2.0)) * (
+                (1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * alpha))
+                + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * alpha))
+            )
     energy = np.sum(taps**2)
     return taps / np.sqrt(energy)
 
