@@ -3,7 +3,7 @@
 A homogeneous severity sweep (one profile, one fault axis) is the campaign
 compiler's best case: every scenario shares acquisition geometry, so the
 compiled path builds each reconstruction-plan structure once per group and
-evaluates dense measurement renders as stacked kernels, instead of paying
+evaluates every dense measurement render over it, instead of paying
 the per-scenario structure cost in every process-pool worker.  This
 benchmark measures the three execution paths on the same scenario list and
 hard-gates the contract:
@@ -96,7 +96,7 @@ def main() -> None:
     print(f"  pooled:   {pooled_seconds:6.2f} s ({POOL_WORKERS} workers, chunked submission)")
 
     compiled_seconds, compiled = timed_run(scenarios, config, compile=True)
-    print(f"  compiled: {compiled_seconds:6.2f} s (stacked kernels, shared structures)")
+    print(f"  compiled: {compiled_seconds:6.2f} s (shared structures)")
 
     # --- Correctness gates --------------------------------------------------
     assert_bit_identical(serial, pooled, "pooled")

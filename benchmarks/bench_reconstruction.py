@@ -13,9 +13,11 @@ document so the performance trajectory accumulates across PRs:
 * ``full_bist`` — ``TransmitterBist.run`` with the plan layer vs the same
   engine with every plan evaluation routed through the reference path;
 * ``dense_render`` — the paper-default record (400 samples) rendered over its
-  valid range at the spectrum rate (4 f_high) and at the single-carrier EVM
-  rate, through the plan (which shares one kernel row per distinct grid
-  offset) and through the reference path.
+  valid range at the spectrum rate (4 f_high), at the single-carrier EVM
+  rate and at the ``uhf-8psk-400mhz`` spectrum grid's ``fs/B`` (20162/81,
+  the most kernel rows of any shipped profile), through the plan (a
+  polyphase filter bank over one kernel row per distinct grid offset; plan
+  build and evaluate timed apart) and through the reference path.
 
 Every comparison also records the worst relative deviation between the two
 paths; the script exits non-zero if the single-eval, sweep or dense-render
@@ -59,6 +61,14 @@ BANDWIDTH_HZ = 90.0e6
 TRUE_DELAY_S = 180.0e-12
 NUM_TAPS = 60
 PAPER_NUM_SAMPLES = 400
+#: fs/B of the ``uhf-8psk-400mhz`` spectrum grid: 4 f_high / B at its 400 MHz
+#: carrier and 6.48 MHz acquisition band.  On the paper record it renders
+#: 20,163 kernel rows in 82 window groups, the worst case of any shipped
+#: profile.
+UHF_8PSK_RATE_OVER_B = 20162 / 81
+#: Points per ``reference_evaluate`` call when rendering the oracle; each
+#: point is evaluated on its own, so the split bounds memory only.
+REFERENCE_CHUNK_POINTS = 8192
 
 
 class _ReferenceSkewCost(SkewCostFunction):
@@ -284,25 +294,43 @@ def bench_full_bist(smoke: bool, repeats: int) -> dict:
     }
 
 
+DENSE_GRIDS = ("spectrum", "evm", "uhf-8psk")
+
+
 def bench_dense_render(repeats: int) -> dict:
     fast_set, _ = build_acquisitions(PAPER_NUM_SAMPLES)
     reconstructor = NonuniformReconstructor(fast_set, num_taps=NUM_TAPS)
     low, high = reconstructor.valid_time_range()
     envelope_rate = TransmitterConfig.paper_default().envelope_sample_rate
     evm_rate = np.ceil(4.0 * fast_set.band.f_high / envelope_rate) * envelope_rate
+    rates = (None, evm_rate, UHF_8PSK_RATE_OVER_B * fast_set.band.bandwidth)
     results = {}
-    for name, rate in (("spectrum", None), ("evm", evm_rate)):
+    for name, rate in zip(DENSE_GRIDS, rates):
         plan_s = best_of(lambda: render_uniform(reconstructor, low, high, rate), repeats)
         times, rendered, dense_rate = render_uniform(reconstructor, low, high, rate)
+        build_s = best_of(lambda: reconstructor.plan_for(times), repeats)
+        plan = reconstructor.plan_for(times)
+        evaluate_s = best_of(lambda: plan.evaluate(TRUE_DELAY_S, validate=False), repeats)
         start = time.perf_counter()
-        reference = reference_evaluate(fast_set, times, TRUE_DELAY_S, num_taps=NUM_TAPS)
+        reference = np.concatenate(
+            [
+                reference_evaluate(
+                    fast_set, times[first : first + REFERENCE_CHUNK_POINTS], TRUE_DELAY_S,
+                    num_taps=NUM_TAPS,
+                )
+                for first in range(0, times.size, REFERENCE_CHUNK_POINTS)
+            ]
+        )
         reference_s = time.perf_counter() - start
         results[name] = {
             "rate_hz": float(dense_rate),
             "num_times": int(times.size),
-            "kernel_rows": int(reconstructor.plan_for(times).structure.taper.shape[0]),
+            "kernel_rows": int(plan.structure.taper.shape[0]),
+            "window_groups": len(plan.structure.groups or ()),
             "reference_s": reference_s,
             "plan_s": plan_s,
+            "plan_build_s": build_s,
+            "plan_evaluate_s": evaluate_s,
             "speedup": reference_s / plan_s,
             "max_rel_deviation": relative_deviation(rendered, reference),
         }
@@ -356,12 +384,13 @@ def main(argv=None) -> int:
     print(f"full bist   : reference {results['full_bist']['reference_s'] * 1e3:8.2f} ms  "
           f"plan {results['full_bist']['plan_s'] * 1e3:8.2f} ms  "
           f"({results['full_bist']['speedup']:.1f}x)")
-    for name in ("spectrum", "evm"):
+    for name in DENSE_GRIDS:
         dense = results["dense_render"][name]
         print(f"dense {name:<8}: reference {dense['reference_s'] * 1e3:6.0f} ms  "
-              f"plan {dense['plan_s'] * 1e3:8.2f} ms  "
+              f"plan {dense['plan_s'] * 1e3:8.2f} ms = build {dense['plan_build_s'] * 1e3:.2f} ms"
+              f" + evaluate {dense['plan_evaluate_s'] * 1e3:.2f} ms  "
               f"({dense['num_times']} times, {dense['kernel_rows']} kernel rows, "
-              f"dev {dense['max_rel_deviation']:.1e})")
+              f"{dense['window_groups']} window groups, dev {dense['max_rel_deviation']:.1e})")
 
     with open(args.output, "w") as handle:
         json.dump(results, handle, indent=2)

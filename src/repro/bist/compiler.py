@@ -22,8 +22,8 @@ up:
    with one shared
    :class:`~repro.sampling.reconstruction.PlanStructureCache` (the LMS cost
    plans and dense-grid structures are built once per group instead of once
-   per scenario), the dense measurement renders are evaluated as stacked
-   kernels via :func:`~repro.sampling.reconstruction.evaluate_stacked`, and
+   per scenario), the dense measurement renders are evaluated chunk by
+   chunk via :func:`~repro.sampling.reconstruction.evaluate_stacked`, and
    each scenario's :meth:`~repro.bist.engine.TransmitterBist.finish` half
    turns its row into an ordinary :class:`~repro.bist.runner.ScenarioOutcome`.
 
@@ -55,15 +55,15 @@ from .runner import ScenarioOutcome, _ScenarioTask
 
 __all__ = ["CampaignCompiler", "CompilerStats", "GROUP_CHUNK_SCENARIOS"]
 
-#: Scenarios whose dense renders are stacked per kernel launch.  A dense
-#: single-carrier grid is 16k-24k times x 61 taps, ~8-12 MB per float64
-#: array of that shape.  Each scenario in a chunk pins a throwaway plan (one
-#: such array of weighted delayed-channel samples, plus a few more while it
-#: is built) and adds two rows to the stacked temporaries (its stacked
-#: samples and the kernel gathered from the structure's rows), so four rows
-#: keep the peak near a dozen such arrays.  The structure itself holds only
-#: the grid's distinct kernel rows and is shared by the whole group
-#: regardless of the chunking.
+#: Scenarios whose dense renders are evaluated per chunk.  A dense plan is a
+#: polyphase filter bank over the structure's shared kernel rows: it builds
+#: no ``(times, taps)`` array and pins only its zero-padded records and its
+#: on-grid dot products (four point-sized arrays for a two-term kernel),
+#: ~0.5-0.8 MB for a 16k-24k-point grid, so a chunk of four stays within a
+#: few MB beyond the structure.  The structure holds the grid's distinct
+#: kernel rows and is shared by the whole group regardless of the chunking,
+#: and each render is its own plan's ``evaluate``, so chunking changes no
+#: result.
 GROUP_CHUNK_SCENARIOS = 4
 
 
@@ -76,7 +76,7 @@ class CompilerStats:
     groups_formed:
         Homogeneous groups (size >= 2) the compiler batched.
     scenarios_batched:
-        Scenarios executed through stacked in-process kernels.
+        Scenarios executed in-process over shared plan structures.
     scenarios_pooled:
         Scenarios that fell back to the serial/process-pool path
         (heterogeneous remainder and singleton groups).
@@ -128,8 +128,8 @@ class CampaignCompiler:
 
     One compiler instance serves one :meth:`CampaignRunner.run` call: it
     owns the shared structure cache, executes the homogeneous groups in
-    stacked launches of :data:`GROUP_CHUNK_SCENARIOS` rows (chunking never
-    changes results), and accumulates the :class:`CompilerStats` the runner
+    chunks of :data:`GROUP_CHUNK_SCENARIOS` renders (chunking never changes
+    results), and accumulates the :class:`CompilerStats` the runner
     surfaces in the campaign summary.
     """
 

@@ -146,9 +146,9 @@ class BistStage:
     skew calibration and reconstructor construction; :meth:`TransmitterBist.finish`
     performs the measurement and evaluation.  The split exists for the
     campaign compiler: the dense measurement render — the dominant remaining
-    cost once plan structures are shared — can then be computed *across*
-    scenarios as one stacked kernel and handed back in through ``finish``'s
-    ``dense_render`` argument.  ``TransmitterBist.run`` is exactly
+    cost once plan structures are shared — can then be computed for a chunk
+    of scenarios over one shared structure and handed back in through
+    ``finish``'s ``dense_render`` argument.  ``TransmitterBist.run`` is exactly
     ``finish(prepare(burst))``.
     """
 
@@ -294,7 +294,7 @@ class TransmitterBist:
         ``dense_render`` optionally supplies the ``(times, samples, rate)``
         dense measurement render — exactly what the engine would compute via
         :meth:`dense_measurement_grid` — letting compiled campaigns evaluate
-        it as a stacked kernel across scenarios.  ``finish(prepare(burst))``
+        it over a structure shared across scenarios.  ``finish(prepare(burst))``
         with ``dense_render=None`` is bit-identical to the original
         single-shot ``run``.
         """
@@ -366,6 +366,7 @@ class TransmitterBist:
             SymbolReference,
             iter_blocks,
         )
+        from ..monitor.evm import _narrowest_evm_window
 
         if stage is None:
             stage = self.prepare(burst)
@@ -381,12 +382,20 @@ class TransmitterBist:
             stop_time=valid_high,
             envelope_rate=envelope_rate,
         )
+        reference = None
+        if config.measure_evm_enabled:
+            if stage.burst.config.ofdm is None:
+                reference = SymbolReference.from_transmission(stage.burst)
+            else:
+                reference = OfdmSymbolReference.from_transmission(stage.burst)
         if window_samples is None:
             window_samples = max(64, envelope.size // 8)
-            if config.measure_evm_enabled and stage.burst.config.ofdm is not None:
-                # An OFDM window only yields an EVM when it holds whole OFDM
-                # symbols plus the interpolation guards; widen the default so
-                # short paper-style acquisitions still measure a few symbols.
+            # A window only yields an EVM when it holds enough symbols inside
+            # the demodulator's edge guards; widen the default so short
+            # paper-style acquisitions still measure: whole OFDM symbols plus
+            # the interpolation guards, or min_evm_symbols single-carrier
+            # instants at any symbol phase.
+            if isinstance(reference, OfdmSymbolReference):
                 span = (
                     stage.burst.config.ofdm.symbol_length
                     * stage.burst.config.samples_per_symbol
@@ -394,6 +403,11 @@ class TransmitterBist:
                 window_samples = max(
                     window_samples, min(envelope.size, 3 * span + 64)
                 )
+            elif reference is not None:
+                needed = _narrowest_evm_window(
+                    reference, envelope_rate, MonitorConfig.min_evm_symbols
+                )
+                window_samples = max(window_samples, min(envelope.size, needed))
         if segment_length is None:
             segment_length = max(8, min(int(window_samples) // 4, 256))
         profile = self._profile
@@ -409,12 +423,6 @@ class TransmitterBist:
             detector=detector if detector is not None else DriftDetectorConfig(),
             start_time=float(times[0]),
         )
-        reference = None
-        if config.measure_evm_enabled:
-            if stage.burst.config.ofdm is None:
-                reference = SymbolReference.from_transmission(stage.burst)
-            else:
-                reference = OfdmSymbolReference.from_transmission(stage.burst)
         monitor = StreamingMonitor(monitor_config, reference=reference, baseline=baseline)
         monitor.ingest_stream(iter_blocks(envelope, block_samples))
         return monitor.report()
@@ -520,7 +528,7 @@ class TransmitterBist:
         The reconstruction is rendered onto the dense measurement grid once;
         the output power and the Welch spectrum are both computed from that
         single render (supplied externally via ``dense_render`` when a
-        compiled campaign evaluated it as part of a stacked kernel).  The
+        compiled campaign evaluated it through ``evaluate_stacked``).  The
         single-carrier EVM path needs a different grid rate and renders it
         separately, through its own plan.
         """

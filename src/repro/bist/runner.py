@@ -558,7 +558,7 @@ class CampaignRunner:
         ``compile=True`` routes the batch through the
         :class:`~repro.bist.compiler.CampaignCompiler`: fingerprint-adjacent
         scenarios (same effective profile/configuration geometry) execute
-        in-process as stacked kernels sharing reconstruction-plan structures,
+        in-process, sharing reconstruction-plan structures,
         while heterogeneous remainders fall back to this runner's normal
         serial/pool path.  Results are bit-identical either way; the
         returned execution carries the compiler's statistics.

@@ -300,6 +300,26 @@ class OfdmSymbolReference:
         )
 
 
+def _guard_samples(reference: SymbolReference) -> int:
+    """Samples :func:`windowed_evm` keeps clear of symbols at each window edge.
+
+    Half the matched filter span plus the interpolator's width: it keeps
+    every chosen symbol's kernel at least 15 samples inside the window.
+    """
+    return (reference.pulse_taps.size - 1) // 2 + _INTERPOLATION_TAPS
+
+
+def _narrowest_evm_window(reference: SymbolReference, sample_rate: float, min_symbols: int) -> int:
+    """Fewest samples a window needs for :func:`windowed_evm` at any symbol phase.
+
+    A window of ``n`` samples spans ``n - 1`` sample periods.  Inside its
+    guards that span must cover ``min_symbols`` symbol periods, so that it
+    holds ``min_symbols`` symbol instants wherever the window starts.
+    """
+    symbol_span = int(np.ceil(min_symbols * sample_rate / reference.symbol_rate_hz))
+    return 2 * _guard_samples(reference) + symbol_span + 1
+
+
 def windowed_evm(
     envelope: np.ndarray,
     start_sample: int,
@@ -340,10 +360,7 @@ def windowed_evm(
     sample_rate = table.sample_rate
     window_start_time = table.start_time + start_sample / sample_rate
 
-    # Guard margin: half the matched filter span plus the interpolator's
-    # width.  It keeps every chosen symbol's kernel at least 15 samples
-    # inside the window.
-    margin = ((reference.pulse_taps.size - 1) // 2 + _INTERPOLATION_TAPS) / sample_rate
+    margin = _guard_samples(reference) / sample_rate
     window_end_time = window_start_time + (envelope.size - 1) / sample_rate
     usable_low = window_start_time + margin
     usable_high = window_end_time - margin

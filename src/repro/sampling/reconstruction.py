@@ -15,25 +15,28 @@ taps and a Kaiser window).  This module provides:
   :mod:`repro.adc.tiadc`;
 * :class:`ReconstructionPlan` — the precompiled evaluator of Eq. (6): for a
   fixed ``(sample_set, evaluation_times, num_taps, window)`` it computes the
-  tap windows, validity mask, gathered sample pairs, taper and the
-  delay-independent kernel trigonometry **once**, then evaluates the
-  reconstruction for any assumed delay ``D_hat`` — including a batched
+  taper, the delay-independent kernel trigonometry and the on-grid
+  channel's contribution **once**, then evaluates the reconstruction for
+  any assumed delay ``D_hat`` — including a batched
   :meth:`ReconstructionPlan.evaluate_many` that adds a leading delay axis and
   amortises the kernel evaluation across candidate delays (the inner loop of
   the Section IV skew calibration).  The taper and trigonometry are built
   once per distinct kernel offset of the grid: a dense uniform render at
-  rate ``fs`` has only as many as the numerator of ``fs / B`` (plus one per
-  half-sample tie), while random instants get one per point;
+  rate ``fs`` has only as many as the numerator ``p`` of ``fs / B = p / q``
+  (plus one per half-sample tie), while random instants get one per point.
+  A dense render then evaluates as a polyphase filter bank: each group of
+  rows that shares a window base is one matmul of its kernels against one
+  strided window of the zero-padded record per grid period.  Random
+  instants gather each point's tap window instead;
 * :class:`PlanStructureCache` — shares the *sample-independent* half of a
-  plan (centre samples, taper, kernel trigonometry — the expensive part)
+  plan (tap windows, taper, kernel trigonometry — the expensive part)
   between plans whose acquisition geometry and evaluation grid coincide.
   Fingerprint-adjacent campaign scenarios (a severity sweep of one fault
   family) differ only in sample values, so the campaign compiler builds the
   structure once per group instead of once per scenario;
-* :func:`evaluate_stacked` — the cross-*scenario* analogue of
-  :meth:`~ReconstructionPlan.evaluate_many`: plans sharing one structure
-  evaluate as a single stacked kernel over a leading scenario axis,
-  bit-identical with evaluating each plan on its own;
+* :func:`evaluate_stacked` — evaluates many plans, one delay each, into one
+  array for the campaign compiler; row ``i`` is ``plans[i].evaluate`` by
+  construction;
 * :class:`NonuniformReconstructor` — a thin façade over
   :class:`ReconstructionPlan` keeping the original arbitrary-times API: it
   binds one assumed delay ``D_hat`` and builds a plan for each time grid it
@@ -53,6 +56,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ReconstructionError, ValidationError
 from ..signals.passband import AnalogSignal
@@ -229,14 +233,6 @@ class IdealNonuniformSampler:
 #: memory-bandwidth-bound and slower than a per-delay loop.
 _BATCH_ELEMENT_BUDGET = 72_000
 
-#: Upper bound on ``num_scenarios * num_times * num_taps`` elements per
-#: stacked-kernel launch of :func:`evaluate_stacked`.  The scenario axis
-#: batches *dense* grids (one row per scenario of a compiled campaign group),
-#: so the budget trades peak temporary memory against per-launch overhead
-#: rather than cache residency; chunk boundaries do not change results (each
-#: output row is computed independently inside the einsum).
-_STACK_ELEMENT_BUDGET = 4_000_000
-
 #: Sinc arguments smaller than this are evaluated through the Taylor series
 #: ``1 - (pi x)^2 / 6`` instead of the angle-addition quotient, whose absolute
 #: error (~1e-16 / (pi x)) would otherwise grow as the argument shrinks.
@@ -382,8 +378,8 @@ class _KernelTermCache:
 
 def _kernel_rows(
     times: np.ndarray, centre: np.ndarray, start: float, period: float
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Group grid points whose Eq. (6) kernels coincide: ``(first, row_index)``.
+) -> tuple[np.ndarray, np.ndarray, int, int] | None:
+    """Group grid points whose Eq. (6) kernels coincide: ``(first, row_index, p, q)``.
 
     A point's kernel depends only on its offset from its centre sample.  A
     uniform grid whose step is ``q/p`` sample periods repeats its offsets
@@ -398,10 +394,16 @@ def _kernel_rows(
       point's to within a few ulp of the grid's largest time, the noise of
       computing it directly.
 
-    Returns ``first`` (the index of each row's first point) and ``row_index``
-    (each point's row), or ``None`` when a check fails or the rows would not
-    be fewer than the points: random instants and arbitrary grids then get
-    one row per point.
+    The integer check proves that point ``i`` of row ``r`` is centred on
+    ``centre[first[r]] + (i // p - first[r] // p) q``, so its window starts
+    ``(i // p) q`` samples after a per-row base.  Rows are returned in
+    ascending order of that base.
+
+    Returns ``first`` (the index of each row's first point), ``row_index``
+    (each point's row) and the step's ``p`` and ``q``, or ``None`` when a
+    check fails, the step does not increase (``q <= 0``) or the rows would
+    not be fewer than the points: random instants and arbitrary grids then
+    get one row per point.
     """
     num_times = times.size
     if num_times < 2:
@@ -410,9 +412,12 @@ def _kernel_rows(
     if not abs(ratio) < 2**32:  # rejects nan and inf, and keeps k*q inside int64
         return None
     step = Fraction(ratio).limit_denominator(num_times - 1)
+    p, q = step.denominator, step.numerator
+    if q <= 0:
+        return None
     index = np.arange(num_times)
-    phase = index % step.denominator
-    residual = centre - centre[phase] - (index // step.denominator) * step.numerator
+    phase = index % p
+    residual = centre - centre[phase] - (index // p) * q
     if np.abs(residual).max() > 1:
         return None
     _, first, row_index = np.unique(3 * phase + residual, return_index=True, return_inverse=True)
@@ -422,7 +427,10 @@ def _kernel_rows(
     tolerance = 4.0 * np.spacing(np.abs(times).max() + abs(start))
     if np.abs(centre_argument - centre_argument[first][row_index]).max() > tolerance:
         return None
-    return first, row_index
+    order = np.argsort(centre[first] - (first // p) * q, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[row_index], p, q
 
 
 class _PlanStructure:
@@ -430,19 +438,37 @@ class _PlanStructure:
 
     Everything here depends only on the acquisition *geometry* (start time,
     period, record length, band) and the evaluation grid — not on the sample
-    values or the candidate delay: each point's centre sample, the Kaiser
+    values or the candidate delay: where each point's taps lie, the Kaiser
     (or other) taper and the kernel term trigonometry.  Fingerprint-adjacent
     campaign scenarios share all of it, which is what
     :class:`PlanStructureCache` exploits.
 
     The taper and trigonometry are tables with one row per distinct kernel
     offset (see :func:`_kernel_rows`) and ``num_taps + 1`` columns;
-    ``row_index`` maps each grid point to its row.  A dense uniform render
-    has few rows (419 for the paper's 15,790-point spectrum grid); any other
-    grid has one row per point, ``row_index`` is then the identity slice and
-    each row is its point's own window.  The structure holds no
-    ``(points, taps)`` array: plans derive each point's tap window and
-    validity from ``centre``.
+    ``row_index`` maps each grid point to its row.  There are two routes:
+
+    * *Row-shared* (every dense uniform render): few rows (419 for the
+      paper's 15,790-point spectrum grid), and the grid steps by ``q/p``
+      sample periods, so point ``i``'s tap window starts at
+      ``row_base[row_index[i]] + (i // p) q``.  Plans evaluate such a grid
+      as a polyphase filter bank (:meth:`polyphase_sums`): the rows fall
+      into ``groups`` by ``row_base`` (at most ``q + 2``), and each group
+      contracts its kernels against one strided window per grid period of
+      the zero-padded record.  Group ``(rows, windows, periods)`` lists the
+      group's table rows, its windows (indices into the windows of the
+      record padded by ``num_taps`` zeros on each side; only those that
+      overlap the record) and the grid periods those windows belong to;
+      ``point_index`` reads point ``i`` at ``(i // p, row_index[i])`` of
+      the ``(periods, rows)`` sums.
+    * *Per point* (random instants such as the LMS cost points, and any
+      grid that fails a check of :func:`_kernel_rows`): one row per point,
+      ``row_index`` is the identity slice and each row is its point's own
+      window, clipped to the record; ``step`` and the polyphase fields are
+      ``None``.  Plans gather each point's samples around its ``centre``
+      sample (``None`` on the row-shared route, which needs no centres
+      once its layout is built).
+
+    Neither route holds a ``(points, taps)`` array.
     """
 
     __slots__ = (
@@ -454,6 +480,11 @@ class _PlanStructure:
         "row_index",
         "taper",
         "terms",
+        "step",
+        "row_base",
+        "num_periods",
+        "groups",
+        "point_index",
         "num_elements",
     )
 
@@ -470,7 +501,9 @@ class _PlanStructure:
         half = num_taps // 2
         centre = np.round((times - start) / period).astype(np.int64)
         rows = _kernel_rows(times, centre, start, period)
-        first, row_index = rows if rows is not None else (slice(None), slice(None))
+        first = row_index = slice(None)
+        if rows is not None:
+            first, row_index, p, q = rows
         tap_index = centre[first, None] + np.arange(-half, half + 1)
         if rows is None:
             # One row per point: clip each window to the record as
@@ -515,15 +548,61 @@ class _PlanStructure:
         self.num_taps = num_taps
         self.window = window
         self.kaiser_beta = kaiser_beta
-        self.centre = centre
+        self.centre = centre if rows is None else None
         self.row_index = row_index
         self.taper = taper
         self.terms = tuple(terms)
-        held = [times, centre, taper]
+        self.step = self.row_base = self.num_periods = self.groups = self.point_index = None
+        held = [times, taper]
         held += [getattr(term, name) for term in terms for name in _KernelTermCache.TABLES]
-        if rows is not None:
-            held.append(row_index)
+        if rows is None:
+            held.append(centre)
+        else:
+            self._lay_out_polyphase(centre[first] - half - (first // p) * q, p, q, len(sample_set))
+            held += [row_index, self.row_base, self.point_index]
         self.num_elements = sum(array.size for array in held)
+
+    def _lay_out_polyphase(self, row_base, p, q, num_samples) -> None:
+        """Group the rows by window base and find each group's windows."""
+        num_taps = self.num_taps
+        num_rows = row_base.size
+        num_periods = (self.times.size - 1) // p + 1
+        bounds = [0, *(np.flatnonzero(np.diff(row_base)) + 1).tolist(), num_rows]
+        groups = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            base = int(row_base[lo])
+            # Periods k whose window [base + k q, base + k q + num_taps]
+            # overlaps the record [0, num_samples); the others sum zeros.
+            k_lo = max(0, -((num_taps + base) // q))
+            k_hi = min(num_periods, (num_samples - 1 - base) // q + 1)
+            if k_lo < k_hi:
+                first_window = base + k_lo * q + num_taps
+                windows = slice(first_window, first_window + (k_hi - k_lo) * q, q)
+                groups.append((slice(lo, hi), windows, slice(k_lo, k_hi)))
+        self.step = (p, q)
+        self.row_base = row_base
+        self.num_periods = num_periods
+        self.groups = tuple(groups)
+        self.point_index = (np.arange(self.times.size) // p) * num_rows + self.row_index
+
+    def polyphase_sums(self, padded: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+        """Eq. (6) tap sums of one channel against stacks of row kernels.
+
+        ``padded`` is the channel's record with ``num_taps`` zeros on each
+        side, which stand in for the taps that fall off the record.
+        ``kernels`` has shape ``(stacks, rows, num_taps + 1)``; the result
+        has shape ``(stacks, points)``.  Each group is one matmul of its
+        strided windows (one per grid period) against its rows' kernels; a
+        stack's sums never depend on the other stacks.
+        """
+        windows = sliding_window_view(padded, self.num_taps + 1)
+        sums = np.zeros((kernels.shape[0], self.num_periods, kernels.shape[1]))
+        for rows, group_windows, periods in self.groups:
+            # Windows q < num_taps + 1 samples apart overlap, a layout BLAS
+            # cannot read in place, so the group's few windows are packed.
+            block = np.ascontiguousarray(windows[group_windows])
+            sums[:, periods, rows] = block @ kernels[:, rows].transpose(0, 2, 1)
+        return sums.reshape(kernels.shape[0], -1)[:, self.point_index]
 
 
 def _structure_key(
@@ -537,7 +616,7 @@ def _structure_key(
 
     The grid enters through a cryptographic digest of its raw bytes, so two
     grids share a structure only when they are *bitwise* identical — the
-    contract the stacked kernel and the bit-identity gates rely on.
+    contract the compiled campaigns and the bit-identity gates rely on.
     """
     digest = hashlib.blake2b(times.tobytes(), digest_size=16).digest()
     return (
@@ -632,6 +711,19 @@ class ReconstructionPlan:
     delay then reduces to broadcast multiply-adds against the cached arrays
     plus a handful of scalar trigonometric calls.
 
+    The on-grid channel's tap sums are computed once, at construction; the
+    delayed channel's once per candidate delay.  How a plan sums taps
+    follows its structure's route (see :class:`_PlanStructure`):
+
+    * *row-shared* (dense uniform renders): a polyphase filter bank.  The
+      plan keeps each channel's record padded with ``num_taps`` zeros on
+      each side, which stand in for the taps off the record, and contracts
+      the row kernels (taper times trigonometry) against strided windows of
+      it; no ``(points, taps)`` array is built;
+    * *per point* (random instants such as the LMS cost points): the plan
+      gathers each point's tap window, masks the taps off the record and
+      keeps the tapered delayed-channel samples, ``(points, taps)``.
+
     Parameters
     ----------
     sample_set:
@@ -692,24 +784,36 @@ class ReconstructionPlan:
             if structure_cache is not None:
                 structure_cache.store(key, structure)
         self._structure = structure
-        half = num_taps // 2
-        tap_index = structure.centre[:, None] + np.arange(-half, half + 1)
-        valid = (tap_index >= 0) & (tap_index < len(sample_set))
-        clipped = np.clip(tap_index, 0, len(sample_set) - 1)
-        weight = np.where(valid, structure.taper[structure.row_index], 0.0)
-        weighted_on_grid = sample_set.on_grid[clipped] * weight
-        self._weighted_delayed = sample_set.delayed[clipped] * weight
         # The on-grid channel's only delay dependence is the scalar cot_phi
         # of each term, so its tap contraction folds into two delay-free dot
         # products per term; evaluating a candidate then reduces the channel
         # to (num_times,)-sized work instead of (num_times, num_taps).
-        self._on_grid_dots = tuple(
-            (
-                np.einsum("np,np->n", weighted_on_grid, term.on_grid_cos[structure.row_index]),
-                np.einsum("np,np->n", weighted_on_grid, term.on_grid_sin[structure.row_index]),
+        if structure.groups is None:
+            half = num_taps // 2
+            tap_index = structure.centre[:, None] + np.arange(-half, half + 1)
+            valid = (tap_index >= 0) & (tap_index < len(sample_set))
+            clipped = np.clip(tap_index, 0, len(sample_set) - 1)
+            weight = np.where(valid, structure.taper, 0.0)
+            weighted_on_grid = sample_set.on_grid[clipped] * weight
+            self._weighted_delayed = sample_set.delayed[clipped] * weight
+            self._on_grid_dots = tuple(
+                (
+                    np.einsum("np,np->n", weighted_on_grid, term.on_grid_cos),
+                    np.einsum("np,np->n", weighted_on_grid, term.on_grid_sin),
+                )
+                for term in structure.terms
             )
-            for term in structure.terms
-        )
+        else:
+            # Zero padding stands in for the taps off the record.
+            self._delayed_padded = np.pad(sample_set.delayed, num_taps)
+            tables = [
+                table for term in structure.terms for table in (term.on_grid_cos, term.on_grid_sin)
+            ]
+            kernels = np.empty((len(tables),) + structure.taper.shape)
+            for kernel, table in zip(kernels, tables):
+                np.multiply(structure.taper, table, out=kernel)
+            dots = structure.polyphase_sums(np.pad(sample_set.on_grid, num_taps), kernels)
+            self._on_grid_dots = tuple(zip(dots[0::2], dots[1::2]))
 
     # ------------------------------------------------------------------ #
     # Public attributes
@@ -770,7 +874,7 @@ class ReconstructionPlan:
     def evaluate_many(self, assumed_delays, validate: bool = True) -> np.ndarray:
         """Batched Eq. (6): one row of reconstructions per candidate delay.
 
-        Adds a leading delay axis to the kernel evaluation, so the gathered
+        Adds a leading delay axis to the kernel evaluation, so the plan's
         samples, taper and cached trigonometry are shared across all
         candidates; returns an array of shape ``(num_delays, num_times)``.
         The batch is processed in chunks along the delay axis to bound the
@@ -804,8 +908,11 @@ class ReconstructionPlan:
             else:
                 on_grid_total += on_grid
                 delayed_total += delayed
-        kernel = delayed_total[:, self._structure.row_index]
-        return on_grid_total + np.einsum("np,mnp->mn", self._weighted_delayed, kernel)
+        structure = self._structure
+        if structure.groups is None:
+            return on_grid_total + np.einsum("np,mnp->mn", self._weighted_delayed, delayed_total)
+        delayed_total *= structure.taper
+        return on_grid_total + structure.polyphase_sums(self._delayed_padded, delayed_total)
 
     def _validate_delay(self, delay: float) -> float:
         """Reject delays Eq. (3) forbids, mirroring the direct evaluator."""
@@ -814,17 +921,15 @@ class ReconstructionPlan:
 
 
 def evaluate_stacked(plans, assumed_delays, validate: bool = True) -> np.ndarray:
-    """Evaluate many plans — one delay each — as stacked kernels.
+    """Evaluate many plans, one delay each, into one array.
 
-    This is the cross-*scenario* analogue of
-    :meth:`ReconstructionPlan.evaluate_many`: where ``evaluate_many`` adds a
-    leading *delay* axis over one plan, this adds a leading *scenario* axis
-    over many plans.  Plans sharing one :class:`_PlanStructure` (built
-    through the same :class:`PlanStructureCache` over bitwise-identical
-    grids) evaluate through a single ``einsum("snp,snp->sn")`` launch per
-    chunk; plans with differing structures fall back to the per-plan path.
-    Both paths are bit-identical with calling ``plan.evaluate(delay)`` on
-    each plan individually.
+    The cross-*scenario* companion of :meth:`ReconstructionPlan.evaluate_many`
+    used by the campaign compiler: the plans of one compiled group share a
+    :class:`_PlanStructure` (built through one :class:`PlanStructureCache`),
+    so the expensive half is already paid once per group, and each plan's
+    render is a polyphase contraction of its own samples.  The plans are
+    evaluated one after another, so row ``i`` is
+    ``plans[i].evaluate(assumed_delays[i])`` by construction.
 
     Parameters
     ----------
@@ -865,37 +970,8 @@ def evaluate_stacked(plans, assumed_delays, validate: bool = True) -> np.ndarray
             plan._validate_delay(delay)
 
     out = np.empty((len(plans), num_times))
-    structure = plans[0]._structure
-    if any(plan._structure is not structure for plan in plans):
-        for index, plan in enumerate(plans):
-            out[index] = plan._evaluate_batch(delays[index : index + 1])[0]
-        return out
-
-    per_row = max(1, num_times * (structure.num_taps + 1))
-    chunk = max(1, _STACK_ELEMENT_BUDGET // per_row)
-    for start in range(0, len(plans), chunk):
-        rows = plans[start : start + chunk]
-        if len(rows) == 1:
-            out[start] = rows[0]._evaluate_batch(delays[start : start + 1])[0]
-            continue
-        weighted_delayed = np.stack([plan._weighted_delayed for plan in rows])
-        delay_column = delays[start : start + len(rows)].reshape(-1, 1, 1)
-        on_grid_total = None
-        delayed_total = None
-        for index, term in enumerate(structure.terms):
-            cot_phi = term.cot_phi(delay_column)
-            dot_cos = np.stack([plan._on_grid_dots[index][0] for plan in rows])
-            dot_sin = np.stack([plan._on_grid_dots[index][1] for plan in rows])
-            on_grid = dot_cos + cot_phi[:, :, 0] * dot_sin
-            delayed = term.delayed_contribution(delay_column, cot_phi)
-            if on_grid_total is None:
-                on_grid_total, delayed_total = on_grid, delayed
-            else:
-                on_grid_total += on_grid
-                delayed_total += delayed
-        out[start : start + len(rows)] = on_grid_total + np.einsum(
-            "snp,snp->sn", weighted_delayed, delayed_total[:, structure.row_index]
-        )
+    for index, plan in enumerate(plans):
+        out[index] = plan._evaluate_batch(delays[index : index + 1])[0]
     return out
 
 

@@ -45,7 +45,10 @@ __all__ = [
 #: profile payload and reports grew per-subcarrier OFDM metrics.
 #: v3: dense uniform renders evaluate the Eq. (6) kernel once per distinct
 #: grid offset, which moves report metrics in their last bits.
-SCHEMA_VERSION = 3
+#: v4: dense uniform renders evaluate Eq. (6) as a polyphase filter bank
+#: (kernel rows contracted against strided windows of the zero-padded
+#: record), which moves report metrics in their last bits.
+SCHEMA_VERSION = 4
 
 
 def canonical_json(payload) -> str:

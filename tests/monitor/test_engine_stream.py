@@ -34,6 +34,16 @@ class TestEngineStream:
         report = engine.stream(burst)
         assert report.alarms == ()
 
+    def test_single_carrier_default_window_measures_evm(self, engine_and_burst):
+        # The default window used to be an eighth of the ~900-sample
+        # envelope, too narrow to hold 16 symbols inside the demodulator's
+        # edge guards, so every window skipped EVM; it must now widen.
+        engine, burst = engine_and_burst
+        report = engine.stream(burst)
+        measured = [w for w in report.windows if w.evm_percent is not None]
+        assert measured
+        assert all(window.evm_percent < 5.0 for window in measured)
+
     def test_ofdm_default_window_holds_whole_symbols(self):
         # The default window used to shrink below one OFDM symbol span, so
         # every window skipped EVM; it must now widen to fit whole symbols.

@@ -21,6 +21,7 @@ from repro.dsp import sinc_interpolate
 from repro.dsp.metrics import error_vector_magnitude
 from repro.errors import ValidationError
 from repro.monitor import StreamingMonitor, SymbolKernelTable, SymbolReference, windowed_evm
+from repro.monitor.evm import _narrowest_evm_window
 from repro.signals import root_raised_cosine_taps
 from repro.signals.standards import get_profile
 from repro.transmitter import HomodyneTransmitter, TransmitterConfig
@@ -183,6 +184,30 @@ class TestKernelRows:
         reference = self.table(16.0).reference
         with pytest.raises(ValidationError):
             windowed_evm(np.ones(4096, dtype=complex), 0, reference)
+
+
+class TestNarrowestWindow:
+    @pytest.mark.parametrize("offset", PHASES)
+    def test_every_start_measures_and_one_sample_less_does_not(self, offset):
+        # The width TransmitterBist.stream() widens its default window to,
+        # for the paper's 161-tap SRRC at 16 samples per symbol.  With the
+        # instants on whole samples one sample less still holds 16 of them
+        # in exact arithmetic, but not at a fractional phase.
+        sample_rate = 16 * SYMBOL_RATE
+        reference = SymbolReference(
+            symbols=np.ones(300, dtype=complex),
+            symbol_rate_hz=SYMBOL_RATE,
+            pulse_taps=root_raised_cosine_taps(16, 10, 0.5),
+        )
+        table = SymbolKernelTable(reference, sample_rate, start_time=offset / sample_rate)
+        width = _narrowest_evm_window(reference, sample_rate, 16)
+        assert width == 2 * (80 + INTERPOLATION_TAPS) + 16 * 16 + 1
+        rng = np.random.default_rng(3)
+        envelope = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+        starts = range(1000, 1016)
+        assert all(windowed_evm(envelope, start, table) is not None for start in starts)
+        if offset % 1:
+            assert any(windowed_evm(envelope[:-1], start, table) is None for start in starts)
 
 
 class TestEvenTapCountPulses:

@@ -144,7 +144,7 @@ class TestEvaluateStacked:
             assert np.array_equal(row, plan.evaluate(delay))
 
     def test_unshared_structures_fall_back_bit_identically(self, fast_sample_set, grid):
-        # No cache: every plan owns its structure, forcing the per-plan path.
+        # No cache: every plan owns its structure.
         plans = [
             ReconstructionPlan(fast_sample_set, grid, num_taps=NUM_TAPS) for _ in range(3)
         ]

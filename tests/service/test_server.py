@@ -139,8 +139,12 @@ class TestClientTransport:
         with pytest.raises(ServiceError, match="cannot reach"):
             client.health()
 
-    def test_wait_times_out_with_service_error(self, service):
+    def test_wait_times_out_with_service_error(self, service, monkeypatch):
         job_id = service.submit(fast_spec())
-        with pytest.raises(ServiceError, match="still"):
-            service.wait(job_id, timeout_seconds=0.0, poll_seconds=0.01)
+        with monkeypatch.context() as patch:
+            # A fast job can finish before the first poll; a status that
+            # stays non-terminal makes the zero timeout certain to expire.
+            patch.setattr(service, "status", lambda job: {"job_id": job, "state": "running"})
+            with pytest.raises(ServiceError, match="still"):
+                service.wait(job_id, timeout_seconds=0.0, poll_seconds=0.01)
         service.wait(job_id, timeout_seconds=120.0)

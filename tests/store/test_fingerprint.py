@@ -128,20 +128,20 @@ class TestPayload:
 
 #: Hex digests pinned when scenario resolution moved into
 #: ``repro.bist.campaign.resolve_scenario``, re-pinned for ``SCHEMA_VERSION``
-#: 3.  A change here re-keys every archived store (all lookups go cold): bump
+#: 4.  A change here re-keys every archived store (all lookups go cold): bump
 #: ``SCHEMA_VERSION`` on purpose instead of editing a digest.
 PAPER = "paper-qpsk-1ghz"
 PINNED = {
     "paper-shared": (
         dict(scenario=CampaignScenario(profile=PAPER)),
-        "267c994b276145715c17ebe58dec2461e70e2883de32bf0f47f9b3a0308809a5",
+        "175677a7c325309d5920162f9c9b6d9ce6267a56ec48e461f835b5a5625b5916",
     ),
     "paper-per-scenario-seed": (
         dict(
             scenario=CampaignScenario(profile=PAPER),
             seed=derive_scenario_seed(BistConfig().seed, 2, PAPER),
         ),
-        "367c8021932a9b0564ec0b1585dbb8b243508b7988147a68b7160dfc62b25db7",
+        "e2b5595fcc1c19a8b1f9cf5f87c34298c70b96fab87ba55d102ae3c695f6dec2",
     ),
     "scenario-converter-spec": (
         dict(
@@ -150,7 +150,7 @@ PINNED = {
             ),
             seed=12345,
         ),
-        "d66d8d915e6afbe69f78540d13e7f6dbad9daddf2b9253bdd732a80e79a2f4a9",
+        "78d7ced1db035d7a53953cbf7baa882be86e18ce5466720c766de53935598f0a",
     ),
     "fault-model-impairment": (
         dict(
@@ -158,15 +158,15 @@ PINNED = {
                 profile=PAPER, impairments=pa_saturation_sweep([0.75])[0][1]
             )
         ),
-        "2300d047345788a3c7411e2ec75dcad3ad97292ed6bdeda4aa6d009a58b923b7",
+        "d66422bde55d2215a3aa3dede7cf2be844bc2a13bffd9639b740eafa29f91c0a",
     ),
     "ofdm-profile": (
         dict(scenario=CampaignScenario(profile="ofdm-uhf-qpsk-400mhz")),
-        "c56b863aa1bb4ebe0a9bc0697af1cbb3fd650a1d892218646f86264c3f21b183",
+        "dc534df1a16026ecf305af8f25fe787aa321861c666c3fb0f2298c4d81bb47e7",
     ),
     "explicit-num-symbols": (
         dict(scenario=CampaignScenario(profile="uhf-8psk-400mhz", num_symbols=256)),
-        "197952dee057190015ee04f32a4fd36f39d04dd6d178b6d18ee46b186da27bec",
+        "c115c848c94a83477dd55b0d7757b7f65fec0d8b3e320a128bcab3e0a1f208cb",
     ),
 }
 
