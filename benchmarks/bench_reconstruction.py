@@ -7,9 +7,12 @@ document so the performance trajectory accumulates across PRs:
   :func:`repro.sampling.reference_evaluate` (the pre-plan implementation,
   kept verbatim as the oracle) vs :meth:`ReconstructionPlan.evaluate`;
 * ``sweep`` — the Fig. 5 cost sweep: a per-candidate scalar loop over the
-  reference path vs the vectorised :meth:`SkewCostFunction.sweep`;
-* ``lms`` — a full Algorithm 1 skew estimation through the reference cost
-  vs the batched plan-backed estimator;
+  reference path vs the vectorised :meth:`SkewCostFunction.sweep`, whose
+  batched rows must equal per-delay :meth:`ReconstructionPlan.evaluate` bit
+  for bit;
+* ``lms`` — the two cost plans' build, timed on its own, and a full
+  Algorithm 1 skew estimation through the reference cost vs the batched
+  plan-backed estimator;
 * ``full_bist`` — ``TransmitterBist.run`` with the plan layer vs the same
   engine with every plan evaluation routed through the reference path;
 * ``dense_render`` — the paper-default record (400 samples) rendered over its
@@ -21,7 +24,8 @@ document so the performance trajectory accumulates across PRs:
 
 Every comparison also records the worst relative deviation between the two
 paths; the script exits non-zero if the single-eval, sweep or dense-render
-deviation exceeds ``--tolerance`` (1e-9).
+deviation exceeds ``--tolerance`` (1e-9), or if a batched sweep row differs
+from its per-delay evaluation in any bit.
 
 Run with::
 
@@ -211,6 +215,14 @@ def bench_sweep(fast_set, slow_set, cost_points: int, num_candidates: int, repea
     reference_s = best_of(lambda: reference_cost.sweep(candidates), repeats)
     plan_s = best_of(lambda: plan_cost.sweep(candidates), repeats)
     deviation = relative_deviation(plan_cost.sweep(candidates), reference_cost.sweep(candidates))
+    # A candidate's row must not depend on the candidates sharing its batch.
+    rows_identical = all(
+        np.array_equal(
+            plan.evaluate_many(candidates),
+            np.stack([plan.evaluate(candidate) for candidate in candidates]),
+        )
+        for plan in (plan_cost.plan_fast, plan_cost.plan_slow)
+    )
     return {
         "num_candidates": int(candidates.size),
         "num_times": int(plan_cost.evaluation_times.size),
@@ -218,13 +230,18 @@ def bench_sweep(fast_set, slow_set, cost_points: int, num_candidates: int, repea
         "plan_s": plan_s,
         "speedup": reference_s / plan_s,
         "max_rel_deviation_cost": deviation,
+        "batched_rows_bit_identical": rows_identical,
     }
 
 
 def bench_lms(fast_set, slow_set, cost_points: int, repeats: int) -> dict:
-    plan_cost = SkewCostFunction(
-        fast_set, slow_set, num_taps=NUM_TAPS, num_evaluation_points=cost_points, seed=20140324
-    )
+    def build_cost() -> SkewCostFunction:
+        return SkewCostFunction(
+            fast_set, slow_set, num_taps=NUM_TAPS, num_evaluation_points=cost_points, seed=20140324
+        )
+
+    cost_build_s = best_of(build_cost, repeats)
+    plan_cost = build_cost()
     reference_cost = _ReferenceSkewCost(
         fast_set,
         slow_set,
@@ -241,6 +258,7 @@ def bench_lms(fast_set, slow_set, cost_points: int, repeats: int) -> dict:
     plan_result = plan_estimator.estimate(start)
     reference_result = reference_estimator.estimate(start)
     return {
+        "cost_plan_build_s": cost_build_s,
         "reference_s": reference_s,
         "plan_s": plan_s,
         "speedup": reference_s / plan_s,
@@ -378,6 +396,8 @@ def main(argv=None) -> int:
           f"plan {results['sweep']['plan_s'] * 1e3:8.2f} ms  "
           f"({results['sweep']['speedup']:.1f}x, "
           f"dev {results['sweep']['max_rel_deviation_cost']:.1e})")
+    print(f"cost plans  : build {results['lms']['cost_plan_build_s'] * 1e3:8.2f} ms  "
+          f"(two plans over {results['sweep']['num_times']} instants)")
     print(f"lms estimate: reference {results['lms']['reference_s'] * 1e3:8.2f} ms  "
           f"plan {results['lms']['plan_s'] * 1e3:8.2f} ms  "
           f"({results['lms']['speedup']:.1f}x)")
@@ -405,6 +425,12 @@ def main(argv=None) -> int:
         print(
             f"ERROR: plan deviates from the reference path by {deviation:.3e} "
             f"(> {args.tolerance:.0e})",
+            file=sys.stderr,
+        )
+        return 1
+    if not results["sweep"]["batched_rows_bit_identical"]:
+        print(
+            "ERROR: a batched cost-sweep row differs from its per-delay evaluation",
             file=sys.stderr,
         )
         return 1

@@ -191,6 +191,12 @@ class SkewCostFunction:
     over the overrides otherwise — so subclasses never get silently
     inconsistent scalar-vs-batched costs.
 
+    Each plan folds its taper, samples and Eq. (2) kernel tables into one
+    delay-free array, so a candidate delay costs each plan one reciprocal
+    table ``1 / (v + D)`` and one matmul.  The search bound ``m`` is
+    computed once, and each candidate is checked against its two bands'
+    forbidden-delay spacings, which are cached per band.
+
     Parameters
     ----------
     sample_set_fast:
@@ -258,6 +264,9 @@ class SkewCostFunction:
             if times.ndim != 1 or times.size < 4:
                 raise ValidationError("evaluation_times must be a 1-D array of at least 4 instants")
         object.__setattr__(self, "evaluation_times", times)
+        object.__setattr__(
+            self, "_upper_bound", search_upper_bound(self.sample_set_fast, self.sample_set_slow)
+        )
         # Both reconstructions run over the same fixed evaluation instants for
         # every candidate delay, so the delay-independent work (tap indexing,
         # sample gathering, taper, kernel trigonometry) is compiled into one
@@ -289,8 +298,8 @@ class SkewCostFunction:
 
     @property
     def upper_bound(self) -> float:
-        """The search bound ``m`` for candidate delays."""
-        return search_upper_bound(self.sample_set_fast, self.sample_set_slow)
+        """The search bound ``m`` for candidate delays (computed once, at construction)."""
+        return self._upper_bound
 
     @property
     def plan_fast(self) -> ReconstructionPlan:

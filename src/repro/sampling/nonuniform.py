@@ -30,6 +30,7 @@ delays are rejected by :func:`check_delay`.  The magnitude-optimal delay is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,6 +69,20 @@ def integer_band_positioning(band: BandpassBand) -> bool:
     return bool(np.isclose(ratio, np.round(ratio), rtol=0.0, atol=1e-9))
 
 
+@lru_cache(maxsize=256)
+def _forbidden_spacings(band: BandpassBand) -> tuple[tuple[int, float], ...]:
+    """``(order, T / order)`` of each forbidden-delay family of Eq. (3).
+
+    The ``T/k`` family applies unless the band is integer-positioned, the
+    ``T/(k+1)`` family always.  Cached per band (a frozen, hashable value):
+    the skew search checks every candidate delay against the same two bands.
+    """
+    k, k_plus = band_order(band)
+    period = 1.0 / band.bandwidth
+    orders = (k_plus,) if integer_band_positioning(band) else (k, k_plus)
+    return tuple((order, period / order) for order in orders)
+
+
 def forbidden_delays(band: BandpassBand, max_delay: float) -> np.ndarray:
     """All delays in ``(0, max_delay]`` forbidden by Eq. (3).
 
@@ -77,14 +92,9 @@ def forbidden_delays(band: BandpassBand, max_delay: float) -> np.ndarray:
     applicable because ``s0`` is identically zero).
     """
     max_delay = check_positive(max_delay, "max_delay")
-    k, k_plus = band_order(band)
-    period = 1.0 / band.bandwidth
     delays: list[float] = []
-    if not integer_band_positioning(band):
-        step = period / k
+    for _, step in _forbidden_spacings(band):
         delays.extend(np.arange(step, max_delay + step / 2.0, step))
-    step = period / k_plus
-    delays.extend(np.arange(step, max_delay + step / 2.0, step))
     return np.unique(np.round(np.asarray(delays, dtype=float), 18))
 
 
@@ -136,11 +146,7 @@ def check_delay(
     delay = float(delay)
     if not np.isfinite(delay) or delay <= 0.0:
         raise DelayConstraintError(f"delay must be strictly positive, got {delay!r}")
-    k, k_plus = band_order(band)
-    period = 1.0 / band.bandwidth
-    families = [k_plus] if integer_band_positioning(band) else [k, k_plus]
-    for order in families:
-        spacing = period / order
+    for order, spacing in _forbidden_spacings(band):
         distance = abs(delay / spacing - round(delay / spacing))
         if distance < tolerance:
             raise DelayConstraintError(

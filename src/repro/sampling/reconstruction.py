@@ -15,17 +15,22 @@ taps and a Kaiser window).  This module provides:
   :mod:`repro.adc.tiadc`;
 * :class:`ReconstructionPlan` — the precompiled evaluator of Eq. (6): for a
   fixed ``(sample_set, evaluation_times, num_taps, window)`` it computes the
-  taper, the delay-independent kernel trigonometry and the on-grid
-  channel's contribution **once**, then evaluates the reconstruction for
-  any assumed delay ``D_hat`` — including a batched
-  :meth:`ReconstructionPlan.evaluate_many` that adds a leading delay axis and
-  amortises the kernel evaluation across candidate delays (the inner loop of
-  the Section IV skew calibration).  The taper and trigonometry are built
-  once per distinct kernel offset of the grid: a dense uniform render at
-  rate ``fs`` has only as many as the numerator ``p`` of ``fs / B = p / q``
-  (plus one per half-sample tie), while random instants get one per point.
-  A dense render then evaluates as a polyphase filter bank: each group of
-  rows that shares a window base is one matmul of its kernels against one
+  taper, the delay-independent kernel tables and the on-grid channel's
+  contribution **once**, then evaluates the reconstruction for any assumed
+  delay ``D_hat`` — including a batched
+  :meth:`ReconstructionPlan.evaluate_many` that adds a leading delay axis
+  (the inner loop of the Section IV skew calibration).  The Eq. (2) kernel
+  tables are factored by angle addition along both of their axes: every
+  kernel argument is a row offset plus a tap offset, so each table costs
+  ``rows + taps`` sines and cosines; and the delayed channel's kernel at
+  ``v + D`` is four delay-free tables per term times scalars of ``D``,
+  over one shared ``v + D``, so a candidate delay costs one reciprocal
+  table and one contraction.  The tables are built once per distinct
+  kernel offset of the grid: a dense uniform render at rate ``fs`` has
+  only as many as the numerator ``p`` of ``fs / B = p / q`` (plus one per
+  half-sample tie), while random instants get one per point.  A dense
+  render then evaluates as a polyphase filter bank: each group of rows
+  that shares a window base is one matmul of its kernels against one
   strided window of the zero-padded record per grid period.  Random
   instants gather each point's tap window instead;
 * :class:`PlanStructureCache` — shares the *sample-independent* half of a
@@ -228,14 +233,18 @@ class IdealNonuniformSampler:
 
 #: Upper bound on ``num_delays * num_times * num_taps`` elements materialised
 #: at once by :meth:`ReconstructionPlan.evaluate_many`.  Larger batches are
-#: processed in chunks along the delay axis: the broadcast temporaries must
-#: stay cache-resident (a few hundred kB each) or the batch becomes
-#: memory-bandwidth-bound and slower than a per-delay loop.
-_BATCH_ELEMENT_BUDGET = 72_000
+#: processed in chunks along the delay axis: the ``1 / (v + D)`` block (and,
+#: on a dense render, the kernels built from it) must stay cache-resident or
+#: the batch becomes memory-bandwidth-bound.  On the 300-point, 61-tap cost
+#: plans this is 16 delays a chunk.  A 128-candidate ``evaluate_many`` on one
+#: cost plan took the same 12-17 ms at 4 to 64 delays a chunk, and 21-27 ms
+#: in one chunk of 128 (2-CPU container).
+_BATCH_ELEMENT_BUDGET = 300_000
 
-#: Sinc arguments smaller than this are evaluated through the Taylor series
-#: ``1 - (pi x)^2 / 6`` instead of the angle-addition quotient, whose absolute
-#: error (~1e-16 / (pi x)) would otherwise grow as the argument shrinks.
+#: Sinc arguments smaller than this are evaluated exactly (``np.sinc``, or
+#: the Taylor series ``1 - (pi x)^2 / 6`` for the on-grid tables) instead of
+#: as an angle-addition quotient, whose absolute error (~1e-16 / (pi x))
+#: would otherwise grow as the argument shrinks.
 _SINC_SERIES_THRESHOLD = 1.0e-6
 
 
@@ -255,36 +264,63 @@ def _sinc_from_parts(sin_pi_x, x):
     return out
 
 
+def _angle_tables(rate: float, row: np.ndarray, tap: np.ndarray):
+    """``sin`` and ``cos`` of ``rate * (row[:, None] + tap)`` by angle addition.
+
+    Every kernel argument of a structure is a row offset plus a tap offset,
+    so each ``(rows, taps)`` table costs ``rows + taps`` sines and cosines
+    and four products, instead of ``rows * taps`` of each.
+    """
+    row_angle = rate * row
+    tap_angle = rate * tap
+    sin_row = np.sin(row_angle)[:, None]
+    cos_row = np.cos(row_angle)[:, None]
+    sin_tap = np.sin(tap_angle)
+    cos_tap = np.cos(tap_angle)
+    sine = sin_row * cos_tap
+    sine += cos_row * sin_tap
+    cosine = cos_row * cos_tap
+    cosine -= sin_row * sin_tap
+    return sine, cosine
+
+
 class _KernelTermCache:
-    """Delay-independent trigonometry of one Kohlenberg kernel term.
+    """Delay-independent tables of one Kohlenberg kernel term.
 
     Each of the two terms of Eq. (2) has the shape
 
         ``s_i(t; D) = scale * sinc(c_env * t)
-                      * (cos(c_osc * t) - sin(c_osc * t) * cot(order*pi*B*D))``
+                      * (cos(c_osc * t) - sin(c_osc * t) * cot(phi))``
 
-    (the cancellation-free product form of :class:`KohlenbergKernel`, with the
-    delay-dependent ``sin(. - phi)/sin(phi)`` quotient expanded through the
-    angle-addition identity).  Reconstruction evaluates the term at the two
-    argument families ``-v`` (on-grid) and ``v + D`` (delayed channel), where
-    ``v = nT - t`` is fixed by the plan.  All trigonometry of ``v`` is
-    computed here once per structure; per candidate delay only scalar
-    sines/cosines of ``D`` remain, broadcast against the cached arrays.
+    with ``phi = order * pi * B * D`` (the cancellation-free product form of
+    :class:`KohlenbergKernel`, with the delay-dependent
+    ``sin(. - phi) / sin(phi)`` quotient expanded by angle addition).
+    Reconstruction evaluates the term at the two argument families ``-v``
+    (on-grid channel) and ``v + D`` (delayed channel), where ``v = nT - t``
+    is fixed by the plan structure.
+
+    * On-grid: sinc is even and ``cos(c_osc v)``, ``-sin(c_osc v)`` are the
+      cosine and sine at ``-v``, so the term is ``on_grid_cos + on_grid_sin
+      * cot(phi)``.
+    * Delayed: angle addition in ``D`` gives
+
+          ``s_i(v + D) = sum_c factor_c(D) * delayed[c] / (v + D)``
+
+      over four delay-free tables, ``delayed = scale / (pi c_env) *
+      [sin_env cos_osc, sin_env sin_osc, cos_env cos_osc, cos_env sin_osc]``,
+      and four scalars of ``D`` (:meth:`_PlanStructure.delay_factors`).
     """
 
-    #: The cached arrays, each with one value per entry of ``v``.
-    TABLES = (
-        "sin_osc",
-        "cos_osc",
-        "sin_env",
-        "cos_env",
-        "env_argument",
-        "sorted_env",
+    __slots__ = (
+        "order",
+        "scale",
+        "c_osc",
+        "c_env",
+        "c_phi",
         "on_grid_cos",
         "on_grid_sin",
+        "delayed",
     )
-
-    __slots__ = ("order", "scale", "c_osc", "c_env", "c_phi") + TABLES
 
     def __init__(
         self,
@@ -293,6 +329,8 @@ class _KernelTermCache:
         oscillation_hz: float,
         envelope_hz: float,
         bandwidth: float,
+        row: np.ndarray,
+        tap: np.ndarray,
         v: np.ndarray,
     ) -> None:
         self.order = int(order)
@@ -300,80 +338,29 @@ class _KernelTermCache:
         self.c_osc = np.pi * oscillation_hz
         self.c_env = float(envelope_hz)
         self.c_phi = self.order * np.pi * bandwidth
-        oscillation = self.c_osc * v
-        self.sin_osc = np.sin(oscillation)
-        self.cos_osc = np.cos(oscillation)
-        envelope_phase = np.pi * self.c_env * v
-        self.sin_env = np.sin(envelope_phase)
-        self.cos_env = np.cos(envelope_phase)
-        self.env_argument = self.c_env * v
-        # Sorted copy so delayed_contribution can detect the rare near-singular
-        # sinc arguments with an O(m log np) interval query instead of a
-        # full-size |argument| scan per delay batch.
-        self.sorted_env = np.sort(self.env_argument, axis=None)
-        # On-grid kernel argument is -v: sinc is even, cos(c_osc*(-v)) is
-        # cos_osc and sin(c_osc*(-v)) is -sin_osc, so the on-grid term reduces
-        # to (on_grid_cos + on_grid_sin * cot(phi)) with these two constants.
-        scaled_envelope = self.scale * _sinc_from_parts(self.sin_env, self.env_argument)
-        self.on_grid_cos = scaled_envelope * self.cos_osc
-        self.on_grid_sin = scaled_envelope * self.sin_osc
+        sin_osc, cos_osc = _angle_tables(self.c_osc, row, tap)
+        sin_env, cos_env = _angle_tables(np.pi * self.c_env, row, tap)
+        scaled_envelope = self.scale * _sinc_from_parts(sin_env, self.c_env * v)
+        self.on_grid_cos = scaled_envelope * cos_osc
+        self.on_grid_sin = scaled_envelope * sin_osc
+        sin_env *= self.scale / (np.pi * self.c_env)
+        cos_env *= self.scale / (np.pi * self.c_env)
+        # Four (rows, taps) tables, in the order of the delay factors.
+        self.delayed = (
+            sin_env * cos_osc,
+            sin_env * sin_osc,
+            cos_env * cos_osc,
+            cos_env * sin_osc,
+        )
 
-    def cot_phi(self, delay_column):
-        """``cot(order * pi * B * D)`` for a column of delays (same shape)."""
-        phi = self.c_phi * delay_column
-        return np.cos(phi) / np.sin(phi)
-
-    def delayed_contribution(self, delay_column, cot_phi):
-        """Kernel values at ``v + D`` for a column of delays.
-
-        ``delay_column`` and ``cot_phi`` have shape ``(m, 1, 1)``; the result
-        broadcasts to ``(m, rows, taps)``, one row per distinct kernel offset
-        of the structure.  The on-grid channel has
-        no array-sized counterpart here: its delay dependence is the scalar
-        ``cot_phi`` alone, so plans fold it into precomputed dot products
-        (see :attr:`ReconstructionPlan._on_grid_dots`).
-        """
-        alpha = self.c_osc * delay_column
-        sin_alpha = np.sin(alpha)
-        cos_alpha = np.cos(alpha)
-        # cos(osc + alpha) - sin(osc + alpha) * cot_phi, regrouped so the
-        # delay-only factors combine as (m, 1, 1) scalars before touching the
-        # (rows, taps) tables.
-        on_grid_factor = cos_alpha - cot_phi * sin_alpha
-        quadrature_factor = sin_alpha + cot_phi * cos_alpha
-        gamma = np.pi * self.c_env * delay_column
-        cos_gamma = np.cos(gamma)
-        sin_gamma = np.sin(gamma)
-        # This is the inner loop of both the LMS search and the stacked dense
-        # renders, so the scalar ``scale`` folds into the (m, 1, 1) gamma
-        # factors and every full-size array after the first is written in
-        # place.
-        combined = on_grid_factor * self.cos_osc
-        combined -= quadrature_factor * self.sin_osc
-        numerator = self.sin_env * (self.scale * cos_gamma)
-        numerator += self.cos_env * (self.scale * sin_gamma)
-        numerator *= combined
-        argument = self.env_argument + self.c_env * delay_column
-        # |env + c_env*D| < threshold <=> env falls inside a +-threshold
-        # interval around -c_env*D; the sorted table answers that for every
-        # delay without scanning the (m, rows, taps) block.  The
-        # closed-interval searchsorted bounds overcount the open condition,
-        # which only means the exact masked path runs when it did not have to.
-        targets = -(self.c_env * delay_column).ravel()
-        lower = np.searchsorted(self.sorted_env, targets - _SINC_SERIES_THRESHOLD, "left")
-        upper = np.searchsorted(self.sorted_env, targets + _SINC_SERIES_THRESHOLD, "right")
-        if np.any(upper > lower):
-            # Rare: a grid point lands within ~1e-6 / c_env of a delayed
-            # sample time, so the quotient is replaced by its Taylor series.
-            small = np.abs(argument) < _SINC_SERIES_THRESHOLD
-            argument *= np.pi
-            taylor = self.scale * (1.0 - argument[small] ** 2 / 6.0) * combined[small]
-            np.divide(numerator, argument, out=numerator, where=~small)
-            numerator[small] = taylor
-        else:
-            argument *= np.pi
-            numerator /= argument
-        return numerator
+    def exact(self, argument: np.ndarray, cot_phi: np.ndarray) -> np.ndarray:
+        """The term at ``argument`` in product form (``np.sinc`` handles zero)."""
+        oscillation = self.c_osc * argument
+        return (
+            self.scale
+            * np.sinc(self.c_env * argument)
+            * (np.cos(oscillation) - np.sin(oscillation) * cot_phi)
+        )
 
 
 def _kernel_rows(
@@ -439,13 +426,27 @@ class _PlanStructure:
     Everything here depends only on the acquisition *geometry* (start time,
     period, record length, band) and the evaluation grid — not on the sample
     values or the candidate delay: where each point's taps lie, the Kaiser
-    (or other) taper and the kernel term trigonometry.  Fingerprint-adjacent
+    (or other) taper and the kernel term tables.  Fingerprint-adjacent
     campaign scenarios share all of it, which is what
     :class:`PlanStructureCache` exploits.
 
-    The taper and trigonometry are tables with one row per distinct kernel
-    offset (see :func:`_kernel_rows`) and ``num_taps + 1`` columns;
-    ``row_index`` maps each grid point to its row.  There are two routes:
+    The kernel arguments ``v``, the taper and the kernel tables have one row
+    per distinct kernel offset (see :func:`_kernel_rows`) and
+    ``num_taps + 1`` columns; ``row_index`` maps each grid point to its row.
+    The tables are factored by angle addition along both axes:
+
+    * *taps*: entry ``(r, j)`` has argument ``v = u_r + tau_j``, the offset
+      of row ``r``'s centre sample from its point plus the tap's offset
+      ``(j - nw/2) T``, so each sine or cosine table costs ``rows + taps``
+      trigonometric values (:func:`_angle_tables`);
+    * *delay*: each term keeps two on-grid tables and four delay-free
+      delayed-channel tables (:class:`_KernelTermCache`).  A candidate delay
+      then needs a few scalars per term (:meth:`delay_factors`) and one
+      table ``1 / (v + D)`` shared by the terms (:meth:`reciprocal`), whose
+      rare entries at the sinc's removable singularity are found from
+      ``sorted_v`` and evaluated in product form (:meth:`exact_kernel`).
+
+    There are two routes:
 
     * *Row-shared* (every dense uniform render): few rows (419 for the
       paper's 15,790-point spectrum grid), and the grid steps by ``q/p``
@@ -463,12 +464,10 @@ class _PlanStructure:
     * *Per point* (random instants such as the LMS cost points, and any
       grid that fails a check of :func:`_kernel_rows`): one row per point,
       ``row_index`` is the identity slice and each row is its point's own
-      window, clipped to the record; ``step`` and the polyphase fields are
-      ``None``.  Plans gather each point's samples around its ``centre``
-      sample (``None`` on the row-shared route, which needs no centres
-      once its layout is built).
-
-    Neither route holds a ``(points, taps)`` array.
+      window; ``step`` and the polyphase fields are ``None``.  Plans gather
+      each point's samples around its ``centre`` sample (``None`` on the
+      row-shared route, which needs no centres once its layout is built) and
+      give the taps off the record zero weight.
     """
 
     __slots__ = (
@@ -480,6 +479,10 @@ class _PlanStructure:
         "row_index",
         "taper",
         "terms",
+        "delay_rates",
+        "v",
+        "sorted_v",
+        "singular_radius",
         "step",
         "row_base",
         "num_periods",
@@ -504,15 +507,15 @@ class _PlanStructure:
         first = row_index = slice(None)
         if rows is not None:
             first, row_index, p, q = rows
-        tap_index = centre[first, None] + np.arange(-half, half + 1)
-        if rows is None:
-            # One row per point: clip each window to the record as
-            # reference_evaluate does (plans mask the clipped taps to zero).
-            tap_index = np.clip(tap_index, 0, len(sample_set) - 1)
 
-        # v = nT - t: the on-grid kernel argument is -v, the delayed-channel
-        # argument is v + D_hat for any candidate delay D_hat.
-        v = (start + tap_index * period) - times[first, None]
+        # v = nT - t = row + tap: each row's centre sample minus its point,
+        # plus each tap's offset (j - nw/2) T from the centre.  The on-grid
+        # kernel argument is -v, the delayed-channel argument v + D_hat for
+        # any candidate delay D_hat.  Taps off the record keep their
+        # unclipped argument; plans give them zero weight.
+        row = (start + centre[first] * period) - times[first]
+        tap = np.arange(-half, half + 1) * period
+        v = row[:, None] + tap
         taper = evaluate_taper(window, v / (half * period + period), kaiser_beta=kaiser_beta)
 
         band = sample_set.band
@@ -530,6 +533,8 @@ class _PlanStructure:
                     oscillation_hz=f_mirror + f_low,
                     envelope_hz=f_mirror - f_low,
                     bandwidth=bandwidth,
+                    row=row,
+                    tap=tap,
                     v=v,
                 )
             )
@@ -540,6 +545,8 @@ class _PlanStructure:
                 oscillation_hz=f_high + f_mirror,
                 envelope_hz=f_high - f_mirror,
                 bandwidth=bandwidth,
+                row=row,
+                tap=tap,
                 v=v,
             )
         )
@@ -552,9 +559,20 @@ class _PlanStructure:
         self.row_index = row_index
         self.taper = taper
         self.terms = tuple(terms)
+        # Per term: the rates of phi = order pi B D, alpha and gamma.
+        self.delay_rates = np.array(
+            [[term.c_phi, term.c_osc, np.pi * term.c_env] for term in terms]
+        ).T
+        self.v = v
+        # One sorted copy of v finds, for every delay of a batch, whether any
+        # entry sits within the sinc's Taylor threshold of v + D = 0 (for any
+        # term) without scanning the (delays, rows, taps) block.
+        self.sorted_v = np.sort(v, axis=None)
+        self.singular_radius = _SINC_SERIES_THRESHOLD / min(term.c_env for term in terms)
         self.step = self.row_base = self.num_periods = self.groups = self.point_index = None
-        held = [times, taper]
-        held += [getattr(term, name) for term in terms for name in _KernelTermCache.TABLES]
+        held = [times, taper, v, self.sorted_v]
+        held += [table for term in terms for table in (term.on_grid_cos, term.on_grid_sin)]
+        held += self.delayed_tables()
         if rows is None:
             held.append(centre)
         else:
@@ -604,6 +622,75 @@ class _PlanStructure:
             sums[:, periods, rows] = block @ kernels[:, rows].transpose(0, 2, 1)
         return sums.reshape(kernels.shape[0], -1)[:, self.point_index]
 
+    def delay_factors(self, delays: np.ndarray):
+        """Per-delay scalars of every term: ``cot(phi)``, ``(terms, m)``, and the
+        factors of :meth:`delayed_tables`, ``(m, 4 terms)``.
+
+        ``cos(c_osc (v + D)) - sin(c_osc (v + D)) cot(phi)`` is
+        ``cos_osc F - sin_osc Q`` with ``F = cos(alpha) - cot(phi) sin(alpha)``
+        and ``Q = sin(alpha) + cot(phi) cos(alpha)``, ``alpha = c_osc D``;
+        ``sin(pi c_env (v + D))`` is ``sin_env cos(gamma) + cos_env sin(gamma)``,
+        ``gamma = pi c_env D``.  Their product pairs each of a term's four
+        tables with one factor: ``cos(gamma) F``, ``-cos(gamma) Q``,
+        ``sin(gamma) F`` and ``-sin(gamma) Q``.
+        """
+        phase_rate, oscillation_rate, envelope_rate = self.delay_rates
+        column = delays[:, None]
+        phi = phase_rate * column
+        cot_phi = np.cos(phi) / np.sin(phi)
+        alpha = oscillation_rate * column
+        sin_alpha = np.sin(alpha)
+        cos_alpha = np.cos(alpha)
+        in_phase = cos_alpha - cot_phi * sin_alpha
+        quadrature = sin_alpha + cot_phi * cos_alpha
+        gamma = envelope_rate * column
+        cos_gamma = np.cos(gamma)
+        sin_gamma = np.sin(gamma)
+        factors = np.stack(
+            [
+                cos_gamma * in_phase,
+                -cos_gamma * quadrature,
+                sin_gamma * in_phase,
+                -sin_gamma * quadrature,
+            ],
+            axis=-1,
+        )
+        return cot_phi.T, factors.reshape(delays.size, -1)
+
+    def delayed_tables(self):
+        """The delay-free numerator tables of every term, in factor order."""
+        return [table for term in self.terms for table in term.delayed]
+
+    def reciprocal(self, delays: np.ndarray):
+        """``1 / (v + D)`` of each delay, ``(m, rows, taps)``, and the entries it leaves out.
+
+        Entries within the sinc's Taylor threshold of ``v + D = 0`` cannot
+        be evaluated as a quotient: their reciprocal is zeroed before it is
+        taken (so no inf or NaN reaches a contraction) and they are returned
+        as ``None`` or ``(delay, row, tap, v + D)`` index and argument arrays,
+        for :meth:`exact_kernel`.  Each delay's entries depend on that delay
+        alone, not on the batch it shares.
+        """
+        arguments = self.v + delays[:, None, None]
+        lower = np.searchsorted(self.sorted_v, -delays - self.singular_radius, "left")
+        upper = np.searchsorted(self.sorted_v, -delays + self.singular_radius, "right")
+        singular = None
+        if np.any(upper > lower):
+            # Rare: a point lies within ~1e-6 / c_env of a delayed sample.
+            # The closed-interval bounds overcount; this scan decides.
+            flat = arguments.reshape(-1)
+            index = np.flatnonzero(np.abs(flat) < self.singular_radius)
+            if index.size:
+                delay, entry = np.divmod(index, self.v.size)
+                singular = (delay, *np.unravel_index(entry, self.v.shape), flat[index])
+                flat[index] = np.inf
+        return np.reciprocal(arguments, out=arguments), singular
+
+    def exact_kernel(self, singular, cot_phi: np.ndarray) -> np.ndarray:
+        """The whole kernel at the entries :meth:`reciprocal` left out."""
+        delay, _, _, argument = singular
+        return sum(term.exact(argument, cot[delay]) for term, cot in zip(self.terms, cot_phi))
+
 
 def _structure_key(
     sample_set: NonuniformSampleSet,
@@ -641,16 +728,16 @@ class PlanStructureCache:
     trigonometry of each grid, the rest reuse them.  Eviction is sized in
     the values each structure holds (its ``num_elements``) rather than entry
     count, because structures differ in size by orders of magnitude: a grid
-    with one kernel row per point holds ~17 values per point and tap, a
+    with one kernel row per point holds ~15 values per point and tap, a
     dense uniform render only its distinct rows.  The most recent entry is
     never evicted, so an oversized structure still serves the group being
     executed.
     """
 
     #: Retained-value budget (16 MB of float64).  One paper-default ``run()``
-    #: builds ~1.2M values of structures: two 300-point calibration grids at
-    #: ~0.31M each, the dense spectrum grid at ~0.48M and the EVM grid at
-    #: ~0.1M.
+    #: builds ~1.08M values of structures: two 300-point calibration grids at
+    #: 0.275M each, the dense spectrum grid at 0.431M and the EVM grid at
+    #: 0.094M.
     MAX_ELEMENTS = 2_000_000
 
     def __init__(self) -> None:
@@ -707,22 +794,30 @@ class ReconstructionPlan:
     the delay, yet the direct evaluator redoes the tap indexing, the sample
     gathering, the taper (a modified-Bessel evaluation for the Kaiser window)
     and the full kernel trigonometry on every call.  A plan performs all of
-    that delay-independent work once at construction; evaluating a candidate
-    delay then reduces to broadcast multiply-adds against the cached arrays
-    plus a handful of scalar trigonometric calls.
+    that delay-independent work once at construction; a candidate delay
+    then costs a handful of scalar trigonometric calls, one reciprocal
+    table ``1 / (v + D)`` and one contraction.
 
     The on-grid channel's tap sums are computed once, at construction; the
-    delayed channel's once per candidate delay.  How a plan sums taps
-    follows its structure's route (see :class:`_PlanStructure`):
+    delayed channel's once per candidate delay, through the structure's
+    delay-free tables (see :class:`_PlanStructure`).  How a plan sums taps
+    follows its structure's route:
 
     * *row-shared* (dense uniform renders): a polyphase filter bank.  The
       plan keeps each channel's record padded with ``num_taps`` zeros on
       each side, which stand in for the taps off the record, and contracts
-      the row kernels (taper times trigonometry) against strided windows of
-      it; no ``(points, taps)`` array is built;
+      the row kernels against strided windows of it: for the delayed
+      channel, the tables combined with the delay's factors, times the
+      reciprocal table and the taper; no ``(points, taps)`` array is built;
     * *per point* (random instants such as the LMS cost points): the plan
       gathers each point's tap window, masks the taps off the record and
-      keeps the tapered delayed-channel samples, ``(points, taps)``.
+      folds the taper, the masked delayed-channel samples and the delayed
+      tables into one ``(points, taps, 4 terms)`` array.  A batch of
+      delays is one matmul ``(delays, points, 1, taps) @ (points, taps,
+      4 terms)`` of their reciprocal tables against it, then each (delay,
+      point) row against its delay's factors.
+
+    Either way a delay's row is the same whatever delays share its batch.
 
     Parameters
     ----------
@@ -803,6 +898,13 @@ class ReconstructionPlan:
                 )
                 for term in structure.terms
             )
+            # The delayed tables with the taper, the samples and the mask
+            # folded in, (points, taps, 4 terms): a delay batch is then one
+            # matmul of its reciprocal table against them.
+            tables = structure.delayed_tables()
+            self._delayed_tables = np.empty(weight.shape + (len(tables),))
+            for column, table in enumerate(tables):
+                np.multiply(table, self._weighted_delayed, out=self._delayed_tables[..., column])
         else:
             # Zero padding stands in for the taps off the record.
             self._delayed_padded = np.pad(sample_set.delayed, num_taps)
@@ -895,24 +997,42 @@ class ReconstructionPlan:
         return result
 
     def _evaluate_batch(self, delays: np.ndarray) -> np.ndarray:
-        """Core batched evaluation over a validated chunk of delays."""
-        delay_column = delays.reshape(-1, 1, 1)
+        """Core batched evaluation over a validated chunk of delays.
+
+        Every step is elementwise or contracts one (delay, point) or one
+        delay's rows at a time, so a delay's row never depends on the other
+        delays of its batch.
+        """
+        structure = self._structure
+        cot_phi, factors = structure.delay_factors(delays)
         on_grid_total = None
-        delayed_total = None
-        for term, (dot_cos, dot_sin) in zip(self._structure.terms, self._on_grid_dots):
-            cot_phi = term.cot_phi(delay_column)
-            on_grid = dot_cos + cot_phi[:, :, 0] * dot_sin
-            delayed = term.delayed_contribution(delay_column, cot_phi)
+        for cot, (dot_cos, dot_sin) in zip(cot_phi, self._on_grid_dots):
+            on_grid = dot_cos + cot[:, None] * dot_sin
             if on_grid_total is None:
-                on_grid_total, delayed_total = on_grid, delayed
+                on_grid_total = on_grid
             else:
                 on_grid_total += on_grid
-                delayed_total += delayed
-        structure = self._structure
+        reciprocal, singular = structure.reciprocal(delays)
+        exact = None if singular is None else structure.exact_kernel(singular, cot_phi)
         if structure.groups is None:
-            return on_grid_total + np.einsum("np,mnp->mn", self._weighted_delayed, delayed_total)
-        delayed_total *= structure.taper
-        return on_grid_total + structure.polyphase_sums(self._delayed_padded, delayed_total)
+            # (delays, points, 1, taps) @ (points, taps, 4 terms), then each
+            # (delay, point) row against its delay's factors.
+            sums = np.matmul(reciprocal[:, :, None, :], self._delayed_tables)
+            delayed = np.matmul(sums, factors[:, None, :, None])[:, :, 0, 0]
+            if singular is not None:
+                delay, row, tap, _ = singular
+                np.add.at(delayed, (delay, row), self._weighted_delayed[row, tap] * exact)
+            return on_grid_total + delayed
+        tables = structure.delayed_tables()
+        kernels = tables[0] * factors[:, 0, None, None]
+        scratch = np.empty_like(kernels)
+        for column in range(1, len(tables)):
+            kernels += np.multiply(tables[column], factors[:, column, None, None], out=scratch)
+        kernels *= reciprocal
+        if singular is not None:
+            kernels[singular[:3]] = exact
+        kernels *= structure.taper
+        return on_grid_total + structure.polyphase_sums(self._delayed_padded, kernels)
 
     def _validate_delay(self, delay: float) -> float:
         """Reject delays Eq. (3) forbids, mirroring the direct evaluator."""

@@ -48,7 +48,10 @@ __all__ = [
 #: v4: dense uniform renders evaluate Eq. (6) as a polyphase filter bank
 #: (kernel rows contracted against strided windows of the zero-padded
 #: record), which moves report metrics in their last bits.
-SCHEMA_VERSION = 4
+#: v5: Eq. (2) kernel tables are built by angle addition along the tap axis
+#: and the delayed channel divides four delay-free tables per term by one
+#: ``v + D`` table, which moves report metrics in their last bits.
+SCHEMA_VERSION = 5
 
 
 def canonical_json(payload) -> str:

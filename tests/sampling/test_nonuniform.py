@@ -91,6 +91,36 @@ class TestDelayConstraints:
         delay = (1.0 / band.bandwidth) / k  # would be forbidden otherwise
         assert check_delay(band, delay) == pytest.approx(delay)
 
+    @given(
+        bandwidth=st.floats(1e6, 200e6),
+        position=st.one_of(st.integers(1, 40).map(float), st.floats(1.0, 40.0)),
+        family=st.sampled_from([0, 1]),
+        multiple=st.integers(1, 60),
+        offset=st.floats(-3e-3, 3e-3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rejects_exactly_the_delays_the_distance_rule_forbids(
+        self, bandwidth, position, family, multiple, offset
+    ):
+        # Delays within a few tolerances of a multiple of T/k or T/(k+1);
+        # the rule is recomputed here from band_order on every call.
+        band = BandpassBand(position * bandwidth / 2.0, (position + 2.0) * bandwidth / 2.0)
+        k, k_plus = band_order(band)
+        period = 1.0 / band.bandwidth
+        delay = (multiple + offset) * period / (k, k_plus)[family]
+        orders = [k_plus] if integer_band_positioning(band) else [k, k_plus]
+        violated = [
+            order
+            for order in orders
+            if abs(delay / (period / order) - round(delay / (period / order))) < 1e-3
+        ]
+        for _ in range(2):  # a second call reads the band's cached spacings
+            if violated:
+                with pytest.raises(DelayConstraintError, match=f"T/{violated[0]} = "):
+                    check_delay(band, delay)
+            else:
+                assert check_delay(band, delay) == delay
+
 
 class TestKernelValues:
     def test_kernel_is_one_at_origin(self):

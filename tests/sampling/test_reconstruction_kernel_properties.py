@@ -10,7 +10,13 @@ delays that :func:`~repro.sampling.nonuniform.check_delay` accepts:
 * every plan agrees with :func:`reference_evaluate` to 1e-9;
 * a uniform grid evaluates to within 1e-10 of the samples' full scale of
   the same grid permuted, which takes one row per point;
-* a row-shared plan retains no ``(points, nw + 1)`` array.
+* a row-shared plan retains no ``(points, nw + 1)`` array;
+* a row never depends on the delays that share its batch: row 0 of
+  ``evaluate_many([d, x])`` is ``evaluate(d)`` bit for bit for generated
+  companion delays ``x``, on both routes;
+* every value is finite;
+* the angle-addition trigonometry tables agree with direct ``np.sin`` and
+  ``np.cos`` of the kernel arguments to within a few ulp of the angle.
 
 Half the generated grids are uniform, ``start + m T + arange(n) / fs`` with
 ``fs = B p / q``: most take the shared-row, polyphase route of the plan
@@ -19,11 +25,11 @@ ties; ``m`` starts the grid up to a kernel span before the record, and half
 the grids cover the record and run a kernel span past its far end, so some
 windows lie partly or wholly off the record.  ``q`` is either at most 16 or
 coarser than the kernel (``q > nw + 1``, windows that never overlap), and
-some grids are reversed: a decreasing grid takes one row per point.  Of the
-random grids, half put one point exactly on a delayed-sample instant
-``t = nT + D`` for the first delay only.  That row needs the Taylor branch of
-the sinc, so the whole batch or stack runs the masked path, including rows
-that alone would take the fast path; they must not change by a bit.
+some grids are reversed: a decreasing grid takes one row per point.  Half
+of the grids, uniform or random, put one point on a delayed-sample instant
+``t = nT + D``, give or take a few ulp, for the first delay only.  That
+entry of ``1 / (v + D)`` sits at the sinc's removable singularity and is
+evaluated in product form; no other entry or row may change by a bit.
 """
 
 import math
@@ -44,6 +50,7 @@ from repro.sampling import (
     reference_evaluate,
 )
 from repro.sampling.nonuniform import check_delay, delay_upper_bound
+from repro.sampling.reconstruction import _angle_tables
 
 WINDOWS = ["kaiser", "hann", "hamming", "blackman", "rectangular"]
 
@@ -78,6 +85,12 @@ def kernel_cases(draw, uniform=None, row_shared=False):
     start = draw(st.floats(-1e-6, 1e-6))
 
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # A delayed-sample instant nT + D of the first delay, a few ulp off.
+    planted = None
+    if draw(st.booleans()):
+        planted = start + draw(st.integers(0, num_samples - 1)) * period + delays[0]
+        planted += draw(st.integers(-3, 3)) * np.spacing(planted)
+        assume(np.all(np.abs(delays[1:] - delays[0]) > 1e-6 * bound))
     if uniform is None:
         uniform = draw(st.booleans())
     if uniform or row_shared:
@@ -85,6 +98,7 @@ def kernel_cases(draw, uniform=None, row_shared=False):
         # the samples, which puts points on half-sample ties when p is even.
         p = draw(st.integers(1, 16))
         q = draw(st.one_of(st.integers(1, 16), st.integers(num_taps + 2, num_taps + 8)))
+        step = 1.0 / (bandwidth * p / q)
         span = num_taps + 3
         m = draw(
             st.one_of(st.integers(-span, num_samples + 3), st.floats(-span, num_samples + 3.0))
@@ -93,7 +107,11 @@ def kernel_cases(draw, uniform=None, row_shared=False):
         if draw(st.booleans()):
             # Run a kernel span past the far end of the record.
             count = max(count, math.ceil((num_samples + span - m) * p / q))
-        times = start + m * period + np.arange(count) / (bandwidth * p / q)
+        if planted is None:
+            times = start + m * period + np.arange(count) * step
+        else:
+            # Point i lands exactly on the planted instant.
+            times = planted + (np.arange(count) - draw(st.integers(0, count - 1))) * step
         if not row_shared and draw(st.booleans()):
             times = times[::-1]
         if not row_shared and draw(st.booleans()):
@@ -101,11 +119,8 @@ def kernel_cases(draw, uniform=None, row_shared=False):
             times = times + 1e-6 * period * rng.standard_normal(times.size)
     else:
         times = start + period * rng.uniform(-3.0, num_samples + 3.0, draw(st.integers(1, 30)))
-        if draw(st.booleans()):
-            # Exactly on the delayed-sample instant nT + D of the first row only.
-            n = draw(st.integers(0, num_samples - 1))
-            times = np.insert(times, draw(st.integers(0, times.size)), start + n * period + delays[0])
-            assume(np.all(np.abs(delays[1:] - delays[0]) > 1e-6 * bound))
+        if planted is not None:
+            times = np.insert(times, draw(st.integers(0, times.size)), planted)
 
     geometry = NonuniformSampleSet(
         on_grid=np.zeros(num_samples),
@@ -150,7 +165,7 @@ def test_evaluate_stacked_rows_equal_per_plan_evaluate(case):
 
 
 @settings(max_examples=40, deadline=None)
-@given(kernel_cases())
+@given(st.one_of(kernel_cases(), kernel_cases(row_shared=True)))
 def test_plans_agree_with_reference(case):
     plans, delays = case
     for plan, delay in zip(plans, delays):
@@ -161,7 +176,51 @@ def test_plans_agree_with_reference(case):
             num_taps=plan.num_taps,
             window=plan.window,
         )
-        np.testing.assert_allclose(plan.evaluate(delay), expected, rtol=1e-9, atol=1e-9)
+        values = plan.evaluate(delay)
+        assert np.all(np.isfinite(values))
+        np.testing.assert_allclose(values, expected, rtol=1e-9, atol=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(kernel_cases(), kernel_cases(row_shared=True)), st.data())
+def test_row_is_independent_of_its_batch(case, data):
+    plans, delays = case
+    plan = plans[0]
+    band = plan.sample_set.band
+    fractions = data.draw(st.lists(st.floats(0.02, 1.98), min_size=1, max_size=3))
+    companions = [f * delay_upper_bound(band) for f in fractions]
+    companions = [x for x in companions if accepted(band, x)]
+    assume(companions)
+    alone = plan.evaluate(delays[0])
+    for companion in companions:
+        rows = plan.evaluate_many([delays[0], companion])
+        assert np.all(np.isfinite(rows))
+        assert np.array_equal(rows[0], alone)
+        assert np.array_equal(rows[1], plan.evaluate(companion))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_cases())
+def test_angle_tables_match_direct_trigonometry(case):
+    # One row per point, as a per-point structure builds them: each row's
+    # offset from its centre sample, plus each tap's offset from the centre.
+    plans, _ = case
+    plan = plans[0]
+    samples = plan.sample_set
+    period, start = samples.sample_period, samples.start_time
+    half = plan.num_taps // 2
+    times = plan.evaluation_times
+    row = (start + np.round((times - start) / period) * period) - times
+    tap = np.arange(-half, half + 1) * period
+    for term in plan.structure.terms:
+        for rate in (term.c_osc, np.pi * term.c_env):
+            angle = rate * (row[:, None] + tap)
+            # A few ulp of the largest angle the two routes round.
+            largest = np.maximum(np.abs(angle), np.abs(rate * row)[:, None] + np.abs(rate * tap))
+            bound = 4.0 * np.spacing(largest) + 4.0 * np.finfo(float).eps
+            sine, cosine = _angle_tables(rate, row, tap)
+            assert np.all(np.abs(sine - np.sin(angle)) <= bound)
+            assert np.all(np.abs(cosine - np.cos(angle)) <= bound)
 
 
 @settings(max_examples=40, deadline=None)
@@ -253,12 +312,21 @@ def test_paper_dense_grids_share_kernel_rows(paper_band):
     )
     reconstructor = NonuniformReconstructor(samples)
     low, high = reconstructor.valid_time_range()
-    # The rows fall into groups by window base: at most q + 2 of them.
-    grids = ((None, 419, (418, 9), 10), (48 * paper_band.bandwidth, 49, (48, 1), 2))
-    for rate, rows, step, groups in grids:
+    # The rows fall into groups by window base: at most q + 2 of them.  The
+    # last column is num_elements before the kernel tables were factored by
+    # angle addition (each term then kept its arguments and a sorted copy):
+    # the structures now hold 431,174 and 93,841 values.
+    grids = (
+        (None, 419, (418, 9), 10, 482_292),
+        (48 * paper_band.bandwidth, 49, (48, 1), 2, 99_819),
+    )
+    for rate, rows, step, groups, elements_before in grids:
         times, _ = uniform_render_grid(reconstructor, low, high, rate)
         structure = reconstructor.plan_for(times).structure
         assert structure.taper.shape == (rows, reconstructor.num_taps + 1)
         assert structure.row_index.shape == times.shape
         assert structure.step == step
         assert len(structure.groups) == groups
+        assert structure.num_elements <= elements_before
+        for term in structure.terms:
+            assert not hasattr(term, "env_argument") and not hasattr(term, "sorted_env")

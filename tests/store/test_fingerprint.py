@@ -128,20 +128,20 @@ class TestPayload:
 
 #: Hex digests pinned when scenario resolution moved into
 #: ``repro.bist.campaign.resolve_scenario``, re-pinned for ``SCHEMA_VERSION``
-#: 4.  A change here re-keys every archived store (all lookups go cold): bump
+#: 5.  A change here re-keys every archived store (all lookups go cold): bump
 #: ``SCHEMA_VERSION`` on purpose instead of editing a digest.
 PAPER = "paper-qpsk-1ghz"
 PINNED = {
     "paper-shared": (
         dict(scenario=CampaignScenario(profile=PAPER)),
-        "175677a7c325309d5920162f9c9b6d9ce6267a56ec48e461f835b5a5625b5916",
+        "402b550b6b8d0cb1ac8aff0236f7ad431f15c056c44415f42937ec0260b4ed56",
     ),
     "paper-per-scenario-seed": (
         dict(
             scenario=CampaignScenario(profile=PAPER),
             seed=derive_scenario_seed(BistConfig().seed, 2, PAPER),
         ),
-        "e2b5595fcc1c19a8b1f9cf5f87c34298c70b96fab87ba55d102ae3c695f6dec2",
+        "6633768a8b114e575dfb9525c9c5243a8956ad8c7a55653e85c0f771011a0ca4",
     ),
     "scenario-converter-spec": (
         dict(
@@ -150,7 +150,7 @@ PINNED = {
             ),
             seed=12345,
         ),
-        "78d7ced1db035d7a53953cbf7baa882be86e18ce5466720c766de53935598f0a",
+        "41378e32690d6cf62a7a01282a4b104b4aa2d5efdfd6a29ea7b0cb3eebbde7da",
     ),
     "fault-model-impairment": (
         dict(
@@ -158,15 +158,15 @@ PINNED = {
                 profile=PAPER, impairments=pa_saturation_sweep([0.75])[0][1]
             )
         ),
-        "d66422bde55d2215a3aa3dede7cf2be844bc2a13bffd9639b740eafa29f91c0a",
+        "6ff839f7e948cae1878e061415d9fbb56edb8cfd104610cf0e4e88e8cd0b960b",
     ),
     "ofdm-profile": (
         dict(scenario=CampaignScenario(profile="ofdm-uhf-qpsk-400mhz")),
-        "dc534df1a16026ecf305af8f25fe787aa321861c666c3fb0f2298c4d81bb47e7",
+        "52977fe9f92c96c5c3f4cfe1db5c4681a5ae2e26dfd96c66e52ec3cf1b70385c",
     ),
     "explicit-num-symbols": (
         dict(scenario=CampaignScenario(profile="uhf-8psk-400mhz", num_symbols=256)),
-        "c115c848c94a83477dd55b0d7757b7f65fec0d8b3e320a128bcab3e0a1f208cb",
+        "63267f8bc7341c08cfc7aa40ac6b5b0d90fac8f110931424f35f59f12f97e277",
     ),
 }
 
