@@ -7,7 +7,11 @@ the correctness contract:
 
 * fingerprinting throughput (runs once per scenario per campaign — must be
   negligible against a ~0.2 s+ BIST execution);
-* JSONL put / load / merge throughput on archives with full PSD payloads;
+* JSONL put / load / merge throughput on archives with full PSD payloads,
+  and bytes and put/load milliseconds per record;
+* backward reading: the same records written in the layout of earlier
+  library versions (spectrum arrays as JSON lists of floats) must load to
+  reports equal to the current layout's (base64 float64 arrays);
 * the end-to-end cache speedup: the same grid campaign cold (store empty)
   vs warm (all hits), asserting hit/miss counters and bit-identical reports
   between the cold run, the warm run and a store-free reference run.
@@ -25,7 +29,7 @@ from pathlib import Path
 
 from repro.bist import BistConfig, CampaignRunner, ScenarioGrid, skew_sweep
 from repro.bist.runner import CampaignExecution
-from repro.store import CampaignStore, scenario_fingerprint
+from repro.store import SCHEMA_VERSION, CampaignStore, canonical_json, scenario_fingerprint
 from repro.transmitter import ImpairmentConfig
 
 
@@ -64,7 +68,7 @@ def bench_fingerprints(scenarios, config) -> dict:
     }
 
 
-def bench_store_io(execution: CampaignExecution, root: Path) -> dict:
+def bench_store_io(execution: CampaignExecution, root: Path) -> tuple:
     store = CampaignStore(root / "io")
     outcomes = list(execution.outcomes)
     start = time.perf_counter()
@@ -84,12 +88,61 @@ def bench_store_io(execution: CampaignExecution, root: Path) -> dict:
     assert added == len(outcomes)
 
     shard_bytes = store.shard_path.stat().st_size
-    return {
+    stats = {
         "num_records": len(outcomes),
         "shard_bytes": shard_bytes,
+        "bytes_per_record": shard_bytes / len(outcomes),
+        "put_ms_per_record": 1e3 * put_seconds / len(outcomes),
+        "load_ms_per_record": 1e3 * load_seconds / len(outcomes),
         "put_records_per_second": len(outcomes) / put_seconds,
         "load_records_per_second": len(outcomes) / load_seconds,
         "merge_records_per_second": len(outcomes) / merge_seconds,
+    }
+    return stats, loaded
+
+
+def legacy_record_line(fingerprint: str, outcome) -> str:
+    """A store line in the layout of earlier library versions.
+
+    Those wrote the spectrum's frequency axis and PSD as JSON lists of
+    floats; the current layout writes base64 of their float64 bytes.
+    """
+    data = outcome.to_dict()
+    spectrum = outcome.report.measurements.spectrum
+    data["report"]["measurements"]["spectrum"].update(
+        frequencies_hz=spectrum.frequencies_hz.tolist(), psd=spectrum.psd.tolist()
+    )
+    record = {"fingerprint": fingerprint, "schema_version": SCHEMA_VERSION, "outcome": data}
+    return canonical_json(record)
+
+
+def bench_legacy_layout(execution: CampaignExecution, root: Path, current: dict) -> dict:
+    """Load the records as an earlier library wrote them; gate them equal."""
+    outcomes = list(execution.outcomes)
+    legacy_root = root / "legacy"
+    legacy_root.mkdir()
+    shard = legacy_root / "legacy.jsonl"
+    shard.write_text(
+        "".join(
+            legacy_record_line(f"fp-{index}", outcome) + "\n"
+            for index, outcome in enumerate(outcomes)
+        ),
+        encoding="utf-8",
+    )
+    start = time.perf_counter()
+    loaded = CampaignStore(legacy_root).load()
+    load_seconds = time.perf_counter() - start
+
+    def reports(index):
+        return {fp: outcome.report.to_dict() for fp, outcome in sorted(index.items())}
+
+    assert reports(loaded) == reports(current), (
+        "records in the list layout must load to the same reports as the base64 layout"
+    )
+    return {
+        "num_records": len(outcomes),
+        "bytes_per_record": shard.stat().st_size / len(outcomes),
+        "load_ms_per_record": 1e3 * load_seconds / len(outcomes),
     }
 
 
@@ -149,12 +202,24 @@ def main() -> None:
             f"-> cache speedup {cache['speedup']:.0f}x"
         )
 
-        io_stats = bench_store_io(cold_execution, root)
+        io_stats, loaded = bench_store_io(cold_execution, root)
         print(
             f"  store io: put {io_stats['put_records_per_second']:.0f} rec/s, "
             f"load {io_stats['load_records_per_second']:.0f} rec/s, "
             f"merge {io_stats['merge_records_per_second']:.0f} rec/s "
             f"({io_stats['shard_bytes'] / 1e6:.2f} MB shard)"
+        )
+        print(
+            f"  per record: {io_stats['bytes_per_record'] / 1e3:.1f} kB, "
+            f"put {io_stats['put_ms_per_record']:.2f} ms, "
+            f"load {io_stats['load_ms_per_record']:.2f} ms"
+        )
+
+        legacy = bench_legacy_layout(cold_execution, root, loaded)
+        print(
+            f"  list layout of earlier versions: {legacy['bytes_per_record'] / 1e3:.1f} kB "
+            f"and load {legacy['load_ms_per_record']:.2f} ms per record, "
+            "reports equal to the base64 layout's"
         )
 
         results = {
@@ -162,6 +227,7 @@ def main() -> None:
             "fingerprints": fingerprints,
             "cache": cache,
             "store_io": io_stats,
+            "legacy_layout": legacy,
         }
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:

@@ -10,6 +10,7 @@ bandwidth and adjacent-channel power ratio used by :mod:`repro.bist`.
 
 from __future__ import annotations
 
+import base64
 import warnings
 from dataclasses import dataclass
 
@@ -78,23 +79,54 @@ class SpectrumEstimate:
             return 10.0 * np.log10(self.psd / peak)
 
     def to_dict(self) -> dict:
-        """Plain JSON-friendly dictionary (exact round trip via :meth:`from_dict`)."""
+        """Plain JSON-friendly dictionary (exact round trip via :meth:`from_dict`).
+
+        ``frequencies_hz`` and ``psd`` are base64 strings of the arrays'
+        little-endian float64 bytes, so every bit survives (``-0.0``,
+        subnormals and infinities included) and a paper-sized spectrum
+        archives without formatting one float per bin.
+        """
         return {
-            "frequencies_hz": self.frequencies_hz.tolist(),
-            "psd": self.psd.tolist(),
+            "frequencies_hz": _encode_float64(self.frequencies_hz),
+            "psd": _encode_float64(self.psd),
             "resolution_hz": float(self.resolution_hz),
             "two_sided": bool(self.two_sided),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpectrumEstimate":
-        """Rebuild an estimate serialized with :meth:`to_dict`."""
+        """Rebuild an estimate serialized with :meth:`to_dict`.
+
+        Each array may be the base64 string :meth:`to_dict` writes or a
+        list of numbers, the layout of archives written by earlier library
+        versions (golden baselines, store shards, saved baselines).
+        """
         return cls(
-            frequencies_hz=np.asarray(data["frequencies_hz"], dtype=float),
-            psd=np.asarray(data["psd"], dtype=float),
+            frequencies_hz=_decode_float64(data["frequencies_hz"], "frequencies_hz"),
+            psd=_decode_float64(data["psd"], "psd"),
             resolution_hz=float(data["resolution_hz"]),
             two_sided=bool(data["two_sided"]),
         )
+
+
+def _encode_float64(values: np.ndarray) -> str:
+    """Base64 of an array's little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _decode_float64(encoded, name: str) -> np.ndarray:
+    """Writable float64 array from :func:`_encode_float64` output or a list."""
+    if not isinstance(encoded, str):
+        return np.asarray(encoded, dtype=float)
+    try:
+        raw = base64.b64decode(encoded, validate=True)
+    except ValueError as exc:
+        raise ValidationError(f"{name} is not valid base64 ({exc})") from None
+    if len(raw) % 8:
+        raise ValidationError(
+            f"{name} holds {len(raw)} bytes, not a whole number of float64 values"
+        )
+    return np.frombuffer(raw, dtype="<f8").astype(float)
 
 
 def periodogram_rows(

@@ -8,7 +8,10 @@ connections are one-shot (``Connection: close``).  Routes::
     POST /jobs              submit a CampaignSpec payload -> {"job_id": ...}
     GET  /jobs              status snapshots of every job
     GET  /jobs/<id>         one job's status
-    GET  /jobs/<id>/result  merged summary + outcomes (409 until terminal)
+    GET  /jobs/<id>/result  merged summary + outcomes (409 until terminal);
+                            each report's spectrum ``frequencies_hz`` and
+                            ``psd`` are base64 float64 strings (see
+                            SpectrumEstimate.to_dict), not lists
     GET  /stats             queue-level aggregates
     POST /drain             graceful shutdown (finish in-flight, refuse new)
 

@@ -6,9 +6,13 @@ line is one record::
     {"fingerprint": "<sha256>", "schema_version": 1, "stored_at": ..., "outcome": {...}}
 
 where ``outcome`` is the full :class:`~repro.bist.runner.ScenarioOutcome`
-archive (report with PSD arrays included) and ``stored_at`` is the wall
-clock at :meth:`~CampaignStore.put` time (absent on records written by
-older library versions).  The stamp rides along through :meth:`compact`
+archive and ``stored_at`` is the wall clock at :meth:`~CampaignStore.put`
+time (absent on records written by older library versions).  The report's
+spectrum (frequency axis and PSD) is archived as base64 strings of its
+little-endian float64 bytes (:meth:`~repro.dsp.SpectrumEstimate.to_dict`),
+exact to the bit; records whose spectrum is a JSON list of floats, as
+earlier versions wrote it, load too, and :meth:`compact` and :meth:`merge`
+rewrite them as base64.  The stamp rides along through :meth:`compact`
 and :meth:`merge` so age-based retention (:mod:`repro.service.lifecycle`)
 ages each record by *when it was stored*, not by the shard file's mtime —
 which every rewrite would reset.  Records are keyed by the scenario
@@ -57,6 +61,15 @@ class CampaignStoreWarning(UserWarning):
 def _shard_sort_key(path: Path) -> str:
     """Deterministic shard ordering (lexicographic by file name)."""
     return path.name
+
+
+def _skip_corrupt(path: Path, number: int, exc: Exception) -> None:
+    """Warn that a shard line does not parse; the caller skips it."""
+    warnings.warn(
+        f"skipping corrupt record at {path.name}:{number} ({type(exc).__name__}: {exc})",
+        CampaignStoreWarning,
+        stacklevel=4,
+    )
 
 
 class CampaignStore:
@@ -119,18 +132,12 @@ class CampaignStore:
             record = json.loads(line)
             fingerprint = record["fingerprint"]
             version = record["schema_version"]
-            outcome = ScenarioOutcome.from_dict(record["outcome"])
         except Exception as exc:  # noqa: BLE001 - recovery is the contract
-            warnings.warn(
-                f"skipping corrupt record at {path.name}:{number} "
-                f"({type(exc).__name__}: {exc})",
-                CampaignStoreWarning,
-                stacklevel=3,
-            )
-            return None
+            return _skip_corrupt(path, number, exc)
         if version != SCHEMA_VERSION:
             # A schema mismatch is not corruption: the record is simply from
-            # another library era and must not be served as a cache hit.
+            # another library era and must not be served as a cache hit.  Its
+            # outcome is never decoded, since that era's layout may not parse.
             return None
         if not isinstance(fingerprint, str):
             warnings.warn(
@@ -139,6 +146,10 @@ class CampaignStore:
                 stacklevel=3,
             )
             return None
+        try:
+            outcome = ScenarioOutcome.from_dict(record["outcome"])
+        except Exception as exc:  # noqa: BLE001 - recovery is the contract
+            return _skip_corrupt(path, number, exc)
         stored_at = record.get("stored_at")
         stored_at = float(stored_at) if isinstance(stored_at, (int, float)) else None
         return fingerprint, outcome, stored_at

@@ -1,5 +1,6 @@
 """Tests for repro.dsp.spectrum."""
 
+import json
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dsp import (
+    SpectrumEstimate,
     adjacent_channel_power_ratio,
     band_power,
     occupied_bandwidth,
@@ -273,3 +275,91 @@ class TestAcpr:
             estimate, 25e6 + resolution / 2.0, resolution / 10.0, offset_hz=5e6
         )
         assert result["worst_db"] < 0.0
+
+
+#: Finite frequency bins (``-0.0`` and subnormals included) paired with PSD
+#: values that may be anything but NaN: ``-0.0``, subnormals and ``±inf``.
+_ARCHIVE_BINS = st.lists(
+    st.tuples(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False),
+    ),
+    min_size=1,
+    max_size=64,
+    unique_by=lambda pair: pair[0],
+).map(sorted)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestArchiveEncoding:
+    """``SpectrumEstimate.to_dict`` writes each array as base64 of its
+    little-endian float64 bytes; ``from_dict`` reads that and the list form
+    of earlier archives, and both give back the same bits."""
+
+    @staticmethod
+    def _estimate(bins, two_sided=False) -> SpectrumEstimate:
+        frequencies, psd = zip(*bins)
+        return SpectrumEstimate(np.array(frequencies), np.array(psd), 1.0, two_sided)
+
+    @given(bins=_ARCHIVE_BINS, two_sided=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_keeps_every_bit(self, bins, two_sided):
+        estimate = self._estimate(bins, two_sided)
+        data = json.loads(json.dumps(estimate.to_dict()))
+        assert isinstance(data["frequencies_hz"], str) and isinstance(data["psd"], str)
+        decoded = SpectrumEstimate.from_dict(data)
+        assert np.array_equal(_bits(decoded.frequencies_hz), _bits(estimate.frequencies_hz))
+        assert np.array_equal(_bits(decoded.psd), _bits(estimate.psd))
+        assert decoded.two_sided is two_sided
+        assert decoded.to_dict() == estimate.to_dict()
+
+    @given(bins=_ARCHIVE_BINS)
+    @settings(max_examples=100, deadline=None)
+    def test_legacy_list_form_decodes_to_the_same_arrays(self, bins):
+        estimate = self._estimate(bins)
+        legacy = dict(
+            estimate.to_dict(),
+            frequencies_hz=estimate.frequencies_hz.tolist(),
+            psd=estimate.psd.tolist(),
+        )
+        decoded = SpectrumEstimate.from_dict(json.loads(json.dumps(legacy)))
+        assert np.array_equal(_bits(decoded.frequencies_hz), _bits(estimate.frequencies_hz))
+        assert np.array_equal(_bits(decoded.psd), _bits(estimate.psd))
+        assert decoded.to_dict() == estimate.to_dict()
+
+    def test_special_values_survive(self):
+        psd = np.array([-0.0, 5e-324, 2.2e-308, np.inf, -np.inf, np.nan, 1.0])
+        psd[5:6].view(np.uint64)[0] |= 0xBEEF  # a NaN with its own payload
+        estimate = SpectrumEstimate(np.arange(psd.size) - 3.0, psd, 1.0, True)
+        decoded = SpectrumEstimate.from_dict(json.loads(json.dumps(estimate.to_dict())))
+        assert np.array_equal(_bits(decoded.psd), _bits(psd))
+
+    @pytest.mark.parametrize("layout", ["base64", "list"])
+    def test_decoded_arrays_are_owned_and_writable(self, layout):
+        estimate = SpectrumEstimate(np.array([1.0, 2.0]), np.array([3.0, 4.0]), 1.0, False)
+        data = estimate.to_dict()
+        if layout == "list":
+            data.update(frequencies_hz=[1.0, 2.0], psd=[3.0, 4.0])
+        decoded = SpectrumEstimate.from_dict(data)
+        for array in (decoded.frequencies_hz, decoded.psd):
+            assert array.dtype == np.float64
+            assert array.flags.writeable and array.flags.owndata
+
+    @pytest.mark.parametrize(
+        "encoded, reason",
+        [
+            ("not base64!", "not valid base64"),
+            ("AAAAAAAA8D8", "not valid base64"),  # missing padding
+            ("AAAAAAAA8D8AAAA=", "11 bytes"),
+            ("AAAA", "3 bytes"),
+        ],
+    )
+    @pytest.mark.parametrize("field", ["frequencies_hz", "psd"])
+    def test_malformed_arrays_raise_validation_error(self, encoded, reason, field):
+        data = SpectrumEstimate(np.array([1.0]), np.array([2.0]), 1.0, False).to_dict()
+        data[field] = encoded
+        with pytest.raises(ValidationError, match=f"{field} .*{reason}"):
+            SpectrumEstimate.from_dict(data)

@@ -6,11 +6,17 @@ with deterministic first-record-wins semantics, and incremental appends are
 immediately visible to fresh store instances.
 """
 
+import copy
 import json
+import tempfile
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bist import BistConfig, CampaignRunner, ScenarioGrid
 from repro.bist.runner import ScenarioOutcome
@@ -187,14 +193,100 @@ class TestCorruptionRecovery:
 
     def test_schema_mismatch_not_served(self, tmp_path, real_outcome):
         record = json.loads(CampaignStore._record_line("fp-a", real_outcome))
-        record["schema_version"] = SCHEMA_VERSION + 1
-        store = self._shard_with_lines(tmp_path, [json.dumps(record)])
+        newer = dict(record, schema_version=SCHEMA_VERSION + 1)
+        # An era whose report layout no longer parses (it lacks "profile"):
+        # its outcome must not be decoded at all, let alone warned about.
+        older = copy.deepcopy(record)
+        older["schema_version"] = 1
+        del older["outcome"]["report"]["profile"]
+        store = self._shard_with_lines(tmp_path, [json.dumps(newer), json.dumps(older)])
         # Another-era record is not corruption: no warning, but also no hit.
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert store.load() == {}
+
+    @pytest.mark.parametrize(
+        "psd",
+        ["not base64!", "AAAAAAAA8D8AAAA="],
+        ids=["malformed-base64", "partial-float64"],
+    )
+    def test_undecodable_spectrum_skipped_with_warning(self, tmp_path, real_outcome, psd):
+        record = json.loads(CampaignStore._record_line("fp-bad", real_outcome))
+        record["outcome"]["report"]["measurements"]["spectrum"]["psd"] = psd
+        good = CampaignStore._record_line("fp-good", real_outcome)
+        store = self._shard_with_lines(tmp_path, [json.dumps(record), good])
+        with pytest.warns(CampaignStoreWarning, match="corrupt record.*ValidationError"):
+            index = store.load()
+        assert sorted(index) == ["fp-good"]
+        assert store.get("fp-bad") is None
+
+
+@pytest.fixture(scope="module")
+def real_shard(tmp_path_factory, real_outcome) -> tuple:
+    """``(shard bytes, [(fingerprint, outcome, line end offset)])`` of real puts.
+
+    Two profiles (single-carrier and OFDM) give records of different sizes;
+    each is put twice under distinct labels.
+    """
+    grid = ScenarioGrid().add_profiles("ofdm-uhf-qpsk-400mhz").build()
+    ofdm = CampaignRunner(bist_config=FAST_CONFIG).run(grid).outcomes[0]
+    assert ofdm.ok
+    store = CampaignStore(tmp_path_factory.mktemp("real-shard"))
+    records = []
+    for index, base in enumerate((real_outcome, ofdm, real_outcome, ofdm)):
+        outcome = replace(base, index=index, label=f"record-{index}")
+        assert store.put(f"fp-{index}", outcome)
+        end = store.shard_path.stat().st_size - 1  # the line's bytes, not its newline
+        records.append((f"fp-{index}", outcome, end))
+    return store.shard_path.read_bytes(), records
+
+
+def _assert_same_record(loaded: ScenarioOutcome, expected: ScenarioOutcome) -> None:
+    assert loaded.to_dict() == expected.to_dict()
+    for name in ("frequencies_hz", "psd"):
+        got = getattr(loaded.report.measurements.spectrum, name)
+        want = getattr(expected.report.measurements.spectrum, name)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestTruncatedShardProperties:
+    """Store fuzz: a shard of real records cut at any byte offset loses at
+    most the record the cut tore, and the next append survives it."""
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_load_serves_exactly_the_complete_lines_then_put_survives(
+        self, real_shard, data
+    ):
+        shard, records = real_shard
+        line_ends = {end for _, _, end in records}
+        near_ends = sorted(cut for end in line_ends for cut in (end - 1, end, end + 1))
+        cut = data.draw(
+            st.integers(min_value=0, max_value=len(shard)) | st.sampled_from(near_ends),
+            label="cut",
+        )
+        complete = [(fp, outcome) for fp, outcome, end in records if end <= cut]
+        # Torn: the cut falls inside a line's bytes, not at its start or end.
+        torn = cut > 0 and shard[cut - 1 : cut] != b"\n" and cut not in line_ends
+        with tempfile.TemporaryDirectory() as directory:
+            root = Path(directory)
+            (root / "campaign.jsonl").write_bytes(shard[:cut])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                index = CampaignStore(root).load()
+            assert sorted(index) == [fp for fp, _ in complete]
+            for fp, outcome in complete:
+                _assert_same_record(index[fp], outcome)
+            assert len(caught) == int(torn)
+            assert all(issubclass(w.category, CampaignStoreWarning) for w in caught)
+
+            new = replace(records[0][1], index=99, label="after-the-cut")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CampaignStoreWarning)
+                assert CampaignStore(root).put("fp-new", new)
+                reloaded = CampaignStore(root).load()
+            assert sorted(reloaded) == sorted([fp for fp, _ in complete] + ["fp-new"])
+            _assert_same_record(reloaded["fp-new"], new)
 
 
 class TestMerge:
@@ -282,3 +374,28 @@ class TestShardsAndCompact:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fresh.load()
+
+    @pytest.mark.parametrize("rewrite", ["compact", "merge"])
+    def test_list_layout_records_are_hits_and_rewrite_as_base64(
+        self, tmp_path, real_outcome, rewrite
+    ):
+        # Earlier versions archived the spectrum arrays as lists of floats.
+        record = json.loads(CampaignStore._record_line("fp-old", real_outcome))
+        spectrum = real_outcome.report.measurements.spectrum
+        record["outcome"]["report"]["measurements"]["spectrum"].update(
+            frequencies_hz=spectrum.frequencies_hz.tolist(), psd=spectrum.psd.tolist()
+        )
+        (tmp_path / "old").mkdir()
+        (tmp_path / "old" / "campaign.jsonl").write_text(json.dumps(record) + "\n")
+        old = CampaignStore(tmp_path / "old")
+        _assert_same_record(old.get("fp-old"), real_outcome)
+        if rewrite == "compact":
+            assert old.compact() == 1
+            target = old
+        else:
+            target = CampaignStore(tmp_path / "merged")
+            assert target.merge(old) == 1
+        stored = json.loads(target.shard_path.read_text())["outcome"]["report"]
+        arrays = stored["measurements"]["spectrum"]
+        assert isinstance(arrays["frequencies_hz"], str) and isinstance(arrays["psd"], str)
+        _assert_same_record(CampaignStore(target.root).get("fp-old"), real_outcome)
