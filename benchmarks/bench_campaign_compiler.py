@@ -2,11 +2,11 @@
 
 A homogeneous severity sweep (one profile, one fault axis) is the campaign
 compiler's best case: every scenario shares acquisition geometry, so the
-compiled path builds each reconstruction-plan structure once per group and
-evaluates every dense measurement render over it, instead of paying
-the per-scenario structure cost in every process-pool worker.  This
-benchmark measures the three execution paths on the same scenario list and
-hard-gates the contract:
+compiled path runs the sweep in-process, one scenario after another through
+the runner's ordinary per-scenario path, with one shared reconstruction-plan
+structure cache: each structure is built once per group instead of once per
+scenario in every process-pool worker.  This benchmark measures the three
+execution paths on the same scenario list and hard-gates the contract:
 
 * every compiled report is **bit-identical** to its serial and pooled
   counterparts (``report.to_dict()`` equality, spectra included);

@@ -310,13 +310,12 @@ def build_scenario_engine(
 ):
     """Construct the engine and burst for one scenario without running it.
 
-    Factored out of :func:`execute_scenario` so the campaign compiler can
-    drive the engine's :meth:`~repro.bist.engine.TransmitterBist.prepare` /
-    :meth:`~repro.bist.engine.TransmitterBist.finish` halves separately; the
-    inputs come from :func:`resolve_scenario`.  Returns ``(engine, burst)``
-    where ``burst`` is ``None`` unless the scenario pins an explicit
-    ``num_symbols`` (the engine otherwise transmits for its required
-    duration).
+    The inputs come from :func:`resolve_scenario`; ``plan_structure_cache``
+    is handed to the engine (see
+    :class:`~repro.bist.engine.TransmitterBist`).  Returns
+    ``(engine, burst)`` where ``burst`` is ``None`` unless the scenario pins
+    an explicit ``num_symbols`` (the engine otherwise transmits for its
+    required duration).
     """
     profile, config, transmitter_config, factory = resolve_scenario(
         scenario, bist_config=bist_config, converter_factory=converter_factory, seed=seed
@@ -341,6 +340,7 @@ def execute_scenario(
     bist_config: BistConfig | None = None,
     converter_factory=None,
     seed: int | None | type(...) = ...,
+    plan_structure_cache=None,
 ) -> BistReport:
     """Run the complete BIST for one campaign scenario.
 
@@ -366,8 +366,16 @@ def execute_scenario(
         and — when the effective factory is a :class:`ConverterSpec` — the
         converter's jitter realisation, each on a distinct derived stream;
         an arbitrary factory callable is used as-is.
+    plan_structure_cache:
+        Optional :class:`~repro.sampling.reconstruction.PlanStructureCache`
+        shared with other scenarios (the campaign compiler passes one per
+        run); the report is bit-identical with and without it.
     """
     engine, burst = build_scenario_engine(
-        scenario, bist_config=bist_config, converter_factory=converter_factory, seed=seed
+        scenario,
+        bist_config=bist_config,
+        converter_factory=converter_factory,
+        seed=seed,
+        plan_structure_cache=plan_structure_cache,
     )
     return engine.run(burst)

@@ -1,70 +1,45 @@
-"""Campaign compiler: cross-scenario batched execution of BIST campaigns.
+"""Campaign compiler: fingerprint-adjacent scenarios over one structure cache.
 
 A fault campaign is dominated by columns of *fingerprint-adjacent*
 scenarios: a severity sweep of one fault family under one waveform profile
 shares the effective engine configuration and therefore the acquisition
 geometry, the calibration evaluation instants and the dense measurement
-grid — everything but the sample values and the estimated skew.  Each
+grids — everything but the sample values and the estimated skew.  Each
 scenario builds reconstruction-plan *structures* (taper and kernel
 trigonometry over its calibration and dense grids), which are exactly the
 shared part.
-
-The compiler exploits this the way PR 2 exploited delay batching, one level
-up:
 
 1. :meth:`CampaignCompiler.group` partitions the runner's pending tasks into
    *groups* whose members provably share acquisition geometry (same resolved
    profile, same effective :class:`~repro.bist.engine.BistConfig` modulo
    seed, same burst length) and a heterogeneous *remainder* that falls back
-   transparently to the existing serial/process-pool path;
-2. :meth:`CampaignCompiler.execute_group` runs a group in-process: every
-   scenario's :meth:`~repro.bist.engine.TransmitterBist.prepare` half runs
-   with one shared
-   :class:`~repro.sampling.reconstruction.PlanStructureCache` (the LMS cost
+   to the runner's serial/process-pool path;
+2. :meth:`CampaignCompiler.execute_group` runs a group in-process, one
+   scenario after another in submission order, through the runner's own
+   per-scenario entry point with one shared
+   :class:`~repro.sampling.reconstruction.PlanStructureCache`: the LMS cost
    plans and dense-grid structures are built once per group instead of once
-   per scenario), the dense measurement renders are evaluated chunk by
-   chunk via :func:`~repro.sampling.reconstruction.evaluate_stacked`, and
-   each scenario's :meth:`~repro.bist.engine.TransmitterBist.finish` half
-   turns its row into an ordinary :class:`~repro.bist.runner.ScenarioOutcome`.
+   per scenario.
 
-Safety nets inherited unchanged: results are bit-identical with the serial
-and pooled paths (asserted in tier-1 tests and the compiler benchmark), the
-``reference_evaluate`` oracle still bounds the plan kernels, and compiled
-outcomes flow through the same store/fingerprint machinery as pooled ones —
-archives cannot tell the difference.
-
-Scenarios whose delay estimates land on grids of different exact lengths
-(the valid-range stop depends on the LMS estimate, so the dense sample
-count can differ by ±1 within a group) are sub-batched by their exact grid
-bytes; rows in different sub-batches still share plan structures for the
-grids that do coincide, and correctness never depends on the split.
+A compiled scenario executes exactly as a serial or pooled one does
+(:func:`~repro.bist.campaign.execute_scenario`, then
+:meth:`~repro.bist.engine.TransmitterBist.run`) and differs only in the
+cache its plans share, so its report is bit-identical with theirs (asserted
+in tier-1 tests and the compiler benchmark), a failure is captured per
+scenario the same way, and compiled outcomes flow through the same
+store/fingerprint machinery as pooled ones.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..errors import ValidationError
-from ..sampling.reconstruction import PlanStructureCache, evaluate_stacked
-from .campaign import build_scenario_engine, scenario_bist_config
-from .runner import ScenarioOutcome, _ScenarioTask
+from ..sampling.reconstruction import PlanStructureCache
+from .campaign import scenario_bist_config
+from .runner import ScenarioOutcome, _execute_task, _ScenarioTask
 
-__all__ = ["CampaignCompiler", "CompilerStats", "GROUP_CHUNK_SCENARIOS"]
-
-#: Scenarios whose dense renders are evaluated per chunk.  A dense plan is a
-#: polyphase filter bank over the structure's shared kernel rows: it builds
-#: no ``(times, taps)`` array and pins only its zero-padded records and its
-#: on-grid dot products (four point-sized arrays for a two-term kernel),
-#: ~0.5-0.8 MB for a 16k-24k-point grid, so a chunk of four stays within a
-#: few MB beyond the structure.  The structure holds the grid's distinct
-#: kernel rows and is shared by the whole group regardless of the chunking,
-#: and each render is its own plan's ``evaluate``, so chunking changes no
-#: result.
-GROUP_CHUNK_SCENARIOS = 4
+__all__ = ["CampaignCompiler", "CompilerStats"]
 
 
 @dataclass(frozen=True)
@@ -127,10 +102,9 @@ class CampaignCompiler:
     """Groups and executes fingerprint-adjacent scenario batches.
 
     One compiler instance serves one :meth:`CampaignRunner.run` call: it
-    owns the shared structure cache, executes the homogeneous groups in
-    chunks of :data:`GROUP_CHUNK_SCENARIOS` renders (chunking never changes
-    results), and accumulates the :class:`CompilerStats` the runner
-    surfaces in the campaign summary.
+    owns the shared structure cache, executes the homogeneous groups over
+    it, and accumulates the :class:`CompilerStats` the runner surfaces in
+    the campaign summary.
     """
 
     def __init__(self) -> None:
@@ -217,104 +191,24 @@ class CampaignCompiler:
     # Execution
     # ------------------------------------------------------------------ #
     def execute_group(self, tasks, on_outcome=None) -> list[ScenarioOutcome]:
-        """Execute one homogeneous group with shared structures, in-process.
+        """Execute one homogeneous group in-process over the shared cache.
 
-        Every scenario is isolated: a failure during preparation, stacked
-        evaluation or finishing produces an error outcome for that scenario
-        only, mirroring the pool's error-capture contract.  ``on_outcome``
-        (when given) is invoked per outcome in completion order — the
-        runner uses it for store flushes and progress callbacks.
+        Each task runs in the order given through the runner's
+        :func:`~repro.bist.runner._execute_task` with this compiler's
+        structure cache, so a failing scenario yields an error outcome for
+        itself only, as in the pool.  ``on_outcome`` (when given) is invoked
+        per outcome as it completes — the runner uses it for store flushes
+        and progress callbacks.
         """
         tasks = list(tasks)
         if not tasks:
             raise ValidationError("an execution group needs at least one task")
-        worker = f"compiled-pid-{os.getpid()}"
-        outcomes: list[ScenarioOutcome] = []
-        prepared: list[dict] = []
+        outcomes = []
         for task in tasks:
-            start = time.perf_counter()
-            try:
-                engine, burst = build_scenario_engine(
-                    task.scenario,
-                    bist_config=task.bist_config,
-                    converter_factory=task.converter_factory,
-                    seed=task.seed,
-                    plan_structure_cache=self._structure_cache,
-                )
-                stage = engine.prepare(burst)
-                grid_times, grid_rate = engine.dense_measurement_grid(stage)
-            except Exception as exc:  # noqa: BLE001 - per-scenario isolation
-                outcome = ScenarioOutcome.from_exception(task.index, task.label, exc, start, worker)
-                outcomes.append(outcome)
-                if on_outcome is not None:
-                    on_outcome(outcome)
-                continue
-            prepared.append(
-                {
-                    "task": task,
-                    "engine": engine,
-                    "stage": stage,
-                    "times": grid_times,
-                    "rate": grid_rate,
-                    "elapsed": time.perf_counter() - start,
-                }
-            )
-
-        # Sub-batch by the *exact* dense grid: the valid-range stop depends
-        # on each scenario's skew estimate, so grid lengths can differ by a
-        # sample within a group.  Only bitwise-identical grids stack.
-        sub_batches: dict[bytes, list[dict]] = {}
-        for entry in prepared:
-            sub_batches.setdefault(entry["times"].tobytes(), []).append(entry)
-
-        for batch in sub_batches.values():
-            for start_index in range(0, len(batch), GROUP_CHUNK_SCENARIOS):
-                chunk = batch[start_index : start_index + GROUP_CHUNK_SCENARIOS]
-                self._execute_chunk(chunk, worker, outcomes, on_outcome)
-
-        self._groups_formed += 1
-        self._scenarios_batched += len(tasks)
-        outcomes.sort(key=lambda outcome: outcome.index)
-        return outcomes
-
-    def _execute_chunk(self, chunk, worker, outcomes, on_outcome) -> None:
-        """Stack one chunk's dense renders, then finish each scenario."""
-        stack_started = time.perf_counter()
-        try:
-            # One dense plan per scenario; plan_for shares the expensive
-            # structure through the group's PlanStructureCache.
-            plans = [entry["stage"].reconstructor.plan_for(entry["times"]) for entry in chunk]
-            delays = np.array([entry["stage"].estimate for entry in chunk], dtype=float)
-            # The reconstructors validated their delays at construction, so
-            # the stacked path skips re-validation exactly like
-            # NonuniformReconstructor.evaluate does.
-            rows = evaluate_stacked(plans, delays, validate=False)
-        except Exception:  # noqa: BLE001 - fall back to per-scenario renders
-            # A failed stack costs this chunk its shared render only: each
-            # scenario then finishes with its own render, which gives the
-            # same report.
-            rows = None
-        finally:
-            plans = None
-        stack_share = (time.perf_counter() - stack_started) / len(chunk)
-        for position, entry in enumerate(chunk):
-            task = entry["task"]
-            # Charge the scenario its preparation and its share of the stack.
-            start = time.perf_counter() - entry["elapsed"] - stack_share
-            try:
-                dense_render = None
-                if rows is not None:
-                    dense_render = (entry["times"], rows[position], entry["rate"])
-                report = entry["engine"].finish(entry["stage"], dense_render=dense_render)
-                outcome = ScenarioOutcome(
-                    index=task.index,
-                    label=task.label,
-                    report=report,
-                    duration_seconds=time.perf_counter() - start,
-                    worker=worker,
-                )
-            except Exception as exc:  # noqa: BLE001 - per-scenario isolation
-                outcome = ScenarioOutcome.from_exception(task.index, task.label, exc, start, worker)
+            outcome = _execute_task(task, plan_structure_cache=self._structure_cache)
             outcomes.append(outcome)
             if on_outcome is not None:
                 on_outcome(outcome)
+        self._groups_formed += 1
+        self._scenarios_batched += len(tasks)
+        return outcomes

@@ -37,8 +37,8 @@ from ..utils.serialization import field_dict, known_field_kwargs
 from ..utils.validation import check_integer, check_positive
 from .masks import SpectralMask
 from .measurements import (
+    OFDM_DENSE_OVERSAMPLING,
     TxMeasurements,
-    dense_measurement_rate,
     measure_acpr,
     measure_evm,
     measure_occupied_bandwidth,
@@ -46,7 +46,6 @@ from .measurements import (
     measure_spectrum_from_samples,
     reconstructed_envelope,
     render_uniform,
-    uniform_render_grid,
 )
 from .report import BistReport, CheckResult, SkewCalibrationReport, Verdict
 
@@ -144,12 +143,9 @@ class BistStage:
 
     :meth:`TransmitterBist.prepare` runs everything up to and including the
     skew calibration and reconstructor construction; :meth:`TransmitterBist.finish`
-    performs the measurement and evaluation.  The split exists for the
-    campaign compiler: the dense measurement render — the dominant remaining
-    cost once plan structures are shared — can then be computed for a chunk
-    of scenarios over one shared structure and handed back in through
-    ``finish``'s ``dense_render`` argument.  ``TransmitterBist.run`` is exactly
-    ``finish(prepare(burst))``.
+    performs the measurement and evaluation.  ``TransmitterBist.run`` is
+    exactly ``finish(prepare(burst))``, and :meth:`TransmitterBist.stream`
+    accepts a stage so one acquisition can be streamed more than once.
     """
 
     burst: TransmissionResult
@@ -260,8 +256,7 @@ class TransmitterBist:
 
         Performs transmission, both acquisitions, optional static-mismatch
         correction and the LMS skew estimation, returning a
-        :class:`BistStage` for :meth:`finish`.  The split lets the campaign
-        compiler batch the dense measurement render across scenarios.
+        :class:`BistStage` for :meth:`finish` or :meth:`stream`.
         """
         config = self._config
         if burst is None:
@@ -288,19 +283,11 @@ class TransmitterBist:
             reconstructor=reconstructor,
         )
 
-    def finish(self, stage: BistStage, dense_render: tuple | None = None) -> BistReport:
-        """Measure and evaluate a prepared stage into the final report.
-
-        ``dense_render`` optionally supplies the ``(times, samples, rate)``
-        dense measurement render — exactly what the engine would compute via
-        :meth:`dense_measurement_grid` — letting compiled campaigns evaluate
-        it over a structure shared across scenarios.  ``finish(prepare(burst))``
-        with ``dense_render=None`` is bit-identical to the original
-        single-shot ``run``.
-        """
+    def finish(self, stage: BistStage) -> BistReport:
+        """Measure and evaluate a prepared stage into the final report."""
         if not isinstance(stage, BistStage):
             raise ValidationError("stage must be a BistStage from prepare()")
-        measurements = self._measure(stage.reconstructor, stage.burst, dense_render=dense_render)
+        measurements = self._measure(stage.reconstructor, stage.burst)
         checks, mask_result = self._evaluate(measurements)
         return BistReport(
             profile_name=self._profile.name,
@@ -427,34 +414,22 @@ class TransmitterBist:
         monitor.ingest_stream(iter_blocks(envelope, block_samples))
         return monitor.report()
 
-    def dense_measurement_grid(self, stage: BistStage) -> tuple[np.ndarray, float]:
-        """The exact dense grid ``finish`` will measure ``stage`` on.
-
-        Returns ``(times, sample_rate)`` bitwise identical with what
-        :meth:`_measure` computes internally, so a caller can evaluate the
-        render externally (e.g. stacked across scenarios) and pass it back
-        through :meth:`finish`'s ``dense_render``.
-        """
-        if not isinstance(stage, BistStage):
-            raise ValidationError("stage must be a BistStage from prepare()")
-        valid_low, valid_high = stage.reconstructor.valid_time_range()
-        return uniform_render_grid(
-            stage.reconstructor,
-            valid_low,
-            valid_high,
-            sample_rate=self._dense_rate(stage.burst),
-        )
-
     def _dense_rate(self, burst: TransmissionResult) -> float | None:
-        """The dense measurement rate for ``burst`` (see :func:`dense_measurement_rate`).
+        """The dense measurement rate for ``burst``.
 
-        OFDM windows render once at the reduced shared rate, snapped to an
-        integer multiple of the envelope rate so the same render feeds both
-        the spectrum and the EVM demodulation; single-carrier bursts keep
-        :func:`render_uniform`'s default rate.
+        Single-carrier bursts return ``None``, :func:`render_uniform`'s
+        default of ``4 x f_high``.  OFDM bursts render at
+        :data:`~repro.bist.measurements.OFDM_DENSE_OVERSAMPLING` times the
+        band's upper edge, snapped *up* to an integer multiple of the
+        envelope rate, so the same render feeds both the spectrum and the
+        EVM demodulation without decimation drift.
         """
-        envelope_rate = burst.config.envelope_sample_rate if burst.config.ofdm is not None else None
-        return dense_measurement_rate(self._band.f_high, envelope_rate)
+        if burst.config.ofdm is None:
+            return None
+        envelope_rate = burst.config.envelope_sample_rate
+        return float(
+            np.ceil(OFDM_DENSE_OVERSAMPLING * self._band.f_high / envelope_rate) * envelope_rate
+        )
 
     # ------------------------------------------------------------------ #
     # Steps
@@ -518,28 +493,23 @@ class TransmitterBist:
         return report, result.estimate
 
     def _measure(
-        self,
-        reconstructor: NonuniformReconstructor,
-        burst: TransmissionResult,
-        dense_render: tuple | None = None,
+        self, reconstructor: NonuniformReconstructor, burst: TransmissionResult
     ) -> TxMeasurements:
         """Derive the transmitter measurements from the calibrated reconstruction.
 
         The reconstruction is rendered onto the dense measurement grid once;
-        the output power and the Welch spectrum are both computed from that
-        single render (supplied externally via ``dense_render`` when a
-        compiled campaign evaluated it through ``evaluate_stacked``).  The
-        single-carrier EVM path needs a different grid rate and renders it
-        separately, through its own plan.
+        the output power, the Welch spectrum and the OFDM EVM are all
+        computed from that single render.  The single-carrier EVM path needs
+        a different grid rate and renders it separately, through its own
+        plan.
         """
         config = self._config
         profile = self._profile
-        if dense_render is None:
-            valid_low, valid_high = reconstructor.valid_time_range()
-            dense_render = render_uniform(
-                reconstructor, valid_low, valid_high, sample_rate=self._dense_rate(burst)
-            )
-        _, samples, rate = dense_render
+        valid_low, valid_high = reconstructor.valid_time_range()
+        render = render_uniform(
+            reconstructor, valid_low, valid_high, sample_rate=self._dense_rate(burst)
+        )
+        _, samples, rate = render
         output_power = float(np.mean(samples**2))
         spectrum = measure_spectrum_from_samples(
             samples, rate, bandwidth_hz=reconstructor.kernel.band.bandwidth
@@ -565,7 +535,7 @@ class TransmitterBist:
                     # OFDM family: synchronized demodulation yields the
                     # aggregate EVM plus the per-subcarrier structure; it
                     # reuses the dense render from above.
-                    ofdm_metrics = measure_ofdm_evm(burst, dense_render)
+                    ofdm_metrics = measure_ofdm_evm(burst, render)
                     evm = ofdm_metrics.evm_percent
                     per_subcarrier = ofdm_metrics.per_subcarrier_evm_percent
                     subcarrier_indices = ofdm_metrics.subcarrier_indices

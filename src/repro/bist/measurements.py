@@ -35,8 +35,6 @@ from ..utils.validation import check_positive
 
 __all__ = [
     "OFDM_DENSE_OVERSAMPLING",
-    "dense_measurement_rate",
-    "uniform_render_grid",
     "render_uniform",
     "reconstructed_envelope",
     "envelope_from_dense_samples",
@@ -55,57 +53,6 @@ __all__ = [
 #: reconstruction while keeping the render affordable.  Single-carrier
 #: measurements keep :func:`render_uniform`'s 4 x f_high default.
 OFDM_DENSE_OVERSAMPLING = 2.5
-
-
-def dense_measurement_rate(band_f_high: float, envelope_rate: float | None) -> float | None:
-    """The dense-render rate the BIST engine uses for its measurement grid.
-
-    Single-carrier bursts (``envelope_rate is None``) return ``None``,
-    meaning :func:`render_uniform`'s default of ``4 x f_high``; OFDM bursts
-    render at :data:`OFDM_DENSE_OVERSAMPLING` times the band's upper edge,
-    snapped *up* to an exact integer multiple of the envelope rate so the
-    same render feeds both the spectrum and the EVM demodulation without
-    decimation drift.  Factored out so the campaign compiler can predict the
-    engine's measurement grid exactly (bitwise) without running it.
-    """
-    if envelope_rate is None:
-        return None
-    envelope_rate = check_positive(envelope_rate, "envelope_rate")
-    return float(np.ceil(OFDM_DENSE_OVERSAMPLING * band_f_high / envelope_rate) * envelope_rate)
-
-
-def uniform_render_grid(
-    reconstructor: NonuniformReconstructor,
-    start_time: float,
-    stop_time: float,
-    sample_rate: float | None = None,
-) -> tuple[np.ndarray, float]:
-    """The dense uniform grid :func:`render_uniform` would evaluate on.
-
-    Split out so callers can obtain the exact ``(times, sample_rate)`` pair —
-    bitwise identical with what :func:`render_uniform` computes internally —
-    without paying for the evaluation.  The campaign compiler uses this to
-    group scenarios by their dense measurement grid and to drive the stacked
-    evaluation over it.
-    """
-    if not isinstance(reconstructor, NonuniformReconstructor):
-        raise ValidationError("reconstructor must be a NonuniformReconstructor")
-    valid_low, valid_high = reconstructor.valid_time_range()
-    start_time = max(float(start_time), valid_low)
-    stop_time = min(float(stop_time), valid_high)
-    if stop_time <= start_time:
-        raise MeasurementError(
-            "the requested rendering interval does not overlap the reconstructor's valid range"
-        )
-    band = reconstructor.kernel.band
-    if sample_rate is None:
-        sample_rate = 4.0 * band.f_high
-    sample_rate = check_positive(sample_rate, "sample_rate")
-    num_samples = int(np.floor((stop_time - start_time) * sample_rate))
-    if num_samples < 64:
-        raise MeasurementError("rendering interval too short for a meaningful measurement")
-    times = start_time + np.arange(num_samples) / sample_rate
-    return times, sample_rate
 
 
 def render_uniform(
@@ -140,9 +87,22 @@ def render_uniform(
     :func:`measure_spectrum_from_samples`), so prefer reusing the returned
     samples over calling this twice for the same interval.
     """
-    times, sample_rate = uniform_render_grid(
-        reconstructor, start_time, stop_time, sample_rate=sample_rate
-    )
+    if not isinstance(reconstructor, NonuniformReconstructor):
+        raise ValidationError("reconstructor must be a NonuniformReconstructor")
+    valid_low, valid_high = reconstructor.valid_time_range()
+    start_time = max(float(start_time), valid_low)
+    stop_time = min(float(stop_time), valid_high)
+    if stop_time <= start_time:
+        raise MeasurementError(
+            "the requested rendering interval does not overlap the reconstructor's valid range"
+        )
+    if sample_rate is None:
+        sample_rate = 4.0 * reconstructor.kernel.band.f_high
+    sample_rate = check_positive(sample_rate, "sample_rate")
+    num_samples = int(np.floor((stop_time - start_time) * sample_rate))
+    if num_samples < 64:
+        raise MeasurementError("rendering interval too short for a meaningful measurement")
+    times = start_time + np.arange(num_samples) / sample_rate
     return times, reconstructor.evaluate(times), sample_rate
 
 
@@ -342,7 +302,7 @@ def measure_evm(
 
 def measure_ofdm_evm(
     burst: TransmissionResult,
-    dense_render: tuple,
+    render: tuple,
     timing_backoff: int | None = None,
 ) -> OfdmGridMetrics:
     """Per-subcarrier EVM and spectral flatness of a reconstructed OFDM burst.
@@ -360,12 +320,12 @@ def measure_ofdm_evm(
     burst:
         The transmission whose data grid is the reference; its
         configuration must carry OFDM parameters.
-    dense_render:
+    render:
         The ``(times, samples, sample_rate)`` dense render of the
         calibrated reconstruction over its valid interval (as returned by
         :func:`render_uniform`), shared with the spectrum measurement; the
-        rate must be an integer multiple of the burst's envelope rate (see
-        :func:`dense_measurement_rate`).
+        rate must be an integer multiple of the burst's envelope rate (the
+        engine snaps its OFDM render rate up to one).
     timing_backoff:
         FFT-window advance into the cyclic prefix, in critical samples
         (phase-compensated exactly); defaults to a quarter of the CP, which
@@ -381,7 +341,7 @@ def measure_ofdm_evm(
     if timing_backoff is None:
         timing_backoff = params.cp_length // 4
     envelope_rate = config.envelope_sample_rate
-    dense_times, dense_samples, dense_rate = dense_render
+    dense_times, dense_samples, dense_rate = render
     times, envelope = envelope_from_dense_samples(
         dense_times,
         dense_samples,

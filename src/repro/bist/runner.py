@@ -366,16 +366,24 @@ class _ScenarioTask:
     seed: int | None | type(...) = ...
 
 
-def _execute_task(task: _ScenarioTask) -> ScenarioOutcome:
-    """Worker entry point: run one scenario, never raise."""
+def _execute_task(task: _ScenarioTask, plan_structure_cache=None) -> ScenarioOutcome:
+    """Run one scenario, never raise.
+
+    Serial runs and pool workers call it without a cache; the campaign
+    compiler calls it in-process with its group's shared
+    ``plan_structure_cache``, and those outcomes name their worker
+    ``compiled-pid-<pid>``.
+    """
     start = time.perf_counter()
-    worker = f"pid-{os.getpid()}"
+    prefix = "pid" if plan_structure_cache is None else "compiled-pid"
+    worker = f"{prefix}-{os.getpid()}"
     try:
         report = execute_scenario(
             task.scenario,
             bist_config=task.bist_config,
             converter_factory=task.converter_factory,
             seed=task.seed,
+            plan_structure_cache=plan_structure_cache,
         )
         return ScenarioOutcome(
             index=task.index,
@@ -388,7 +396,7 @@ def _execute_task(task: _ScenarioTask) -> ScenarioOutcome:
         return ScenarioOutcome.from_exception(task.index, task.label, exc, start, worker)
 
 
-def _execute_chunk(tasks) -> list[ScenarioOutcome]:
+def _execute_tasks(tasks) -> list[ScenarioOutcome]:
     """Worker entry point: run a chunk of scenarios, never raise.
 
     Chunked submission amortises the per-future pickle/IPC overhead over
@@ -558,10 +566,11 @@ class CampaignRunner:
         ``compile=True`` routes the batch through the
         :class:`~repro.bist.compiler.CampaignCompiler`: fingerprint-adjacent
         scenarios (same effective profile/configuration geometry) execute
-        in-process, sharing reconstruction-plan structures,
-        while heterogeneous remainders fall back to this runner's normal
-        serial/pool path.  Results are bit-identical either way; the
-        returned execution carries the compiler's statistics.
+        in-process through the same per-scenario path, sharing one
+        reconstruction-plan structure cache, while heterogeneous remainders
+        fall back to this runner's normal serial/pool path.  Results are
+        bit-identical either way; the returned execution carries the
+        compiler's statistics.
 
         ``indices`` (when given) assigns each scenario its position in a
         larger submission — outcomes carry those indices and the
@@ -772,7 +781,7 @@ class CampaignRunner:
         chunks = [tasks[i : i + chunk_size] for i in range(0, len(tasks), chunk_size)]
         broken = []
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_execute_chunk, chunk): chunk for chunk in chunks}
+            futures = {pool.submit(_execute_tasks, chunk): chunk for chunk in chunks}
             for future in concurrent.futures.as_completed(futures):
                 chunk = futures[future]
                 error = future.exception()

@@ -11,6 +11,7 @@ bandwidth and adjacent-channel power ratio used by :mod:`repro.bist`.
 from __future__ import annotations
 
 import base64
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -40,7 +41,7 @@ class SpectrumEstimate:
     Attributes
     ----------
     frequencies_hz:
-        Frequency bins (Hz).  Monotonically increasing.
+        Frequency bins (Hz).  Finite and strictly increasing.
     psd:
         Power spectral density per bin, in linear units (power per Hz).
     resolution_hz:
@@ -59,8 +60,11 @@ class SpectrumEstimate:
         psd = check_1d_array(self.psd, "psd", dtype=float)
         if freqs.size != psd.size:
             raise ValidationError("frequencies_hz and psd must have the same length")
-        if np.any(np.diff(freqs) <= 0):
-            raise ValidationError("frequencies_hz must be strictly increasing")
+        # Every comparison with NaN is False, so a NaN bin fails the step
+        # test; strictly increasing bins between finite ends are all finite.
+        ends_finite = math.isfinite(freqs[0]) and math.isfinite(freqs[-1])
+        if not (ends_finite and np.all(np.diff(freqs) > 0)):
+            raise ValidationError("frequencies_hz must be finite and strictly increasing")
         object.__setattr__(self, "frequencies_hz", freqs)
         object.__setattr__(self, "psd", psd)
 

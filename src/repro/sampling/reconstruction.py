@@ -37,11 +37,12 @@ taps and a Kaiser window).  This module provides:
   plan (tap windows, taper, kernel trigonometry — the expensive part)
   between plans whose acquisition geometry and evaluation grid coincide.
   Fingerprint-adjacent campaign scenarios (a severity sweep of one fault
-  family) differ only in sample values, so the campaign compiler builds the
-  structure once per group instead of once per scenario;
+  family) differ only in sample values, so the campaign compiler runs each
+  scenario of a group with one cache and builds each structure once per
+  group instead of once per scenario;
 * :func:`evaluate_stacked` — evaluates many plans, one delay each, into one
-  array for the campaign compiler; row ``i`` is ``plans[i].evaluate`` by
-  construction;
+  array; row ``i`` is ``plans[i].evaluate`` by construction.  No campaign
+  path calls it any more (the benchmark still traces it by name);
 * :class:`NonuniformReconstructor` — a thin façade over
   :class:`ReconstructionPlan` keeping the original arbitrary-times API: it
   binds one assumed delay ``D_hat`` and builds a plan for each time grid it
@@ -949,9 +950,9 @@ class ReconstructionPlan:
     def structure(self) -> _PlanStructure:
         """The (possibly shared) sample-independent half of this plan.
 
-        Plans returning the *same object* here can evaluate together through
-        :func:`evaluate_stacked`; the campaign compiler groups scenarios by
-        exactly this identity.
+        Plans built through one :class:`PlanStructureCache` over the same
+        acquisition geometry and bitwise-identical grid return the *same
+        object* here.
         """
         return self._structure
 
@@ -1043,19 +1044,19 @@ class ReconstructionPlan:
 def evaluate_stacked(plans, assumed_delays, validate: bool = True) -> np.ndarray:
     """Evaluate many plans, one delay each, into one array.
 
-    The cross-*scenario* companion of :meth:`ReconstructionPlan.evaluate_many`
-    used by the campaign compiler: the plans of one compiled group share a
-    :class:`_PlanStructure` (built through one :class:`PlanStructureCache`),
-    so the expensive half is already paid once per group, and each plan's
-    render is a polyphase contraction of its own samples.  The plans are
-    evaluated one after another, so row ``i`` is
-    ``plans[i].evaluate(assumed_delays[i])`` by construction.
+    The cross-*scenario* companion of :meth:`ReconstructionPlan.evaluate_many`:
+    the plans are validated together and evaluated one after another, so
+    row ``i`` is ``plans[i].evaluate(assumed_delays[i])`` by construction.
+    It has no production caller: the campaign compiler runs each scenario
+    of a group through :meth:`~repro.bist.engine.TransmitterBist.run` over
+    one :class:`PlanStructureCache`.  It stays until the benchmark, which
+    traces it by name, stops doing so.
 
     Parameters
     ----------
     plans:
         Sequence of :class:`ReconstructionPlan`, all over grids of the same
-        length (the compiled-campaign contract: one scenario per plan).
+        length.
     assumed_delays:
         One assumed delay per plan.
     validate:

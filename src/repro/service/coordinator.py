@@ -402,8 +402,10 @@ class Coordinator:
         now = time.monotonic()
         for partition_id, active in list(in_flight.items()):
             if active.done:
+                # partition_done is the worker's last message and its exit
+                # follows within moments: wait for it here, not a poll sleep.
+                active.process.join(timeout=_POLL_SECONDS)
                 if not active.process.is_alive():
-                    active.process.join(timeout=1.0)
                     active.results_queue.close()
                     del in_flight[partition_id]
                 continue

@@ -11,8 +11,6 @@ import json
 import numpy as np
 import pytest
 
-import repro.bist.compiler as compiler_module
-
 from repro.bist import (
     BistConfig,
     CampaignCompiler,
@@ -20,11 +18,14 @@ from repro.bist import (
     CampaignScenario,
     CompilerStats,
     ScenarioGrid,
+    TransmitterBist,
+    execute_scenario,
     pa_saturation_sweep,
     skew_sweep,
 )
 from repro.bist.runner import CampaignExecution, ExecutionBudget
 from repro.errors import BudgetExhaustedError, ValidationError
+from repro.sampling import PlanStructureCache
 from repro.store import CampaignStore
 from repro.transmitter import ImpairmentConfig
 
@@ -36,15 +37,37 @@ FAST_CONFIG = BistConfig(
     measure_evm_enabled=False,
 )
 
+#: The smallest fast config whose paper-profile record still measures EVM
+#: (at 128 fast samples the demodulator has too few clean symbols).
+EVM_CONFIG = BistConfig(
+    num_samples_fast=256,
+    num_samples_slow=128,
+    lms_max_iterations=25,
+    num_cost_points=60,
+)
 
-def severity_sweep(num: int = 4):
+
+def severity_sweep(num: int = 4, profile: str = "paper-qpsk-1ghz"):
     """A homogeneous group: one profile, one fault axis, varying severity."""
     return (
         ScenarioGrid()
-        .add_profile("paper-qpsk-1ghz")
+        .add_profile(profile)
         .add_converters(skew_sweep(np.linspace(0.0, 3e-12, num)))
         .build()
     )
+
+
+class RecordingCache(PlanStructureCache):
+    """A structure cache that logs ``(grid points, hit)`` per lookup."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.lookups = []
+
+    def lookup(self, key):
+        structure = super().lookup(key)
+        self.lookups.append((key[1], structure is not None))
+        return structure
 
 
 def build_tasks(scenarios, **runner_kwargs):
@@ -171,32 +194,65 @@ class TestCompiledExecution:
         assert stats.scenarios_batched == 2
         assert stats.scenarios_pooled == 1
 
-    def test_chunking_does_not_change_results(self, monkeypatch):
-        scenarios = severity_sweep(3)
-        tasks = build_tasks(scenarios)
-        whole = CampaignCompiler().execute_group(tasks)
-        monkeypatch.setattr(compiler_module, "GROUP_CHUNK_SCENARIOS", 1)
-        chopped = CampaignCompiler().execute_group(tasks)
-        for a, b in zip(whole, chopped):
-            assert a.ok and b.ok
+    @pytest.mark.parametrize("profile", ["paper-qpsk-1ghz", "ofdm-uhf-qpsk-400mhz"])
+    def test_compiled_equals_serial_with_evm_enabled(self, profile):
+        # One dense render feeds the spectrum and, for OFDM, the EVM too;
+        # the single-carrier EVM renders its own grid.  Both share the cache.
+        scenarios = severity_sweep(3, profile=profile)
+        serial = CampaignRunner(bist_config=EVM_CONFIG).run(scenarios)
+        compiled = CampaignRunner(bist_config=EVM_CONFIG).run(scenarios, compile=True)
+        assert compiled.compiler_stats.scenarios_batched == 3
+        assert compiled.compiler_stats.structure_cache["hits"] > 0
+        for a, b in zip(serial.outcomes, compiled.outcomes):
+            assert a.report.measurements.evm_percent is not None
             assert a.report.to_dict() == b.report.to_dict()
+            assert b.worker.startswith("compiled-pid-")
+        if profile.startswith("ofdm"):
+            assert all(
+                outcome.report.measurements.per_subcarrier_evm_percent is not None
+                for outcome in compiled.outcomes
+            )
 
-    def test_failed_stacked_render_falls_back_to_per_scenario_renders(self, monkeypatch):
-        # A stacked render that raises costs the chunk its shared render
-        # only: each scenario finishes with its own render, same report.
+    def test_execute_scenario_with_a_shared_cache_equals_without(self):
+        cache = RecordingCache()
+        dense_hits = []
+        for scenario in severity_sweep(2):
+            cache.lookups = []
+            cached = execute_scenario(scenario, EVM_CONFIG, plan_structure_cache=cache)
+            assert cached.to_dict() == execute_scenario(scenario, EVM_CONFIG).to_dict()
+            # The spectrum and EVM renders; the cost plans have 60 points.
+            dense_hits.append(
+                [hit for points, hit in cache.lookups if points > EVM_CONFIG.num_cost_points]
+            )
+        assert dense_hits == [[False, False], [True, True]]
+
+    def test_scenario_raising_after_calibration_errors_alone(self, monkeypatch):
+        # The second scenario of the group fails in its evaluation step,
+        # after its calibration and renders went through the shared cache;
+        # its neighbours still match the serial path bit for bit.
         scenarios = severity_sweep(3)
         serial = CampaignRunner(bist_config=FAST_CONFIG).run(scenarios)
+        evaluate = TransmitterBist._evaluate
+        calls = []
 
-        def failing_stack(*args, **kwargs):
-            raise MemoryError("stacked render")
+        def evaluate_failing_second(self, measurements):
+            calls.append(measurements)
+            if len(calls) == 2:
+                raise RuntimeError("injected failure after calibration")
+            return evaluate(self, measurements)
 
-        monkeypatch.setattr(compiler_module, "evaluate_stacked", failing_stack)
+        monkeypatch.setattr(TransmitterBist, "_evaluate", evaluate_failing_second)
         compiled = CampaignRunner(bist_config=FAST_CONFIG).run(scenarios, compile=True)
-        assert compiled.errors == []
+        assert [outcome.ok for outcome in compiled.outcomes] == [True, False, True]
+        failed = compiled.outcomes[1]
+        assert failed.error == "RuntimeError: injected failure after calibration"
+        assert failed.worker.startswith("compiled-pid-")
         assert compiled.compiler_stats.scenarios_batched == 3
-        assert [outcome.report.to_dict() for outcome in compiled.outcomes] == [
-            outcome.report.to_dict() for outcome in serial.outcomes
-        ]
+        for index in (0, 2):
+            assert (
+                compiled.outcomes[index].report.to_dict()
+                == serial.outcomes[index].report.to_dict()
+            )
 
     def test_execute_group_isolates_per_scenario_errors(self):
         # An unresolvable scenario inside a group (only reachable by calling

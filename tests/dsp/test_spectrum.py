@@ -1,5 +1,6 @@
 """Tests for repro.dsp.spectrum."""
 
+import base64
 import json
 import warnings
 
@@ -362,4 +363,22 @@ class TestArchiveEncoding:
         data = SpectrumEstimate(np.array([1.0]), np.array([2.0]), 1.0, False).to_dict()
         data[field] = encoded
         with pytest.raises(ValidationError, match=f"{field} .*{reason}"):
+            SpectrumEstimate.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "frequencies",
+        [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [np.nan]],
+        ids=["nan-step", "inf-bin", "lone-nan"],
+    )
+    def test_non_finite_frequency_bins_raise(self, frequencies):
+        # A NaN step compares False against 0 and an inf step is positive,
+        # so the increasing-bins check alone lets these through.
+        with pytest.raises(ValidationError, match="frequencies_hz must be finite"):
+            SpectrumEstimate(np.array(frequencies), np.ones(len(frequencies)), 1.0, False)
+
+    def test_archived_nan_frequency_bin_raises(self):
+        data = SpectrumEstimate(np.array([0.0, 1.0, 2.0]), np.ones(3), 1.0, False).to_dict()
+        axis = np.array([0.0, np.nan, 2.0], dtype="<f8")
+        data["frequencies_hz"] = base64.b64encode(axis.tobytes()).decode("ascii")
+        with pytest.raises(ValidationError, match="frequencies_hz must be finite"):
             SpectrumEstimate.from_dict(data)

@@ -38,7 +38,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.bist.measurements import uniform_render_grid
+from repro.bist.measurements import render_uniform
 from repro.errors import DelayConstraintError
 from repro.sampling import (
     BandpassBand,
@@ -321,7 +321,7 @@ def test_paper_dense_grids_share_kernel_rows(paper_band):
         (48 * paper_band.bandwidth, 49, (48, 1), 2, 99_819),
     )
     for rate, rows, step, groups, elements_before in grids:
-        times, _ = uniform_render_grid(reconstructor, low, high, rate)
+        times, _, _ = render_uniform(reconstructor, low, high, rate)
         structure = reconstructor.plan_for(times).structure
         assert structure.taper.shape == (rows, reconstructor.num_taps + 1)
         assert structure.row_index.shape == times.shape

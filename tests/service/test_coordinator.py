@@ -61,6 +61,65 @@ def make_coordinator(tmp_path, **overrides) -> Coordinator:
     return Coordinator(tmp_path / "store", **options)
 
 
+class _Process:
+    """A worker-process stub that stays alive until joined, if it exits at all."""
+
+    def __init__(self, exits_on_join: bool = True) -> None:
+        self.alive = True
+        self.exits_on_join = exits_on_join
+        self.join_timeouts = []
+
+    def is_alive(self) -> bool:
+        return self.alive
+
+    def join(self, timeout=None) -> None:
+        self.join_timeouts.append(timeout)
+        if self.exits_on_join:
+            self.alive = False
+
+
+class _Queue:
+    closed = False
+
+    def close(self) -> None:
+        self.closed = True
+
+
+def done_worker(process) -> coordinator_module._ActiveWorker:
+    active = coordinator_module._ActiveWorker(
+        "worker-000", 0, process, partition=None, results_queue=_Queue(), retries=0
+    )
+    active.done = True
+    return active
+
+
+class TestReap:
+    def test_done_worker_is_retired_by_the_pass_that_drained_it(self, tmp_path):
+        # partition_done arrives while the child is still alive; one _reap
+        # joins it (at most one poll interval) and retires it, instead of
+        # leaving it for the next pass behind a poll sleep.
+        process = _Process()
+        active = done_worker(process)
+        in_flight = {0: active}
+        make_coordinator(tmp_path)._reap(in_flight, [], [])
+        assert in_flight == {}
+        assert active.results_queue.closed
+        assert process.join_timeouts == [coordinator_module._POLL_SECONDS]
+
+    def test_done_worker_alive_after_the_join_waits_for_the_next_pass(self, tmp_path):
+        process = _Process(exits_on_join=False)
+        active = done_worker(process)
+        in_flight = {0: active}
+        pending, failed = [], []
+        make_coordinator(tmp_path)._reap(in_flight, pending, failed)
+        assert in_flight == {0: active}
+        assert not active.results_queue.closed
+        assert pending == [] and failed == []
+        process.exits_on_join = True
+        make_coordinator(tmp_path)._reap(in_flight, pending, failed)
+        assert in_flight == {}
+
+
 class TestValidation:
     def test_worker_count_is_checked(self, tmp_path):
         with pytest.raises(ValidationError, match="num_workers"):

@@ -6,6 +6,7 @@ with deterministic first-record-wins semantics, and incremental appends are
 immediately visible to fresh store instances.
 """
 
+import base64
 import copy
 import json
 import tempfile
@@ -213,6 +214,20 @@ class TestCorruptionRecovery:
     def test_undecodable_spectrum_skipped_with_warning(self, tmp_path, real_outcome, psd):
         record = json.loads(CampaignStore._record_line("fp-bad", real_outcome))
         record["outcome"]["report"]["measurements"]["spectrum"]["psd"] = psd
+        good = CampaignStore._record_line("fp-good", real_outcome)
+        store = self._shard_with_lines(tmp_path, [json.dumps(record), good])
+        with pytest.warns(CampaignStoreWarning, match="corrupt record.*ValidationError"):
+            index = store.load()
+        assert sorted(index) == ["fp-good"]
+        assert store.get("fp-bad") is None
+
+    def test_non_finite_frequency_axis_skipped_with_warning(self, tmp_path, real_outcome):
+        # The base64 axis decodes any float64 bits; a NaN bin is corruption.
+        record = json.loads(CampaignStore._record_line("fp-bad", real_outcome))
+        spectrum = record["outcome"]["report"]["measurements"]["spectrum"]
+        axis = real_outcome.report.measurements.spectrum.frequencies_hz.astype("<f8")
+        axis[axis.size // 2] = np.nan
+        spectrum["frequencies_hz"] = base64.b64encode(axis.tobytes()).decode("ascii")
         good = CampaignStore._record_line("fp-good", real_outcome)
         store = self._shard_with_lines(tmp_path, [json.dumps(record), good])
         with pytest.warns(CampaignStoreWarning, match="corrupt record.*ValidationError"):
