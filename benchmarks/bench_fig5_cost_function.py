@@ -27,7 +27,7 @@ def sweep_cost_function(fast, slow):
         num_evaluation_points=NUM_COST_POINTS,
         seed=20140324,
     )
-    return cost.sweep(CANDIDATES_PS * 1e-12), cost
+    return cost.evaluate_many(CANDIDATES_PS * 1e-12), cost
 
 
 def test_fig5_cost_function(benchmark, paper_acquisitions):

@@ -6,13 +6,14 @@ document so the performance trajectory accumulates across PRs:
 * ``single_eval`` — one reconstruction over the cost-function grid:
   :func:`repro.sampling.reference_evaluate` (the pre-plan implementation,
   kept verbatim as the oracle) vs :meth:`ReconstructionPlan.evaluate`;
-* ``sweep`` — the Fig. 5 cost sweep: a per-candidate scalar loop over the
-  reference path vs the vectorised :meth:`SkewCostFunction.sweep`, whose
-  batched rows must equal per-delay :meth:`ReconstructionPlan.evaluate` bit
-  for bit;
+* ``sweep`` — the Fig. 5 cost sweep through
+  :meth:`SkewCostFunction.evaluate_many`: the reference path (one oracle
+  reconstruction per candidate) vs the plans, whose batched rows must equal
+  per-delay :meth:`ReconstructionPlan.evaluate` bit for bit;
 * ``lms`` — the two cost plans' build, timed on its own, and a full
-  Algorithm 1 skew estimation through the reference cost vs the batched
-  plan-backed estimator;
+  Algorithm 1 skew estimation through the reference cost vs the plan-backed
+  one; both estimators probe candidates the same way and differ only in the
+  reconstruction;
 * ``full_bist`` — ``TransmitterBist.run`` with the plan layer vs the same
   engine with every plan evaluation routed through the reference path;
 * ``dense_render`` — the paper-default record (400 samples) rendered over its
@@ -24,8 +25,9 @@ document so the performance trajectory accumulates across PRs:
 
 Every comparison also records the worst relative deviation between the two
 paths; the script exits non-zero if the single-eval, sweep or dense-render
-deviation exceeds ``--tolerance`` (1e-9), or if a batched sweep row differs
-from its per-delay evaluation in any bit.
+deviation exceeds ``--tolerance`` (1e-9), if a batched sweep row differs
+from its per-delay evaluation in any bit, or if the two LMS estimates differ
+by more than the estimator's minimal step (``min_step_seconds``, 1e-3 ps).
 
 Run with::
 
@@ -80,30 +82,26 @@ class _ReferenceSkewCost(SkewCostFunction):
 
     Used as the "before" baseline: every candidate rebuilds the tap indexing,
     gathering, taper and kernel trigonometry, exactly like the pre-plan code.
-    Overriding the two reconstruct hooks is sufficient — the base class
-    detects the overrides and routes __call__, evaluate_many and sweep
-    through them (as a per-candidate scalar loop).
+    Overriding the one batched reconstruction hook is sufficient: scalar
+    calls, ``evaluate_many`` and the LMS all reconstruct through it.
     """
 
-    def reconstruct_fast(self, candidate_delay):
-        return reference_evaluate(
-            self.sample_set_fast,
-            self.evaluation_times,
-            assumed_delay=candidate_delay,
-            num_taps=self.num_taps,
-            window=self.window,
-            kaiser_beta=self.kaiser_beta,
+    def reconstruct_many(self, candidate_delays):
+        return tuple(
+            np.stack(
+                [
+                    reference_evaluate(
+                        sample_set,
+                        self.evaluation_times,
+                        assumed_delay=delay,
+                        num_taps=self.num_taps,
+                    )
+                    for delay in candidate_delays
+                ]
+            )
+            for sample_set in (self.sample_set_fast, self.sample_set_slow)
         )
 
-    def reconstruct_slow(self, candidate_delay):
-        return reference_evaluate(
-            self.sample_set_slow,
-            self.evaluation_times,
-            assumed_delay=candidate_delay,
-            num_taps=self.num_taps,
-            window=self.window,
-            kaiser_beta=self.kaiser_beta,
-        )
 
 @contextmanager
 def reference_plan_path():
@@ -121,8 +119,6 @@ def reference_plan_path():
             self.evaluation_times,
             assumed_delay=assumed_delay,
             num_taps=self.num_taps,
-            window=self.window,
-            kaiser_beta=self.kaiser_beta,
         )
 
     def evaluate_many(self, assumed_delays, validate=True):
@@ -196,7 +192,7 @@ def bench_single_eval(fast_set, cost_points: int, repeats: int) -> dict:
 
 
 def _cost_times(sample_set, cost_points: int) -> np.ndarray:
-    low, high = ReconstructionPlan(sample_set, [0.0], num_taps=NUM_TAPS).valid_time_range()
+    low, high = NonuniformReconstructor(sample_set, num_taps=NUM_TAPS).valid_time_range()
     rng = np.random.default_rng(20140324)
     return np.sort(rng.uniform(low, high, cost_points))
 
@@ -212,9 +208,11 @@ def bench_sweep(fast_set, slow_set, cost_points: int, num_candidates: int, repea
         num_taps=NUM_TAPS,
     )
     candidates = np.linspace(120e-12, 260e-12, num_candidates)
-    reference_s = best_of(lambda: reference_cost.sweep(candidates), repeats)
-    plan_s = best_of(lambda: plan_cost.sweep(candidates), repeats)
-    deviation = relative_deviation(plan_cost.sweep(candidates), reference_cost.sweep(candidates))
+    reference_s = best_of(lambda: reference_cost.evaluate_many(candidates), repeats)
+    plan_s = best_of(lambda: plan_cost.evaluate_many(candidates), repeats)
+    deviation = relative_deviation(
+        plan_cost.evaluate_many(candidates), reference_cost.evaluate_many(candidates)
+    )
     # A candidate's row must not depend on the candidates sharing its batch.
     rows_identical = all(
         np.array_equal(
@@ -250,7 +248,7 @@ def bench_lms(fast_set, slow_set, cost_points: int, repeats: int) -> dict:
     )
     plan_estimator = LmsSkewEstimator(plan_cost, initial_step_seconds=1e-12, max_iterations=60)
     reference_estimator = LmsSkewEstimator(
-        reference_cost, initial_step_seconds=1e-12, max_iterations=60, batched=False
+        reference_cost, initial_step_seconds=1e-12, max_iterations=60
     )
     start = 50e-12
     reference_s = best_of(lambda: reference_estimator.estimate(start), repeats)
@@ -265,6 +263,7 @@ def bench_lms(fast_set, slow_set, cost_points: int, repeats: int) -> dict:
         "plan_estimate_ps": plan_result.estimate * 1e12,
         "reference_estimate_ps": reference_result.estimate * 1e12,
         "estimate_abs_difference_ps": abs(plan_result.estimate - reference_result.estimate) * 1e12,
+        "min_step_ps": plan_estimator.min_step_seconds * 1e12,
     }
 
 
@@ -400,7 +399,8 @@ def main(argv=None) -> int:
           f"(two plans over {results['sweep']['num_times']} instants)")
     print(f"lms estimate: reference {results['lms']['reference_s'] * 1e3:8.2f} ms  "
           f"plan {results['lms']['plan_s'] * 1e3:8.2f} ms  "
-          f"({results['lms']['speedup']:.1f}x)")
+          f"({results['lms']['speedup']:.1f}x, "
+          f"estimates differ by {results['lms']['estimate_abs_difference_ps']:.1e} ps)")
     print(f"full bist   : reference {results['full_bist']['reference_s'] * 1e3:8.2f} ms  "
           f"plan {results['full_bist']['plan_s'] * 1e3:8.2f} ms  "
           f"({results['full_bist']['speedup']:.1f}x)")
@@ -431,6 +431,15 @@ def main(argv=None) -> int:
     if not results["sweep"]["batched_rows_bit_identical"]:
         print(
             "ERROR: a batched cost-sweep row differs from its per-delay evaluation",
+            file=sys.stderr,
+        )
+        return 1
+    lms = results["lms"]
+    if lms["estimate_abs_difference_ps"] > lms["min_step_ps"]:
+        print(
+            f"ERROR: the plan-based LMS estimate differs from the reference one by "
+            f"{lms['estimate_abs_difference_ps']:.3e} ps (> one minimal step, "
+            f"{lms['min_step_ps']:.0e} ps)",
             file=sys.stderr,
         )
         return 1

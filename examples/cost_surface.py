@@ -3,8 +3,8 @@
 Acquires one in-band multitone twice (per-channel rates B = 90 MHz and
 B1 = 45 MHz, true delay D = 180 ps), then sweeps the reconstruction-
 disagreement cost over the whole search interval (0, m) through the
-vectorised ``SkewCostFunction.sweep`` — a single batched pass over the two
-precompiled reconstruction plans.  Prints the cost surface as an ASCII
+vectorised ``SkewCostFunction.evaluate_many`` — a single batched pass over
+the two precompiled reconstruction plans.  Prints the cost surface as an ASCII
 profile and reports where its minimum lands relative to the true delay.
 
 Run with:  PYTHONPATH=src python examples/cost_surface.py [--fast] [--json PATH]
@@ -72,7 +72,7 @@ def main() -> None:
     # Stay clear of the interval edges, where the kernel denominators vanish.
     candidates = np.linspace(0.04 * bound, 0.96 * bound, num_candidates)
     start = time.perf_counter()
-    costs = cost.sweep(candidates)
+    costs = cost.evaluate_many(candidates)
     elapsed = time.perf_counter() - start
     print(
         f"swept {num_candidates} candidate delays x {num_cost_points} instants "

@@ -29,7 +29,7 @@ from ..dsp.spectrum import (
 )
 from ..errors import MeasurementError, ValidationError
 from ..sampling.reconstruction import NonuniformReconstructor
-from ..signals.ofdm import OfdmDemodulator, OfdmGridMetrics, build_used_grid, ofdm_grid_metrics
+from ..signals.ofdm import OfdmGridMetrics, _whole_symbol_metrics, build_used_grid
 from ..transmitter.chain import TransmissionResult
 from ..utils.validation import check_positive
 
@@ -300,20 +300,14 @@ def measure_evm(
     return error_vector_magnitude(reference, aligned, as_percent=True)
 
 
-def measure_ofdm_evm(
-    burst: TransmissionResult,
-    render: tuple,
-    timing_backoff: int | None = None,
-) -> OfdmGridMetrics:
+def measure_ofdm_evm(burst: TransmissionResult, render: tuple) -> OfdmGridMetrics:
     """Per-subcarrier EVM and spectral flatness of a reconstructed OFDM burst.
 
-    The reconstructed output is mixed down to the complex envelope,
-    band-limit interpolated onto the exact sample grid of every OFDM symbol
-    that falls completely inside the reconstructor's valid interval, and
-    demodulated with the synchronized :class:`~repro.signals.ofdm.OfdmDemodulator`
-    (the burst starts at t = 0, so symbol boundaries are known exactly).
-    The received grid is compared against the known transmitted grid after
-    a least-squares common complex-gain alignment.
+    The reconstructed output is mixed down to the complex envelope, and
+    every OFDM symbol that falls completely inside it, 4 envelope samples
+    clear of either edge, is demodulated against the known transmitted grid
+    (the burst starts at t = 0, so symbol boundaries are known exactly; see
+    :func:`~repro.signals.ofdm.ofdm_grid_metrics` for the alignment).
 
     Parameters
     ----------
@@ -326,11 +320,6 @@ def measure_ofdm_evm(
         :func:`render_uniform`), shared with the spectrum measurement; the
         rate must be an integer multiple of the burst's envelope rate (the
         engine snaps its OFDM render rate up to one).
-    timing_backoff:
-        FFT-window advance into the cyclic prefix, in critical samples
-        (phase-compensated exactly); defaults to a quarter of the CP, which
-        keeps the window inside the ISI-free region under small residual
-        timing error in either direction.
     """
     if not isinstance(burst, TransmissionResult):
         raise ValidationError("burst must be a TransmissionResult")
@@ -338,8 +327,6 @@ def measure_ofdm_evm(
     params = config.ofdm
     if params is None:
         raise MeasurementError("measure_ofdm_evm needs an OFDM burst (config.ofdm is None)")
-    if timing_backoff is None:
-        timing_backoff = params.cp_length // 4
     envelope_rate = config.envelope_sample_rate
     dense_times, dense_samples, dense_rate = render
     times, envelope = envelope_from_dense_samples(
@@ -349,36 +336,17 @@ def measure_ofdm_evm(
         carrier_frequency_hz=config.carrier_frequency_hz,
         envelope_rate=envelope_rate,
     )
-
-    symbol_duration = params.symbol_duration_seconds(config.symbol_rate_hz)
     margin = 4.0 / envelope_rate
-    first_symbol = int(np.ceil((times[0] + margin) / symbol_duration))
-    last_symbol = int(np.floor((times[-1] - margin) / symbol_duration)) - 1
-    total_symbols = burst.symbols.size // params.num_data_subcarriers
-    last_symbol = min(last_symbol, total_symbols - 1)
-    num_symbols = last_symbol - first_symbol + 1
-    if num_symbols < 2:
-        raise MeasurementError(
-            "fewer than two whole OFDM symbols fall inside the reconstructed "
-            "interval; acquire a longer record or shorten the OFDM symbol"
-        )
-
-    # Resample the envelope onto the exact OFDM sample grid of the kept
-    # symbols (band-limited interpolation; the grids are not phase-aligned).
-    samples_per_symbol = params.symbol_length * config.samples_per_symbol
-    grid_times = first_symbol * symbol_duration + (
-        np.arange(num_symbols * samples_per_symbol) / envelope_rate
+    return _whole_symbol_metrics(
+        params,
+        config.samples_per_symbol,
+        build_used_grid(params, burst.symbols),
+        envelope,
+        envelope_rate,
+        times[0],
+        (times[0] + margin, times[-1] - margin),
+        params.symbol_duration_seconds(config.symbol_rate_hz),
     )
-    stream = sinc_interpolate(
-        envelope, envelope_rate, grid_times, start_time=times[0], num_taps=32
-    )
-
-    demodulator = OfdmDemodulator(params, oversampling=config.samples_per_symbol)
-    received = demodulator.demodulate(
-        stream, num_symbols=num_symbols, timing_backoff=timing_backoff
-    )
-    reference = build_used_grid(params, burst.symbols)[first_symbol : last_symbol + 1]
-    return ofdm_grid_metrics(params, reference, received)
 
 
 def burst_pulse_taps(burst: TransmissionResult) -> np.ndarray:

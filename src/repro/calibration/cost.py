@@ -41,6 +41,17 @@ __all__ = [
 ]
 
 
+def _conditions_9_hold(fast_band, slow_band) -> bool:
+    """Conditions (9a) and (9b) for the fast and slow acquisition bands."""
+    _, k_plus_fast = band_order(fast_band)
+    k_slow, k_plus_slow = band_order(slow_band)
+    lhs = k_plus_fast * fast_band.bandwidth
+    return not (
+        np.isclose(lhs, k_slow * slow_band.bandwidth)
+        or np.isclose(lhs, k_plus_slow * slow_band.bandwidth)
+    )
+
+
 def rates_satisfy_uniqueness(centre_hz: float, fast_rate_hz: float, slow_rate_hz: float) -> bool:
     """Check conditions (9) for a candidate rate pair before any acquisition.
 
@@ -55,13 +66,9 @@ def rates_satisfy_uniqueness(centre_hz: float, fast_rate_hz: float, slow_rate_hz
     slow_rate_hz = check_positive(slow_rate_hz, "slow_rate_hz")
     if slow_rate_hz >= fast_rate_hz:
         return False
-    fast_band = BandpassBand.from_centre(centre_hz, fast_rate_hz)
-    slow_band = BandpassBand.from_centre(centre_hz, slow_rate_hz)
-    _, k_plus_fast = band_order(fast_band)
-    k_slow, k_plus_slow = band_order(slow_band)
-    lhs = k_plus_fast * fast_rate_hz
-    return not (
-        np.isclose(lhs, k_slow * slow_rate_hz) or np.isclose(lhs, k_plus_slow * slow_rate_hz)
+    return _conditions_9_hold(
+        BandpassBand.from_centre(centre_hz, fast_rate_hz),
+        BandpassBand.from_centre(centre_hz, slow_rate_hz),
     )
 
 
@@ -107,16 +114,9 @@ def uniqueness_conditions_met(
     (plus ``D`` inside ``(0, m)``, which is checked separately through
     :func:`search_upper_bound`).
     """
-    bandwidth_fast = sample_set_fast.band.bandwidth
-    bandwidth_slow = sample_set_slow.band.bandwidth
-    if bandwidth_slow >= bandwidth_fast:
+    if sample_set_slow.band.bandwidth >= sample_set_fast.band.bandwidth:
         raise ValidationError("the second acquisition must use a lower per-channel rate (T1 > T)")
-    _, k_plus_fast = band_order(sample_set_fast.band)
-    k_slow, k_plus_slow = band_order(sample_set_slow.band)
-    lhs = k_plus_fast * bandwidth_fast
-    return not (
-        np.isclose(lhs, k_slow * bandwidth_slow) or np.isclose(lhs, k_plus_slow * bandwidth_slow)
-    )
+    return _conditions_9_hold(sample_set_fast.band, sample_set_slow.band)
 
 
 def search_upper_bound(
@@ -184,12 +184,10 @@ class SkewCostFunction:
     :class:`~repro.sampling.reconstruction.ReconstructionPlan` per
     acquisition at construction, so instances are frozen: mutating a field
     after construction would silently diverge from the compiled plans.
-    :meth:`reconstruct_fast`/:meth:`reconstruct_slow` remain the extension
-    points: the scalar :meth:`__call__` dispatches through them, and the
-    batched :meth:`evaluate_many`/:meth:`sweep` path uses the compiled plans
-    only while both hooks are un-overridden, falling back to a scalar loop
-    over the overrides otherwise — so subclasses never get silently
-    inconsistent scalar-vs-batched costs.
+    Every candidate goes through :meth:`evaluate_many`, which reconstructs
+    a batch of candidates from both acquisitions with one call of
+    :meth:`reconstruct_many`, the one hook a subclass overrides to swap the
+    reconstruction; :meth:`__call__` is its one-candidate case.
 
     Each plan folds its taper, samples and Eq. (2) kernel tables into one
     delay-free array, so a candidate delay costs each plan one reciprocal
@@ -209,10 +207,6 @@ class SkewCostFunction:
         compared; drawn by :func:`default_evaluation_times` when omitted.
     num_taps:
         Kernel truncation ``nw`` used by both reconstructions.
-    window:
-        Reconstruction window name.
-    kaiser_beta:
-        Kaiser shape parameter.
     num_evaluation_points:
         Number of random instants when ``evaluation_times`` is omitted.
     seed:
@@ -230,8 +224,6 @@ class SkewCostFunction:
     sample_set_slow: NonuniformSampleSet
     evaluation_times: np.ndarray | None = None
     num_taps: int = 60
-    window: str = "kaiser"
-    kaiser_beta: float = 8.0
     num_evaluation_points: int = 300
     seed: SeedLike = None
     structure_cache: object | None = field(default=None, repr=False, compare=False)
@@ -271,30 +263,14 @@ class SkewCostFunction:
         # every candidate delay, so the delay-independent work (tap indexing,
         # sample gathering, taper, kernel trigonometry) is compiled into one
         # plan per acquisition and shared across all cost evaluations.
-        object.__setattr__(
-            self,
-            "_plan_fast",
-            ReconstructionPlan(
-                self.sample_set_fast,
-                times,
-                num_taps=self.num_taps,
-                window=self.window,
-                kaiser_beta=self.kaiser_beta,
-                structure_cache=self.structure_cache,
-            ),
-        )
-        object.__setattr__(
-            self,
-            "_plan_slow",
-            ReconstructionPlan(
-                self.sample_set_slow,
-                times,
-                num_taps=self.num_taps,
-                window=self.window,
-                kaiser_beta=self.kaiser_beta,
-                structure_cache=self.structure_cache,
-            ),
-        )
+        for name, sample_set in (
+            ("_plan_fast", self.sample_set_fast),
+            ("_plan_slow", self.sample_set_slow),
+        ):
+            plan = ReconstructionPlan(
+                sample_set, times, num_taps=self.num_taps, structure_cache=self.structure_cache
+            )
+            object.__setattr__(self, name, plan)
 
     @property
     def upper_bound(self) -> float:
@@ -311,39 +287,34 @@ class SkewCostFunction:
         """The precompiled reconstruction plan of the slow acquisition."""
         return self._plan_slow
 
-    def reconstruct_fast(self, candidate_delay: float) -> np.ndarray:
-        """Reconstruction from the fast acquisition using ``candidate_delay``."""
-        return self._plan_fast.evaluate(candidate_delay)
+    def reconstruct_many(self, candidate_delays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Fast and slow reconstructions under validated candidate delays.
 
-    def reconstruct_slow(self, candidate_delay: float) -> np.ndarray:
-        """Reconstruction from the slow acquisition using ``candidate_delay``."""
-        return self._plan_slow.evaluate(candidate_delay)
+        Returns two ``(num_delays, num_times)`` arrays, one row per candidate,
+        from one batched pass over each compiled plan.
+        """
+        return (
+            self._plan_fast.evaluate_many(candidate_delays, validate=False),
+            self._plan_slow.evaluate_many(candidate_delays, validate=False),
+        )
 
     def __call__(self, candidate_delay: float) -> float:
-        """Evaluate Eq. (8) at ``candidate_delay``.
-
-        Dispatches through :meth:`reconstruct_fast`/:meth:`reconstruct_slow`
-        so subclasses overriding either reconstruction keep working.
-        """
-        self._check_candidate(candidate_delay)
-        fast = self.reconstruct_fast(candidate_delay)
-        slow = self.reconstruct_slow(candidate_delay)
-        return float(np.mean((fast - slow) ** 2))
+        """Evaluate Eq. (8) at ``candidate_delay``: :meth:`evaluate_many` of one."""
+        return float(self.evaluate_many([candidate_delay])[0])
 
     def evaluate_many(self, candidate_delays, invalid: str = "raise") -> np.ndarray:
-        """Batched Eq. (8) over an array of candidate delays.
+        """Eq. (8) over an array of candidate delays (the Fig. 5 sweep).
 
-        Both plans evaluate all candidates through one batched kernel pass,
-        amortising the delay-independent reconstruction state across the
-        whole sweep.
+        The valid candidates are reconstructed together by
+        :meth:`reconstruct_many`; a candidate's cost does not depend on the
+        candidates sharing its batch.
 
         Parameters
         ----------
         candidate_delays:
             1-D array of candidate delays (seconds).
         invalid:
-            ``"raise"`` (default) propagates the same exception the scalar
-            call would raise at the first invalid candidate, preserving the
+            ``"raise"`` (default) raises at the first invalid candidate, in
             scan order; ``"inf"`` instead assigns ``numpy.inf`` to invalid
             candidates (outside ``(0, m)`` or forbidden by Eq. 3), which is
             what a line search wants so it can back away from them.
@@ -363,35 +334,12 @@ class SkewCostFunction:
                 usable[index] = False
         costs = np.full(delays.shape, np.inf)
         if usable.any():
-            uses_plans = (
-                type(self).reconstruct_fast is SkewCostFunction.reconstruct_fast
-                and type(self).reconstruct_slow is SkewCostFunction.reconstruct_slow
-            )
-            if uses_plans:
-                fast = self._plan_fast.evaluate_many(delays[usable], validate=False)
-                slow = self._plan_slow.evaluate_many(delays[usable], validate=False)
-                costs[usable] = np.mean((fast - slow) ** 2, axis=1)
-            else:
-                # A subclass replaced one of the reconstruction hooks: honour
-                # it (at scalar-loop speed) rather than silently evaluating
-                # through the base plans.
-                costs[usable] = [
-                    float(np.mean((self.reconstruct_fast(d) - self.reconstruct_slow(d)) ** 2))
-                    for d in delays[usable]
-                ]
+            fast, slow = self.reconstruct_many(delays[usable])
+            costs[usable] = np.mean((fast - slow) ** 2, axis=1)
         return costs
 
-    def sweep(self, candidate_delays) -> np.ndarray:
-        """Evaluate the cost over an array of candidate delays (Fig. 5 data).
-
-        Vectorised through :meth:`evaluate_many`: the whole sweep shares one
-        pass over each plan's cached state instead of rebuilding two
-        reconstructors per candidate.
-        """
-        return self.evaluate_many(candidate_delays, invalid="raise")
-
     def _check_candidate(self, candidate_delay: float) -> float:
-        """Validate one candidate exactly as the pre-plan scalar path did.
+        """Validate one candidate delay.
 
         Order matters for exception compatibility: non-positive values raise
         :class:`ValidationError`, out-of-interval values

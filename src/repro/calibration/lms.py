@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CalibrationError, ConvergenceError, DelayConstraintError, ValidationError
+from ..errors import CalibrationError, ConvergenceError, ValidationError
 from ..utils.validation import check_integer, check_positive
 from .cost import SkewCostFunction
 
@@ -104,14 +104,12 @@ class LmsSkewEstimator:
     max_step_halvings:
         Safety bound on the number of consecutive step halvings within one
         iteration.
-    batched:
-        When ``True`` (default) the bootstrap probe and every line-search
-        step evaluate the forward and mirrored candidates together through
-        one :meth:`~repro.calibration.cost.SkewCostFunction.evaluate_many`
-        call, sharing a single batched pass over the precompiled
-        reconstruction plans.  The accepted iterate sequence is identical to
-        the sequential mode; only the evaluation batching (and therefore the
-        reported ``cost_evaluations``) differs.
+
+    The bootstrap probe and every line-search step evaluate the forward and
+    mirrored candidates together, in one
+    :meth:`~repro.calibration.cost.SkewCostFunction.evaluate_many` call that
+    shares a single batched pass over the precompiled reconstruction plans;
+    each such call counts two cost evaluations.
     """
 
     cost_function: SkewCostFunction
@@ -120,7 +118,6 @@ class LmsSkewEstimator:
     cost_tolerance: float | None = None
     min_step_seconds: float = 1.0e-15
     max_step_halvings: int = 40
-    batched: bool = True
 
     def __post_init__(self) -> None:
         if not isinstance(self.cost_function, SkewCostFunction):
@@ -152,30 +149,19 @@ class LmsSkewEstimator:
 
         evaluations = 0
 
-        def cost(delay: float) -> float:
+        def costs(*delays: float) -> list[float]:
             # Candidates that land outside the stable region (too close to a
-            # forbidden delay, or outside (0, m)) are treated as infinitely
-            # costly so the step-size adaptation backs away from them instead
-            # of aborting the whole estimation.
+            # forbidden delay, or outside (0, m)) come back infinitely costly,
+            # so the step-size adaptation backs away from them instead of
+            # aborting the whole estimation.
             nonlocal evaluations
-            evaluations += 1
-            try:
-                return self.cost_function(delay)
-            except (CalibrationError, DelayConstraintError):
-                return float("inf")
-
-        def cost_pair(first: float, second: float) -> tuple[float, float]:
-            # Batched probe: both candidates share one pass over the
-            # precompiled reconstruction plans (invalid candidates come back
-            # as inf, matching the scalar path's exception handling).
-            nonlocal evaluations
-            evaluations += 2
-            pair = self.cost_function.evaluate_many([first, second], invalid="inf")
-            return float(pair[0]), float(pair[1])
+            evaluations += len(delays)
+            values = self.cost_function.evaluate_many(delays, invalid="inf")
+            return [float(value) for value in values]
 
         step = float(self.initial_step_seconds)
         previous_delay = float(initial_delay)
-        previous_cost = cost(previous_delay)
+        (previous_cost,) = costs(previous_delay)
         if not np.isfinite(previous_cost):
             raise CalibrationError(
                 f"the cost function is not defined at the initial estimate {initial_delay} s; "
@@ -191,14 +177,9 @@ class LmsSkewEstimator:
         # if the forward probe is uphill, start in the other direction.
         forward = self._clip(previous_delay + step, upper_bound)
         backward = self._clip(previous_delay - step, upper_bound)
-        if self.batched:
-            forward_cost, backward_cost = cost_pair(forward, backward)
-        else:
-            forward_cost = cost(forward)
-            backward_cost = None
+        forward_cost, backward_cost = costs(forward, backward)
         if forward_cost > previous_cost:
-            current_delay = backward
-            current_cost = cost(backward) if backward_cost is None else backward_cost
+            current_delay, current_cost = backward, backward_cost
         else:
             current_delay, current_cost = forward, forward_cost
         history.append(LmsIterate(iteration=1, estimate=current_delay, cost=current_cost, step_size=step))
@@ -227,15 +208,9 @@ class LmsSkewEstimator:
             while True:
                 candidate = self._clip(current_delay + direction * step, upper_bound)
                 mirrored = self._clip(current_delay - direction * step, upper_bound)
-                if self.batched:
-                    candidate_cost, mirrored_cost = cost_pair(candidate, mirrored)
-                else:
-                    candidate_cost = cost(candidate)
-                    mirrored_cost = None
+                candidate_cost, mirrored_cost = costs(candidate, mirrored)
                 if candidate_cost <= current_cost or step <= self.min_step_seconds:
                     break
-                if mirrored_cost is None:
-                    mirrored_cost = cost(mirrored)
                 if mirrored_cost <= current_cost:
                     candidate, candidate_cost = mirrored, mirrored_cost
                     break

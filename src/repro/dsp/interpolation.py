@@ -79,7 +79,7 @@ def sinc_interpolate(
     # Windowed-sinc weights centred on the fractional position.
     distance = positions[:, None] - index_matrix
     kernel = np.sinc(distance)
-    taper = evaluate_taper("kaiser", distance / (num_taps / 2))
+    taper = evaluate_taper(distance / (num_taps / 2))
     weights = kernel * taper
 
     result = np.sum(gathered * weights, axis=1)

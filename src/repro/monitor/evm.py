@@ -18,10 +18,9 @@ so only symbols the window can demodulate cleanly contribute.
 
 OFDM streams get the same treatment through :class:`OfdmSymbolReference`
 and :func:`windowed_ofdm_evm`: every OFDM symbol that falls *whole* inside
-the window (with an interpolation guard) is band-limit resampled onto its
-exact sample grid and demodulated with the synchronized
-:class:`~repro.signals.ofdm.OfdmDemodulator` — the same path the batch
-:func:`~repro.bist.measurements.measure_ofdm_evm` uses — then compared
+the window (with an interpolation guard) is demodulated by the one
+whole-symbol OFDM demodulator, which the batch
+:func:`~repro.bist.measurements.measure_ofdm_evm` calls too, and compared
 against the known transmitted grid.  Windows too short for a whole symbol
 return ``None`` with an explicit reason instead of silently dropping EVM.
 """
@@ -34,9 +33,9 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..dsp.interpolation import sinc_interpolate
 from ..dsp.metrics import error_vector_magnitude
 from ..errors import MeasurementError, ValidationError
+from ..signals.ofdm import OfdmParams, _whole_symbol_metrics, build_used_grid
 from ..utils.validation import check_1d_array, check_integer, check_positive
 from ..utils.windows import evaluate_taper
 
@@ -214,7 +213,7 @@ class SymbolKernelTable:
         """The ``(len(phases), width)`` kernels at fractional sample ``phases``."""
         half = _INTERPOLATION_TAPS // 2
         distance = phases[:, None] - np.arange(1 - half, _INTERPOLATION_TAPS - half + 1)
-        interpolator = np.sinc(distance) * evaluate_taper("kaiser", distance / half)
+        interpolator = np.sinc(distance) * evaluate_taper(distance / half)
         return interpolator @ self._shifted_pulse
 
     def demodulate(self, envelope: np.ndarray, start_sample: int, first: int, last: int):
@@ -259,8 +258,6 @@ class OfdmSymbolReference:
     start_time: float = 0.0
 
     def __post_init__(self) -> None:
-        from ..signals.ofdm import OfdmParams
-
         if not isinstance(self.params, OfdmParams):
             raise ValidationError("params must be an OfdmParams")
         grid = np.asarray(self.reference_grid, dtype=complex)
@@ -272,11 +269,6 @@ class OfdmSymbolReference:
         check_integer(self.oversampling, "oversampling", minimum=1)
 
     @property
-    def num_symbols(self) -> int:
-        """Total transmitted OFDM symbols."""
-        return int(self.reference_grid.shape[0])
-
-    @property
     def samples_per_symbol(self) -> int:
         """Envelope samples per OFDM symbol (CP included)."""
         return self.params.symbol_length * self.oversampling
@@ -284,8 +276,6 @@ class OfdmSymbolReference:
     @classmethod
     def from_transmission(cls, burst) -> "OfdmSymbolReference":
         """Build the reference from an OFDM :class:`~repro.transmitter.TransmissionResult`."""
-        from ..signals.ofdm import build_used_grid
-
         params = burst.config.ofdm
         if params is None:
             raise ValidationError(
@@ -394,12 +384,10 @@ def windowed_ofdm_evm(
 ) -> tuple:
     """``(evm_percent, skipped_reason)`` of one window of an OFDM stream.
 
-    Every OFDM symbol falling *whole* inside the window (with an
-    interpolation guard at each edge) is band-limit resampled onto its exact
-    sample grid and demodulated through the synchronized
-    :class:`~repro.signals.ofdm.OfdmDemodulator` — the batch
-    :func:`~repro.bist.measurements.measure_ofdm_evm` path — then compared
-    against the transmitted grid after least-squares gain alignment.
+    Every OFDM symbol falling *whole* inside the window, with a guard of
+    32 samples (the interpolator's width) at each edge, is demodulated
+    against the transmitted grid by the whole-symbol demodulator the batch
+    :func:`~repro.bist.measurements.measure_ofdm_evm` uses.
 
     Exactly one of the returned pair is ``None``: on success the reason is
     ``None``, otherwise the EVM is ``None`` and the reason says why the
@@ -407,51 +395,24 @@ def windowed_ofdm_evm(
     Only the window's own samples are used, so the result is invariant
     under re-blocking of the stream.
     """
-    from ..signals.ofdm import OfdmDemodulator, ofdm_grid_metrics
-
     envelope = check_1d_array(envelope, "envelope", dtype=complex)
     sample_rate = check_positive(sample_rate, "sample_rate")
     min_symbols = check_integer(min_symbols, "min_symbols", minimum=2)
 
-    params = reference.params
-    samples_per_symbol = reference.samples_per_symbol
-    symbol_duration = samples_per_symbol / sample_rate
     margin = _INTERPOLATION_TAPS / sample_rate
     window_end_time = window_start_time + (envelope.size - 1) / sample_rate
-    usable_low = window_start_time + margin
-    usable_high = window_end_time - margin
-
-    # Symbol k occupies [start + k*T, start + (k+1)*T); keep whole symbols.
-    first = int(np.ceil((usable_low - reference.start_time) / symbol_duration))
-    last = int(np.floor((usable_high - reference.start_time) / symbol_duration)) - 1
-    first = max(first, 0)
-    last = min(last, reference.num_symbols - 1)
-    count = last - first + 1
-    if count < min_symbols:
-        return None, (
-            f"window covers {max(count, 0)} whole OFDM symbol(s) after edge "
-            f"guards; at least {min_symbols} needed"
-        )
-
-    grid_times = (
-        reference.start_time
-        + first * symbol_duration
-        + np.arange(count * samples_per_symbol) / sample_rate
-    )
-    stream = sinc_interpolate(
-        envelope,
-        sample_rate,
-        grid_times,
-        start_time=window_start_time,
-        num_taps=_INTERPOLATION_TAPS,
-    )
-    demodulator = OfdmDemodulator(params, oversampling=reference.oversampling)
     try:
-        received = demodulator.demodulate(
-            stream, num_symbols=count, timing_backoff=params.cp_length // 4
-        )
-        metrics = ofdm_grid_metrics(
-            params, reference.reference_grid[first : last + 1], received
+        metrics = _whole_symbol_metrics(
+            reference.params,
+            reference.oversampling,
+            reference.reference_grid,
+            envelope,
+            sample_rate,
+            window_start_time,
+            (window_start_time + margin, window_end_time - margin),
+            reference.samples_per_symbol / sample_rate,
+            symbol_start=reference.start_time,
+            min_symbols=min_symbols,
         )
     except MeasurementError as exc:
         return None, str(exc)

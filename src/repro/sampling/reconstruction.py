@@ -14,10 +14,10 @@ taps and a Kaiser window).  This module provides:
   sensitivity analysis); the impaired hardware model lives in
   :mod:`repro.adc.tiadc`;
 * :class:`ReconstructionPlan` — the precompiled evaluator of Eq. (6): for a
-  fixed ``(sample_set, evaluation_times, num_taps, window)`` it computes the
-  taper, the delay-independent kernel tables and the on-grid channel's
-  contribution **once**, then evaluates the reconstruction for any assumed
-  delay ``D_hat`` — including a batched
+  fixed ``(sample_set, evaluation_times, num_taps)`` it computes the Kaiser
+  taper (``beta = 8``, as in the paper), the delay-independent kernel tables
+  and the on-grid channel's contribution **once**, then evaluates the
+  reconstruction for any assumed delay ``D_hat`` — including a batched
   :meth:`ReconstructionPlan.evaluate_many` that adds a leading delay axis
   (the inner loop of the Section IV skew calibration).  The Eq. (2) kernel
   tables are factored by angle addition along both of their axes: every
@@ -51,7 +51,8 @@ taps and a Kaiser window).  This module provides:
   exactly the calibration problem of Section IV);
 * :func:`reference_evaluate` — the direct, pre-plan evaluation of Eq. (6),
   kept verbatim as the numerical oracle for equivalence tests and the
-  before/after benchmark baseline.
+  before/after benchmark baseline; the window ablation sweeps its other
+  tapers.
 """
 
 from __future__ import annotations
@@ -427,9 +428,9 @@ class _PlanStructure:
     Everything here depends only on the acquisition *geometry* (start time,
     period, record length, band) and the evaluation grid — not on the sample
     values or the candidate delay: where each point's taps lie, the Kaiser
-    (or other) taper and the kernel term tables.  Fingerprint-adjacent
-    campaign scenarios share all of it, which is what
-    :class:`PlanStructureCache` exploits.
+    taper and the kernel term tables.  Fingerprint-adjacent campaign
+    scenarios share all of it, which is what :class:`PlanStructureCache`
+    exploits.
 
     The kernel arguments ``v``, the taper and the kernel tables have one row
     per distinct kernel offset (see :func:`_kernel_rows`) and
@@ -474,8 +475,6 @@ class _PlanStructure:
     __slots__ = (
         "times",
         "num_taps",
-        "window",
-        "kaiser_beta",
         "centre",
         "row_index",
         "taper",
@@ -497,8 +496,6 @@ class _PlanStructure:
         sample_set: NonuniformSampleSet,
         times: np.ndarray,
         num_taps: int,
-        window: str,
-        kaiser_beta: float,
     ) -> None:
         period = sample_set.sample_period
         start = sample_set.start_time
@@ -517,7 +514,7 @@ class _PlanStructure:
         row = (start + centre[first] * period) - times[first]
         tap = np.arange(-half, half + 1) * period
         v = row[:, None] + tap
-        taper = evaluate_taper(window, v / (half * period + period), kaiser_beta=kaiser_beta)
+        taper = evaluate_taper(v / (half * period + period))
 
         band = sample_set.band
         k, k_plus = band_order(band)
@@ -554,8 +551,6 @@ class _PlanStructure:
 
         self.times = times
         self.num_taps = num_taps
-        self.window = window
-        self.kaiser_beta = kaiser_beta
         self.centre = centre if rows is None else None
         self.row_index = row_index
         self.taper = taper
@@ -693,13 +688,7 @@ class _PlanStructure:
         return sum(term.exact(argument, cot[delay]) for term, cot in zip(self.terms, cot_phi))
 
 
-def _structure_key(
-    sample_set: NonuniformSampleSet,
-    times: np.ndarray,
-    num_taps: int,
-    window: str,
-    kaiser_beta: float,
-) -> tuple:
+def _structure_key(sample_set: NonuniformSampleSet, times: np.ndarray, num_taps: int) -> tuple:
     """Cache key of the plan structure: acquisition geometry + exact grid.
 
     The grid enters through a cryptographic digest of its raw bytes, so two
@@ -711,8 +700,6 @@ def _structure_key(
         digest,
         int(times.size),
         int(num_taps),
-        window,
-        float(kaiser_beta),
         float(sample_set.sample_period),
         float(sample_set.start_time),
         len(sample_set),
@@ -830,12 +817,6 @@ class ReconstructionPlan:
         ``nw``: the number of sample pairs on each side of the evaluation
         instant is ``nw / 2`` (the paper's 61-tap filter corresponds to
         ``nw = 60``).
-    window:
-        Name of the taper applied over the truncated kernel support
-        (``"kaiser"``, ``"hann"``, ``"hamming"``, ``"blackman"``,
-        ``"rectangular"``).
-    kaiser_beta:
-        Kaiser shape parameter when ``window == "kaiser"``.
     structure_cache:
         Optional :class:`PlanStructureCache`.  When given, the
         sample-independent half of the plan is looked up there (and stored on
@@ -849,8 +830,6 @@ class ReconstructionPlan:
         sample_set: NonuniformSampleSet,
         evaluation_times,
         num_taps: int = 60,
-        window: str = "kaiser",
-        kaiser_beta: float = 8.0,
         structure_cache: PlanStructureCache | None = None,
     ) -> None:
         if not isinstance(sample_set, NonuniformSampleSet):
@@ -864,19 +843,15 @@ class ReconstructionPlan:
         self._samples = sample_set
         self._times = times
         self._num_taps = num_taps
-        self._window = str(window)
-        self._kaiser_beta = float(kaiser_beta)
 
         structure = None
         if structure_cache is not None:
             if not isinstance(structure_cache, PlanStructureCache):
                 raise ValidationError("structure_cache must be a PlanStructureCache")
-            key = _structure_key(sample_set, times, num_taps, self._window, self._kaiser_beta)
+            key = _structure_key(sample_set, times, num_taps)
             structure = structure_cache.lookup(key)
         if structure is None:
-            structure = _PlanStructure(
-                sample_set, times, num_taps, self._window, self._kaiser_beta
-            )
+            structure = _PlanStructure(sample_set, times, num_taps)
             if structure_cache is not None:
                 structure_cache.store(key, structure)
         self._structure = structure
@@ -937,16 +912,6 @@ class ReconstructionPlan:
         return self._num_taps
 
     @property
-    def window(self) -> str:
-        """Name of the reconstruction taper."""
-        return self._window
-
-    @property
-    def kaiser_beta(self) -> float:
-        """Kaiser shape parameter of the taper."""
-        return self._kaiser_beta
-
-    @property
     def structure(self) -> _PlanStructure:
         """The (possibly shared) sample-independent half of this plan.
 
@@ -955,15 +920,6 @@ class ReconstructionPlan:
         object* here.
         """
         return self._structure
-
-    def valid_time_range(self, assumed_delay: float | None = None) -> tuple[float, float]:
-        """Interval over which the truncated sum has full kernel support."""
-        half_span = (self._num_taps // 2) * self._samples.sample_period
-        delay = self._samples.delay if assumed_delay is None else float(assumed_delay)
-        return (
-            self._samples.start_time + half_span,
-            self._samples.end_time - half_span - delay,
-        )
 
     # ------------------------------------------------------------------ #
     # Evaluation
@@ -1118,12 +1074,6 @@ class NonuniformReconstructor:
         ``nw``: the number of sample pairs on each side of the evaluation
         instant is ``nw / 2`` (the paper's 61-tap filter corresponds to
         ``nw = 60``).
-    window:
-        Name of the taper applied over the truncated kernel support
-        (``"kaiser"``, ``"hann"``, ``"hamming"``, ``"blackman"``,
-        ``"rectangular"``).
-    kaiser_beta:
-        Kaiser shape parameter when ``window == "kaiser"``.
     structure_cache:
         Optional :class:`PlanStructureCache` threaded into every plan this
         reconstructor builds, which is where fingerprint-adjacent scenarios
@@ -1135,8 +1085,6 @@ class NonuniformReconstructor:
         sample_set: NonuniformSampleSet,
         assumed_delay: float | None = None,
         num_taps: int = 60,
-        window: str = "kaiser",
-        kaiser_beta: float = 8.0,
         structure_cache: PlanStructureCache | None = None,
     ) -> None:
         if not isinstance(sample_set, NonuniformSampleSet):
@@ -1150,8 +1098,6 @@ class NonuniformReconstructor:
         self._num_taps = check_integer(num_taps, "num_taps", minimum=2)
         if self._num_taps % 2 != 0:
             raise ValidationError("num_taps (nw) must be even; the filter then has nw + 1 taps")
-        self._window = str(window)
-        self._kaiser_beta = float(kaiser_beta)
         self._kernel = KohlenbergKernel(sample_set.band, self._assumed_delay)
         self._structure_cache = structure_cache
 
@@ -1169,11 +1115,6 @@ class NonuniformReconstructor:
     def num_taps(self) -> int:
         """The truncation parameter ``nw``."""
         return self._num_taps
-
-    @property
-    def window(self) -> str:
-        """Name of the reconstruction taper."""
-        return self._window
 
     @property
     def structure_cache(self) -> PlanStructureCache | None:
@@ -1199,12 +1140,7 @@ class NonuniformReconstructor:
         sample-independent structure is shared across scenarios.
         """
         return ReconstructionPlan(
-            self._samples,
-            times,
-            num_taps=self._num_taps,
-            window=self._window,
-            kaiser_beta=self._kaiser_beta,
-            structure_cache=self._structure_cache,
+            self._samples, times, num_taps=self._num_taps, structure_cache=self._structure_cache
         )
 
     def evaluate(self, times) -> np.ndarray:

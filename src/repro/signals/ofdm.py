@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..dsp.interpolation import sinc_interpolate
 from ..errors import MeasurementError, ValidationError
 from ..utils.serialization import field_dict, known_field_kwargs
 from ..utils.validation import check_1d_array, check_integer, check_positive, check_power_of_two
@@ -422,3 +423,55 @@ def ofdm_grid_metrics(
         spectral_flatness_db=flatness_db,
         num_symbols=int(reference.shape[0]),
     )
+
+
+def _whole_symbol_metrics(
+    params: OfdmParams,
+    oversampling: int,
+    reference_grid: np.ndarray,
+    envelope: np.ndarray,
+    sample_rate: float,
+    envelope_start: float,
+    usable: tuple,
+    symbol_duration: float,
+    symbol_start: float = 0.0,
+    min_symbols: int = 2,
+) -> OfdmGridMetrics:
+    """Grid metrics of the OFDM symbols lying whole inside ``usable``.
+
+    Symbol ``k`` occupies ``[symbol_start + k d, symbol_start + (k + 1) d)``
+    with ``d = symbol_duration``, and ``envelope`` is uniform at
+    ``sample_rate`` from ``envelope_start``.  The kept symbols are band-limit
+    resampled onto their exact sample grid (it is not phase-aligned with the
+    envelope's), demodulated with the FFT window a quarter of the cyclic
+    prefix early, which keeps it inside the ISI-free region under small
+    residual timing error either way, and compared against their rows of
+    ``reference_grid``.  The batch measurement and the streaming monitor
+    both demodulate through here; each picks its own ``usable`` interval
+    (edge guards) and symbol duration.
+
+    Raises :class:`~repro.errors.MeasurementError` when fewer than
+    ``min_symbols`` symbols fit, or when :func:`ofdm_grid_metrics` does.
+    """
+    low, high = usable
+    first = max(int(np.ceil((low - symbol_start) / symbol_duration)), 0)
+    last = int(np.floor((high - symbol_start) / symbol_duration)) - 1
+    last = min(last, reference_grid.shape[0] - 1)
+    count = last - first + 1
+    if count < min_symbols:
+        raise MeasurementError(
+            f"window covers {max(count, 0)} whole OFDM symbol(s) after edge guards; "
+            f"at least {min_symbols} needed"
+        )
+    grid_times = (
+        symbol_start
+        + first * symbol_duration
+        + np.arange(count * params.symbol_length * oversampling) / sample_rate
+    )
+    stream = sinc_interpolate(
+        envelope, sample_rate, grid_times, start_time=envelope_start, num_taps=32
+    )
+    received = OfdmDemodulator(params, oversampling=oversampling).demodulate(
+        stream, num_symbols=count, timing_backoff=params.cp_length // 4
+    )
+    return ofdm_grid_metrics(params, reference_grid[first : last + 1], received)

@@ -76,6 +76,21 @@ def profile_dict(profile: WaveformProfile) -> dict:
     return profile.to_dict()
 
 
+def _unsigned_zeros(value):
+    """``value`` with every float zero spelled ``0.0``.
+
+    The configuration dataclasses compare ``-0.0`` equal to ``0.0``, while
+    JSON spells the two apart; archives keep the sign, fingerprints drop it.
+    """
+    if isinstance(value, dict):
+        return {key: _unsigned_zeros(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_unsigned_zeros(item) for item in value]
+    if isinstance(value, float) and value == 0.0:
+        return 0.0
+    return value
+
+
 def fingerprint_payload(
     scenario: CampaignScenario,
     bist_config: BistConfig | None = None,
@@ -90,7 +105,8 @@ def fingerprint_payload(
     transmitter configuration with the derived transmitter seed, converter
     specification with the derived jitter seed — so the fingerprint is
     invariant to how the scenario was described and sensitive to everything
-    that changes the result.
+    that changes the result.  Float zeros are spelled ``0.0`` whatever
+    their sign, as the dataclasses compare them.
 
     Raises :class:`~repro.errors.ConfigurationError` when the effective
     converter factory is an arbitrary callable: only declarative
@@ -107,14 +123,16 @@ def fingerprint_payload(
             f"({type(factory).__name__}) is not a ConverterSpec; the campaign store "
             "needs declarative converter specifications to address outcomes by content"
         )
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "profile": profile_dict(profile),
-        "transmitter": transmitter_config.to_dict(),
-        "converter": factory.to_dict(),
-        "bist": config.to_dict(),
-        "num_symbols": scenario.num_symbols,
-    }
+    return _unsigned_zeros(
+        {
+            "schema_version": SCHEMA_VERSION,
+            "profile": profile_dict(profile),
+            "transmitter": transmitter_config.to_dict(),
+            "converter": factory.to_dict(),
+            "bist": config.to_dict(),
+            "num_symbols": scenario.num_symbols,
+        }
+    )
 
 
 def scenario_fingerprint(

@@ -1,9 +1,12 @@
 """Window functions used by the reconstruction filters and PSD estimators.
 
 The paper windows the 61-tap Kohlenberg reconstruction kernel with a Kaiser
-window.  This module wraps the handful of windows the library needs behind a
-single, validated factory so that the window choice can be swept in ablation
-benchmarks without touching the reconstruction code.
+window; :func:`evaluate_taper` is that window at ``beta = 8``, evaluated at
+fractional support offsets, and also tapers the windowed-sinc interpolator.
+The named windows behind :func:`make_window` serve the spectrum estimators,
+the streaming monitor and FIR design.  The window ablation sweeps other
+reconstruction tapers through
+:func:`~repro.sampling.reconstruction.reference_evaluate`, the oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..errors import ReconstructionError, ValidationError
+from ..errors import ValidationError
 from .validation import check_integer, check_non_negative
 
 __all__ = [
@@ -29,6 +32,9 @@ __all__ = [
 
 #: Names accepted by :func:`make_window`.
 AVAILABLE_WINDOWS = ("kaiser", "hann", "hamming", "blackman", "rectangular")
+
+#: Kaiser shape of :func:`evaluate_taper`, the paper's reconstruction window.
+_TAPER_BETA = 8.0
 
 
 def rectangular_window(num_taps: int) -> np.ndarray:
@@ -92,35 +98,16 @@ def kaiser_normaliser(beta: float) -> float:
     return float(np.i0(beta))
 
 
-def evaluate_taper(name: str, fraction, kaiser_beta: float = 8.0) -> np.ndarray:
-    """Evaluate a reconstruction taper at normalised support offsets.
+def evaluate_taper(fraction) -> np.ndarray:
+    """The Kaiser taper (``beta = 8``) at normalised support offsets.
 
-    Parameters
-    ----------
-    name:
-        One of :data:`AVAILABLE_WINDOWS` (plus the ``"boxcar"``/``"rect"``
-        aliases).
-    fraction:
-        Offsets from the evaluation instant as a fraction of the truncated
-        kernel half-span; the magnitude is clipped into ``[0, 1]`` so that
-        out-of-support offsets taper to the window's edge value.
-    kaiser_beta:
-        Kaiser shape parameter; ignored for the other windows.
+    ``fraction`` holds offsets from the evaluation instant as a fraction of
+    the truncated kernel half-span; the magnitude is clipped into ``[0, 1]``
+    so that out-of-support offsets taper to the window's edge value.
     """
-    window = str(name).lower()
     x = np.clip(np.abs(np.asarray(fraction, dtype=float)), 0.0, 1.0)
-    if window in ("rectangular", "boxcar", "rect"):
-        return np.ones_like(x)
-    if window == "hann":
-        return 0.5 + 0.5 * np.cos(np.pi * x)
-    if window == "hamming":
-        return 0.54 + 0.46 * np.cos(np.pi * x)
-    if window == "blackman":
-        return 0.42 + 0.5 * np.cos(np.pi * x) + 0.08 * np.cos(2.0 * np.pi * x)
-    if window == "kaiser":
-        argument = float(kaiser_beta) * np.sqrt(np.clip(1.0 - x**2, 0.0, None))
-        return np.i0(argument) / kaiser_normaliser(float(kaiser_beta))
-    raise ReconstructionError(f"unknown reconstruction window {name!r}")
+    argument = _TAPER_BETA * np.sqrt(np.clip(1.0 - x**2, 0.0, None))
+    return np.i0(argument) / kaiser_normaliser(_TAPER_BETA)
 
 
 def make_window(name: str, num_taps: int, beta: float = 8.0) -> np.ndarray:

@@ -6,10 +6,14 @@ import pytest
 from repro.calibration import (
     SkewCostFunction,
     default_evaluation_times,
+    rates_satisfy_uniqueness,
     search_upper_bound,
+    select_slow_sample_rate,
     uniqueness_conditions_met,
 )
 from repro.errors import CalibrationError, ValidationError
+from repro.sampling import BandpassBand, IdealNonuniformSampler
+from repro.signals import single_tone
 
 
 DELAY = 180e-12
@@ -34,6 +38,41 @@ class TestUniquenessConditions:
         """m = 483 ps for B = 90 MHz, B1 = 45 MHz at fc = 1 GHz (Section V)."""
         bound = search_upper_bound(fast_sample_set, slow_sample_set)
         assert bound == pytest.approx(483.09e-12, rel=1e-3)
+
+
+class TestRateSelection:
+    """Eq. (9) checked from the rates alone, before any acquisition."""
+
+    # At 800 MHz and 113 MHz the paper's B1 = B/2 violates Eq. (9); 0.48 B does not.
+    @pytest.mark.parametrize(
+        "centre_mhz, ratio",
+        [(1000.0, 0.5), (800.0, 0.5), (800.0, 0.45), (800.0, 0.48), (113.0, 0.5), (113.0, 0.48)],
+    )
+    def test_rate_check_agrees_with_the_acquisition_check(self, centre_mhz, ratio):
+        centre = centre_mhz * 1e6
+        fast_rate = 90e6
+        band = BandpassBand.from_centre(centre, fast_rate)
+        tone = single_tone(centre, amplitude=0.5)
+        fast = IdealNonuniformSampler(band, delay=DELAY).acquire(tone, num_samples=8)
+        slow = IdealNonuniformSampler(band, delay=DELAY, sample_rate=ratio * fast_rate).acquire(
+            tone, num_samples=8
+        )
+        assert rates_satisfy_uniqueness(centre, fast_rate, ratio * fast_rate) == (
+            uniqueness_conditions_met(fast, slow)
+        )
+
+    def test_slow_rate_must_be_below_the_fast_rate(self):
+        assert not rates_satisfy_uniqueness(1e9, 90e6, 90e6)
+        assert not rates_satisfy_uniqueness(1e9, 45e6, 90e6)
+
+    def test_selection_takes_the_first_ratio_meeting_eq9(self):
+        assert select_slow_sample_rate(1e9, 90e6) == 0.5 * 90e6
+        # 0.5 violates Eq. (9) at 800 MHz; 0.48 is next on the list and holds.
+        assert select_slow_sample_rate(800e6, 90e6) == 0.48 * 90e6
+
+    def test_selection_fails_when_no_ratio_meets_eq9(self):
+        with pytest.raises(CalibrationError, match="Eq. 9"):
+            select_slow_sample_rate(800e6, 90e6, candidate_ratios=(0.5, 0.45))
 
 
 class TestEvaluationTimes:
@@ -67,15 +106,15 @@ class TestCostFunctionShape:
     def test_cost_grows_monotonically_away_from_minimum(self, cost_function):
         """On each side of the minimum the cost increases with distance (sampled coarsely)."""
         offsets = np.array([10e-12, 30e-12, 60e-12, 100e-12])
-        right = cost_function.sweep(DELAY + offsets)
-        left = cost_function.sweep(DELAY - offsets)
+        right = cost_function.evaluate_many(DELAY + offsets)
+        left = cost_function.evaluate_many(DELAY - offsets)
         assert np.all(np.diff(right) > 0)
         assert np.all(np.diff(left) > 0)
 
     def test_unique_minimum_over_search_interval(self, cost_function):
         """Coarse sweep over (0, m): the global minimum lands at the true delay."""
         candidates = np.linspace(20e-12, cost_function.upper_bound * 0.95, 47)
-        costs = cost_function.sweep(candidates)
+        costs = cost_function.evaluate_many(candidates)
         best = candidates[int(np.argmin(costs))]
         assert abs(best - DELAY) < (candidates[1] - candidates[0])
 
@@ -89,17 +128,11 @@ class TestCostFunctionShape:
 
 
 class TestVectorisedSweep:
-    def test_sweep_matches_scalar_calls(self, cost_function):
+    def test_batch_rows_equal_scalar_calls(self, cost_function):
         candidates = np.linspace(60e-12, 420e-12, 19)
-        swept = cost_function.sweep(candidates)
+        swept = cost_function.evaluate_many(candidates)
         scalar = np.array([cost_function(delay) for delay in candidates])
-        np.testing.assert_allclose(swept, scalar, rtol=1e-12)
-
-    def test_evaluate_many_matches_sweep(self, cost_function):
-        candidates = np.linspace(100e-12, 300e-12, 9)
-        np.testing.assert_array_equal(
-            cost_function.evaluate_many(candidates), cost_function.sweep(candidates)
-        )
+        np.testing.assert_array_equal(swept, scalar)
 
     def test_evaluate_many_inf_mode_flags_invalid(self, cost_function):
         bound = cost_function.upper_bound
@@ -129,57 +162,62 @@ class TestVectorisedSweep:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cost_function.num_taps = 80
 
-    def test_scalar_call_dispatches_through_reconstruct_overrides(
+    def test_every_route_honours_the_reconstruction_hook(
         self, fast_sample_set, slow_sample_set
     ):
-        class Doubled(SkewCostFunction):
-            def reconstruct_fast(self, candidate_delay):
-                return 2.0 * super().reconstruct_fast(candidate_delay)
+        """Scalar calls, batches and the LMS all reconstruct through the one hook."""
+        from repro.calibration import LmsSkewEstimator
 
-            def reconstruct_slow(self, candidate_delay):
-                return 2.0 * super().reconstruct_slow(candidate_delay)
+        class Doubled(SkewCostFunction):
+            def reconstruct_many(self, candidate_delays):
+                fast, slow = super().reconstruct_many(candidate_delays)
+                return 2.0 * fast, 2.0 * slow
 
         base = SkewCostFunction(fast_sample_set, slow_sample_set, seed=3)
         doubled = Doubled(
             fast_sample_set, slow_sample_set, evaluation_times=base.evaluation_times
         )
-        assert doubled(180e-12) == pytest.approx(4.0 * base(180e-12), rel=1e-12)
+        candidates = np.array([150e-12, 180e-12, 210e-12])
+        np.testing.assert_array_equal(
+            doubled.evaluate_many(candidates), 4.0 * base.evaluate_many(candidates)
+        )
+        assert doubled(180e-12) == 4.0 * base(180e-12)
+        doubled_run = LmsSkewEstimator(doubled, initial_step_seconds=1e-12).estimate(150e-12)
+        base_run = LmsSkewEstimator(base, initial_step_seconds=1e-12).estimate(150e-12)
+        assert [i.estimate for i in doubled_run.history] == [
+            i.estimate for i in base_run.history
+        ]
+        assert [i.cost for i in doubled_run.history] == [4.0 * i.cost for i in base_run.history]
 
-    def test_batched_paths_honour_reconstruct_overrides(
+    def test_hook_reconstructs_each_batch_once_and_only_its_valid_candidates(
         self, fast_sample_set, slow_sample_set
     ):
-        """sweep/evaluate_many must not bypass overridden reconstruction hooks."""
+        seen = []
 
-        class Doubled(SkewCostFunction):
-            def reconstruct_fast(self, candidate_delay):
-                return 2.0 * super().reconstruct_fast(candidate_delay)
+        class Recording(SkewCostFunction):
+            def reconstruct_many(self, candidate_delays):
+                seen.append(np.array(candidate_delays))
+                return super().reconstruct_many(candidate_delays)
 
-            def reconstruct_slow(self, candidate_delay):
-                return 2.0 * super().reconstruct_slow(candidate_delay)
-
-        doubled = Doubled(fast_sample_set, slow_sample_set, seed=3)
-        candidates = np.array([150e-12, 180e-12, 210e-12])
-        scalar = np.array([doubled(delay) for delay in candidates])
-        np.testing.assert_allclose(doubled.sweep(candidates), scalar, rtol=1e-12)
-        # The batched LMS mode therefore stays consistent with sequential
-        # mode for subclasses too.
-        from repro.calibration import LmsSkewEstimator
-
-        batched = LmsSkewEstimator(doubled, initial_step_seconds=1e-12, batched=True)
-        sequential = LmsSkewEstimator(doubled, initial_step_seconds=1e-12, batched=False)
-        result_batched = batched.estimate(150e-12)
-        result_sequential = sequential.estimate(150e-12)
-        assert [i.estimate for i in result_batched.history] == [
-            i.estimate for i in result_sequential.history
-        ]
+        cost = Recording(fast_sample_set, slow_sample_set, seed=3)
+        cost.evaluate_many([150e-12, 180e-12, 210e-12])
+        cost(180e-12)
+        cost.evaluate_many([150e-12, cost.upper_bound * 1.2, -1e-12, 210e-12], invalid="inf")
+        cost.evaluate_many([cost.upper_bound * 1.2], invalid="inf")
+        assert len(seen) == 3
+        np.testing.assert_array_equal(seen[0], [150e-12, 180e-12, 210e-12])
+        np.testing.assert_array_equal(seen[1], [180e-12])
+        np.testing.assert_array_equal(seen[2], [150e-12, 210e-12])
 
     def test_reconstructions_match_reference_path(self, cost_function):
         """The plan-backed reconstructions agree with the pre-plan oracle."""
         from repro.sampling import reference_evaluate
 
-        for delay in (120e-12, 180e-12, 250e-12):
+        delays = np.array([120e-12, 180e-12, 250e-12])
+        fast, slow = cost_function.reconstruct_many(delays)
+        for delay, fast_row, slow_row in zip(delays, fast, slow):
             np.testing.assert_allclose(
-                cost_function.reconstruct_fast(delay),
+                fast_row,
                 reference_evaluate(
                     cost_function.sample_set_fast, cost_function.evaluation_times, delay
                 ),
@@ -187,7 +225,7 @@ class TestVectorisedSweep:
                 atol=1e-12,
             )
             np.testing.assert_allclose(
-                cost_function.reconstruct_slow(delay),
+                slow_row,
                 reference_evaluate(
                     cost_function.sample_set_slow, cost_function.evaluation_times, delay
                 ),

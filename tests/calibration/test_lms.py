@@ -57,33 +57,31 @@ class TestConvergence:
 
 
 class TestBatchedProbes:
-    @pytest.mark.parametrize("initial_ps", [50.0, 100.0, 350.0, 400.0])
-    def test_batched_and_sequential_trajectories_identical(self, cost_function, initial_ps):
-        """Batching the probe pairs must not change the accepted iterates."""
-        batched = LmsSkewEstimator(
-            cost_function, initial_step_seconds=1e-12, max_iterations=60, batched=True
-        ).estimate(initial_ps * 1e-12)
-        sequential = LmsSkewEstimator(
-            cost_function, initial_step_seconds=1e-12, max_iterations=60, batched=False
-        ).estimate(initial_ps * 1e-12)
-        assert batched.estimate == sequential.estimate
-        assert batched.iterations == sequential.iterations
-        assert [item.estimate for item in batched.history] == [
-            item.estimate for item in sequential.history
-        ]
-        assert [item.cost for item in batched.history] == [
-            item.cost for item in sequential.history
-        ]
+    @pytest.mark.parametrize("initial_ps", [50.0, 400.0])
+    def test_probe_pairs_are_one_batched_call(self, fast_sample_set, slow_sample_set, initial_ps):
+        """After the initial cost, every evaluation is a forward/mirrored pair."""
+        batches = []
 
-    def test_batched_is_default(self, cost_function):
-        assert LmsSkewEstimator(cost_function).batched is True
+        class Recording(SkewCostFunction):
+            def evaluate_many(self, candidate_delays, invalid="raise"):
+                batches.append(len(candidate_delays))
+                return super().evaluate_many(candidate_delays, invalid=invalid)
 
-    def test_batched_counts_both_probes(self, cost_function):
-        result = LmsSkewEstimator(
-            cost_function, initial_step_seconds=1e-12, batched=True
-        ).estimate(50e-12)
-        # Every probe evaluates the forward and mirrored candidates together.
+        cost = Recording(fast_sample_set, slow_sample_set, num_evaluation_points=200, seed=5)
+        result = LmsSkewEstimator(cost, initial_step_seconds=1e-12).estimate(initial_ps * 1e-12)
+        assert batches[0] == 1 and set(batches[1:]) == {2}
+        assert result.cost_evaluations == sum(batches)
         assert result.cost_evaluations >= 2 * (result.iterations - 1)
+
+    @pytest.mark.parametrize("initial_ps", [50.0, 100.0, 350.0, 400.0])
+    def test_accepted_costs_equal_scalar_calls(self, cost_function, initial_ps):
+        """An accepted iterate's cost is the scalar cost at its estimate, bit for bit."""
+        result = LmsSkewEstimator(
+            cost_function, initial_step_seconds=1e-12, max_iterations=60
+        ).estimate(initial_ps * 1e-12)
+        assert [item.cost for item in result.history] == [
+            cost_function(item.estimate) for item in result.history
+        ]
 
 
 class TestConfiguration:

@@ -18,8 +18,10 @@ from repro.monitor import (
     iter_blocks,
     windowed_ofdm_evm,
 )
-from repro.signals.standards import get_profile
+from repro.signals.standards import get_profile, list_profiles
 from repro.transmitter import HomodyneTransmitter, TransmitterConfig
+
+OFDM_PROFILES = [name for name in list_profiles() if get_profile(name).family == "ofdm"]
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +44,22 @@ class TestOfdmSymbolReference:
         )
         with pytest.raises(ValidationError, match="OFDM burst"):
             OfdmSymbolReference.from_transmission(burst)
+
+    @pytest.mark.parametrize("profile", OFDM_PROFILES)
+    def test_symbol_duration_agrees_with_the_batch_measurement(self, profile):
+        # The monitor counts envelope samples per symbol; the batch EVM
+        # divides the symbol length by the critical rate.  Both must pick
+        # the same whole symbols.
+        config = TransmitterConfig.from_profile(get_profile(profile), seed=1)
+        params = config.ofdm
+        reference = OfdmSymbolReference(
+            np.zeros((1, params.num_subcarriers), dtype=complex),
+            params,
+            oversampling=config.samples_per_symbol,
+        )
+        assert reference.samples_per_symbol / config.envelope_sample_rate == pytest.approx(
+            params.symbol_duration_seconds(config.symbol_rate_hz), rel=1e-12
+        )
 
     def test_symbol_reference_points_at_the_ofdm_variant(self, ofdm_burst):
         with pytest.raises(ValidationError, match="OfdmSymbolReference"):

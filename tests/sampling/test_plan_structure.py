@@ -62,7 +62,7 @@ class TestStructureSharing:
         cache = PlanStructureCache()
         a = ReconstructionPlan(fast_sample_set, grid, num_taps=NUM_TAPS, structure_cache=cache)
         b = ReconstructionPlan(
-            fast_sample_set, grid, num_taps=NUM_TAPS, window="hann", structure_cache=cache
+            fast_sample_set, grid, num_taps=NUM_TAPS + 2, structure_cache=cache
         )
         c = ReconstructionPlan(
             fast_sample_set, grid[:-1], num_taps=NUM_TAPS, structure_cache=cache
@@ -93,19 +93,15 @@ class TestPlanStructureCacheBudget:
         per_structure = plan.structure.num_elements
         monkeypatch.setattr(PlanStructureCache, "MAX_ELEMENTS", 2 * per_structure)
         cache = PlanStructureCache()
-        windows = ["kaiser", "hann", "hamming"]
-        for window in windows:
-            ReconstructionPlan(
-                fast_sample_set, grid, num_taps=NUM_TAPS, window=window, structure_cache=cache
-            )
+        grids = [grid, grid[:-1], grid[:-2]]
+        for times in grids:
+            ReconstructionPlan(fast_sample_set, times, num_taps=NUM_TAPS, structure_cache=cache)
         stats = cache.stats
         assert stats["entries"] == 2
         assert stats["evictions"] == 1
         assert stats["elements"] <= 2 * per_structure
-        # The kaiser structure (LRU) was evicted; hann and hamming remain.
-        ReconstructionPlan(
-            fast_sample_set, grid, num_taps=NUM_TAPS, window="hamming", structure_cache=cache
-        )
+        # The full grid's structure (LRU) was evicted; the two shorter remain.
+        ReconstructionPlan(fast_sample_set, grids[2], num_taps=NUM_TAPS, structure_cache=cache)
         assert cache.stats["hits"] == 1
 
     def test_most_recent_entry_survives_even_oversized(self, fast_sample_set, grid, monkeypatch):

@@ -1,6 +1,6 @@
 """Generated-input properties of the reconstruction kernels.
 
-For any band placement, record length, even tap count, window and set of
+For any band placement, record length, even tap count and set of
 delays that :func:`~repro.sampling.nonuniform.check_delay` accepts:
 
 * :meth:`ReconstructionPlan.evaluate_many` rows equal looped
@@ -52,8 +52,6 @@ from repro.sampling import (
 from repro.sampling.nonuniform import check_delay, delay_upper_bound
 from repro.sampling.reconstruction import _angle_tables
 
-WINDOWS = ["kaiser", "hann", "hamming", "blackman", "rectangular"]
-
 
 def accepted(band, delay) -> bool:
     try:
@@ -79,7 +77,6 @@ def kernel_cases(draw, uniform=None, row_shared=False):
     delays = np.array(fractions) * bound
     assume(all(accepted(band, delay) for delay in delays))
     num_taps = 2 * draw(st.integers(1, 20))
-    window = draw(st.sampled_from(WINDOWS))
     num_samples = draw(st.integers(4, 160))
     period = 1.0 / bandwidth
     start = draw(st.floats(-1e-6, 1e-6))
@@ -138,7 +135,6 @@ def kernel_cases(draw, uniform=None, row_shared=False):
             ),
             times,
             num_taps=num_taps,
-            window=window,
             structure_cache=cache,
         )
         for _ in delays
@@ -174,7 +170,6 @@ def test_plans_agree_with_reference(case):
             plan.evaluation_times,
             delay,
             num_taps=plan.num_taps,
-            window=plan.window,
         )
         values = plan.evaluate(delay)
         assert np.all(np.isfinite(values))
@@ -283,7 +278,7 @@ def test_uniform_grid_equals_permuted_grid(case, random):
     random.shuffle(order)
     order = np.array(order)
     permuted = ReconstructionPlan(
-        plan.sample_set, plan.evaluation_times[order], num_taps=plan.num_taps, window=plan.window
+        plan.sample_set, plan.evaluation_times[order], num_taps=plan.num_taps
     )
     assume(isinstance(permuted.structure.row_index, slice))
     expected = np.empty(order.size)

@@ -19,6 +19,7 @@ from repro.signals.ofdm import (
     OfdmDemodulator,
     OfdmModulator,
     OfdmParams,
+    _whole_symbol_metrics,
     build_used_grid,
     ofdm_grid_metrics,
 )
@@ -230,3 +231,67 @@ class TestGridMetrics:
             ofdm_grid_metrics(params, reference, reference[:, :-1])
         with pytest.raises(ValidationError):
             ofdm_grid_metrics(params, reference[:, :-1], reference[:, :-1])
+
+
+class TestWholeSymbolMetrics:
+    """The whole-symbol demodulator shared by batch OFDM EVM and the monitor."""
+
+    params = OfdmParams(fft_size=32, num_subcarriers=26, cp_length=8)
+    oversampling = 2
+    #: One critical sample per second, so a symbol lasts ``symbol_length`` seconds.
+    rate = 2.0
+    duration = 40.0
+
+    def stream(self, num_symbols, seed):
+        data = random_grid_data(self.params, num_symbols, seed=seed)
+        envelope = OfdmModulator(self.params, self.oversampling).modulate(data)
+        return build_used_grid(self.params, data), envelope
+
+    def metrics(self, reference, envelope, usable, **kwargs):
+        return _whole_symbol_metrics(
+            self.params,
+            self.oversampling,
+            reference,
+            envelope,
+            self.rate,
+            0.0,
+            usable,
+            self.duration,
+            **kwargs,
+        )
+
+    def test_keeps_the_symbols_whole_inside_the_usable_interval(self):
+        reference, envelope = self.stream(10, seed=21)
+        # Symbols 3 to 6 lie whole inside [2.5 d, 7.2 d); the straddling 2 and 7 are dropped.
+        metrics = self.metrics(reference, envelope, (2.5 * self.duration, 7.2 * self.duration))
+        assert metrics.num_symbols == 4
+        assert metrics.evm_percent < 1e-9
+
+    def test_symbol_grid_may_start_inside_the_envelope(self):
+        reference, envelope = self.stream(10, seed=22)
+        padded = np.concatenate([np.zeros(13, dtype=complex), envelope])
+        end = (padded.size - 1) / self.rate
+        metrics = self.metrics(reference, padded, (0.0, end), symbol_start=13 / self.rate)
+        # Symbol 9 ends after the last sample, so 0 to 8 are kept.
+        assert metrics.num_symbols == 9
+        assert metrics.evm_percent < 1e-9
+
+    def test_symbols_past_the_reference_grid_are_not_kept(self):
+        reference, envelope = self.stream(6, seed=23)
+        tail = np.zeros(3 * self.params.symbol_length * self.oversampling, dtype=complex)
+        padded = np.concatenate([envelope, tail])
+        metrics = self.metrics(reference, padded, (0.0, (padded.size - 1) / self.rate))
+        assert metrics.num_symbols == 6
+        assert metrics.evm_percent < 1e-9
+
+    def test_fewer_than_two_whole_symbols_raise(self):
+        reference, envelope = self.stream(4, seed=24)
+        with pytest.raises(MeasurementError, match="covers 1 whole OFDM symbol"):
+            self.metrics(reference, envelope, (0.5 * self.duration, 2.5 * self.duration))
+
+    def test_min_symbols_is_honoured(self):
+        reference, envelope = self.stream(6, seed=25)
+        usable = (0.0, 4.5 * self.duration)
+        assert self.metrics(reference, envelope, usable, min_symbols=4).num_symbols == 4
+        with pytest.raises(MeasurementError, match="at least 5 needed"):
+            self.metrics(reference, envelope, usable, min_symbols=5)

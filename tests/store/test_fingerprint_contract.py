@@ -10,15 +10,15 @@ changes if and only if :func:`resolve_scenario`'s effective inputs change.
 The inputs are compared as dataclasses, not through the payload the
 fingerprint hashes, so a field the payload dropped would show.
 
-Three perturbations are absorbed by the resolution on ``paper-qpsk-1ghz``
+Four perturbations are absorbed by the resolution on ``paper-qpsk-1ghz``
 (nominal bandwidth 90 -> 100 MHz, 60 MHz effective in both; programmed
 delay 180 -> 200 ps, clamped to 165.1 ps in both; a relabel under the
-``shared`` seed policy); those pairs are also executed and must give
-bit-identical reports.
+``shared`` seed policy; converter knobs at ``-0.0`` instead of ``0.0``);
+those pairs are also executed and must give bit-identical reports.
 
-Floats are drawn without ``-0.0``: the dataclasses compare it equal to
-``0.0`` while the canonical JSON spells it differently, so a ``-0.0`` knob
-costs a cache miss, never a wrong hit.
+The generated floats include ``-0.0`` wherever a field's range holds zero.
+The dataclasses compare it equal to ``0.0``, so the fingerprint must not
+tell the two apart either.
 """
 
 from dataclasses import replace
@@ -54,7 +54,9 @@ FAST_CONFIG = BistConfig(
 
 
 def floats(low, high):
-    return st.floats(low, high, allow_nan=False).map(lambda value: value + 0.0)
+    """Floats in ``[low, high]``; a range holding zero draws ``-0.0`` often."""
+    values = st.floats(low, high, allow_nan=False)
+    return values | st.just(-0.0) if low <= 0.0 <= high else values
 
 
 BIST_FIELDS = {
@@ -174,6 +176,18 @@ ABSORBED = {
     "relabel": (
         (CampaignScenario(profile=PAPER, label="unit-a"), FAST_CONFIG),
         (CampaignScenario(profile=PAPER, label="unit-b"), FAST_CONFIG),
+    ),
+    "negative-zero-knobs": (
+        (CampaignScenario(profile=PAPER), FAST_CONFIG),
+        (
+            CampaignScenario(
+                profile=PAPER,
+                converter=ConverterSpec(
+                    channel1_skew_seconds=-0.0, dcde_static_error_seconds=-0.0
+                ),
+            ),
+            FAST_CONFIG,
+        ),
     ),
 }
 
