@@ -10,7 +10,7 @@ from .acquisition import (
 )
 from .adc import AdcChannel
 from .mismatch import ChannelMismatch
-from .quantizer import UniformQuantizer, ideal_quantizer_snr_db
+from .quantizer import UniformQuantizer
 from .sample_hold import SampleAndHold
 from .tiadc import BpTiadc, DigitallyControlledDelayElement
 
@@ -18,7 +18,6 @@ __all__ = [
     "AdcChannel",
     "ChannelMismatch",
     "UniformQuantizer",
-    "ideal_quantizer_snr_db",
     "SampleAndHold",
     "BpTiadc",
     "DigitallyControlledDelayElement",

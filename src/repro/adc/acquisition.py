@@ -364,7 +364,3 @@ class CapturedSamplesSource(AcquisitionSource):
     @property
     def true_delay(self) -> float | None:
         return self._capture.true_delay_seconds
-
-    def rewind(self) -> None:
-        """Reset the replay cursor to the first recorded acquisition."""
-        self._cursor[0] = 0

@@ -44,21 +44,8 @@ class AdcChannel:
             raise ValidationError("mismatch must be a ChannelMismatch")
         self._sample_hold = SampleAndHold(mismatch=self.mismatch, seed=self.seed)
 
-    @property
-    def sample_hold(self) -> SampleAndHold:
-        """The sample-and-hold stage of this channel."""
-        return self._sample_hold
-
     def convert(self, signal: AnalogSignal, nominal_times) -> np.ndarray:
         """Digitise ``signal`` at the nominal clock edges ``nominal_times``."""
         held = self._sample_hold.sample(signal, nominal_times)
-        impaired = self.mismatch.apply_static(held)
-        return self.quantizer.quantize(impaired)
-
-    def convert_ideal_timing(self, signal: AnalogSignal, exact_times) -> np.ndarray:
-        """Digitise with perfect timing (no skew/jitter); static errors still apply."""
-        if not isinstance(signal, AnalogSignal):
-            raise ValidationError("signal must be an AnalogSignal")
-        held = signal.evaluate(np.asarray(exact_times, dtype=float))
         impaired = self.mismatch.apply_static(held)
         return self.quantizer.quantize(impaired)

@@ -58,14 +58,6 @@ class ChannelMismatch:
             and self.aperture_jitter_rms_seconds == 0.0
         )
 
-    def with_skew(self, skew_seconds: float) -> "ChannelMismatch":
-        """Copy of this mismatch with a different deterministic skew."""
-        return replace(self, skew_seconds=float(skew_seconds))
-
-    def with_jitter(self, aperture_jitter_rms_seconds: float) -> "ChannelMismatch":
-        """Copy of this mismatch with a different aperture jitter."""
-        return replace(self, aperture_jitter_rms_seconds=float(aperture_jitter_rms_seconds))
-
     def with_input_bandwidth(
         self, bandwidth_hz: float, reference_frequency_hz: float
     ) -> "ChannelMismatch":

@@ -1,8 +1,7 @@
 """Uniform amplitude quantisation.
 
 The BP-TIADC of the paper uses two 10-bit converters.  The quantizer model is
-a mid-rise uniform quantizer with symmetric clipping; a helper exposes the
-textbook ideal-SNR relation used in tests and benchmarks.
+a mid-rise uniform quantizer with symmetric clipping.
 """
 
 from __future__ import annotations
@@ -13,13 +12,7 @@ import numpy as np
 
 from ..utils.validation import check_integer, check_positive
 
-__all__ = ["UniformQuantizer", "ideal_quantizer_snr_db"]
-
-
-def ideal_quantizer_snr_db(resolution_bits: int) -> float:
-    """Ideal full-scale sine-wave SNR of an N-bit quantizer: ``6.02 N + 1.76`` dB."""
-    resolution_bits = check_integer(resolution_bits, "resolution_bits", minimum=1)
-    return 6.02 * resolution_bits + 1.76
+__all__ = ["UniformQuantizer"]
 
 
 @dataclass(frozen=True)
@@ -66,12 +59,3 @@ class UniformQuantizer:
         values = np.asarray(values, dtype=float)
         codes = np.floor(values / self.step_size)
         return np.clip(codes, -self.num_levels // 2, self.num_levels // 2 - 1).astype(np.int64)
-
-    def quantization_noise_power(self) -> float:
-        """Quantisation noise power ``step^2 / 12`` (no clipping assumed)."""
-        return self.step_size**2 / 12.0
-
-    def clips(self, values) -> np.ndarray:
-        """Boolean mask of samples that hit the clipping limits."""
-        values = np.asarray(values, dtype=float)
-        return (values >= self.full_scale - self.step_size / 2.0) | (values < -self.full_scale)

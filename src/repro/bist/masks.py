@@ -33,18 +33,11 @@ class MaskViolation:
         Measured PSD relative to the in-band peak (dB).
     limit_db:
         Mask limit at that offset (dB).
-    margin_db:
-        ``limit_db - measured_db`` (negative = violation magnitude).
     """
 
     frequency_offset_hz: float
     measured_db: float
     limit_db: float
-
-    @property
-    def margin_db(self) -> float:
-        """Limit minus measurement; negative when violating."""
-        return self.limit_db - self.measured_db
 
     def to_dict(self) -> dict:
         """Plain JSON-friendly dictionary (see :meth:`from_dict`)."""

@@ -6,16 +6,13 @@ from .metrics import (
     error_vector_magnitude,
     normalised_mean_squared_error,
     relative_reconstruction_error,
-    sinad_db,
 )
 from .spectrum import (
     SpectrumEstimate,
     adjacent_channel_power_ratio,
     band_power,
     occupied_bandwidth,
-    peak_frequency,
     periodogram,
-    total_power,
     welch_psd,
 )
 
@@ -26,13 +23,10 @@ __all__ = [
     "error_vector_magnitude",
     "normalised_mean_squared_error",
     "relative_reconstruction_error",
-    "sinad_db",
     "SpectrumEstimate",
     "adjacent_channel_power_ratio",
     "band_power",
     "occupied_bandwidth",
-    "peak_frequency",
     "periodogram",
-    "total_power",
     "welch_psd",
 ]

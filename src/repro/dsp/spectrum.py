@@ -27,10 +27,8 @@ __all__ = [
     "periodogram_rows",
     "welch_psd",
     "band_power",
-    "total_power",
     "occupied_bandwidth",
     "adjacent_channel_power_ratio",
-    "peak_frequency",
 ]
 
 
@@ -67,12 +65,6 @@ class SpectrumEstimate:
             raise ValidationError("frequencies_hz must be finite and strictly increasing")
         object.__setattr__(self, "frequencies_hz", freqs)
         object.__setattr__(self, "psd", psd)
-
-    @property
-    def psd_dbhz(self) -> np.ndarray:
-        """PSD in dB (relative, per Hz); zero-power bins map to -inf."""
-        with np.errstate(divide="ignore"):
-            return 10.0 * np.log10(self.psd)
 
     def normalised_db(self) -> np.ndarray:
         """PSD in dB relative to the peak bin (peak at 0 dB)."""
@@ -186,8 +178,8 @@ def periodogram(
 ) -> SpectrumEstimate:
     """Single-record windowed periodogram PSD estimate.
 
-    The window is compensated for its power loss so that
-    :func:`total_power` of the estimate matches the time-domain mean square
+    The window is compensated for its power loss so that the integrated
+    PSD, ``sum(psd) * resolution_hz``, matches the time-domain mean square
     of the record (Parseval-consistent).
     """
     samples = check_1d_array(samples, "samples", min_length=8)
@@ -281,16 +273,6 @@ def band_power(estimate: SpectrumEstimate, low_hz: float, high_hz: float) -> flo
     centres = frequencies[overlapping]
     coverage = np.minimum(high_hz, centres + half) - np.maximum(low_hz, centres - half)
     return float(np.sum(estimate.psd[overlapping] * np.maximum(coverage, 0.0)))
-
-
-def total_power(estimate: SpectrumEstimate) -> float:
-    """Total power of the estimate (integral of the PSD over all bins)."""
-    return float(np.sum(estimate.psd) * estimate.resolution_hz)
-
-
-def peak_frequency(estimate: SpectrumEstimate) -> float:
-    """Frequency of the strongest PSD bin."""
-    return float(estimate.frequencies_hz[int(np.argmax(estimate.psd))])
 
 
 def occupied_bandwidth(

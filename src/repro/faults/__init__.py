@@ -67,7 +67,6 @@ from .models import (
     TxLeakageFault,
     fault_grid,
     get_fault_family,
-    list_fault_families,
     register_fault,
 )
 from .report import FaultCoverageReport, FaultReportEntry
@@ -77,7 +76,6 @@ __all__ = [
     "FAULT_FAMILIES",
     "register_fault",
     "get_fault_family",
-    "list_fault_families",
     "fault_grid",
     "PaCompressionFault",
     "IqImbalanceFault",

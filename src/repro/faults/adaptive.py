@@ -210,11 +210,6 @@ class ProbeResult:
     decision: str  # "detected" / "undetected"
     conclusive: bool = True
 
-    @property
-    def detection_rate(self) -> float:
-        """Observed detection fraction of the probe."""
-        return self.num_detected / self.num_trials
-
     def to_dict(self) -> dict:
         """Plain JSON-friendly dictionary."""
         return field_dict(self)
@@ -310,27 +305,6 @@ class ThresholdReport:
     def __post_init__(self) -> None:
         if not self.thresholds:
             raise ValidationError("a threshold report needs at least one family result")
-
-    # -- lookup ------------------------------------------------------------ #
-    def threshold_for(self, family: str, profile_name: str | None = None) -> FamilyThreshold:
-        """Look up one family's threshold (profile-qualified when ambiguous)."""
-        matches = [
-            threshold
-            for threshold in self.thresholds
-            if threshold.family == family
-            and (profile_name is None or threshold.profile_name == profile_name)
-        ]
-        if not matches:
-            raise ValidationError(
-                f"no threshold for family {family!r}"
-                + ("" if profile_name is None else f" under profile {profile_name!r}")
-            )
-        if len(matches) > 1:
-            raise ValidationError(
-                f"family {family!r} has thresholds under several profiles; "
-                "pass profile_name to disambiguate"
-            )
-        return matches[0]
 
     # -- efficiency -------------------------------------------------------- #
     @property

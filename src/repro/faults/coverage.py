@@ -390,10 +390,6 @@ class FaultDictionary:
                 return record
         raise ValidationError(f"no fault point labelled {label!r} in this dictionary")
 
-    def references_for(self, profile_name: str) -> tuple:
-        """The reference signatures of one profile."""
-        return tuple(s for s in self.references if s.profile_name == profile_name)
-
     # ------------------------------------------------------------------ #
     # Detection analytics
     # ------------------------------------------------------------------ #

@@ -50,7 +50,6 @@ __all__ = [
     "FAULT_FAMILIES",
     "register_fault",
     "get_fault_family",
-    "list_fault_families",
     "fault_grid",
     "PaCompressionFault",
     "IqImbalanceFault",
@@ -187,11 +186,6 @@ def get_fault_family(name: str) -> type:
         raise ValidationError(
             f"unknown fault family {name!r}; available: {sorted(FAULT_FAMILIES)}"
         ) from None
-
-
-def list_fault_families() -> list[str]:
-    """Names of all registered fault families."""
-    return sorted(FAULT_FAMILIES)
 
 
 def fault_grid(families, severities) -> list[FaultModel]:

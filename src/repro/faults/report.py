@@ -12,7 +12,7 @@ archival next to the campaign artifacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..errors import ValidationError
 from .adaptive import ThresholdReport
@@ -74,24 +74,13 @@ class FaultCoverageReport:
     coverage_result: CoverageResult
     false_alarm_rate: float
     escape: EscapeYieldEstimate
-    #: Optional adaptive threshold-search results (see :meth:`with_thresholds`).
+    #: Optional adaptive threshold-search results, printed and serialised
+    #: after the coverage view (attach with :func:`dataclasses.replace`).
     thresholds: ThresholdReport | None = None
 
     def __post_init__(self) -> None:
         if not self.entries:
             raise ValidationError("a coverage report needs at least one entry")
-
-    def with_thresholds(self, thresholds: ThresholdReport) -> "FaultCoverageReport":
-        """Attach an adaptive :class:`ThresholdReport` to the coverage view.
-
-        The threshold search answers the question the exhaustive grid only
-        approximates — the minimal detectable severity per family — so the
-        combined report carries both: grid detection probabilities alongside
-        the adaptively-located thresholds and their search cost.
-        """
-        if not isinstance(thresholds, ThresholdReport):
-            raise ValidationError("thresholds must be a ThresholdReport")
-        return replace(self, thresholds=thresholds)
 
     @classmethod
     def from_dictionary(

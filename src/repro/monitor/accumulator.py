@@ -127,18 +127,6 @@ class StreamingAccumulator:
         """
         return 0 if self._buffer is None else int(self._buffer.size)
 
-    @property
-    def tail_samples(self) -> int:
-        """Ingested samples not covered by any accumulated segment.
-
-        Equals what :func:`repro.dsp.welch_psd` would drop if the stream
-        ended now (``< step`` once at least one segment accumulated).
-        """
-        if self._segments == 0:
-            return self._ingested
-        covered = (self._segments - 1) * self._step + self._segment_length
-        return self._ingested - covered
-
     # ------------------------------------------------------------------ #
     # Ingestion
     # ------------------------------------------------------------------ #
@@ -233,12 +221,3 @@ class StreamingAccumulator:
             window=self._window,
             kaiser_beta=self._kaiser_beta,
         )
-
-    def reset(self) -> None:
-        """Drop all state (buffer, accumulated PSD, counters)."""
-        self._buffer = None
-        self._accumulated = None
-        self._frequencies = None
-        self._two_sided = None
-        self._segments = 0
-        self._ingested = 0

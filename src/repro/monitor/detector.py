@@ -211,8 +211,8 @@ class DriftDetector:
     -----
     The detector latches one alarm per metric per run: after a metric
     alarms, further windows keep updating its statistic but emit no
-    duplicate alarms (:meth:`reset_metric` re-arms it).  ``None`` metric
-    values (e.g. EVM on an OFDM profile) are skipped transparently.
+    duplicate alarms.  ``None`` metric values (e.g. EVM on an OFDM profile)
+    are skipped transparently.
     """
 
     def __init__(
@@ -249,18 +249,9 @@ class DriftDetector:
         """Every alarm emitted so far, in window order."""
         return tuple(self._alarms)
 
-    @property
-    def windows_observed(self) -> int:
-        """Number of metric windows fed through :meth:`update`."""
-        return self._windows_seen
-
     def baselines(self) -> dict:
         """Current per-metric baselines (``None`` while still warming up)."""
         return {metric: chart.baseline for metric, chart in self._charts.items()}
-
-    def scales(self) -> dict:
-        """Per-metric score normalisation (``None`` while still warming up)."""
-        return {metric: chart.scale for metric, chart in self._charts.items()}
 
     def statistics(self) -> dict:
         """Current per-metric chart statistics."""
@@ -297,9 +288,3 @@ class DriftDetector:
                 self._alarms.append(alarm)
                 raised.append(alarm)
         return raised
-
-    def reset_metric(self, metric: str) -> None:
-        """Re-arm one metric's chart (statistic to zero, alarm latch cleared)."""
-        check_choice(metric, "metric", MONITORED_METRICS)
-        self._charts[metric].statistic = 0.0
-        self._alarmed.discard(metric)

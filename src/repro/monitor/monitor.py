@@ -341,11 +341,6 @@ class StreamingMonitor:
         return self._samples_ingested
 
     @property
-    def windows_completed(self) -> int:
-        """Measurement windows closed so far."""
-        return self._window_index
-
-    @property
     def windows(self) -> tuple:
         """Per-window metrics of every completed window."""
         return tuple(self._windows)

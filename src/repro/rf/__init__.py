@@ -8,7 +8,7 @@ from .amplifier import (
     SalehAmplifier,
 )
 from .filters import AnalogBandpass, AnalogLowpass
-from .impairments import DcOffset, IqImbalance, image_rejection_ratio_db
+from .impairments import DcOffset, IqImbalance
 from .mixer import QuadratureModulator
 from .noise import AdditiveWhiteNoise, add_noise_for_snr
 from .oscillator import LocalOscillator, PhaseNoiseModel
@@ -23,7 +23,6 @@ __all__ = [
     "AnalogLowpass",
     "DcOffset",
     "IqImbalance",
-    "image_rejection_ratio_db",
     "QuadratureModulator",
     "AdditiveWhiteNoise",
     "add_noise_for_snr",

@@ -12,9 +12,9 @@ models are provided (they act on the complex envelope):
 * :class:`PolynomialAmplifier` — odd-order complex polynomial
   (third/fifth-order nonlinearity specified through IIP3-style coefficients).
 
-All models expose ``apply(envelope)`` operating on
-:class:`~repro.signals.baseband.ComplexEnvelope` and ``transfer(magnitude)``
-returning the AM/AM curve, which the BIST ablation benchmarks sweep.
+All models expose ``gain(magnitude)``, the complex AM/AM and AM/PM gain at
+the given envelope magnitudes, and ``apply(envelope)``, which multiplies each
+sample of a :class:`~repro.signals.baseband.ComplexEnvelope` by its gain.
 """
 
 from __future__ import annotations
@@ -44,16 +44,6 @@ class Amplifier(ABC):
     @abstractmethod
     def gain(self, envelope_magnitude: np.ndarray) -> np.ndarray:
         """Complex (AM/AM and AM/PM) gain for the given envelope magnitudes."""
-
-    def transfer(self, envelope_magnitude) -> np.ndarray:
-        """Output envelope magnitude for the given input magnitudes (AM/AM curve)."""
-        magnitude = np.abs(np.asarray(envelope_magnitude, dtype=float))
-        return np.abs(self.gain(magnitude)) * magnitude
-
-    def phase_shift(self, envelope_magnitude) -> np.ndarray:
-        """Output phase rotation (radians) for the given input magnitudes (AM/PM curve)."""
-        magnitude = np.abs(np.asarray(envelope_magnitude, dtype=float))
-        return np.angle(self.gain(magnitude))
 
     def apply(self, envelope: ComplexEnvelope) -> ComplexEnvelope:
         """Amplify a complex envelope."""

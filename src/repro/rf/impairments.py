@@ -17,7 +17,7 @@ from ..errors import ValidationError
 from ..signals.baseband import ComplexEnvelope
 from ..utils.units import db_to_amplitude_ratio
 
-__all__ = ["IqImbalance", "DcOffset", "image_rejection_ratio_db"]
+__all__ = ["IqImbalance", "DcOffset"]
 
 
 @dataclass(frozen=True)
@@ -106,15 +106,3 @@ class DcOffset:
         if self.is_ideal:
             return envelope
         return envelope.with_samples(envelope.samples + self.complex_offset)
-
-
-def image_rejection_ratio_db(imbalance: IqImbalance) -> float:
-    """Image-rejection ratio implied by an IQ imbalance, in dB.
-
-    ``IRR = |mu|^2 / |nu|^2``; an ideal modulator has infinite rejection.
-    """
-    nu_power = abs(imbalance.nu) ** 2
-    if nu_power == 0.0:
-        return float("inf")
-    mu_power = abs(imbalance.mu) ** 2
-    return float(10.0 * np.log10(mu_power / nu_power))

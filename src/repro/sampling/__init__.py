@@ -7,7 +7,6 @@ from .bandpass import (
     folded_frequency,
     is_alias_free,
     minimum_sampling_rate,
-    nyquist_zone,
     rate_margin,
     required_rate_precision,
     valid_rate_ranges,
@@ -32,7 +31,6 @@ from .reconstruction import (
     reference_evaluate,
 )
 from .sensitivity import (
-    delay_error_sweep,
     max_delay_error_for_relative_error,
     paper_example_delay_requirement,
     relative_error_for_delay_error,
@@ -45,7 +43,6 @@ __all__ = [
     "folded_frequency",
     "is_alias_free",
     "minimum_sampling_rate",
-    "nyquist_zone",
     "rate_margin",
     "required_rate_precision",
     "valid_rate_ranges",
@@ -64,7 +61,6 @@ __all__ = [
     "ReconstructionPlan",
     "evaluate_stacked",
     "reference_evaluate",
-    "delay_error_sweep",
     "max_delay_error_for_relative_error",
     "paper_example_delay_requirement",
     "relative_error_for_delay_error",

@@ -32,7 +32,6 @@ __all__ = [
     "minimum_sampling_rate",
     "wedge_index",
     "rate_margin",
-    "nyquist_zone",
     "folded_frequency",
     "alias_free_grid",
     "required_rate_precision",
@@ -77,11 +76,6 @@ class BandpassBand:
         return (self.f_low + self.f_high) / 2.0
 
     @property
-    def band_position_ratio(self) -> float:
-        """The ``f_high / B`` ratio that parameterises Fig. 3a's x-axis."""
-        return self.f_high / self.bandwidth
-
-    @property
     def maximum_wedge_index(self) -> int:
         """Largest usable ``n`` (number of alias-free rate ranges), ``floor(f_high / B)``."""
         return int(np.floor(self.f_high / self.bandwidth + 1e-12))
@@ -104,10 +98,6 @@ class SamplingRateRange:
     def width_hz(self) -> float:
         """Width of the acceptable interval (the implementation margin)."""
         return self.maximum_hz - self.minimum_hz
-
-    def contains(self, rate_hz: float) -> bool:
-        """Whether ``rate_hz`` lies inside this interval (inclusive)."""
-        return self.minimum_hz <= rate_hz <= self.maximum_hz
 
 
 def valid_rate_ranges(band: BandpassBand, max_rate_hz: float | None = None) -> list[SamplingRateRange]:
@@ -207,13 +197,6 @@ def required_rate_precision(band: BandpassBand, sample_rate_hz: float) -> float:
     """
     down, up = rate_margin(band, sample_rate_hz)
     return float(min(down, up))
-
-
-def nyquist_zone(frequency_hz: float, sample_rate_hz: float) -> int:
-    """1-based Nyquist zone index of ``frequency_hz`` for rate ``sample_rate_hz``."""
-    frequency_hz = check_positive(frequency_hz, "frequency_hz")
-    sample_rate_hz = check_positive(sample_rate_hz, "sample_rate_hz")
-    return int(np.floor(2.0 * frequency_hz / sample_rate_hz)) + 1
 
 
 def folded_frequency(frequency_hz: float, sample_rate_hz: float) -> float:

@@ -154,14 +154,6 @@ class NonuniformSampleSet:
         """Time just past the last on-grid sample."""
         return self.start_time + self.duration
 
-    def on_grid_times(self) -> np.ndarray:
-        """Sampling instants of the on-grid sequence."""
-        return self.start_time + np.arange(self.on_grid.size) * self.sample_period
-
-    def delayed_times(self) -> np.ndarray:
-        """Sampling instants of the delayed sequence (uses the true delay)."""
-        return self.on_grid_times() + self.delay
-
     def with_channels(self, on_grid, delayed) -> "NonuniformSampleSet":
         """Copy of this sample set with replaced channel data (same metadata)."""
         return replace(self, on_grid=np.asarray(on_grid, dtype=float), delayed=np.asarray(delayed, dtype=float))

@@ -25,7 +25,6 @@ __all__ = [
     "relative_error_for_delay_error",
     "max_delay_error_for_relative_error",
     "paper_example_delay_requirement",
-    "delay_error_sweep",
 ]
 
 
@@ -66,10 +65,3 @@ def paper_example_delay_requirement() -> float:
     """
     band = BandpassBand.from_centre(1.0e9, 80.0e6)
     return max_delay_error_for_relative_error(band, 0.01)
-
-
-def delay_error_sweep(band: BandpassBand, delay_errors) -> np.ndarray:
-    """Vectorised Eq. 4 over an array of delay errors (for plots/benchmarks)."""
-    delay_errors = np.abs(np.asarray(delay_errors, dtype=float))
-    k, _ = band_order(band)
-    return np.pi * band.bandwidth * (k + 1) * delay_errors

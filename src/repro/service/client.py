@@ -1,14 +1,17 @@
 """Blocking HTTP client for the BIST service (urllib, no dependencies).
 
-:class:`ServiceClient` mirrors the server's routes one method each and is
-what the ``repro.service submit/status/result`` CLI verbs use.  Transport
-errors surface as :class:`~repro.errors.ServiceError`; HTTP error payloads
+:class:`ServiceClient` has one method for each route but the server's
+``GET /health`` liveness probe, plus :meth:`ServiceClient.wait`, and is what
+the ``repro.service submit/status/result`` CLI verbs use.  Every transport
+failure, including a connection reset or a truncated or non-JSON response,
+surfaces as :class:`~repro.errors.ServiceError`; HTTP error payloads
 (the server always answers JSON) are unwrapped into the same exception with
 the server's message, so callers never parse status codes.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
 import urllib.error
@@ -48,7 +51,7 @@ class ServiceClient:
         )
         try:
             with urllib.request.urlopen(request, timeout=self._timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
+                raw = response.read()
         except urllib.error.HTTPError as exc:
             try:
                 message = json.loads(exc.read().decode("utf-8")).get("error", str(exc))
@@ -59,14 +62,16 @@ class ServiceClient:
             raise ServiceError(f"HTTP {exc.code}: {message}") from exc
         except urllib.error.URLError as exc:
             raise ServiceError(f"cannot reach {self._base_url}: {exc.reason}") from exc
+        except (OSError, http.client.HTTPException) as exc:
+            raise ServiceError(f"{method} {path}: {type(exc).__name__}: {exc}") from exc
+        try:
+            return json.loads(raw.decode("utf-8"))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ServiceError(f"{method} {path}: response is not JSON: {exc}") from exc
 
     # ------------------------------------------------------------------ #
     # Routes
     # ------------------------------------------------------------------ #
-    def health(self) -> dict:
-        """``GET /health``."""
-        return self._request("GET", "/health")
-
     def submit(self, spec: CampaignSpec) -> str:
         """``POST /jobs``; returns the assigned job id."""
         return self._request("POST", "/jobs", spec.to_dict())["job_id"]

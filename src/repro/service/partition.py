@@ -102,11 +102,6 @@ class PartitionPlan:
     cached: tuple
     scenarios_total: int
 
-    @property
-    def pending_total(self) -> int:
-        """Scenarios that still need a worker."""
-        return sum(len(partition) for partition in self.partitions)
-
 
 def plan_partitions(
     scenarios,

@@ -125,9 +125,17 @@ class BistServiceServer:
                     content_length = int(value.strip())
                 except ValueError:
                     return 400, {"error": "invalid Content-Length"}
+                if content_length < 0:
+                    return 400, {"error": "invalid Content-Length"}
         if content_length > _MAX_BODY_BYTES:
             return 400, {"error": "request body too large"}
-        body = await reader.readexactly(content_length) if content_length else b""
+        try:
+            body = await reader.readexactly(content_length) if content_length else b""
+        except asyncio.IncompleteReadError as exc:
+            return 400, {
+                "error": f"request body ended after {len(exc.partial)} of "
+                f"{content_length} Content-Length bytes"
+            }
         return self._route(method, path, body)
 
     # ------------------------------------------------------------------ #

@@ -83,17 +83,6 @@ class ComplexEnvelope:
         """Mean envelope power ``mean(|samples|^2)``."""
         return float(np.mean(np.abs(self.samples) ** 2))
 
-    def peak_power(self) -> float:
-        """Peak envelope power ``max(|samples|^2)``."""
-        return float(np.max(np.abs(self.samples) ** 2))
-
-    def papr_db(self) -> float:
-        """Peak-to-average power ratio in dB."""
-        mean = self.mean_power()
-        if mean <= 0.0:
-            raise ValidationError("cannot compute PAPR of an all-zero envelope")
-        return float(10.0 * np.log10(self.peak_power() / mean))
-
     def rms(self) -> float:
         """RMS envelope magnitude."""
         return float(np.sqrt(self.mean_power()))
@@ -128,17 +117,6 @@ class ComplexEnvelope:
         bulk = (len(taps) - 1) // 2
         trimmed = filtered[bulk : bulk + self.samples.size]
         return self.with_samples(trimmed)
-
-    def sliced(self, start_time: float, stop_time: float) -> "ComplexEnvelope":
-        """Extract the samples whose time stamps fall in ``[start_time, stop_time)``."""
-        if stop_time <= start_time:
-            raise ValidationError("stop_time must exceed start_time")
-        times = self.times()
-        mask = (times >= start_time) & (times < stop_time)
-        if not np.any(mask):
-            raise ValidationError("requested slice contains no samples")
-        first = int(np.argmax(mask))
-        return ComplexEnvelope(self.samples[mask], self.sample_rate, float(times[first]))
 
     # ------------------------------------------------------------------ #
     # Continuous-time evaluation

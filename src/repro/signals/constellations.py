@@ -1,4 +1,4 @@
-"""Digital constellations: mapping, Gray coding and hard-decision demapping.
+"""Digital constellations: Gray-coded symbol mapping.
 
 The paper's test stimulus is a QPSK symbol stream; the multistandard BIST
 campaign additionally exercises BPSK, 8-PSK and square QAM constellations.
@@ -70,19 +70,6 @@ class Constellation:
         """Number of constellation points (M)."""
         return int(self.points.size)
 
-    @property
-    def average_energy(self) -> float:
-        """Mean squared magnitude of the constellation points."""
-        return float(np.mean(np.abs(self.points) ** 2))
-
-    @property
-    def minimum_distance(self) -> float:
-        """Smallest Euclidean distance between any two distinct points."""
-        diffs = self.points[:, None] - self.points[None, :]
-        distances = np.abs(diffs)
-        distances[np.eye(self.order, dtype=bool)] = np.inf
-        return float(distances.min())
-
     def map(self, symbols) -> np.ndarray:
         """Map integer symbol indices to complex constellation points."""
         symbols = check_1d_array(symbols, "symbols")
@@ -92,36 +79,6 @@ class Constellation:
                 f"symbol indices must lie in [0, {self.order - 1}] for {self.name}"
             )
         return self.points[symbols]
-
-    def map_bits(self, bits) -> np.ndarray:
-        """Map a bit stream (MSB first per symbol) to constellation points.
-
-        The bit-stream length must be a multiple of :attr:`bits_per_symbol`.
-        """
-        bits = check_1d_array(bits, "bits").astype(np.int64, copy=False)
-        if np.any((bits != 0) & (bits != 1)):
-            raise ValidationError("bits must contain only 0s and 1s")
-        if bits.size % self.bits_per_symbol != 0:
-            raise ValidationError(
-                f"bit-stream length {bits.size} is not a multiple of "
-                f"bits_per_symbol={self.bits_per_symbol}"
-            )
-        grouped = bits.reshape(-1, self.bits_per_symbol)
-        weights = 1 << np.arange(self.bits_per_symbol - 1, -1, -1)
-        symbols = grouped @ weights
-        return self.points[symbols]
-
-    def demap(self, samples) -> np.ndarray:
-        """Hard-decision demapping: nearest constellation point indices."""
-        samples = check_1d_array(samples, "samples", dtype=complex)
-        distances = np.abs(samples[:, None] - self.points[None, :])
-        return np.argmin(distances, axis=1)
-
-    def demap_bits(self, samples) -> np.ndarray:
-        """Hard-decision demapping straight to a bit stream (MSB first)."""
-        symbols = self.demap(samples)
-        shifts = np.arange(self.bits_per_symbol - 1, -1, -1)
-        return ((symbols[:, None] >> shifts) & 1).reshape(-1)
 
     def __len__(self) -> int:  # pragma: no cover - trivial
         return self.order

@@ -335,14 +335,6 @@ class OfdmDemodulator:
             grid = grid * ramp
         return grid
 
-    def data_grid(self, grid: np.ndarray) -> np.ndarray:
-        """The data-subcarrier columns of a demodulated used grid."""
-        return np.asarray(grid)[:, self._params.data_positions]
-
-    def pilot_grid(self, grid: np.ndarray) -> np.ndarray:
-        """The pilot-subcarrier columns of a demodulated used grid."""
-        return np.asarray(grid)[:, self._params.pilot_positions]
-
 
 @dataclass(frozen=True)
 class OfdmGridMetrics:
@@ -368,11 +360,6 @@ class OfdmGridMetrics:
     subcarrier_indices: tuple
     spectral_flatness_db: float
     num_symbols: int
-
-    @property
-    def worst_subcarrier_evm_percent(self) -> float:
-        """The largest per-subcarrier EVM."""
-        return max(self.per_subcarrier_evm_percent)
 
 
 def ofdm_grid_metrics(

@@ -51,12 +51,6 @@ class AnalogSignal(ABC):
         """The ``(f_low, f_high)`` band (Hz) that contains the signal energy."""
 
     @property
-    def centre_frequency(self) -> float:
-        """Centre of :attr:`band`."""
-        low, high = self.band
-        return (low + high) / 2.0
-
-    @property
     def bandwidth(self) -> float:
         """Width of :attr:`band`."""
         low, high = self.band
@@ -127,18 +121,9 @@ class ModulatedPassbandSignal(AnalogSignal):
         carrier = np.exp(1j * (2.0 * np.pi * self.carrier_frequency * times + self.carrier_phase))
         return np.real(envelope_values * carrier)
 
-    def evaluate_envelope(self, times) -> np.ndarray:
-        """Evaluate the complex envelope (not the passband waveform) at ``times``."""
-        return self.envelope.evaluate(times, num_taps=self.interpolation_taps)
-
     def mean_power(self) -> float:
         """Mean passband power (half the mean envelope power)."""
         return self.envelope.mean_power() / 2.0
-
-    @property
-    def support(self) -> tuple[float, float]:
-        """Time interval over which the envelope record is defined."""
-        return (self.envelope.start_time, self.envelope.end_time)
 
 
 @dataclass(frozen=True)

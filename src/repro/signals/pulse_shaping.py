@@ -90,17 +90,6 @@ class PulseShaper:
         object.__setattr__(self, "samples_per_symbol", sps)
         object.__setattr__(self, "taps", taps)
 
-    @classmethod
-    def root_raised_cosine(
-        cls,
-        samples_per_symbol: int,
-        span_symbols: int = 10,
-        rolloff: float = 0.5,
-    ) -> "PulseShaper":
-        """Convenience constructor with the paper's SRRC pulse (``alpha=0.5``)."""
-        taps = root_raised_cosine_taps(samples_per_symbol, span_symbols, rolloff)
-        return cls(samples_per_symbol=samples_per_symbol, taps=taps)
-
     @property
     def group_delay_samples(self) -> int:
         """Group delay of the shaping filter in output samples."""
@@ -124,9 +113,3 @@ class PulseShaper:
                 "use shape() or provide more symbols"
             )
         return full[start:stop]
-
-    def matched_filter(self, waveform) -> np.ndarray:
-        """Apply the matched filter (time-reversed conjugate taps) to a waveform."""
-        waveform = check_1d_array(waveform, "waveform", dtype=complex)
-        matched = np.conj(self.taps[::-1]).astype(complex)
-        return np.convolve(waveform, matched)

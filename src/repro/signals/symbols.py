@@ -1,4 +1,4 @@
-"""Seeded bit and symbol source for transmitter stimuli."""
+"""Seeded symbol-index source for transmitter stimuli."""
 
 from __future__ import annotations
 
@@ -12,21 +12,21 @@ __all__ = ["SymbolSource"]
 
 
 class SymbolSource:
-    """A reusable, seeded source of modulated constellation symbols.
+    """A reusable, seeded source of uniform constellation symbol indices.
 
     Parameters
     ----------
     constellation:
         The constellation to draw from.
     seed:
-        Seed or generator controlling the bit stream.
+        Seed or generator controlling the index stream.
 
     Examples
     --------
     >>> from repro.signals import qpsk
     >>> source = SymbolSource(qpsk(), seed=1234)
-    >>> syms = source.draw(8)
-    >>> len(syms)
+    >>> indices = source.draw_indices(8)
+    >>> len(indices)
     8
     """
 
@@ -43,12 +43,3 @@ class SymbolSource:
         """Draw ``count`` uniform symbol indices."""
         count = check_integer(count, "count", minimum=1)
         return self._rng.integers(0, self._constellation.order, size=count, dtype=np.int64)
-
-    def draw(self, count: int) -> np.ndarray:
-        """Draw ``count`` complex constellation symbols."""
-        return self._constellation.map(self.draw_indices(count))
-
-    def draw_bits(self, count_bits: int) -> np.ndarray:
-        """Draw ``count_bits`` random bits (multiple of bits-per-symbol not required)."""
-        count_bits = check_integer(count_bits, "count_bits", minimum=1)
-        return self._rng.integers(0, 2, size=count_bits, dtype=np.int64)

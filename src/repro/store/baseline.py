@@ -134,10 +134,6 @@ class DriftReport:
         """Total number of comparison entries."""
         return len(self.entries)
 
-    def for_label(self, label: str) -> tuple:
-        """Every entry of one scenario label."""
-        return tuple(entry for entry in self.entries if entry.label == label)
-
     def to_dict(self) -> dict:
         """Plain JSON-friendly dictionary (the CI-consumable drift report)."""
         return {

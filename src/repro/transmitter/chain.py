@@ -139,7 +139,6 @@ class HomodyneTransmitter:
             ),
             iq_imbalance=impairments.iq_imbalance,
             dc_offset=impairments.dc_offset,
-            occupied_bandwidth_hz=config.envelope_sample_rate,
         )
         # The nominal output band-pass tracks the envelope bandwidth; the
         # impairment scale models a filter whose cutoff has drifted.
@@ -166,16 +165,6 @@ class HomodyneTransmitter:
     def waveform_family(self) -> str:
         """The active waveform family (``"single-carrier"`` or ``"ofdm"``)."""
         return self._config.waveform_family
-
-    @property
-    def pulse_shaper(self) -> PulseShaper | None:
-        """The SRRC pulse shaper in use (``None`` for the OFDM family)."""
-        return self._shaper
-
-    @property
-    def ofdm_modulator(self) -> OfdmModulator | None:
-        """The OFDM modulator in use (``None`` for single-carrier)."""
-        return self._ofdm
 
     @property
     def carrier_frequency(self) -> float:

@@ -190,13 +190,6 @@ class TestReplaySource:
         with pytest.raises(ConfigurationError, match="exhausted"):
             source.acquire(None, BAND, 16, start_time=0.0)
 
-    def test_rewind_resets_the_cursor(self):
-        source = CapturedSamplesSource(synthetic_capture(num_records=1))
-        first = source.acquire(None, BAND, 16, start_time=0.0)
-        source.rewind()
-        again = source.acquire(None, BAND, 16, start_time=0.0)
-        np.testing.assert_array_equal(first.on_grid, again.on_grid)
-
     def test_empty_capture_is_rejected(self):
         with pytest.raises(ValidationError, match="at least one record"):
             CapturedSamplesSource(AcquisitionCapture())

@@ -18,15 +18,6 @@ class TestChannelMismatch:
     def test_gain_property(self):
         assert ChannelMismatch(gain_error=0.02).gain == pytest.approx(1.02)
 
-    def test_with_skew(self):
-        mismatch = ChannelMismatch(offset=0.1).with_skew(5e-12)
-        assert mismatch.skew_seconds == pytest.approx(5e-12)
-        assert mismatch.offset == pytest.approx(0.1)
-
-    def test_with_jitter(self):
-        mismatch = ChannelMismatch().with_jitter(3e-12)
-        assert mismatch.aperture_jitter_rms_seconds == pytest.approx(3e-12)
-
     def test_apply_static(self):
         mismatch = ChannelMismatch(offset=0.5, gain_error=0.1)
         np.testing.assert_allclose(mismatch.apply_static(np.array([1.0, 2.0])), [1.6, 2.7])
@@ -115,16 +106,6 @@ class TestAdcChannel:
         )
         times = np.arange(64) / 90e6
         assert not np.allclose(aligned.convert(fast_tone, times), skewed.convert(fast_tone, times))
-
-    def test_convert_ideal_timing_ignores_skew(self):
-        fast_tone = single_tone(1.0e9, amplitude=0.9)
-        channel = AdcChannel(
-            quantizer=UniformQuantizer(14, 1.0),
-            mismatch=ChannelMismatch(skew_seconds=100e-12),
-        )
-        times = np.arange(64) / 90e6
-        ideal = channel.convert_ideal_timing(fast_tone, times)
-        np.testing.assert_allclose(ideal, fast_tone.evaluate(times), atol=2.0 / 2**14)
 
     def test_invalid_quantizer_type(self):
         with pytest.raises(ValidationError):

@@ -90,7 +90,7 @@ class TestMaskChecking:
         assert not result.passed
         assert result.worst_margin_db < 0.0
         assert len(result.violations) > 0
-        worst = min(violation.margin_db for violation in result.violations)
+        worst = min(violation.limit_db - violation.measured_db for violation in result.violations)
         assert worst == pytest.approx(result.worst_margin_db)
 
     def test_violation_details(self):
@@ -102,7 +102,6 @@ class TestMaskChecking:
         result = mask.check(synthetic_spectrum(), channel_centre_hz=1e9)
         violation = result.violations[0]
         assert violation.measured_db > violation.limit_db
-        assert violation.margin_db < 0.0
 
     def test_in_band_region_exempt(self):
         # A mask whose first negative limit starts at 10 MHz must not flag the

@@ -9,7 +9,6 @@ from repro.dsp import (
     error_vector_magnitude,
     normalised_mean_squared_error,
     relative_reconstruction_error,
-    sinad_db,
 )
 from repro.errors import MeasurementError, ValidationError
 from repro.signals import qpsk
@@ -70,21 +69,3 @@ class TestEvm:
     def test_zero_reference_rejected(self):
         with pytest.raises(MeasurementError):
             error_vector_magnitude(np.zeros(4, dtype=complex), np.ones(4, dtype=complex))
-
-
-class TestAdcMetrics:
-    def test_sinad_of_clean_tone_high(self):
-        rate = 100e6
-        n = np.arange(4096)
-        tone = np.sin(2 * np.pi * 5e6 * n / rate)
-        assert sinad_db(tone, rate, 5e6) > 100.0
-
-    def test_sinad_with_noise(self):
-        rate = 100e6
-        rng = np.random.default_rng(5)
-        n = np.arange(16384)
-        tone = np.sin(2 * np.pi * 5e6 * n / rate)
-        noisy = tone + 0.01 * rng.normal(size=n.size)
-        measured = sinad_db(noisy, rate, 5e6)
-        # SNR = 20*log10(rms_sig / rms_noise) = 20*log10(0.707/0.01) ~ 37 dB
-        assert measured == pytest.approx(37.0, abs=1.5)

@@ -60,9 +60,10 @@ class TestOracleAgreement:
             synthetic = backend(seed)
             planner = AdaptivePlanner(synthetic, CONFIG)
             report = planner.run([family.name for family in SHARP_FAMILIES]).report
+            by_family = {threshold.family: threshold for threshold in report.thresholds}
             for family in SHARP_FAMILIES:
                 oracle = synthetic.grid_oracle(family.name, CONFIG)
-                found = report.threshold_for(family.name)
+                found = by_family[family.name]
                 assert found.found, (seed, family.name)
                 assert abs(found.threshold - oracle) <= STEP + 1e-12, (
                     seed,
@@ -236,8 +237,9 @@ def real_search():
 class TestRealBackendAcceptance:
     def test_adaptive_matches_exhaustive_grid(self, real_search):
         result, oracle = real_search
+        by_family = {threshold.family: threshold for threshold in result.report.thresholds}
         for family in REAL_FAMILIES:
-            found = result.report.threshold_for(family)
+            found = by_family[family]
             if oracle[family] is None:
                 assert not found.found, family
             else:
@@ -250,7 +252,7 @@ class TestRealBackendAcceptance:
 
     def test_dcde_control_reports_no_threshold(self, real_search):
         result, _ = real_search
-        found = result.report.threshold_for("dcde-error")
+        (found,) = [t for t in result.report.thresholds if t.family == "dcde-error"]
         assert not found.found
         assert found.threshold is None
 

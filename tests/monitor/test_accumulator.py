@@ -85,7 +85,7 @@ class TestBitIdentity:
 
 
 class TestTailAccounting:
-    def test_counters_track_segments_and_tail(self):
+    def test_counters_track_segments_and_pending(self):
         accumulator = StreamingAccumulator(RATE, segment_length=64, overlap_fraction=0.5)
         assert accumulator.step == 32
         accumulator.ingest(np.zeros(100))
@@ -93,34 +93,13 @@ class TestTailAccounting:
         # buffer keeps 36 < 64.
         assert accumulator.segments_accumulated == 2
         assert accumulator.pending_samples == 36
-        # covered = (2-1)*32 + 64 = 96; tail = 100 - 96 = 4
-        assert accumulator.tail_samples == 4
         assert accumulator.samples_ingested == 100
 
-    def test_tail_before_first_segment_is_everything(self):
+    def test_pending_before_first_segment_is_everything(self):
         accumulator = StreamingAccumulator(RATE, segment_length=64)
         accumulator.ingest(np.zeros(10))
-        assert accumulator.tail_samples == 10
-        assert accumulator.pending_samples == 10
-
-    def test_tail_matches_what_batch_would_drop(self):
-        record = random_record(777, seed=5, complex_domain=False)
-        accumulator = StreamingAccumulator(RATE, segment_length=128, overlap_fraction=0.5)
-        accumulator.ingest(record)
-        segments = accumulator.segments_accumulated
-        covered = (segments - 1) * accumulator.step + 128
-        assert accumulator.tail_samples == record.size - covered
-        assert accumulator.tail_samples < accumulator.step + 128
-
-    def test_reset_clears_everything(self):
-        accumulator = StreamingAccumulator(RATE, segment_length=64)
-        accumulator.ingest(random_record(200, seed=1, complex_domain=False))
-        accumulator.reset()
-        assert accumulator.samples_ingested == 0
         assert accumulator.segments_accumulated == 0
-        assert accumulator.pending_samples == 0
-        with pytest.raises(MeasurementError, match="no complete Welch segment"):
-            accumulator.spectrum()
+        assert accumulator.pending_samples == 10
 
 
 class TestClampFallback:

@@ -93,7 +93,6 @@ class TestWarmupAndBaselines:
         detector.update({"output_power": 1.0})
         assert detector.baselines()["output_power"] == 1.0
         assert detector.baselines()["evm_percent"] is None
-        assert detector.windows_observed == 2
 
 
 class TestAlarmBehaviour:
@@ -136,15 +135,6 @@ class TestAlarmBehaviour:
         assert len(alarms) == 1
         assert len(detector.alarms) == 1
 
-    def test_reset_metric_rearms_the_chart(self):
-        detector = self.make_detector()
-        feed_power(detector, list(self.stationary(0, 10)) + [5.0] * 10)
-        assert len(detector.alarms) == 1
-        detector.reset_metric("output_power")
-        assert detector.statistics()["output_power"] == 0.0
-        feed_power(detector, [5.0] * 10)
-        assert len(detector.alarms) == 2
-
     def test_alarm_payload_is_complete_and_serializable(self):
         detector = self.make_detector(warmup_windows=2, threshold=1.0)
         alarms = feed_power(detector, [1.0, 1.0] + [10.0] * 5)
@@ -175,13 +165,19 @@ class TestAlarmBehaviour:
 
 
 class TestNoiseAdaptiveScale:
+    @staticmethod
+    def alarm_scale(detector: DriftDetector, excursion: float) -> float:
+        """The learned scale, read back from the alarm a large excursion raises."""
+        (alarm,) = feed_power(detector, [excursion])
+        return abs(alarm.current - alarm.baseline) / alarm.score
+
     def test_scale_widens_to_measured_noise(self):
         # Warm-up noise far wider than the one-shot tolerance: the learned
         # scale must be the noise, not the (tiny) tolerance floor.
         detector = DriftDetector(DriftDetectorConfig(warmup_windows=20))
         rng = np.random.default_rng(42)
         feed_power(detector, 1.0 + 0.1 * rng.standard_normal(20))
-        scale = detector.scales()["output_power"]
+        scale = self.alarm_scale(detector, 11.0)
         tolerance = 1e-3  # BaselineTolerances().output_power_rel around 1.0
         assert scale > tolerance
         assert scale == pytest.approx(0.3, rel=0.5)  # ≈ 3 × std
@@ -191,5 +187,5 @@ class TestNoiseAdaptiveScale:
         # one-shot tolerance, never to zero.
         detector = DriftDetector(DriftDetectorConfig(warmup_windows=5))
         feed_power(detector, [1.0] * 5)
-        scale = detector.scales()["output_power"]
-        assert scale > 0.0
+        scale = self.alarm_scale(detector, 2.0)
+        assert scale == pytest.approx(BaselineTolerances().output_power_rel * 1.0)

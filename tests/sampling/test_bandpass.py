@@ -12,7 +12,6 @@ from repro.sampling import (
     folded_frequency,
     is_alias_free,
     minimum_sampling_rate,
-    nyquist_zone,
     rate_margin,
     required_rate_precision,
     valid_rate_ranges,
@@ -27,10 +26,6 @@ class TestBandpassBand:
         assert band.f_high == pytest.approx(1045e6)
         assert band.bandwidth == pytest.approx(90e6)
         assert band.centre == pytest.approx(1e9)
-
-    def test_band_position_ratio(self):
-        band = BandpassBand(30e6, 60e6)
-        assert band.band_position_ratio == pytest.approx(2.0)
 
     def test_maximum_wedge_index(self):
         band = BandpassBand.from_centre(2.015e9, 30e6)  # fH = 2.03 GHz, paper Fig. 3b
@@ -76,12 +71,6 @@ class TestValidRateRanges:
     def test_number_of_ranges_equals_max_wedge(self):
         band = BandpassBand(3e6, 4e6)
         assert len(valid_rate_ranges(band)) == band.maximum_wedge_index
-
-    def test_contains(self):
-        band = BandpassBand.from_centre(1e9, 90e6)
-        for rate_range in valid_rate_ranges(band, max_rate_hz=1e9):
-            midpoint = (rate_range.minimum_hz + min(rate_range.maximum_hz, 1e9)) / 2.0
-            assert rate_range.contains(midpoint)
 
 
 class TestAliasFreePredicate:
@@ -163,11 +152,6 @@ class TestMarginsAndPrecision:
 
 
 class TestFoldingHelpers:
-    def test_nyquist_zone(self):
-        assert nyquist_zone(10e6, 100e6) == 1
-        assert nyquist_zone(60e6, 100e6) == 2
-        assert nyquist_zone(110e6, 100e6) == 3
-
     def test_folded_frequency_first_zone(self):
         assert folded_frequency(10e6, 100e6) == pytest.approx(10e6)
 

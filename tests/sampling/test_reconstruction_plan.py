@@ -121,7 +121,8 @@ class TestPlanReferenceEquivalence:
 
     def test_time_exactly_on_grid_sample(self, fast_sample_set):
         """t coinciding with a grid instant hits the sinc removable singularity."""
-        times = fast_sample_set.on_grid_times()[40:44]
+        period = fast_sample_set.sample_period
+        times = fast_sample_set.start_time + np.arange(40, 44) * period
         plan = ReconstructionPlan(fast_sample_set, times, num_taps=60)
         np.testing.assert_allclose(
             plan.evaluate(DELAY),
@@ -132,7 +133,8 @@ class TestPlanReferenceEquivalence:
 
     def test_time_on_delayed_sample_instant(self, fast_sample_set):
         """t coinciding with a delayed-channel instant (v + D = 0) is exact too."""
-        times = fast_sample_set.delayed_times()[50:53]
+        period = fast_sample_set.sample_period
+        times = fast_sample_set.start_time + np.arange(50, 53) * period + DELAY
         plan = ReconstructionPlan(fast_sample_set, times, num_taps=60)
         np.testing.assert_allclose(
             plan.evaluate(DELAY),

@@ -8,7 +8,6 @@ from repro.sampling import (
     BandpassBand,
     IdealNonuniformSampler,
     NonuniformReconstructor,
-    delay_error_sweep,
     max_delay_error_for_relative_error,
     paper_example_delay_requirement,
     relative_error_for_delay_error,
@@ -41,14 +40,6 @@ class TestClosedForm:
         error = 0.02
         delay = max_delay_error_for_relative_error(band, error)
         assert relative_error_for_delay_error(band, delay) == pytest.approx(error)
-
-    def test_sweep_matches_scalar(self):
-        band = BandpassBand.from_centre(1e9, 90e6)
-        errors = np.array([1e-12, 2e-12, 5e-12])
-        np.testing.assert_allclose(
-            delay_error_sweep(band, errors),
-            [relative_error_for_delay_error(band, e) for e in errors],
-        )
 
     def test_absolute_value_of_delay_error(self):
         band = BandpassBand.from_centre(1e9, 90e6)

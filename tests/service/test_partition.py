@@ -55,7 +55,7 @@ class TestPlanning:
         )
         assert indices == list(range(len(scenarios)))
         assert plan.scenarios_total == len(scenarios)
-        assert plan.pending_total == len(scenarios)
+        assert sum(len(partition) for partition in plan.partitions) == len(scenarios)
         assert not plan.cached
 
     def test_balance_is_even_for_uniform_grids(self):
@@ -106,7 +106,7 @@ class TestPlanning:
         grid.add_impairments(pa_saturation_sweep((1.0, 2.0)))
         scenarios = grid.build() + grid_scenarios(2)
         plan = plan_partitions(scenarios, num_partitions=2, bist_config=FAST_CONFIG)
-        assert plan.pending_total == len(scenarios)
+        assert sum(len(partition) for partition in plan.partitions) == len(scenarios)
 
     def test_num_partitions_is_validated(self):
         with pytest.raises(ValidationError, match="num_partitions"):
@@ -135,7 +135,7 @@ class TestStoreConsult:
             scenarios, num_partitions=2, bist_config=FAST_CONFIG, store=store
         )
         assert len(plan.cached) == 2
-        assert plan.pending_total == 2
+        assert sum(len(partition) for partition in plan.partitions) == 2
         cached_indices = {outcome.index for outcome in plan.cached}
         pending_indices = {
             index for partition in plan.partitions for index in partition.indices
@@ -148,7 +148,7 @@ class TestStoreConsult:
             ScenarioGrid().add_profiles("paper-qpsk-1ghz", "no-such-profile").build()
         )
         plan = plan_partitions(scenarios, num_partitions=2, bist_config=FAST_CONFIG)
-        assert plan.pending_total == 2
+        assert sum(len(partition) for partition in plan.partitions) == 2
         fingerprints = [
             fingerprint
             for partition in plan.partitions

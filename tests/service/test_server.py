@@ -1,8 +1,12 @@
 """HTTP round-trip tests: server in a background thread, blocking client."""
 
+import contextlib
 import http.client
 import json
+import socket
 import threading
+import types
+import urllib.request
 
 import pytest
 
@@ -68,9 +72,23 @@ def raw_request(client: ServiceClient, method: str, path: str, body: bytes = b""
     return response.status, payload
 
 
+def raw_exchange(client: ServiceClient, data: bytes) -> tuple:
+    """Send ``data`` over a raw socket, half-close it, and parse the reply."""
+    host, port = client._base_url.split("//", 1)[1].rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=10.0) as sock:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
 class TestRoundTrip:
     def test_submit_status_result_flow(self, service):
-        assert service.health()["status"] == "ok"
+        status, health = raw_request(service, "GET", "/health")
+        assert (status, health["status"]) == (200, "ok")
         job_id = service.submit(fast_spec())
         status = service.wait(job_id, timeout_seconds=120.0)
         assert status["state"] == "done"
@@ -132,12 +150,57 @@ class TestProtocolErrors:
         status, _ = raw_request(service, "GET", "/jobs/job-000001/weird")
         assert status == 404
 
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"POST /jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+            b"POST /jobs HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}",
+        ],
+        ids=["negative-length", "body-shorter-than-length"],
+    )
+    def test_bad_content_length_is_400(self, service, request_bytes):
+        status, payload = raw_exchange(service, request_bytes)
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+        assert service.jobs() == []
+
+
+def stub_urlopen(monkeypatch, read) -> None:
+    """Make every client request answer 2xx with a body from ``read()``."""
+    response = types.SimpleNamespace(read=read)
+    monkeypatch.setattr(
+        urllib.request, "urlopen", lambda request, timeout: contextlib.nullcontext(response)
+    )
+
 
 class TestClientTransport:
+    @pytest.mark.parametrize(
+        "failure",
+        [
+            ConnectionResetError(104, "Connection reset by peer"),
+            TimeoutError("timed out"),
+            http.client.IncompleteRead(b'{"jobs": [', 40),
+        ],
+        ids=lambda failure: type(failure).__name__,
+    )
+    def test_failure_while_reading_raises_service_error(self, monkeypatch, failure):
+        def read():
+            raise failure
+
+        stub_urlopen(monkeypatch, read)
+        with pytest.raises(ServiceError, match=type(failure).__name__) as caught:
+            ServiceClient("http://127.0.0.1:1").jobs()
+        assert caught.value.__cause__ is failure
+
+    def test_non_json_success_body_raises_service_error(self, monkeypatch):
+        stub_urlopen(monkeypatch, lambda: b"<html>ok</html>")
+        with pytest.raises(ServiceError, match="not JSON"):
+            ServiceClient("http://127.0.0.1:1").stats()
+
     def test_unreachable_endpoint_raises_service_error(self):
         client = ServiceClient("http://127.0.0.1:1", timeout_seconds=0.5)
         with pytest.raises(ServiceError, match="cannot reach"):
-            client.health()
+            client.stats()
 
     def test_wait_times_out_with_service_error(self, service, monkeypatch):
         job_id = service.submit(fast_spec())

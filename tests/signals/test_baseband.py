@@ -50,17 +50,6 @@ class TestPowerMetrics:
         envelope = ComplexEnvelope(np.full(100, 3.0j), 1e6)
         assert envelope.rms() == pytest.approx(3.0)
 
-    def test_papr_of_constant_is_zero_db(self):
-        envelope = ComplexEnvelope(np.full(100, 1.0 + 1.0j), 1e6)
-        assert envelope.papr_db() == pytest.approx(0.0, abs=1e-12)
-
-    def test_papr_positive_for_varying(self):
-        assert make_envelope().papr_db() > 0.0
-
-    def test_papr_rejects_zero_signal(self):
-        with pytest.raises(ValidationError):
-            ComplexEnvelope(np.zeros(10, dtype=complex), 1e6).papr_db()
-
     def test_scaled_to_power(self):
         envelope = make_envelope().scaled_to_power(2.5)
         assert envelope.mean_power() == pytest.approx(2.5)
@@ -88,17 +77,6 @@ class TestTransformations:
         taps = np.ones(15) / 15.0
         filtered = envelope.filtered(taps)
         np.testing.assert_allclose(filtered.samples[32:-32], 1.0, atol=1e-9)
-
-    def test_sliced(self):
-        envelope = make_envelope(100, 1e6, start=0.0)
-        sliced = envelope.sliced(20e-6, 50e-6)
-        assert len(sliced) == 30
-        assert sliced.start_time == pytest.approx(20e-6)
-
-    def test_sliced_empty_rejected(self):
-        envelope = make_envelope(100, 1e6)
-        with pytest.raises(ValidationError):
-            envelope.sliced(1.0, 2.0)
 
     def test_add_same_grid(self):
         a = make_envelope(seed=1)

@@ -37,12 +37,6 @@ class TestModulatedPassbandSignal:
         signal = make_passband()
         assert signal.mean_power() == pytest.approx(signal.envelope.mean_power() / 2.0)
 
-    def test_support_matches_envelope(self):
-        signal = make_passband(rate=100e6, num=1000)
-        low, high = signal.support
-        assert low == pytest.approx(0.0)
-        assert high == pytest.approx(1e-5)
-
     def test_carrier_below_bandwidth_rejected(self):
         t = np.arange(256) / 100e6
         envelope = ComplexEnvelope(np.ones_like(t, dtype=complex), 100e6)

@@ -6,19 +6,15 @@ from repro.signals import SymbolSource, qpsk
 
 
 class TestSymbolSource:
-    def test_draw_maps_onto_constellation(self):
-        source = SymbolSource(qpsk(), seed=9)
-        drawn = source.draw(128)
-        distances = np.abs(drawn[:, None] - qpsk().points[None, :]).min(axis=1)
-        np.testing.assert_allclose(distances, 0.0, atol=1e-12)
+    def test_indices_address_the_constellation(self):
+        indices = SymbolSource(qpsk(), seed=9).draw_indices(128)
+        assert indices.dtype == np.int64
+        assert set(indices.tolist()) == {0, 1, 2, 3}
 
     def test_reproducible_with_same_seed(self):
         a = SymbolSource(qpsk(), seed=11).draw_indices(64)
         b = SymbolSource(qpsk(), seed=11).draw_indices(64)
         np.testing.assert_array_equal(a, b)
-
-    def test_draw_bits_length(self):
-        assert SymbolSource(qpsk(), seed=1).draw_bits(37).size == 37
 
     def test_constellation_property(self):
         constellation = qpsk()
