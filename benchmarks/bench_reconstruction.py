@@ -14,20 +14,25 @@ document so the performance trajectory accumulates across PRs:
   Algorithm 1 skew estimation through the reference cost vs the plan-backed
   one; both estimators probe candidates the same way and differ only in the
   reconstruction;
-* ``full_bist`` — ``TransmitterBist.run`` with the plan layer vs the same
-  engine with every plan evaluation routed through the reference path;
+* ``full_bist`` — ``TransmitterBist.run`` with the plan layer and the dense
+  render vs the same engine with every reconstruction routed through the
+  reference path;
 * ``dense_render`` — the paper-default record (400 samples) rendered over its
   valid range at the spectrum rate (4 f_high), at the single-carrier EVM
   rate and at the ``uhf-8psk-400mhz`` spectrum grid's ``fs/B`` (20162/81,
-  the most kernel rows of any shipped profile), through the plan (a
-  polyphase filter bank over one kernel row per distinct grid offset; plan
-  build and evaluate timed apart) and through the reference path.
+  the most kernel rows of any shipped profile), through
+  :func:`~repro.bist.measurements.render_uniform` (the reconstructor's
+  render: a polyphase filter bank over one kernel row per distinct grid
+  offset, its kernels built at the delay a block at a time) and through the
+  reference path.  Each grid reports its kernel rows and window groups from
+  the render's layout, and the ``tracemalloc`` peak of one render.
 
 Every comparison also records the worst relative deviation between the two
 paths; the script exits non-zero if the single-eval, sweep or dense-render
 deviation exceeds ``--tolerance`` (1e-9), if a batched sweep row differs
-from its per-delay evaluation in any bit, or if the two LMS estimates differ
-by more than the estimator's minimal step (``min_step_seconds``, 1e-3 ps).
+from its per-delay evaluation in any bit, if the two LMS estimates differ
+by more than the estimator's minimal step (``min_step_seconds``, 1e-3 ps),
+or if the ``uhf-8psk`` render's ``tracemalloc`` peak exceeds 64 MB.
 
 Run with::
 
@@ -45,6 +50,7 @@ import json
 import platform
 import sys
 import time
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -58,7 +64,7 @@ from repro.sampling import (
     NonuniformReconstructor,
     reference_evaluate,
 )
-from repro.sampling.reconstruction import ReconstructionPlan
+from repro.sampling.reconstruction import ReconstructionPlan, _DenseRender
 from repro.signals import multitone_in_band
 from repro.transmitter import HomodyneTransmitter, TransmitterConfig
 
@@ -75,6 +81,8 @@ UHF_8PSK_RATE_OVER_B = 20162 / 81
 #: Points per ``reference_evaluate`` call when rendering the oracle; each
 #: point is evaluated on its own, so the split bounds memory only.
 REFERENCE_CHUNK_POINTS = 8192
+#: Largest ``tracemalloc`` peak of the ``uhf-8psk`` render, in MB.
+UHF_8PSK_PEAK_LIMIT_MB = 64.0
 
 
 class _ReferenceSkewCost(SkewCostFunction):
@@ -105,13 +113,14 @@ class _ReferenceSkewCost(SkewCostFunction):
 
 @contextmanager
 def reference_plan_path():
-    """Route every ReconstructionPlan evaluation through the reference path.
+    """Route every plan evaluation and dense render through the reference path.
 
     Approximates the pre-refactor engine: the orchestration stays identical,
     but each evaluation redoes the full delay-independent work per call.
     """
     original_evaluate = ReconstructionPlan.evaluate
     original_many = ReconstructionPlan.evaluate_many
+    original_render = NonuniformReconstructor.evaluate
 
     def evaluate(self, assumed_delay, validate=True):
         return reference_evaluate(
@@ -125,13 +134,20 @@ def reference_plan_path():
         delays = np.atleast_1d(np.asarray(assumed_delays, dtype=float))
         return np.stack([evaluate(self, delay) for delay in delays])
 
+    def render(self, times):
+        return reference_evaluate(
+            self._samples, times, assumed_delay=self.assumed_delay, num_taps=self.num_taps
+        )
+
     ReconstructionPlan.evaluate = evaluate
     ReconstructionPlan.evaluate_many = evaluate_many
+    NonuniformReconstructor.evaluate = render
     try:
         yield
     finally:
         ReconstructionPlan.evaluate = original_evaluate
         ReconstructionPlan.evaluate_many = original_many
+        NonuniformReconstructor.evaluate = original_render
 
 
 def best_of(callable_, repeats: int) -> float:
@@ -323,11 +339,14 @@ def bench_dense_render(repeats: int) -> dict:
     rates = (None, evm_rate, UHF_8PSK_RATE_OVER_B * fast_set.band.bandwidth)
     results = {}
     for name, rate in zip(DENSE_GRIDS, rates):
-        plan_s = best_of(lambda: render_uniform(reconstructor, low, high, rate), repeats)
-        times, rendered, dense_rate = render_uniform(reconstructor, low, high, rate)
-        build_s = best_of(lambda: reconstructor.plan_for(times), repeats)
-        plan = reconstructor.plan_for(times)
-        evaluate_s = best_of(lambda: plan.evaluate(TRUE_DELAY_S, validate=False), repeats)
+        render_s = best_of(lambda: render_uniform(reconstructor, low, high, rate), repeats)
+        tracemalloc.start()
+        try:
+            times, rendered, dense_rate = render_uniform(reconstructor, low, high, rate)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        layout = _DenseRender.of(fast_set, times, NUM_TAPS)
         start = time.perf_counter()
         reference = np.concatenate(
             [
@@ -342,13 +361,12 @@ def bench_dense_render(repeats: int) -> dict:
         results[name] = {
             "rate_hz": float(dense_rate),
             "num_times": int(times.size),
-            "kernel_rows": int(plan.structure.taper.shape[0]),
-            "window_groups": len(plan.structure.groups or ()),
+            "kernel_rows": int(layout.row.size),
+            "window_groups": len(layout.groups),
             "reference_s": reference_s,
-            "plan_s": plan_s,
-            "plan_build_s": build_s,
-            "plan_evaluate_s": evaluate_s,
-            "speedup": reference_s / plan_s,
+            "render_s": render_s,
+            "speedup": reference_s / render_s,
+            "tracemalloc_peak_mb": peak / 1e6,
             "max_rel_deviation": relative_deviation(rendered, reference),
         }
     results["max_rel_deviation"] = max(entry["max_rel_deviation"] for entry in results.values())
@@ -407,10 +425,10 @@ def main(argv=None) -> int:
     for name in DENSE_GRIDS:
         dense = results["dense_render"][name]
         print(f"dense {name:<8}: reference {dense['reference_s'] * 1e3:6.0f} ms  "
-              f"plan {dense['plan_s'] * 1e3:8.2f} ms = build {dense['plan_build_s'] * 1e3:.2f} ms"
-              f" + evaluate {dense['plan_evaluate_s'] * 1e3:.2f} ms  "
+              f"render {dense['render_s'] * 1e3:8.2f} ms  "
               f"({dense['num_times']} times, {dense['kernel_rows']} kernel rows, "
-              f"{dense['window_groups']} window groups, dev {dense['max_rel_deviation']:.1e})")
+              f"{dense['window_groups']} window groups, "
+              f"peak {dense['tracemalloc_peak_mb']:.1f} MB, dev {dense['max_rel_deviation']:.1e})")
 
     with open(args.output, "w") as handle:
         json.dump(results, handle, indent=2)
@@ -445,6 +463,14 @@ def main(argv=None) -> int:
         return 1
     if not results["full_bist"]["verdicts_match"]:
         print("ERROR: plan-based BIST verdicts differ from the reference path", file=sys.stderr)
+        return 1
+    peak_mb = results["dense_render"]["uhf-8psk"]["tracemalloc_peak_mb"]
+    if peak_mb > UHF_8PSK_PEAK_LIMIT_MB:
+        print(
+            f"ERROR: the uhf-8psk render peaked at {peak_mb:.1f} MB under tracemalloc "
+            f"(> {UHF_8PSK_PEAK_LIMIT_MB:.0f} MB)",
+            file=sys.stderr,
+        )
         return 1
     return 0
 

@@ -3,11 +3,11 @@
 A fault campaign is dominated by columns of *fingerprint-adjacent*
 scenarios: a severity sweep of one fault family under one waveform profile
 shares the effective engine configuration and therefore the acquisition
-geometry, the calibration evaluation instants and the dense measurement
-grids — everything but the sample values and the estimated skew.  Each
-scenario builds reconstruction-plan *structures* (taper and kernel
-trigonometry over its calibration and dense grids), which are exactly the
-shared part.
+geometry — everything but the sample values and the estimated skew.  Each
+scenario builds two reconstruction-plan *structures* (taper and kernel
+trigonometry over its LMS cost instants), which scenarios with the same
+cost instants (a shared seed) share.  The dense measurement renders keep no
+structure, so they share nothing.
 
 1. :meth:`CampaignCompiler.group` partitions the runner's pending tasks into
    *groups* whose members provably share acquisition geometry (same resolved
@@ -18,8 +18,9 @@ shared part.
    scenario after another in submission order, through the runner's own
    per-scenario entry point with one shared
    :class:`~repro.sampling.reconstruction.PlanStructureCache`: the LMS cost
-   plans and dense-grid structures are built once per group instead of once
-   per scenario.
+   plans' structures are built once per distinct set of cost instants in a
+   group instead of once per scenario.  Under per-scenario seeds every
+   scenario draws its own instants and the cache only misses.
 
 A compiled scenario executes exactly as a serial or pooled one does
 (:func:`~repro.bist.campaign.execute_scenario`, then

@@ -177,11 +177,11 @@ class TransmitterBist:
         Engine tuning knobs.
     plan_structure_cache:
         Optional :class:`~repro.sampling.reconstruction.PlanStructureCache`
-        threaded into every reconstruction plan this engine builds (the LMS
-        cost plans and the measurement renders).  Campaign-compiled groups
-        share one cache across scenarios so the expensive taper/kernel
-        trigonometry is built once per distinct grid instead of once per
-        scenario; results are bit-identical with and without a cache.
+        threaded into the two LMS cost plans this engine builds (the
+        measurement renders keep no structure).  Campaign-compiled groups
+        share one cache across scenarios, so scenarios with the same cost
+        instants build each cost-plan structure once; results are
+        bit-identical with and without a cache.
     """
 
     def __init__(
@@ -269,10 +269,7 @@ class TransmitterBist:
 
         calibration, estimate = self._estimate_skew(fast_set, slow_set)
         reconstructor = NonuniformReconstructor(
-            fast_set,
-            assumed_delay=estimate,
-            num_taps=config.num_taps,
-            structure_cache=self._structure_cache,
+            fast_set, assumed_delay=estimate, num_taps=config.num_taps
         )
         return BistStage(
             burst=burst,

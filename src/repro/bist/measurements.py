@@ -80,10 +80,11 @@ def render_uniform(
 
     Notes
     -----
-    The render evaluates through a precompiled
-    :class:`~repro.sampling.reconstruction.ReconstructionPlan`; the BIST
-    engine renders each dense grid once and shares the samples between the
-    output-power and spectrum measurements (see
+    The uniform grid is rendered directly at the reconstructor's assumed
+    delay, a block of kernel rows at a time, and nothing is kept (see
+    :meth:`~repro.sampling.reconstruction.NonuniformReconstructor.evaluate`);
+    the BIST engine renders each dense grid once and shares the samples
+    between the output-power and spectrum measurements (see
     :func:`measure_spectrum_from_samples`), so prefer reusing the returned
     samples over calling this twice for the same interval.
     """

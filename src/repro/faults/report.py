@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ValidationError
-from .adaptive import ThresholdReport
 from .coverage import (
     CoverageResult,
     EscapeYieldEstimate,
@@ -74,9 +73,6 @@ class FaultCoverageReport:
     coverage_result: CoverageResult
     false_alarm_rate: float
     escape: EscapeYieldEstimate
-    #: Optional adaptive threshold-search results, printed and serialised
-    #: after the coverage view (attach with :func:`dataclasses.replace`).
-    thresholds: ThresholdReport | None = None
 
     def __post_init__(self) -> None:
         if not self.entries:
@@ -196,8 +192,6 @@ class FaultCoverageReport:
             lines.append(
                 "uncovered (test holes): " + ", ".join(entry.label for entry in uncovered)
             )
-        if self.thresholds is not None:
-            lines.append(self.thresholds.to_text())
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
@@ -212,5 +206,4 @@ class FaultCoverageReport:
             "entries": [entry.to_dict() for entry in self.entries],
             "marginal": [entry.label for entry in self.marginal_faults()],
             "uncovered": [entry.label for entry in self.uncovered_faults()],
-            "thresholds": None if self.thresholds is None else self.thresholds.to_dict(),
         }

@@ -13,41 +13,45 @@ taps and a Kaiser window).  This module provides:
   impairments (the theory-level sampler used by unit tests and by the
   sensitivity analysis); the impaired hardware model lives in
   :mod:`repro.adc.tiadc`;
-* :class:`ReconstructionPlan` — the precompiled evaluator of Eq. (6): for a
+* :class:`ReconstructionPlan` — the precompiled evaluator of Eq. (6) for
+  *many delays over a few instants* (the Section IV skew calibration): for a
   fixed ``(sample_set, evaluation_times, num_taps)`` it computes the Kaiser
   taper (``beta = 8``, as in the paper), the delay-independent kernel tables
   and the on-grid channel's contribution **once**, then evaluates the
   reconstruction for any assumed delay ``D_hat`` — including a batched
-  :meth:`ReconstructionPlan.evaluate_many` that adds a leading delay axis
-  (the inner loop of the Section IV skew calibration).  The Eq. (2) kernel
-  tables are factored by angle addition along both of their axes: every
-  kernel argument is a row offset plus a tap offset, so each table costs
-  ``rows + taps`` sines and cosines; and the delayed channel's kernel at
-  ``v + D`` is four delay-free tables per term times scalars of ``D``,
-  over one shared ``v + D``, so a candidate delay costs one reciprocal
-  table and one contraction.  The tables are built once per distinct
-  kernel offset of the grid: a dense uniform render at rate ``fs`` has
-  only as many as the numerator ``p`` of ``fs / B = p / q`` (plus one per
-  half-sample tie), while random instants get one per point.  A dense
-  render then evaluates as a polyphase filter bank: each group of rows
-  that shares a window base is one matmul of its kernels against one
-  strided window of the zero-padded record per grid period.  Random
-  instants gather each point's tap window instead;
+  :meth:`ReconstructionPlan.evaluate_many` that adds a leading delay axis.
+  The Eq. (2) kernel tables are factored by angle addition along both of
+  their axes: every kernel argument is a row offset plus a tap offset, so
+  each table costs ``rows + taps`` sines and cosines; and the delayed
+  channel's kernel at ``v + D`` is four delay-free tables per term times
+  scalars of ``D``, over one shared ``v + D``, so a candidate delay costs
+  one reciprocal table and one contraction.  A plan keeps one row per point
+  and gathers each point's tap window;
+* the dense render behind :meth:`NonuniformReconstructor.evaluate` — *one
+  delay over a dense uniform grid* (the measurement renders).  Such a grid
+  at rate ``fs`` has only as many distinct kernel offsets as the numerator
+  ``p`` of ``fs / B = p / q`` (plus one per half-sample tie), so it is a
+  polyphase filter bank: each group of rows that shares a window base is one
+  matmul of its kernels against one strided window of the zero-padded
+  record per grid period.  The on-grid and delayed kernels are built at
+  ``D_hat`` directly, a block of groups at a time, and dropped once
+  contracted; nothing is kept.  The delayed channel therefore has two
+  formulas: the factored one above for many delays, the direct one here for
+  a single delay;
 * :class:`PlanStructureCache` — shares the *sample-independent* half of a
   plan (tap windows, taper, kernel trigonometry — the expensive part)
   between plans whose acquisition geometry and evaluation grid coincide.
-  Fingerprint-adjacent campaign scenarios (a severity sweep of one fault
-  family) differ only in sample values, so the campaign compiler runs each
-  scenario of a group with one cache and builds each structure once per
-  group instead of once per scenario;
+  Fingerprint-adjacent campaign scenarios with the same cost instants share
+  their LMS cost plans through it when the campaign compiler runs a group
+  over one cache; dense renders keep no structure and never look one up;
 * :func:`evaluate_stacked` — evaluates many plans, one delay each, into one
   array; row ``i`` is ``plans[i].evaluate`` by construction.  No campaign
   path calls it any more (the benchmark still traces it by name);
-* :class:`NonuniformReconstructor` — a thin façade over
-  :class:`ReconstructionPlan` keeping the original arbitrary-times API: it
-  binds one assumed delay ``D_hat`` and builds a plan for each time grid it
-  is asked to evaluate (the assumed delay is deliberately decoupled from the
-  true delay used during acquisition, because estimating that true delay is
+* :class:`NonuniformReconstructor` — binds one assumed delay ``D_hat`` and
+  evaluates arbitrary time grids: a dense uniform grid through the render,
+  any other grid (random instants) through a :class:`ReconstructionPlan`
+  evaluated once (the assumed delay is deliberately decoupled from the true
+  delay used during acquisition, because estimating that true delay is
   exactly the calibration problem of Section IV);
 * :func:`reference_evaluate` — the direct, pre-plan evaluation of Eq. (6),
   kept verbatim as the numerical oracle for equivalence tests and the
@@ -227,18 +231,26 @@ class IdealNonuniformSampler:
 
 #: Upper bound on ``num_delays * num_times * num_taps`` elements materialised
 #: at once by :meth:`ReconstructionPlan.evaluate_many`.  Larger batches are
-#: processed in chunks along the delay axis: the ``1 / (v + D)`` block (and,
-#: on a dense render, the kernels built from it) must stay cache-resident or
-#: the batch becomes memory-bandwidth-bound.  On the 300-point, 61-tap cost
-#: plans this is 16 delays a chunk.  A 128-candidate ``evaluate_many`` on one
-#: cost plan took the same 12-17 ms at 4 to 64 delays a chunk, and 21-27 ms
-#: in one chunk of 128 (2-CPU container).
+#: processed in chunks along the delay axis: the ``1 / (v + D)`` block must
+#: stay cache-resident or the batch becomes memory-bandwidth-bound.  On the
+#: 300-point, 61-tap cost plans this is 16 delays a chunk.  A 128-candidate
+#: ``evaluate_many`` on one cost plan took the same 12-17 ms at 4 to 64 delays
+#: a chunk, and 21-27 ms in one chunk of 128 (2-CPU container).
 _BATCH_ELEMENT_BUDGET = 300_000
 
+#: Upper bound on the ``rows * (num_taps + 1)`` kernel values per channel a
+#: dense render builds at once (:class:`_DenseRender`).  Consecutive window
+#: groups are built together up to this budget, contracted and dropped, so
+#: the temporaries stay cache-sized.  Both paper grids are one block (419 and
+#: 49 rows of 61 taps); the 20,163 rows of the ``uhf-8psk-400mhz`` spectrum
+#: grid take 41.  On that grid a render took 132-138 ms at 32k and 64k values
+#: a block, 185 ms at 128k and 241 ms at 256k (2-CPU container).
+_RENDER_ELEMENT_BUDGET = 32_768
+
 #: Sinc arguments smaller than this are evaluated exactly (``np.sinc``, or
-#: the Taylor series ``1 - (pi x)^2 / 6`` for the on-grid tables) instead of
-#: as an angle-addition quotient, whose absolute error (~1e-16 / (pi x))
-#: would otherwise grow as the argument shrinks.
+#: the Taylor series ``1 - (pi x)^2 / 6`` for the on-grid tables and the
+#: dense render) instead of as an angle-addition quotient, whose absolute
+#: error (~1e-16 / (pi x)) would otherwise grow as the argument shrinks.
 _SINC_SERIES_THRESHOLD = 1.0e-6
 
 
@@ -278,6 +290,39 @@ def _angle_tables(rate: float, row: np.ndarray, tap: np.ndarray):
     return sine, cosine
 
 
+def _angle_sine(rate: float, row: np.ndarray, tap: np.ndarray, phase: float = 0.0):
+    """``sin(rate * (row[:, None] + tap) + phase)`` by angle addition.
+
+    The sine half of :func:`_angle_tables`, with ``phase`` added to each
+    row's angle.
+    """
+    row_angle = rate * row + phase
+    tap_angle = rate * tap
+    sine = np.sin(row_angle)[:, None] * np.cos(tap_angle)
+    sine += np.cos(row_angle)[:, None] * np.sin(tap_angle)
+    return sine
+
+
+def _kernel_terms(band: BandpassBand) -> list[tuple[int, float, float, float]]:
+    """``(order, scale, oscillation_hz, envelope_hz)`` of each Eq. (2) term.
+
+    Each term is ``scale * sinc(envelope_hz t) * (cos(pi oscillation_hz t)
+    - sin(pi oscillation_hz t) * cot(order pi B D))``, the cancellation-free
+    product form of :class:`KohlenbergKernel`.  The first term (Eq. 2b)
+    vanishes under integer band positioning and is left out.
+    """
+    k, k_plus = band_order(band)
+    f_low = band.f_low
+    bandwidth = band.bandwidth
+    f_mirror = k * bandwidth - f_low
+    f_high = f_low + bandwidth
+    terms = []
+    if not integer_band_positioning(band):
+        terms.append((k, k - 2.0 * f_low / bandwidth, f_mirror + f_low, f_mirror - f_low))
+    terms.append((k_plus, 2.0 * f_low / bandwidth + 1.0 - k, f_high + f_mirror, f_high - f_mirror))
+    return terms
+
+
 class _KernelTermCache:
     """Delay-independent tables of one Kohlenberg kernel term.
 
@@ -286,12 +331,12 @@ class _KernelTermCache:
         ``s_i(t; D) = scale * sinc(c_env * t)
                       * (cos(c_osc * t) - sin(c_osc * t) * cot(phi))``
 
-    with ``phi = order * pi * B * D`` (the cancellation-free product form of
-    :class:`KohlenbergKernel`, with the delay-dependent
-    ``sin(. - phi) / sin(phi)`` quotient expanded by angle addition).
-    Reconstruction evaluates the term at the two argument families ``-v``
-    (on-grid channel) and ``v + D`` (delayed channel), where ``v = nT - t``
-    is fixed by the plan structure.
+    with ``phi = order * pi * B * D`` (:func:`_kernel_terms`, with the
+    delay-dependent ``sin(. - phi) / sin(phi)`` quotient of
+    :class:`KohlenbergKernel` expanded by angle addition).  Reconstruction
+    evaluates the term at the two argument families ``-v`` (on-grid
+    channel) and ``v + D`` (delayed channel), where ``v = nT - t`` is fixed
+    by the plan structure.
 
     * On-grid: sinc is even and ``cos(c_osc v)``, ``-sin(c_osc v)`` are the
       cosine and sine at ``-v``, so the term is ``on_grid_cos + on_grid_sin
@@ -383,8 +428,8 @@ def _kernel_rows(
     Returns ``first`` (the index of each row's first point), ``row_index``
     (each point's row) and the step's ``p`` and ``q``, or ``None`` when a
     check fails, the step does not increase (``q <= 0``) or the rows would
-    not be fewer than the points: random instants and arbitrary grids then
-    get one row per point.
+    not be fewer than the points: random instants and arbitrary grids are
+    then evaluated through a :class:`ReconstructionPlan`.
     """
     num_times = times.size
     if num_times < 2:
@@ -414,6 +459,144 @@ def _kernel_rows(
     return first[order], rank[row_index], p, q
 
 
+class _DenseRender:
+    """Eq. (6) at one delay over a dense uniform grid, keeping no structure.
+
+    A grid that :func:`_kernel_rows` accepts has few distinct kernel rows
+    (419 for the paper's 15,790-point spectrum grid), and it steps by ``q/p``
+    sample periods, so point ``i``'s tap window starts at
+    ``row_base[row_index[i]] + (i // p) q``.  The render is a polyphase filter
+    bank over that layout: the rows fall into ``groups`` by ``row_base`` (at
+    most ``q + 2``), and each group contracts its kernels against one strided
+    window per grid period of each channel's record, zero-padded by
+    ``num_taps`` on each side for the taps off the record.  Group ``(rows,
+    windows, periods)`` lists the group's rows, its windows (indices into the
+    windows of the padded record; only those that overlap the record) and
+    the grid periods those windows belong to; ``point_index`` reads point
+    ``i`` at ``(i // p, row_index[i])`` of the ``(periods, rows)`` sums.
+
+    :meth:`evaluate` builds the on-grid and delayed kernels at the one delay
+    directly (:meth:`_kernels`), for consecutive groups of up to
+    :data:`_RENDER_ELEMENT_BUDGET` kernel values at a time, and drops each
+    block once contracted.  The layout is all a render holds: ``row`` (each
+    row's centre sample minus its point) and ``row_base`` per row,
+    ``point_index`` per point.
+    """
+
+    __slots__ = (
+        "sample_set",
+        "num_taps",
+        "row",
+        "row_base",
+        "step",
+        "num_periods",
+        "groups",
+        "point_index",
+    )
+
+    def __init__(
+        self, sample_set: NonuniformSampleSet, times: np.ndarray, num_taps: int, centre, rows
+    ) -> None:
+        first, row_index, p, q = rows
+        period = sample_set.sample_period
+        half = num_taps // 2
+        num_rows = first.size
+        num_samples = len(sample_set)
+        row_base = centre[first] - half - (first // p) * q
+        num_periods = (times.size - 1) // p + 1
+        bounds = [0, *(np.flatnonzero(np.diff(row_base)) + 1).tolist(), num_rows]
+        groups = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            base = int(row_base[lo])
+            # Periods k whose window [base + k q, base + k q + num_taps]
+            # overlaps the record [0, num_samples); the others sum zeros.
+            k_lo = max(0, -((num_taps + base) // q))
+            k_hi = min(num_periods, (num_samples - 1 - base) // q + 1)
+            if k_lo < k_hi:
+                first_window = base + k_lo * q + num_taps
+                windows = slice(first_window, first_window + (k_hi - k_lo) * q, q)
+                groups.append((slice(lo, hi), windows, slice(k_lo, k_hi)))
+        self.sample_set = sample_set
+        self.num_taps = num_taps
+        self.row = (sample_set.start_time + centre[first] * period) - times[first]
+        self.row_base = row_base
+        self.step = (p, q)
+        self.num_periods = num_periods
+        self.groups = tuple(groups)
+        self.point_index = (np.arange(times.size) // p) * num_rows + row_index
+
+    @classmethod
+    def of(cls, sample_set: NonuniformSampleSet, times: np.ndarray, num_taps: int):
+        """The render of ``times``, or ``None`` when :func:`_kernel_rows` rejects the grid."""
+        start, period = sample_set.start_time, sample_set.sample_period
+        centre = np.round((times - start) / period).astype(np.int64)
+        rows = _kernel_rows(times, centre, start, period)
+        return None if rows is None else cls(sample_set, times, num_taps, centre, rows)
+
+    def _blocks(self):
+        """Runs of consecutive groups within the budget's rows (a whole group at least)."""
+        limit = max(1, _RENDER_ELEMENT_BUDGET // (self.num_taps + 1))
+        block = []
+        for group in self.groups:
+            if block and group[0].stop - block[0][0].start > limit:
+                yield block
+                block = []
+            block.append(group)
+        if block:
+            yield block
+
+    def evaluate(self, delay: float) -> np.ndarray:
+        """The reconstruction at every grid point under ``delay``."""
+        samples = self.sample_set
+        width = self.num_taps + 1
+        on_grid = sliding_window_view(np.pad(samples.on_grid, self.num_taps), width)
+        delayed = sliding_window_view(np.pad(samples.delayed, self.num_taps), width)
+        sums = np.zeros((self.num_periods, self.row.size))
+        for block in self._blocks():
+            first_row = block[0][0].start
+            kernels = self._kernels(self.row[first_row : block[-1][0].stop], delay)
+            for rows, windows, periods in block:
+                local = slice(rows.start - first_row, rows.stop - first_row)
+                # Windows q < num_taps + 1 samples apart overlap, a layout
+                # BLAS cannot read in place, so the group's few are packed.
+                group_sums = np.ascontiguousarray(on_grid[windows]) @ kernels[0, local].T
+                group_sums += np.ascontiguousarray(delayed[windows]) @ kernels[1, local].T
+                sums[periods, rows] = group_sums
+        return sums.reshape(-1)[self.point_index]
+
+    def _kernels(self, row: np.ndarray, delay: float) -> np.ndarray:
+        """The tapered on-grid and delayed kernels of ``row`` at ``delay``: ``(2, rows, taps)``.
+
+        In the product form of :class:`KohlenbergKernel`, term ``i`` on-grid
+        (at ``-v``) is ``scale sinc(c_env v) sin(c_osc v + phi) / sin(phi)``,
+        which is ``scale sinc(c_env v) (cos(c_osc v) + cot(phi) sin(c_osc
+        v))``; delayed, at ``v + D``, it is ``-scale sinc(c_env (v + D))
+        sin(c_osc (v + D) - phi) / sin(phi)``.  ``v + D`` is still a row
+        offset plus a tap offset, so :func:`_angle_sine` builds the delayed
+        sines from the rows shifted by ``D``, and :func:`_sinc_from_parts`
+        takes their singular entries as it does on-grid.  Both kernels are
+        tapered at ``v``.
+        """
+        samples = self.sample_set
+        period = samples.sample_period
+        half = self.num_taps // 2
+        tap = np.arange(-half, half + 1) * period
+        v = row[:, None] + tap
+        shifted = row + delay
+        channels = ((row, v, 1.0), (shifted, shifted[:, None] + tap, -1.0))
+        kernels = np.zeros((2,) + v.shape)
+        for order, scale, oscillation_hz, envelope_hz in _kernel_terms(samples.band):
+            phi = order * np.pi * samples.band.bandwidth * delay
+            for kernel, (offset, argument, sign) in zip(kernels, channels):
+                term = _angle_sine(np.pi * oscillation_hz, offset, tap, sign * phi)
+                envelope = _angle_sine(np.pi * envelope_hz, offset, tap)
+                term *= _sinc_from_parts(envelope, envelope_hz * argument)
+                term *= sign * scale / np.sin(phi)
+                kernel += term
+        kernels *= evaluate_taper(v / (half * period + period))
+        return kernels
+
+
 class _PlanStructure:
     """Sample-independent half of a :class:`ReconstructionPlan`.
 
@@ -425,12 +608,11 @@ class _PlanStructure:
     exploits.
 
     The kernel arguments ``v``, the taper and the kernel tables have one row
-    per distinct kernel offset (see :func:`_kernel_rows`) and
-    ``num_taps + 1`` columns; ``row_index`` maps each grid point to its row.
-    The tables are factored by angle addition along both axes:
+    per point and ``num_taps + 1`` columns, and are factored by angle
+    addition along both axes:
 
     * *taps*: entry ``(r, j)`` has argument ``v = u_r + tau_j``, the offset
-      of row ``r``'s centre sample from its point plus the tap's offset
+      of point ``r``'s centre sample from the point plus the tap's offset
       ``(j - nw/2) T``, so each sine or cosine table costs ``rows + taps``
       trigonometric values (:func:`_angle_tables`);
     * *delay*: each term keeps two on-grid tables and four delay-free
@@ -440,46 +622,20 @@ class _PlanStructure:
       rare entries at the sinc's removable singularity are found from
       ``sorted_v`` and evaluated in product form (:meth:`exact_kernel`).
 
-    There are two routes:
-
-    * *Row-shared* (every dense uniform render): few rows (419 for the
-      paper's 15,790-point spectrum grid), and the grid steps by ``q/p``
-      sample periods, so point ``i``'s tap window starts at
-      ``row_base[row_index[i]] + (i // p) q``.  Plans evaluate such a grid
-      as a polyphase filter bank (:meth:`polyphase_sums`): the rows fall
-      into ``groups`` by ``row_base`` (at most ``q + 2``), and each group
-      contracts its kernels against one strided window per grid period of
-      the zero-padded record.  Group ``(rows, windows, periods)`` lists the
-      group's table rows, its windows (indices into the windows of the
-      record padded by ``num_taps`` zeros on each side; only those that
-      overlap the record) and the grid periods those windows belong to;
-      ``point_index`` reads point ``i`` at ``(i // p, row_index[i])`` of
-      the ``(periods, rows)`` sums.
-    * *Per point* (random instants such as the LMS cost points, and any
-      grid that fails a check of :func:`_kernel_rows`): one row per point,
-      ``row_index`` is the identity slice and each row is its point's own
-      window; ``step`` and the polyphase fields are ``None``.  Plans gather
-      each point's samples around its ``centre`` sample (``None`` on the
-      row-shared route, which needs no centres once its layout is built) and
-      give the taps off the record zero weight.
+    Plans gather each point's samples around its ``centre`` sample and give
+    the taps off the record zero weight.
     """
 
     __slots__ = (
         "times",
         "num_taps",
         "centre",
-        "row_index",
         "taper",
         "terms",
         "delay_rates",
         "v",
         "sorted_v",
         "singular_radius",
-        "step",
-        "row_base",
-        "num_periods",
-        "groups",
-        "point_index",
         "num_elements",
     )
 
@@ -493,58 +649,26 @@ class _PlanStructure:
         start = sample_set.start_time
         half = num_taps // 2
         centre = np.round((times - start) / period).astype(np.int64)
-        rows = _kernel_rows(times, centre, start, period)
-        first = row_index = slice(None)
-        if rows is not None:
-            first, row_index, p, q = rows
 
-        # v = nT - t = row + tap: each row's centre sample minus its point,
+        # v = nT - t = row + tap: each point's centre sample minus the point,
         # plus each tap's offset (j - nw/2) T from the centre.  The on-grid
         # kernel argument is -v, the delayed-channel argument v + D_hat for
         # any candidate delay D_hat.  Taps off the record keep their
         # unclipped argument; plans give them zero weight.
-        row = (start + centre[first] * period) - times[first]
+        row = (start + centre * period) - times
         tap = np.arange(-half, half + 1) * period
         v = row[:, None] + tap
         taper = evaluate_taper(v / (half * period + period))
 
-        band = sample_set.band
-        k, k_plus = band_order(band)
-        f_low = band.f_low
-        bandwidth = band.bandwidth
-        f_mirror = k * bandwidth - f_low
-        f_high = f_low + bandwidth
-        terms: list[_KernelTermCache] = []
-        if not integer_band_positioning(band):
-            terms.append(
-                _KernelTermCache(
-                    order=k,
-                    scale=k - 2.0 * f_low / bandwidth,
-                    oscillation_hz=f_mirror + f_low,
-                    envelope_hz=f_mirror - f_low,
-                    bandwidth=bandwidth,
-                    row=row,
-                    tap=tap,
-                    v=v,
-                )
-            )
-        terms.append(
-            _KernelTermCache(
-                order=k_plus,
-                scale=2.0 * f_low / bandwidth + 1.0 - k,
-                oscillation_hz=f_high + f_mirror,
-                envelope_hz=f_high - f_mirror,
-                bandwidth=bandwidth,
-                row=row,
-                tap=tap,
-                v=v,
-            )
-        )
+        bandwidth = sample_set.band.bandwidth
+        terms = [
+            _KernelTermCache(*term, bandwidth=bandwidth, row=row, tap=tap, v=v)
+            for term in _kernel_terms(sample_set.band)
+        ]
 
         self.times = times
         self.num_taps = num_taps
-        self.centre = centre if rows is None else None
-        self.row_index = row_index
+        self.centre = centre
         self.taper = taper
         self.terms = tuple(terms)
         # Per term: the rates of phi = order pi B D, alpha and gamma.
@@ -557,58 +681,10 @@ class _PlanStructure:
         # term) without scanning the (delays, rows, taps) block.
         self.sorted_v = np.sort(v, axis=None)
         self.singular_radius = _SINC_SERIES_THRESHOLD / min(term.c_env for term in terms)
-        self.step = self.row_base = self.num_periods = self.groups = self.point_index = None
-        held = [times, taper, v, self.sorted_v]
+        held = [times, centre, taper, v, self.sorted_v]
         held += [table for term in terms for table in (term.on_grid_cos, term.on_grid_sin)]
         held += self.delayed_tables()
-        if rows is None:
-            held.append(centre)
-        else:
-            self._lay_out_polyphase(centre[first] - half - (first // p) * q, p, q, len(sample_set))
-            held += [row_index, self.row_base, self.point_index]
         self.num_elements = sum(array.size for array in held)
-
-    def _lay_out_polyphase(self, row_base, p, q, num_samples) -> None:
-        """Group the rows by window base and find each group's windows."""
-        num_taps = self.num_taps
-        num_rows = row_base.size
-        num_periods = (self.times.size - 1) // p + 1
-        bounds = [0, *(np.flatnonzero(np.diff(row_base)) + 1).tolist(), num_rows]
-        groups = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            base = int(row_base[lo])
-            # Periods k whose window [base + k q, base + k q + num_taps]
-            # overlaps the record [0, num_samples); the others sum zeros.
-            k_lo = max(0, -((num_taps + base) // q))
-            k_hi = min(num_periods, (num_samples - 1 - base) // q + 1)
-            if k_lo < k_hi:
-                first_window = base + k_lo * q + num_taps
-                windows = slice(first_window, first_window + (k_hi - k_lo) * q, q)
-                groups.append((slice(lo, hi), windows, slice(k_lo, k_hi)))
-        self.step = (p, q)
-        self.row_base = row_base
-        self.num_periods = num_periods
-        self.groups = tuple(groups)
-        self.point_index = (np.arange(self.times.size) // p) * num_rows + self.row_index
-
-    def polyphase_sums(self, padded: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-        """Eq. (6) tap sums of one channel against stacks of row kernels.
-
-        ``padded`` is the channel's record with ``num_taps`` zeros on each
-        side, which stand in for the taps that fall off the record.
-        ``kernels`` has shape ``(stacks, rows, num_taps + 1)``; the result
-        has shape ``(stacks, points)``.  Each group is one matmul of its
-        strided windows (one per grid period) against its rows' kernels; a
-        stack's sums never depend on the other stacks.
-        """
-        windows = sliding_window_view(padded, self.num_taps + 1)
-        sums = np.zeros((kernels.shape[0], self.num_periods, kernels.shape[1]))
-        for rows, group_windows, periods in self.groups:
-            # Windows q < num_taps + 1 samples apart overlap, a layout BLAS
-            # cannot read in place, so the group's few windows are packed.
-            block = np.ascontiguousarray(windows[group_windows])
-            sums[:, periods, rows] = block @ kernels[:, rows].transpose(0, 2, 1)
-        return sums.reshape(kernels.shape[0], -1)[:, self.point_index]
 
     def delay_factors(self, delays: np.ndarray):
         """Per-delay scalars of every term: ``cot(phi)``, ``(terms, m)``, and the
@@ -705,19 +781,17 @@ class PlanStructureCache:
 
     One cache is typically threaded through every scenario of a compiled
     campaign group: the first scenario pays for the taper and kernel
-    trigonometry of each grid, the rest reuse them.  Eviction is sized in
-    the values each structure holds (its ``num_elements``) rather than entry
-    count, because structures differ in size by orders of magnitude: a grid
-    with one kernel row per point holds ~15 values per point and tap, a
-    dense uniform render only its distinct rows.  The most recent entry is
-    never evicted, so an oversized structure still serves the group being
-    executed.
+    trigonometry of each cost grid, the rest of the group reuse them when
+    they draw the same instants.  Eviction is sized in the values each
+    structure holds (its ``num_elements``, ~15 per point and tap) rather
+    than entry count, because grids differ in size.  The most recent entry
+    is never evicted, so an oversized structure still serves the group
+    being executed.
     """
 
     #: Retained-value budget (16 MB of float64).  One paper-default ``run()``
-    #: builds ~1.08M values of structures: two 300-point calibration grids at
-    #: 0.275M each, the dense spectrum grid at 0.431M and the EVM grid at
-    #: 0.094M.
+    #: builds ~0.55M values of structures: two 300-point calibration grids at
+    #: 0.275M each.
     MAX_ELEMENTS = 2_000_000
 
     def __init__(self) -> None:
@@ -780,24 +854,16 @@ class ReconstructionPlan:
 
     The on-grid channel's tap sums are computed once, at construction; the
     delayed channel's once per candidate delay, through the structure's
-    delay-free tables (see :class:`_PlanStructure`).  How a plan sums taps
-    follows its structure's route:
-
-    * *row-shared* (dense uniform renders): a polyphase filter bank.  The
-      plan keeps each channel's record padded with ``num_taps`` zeros on
-      each side, which stand in for the taps off the record, and contracts
-      the row kernels against strided windows of it: for the delayed
-      channel, the tables combined with the delay's factors, times the
-      reciprocal table and the taper; no ``(points, taps)`` array is built;
-    * *per point* (random instants such as the LMS cost points): the plan
-      gathers each point's tap window, masks the taps off the record and
-      folds the taper, the masked delayed-channel samples and the delayed
-      tables into one ``(points, taps, 4 terms)`` array.  A batch of
-      delays is one matmul ``(delays, points, 1, taps) @ (points, taps,
-      4 terms)`` of their reciprocal tables against it, then each (delay,
-      point) row against its delay's factors.
-
-    Either way a delay's row is the same whatever delays share its batch.
+    delay-free tables (see :class:`_PlanStructure`).  The plan gathers each
+    point's tap window, masks the taps off the record and folds the taper,
+    the masked delayed-channel samples and the delayed tables into one
+    ``(points, taps, 4 terms)`` array.  A batch of delays is one matmul
+    ``(delays, points, 1, taps) @ (points, taps, 4 terms)`` of their
+    reciprocal tables against it, then each (delay, point) row against its
+    delay's factors, so a delay's row is the same whatever delays share its
+    batch.  A plan holds ``(points, taps)`` arrays: one delay over a dense
+    uniform grid goes through :meth:`NonuniformReconstructor.evaluate`'s
+    render instead.
 
     Parameters
     ----------
@@ -851,39 +917,27 @@ class ReconstructionPlan:
         # of each term, so its tap contraction folds into two delay-free dot
         # products per term; evaluating a candidate then reduces the channel
         # to (num_times,)-sized work instead of (num_times, num_taps).
-        if structure.groups is None:
-            half = num_taps // 2
-            tap_index = structure.centre[:, None] + np.arange(-half, half + 1)
-            valid = (tap_index >= 0) & (tap_index < len(sample_set))
-            clipped = np.clip(tap_index, 0, len(sample_set) - 1)
-            weight = np.where(valid, structure.taper, 0.0)
-            weighted_on_grid = sample_set.on_grid[clipped] * weight
-            self._weighted_delayed = sample_set.delayed[clipped] * weight
-            self._on_grid_dots = tuple(
-                (
-                    np.einsum("np,np->n", weighted_on_grid, term.on_grid_cos),
-                    np.einsum("np,np->n", weighted_on_grid, term.on_grid_sin),
-                )
-                for term in structure.terms
+        half = num_taps // 2
+        tap_index = structure.centre[:, None] + np.arange(-half, half + 1)
+        valid = (tap_index >= 0) & (tap_index < len(sample_set))
+        clipped = np.clip(tap_index, 0, len(sample_set) - 1)
+        weight = np.where(valid, structure.taper, 0.0)
+        weighted_on_grid = sample_set.on_grid[clipped] * weight
+        self._weighted_delayed = sample_set.delayed[clipped] * weight
+        self._on_grid_dots = tuple(
+            (
+                np.einsum("np,np->n", weighted_on_grid, term.on_grid_cos),
+                np.einsum("np,np->n", weighted_on_grid, term.on_grid_sin),
             )
-            # The delayed tables with the taper, the samples and the mask
-            # folded in, (points, taps, 4 terms): a delay batch is then one
-            # matmul of its reciprocal table against them.
-            tables = structure.delayed_tables()
-            self._delayed_tables = np.empty(weight.shape + (len(tables),))
-            for column, table in enumerate(tables):
-                np.multiply(table, self._weighted_delayed, out=self._delayed_tables[..., column])
-        else:
-            # Zero padding stands in for the taps off the record.
-            self._delayed_padded = np.pad(sample_set.delayed, num_taps)
-            tables = [
-                table for term in structure.terms for table in (term.on_grid_cos, term.on_grid_sin)
-            ]
-            kernels = np.empty((len(tables),) + structure.taper.shape)
-            for kernel, table in zip(kernels, tables):
-                np.multiply(structure.taper, table, out=kernel)
-            dots = structure.polyphase_sums(np.pad(sample_set.on_grid, num_taps), kernels)
-            self._on_grid_dots = tuple(zip(dots[0::2], dots[1::2]))
+            for term in structure.terms
+        )
+        # The delayed tables with the taper, the samples and the mask folded
+        # in, (points, taps, 4 terms): a delay batch is then one matmul of
+        # its reciprocal table against them.
+        tables = structure.delayed_tables()
+        self._delayed_tables = np.empty(weight.shape + (len(tables),))
+        for column, table in enumerate(tables):
+            np.multiply(table, self._weighted_delayed, out=self._delayed_tables[..., column])
 
     # ------------------------------------------------------------------ #
     # Public attributes
@@ -962,26 +1016,15 @@ class ReconstructionPlan:
             else:
                 on_grid_total += on_grid
         reciprocal, singular = structure.reciprocal(delays)
-        exact = None if singular is None else structure.exact_kernel(singular, cot_phi)
-        if structure.groups is None:
-            # (delays, points, 1, taps) @ (points, taps, 4 terms), then each
-            # (delay, point) row against its delay's factors.
-            sums = np.matmul(reciprocal[:, :, None, :], self._delayed_tables)
-            delayed = np.matmul(sums, factors[:, None, :, None])[:, :, 0, 0]
-            if singular is not None:
-                delay, row, tap, _ = singular
-                np.add.at(delayed, (delay, row), self._weighted_delayed[row, tap] * exact)
-            return on_grid_total + delayed
-        tables = structure.delayed_tables()
-        kernels = tables[0] * factors[:, 0, None, None]
-        scratch = np.empty_like(kernels)
-        for column in range(1, len(tables)):
-            kernels += np.multiply(tables[column], factors[:, column, None, None], out=scratch)
-        kernels *= reciprocal
+        # (delays, points, 1, taps) @ (points, taps, 4 terms), then each
+        # (delay, point) row against its delay's factors.
+        sums = np.matmul(reciprocal[:, :, None, :], self._delayed_tables)
+        delayed = np.matmul(sums, factors[:, None, :, None])[:, :, 0, 0]
         if singular is not None:
-            kernels[singular[:3]] = exact
-        kernels *= structure.taper
-        return on_grid_total + structure.polyphase_sums(self._delayed_padded, kernels)
+            delay, row, tap, _ = singular
+            exact = structure.exact_kernel(singular, cot_phi)
+            np.add.at(delayed, (delay, row), self._weighted_delayed[row, tap] * exact)
+        return on_grid_total + delayed
 
     def _validate_delay(self, delay: float) -> float:
         """Reject delays Eq. (3) forbids, mirroring the direct evaluator."""
@@ -1047,12 +1090,11 @@ def evaluate_stacked(plans, assumed_delays, validate: bool = True) -> np.ndarray
 class NonuniformReconstructor:
     """Truncated, windowed Kohlenberg reconstruction (Eq. 6 of the paper).
 
-    A thin façade over :class:`ReconstructionPlan` that binds one assumed
-    delay and accepts arbitrary time grids: every :meth:`evaluate` compiles a
-    plan for its grid and evaluates it once.  Every production render
-    evaluates each grid once per reconstructor, so the plan is not kept;
-    sharing across scenarios goes through the optional
-    :class:`PlanStructureCache` instead.
+    Binds one assumed delay and accepts arbitrary time grids.  Each
+    :meth:`evaluate` takes one of two routes: a dense uniform grid (every
+    measurement render) goes through a render that builds its kernels at
+    the assumed delay directly and keeps nothing; any other grid, such as
+    random instants, through a :class:`ReconstructionPlan` evaluated once.
 
     Parameters
     ----------
@@ -1066,10 +1108,6 @@ class NonuniformReconstructor:
         ``nw``: the number of sample pairs on each side of the evaluation
         instant is ``nw / 2`` (the paper's 61-tap filter corresponds to
         ``nw = 60``).
-    structure_cache:
-        Optional :class:`PlanStructureCache` threaded into every plan this
-        reconstructor builds, which is where fingerprint-adjacent scenarios
-        share the expensive taper/trigonometry work of their dense grids.
     """
 
     def __init__(
@@ -1077,12 +1115,9 @@ class NonuniformReconstructor:
         sample_set: NonuniformSampleSet,
         assumed_delay: float | None = None,
         num_taps: int = 60,
-        structure_cache: PlanStructureCache | None = None,
     ) -> None:
         if not isinstance(sample_set, NonuniformSampleSet):
             raise ValidationError("sample_set must be a NonuniformSampleSet")
-        if structure_cache is not None and not isinstance(structure_cache, PlanStructureCache):
-            raise ValidationError("structure_cache must be a PlanStructureCache")
         self._samples = sample_set
         self._assumed_delay = (
             sample_set.delay if assumed_delay is None else check_positive(assumed_delay, "assumed_delay")
@@ -1091,7 +1126,6 @@ class NonuniformReconstructor:
         if self._num_taps % 2 != 0:
             raise ValidationError("num_taps (nw) must be even; the filter then has nw + 1 taps")
         self._kernel = KohlenbergKernel(sample_set.band, self._assumed_delay)
-        self._structure_cache = structure_cache
 
     @property
     def assumed_delay(self) -> float:
@@ -1108,11 +1142,6 @@ class NonuniformReconstructor:
         """The truncation parameter ``nw``."""
         return self._num_taps
 
-    @property
-    def structure_cache(self) -> PlanStructureCache | None:
-        """The shared structure cache threaded into this reconstructor's plans."""
-        return self._structure_cache
-
     def valid_time_range(self) -> tuple[float, float]:
         """Time interval over which the truncated sum has full support.
 
@@ -1126,14 +1155,8 @@ class NonuniformReconstructor:
         )
 
     def plan_for(self, times) -> ReconstructionPlan:
-        """A freshly compiled plan for ``times`` under this reconstructor's settings.
-
-        With a :class:`PlanStructureCache` attached, the expensive
-        sample-independent structure is shared across scenarios.
-        """
-        return ReconstructionPlan(
-            self._samples, times, num_taps=self._num_taps, structure_cache=self._structure_cache
-        )
+        """A freshly compiled plan for ``times`` under this reconstructor's settings."""
+        return ReconstructionPlan(self._samples, times, num_taps=self._num_taps)
 
     def evaluate(self, times) -> np.ndarray:
         """Evaluate the reconstructed waveform at arbitrary time instants.
@@ -1141,9 +1164,15 @@ class NonuniformReconstructor:
         Implements Eq. (6): for each requested time ``t`` the sum runs over
         the ``nw + 1`` sample pairs nearest to ``t``, each contribution being
         ``f(nT) * s(t - nT) + f(nT + D_hat) * s(nT + D_hat - t)``, windowed
-        across the truncated support.  The assumed delay was validated at
-        construction, so the plan is evaluated without re-checking it.
+        across the truncated support.  A dense uniform grid is rendered
+        directly at ``D_hat`` (:class:`_DenseRender`); any other grid
+        through :meth:`plan_for`.  The assumed delay was validated at
+        construction, so neither route re-checks it.
         """
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        render = _DenseRender.of(self._samples, times, self._num_taps) if times.ndim == 1 else None
+        if render is not None:
+            return render.evaluate(self._assumed_delay)
         return self.plan_for(times).evaluate(self._assumed_delay, validate=False)
 
     def __call__(self, times) -> np.ndarray:

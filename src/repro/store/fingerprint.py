@@ -51,7 +51,10 @@ __all__ = [
 #: v5: Eq. (2) kernel tables are built by angle addition along the tap axis
 #: and the delayed channel divides four delay-free tables per term by one
 #: ``v + D`` table, which moves report metrics in their last bits.
-SCHEMA_VERSION = 5
+#: v6: the Kaiser taper is evaluated as its power series and dense renders
+#: build their kernels at the estimated delay directly, which moves report
+#: metrics in their last bits.
+SCHEMA_VERSION = 6
 
 
 def canonical_json(payload) -> str:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import signal
 
-from repro.dsp import lowpass_fir, zero_phase_butterworth
+from repro.dsp import filters, lowpass_fir, zero_phase_butterworth
 from repro.errors import ValidationError
+from repro.transmitter import HomodyneTransmitter, TransmitterConfig
 
 
 RATE = 100e6
@@ -102,3 +103,17 @@ class TestZeroPhaseButterworth:
         combined = zero_phase_butterworth(2.0 * a - 3j * b, 10e6, RATE, 5)
         separate = 2.0 * zero_phase_butterworth(a, 10e6, RATE, 5) - 3j * zero_phase_butterworth(b, 10e6, RATE, 5)
         np.testing.assert_allclose(combined, separate, atol=1e-12)
+
+    def test_transmit_is_bit_identical_with_the_design_cache_cold_or_warm(self):
+        # The chain's analog filters design their sections once per
+        # (order, cutoff); a warm cache must hand out the same sections.
+        def transmit():
+            burst = HomodyneTransmitter(TransmitterConfig.paper_default(seed=5)).transmit(64)
+            return burst.output_envelope.samples
+
+        filters._butterworth_sos.cache_clear()
+        cold = transmit()
+        assert filters._butterworth_sos.cache_info().misses > 0
+        warm = transmit()
+        assert filters._butterworth_sos.cache_info().hits > 0
+        assert np.array_equal(cold, warm)

@@ -7,7 +7,6 @@ the (slow) BIST execution path.  The end-to-end campaign-backend tests
 live in test_adaptive_determinism.py and test_adaptive_acceptance.py.
 """
 
-import dataclasses
 import json
 import math
 
@@ -20,7 +19,6 @@ from repro.faults import (
     AdaptiveConfig,
     AdaptivePlanner,
     DcdeErrorFault,
-    FaultCoverageReport,
     FaultDictionary,
     FaultPoint,
     FaultRecord,
@@ -341,15 +339,6 @@ class TestThresholdReport:
         assert result.outcomes == ()
         with pytest.raises(ValidationError):
             result.summary()
-
-    def test_attaches_to_coverage_report(self):
-        coverage = FaultCoverageReport.from_dictionary(make_dictionary(), num_trials=2000)
-        assert coverage.thresholds is None
-        combined = dataclasses.replace(coverage, thresholds=self.build().report)
-        assert combined.thresholds is not None
-        assert "adaptive thresholds" in combined.to_text()
-        payload = json.loads(json.dumps(combined.to_dict()))
-        assert payload["thresholds"]["scenarios_spent"] > 0
 
 
 # --------------------------------------------------------------------------- #

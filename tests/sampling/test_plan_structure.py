@@ -168,34 +168,3 @@ class TestEvaluateStacked:
         with pytest.raises(ValidationError):
             evaluate_stacked([plan, short], [delay, delay])
 
-
-class TestReconstructorPlanFor:
-    def test_repeated_grid_hits_the_structure_cache(self, fast_sample_set, grid):
-        cache = PlanStructureCache()
-        reconstructor = NonuniformReconstructor(
-            fast_sample_set, num_taps=NUM_TAPS, assumed_delay=180e-12, structure_cache=cache
-        )
-        small = grid[:64]
-        first = reconstructor.plan_for(small)
-        second = reconstructor.plan_for(small)
-        assert cache.stats["misses"] == 1 and cache.stats["hits"] == 1
-        assert np.array_equal(first.evaluate(180e-12), second.evaluate(180e-12))
-
-    def test_structure_cache_threads_through_plan_for(self, fast_sample_set, grid):
-        cache = PlanStructureCache()
-        reconstructor = NonuniformReconstructor(
-            fast_sample_set, num_taps=NUM_TAPS, assumed_delay=180e-12, structure_cache=cache
-        )
-        assert reconstructor.structure_cache is cache
-        small = grid[:64]
-        reconstructor.plan_for(small)
-        assert cache.stats["misses"] == 1
-        # A second reconstructor over the same acquisition re-uses the grid
-        # structure through the shared cache.
-        other = NonuniformReconstructor(
-            fast_sample_set, num_taps=NUM_TAPS, assumed_delay=180e-12, structure_cache=cache
-        )
-        plan = other.plan_for(small)
-        assert cache.stats["hits"] >= 1
-        bare = NonuniformReconstructor(fast_sample_set, num_taps=NUM_TAPS, assumed_delay=180e-12)
-        assert np.array_equal(plan.evaluate(180e-12), bare.plan_for(small).evaluate(180e-12))

@@ -4,35 +4,40 @@ For any band placement, record length, even tap count and set of
 delays that :func:`~repro.sampling.nonuniform.check_delay` accepts:
 
 * :meth:`ReconstructionPlan.evaluate_many` rows equal looped
-  :meth:`ReconstructionPlan.evaluate` bit for bit, on the polyphase route
-  of a row-shared plan too;
+  :meth:`ReconstructionPlan.evaluate` bit for bit;
 * :func:`evaluate_stacked` rows equal per-plan ``evaluate`` bit for bit;
-* every plan agrees with :func:`reference_evaluate` to 1e-9;
-* a uniform grid evaluates to within 1e-10 of the samples' full scale of
-  the same grid permuted, which takes one row per point;
-* a row-shared plan retains no ``(points, nw + 1)`` array;
+* every plan, and the dense render of every uniform grid that takes it,
+  agrees with :func:`reference_evaluate` to 1e-9;
+* the dense render of a uniform grid is within 1e-10 of the samples' full
+  scale of the per-point plan over the same grid permuted;
+* a render's rows never depend on the rows that share their block: a
+  render of one window group per block equals a render in budget-sized
+  blocks bit for bit;
+* a render keeps no ``(points, nw + 1)`` array;
 * a row never depends on the delays that share its batch: row 0 of
   ``evaluate_many([d, x])`` is ``evaluate(d)`` bit for bit for generated
-  companion delays ``x``, on both routes;
+  companion delays ``x``;
 * every value is finite;
 * the angle-addition trigonometry tables agree with direct ``np.sin`` and
   ``np.cos`` of the kernel arguments to within a few ulp of the angle.
 
 Half the generated grids are uniform, ``start + m T + arange(n) / fs`` with
-``fs = B p / q``: most take the shared-row, polyphase route of the plan
-structure.  Even ``p`` with an aligned start puts some points on half-sample
-ties; ``m`` starts the grid up to a kernel span before the record, and half
-the grids cover the record and run a kernel span past its far end, so some
-windows lie partly or wholly off the record.  ``q`` is either at most 16 or
-coarser than the kernel (``q > nw + 1``, windows that never overlap), and
-some grids are reversed: a decreasing grid takes one row per point.  Half
-of the grids, uniform or random, put one point on a delayed-sample instant
-``t = nT + D``, give or take a few ulp, for the first delay only.  That
-entry of ``1 / (v + D)`` sits at the sinc's removable singularity and is
-evaluated in product form; no other entry or row may change by a bit.
+``fs = B p / q``: most take the reconstructor's dense render.  Even ``p``
+with an aligned start puts some points on half-sample ties; ``m`` starts the
+grid up to a kernel span before the record, and half the grids cover the
+record and run a kernel span past its far end, so some windows lie partly
+or wholly off the record.  ``q`` is either at most 16 or coarser than the
+kernel (``q > nw + 1``, windows that never overlap), and some grids are
+reversed: a decreasing grid takes a plan.  Half of the grids, uniform or
+random, put one point on a delayed-sample instant ``t = nT + D``, give or
+take a few ulp, for the first delay only.  That entry of ``1 / (v + D)``
+sits at the sinc's removable singularity and is evaluated in product form
+(plans) or as its Taylor series (renders); no other entry or row may change
+by a bit.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -50,7 +55,8 @@ from repro.sampling import (
     reference_evaluate,
 )
 from repro.sampling.nonuniform import check_delay, delay_upper_bound
-from repro.sampling.reconstruction import _angle_tables
+from repro.sampling import reconstruction
+from repro.sampling.reconstruction import _angle_tables, _DenseRender
 
 
 def accepted(band, delay) -> bool:
@@ -66,7 +72,7 @@ def kernel_cases(draw, uniform=None, row_shared=False):
     """Plans sharing one structure, one delay each, over one generated grid.
 
     ``row_shared`` draws only increasing, unjittered uniform grids: those
-    take the shared-row route whenever they have fewer rows than points.
+    take the dense render whenever they have fewer kernel rows than points.
     """
     bandwidth = draw(st.floats(10e6, 100e6))
     # 2 f_l / B; integer positions exercise the single-term kernel.
@@ -218,19 +224,44 @@ def test_angle_tables_match_direct_trigonometry(case):
             assert np.all(np.abs(cosine - np.cos(angle)) <= bound)
 
 
+def dense_render(plan):
+    """The reconstructor's render of ``plan``'s grid, or ``None`` when it takes a plan."""
+    return _DenseRender.of(plan.sample_set, plan.evaluation_times, plan.num_taps)
+
+
 @settings(max_examples=40, deadline=None)
 @given(kernel_cases(row_shared=True))
-def test_row_shared_plan_evaluate_many_equals_evaluate(case):
+def test_render_agrees_with_reference(case):
     plans, delays = case
     plan = plans[0]
-    assume(plan.structure.groups is not None)
-    looped = np.stack([plan.evaluate(delay) for delay in delays])
-    assert np.array_equal(plan.evaluate_many(delays), looped)
+    render = dense_render(plan)
+    assume(render is not None)
+    for delay in delays:
+        expected = reference_evaluate(
+            plan.sample_set, plan.evaluation_times, delay, num_taps=plan.num_taps
+        )
+        values = render.evaluate(delay)
+        assert np.all(np.isfinite(values))
+        np.testing.assert_allclose(values, expected, rtol=1e-9, atol=1e-9)
 
 
-def retained_arrays(plan):
-    """Every NumPy array a plan holds, through its structure and kernel terms."""
-    found, pending, seen = [], [plan], set()
+@settings(max_examples=40, deadline=None)
+@given(kernel_cases(row_shared=True))
+def test_render_rows_are_independent_of_their_block(case):
+    # Each kernel value depends on its row and tap alone, and each window
+    # group is one matmul whatever block built it.
+    plans, delays = case
+    render = dense_render(plans[0])
+    assume(render is not None)
+    for delay in delays:
+        blocked = render.evaluate(delay)
+        with mock.patch.object(reconstruction, "_RENDER_ELEMENT_BUDGET", 1):
+            assert np.array_equal(render.evaluate(delay), blocked)
+
+
+def retained_arrays(item):
+    """Every NumPy array an object holds, through its attributes and slots."""
+    found, pending, seen = [], [item], set()
     while pending:
         item = pending.pop()
         if id(item) in seen:
@@ -249,29 +280,31 @@ def retained_arrays(plan):
 
 @settings(max_examples=40, deadline=None)
 @given(kernel_cases(row_shared=True))
-def test_row_shared_plan_layout(case):
-    plans, _ = case
+def test_render_layout(case):
+    plans, delays = case
     plan = plans[0]
-    structure = plan.structure
-    assume(structure.groups is not None)
+    render = dense_render(plan)
+    assume(render is not None)
     # A grid period spans q samples, so window bases take at most q + 2
     # values, the extra two from half-sample ties; each is one group.
-    bases = [structure.row_base[rows.start] for rows, _, _ in structure.groups]
+    bases = [render.row_base[rows.start] for rows, _, _ in render.groups]
     assert np.all(np.diff(bases) > 0)
-    assert len(structure.groups) <= structure.step[1] + 2
-    # Tables have one row per distinct offset, fewer than the points; every
-    # other array is point-, row- or record-sized and 1-D.
+    assert len(render.groups) <= render.step[1] + 2
+    # One kernel row per distinct offset, fewer than the points; after a
+    # render, every array it holds is point-, row- or record-sized and 1-D.
     num_points = plan.evaluation_times.size
-    assert structure.taper.shape[0] < num_points
-    for array in retained_arrays(plan):
+    assert render.row.size < num_points
+    render.evaluate(delays[0])
+    for array in retained_arrays(render):
         assert array.ndim < 2 or array.size < num_points * (plan.num_taps + 1)
 
 
 @settings(max_examples=40, deadline=None)
 @given(kernel_cases(uniform=True), st.randoms(use_true_random=False))
 def test_uniform_grid_equals_permuted_grid(case, random):
-    # Permuted, the grid takes one row per point: the direct route.  A
-    # decreasing grid takes it too, and must match exactly.
+    # The reconstructor renders a uniform grid at the delay directly;
+    # permuted, the grid takes a per-point plan.  A decreasing or jittered
+    # grid takes the plan both ways and must match exactly.
     plans, delays = case
     plan = plans[0]
     order = list(range(plan.evaluation_times.size))
@@ -280,15 +313,20 @@ def test_uniform_grid_equals_permuted_grid(case, random):
     permuted = ReconstructionPlan(
         plan.sample_set, plan.evaluation_times[order], num_taps=plan.num_taps
     )
-    assume(isinstance(permuted.structure.row_index, slice))
     expected = np.empty(order.size)
     expected[order] = permuted.evaluate(delays[0])
+    reconstructor = NonuniformReconstructor(
+        plan.sample_set, assumed_delay=delays[0], num_taps=plan.num_taps
+    )
     # Full scale of the samples: a render far outside the record sums only
     # edge taps and is itself rounding noise, so its own peak is no scale.
+    # The two routes round their angle-addition sines differently; over 400
+    # generated grids they differed by up to 1.4e-11 of full scale, each
+    # within 1.6e-11 of the oracle.
     samples = plan.sample_set
     full_scale = max(np.max(np.abs(samples.on_grid)), np.max(np.abs(samples.delayed)))
     np.testing.assert_allclose(
-        plan.evaluate(delays[0]), expected, rtol=0.0, atol=1e-10 * full_scale
+        reconstructor.evaluate(plan.evaluation_times), expected, rtol=0.0, atol=1e-10 * full_scale
     )
 
 
@@ -308,20 +346,13 @@ def test_paper_dense_grids_share_kernel_rows(paper_band):
     reconstructor = NonuniformReconstructor(samples)
     low, high = reconstructor.valid_time_range()
     # The rows fall into groups by window base: at most q + 2 of them.  The
-    # last column is num_elements before the kernel tables were factored by
-    # angle addition (each term then kept its arguments and a sorted copy):
-    # the structures now hold 431,174 and 93,841 values.
-    grids = (
-        (None, 419, (418, 9), 10, 482_292),
-        (48 * paper_band.bandwidth, 49, (48, 1), 2, 99_819),
-    )
-    for rate, rows, step, groups, elements_before in grids:
+    # render builds each grid's kernels in one block.
+    grids = ((None, 419, (418, 9), 10), (48 * paper_band.bandwidth, 49, (48, 1), 2))
+    for rate, rows, step, groups in grids:
         times, _, _ = render_uniform(reconstructor, low, high, rate)
-        structure = reconstructor.plan_for(times).structure
-        assert structure.taper.shape == (rows, reconstructor.num_taps + 1)
-        assert structure.row_index.shape == times.shape
-        assert structure.step == step
-        assert len(structure.groups) == groups
-        assert structure.num_elements <= elements_before
-        for term in structure.terms:
-            assert not hasattr(term, "env_argument") and not hasattr(term, "sorted_env")
+        render = _DenseRender.of(samples, times, reconstructor.num_taps)
+        assert render.row.shape == (rows,)
+        assert render.point_index.shape == times.shape
+        assert render.step == step
+        assert len(render.groups) == groups
+        assert len(list(render._blocks())) == 1

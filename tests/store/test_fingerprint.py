@@ -128,20 +128,20 @@ class TestPayload:
 
 #: Hex digests pinned when scenario resolution moved into
 #: ``repro.bist.campaign.resolve_scenario``, re-pinned for ``SCHEMA_VERSION``
-#: 5.  A change here re-keys every archived store (all lookups go cold): bump
+#: 6.  A change here re-keys every archived store (all lookups go cold): bump
 #: ``SCHEMA_VERSION`` on purpose instead of editing a digest.
 PAPER = "paper-qpsk-1ghz"
 PINNED = {
     "paper-shared": (
         dict(scenario=CampaignScenario(profile=PAPER)),
-        "402b550b6b8d0cb1ac8aff0236f7ad431f15c056c44415f42937ec0260b4ed56",
+        "d7fa4d54ad995a1adc79d5ca9a23554b70efa692b5371df01b7e20ce56e1f93c",
     ),
     "paper-per-scenario-seed": (
         dict(
             scenario=CampaignScenario(profile=PAPER),
             seed=derive_scenario_seed(BistConfig().seed, 2, PAPER),
         ),
-        "6633768a8b114e575dfb9525c9c5243a8956ad8c7a55653e85c0f771011a0ca4",
+        "bf941c9894cb5403effb07eba9516988ba0c1b1db3178d27ef4a8e5c373ef059",
     ),
     "scenario-converter-spec": (
         dict(
@@ -150,7 +150,7 @@ PINNED = {
             ),
             seed=12345,
         ),
-        "41378e32690d6cf62a7a01282a4b104b4aa2d5efdfd6a29ea7b0cb3eebbde7da",
+        "7ba10e5ab19f36d25e7dc7c595a39f139ced4e0cc8765a8e382e4b2fec03d577",
     ),
     "fault-model-impairment": (
         dict(
@@ -158,15 +158,15 @@ PINNED = {
                 profile=PAPER, impairments=pa_saturation_sweep([0.75])[0][1]
             )
         ),
-        "6ff839f7e948cae1878e061415d9fbb56edb8cfd104610cf0e4e88e8cd0b960b",
+        "dec76f41764451b50dbc5e7f64e663985d318c93b62d9c1c574d57dfdd4cf706",
     ),
     "ofdm-profile": (
         dict(scenario=CampaignScenario(profile="ofdm-uhf-qpsk-400mhz")),
-        "52977fe9f92c96c5c3f4cfe1db5c4681a5ae2e26dfd96c66e52ec3cf1b70385c",
+        "58ab977173b758352dcff61a0e951017d2bf9782cabb38cbae1e888901269d01",
     ),
     "explicit-num-symbols": (
         dict(scenario=CampaignScenario(profile="uhf-8psk-400mhz", num_symbols=256)),
-        "63267f8bc7341c08cfc7aa40ac6b5b0d90fac8f110931424f35f59f12f97e277",
+        "92bd11a40e90d485b1350ab1c67e1cbf86895668c57f39d4d1c127e1ca8692e7",
     ),
 }
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.utils import windows
@@ -98,6 +100,21 @@ class TestEvaluateTaper:
     def test_offsets_outside_support_clip_to_edge(self):
         edge = windows.evaluate_taper(1.0)
         np.testing.assert_allclose(windows.evaluate_taper([1.5, -1.0, -4.0]), [edge] * 3)
+
+    @given(st.floats(-1.25, 1.25))
+    def test_series_matches_i0_and_is_even(self, x):
+        # The power series in 1 - x^2 against the Bessel expression it replaces.
+        expected = np.i0(8.0 * np.sqrt(max(1.0 - min(abs(x), 1.0) ** 2, 0.0))) / np.i0(8.0)
+        value = windows.evaluate_taper(x)
+        assert abs(value - expected) <= 2e-15 * expected
+        assert windows.evaluate_taper(-x) == value
+
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_strictly_decreasing_on_the_support(self, a, b):
+        # 1e-6 apart, the taper moves by >= ~3e-12 near x = 0, far above its
+        # rounding; closer points can round to one y = 1 - x^2.
+        assume(b - a >= 1e-6)
+        assert windows.evaluate_taper(a) > windows.evaluate_taper(b)
 
     def test_kaiser_normaliser_is_i0_of_beta(self):
         assert windows.kaiser_normaliser(8.0) == pytest.approx(float(np.i0(8.0)), rel=1e-15)
