@@ -303,8 +303,8 @@ def bench_full_bist(smoke: bool, repeats: int) -> dict:
         converter = BpTiadc(
             sample_rate=BANDWIDTH_HZ,
             dcde=DigitallyControlledDelayElement(resolution_seconds=1e-13),
-            channel0=AdcChannel(quantizer=UniformQuantizer(10, 3.0), seed=2015),
-            channel1=AdcChannel(quantizer=UniformQuantizer(10, 3.0), seed=2016),
+            channel0=AdcChannel(quantizer=UniformQuantizer(10, 3.0)),
+            channel1=AdcChannel(quantizer=UniformQuantizer(10, 3.0)),
             skew_jitter_rms_seconds=3.0e-12,
             seed=2014,
         )

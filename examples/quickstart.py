@@ -15,7 +15,7 @@ bandwidth / EVM checks against the built-in "paper-qpsk-1ghz" profile.
 Run with:  python examples/quickstart.py
 """
 
-from repro.bist import BistConfig, TransmitterBist, default_converter
+from repro.bist import BistConfig, ConverterSpec, TransmitterBist
 from repro.transmitter import HomodyneTransmitter, TransmitterConfig
 
 
@@ -27,12 +27,11 @@ def main() -> None:
     #    static error and the channel-1 skew model the (unknown to the DSP)
     #    difference between the programmed and the physical delay.
     config = BistConfig()  # the paper's defaults: B = 90 MHz, D = 180 ps, 61 taps
-    converter = default_converter(
-        config.acquisition_bandwidth_hz,
+    converter = ConverterSpec(
         dcde_static_error_seconds=6e-12,
         channel1_skew_seconds=2e-12,
         seed=42,
-    )
+    )(config.acquisition_bandwidth_hz)
 
     # 3. Run the BIST.
     engine = TransmitterBist(transmitter, converter, profile="paper-qpsk-1ghz", config=config)

@@ -12,7 +12,7 @@ Run with:  python examples/spectral_mask_bist.py
 
 import numpy as np
 
-from repro.bist import BistConfig, SpectralMask, TransmitterBist, default_converter
+from repro.bist import BistConfig, ConverterSpec, SpectralMask, TransmitterBist
 from repro.rf import RappAmplifier
 from repro.signals import get_profile
 from repro.transmitter import HomodyneTransmitter, ImpairmentConfig, TransmitterConfig
@@ -23,12 +23,11 @@ def run_unit(label: str, impairments: ImpairmentConfig, config: BistConfig):
     transmitter = HomodyneTransmitter(
         TransmitterConfig.paper_default(impairments=impairments, seed=10)
     )
-    converter = default_converter(
-        config.acquisition_bandwidth_hz,
+    converter = ConverterSpec(
         dcde_static_error_seconds=5e-12,
         channel1_skew_seconds=2e-12,
         seed=77,
-    )
+    )(config.acquisition_bandwidth_hz)
     engine = TransmitterBist(transmitter, converter, profile="paper-qpsk-1ghz", config=config)
     report = engine.run()
     print(f"\n--- {label} ---")

@@ -8,7 +8,6 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..signals.passband import AnalogSignal
-from ..utils.rng import SeedLike
 from .mismatch import ChannelMismatch
 from .quantizer import UniformQuantizer
 from .sample_hold import SampleAndHold
@@ -20,8 +19,9 @@ __all__ = ["AdcChannel"]
 class AdcChannel:
     """One converter channel of the (BP-)TIADC.
 
-    The conversion pipeline is: sample-and-hold (skew + jitter) -> static
-    gain/offset errors -> uniform quantisation.
+    The conversion pipeline is: sample-and-hold (skew) -> static gain/offset
+    errors -> uniform quantisation.  The converter's random timing error is
+    :class:`~repro.adc.tiadc.BpTiadc`'s, on the shared clock.
 
     Parameters
     ----------
@@ -29,20 +29,17 @@ class AdcChannel:
         Amplitude quantizer (the paper uses 10-bit converters).
     mismatch:
         Static and timing non-idealities of this channel.
-    seed:
-        Randomness control for the aperture jitter.
     """
 
     quantizer: UniformQuantizer = field(default_factory=UniformQuantizer)
     mismatch: ChannelMismatch = field(default_factory=ChannelMismatch)
-    seed: SeedLike = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.quantizer, UniformQuantizer):
             raise ValidationError("quantizer must be a UniformQuantizer")
         if not isinstance(self.mismatch, ChannelMismatch):
             raise ValidationError("mismatch must be a ChannelMismatch")
-        self._sample_hold = SampleAndHold(mismatch=self.mismatch, seed=self.seed)
+        self._sample_hold = SampleAndHold(mismatch=self.mismatch)
 
     def convert(self, signal: AnalogSignal, nominal_times) -> np.ndarray:
         """Digitise ``signal`` at the nominal clock edges ``nominal_times``."""

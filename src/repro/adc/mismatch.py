@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..utils.validation import check_non_negative, check_positive
+from ..utils.validation import check_positive
 
 __all__ = ["ChannelMismatch"]
 
@@ -30,18 +30,14 @@ class ChannelMismatch:
     skew_seconds:
         Deterministic sampling-instant error of the channel relative to its
         nominal clock edge.  Positive skew samples late.
-    aperture_jitter_rms_seconds:
-        RMS of the random (Gaussian) sampling-instant error added on every
-        conversion (the paper's experiments use 3 ps rms).
+
+    Random sampling-instant error is the converter's, not a channel's: see
+    :attr:`~repro.adc.tiadc.BpTiadc.skew_jitter_rms_seconds`.
     """
 
     offset: float = 0.0
     gain_error: float = 0.0
     skew_seconds: float = 0.0
-    aperture_jitter_rms_seconds: float = 0.0
-
-    def __post_init__(self) -> None:
-        check_non_negative(self.aperture_jitter_rms_seconds, "aperture_jitter_rms_seconds")
 
     @property
     def gain(self) -> float:
@@ -50,13 +46,8 @@ class ChannelMismatch:
 
     @property
     def is_ideal(self) -> bool:
-        """Whether the channel has no static or random impairment."""
-        return (
-            self.offset == 0.0
-            and self.gain_error == 0.0
-            and self.skew_seconds == 0.0
-            and self.aperture_jitter_rms_seconds == 0.0
-        )
+        """Whether the channel has no static impairment."""
+        return self.offset == 0.0 and self.gain_error == 0.0 and self.skew_seconds == 0.0
 
     def with_input_bandwidth(
         self, bandwidth_hz: float, reference_frequency_hz: float

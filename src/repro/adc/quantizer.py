@@ -53,9 +53,3 @@ class UniformQuantizer:
         codes = np.floor(values / step)
         codes = np.clip(codes, -self.num_levels // 2, self.num_levels // 2 - 1)
         return (codes + 0.5) * step
-
-    def codes(self, values) -> np.ndarray:
-        """Integer output codes (two's-complement style, ``-2^(N-1) .. 2^(N-1)-1``)."""
-        values = np.asarray(values, dtype=float)
-        codes = np.floor(values / self.step_size)
-        return np.clip(codes, -self.num_levels // 2, self.num_levels // 2 - 1).astype(np.int64)

@@ -1,9 +1,9 @@
 """Sample-and-hold model: the point where timing errors enter the converter.
 
 The sample-and-hold freezes the analog input at (nominally) the clock edge;
-deterministic skew and random aperture jitter displace the actual sampling
-instant.  Because the input of the BIST sampler is an RF bandpass signal, a
-few picoseconds of displacement already matter — that is the whole point of
+the channel's deterministic skew displaces the actual sampling instant.
+Because the input of the BIST sampler is an RF bandpass signal, a few
+picoseconds of displacement already matter — that is the whole point of
 the paper's calibration.
 """
 
@@ -15,7 +15,6 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..signals.passband import AnalogSignal
-from ..utils.rng import SeedLike, ensure_generator
 from ..utils.validation import check_1d_array
 from .mismatch import ChannelMismatch
 
@@ -24,33 +23,24 @@ __all__ = ["SampleAndHold"]
 
 @dataclass
 class SampleAndHold:
-    """A sample-and-hold stage with deterministic skew and random jitter.
+    """A sample-and-hold stage with deterministic skew.
 
     Parameters
     ----------
     mismatch:
-        The channel mismatch description supplying the skew and jitter.
-    seed:
-        Randomness control for the jitter realisation.
+        The channel mismatch description supplying the skew.
     """
 
     mismatch: ChannelMismatch = field(default_factory=ChannelMismatch)
-    seed: SeedLike = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.mismatch, ChannelMismatch):
             raise ValidationError("mismatch must be a ChannelMismatch")
-        self._rng = ensure_generator(self.seed)
 
     def actual_sampling_times(self, nominal_times) -> np.ndarray:
         """The instants at which the stage really samples, given nominal edges."""
         nominal_times = check_1d_array(nominal_times, "nominal_times", dtype=float)
-        actual = nominal_times + self.mismatch.skew_seconds
-        if self.mismatch.aperture_jitter_rms_seconds > 0.0:
-            actual = actual + self._rng.normal(
-                0.0, self.mismatch.aperture_jitter_rms_seconds, size=nominal_times.size
-            )
-        return actual
+        return nominal_times + self.mismatch.skew_seconds
 
     def sample(self, signal: AnalogSignal, nominal_times) -> np.ndarray:
         """Sample ``signal`` at the (impaired) instants implied by ``nominal_times``."""

@@ -19,6 +19,7 @@ channel's clock by the programmable delay ``D``; the rest of the work
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,8 +43,6 @@ class DigitallyControlledDelayElement:
     ----------
     resolution_seconds:
         Smallest programmable delay step.
-    max_delay_seconds:
-        Largest programmable delay.
     static_error_seconds:
         Difference between the programmed and the physically realised delay.
         This is the quantity the calibration of Section IV must absorb: the
@@ -51,12 +50,13 @@ class DigitallyControlledDelayElement:
     """
 
     resolution_seconds: float = 1.0e-12
-    max_delay_seconds: float = 2.0e-9
     static_error_seconds: float = 0.0
+
+    #: Largest programmable delay.
+    max_delay_seconds: ClassVar[float] = 2.0e-9
 
     def __post_init__(self) -> None:
         check_positive(self.resolution_seconds, "resolution_seconds")
-        check_positive(self.max_delay_seconds, "max_delay_seconds")
 
     @property
     def num_codes(self) -> int:
@@ -107,7 +107,7 @@ class BpTiadc:
         clock), i.e. a random perturbation of the inter-channel skew on every
         conversion.  This is the paper's "time-skew jitter of 3 ps rms".
     seed:
-        Randomness control (split between the clock and both channels).
+        Randomness control of the clock jitter.
     """
 
     sample_rate: float
@@ -122,12 +122,14 @@ class BpTiadc:
         check_positive(self.sample_rate, "sample_rate")
         check_non_negative(self.clock_jitter_rms_seconds, "clock_jitter_rms_seconds")
         check_non_negative(self.skew_jitter_rms_seconds, "skew_jitter_rms_seconds")
-        clock_rng, channel0_rng, channel1_rng = spawn_generators(self.seed, 3)
-        self._clock_rng = clock_rng
+        # The clock stream is the first of three children: seeded runs,
+        # goldens and archived reports rest on it, and a generator seed
+        # advances by all three draws.
+        self._clock_rng = spawn_generators(self.seed, 3)[0]
         if self.channel0 is None:
-            self.channel0 = AdcChannel(quantizer=UniformQuantizer(), seed=channel0_rng)
+            self.channel0 = AdcChannel(quantizer=UniformQuantizer())
         if self.channel1 is None:
-            self.channel1 = AdcChannel(quantizer=UniformQuantizer(), seed=channel1_rng)
+            self.channel1 = AdcChannel(quantizer=UniformQuantizer())
         self._programmed_code: int | None = None
 
     # ------------------------------------------------------------------ #

@@ -4,7 +4,6 @@ from .campaign import (
     CampaignScenario,
     ConverterSpec,
     build_scenario_engine,
-    default_converter,
     execute_scenario,
     scenario_bandwidth,
     scenario_bist_config,
@@ -46,7 +45,6 @@ __all__ = [
     "CampaignScenario",
     "ConverterSpec",
     "build_scenario_engine",
-    "default_converter",
     "execute_scenario",
     "scenario_bandwidth",
     "scenario_bist_config",

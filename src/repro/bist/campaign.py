@@ -33,7 +33,6 @@ from .report import BistReport
 __all__ = [
     "CampaignScenario",
     "ConverterSpec",
-    "default_converter",
     "scenario_bandwidth",
     "scenario_num_samples_fast",
     "scenario_bist_config",
@@ -44,31 +43,6 @@ __all__ = [
 ]
 
 
-def default_converter(
-    acquisition_bandwidth_hz: float,
-    resolution_bits: int = 10,
-    skew_jitter_rms_seconds: float = 3.0e-12,
-    dcde_static_error_seconds: float = 0.0,
-    channel1_skew_seconds: float = 0.0,
-    full_scale: float = 3.0,
-    seed: int | None = 99,
-) -> BpTiadc:
-    """Build the paper's BP-TIADC: two 10-bit channels, 3 ps rms skew jitter.
-
-    ``dcde_static_error_seconds`` and ``channel1_skew_seconds`` inject the
-    unknown timing errors that make the programmed delay differ from the
-    physical one — the situation the LMS calibration exists to handle.
-    """
-    return ConverterSpec(
-        resolution_bits=resolution_bits,
-        skew_jitter_rms_seconds=skew_jitter_rms_seconds,
-        dcde_static_error_seconds=dcde_static_error_seconds,
-        channel1_skew_seconds=channel1_skew_seconds,
-        full_scale=full_scale,
-        seed=seed,
-    ).build(acquisition_bandwidth_hz)
-
-
 @dataclass(frozen=True)
 class ConverterSpec:
     """Declarative, picklable description of the BIST acquisition converter.
@@ -76,15 +50,15 @@ class ConverterSpec:
     A campaign may take an arbitrary ``converter_factory`` callable, but
     lambdas and closures cannot cross process boundaries, so the parallel
     :class:`~repro.bist.runner.CampaignRunner` needs a *value* that builds
-    the converter instead.  A ``ConverterSpec`` captures the same knobs as
-    :func:`default_converter` plus the channel-1 static gain/offset mismatch
-    and an optional channel-1 input-bandwidth limitation
-    (``channel1_bandwidth_hz`` with the ``bandwidth_reference_hz`` carrier it
-    is evaluated at), and is itself the factory: calling it with the
-    acquisition bandwidth returns the :class:`~repro.adc.tiadc.BpTiadc`.
-
-    With the mismatch fields at zero the built converter is identical to the
-    one produced by :func:`default_converter` with the same arguments.
+    the converter instead.  A ``ConverterSpec`` captures the paper's
+    BP-TIADC (two 10-bit channels, 3 ps rms skew jitter) with the unknown
+    timing errors that make the programmed delay differ from the physical
+    one (``dcde_static_error_seconds``, ``channel1_skew_seconds``) — the
+    situation the LMS calibration exists to handle — plus the channel-1
+    static gain/offset mismatch and an optional channel-1 input-bandwidth
+    limitation (``channel1_bandwidth_hz`` with the ``bandwidth_reference_hz``
+    carrier it is evaluated at).  It is itself the factory: calling it with
+    the acquisition bandwidth returns the :class:`~repro.adc.tiadc.BpTiadc`.
     """
 
     resolution_bits: int = 10
@@ -125,12 +99,10 @@ class ConverterSpec:
             channel0=AdcChannel(
                 quantizer=UniformQuantizer(self.resolution_bits, self.full_scale),
                 mismatch=ChannelMismatch(),
-                seed=None,
             ),
             channel1=AdcChannel(
                 quantizer=UniformQuantizer(self.resolution_bits, self.full_scale),
                 mismatch=channel1_mismatch,
-                seed=None,
             ),
             skew_jitter_rms_seconds=self.skew_jitter_rms_seconds,
             seed=self.seed,

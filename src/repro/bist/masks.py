@@ -154,13 +154,12 @@ class SpectralMask:
         """Largest offset covered by an explicit breakpoint."""
         return float(self.offsets_hz[-1])
 
-    def check(
-        self,
-        estimate: SpectrumEstimate,
-        channel_centre_hz: float,
-        exclude_in_band_hz: float | None = None,
-    ) -> MaskCheckResult:
+    def check(self, estimate: SpectrumEstimate, channel_centre_hz: float) -> MaskCheckResult:
         """Check a PSD estimate against the mask.
+
+        The region around the centre that holds the wanted signal itself is
+        exempt from checking: its half-width is the first mask breakpoint
+        with a negative limit, or the first offset otherwise.
 
         Parameters
         ----------
@@ -168,10 +167,6 @@ class SpectralMask:
             PSD of the transmitter output (absolute frequencies).
         channel_centre_hz:
             Centre frequency of the wanted channel.
-        exclude_in_band_hz:
-            Half-width of the region around the centre that is exempt from
-            checking (the wanted signal itself); defaults to the first mask
-            breakpoint with a negative limit, or the first offset otherwise.
 
         Returns
         -------
@@ -181,12 +176,11 @@ class SpectralMask:
         relative_db = estimate.normalised_db()
         limits = self.limit_at(offsets)
 
-        if exclude_in_band_hz is None:
-            below_zero = self.limits_db < 0.0
-            if np.any(below_zero):
-                exclude_in_band_hz = float(self.offsets_hz[np.argmax(below_zero)])
-            else:
-                exclude_in_band_hz = float(self.offsets_hz[0])
+        below_zero = self.limits_db < 0.0
+        if np.any(below_zero):
+            exclude_in_band_hz = float(self.offsets_hz[np.argmax(below_zero)])
+        else:
+            exclude_in_band_hz = float(self.offsets_hz[0])
 
         considered = (np.abs(offsets) >= exclude_in_band_hz) & (np.abs(offsets) <= self.span_hz)
         if not np.any(considered):

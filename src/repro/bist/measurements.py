@@ -54,6 +54,9 @@ __all__ = [
 #: measurements keep :func:`render_uniform`'s 4 x f_high default.
 OFDM_DENSE_OVERSAMPLING = 2.5
 
+#: Transmitted symbols (from the first) that single-carrier EVM compares.
+EVM_MAX_SYMBOLS = 256
+
 
 def render_uniform(
     reconstructor: NonuniformReconstructor,
@@ -183,26 +186,22 @@ def measure_spectrum_from_samples(
     samples: np.ndarray,
     sample_rate: float,
     bandwidth_hz: float,
-    segment_length: int | None = None,
-    resolution_hz: float | None = None,
 ) -> SpectrumEstimate:
     """Welch PSD of an already-rendered uniform waveform.
 
     Takes a render from :func:`render_uniform` so callers that have rendered
     the reconstruction once (the BIST engine shares a single dense render
     between the output-power and spectrum measurements) do not pay for a
-    second full reconstruction pass.  Either ``segment_length`` or a target
-    ``resolution_hz`` may be given; by default the resolution is set to 1/256
-    of ``bandwidth_hz`` so that in-band structure (mask skirts, adjacent
-    channels) is resolved regardless of the dense rendering rate.
+    second full reconstruction pass.  The resolution is about 1/256 of
+    ``bandwidth_hz`` (the segment length is the next power of two), so that
+    in-band structure (mask skirts, adjacent channels) is resolved
+    regardless of the dense rendering rate.
     """
     samples = np.asarray(samples, dtype=float)
     sample_rate = check_positive(sample_rate, "sample_rate")
-    if segment_length is None:
-        if resolution_hz is None:
-            resolution_hz = check_positive(bandwidth_hz, "bandwidth_hz") / 256.0
-        segment_length = int(2 ** np.ceil(np.log2(sample_rate / resolution_hz)))
-    segment_length = min(int(segment_length), samples.size)
+    resolution_hz = check_positive(bandwidth_hz, "bandwidth_hz") / 256.0
+    segment_length = int(2 ** np.ceil(np.log2(sample_rate / resolution_hz)))
+    segment_length = min(segment_length, samples.size)
     return welch_psd(samples, sample_rate, segment_length=segment_length)
 
 
@@ -225,7 +224,6 @@ def measure_occupied_bandwidth(
     spectrum: SpectrumEstimate,
     channel_centre_hz: float,
     search_half_width_hz: float,
-    power_fraction: float = 0.99,
 ) -> float:
     """Occupied bandwidth (Hz) measured inside a window around the carrier."""
     low = channel_centre_hz - search_half_width_hz
@@ -239,21 +237,18 @@ def measure_occupied_bandwidth(
         resolution_hz=spectrum.resolution_hz,
         two_sided=spectrum.two_sided,
     )
-    bandwidth, _, _ = occupied_bandwidth(windowed, power_fraction=power_fraction)
+    bandwidth, _, _ = occupied_bandwidth(windowed)
     return bandwidth
 
 
-def measure_evm(
-    reconstructor: NonuniformReconstructor,
-    burst: TransmissionResult,
-    max_symbols: int = 256,
-) -> float:
+def measure_evm(reconstructor: NonuniformReconstructor, burst: TransmissionResult) -> float:
     """EVM (percent) of the reconstructed output against the transmitted symbols.
 
     The reconstructed output is demodulated with the transmitter's own
     matched filter, sampled at the known symbol instants, scaled/rotated onto
     the reference constellation by a least-squares complex gain (the BIST
-    knows the transmitted data), and compared symbol by symbol.
+    knows the transmitted data), and compared symbol by symbol over the
+    first :data:`EVM_MAX_SYMBOLS` symbols.
     """
     if not isinstance(burst, TransmissionResult):
         raise ValidationError("burst must be a TransmissionResult")
@@ -282,7 +277,7 @@ def measure_evm(
     # interpolation rather than nearest-sample picking (which would add
     # timing-error ISI of up to half an envelope sample).
     symbol_period = 1.0 / config.symbol_rate_hz
-    num_symbols = min(int(max_symbols), burst.symbols.size)
+    num_symbols = min(EVM_MAX_SYMBOLS, burst.symbols.size)
     symbol_times = np.arange(num_symbols) * symbol_period
     margin = 2.0 / envelope_rate
     usable = (symbol_times >= times[0] + margin) & (symbol_times <= times[-1] - margin)

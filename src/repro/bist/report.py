@@ -132,13 +132,6 @@ class SkewCalibrationReport:
             return None
         return abs(self.estimated_delay_seconds - self.true_delay_seconds)
 
-    @property
-    def relative_error(self) -> float | None:
-        """``|1 - D_hat / D|`` when the true delay is known, else ``None``."""
-        if self.true_delay_seconds in (None, 0.0):
-            return None
-        return abs(1.0 - self.estimated_delay_seconds / self.true_delay_seconds)
-
     def to_dict(self) -> dict:
         """Plain JSON-friendly dictionary (exact round trip via :meth:`from_dict`).
 

@@ -327,21 +327,6 @@ class ExecutionBudget:
         self._max_scenarios = max_scenarios
         self._spent = 0
 
-    @property
-    def max_scenarios(self) -> int:
-        """The configured cap."""
-        return self._max_scenarios
-
-    @property
-    def spent(self) -> int:
-        """Fresh executions charged so far."""
-        return self._spent
-
-    @property
-    def remaining(self) -> int:
-        """Executions still available."""
-        return self._max_scenarios - self._spent
-
     def charge(self, count: int) -> None:
         """Consume ``count`` executions or raise :class:`BudgetExhaustedError`."""
         if not isinstance(count, int) or isinstance(count, bool) or count < 0:
@@ -478,8 +463,8 @@ class CampaignRunner:
                 f"seed_policy must be one of {_SEED_POLICIES}, got {seed_policy!r}"
             )
         self._bist_config = bist_config if bist_config is not None else BistConfig()
-        # The nominal ConverterSpec builds the same converter as
-        # default_converter but stays reseedable under "per-scenario".
+        # The nominal ConverterSpec builds the paper converter and stays
+        # reseedable under "per-scenario".
         self._converter_factory = (
             converter_factory if converter_factory is not None else ConverterSpec()
         )
@@ -487,11 +472,6 @@ class CampaignRunner:
         self._seed_policy = seed_policy
         self._progress_callback = progress_callback
         self._store = store
-
-    @property
-    def max_workers(self) -> int:
-        """The configured worker count."""
-        return self._max_workers
 
     def _effective_chunk_size(self, num_tasks: int) -> int:
         """Scenarios per pool future: about ``_CHUNKS_PER_WORKER`` per worker."""
@@ -844,14 +824,11 @@ class ScenarioGrid:
         self._num_symbols = num_symbols
 
     # -- profile axis ------------------------------------------------------ #
-    def add_profile(
-        self, profile: WaveformProfile | str, label: str | None = None
-    ) -> "ScenarioGrid":
-        """Append one waveform profile (name or object) to the profile axis."""
+    def add_profile(self, profile: WaveformProfile | str) -> "ScenarioGrid":
+        """Append one waveform profile (name or object), labelled by its name."""
         if not isinstance(profile, (str, WaveformProfile)):
             raise ValidationError("profile must be a WaveformProfile or a profile name")
-        if label is None:
-            label = profile if isinstance(profile, str) else profile.name
+        label = profile if isinstance(profile, str) else profile.name
         self._profiles.append(_Axis(label=label, value=profile))
         return self
 
@@ -953,7 +930,7 @@ class ScenarioGrid:
 # The fault-model imports are deferred to the function bodies because
 # ``repro.faults`` itself builds on this module's :class:`CampaignRunner`.
 # --------------------------------------------------------------------------- #
-def pa_saturation_sweep(saturation_amplitudes, smoothness: float = 2.0) -> list[tuple]:
+def pa_saturation_sweep(saturation_amplitudes) -> list[tuple]:
     """PA-compression fault axis: Rapp amplifiers at decreasing headroom."""
     from ..faults.models import PaCompressionFault
 
@@ -961,9 +938,7 @@ def pa_saturation_sweep(saturation_amplitudes, smoothness: float = 2.0) -> list[
         (
             f"pa-sat-{amplitude:g}",
             PaCompressionFault(
-                nominal_saturation=amplitude,
-                worst_saturation=amplitude,
-                smoothness=smoothness,
+                nominal_saturation=amplitude, worst_saturation=amplitude
             ).apply_transmitter(ImpairmentConfig()),
         )
         for amplitude in saturation_amplitudes
@@ -985,15 +960,14 @@ def iq_imbalance_sweep(points) -> list[tuple]:
     ]
 
 
-def skew_sweep(skews_seconds, base: ConverterSpec | None = None) -> list[tuple]:
-    """Converter fault axis: channel-1 static skew values."""
+def skew_sweep(skews_seconds) -> list[tuple]:
+    """Converter fault axis: channel-1 static skew values on the paper converter."""
     from ..faults.models import TiadcSkewFault
 
-    base = base if base is not None else ConverterSpec()
     return [
         (
             f"skew-{skew * 1e12:g}ps",
-            TiadcSkewFault(max_skew_seconds=skew).apply_converter(base),
+            TiadcSkewFault(max_skew_seconds=skew).apply_converter(ConverterSpec()),
         )
         for skew in skews_seconds
     ]

@@ -72,16 +72,16 @@ def rates_satisfy_uniqueness(centre_hz: float, fast_rate_hz: float, slow_rate_hz
     )
 
 
-def select_slow_sample_rate(
-    centre_hz: float,
-    fast_rate_hz: float,
-    candidate_ratios=(0.5, 0.48, 0.52, 0.45, 0.55, 0.44, 0.56, 0.6, 0.4),
-) -> float:
+#: Reduced-rate ratios ``B1 / B`` :func:`select_slow_sample_rate` tries, in order.
+SLOW_RATE_RATIOS = (0.5, 0.48, 0.52, 0.45, 0.55, 0.44, 0.56, 0.6, 0.4)
+
+
+def select_slow_sample_rate(centre_hz: float, fast_rate_hz: float) -> float:
     """Pick a reduced per-channel rate ``B1`` that satisfies conditions (9).
 
     The paper uses ``B1 = B/2``; for some carrier/bandwidth combinations that
     exact ratio violates condition (9b), so the engine tries a short list of
-    nearby ratios and returns the first valid one.
+    nearby ratios (:data:`SLOW_RATE_RATIOS`) and returns the first valid one.
 
     Raises
     ------
@@ -89,7 +89,7 @@ def select_slow_sample_rate(
         If none of the candidate ratios yields a valid rate pair (which would
         require a pathological configuration).
     """
-    for ratio in candidate_ratios:
+    for ratio in SLOW_RATE_RATIOS:
         slow_rate = ratio * fast_rate_hz
         if rates_satisfy_uniqueness(centre_hz, fast_rate_hz, slow_rate):
             return float(slow_rate)
@@ -145,13 +145,13 @@ def default_evaluation_times(
     num_points: int = 300,
     num_taps: int = 60,
     seed: SeedLike = None,
-    margin_fraction: float = 0.02,
 ) -> np.ndarray:
     """Draw the ``N`` random evaluation instants used by the cost function.
 
     The points are drawn uniformly from the interval over which *both*
-    truncated reconstructions have full kernel support (the paper evaluates
-    ``N = 300`` points in ``[470 ns, 1700 ns]`` for its record lengths).
+    truncated reconstructions have full kernel support, less 2 % of its
+    span at either end (the paper evaluates ``N = 300`` points in
+    ``[470 ns, 1700 ns]`` for its record lengths).
     """
     num_points = check_integer(num_points, "num_points", minimum=4)
     half_span_fast = (num_taps // 2) * sample_set_fast.sample_period
@@ -170,8 +170,8 @@ def default_evaluation_times(
             "acquire more samples or reduce num_taps"
         )
     span = high - low
-    low += margin_fraction * span
-    high -= margin_fraction * span
+    low += 0.02 * span
+    high -= 0.02 * span
     rng = ensure_generator(seed)
     return np.sort(rng.uniform(low, high, size=num_points))
 

@@ -65,17 +65,15 @@ def estimate_gain_offset(sample_set: NonuniformSampleSet) -> GainOffsetEstimate:
     return GainOffsetEstimate(offset0=offset0, offset1=offset1, relative_gain=rms1 / rms0)
 
 
-def correct_gain_offset(
-    sample_set: NonuniformSampleSet,
-    estimate: GainOffsetEstimate | None = None,
-) -> NonuniformSampleSet:
-    """Return a copy of ``sample_set`` with static mismatch removed.
+def correct_gain_offset(sample_set: NonuniformSampleSet) -> NonuniformSampleSet:
+    """Return a copy of ``sample_set`` with its own static mismatch removed.
 
-    Channel 0 is taken as the reference: its offset is removed, and channel 1
-    is offset-corrected and rescaled onto channel 0's gain.
+    The mismatch is estimated from the same acquisition
+    (:func:`estimate_gain_offset`).  Channel 0 is taken as the reference: its
+    offset is removed, and channel 1 is offset-corrected and rescaled onto
+    channel 0's gain.
     """
-    if estimate is None:
-        estimate = estimate_gain_offset(sample_set)
+    estimate = estimate_gain_offset(sample_set)
     corrected0 = sample_set.on_grid - estimate.offset0
     corrected1 = (sample_set.delayed - estimate.offset1) / estimate.relative_gain
     return sample_set.with_channels(corrected0, corrected1)

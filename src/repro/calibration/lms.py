@@ -22,6 +22,7 @@ iterations" (Fig. 6).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -95,15 +96,11 @@ class LmsSkewEstimator:
         Initial step size ``mu`` (the paper uses 1e-12 s).
     max_iterations:
         Budget of accepted iterations.
-    cost_tolerance:
-        Terminate once the cost drops below this value; by default the
-        tolerance is derived from the cost at the initial estimate
-        (``initial cost * 1e-6``) which keeps the criterion scale-free.
-    min_step_seconds:
-        Terminate (converged) once the adaptive step shrinks below this value.
-    max_step_halvings:
-        Safety bound on the number of consecutive step halvings within one
-        iteration.
+
+    The run terminates (converged) once the cost drops below
+    ``initial cost * 1e-6``, a tolerance derived from the cost at the
+    initial estimate that keeps the criterion scale-free, or once the
+    adaptive step shrinks below :attr:`min_step_seconds`.
 
     The bootstrap probe and every line-search step evaluate the forward and
     mirrored candidates together, in one
@@ -115,17 +112,17 @@ class LmsSkewEstimator:
     cost_function: SkewCostFunction
     initial_step_seconds: float = 1.0e-12
     max_iterations: int = 50
-    cost_tolerance: float | None = None
-    min_step_seconds: float = 1.0e-15
-    max_step_halvings: int = 40
+
+    #: Terminate (converged) once the adaptive step shrinks below this value.
+    min_step_seconds: ClassVar[float] = 1.0e-15
+    #: Safety bound on the consecutive step halvings within one iteration.
+    max_step_halvings: ClassVar[int] = 40
 
     def __post_init__(self) -> None:
         if not isinstance(self.cost_function, SkewCostFunction):
             raise ValidationError("cost_function must be a SkewCostFunction")
         check_positive(self.initial_step_seconds, "initial_step_seconds")
         check_integer(self.max_iterations, "max_iterations", minimum=1)
-        check_positive(self.min_step_seconds, "min_step_seconds")
-        check_integer(self.max_step_halvings, "max_step_halvings", minimum=1)
 
     def estimate(self, initial_delay: float) -> LmsSkewEstimate:
         """Run Algorithm 1 from the initial estimate ``initial_delay``.
@@ -167,9 +164,7 @@ class LmsSkewEstimator:
                 f"the cost function is not defined at the initial estimate {initial_delay} s; "
                 "pick a starting point away from the forbidden delays"
             )
-        tolerance = (
-            previous_cost * 1e-6 if self.cost_tolerance is None else float(self.cost_tolerance)
-        )
+        tolerance = previous_cost * 1e-6
 
         history = [LmsIterate(iteration=0, estimate=previous_delay, cost=previous_cost, step_size=step)]
 

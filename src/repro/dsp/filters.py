@@ -19,19 +19,13 @@ from scipy import signal as sp_signal
 
 from ..errors import ValidationError
 from ..utils.validation import check_integer, check_positive
-from ..utils.windows import make_window
+from ..utils.windows import kaiser_window
 
 __all__ = ["lowpass_fir", "zero_phase_butterworth"]
 
 
-def lowpass_fir(
-    cutoff_hz: float,
-    sample_rate: float,
-    num_taps: int = 129,
-    window: str = "kaiser",
-    kaiser_beta: float = 8.0,
-) -> np.ndarray:
-    """Design a linear-phase windowed-sinc low-pass FIR filter.
+def lowpass_fir(cutoff_hz: float, sample_rate: float, num_taps: int = 129) -> np.ndarray:
+    """Design a linear-phase Kaiser-windowed (``beta = 8``) sinc low-pass FIR filter.
 
     Parameters
     ----------
@@ -41,8 +35,6 @@ def lowpass_fir(
         Sampling rate in Hz.
     num_taps:
         Odd filter length (odd is enforced so the group delay is an integer).
-    window, kaiser_beta:
-        Taper applied to the ideal sinc response.
     """
     num_taps = check_integer(num_taps, "num_taps", minimum=3)
     if num_taps % 2 == 0:
@@ -56,7 +48,7 @@ def lowpass_fir(
     normalised = cutoff_hz / nyquist
     n = np.arange(num_taps) - (num_taps - 1) / 2.0
     taps = normalised * np.sinc(normalised * n)
-    taps *= make_window(window, num_taps, beta=kaiser_beta)
+    taps *= kaiser_window(num_taps)
     return taps / np.sum(taps)
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import MeasurementError, MeasurementWarning, ValidationError
-from ..utils.validation import check_1d_array, check_in_range, check_integer, check_positive
-from ..utils.windows import make_window
+from ..utils.validation import check_1d_array, check_integer, check_positive
+from ..utils.windows import hann_window
 
 __all__ = [
     "SpectrumEstimate",
@@ -30,6 +30,9 @@ __all__ = [
     "occupied_bandwidth",
     "adjacent_channel_power_ratio",
 ]
+
+#: Share of the total power the occupied bandwidth contains.
+OCCUPIED_POWER_FRACTION = 0.99
 
 
 @dataclass(frozen=True)
@@ -132,7 +135,7 @@ def periodogram_rows(
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Windowed periodogram of every row of a ``(k, L)`` stack of segments.
 
-    One length-``L`` ``taper`` (see :func:`repro.utils.make_window`), one
+    One length-``L`` ``taper`` (the estimators use a Hann window), one
     FFT call along the last axis and one frequency axis serve all ``k``
     rows.  Every PSD estimator here runs through this function, so a row
     is bit for bit the :func:`periodogram` of that segment alone (NumPy's
@@ -170,13 +173,8 @@ def periodogram_rows(
     return frequencies, psd, False
 
 
-def periodogram(
-    samples,
-    sample_rate: float,
-    window: str = "hann",
-    kaiser_beta: float = 8.0,
-) -> SpectrumEstimate:
-    """Single-record windowed periodogram PSD estimate.
+def periodogram(samples, sample_rate: float) -> SpectrumEstimate:
+    """Single-record Hann-windowed periodogram PSD estimate.
 
     The window is compensated for its power loss so that the integrated
     PSD, ``sum(psd) * resolution_hz``, matches the time-domain mean square
@@ -184,28 +182,22 @@ def periodogram(
     """
     samples = check_1d_array(samples, "samples", min_length=8)
     sample_rate = check_positive(sample_rate, "sample_rate")
-    taper = make_window(window, samples.size, beta=kaiser_beta)
-    frequencies, psd, two_sided = periodogram_rows(samples[None, :], sample_rate, taper)
+    frequencies, psd, two_sided = periodogram_rows(
+        samples[None, :], sample_rate, hann_window(samples.size)
+    )
     return SpectrumEstimate(frequencies, psd[0], sample_rate / samples.size, two_sided=two_sided)
 
 
-def welch_psd(
-    samples,
-    sample_rate: float,
-    segment_length: int = 1024,
-    overlap_fraction: float = 0.5,
-    window: str = "hann",
-    kaiser_beta: float = 8.0,
-) -> SpectrumEstimate:
+def welch_psd(samples, sample_rate: float, segment_length: int = 1024) -> SpectrumEstimate:
     """Welch-averaged PSD estimate (reduced variance vs a single periodogram).
 
     Notes
     -----
-    Segments start every ``max(1, round(segment_length * (1 - overlap)))``
-    samples.  Every complete segment is periodogrammed at once by
-    :func:`periodogram_rows` over a strided view of the record, and the rows
-    are summed in segment order, so the estimate is bit for bit the average
-    of one-segment :func:`periodogram` calls.
+    Segments are Hann-tapered and overlap by 50 %: they start every
+    ``round(segment_length / 2)`` samples.  Every complete segment is
+    periodogrammed at once by :func:`periodogram_rows` over a strided view of
+    the record, and the rows are summed in segment order, so the estimate is
+    bit for bit the average of one-segment :func:`periodogram` calls.
 
     When ``segment_length`` exceeds the record length it is clamped to the
     record length, degrading the estimate to a single periodogram with *no*
@@ -220,9 +212,6 @@ def welch_psd(
     samples = check_1d_array(samples, "samples", min_length=8)
     sample_rate = check_positive(sample_rate, "sample_rate")
     segment_length = check_integer(segment_length, "segment_length", minimum=8)
-    overlap_fraction = check_in_range(
-        overlap_fraction, "overlap_fraction", 0.0, 1.0, inclusive_high=False
-    )
     if segment_length > samples.size:
         warnings.warn(
             f"segment_length ({segment_length}) exceeds the record length "
@@ -232,11 +221,12 @@ def welch_psd(
             stacklevel=2,
         )
         segment_length = samples.size
-    step = max(1, int(round(segment_length * (1.0 - overlap_fraction))))
+    step = int(round(segment_length * 0.5))
 
     segments = np.lib.stride_tricks.sliding_window_view(samples, segment_length)[::step]
-    taper = make_window(window, segment_length, beta=kaiser_beta)
-    frequencies, rows, two_sided = periodogram_rows(segments, sample_rate, taper)
+    frequencies, rows, two_sided = periodogram_rows(
+        segments, sample_rate, hann_window(segment_length)
+    )
     accumulated = rows[0].copy()
     for row in rows[1:]:
         accumulated += row
@@ -275,11 +265,8 @@ def band_power(estimate: SpectrumEstimate, low_hz: float, high_hz: float) -> flo
     return float(np.sum(estimate.psd[overlapping] * np.maximum(coverage, 0.0)))
 
 
-def occupied_bandwidth(
-    estimate: SpectrumEstimate,
-    power_fraction: float = 0.99,
-) -> tuple[float, float, float]:
-    """Occupied bandwidth containing ``power_fraction`` of the total power.
+def occupied_bandwidth(estimate: SpectrumEstimate) -> tuple[float, float, float]:
+    """Occupied bandwidth containing :data:`OCCUPIED_POWER_FRACTION` of the power.
 
     Returns
     -------
@@ -288,15 +275,12 @@ def occupied_bandwidth(
         symmetric-in-power interval (equal residual power excluded from each
         side) that contains the requested fraction of the total power.
     """
-    power_fraction = check_in_range(
-        power_fraction, "power_fraction", 0.0, 1.0, inclusive_low=False, inclusive_high=False
-    )
     psd = estimate.psd
     total = float(np.sum(psd))
     if total <= 0.0:
         raise MeasurementError("cannot compute occupied bandwidth of an all-zero spectrum")
     cumulative = np.cumsum(psd) / total
-    tail = (1.0 - power_fraction) / 2.0
+    tail = (1.0 - OCCUPIED_POWER_FRACTION) / 2.0
     low_index = int(np.searchsorted(cumulative, tail))
     high_index = int(np.searchsorted(cumulative, 1.0 - tail))
     high_index = min(high_index, psd.size - 1)
@@ -310,7 +294,6 @@ def adjacent_channel_power_ratio(
     channel_centre_hz: float,
     channel_bandwidth_hz: float,
     offset_hz: float | None = None,
-    adjacent_bandwidth_hz: float | None = None,
 ) -> dict[str, float]:
     """Adjacent-channel power ratio (ACPR) in dB for both adjacent channels.
 
@@ -321,13 +304,11 @@ def adjacent_channel_power_ratio(
     channel_centre_hz:
         Centre frequency of the wanted channel within the estimate.
     channel_bandwidth_hz:
-        Integration bandwidth of the wanted channel.
+        Integration bandwidth of the wanted channel and of each adjacent
+        channel.
     offset_hz:
         Centre-to-centre offset of the adjacent channels; defaults to the
         channel bandwidth (contiguous channels).
-    adjacent_bandwidth_hz:
-        Integration bandwidth of the adjacent channels; defaults to the
-        wanted-channel bandwidth.
 
     Returns
     -------
@@ -337,25 +318,15 @@ def adjacent_channel_power_ratio(
     """
     channel_bandwidth_hz = check_positive(channel_bandwidth_hz, "channel_bandwidth_hz")
     offset_hz = channel_bandwidth_hz if offset_hz is None else check_positive(offset_hz, "offset_hz")
-    adjacent_bandwidth_hz = (
-        channel_bandwidth_hz
-        if adjacent_bandwidth_hz is None
-        else check_positive(adjacent_bandwidth_hz, "adjacent_bandwidth_hz")
-    )
-    half_main = channel_bandwidth_hz / 2.0
-    half_adjacent = adjacent_bandwidth_hz / 2.0
-    main = band_power(estimate, channel_centre_hz - half_main, channel_centre_hz + half_main)
+    half = channel_bandwidth_hz / 2.0
+    main = band_power(estimate, channel_centre_hz - half, channel_centre_hz + half)
     if main <= 0.0:
         raise MeasurementError("no power found in the main channel; check the centre frequency")
     lower = band_power(
-        estimate,
-        channel_centre_hz - offset_hz - half_adjacent,
-        channel_centre_hz - offset_hz + half_adjacent,
+        estimate, channel_centre_hz - offset_hz - half, channel_centre_hz - offset_hz + half
     )
     upper = band_power(
-        estimate,
-        channel_centre_hz + offset_hz - half_adjacent,
-        channel_centre_hz + offset_hz + half_adjacent,
+        estimate, channel_centre_hz + offset_hz - half, channel_centre_hz + offset_hz + half
     )
     floor = np.finfo(float).tiny
     lower_db = 10.0 * np.log10(max(lower, floor) / main)

@@ -21,8 +21,8 @@ with no RF instrumentation; this package quantifies that claim:
   CI-based early stopping, plus the importance-sampled escape/yield Monte
   Carlo; every adaptive step runs as an ordinary fingerprinted scenario
   through the campaign runner and store;
-* :mod:`repro.faults.stats` — Wilson / Clopper-Pearson binomial intervals
-  (no SciPy dependency) backing the early-stopping rules.
+* :mod:`repro.faults.stats` — the 95 % Wilson binomial interval (no SciPy
+  dependency) backing the early-stopping rules.
 """
 
 from .adaptive import (

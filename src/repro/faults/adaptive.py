@@ -13,15 +13,15 @@ grid of an :class:`AdaptiveConfig`:
 
 * ``"bisection"`` — deterministic bisection for families whose verdicts are
   stable under measurement noise.  Each probed severity accumulates BIST
-  repeats in fixed-size rounds until its Wilson (or Clopper-Pearson)
-  confidence interval clears the detection threshold on either side —
+  repeats in fixed-size rounds until its 95 % Wilson confidence interval
+  clears the detection threshold on either side —
   the early-stopping rule — or the per-probe round budget is exhausted
   (the probe then falls back to the point estimate and is marked
   inconclusive).
 * ``"probabilistic"`` — probabilistic bisection (Horstein) for noisy
   verdicts: a posterior over threshold positions is maintained, each query
   lands at the posterior median, and the verdict multiplicatively reweights
-  the hypotheses with the configured verdict reliability.  The search stops
+  the hypotheses with the assumed verdict reliability.  The search stops
   once one hypothesis concentrates ``pba_stop_posterior`` of the mass.
 
 Every adaptive step is an ordinary campaign scenario: the
@@ -51,6 +51,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -60,17 +61,18 @@ from ..bist.report import CampaignSummary
 from ..bist.runner import CampaignExecution, CampaignRunner
 from ..errors import ValidationError
 from ..signals.standards import WaveformProfile, get_profile
-from ..transmitter.config import ImpairmentConfig
 from ..utils.serialization import field_dict, known_field_kwargs
-from ..utils.validation import (
-    check_choice,
-    check_in_range,
-    check_integer,
-    check_probability,
+from ..utils.validation import check_choice, check_integer
+from .coverage import (
+    DETECTION_THRESHOLD,
+    FAULT_PROBABILITY,
+    MONTE_CARLO_SEED,
+    FaultDictionary,
+    FaultSignature,
+    TestLimits,
 )
-from .coverage import FaultDictionary, FaultSignature, TestLimits
-from .models import FaultModel, get_fault_family
-from .stats import INTERVAL_METHODS, binomial_interval
+from .models import get_fault_family
+from .stats import CONFIDENCE, wilson_interval
 
 __all__ = [
     "AdaptiveConfig",
@@ -91,6 +93,12 @@ __all__ = [
 #: Threshold-search strategies understood by :class:`AdaptivePlanner`.
 SEARCH_STRATEGIES = ("bisection", "probabilistic")
 
+#: Share of the importance proposal kept uniform across fault records.
+PROPOSAL_FLOOR = 0.25
+
+#: The one profile a :class:`SyntheticProbeBackend` serves.
+SYNTHETIC_PROFILE = "synthetic"
+
 
 # --------------------------------------------------------------------------- #
 # Configuration
@@ -106,71 +114,50 @@ class AdaptiveConfig:
         cost grows like ``log2(num_steps)`` probes, the exhaustive grid like
         ``num_steps`` — larger grids therefore *increase* the adaptive
         saving while refining the threshold resolution.
-    min_severity, max_severity:
-        Severity span of the grid.  ``min_severity`` itself is *not* probed:
-        it anchors the "nominal hardware, undetected by construction" end of
-        the bracket, and the grid points are
-        ``min + (i + 1) * (max - min) / num_steps`` for ``i < num_steps``.
     repeats_per_round:
         BIST executions per early-stopping round of a bisection probe.
     max_rounds_per_probe:
         Rounds a bisection probe may spend before falling back to its point
         estimate (the probe is then marked inconclusive).
-    detection_threshold:
-        Detection probability above which a severity counts as detected
-        (matches :meth:`FaultDictionary.coverage`).
-    confidence:
-        Confidence level of the per-probe binomial intervals.
-    interval_method:
-        ``"wilson"`` or ``"clopper-pearson"`` (see :mod:`repro.faults.stats`).
     strategy:
         ``"bisection"`` (deterministic, early-stopped rounds) or
         ``"probabilistic"`` (Horstein posterior, single-scenario queries).
-    verdict_error_rate:
-        Assumed probability that one probabilistic-bisection query returns
-        the wrong verdict; must be below 0.5 for the posterior to converge.
-    pba_stop_posterior:
-        Posterior mass one hypothesis must reach to stop the probabilistic
-        search.
-    pba_max_queries:
-        Query budget of the probabilistic search per family.
+
+    A severity counts as detected at
+    :data:`~repro.faults.coverage.DETECTION_THRESHOLD`, as in
+    :meth:`FaultDictionary.coverage`, and every interval is a 95 % Wilson
+    interval (:mod:`repro.faults.stats`).  The class constants fix the rest
+    of the search.
     """
 
     num_steps: int = 16
-    min_severity: float = 0.0
-    max_severity: float = 1.0
     repeats_per_round: int = 3
     max_rounds_per_probe: int = 2
-    detection_threshold: float = 0.5
-    confidence: float = 0.95
-    interval_method: str = "wilson"
     strategy: str = "bisection"
-    verdict_error_rate: float = 0.1
-    pba_stop_posterior: float = 0.95
-    pba_max_queries: int = 24
+
+    #: Severity span of the grid.  ``min_severity`` itself is *not* probed:
+    #: it anchors the "nominal hardware, undetected by construction" end of
+    #: the bracket, and the grid points are
+    #: ``min + (i + 1) * (max - min) / num_steps`` for ``i < num_steps``.
+    min_severity: ClassVar[float] = 0.0
+    max_severity: ClassVar[float] = 1.0
+    #: Assumed probability that one probabilistic-bisection query returns
+    #: the wrong verdict (below 0.5, so the posterior converges).  It must
+    #: cover the verdict noise near a threshold: with 40 queries it locates
+    #: a family that flips ~17 % of its verdicts one step off its threshold
+    #: within one step on every seed of the statistical acceptance tests.
+    verdict_error_rate: ClassVar[float] = 0.3
+    #: Posterior mass one hypothesis must reach to stop the probabilistic
+    #: search.
+    pba_stop_posterior: ClassVar[float] = 0.95
+    #: Query budget of the probabilistic search per family.
+    pba_max_queries: ClassVar[int] = 40
 
     def __post_init__(self) -> None:
         check_integer(self.num_steps, "num_steps", minimum=2)
-        check_probability(self.min_severity, "min_severity")
-        check_probability(self.max_severity, "max_severity")
-        if self.max_severity <= self.min_severity:
-            raise ValidationError(
-                f"max_severity ({self.max_severity}) must exceed "
-                f"min_severity ({self.min_severity})"
-            )
         check_integer(self.repeats_per_round, "repeats_per_round", minimum=1)
         check_integer(self.max_rounds_per_probe, "max_rounds_per_probe", minimum=1)
-        check_in_range(self.detection_threshold, "detection_threshold", 0.0, 1.0,
-                       inclusive_low=False, inclusive_high=False)
-        check_in_range(self.confidence, "confidence", 0.0, 1.0,
-                       inclusive_low=False, inclusive_high=False)
-        check_choice(self.interval_method, "interval_method", INTERVAL_METHODS)
         check_choice(self.strategy, "strategy", SEARCH_STRATEGIES)
-        check_in_range(self.verdict_error_rate, "verdict_error_rate", 0.0, 0.5,
-                       inclusive_high=False)
-        check_in_range(self.pba_stop_posterior, "pba_stop_posterior", 0.0, 1.0,
-                       inclusive_low=False, inclusive_high=False)
-        check_integer(self.pba_max_queries, "pba_max_queries", minimum=1)
 
     def severities(self) -> tuple:
         """The severity grid, lowest to highest (``min_severity`` excluded)."""
@@ -186,8 +173,27 @@ class AdaptiveConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AdaptiveConfig":
-        """Rebuild a config serialized with :meth:`to_dict` (unknown keys ignored)."""
-        return cls(**known_field_kwargs(cls, data))
+        """Rebuild a config serialized with :meth:`to_dict`.
+
+        Unknown keys are ignored; keys of settings that are now fixed load
+        only at the fixed value (:func:`~repro.utils.serialization.known_field_kwargs`).
+        The probabilistic-search constants are checked only for that
+        strategy: a bisection search never reads them.
+        """
+        if data.get("strategy") != "probabilistic":
+            data = {key: value for key, value in data.items() if key not in _HORSTEIN_CONSTANTS}
+        return cls(**known_field_kwargs(cls, data, fixed=_FIXED_SETTINGS))
+
+
+#: Probabilistic-search constants of :class:`AdaptiveConfig`.
+_HORSTEIN_CONSTANTS = ("verdict_error_rate", "pba_stop_posterior", "pba_max_queries")
+
+#: Settings earlier :class:`AdaptiveConfig` archives stored, at their fixed values.
+_FIXED_SETTINGS = {
+    "confidence": CONFIDENCE,
+    "interval_method": "wilson",
+    "detection_threshold": DETECTION_THRESHOLD,
+}
 
 
 # --------------------------------------------------------------------------- #
@@ -462,21 +468,18 @@ class CampaignProbeBackend(ProbeBackend):
 
     Parameters mirror :class:`~repro.faults.injection.FaultCampaign`;
     ``limits`` is the :class:`TestLimits` screen the verdicts are evaluated
-    against, and ``templates`` optionally overrides the registry fault model
-    used for a family name.
+    against.  Each family's fault is the registry model at the probed
+    severity, injected into nominal impairments and the paper converter.
     """
 
     def __init__(
         self,
         profiles,
         bist_config: BistConfig | None = None,
-        base_impairments: ImpairmentConfig | None = None,
-        base_converter: ConverterSpec | None = None,
         limits: TestLimits | None = None,
         num_symbols: int | None = None,
         max_workers: int = 1,
         store=None,
-        templates: dict | None = None,
         progress_callback=None,
     ) -> None:
         profiles = tuple(profiles)
@@ -489,27 +492,14 @@ class CampaignProbeBackend(ProbeBackend):
             if not isinstance(profile, WaveformProfile):
                 raise ValidationError("profiles must be WaveformProfile objects or names")
             resolved.append(profile)
-        if templates is not None:
-            for name, template in templates.items():
-                if not isinstance(template, FaultModel):
-                    raise ValidationError(
-                        f"template for family {name!r} must be a FaultModel"
-                    )
         self._profiles = {profile.name: profile for profile in resolved}
         self._order = tuple(profile.name for profile in resolved)
-        self._base_impairments = (
-            base_impairments if base_impairments is not None else ImpairmentConfig()
-        )
-        self._base_converter = (
-            base_converter if base_converter is not None else ConverterSpec()
-        )
         self._limits = limits if limits is not None else TestLimits()
         self._num_symbols = num_symbols
-        self._templates = dict(templates) if templates else {}
         self._outcomes: list = []
         self._runner = CampaignRunner(
             bist_config=bist_config,
-            converter_factory=self._base_converter,
+            converter_factory=ConverterSpec(),
             max_workers=max_workers,
             seed_policy="per-scenario",
             progress_callback=progress_callback,
@@ -523,13 +513,6 @@ class CampaignProbeBackend(ProbeBackend):
     @property
     def outcomes(self) -> tuple:
         return tuple(self._outcomes)
-
-    def _fault_for(self, family: str, severity: float, profile: WaveformProfile) -> FaultModel:
-        template = self._templates.get(family)
-        if template is None:
-            template = get_fault_family(family).from_severity(severity)
-        fault = template.with_severity(severity)
-        return fault.for_profile(profile)
 
     def probe(
         self,
@@ -549,12 +532,9 @@ class CampaignProbeBackend(ProbeBackend):
                 f"unknown probe profile {profile_name!r}; "
                 f"available: {sorted(self._profiles)}"
             ) from None
-        fault = self._fault_for(family, severity, profile)
+        fault = get_fault_family(family).from_severity(severity).for_profile(profile)
         base = CampaignScenario(
-            profile=profile,
-            impairments=self._base_impairments,
-            converter=self._base_converter,
-            num_symbols=self._num_symbols,
+            profile=profile, converter=ConverterSpec(), num_symbols=self._num_symbols
         )
         point_label = f"{profile.name}/{fault.label}"
         faulty = fault.apply_scenario(base, label=point_label)
@@ -576,7 +556,7 @@ class SyntheticFamily:
 
     Detection probability follows a logistic curve centred on
     ``threshold``: exactly 0.5 at the threshold, so the true minimal
-    detectable grid severity (at the default detection threshold) is the
+    detectable grid severity (at the detection threshold) is the
     first grid point at or above it.  Large ``steepness`` makes verdicts
     effectively deterministic; moderate values model noisy verdicts.  Set
     ``threshold`` above the grid's ``max_severity`` for a
@@ -610,7 +590,7 @@ class SyntheticProbeBackend(ProbeBackend):
     lets budget semantics be tested without real BIST runs.
     """
 
-    def __init__(self, families, seed: int = 0, profile_name: str = "synthetic") -> None:
+    def __init__(self, families, seed: int = 0) -> None:
         families = tuple(families)
         if not families:
             raise ValidationError("a synthetic probe backend needs at least one family")
@@ -622,12 +602,11 @@ class SyntheticProbeBackend(ProbeBackend):
             raise ValidationError("synthetic family names must be unique")
         self._families = {family.name: family for family in families}
         self._seed = int(seed)
-        self._profile_name = str(profile_name)
         self.scenarios_spent = 0
 
     @property
     def profile_names(self) -> tuple:
-        return (self._profile_name,)
+        return (SYNTHETIC_PROFILE,)
 
     def family(self, name: str) -> SyntheticFamily:
         """Look up one synthetic family by name."""
@@ -639,7 +618,7 @@ class SyntheticProbeBackend(ProbeBackend):
             ) from None
 
     def _uniform(self, family: str, severity: float, repeat: int) -> float:
-        token = f"{self._seed}:{self._profile_name}:{family}:{severity:.12g}:{repeat}"
+        token = f"{self._seed}:{SYNTHETIC_PROFILE}:{family}:{severity:.12g}:{repeat}"
         return zlib.crc32(token.encode("utf-8")) / 2**32
 
     def probe(
@@ -653,10 +632,10 @@ class SyntheticProbeBackend(ProbeBackend):
     ) -> tuple:
         count = check_integer(count, "count", minimum=1)
         start = check_integer(start, "start", minimum=0)
-        if profile_name != self._profile_name:
+        if profile_name != SYNTHETIC_PROFILE:
             raise ValidationError(
                 f"unknown probe profile {profile_name!r}; "
-                f"this backend serves {self._profile_name!r}"
+                f"this backend serves {SYNTHETIC_PROFILE!r}"
             )
         curve = self.family(family)
         if budget is not None:
@@ -684,7 +663,7 @@ class SyntheticProbeBackend(ProbeBackend):
                 self._uniform(family, severity, 10_000_000 + repeat) < probability
                 for repeat in range(repeats)
             )
-            if detected / repeats >= config.detection_threshold:
+            if detected / repeats >= DETECTION_THRESHOLD:
                 return severity
         return None
 
@@ -792,20 +771,16 @@ class AdaptivePlanner:
             )
             state.record(index, flags)
             detected, trials = state.counts[index]
-            ci_low, ci_high = binomial_interval(
-                detected, trials, config.confidence, config.interval_method
-            )
-            if ci_low >= config.detection_threshold:
+            ci_low, ci_high = wilson_interval(detected, trials)
+            if ci_low >= DETECTION_THRESHOLD:
                 decision, conclusive = "detected", True
                 break
-            if ci_high < config.detection_threshold:
+            if ci_high < DETECTION_THRESHOLD:
                 decision, conclusive = "undetected", True
                 break
         if not conclusive:
             decision = (
-                "detected"
-                if detected / trials >= config.detection_threshold
-                else "undetected"
+                "detected" if detected / trials >= DETECTION_THRESHOLD else "undetected"
             )
         return ProbeResult(
             severity=severity,
@@ -895,7 +870,7 @@ class AdaptivePlanner:
                 posterior_confidence=float(posterior.max()),
             )
         # Central credible interval over threshold positions -> severities.
-        alpha = 1.0 - config.confidence
+        alpha = 1.0 - CONFIDENCE
         cdf = np.cumsum(posterior)
         low_index = int(np.searchsorted(cdf, alpha / 2.0)) - 1
         high_index = min(int(np.searchsorted(cdf, 1.0 - alpha / 2.0)), config.num_steps - 1)
@@ -912,13 +887,10 @@ class AdaptivePlanner:
 
     def _aggregate_probes(self, state) -> list:
         """Collapse per-severity counts into probe results (PBA path)."""
-        config = self._config
         probes = []
         for index in state.probe_order:
             detected, trials = state.counts[index]
-            ci_low, ci_high = binomial_interval(
-                detected, trials, config.confidence, config.interval_method
-            )
+            ci_low, ci_high = wilson_interval(detected, trials)
             probes.append(
                 ProbeResult(
                     severity=state.grid[index],
@@ -927,9 +899,7 @@ class AdaptivePlanner:
                     ci_low=ci_low,
                     ci_high=ci_high,
                     decision=(
-                        "detected"
-                        if detected / trials >= config.detection_threshold
-                        else "undetected"
+                        "detected" if detected / trials >= DETECTION_THRESHOLD else "undetected"
                     ),
                     conclusive=False,
                 )
@@ -998,7 +968,7 @@ class ImportanceEscapeEstimate:
         uniform trials the weighted sample is worth.
     proposal_floor:
         Minimum share of the proposal kept uniform across fault records
-        (guards the weights against unbounded variance).
+        (guards the weights against unbounded variance): :data:`PROPOSAL_FLOOR`.
     """
 
     fault_probability: float
@@ -1024,10 +994,7 @@ class ImportanceEscapeEstimate:
 def importance_monte_carlo(
     dictionary: FaultDictionary,
     limits: TestLimits | None = None,
-    fault_probability: float = 0.05,
     num_trials: int = 20000,
-    seed: int = 20140324,
-    proposal_floor: float = 0.25,
 ) -> ImportanceEscapeEstimate:
     """Escape/yield Monte Carlo concentrated on the limit boundary.
 
@@ -1042,18 +1009,15 @@ def importance_monte_carlo(
     sampling at all: the reference flags are deterministic, so the
     yield-loss rate is exact.
 
-    Deterministic under ``seed``; when every record is homogeneous the
-    variance component vanishes and the proposal degrades gracefully to
-    uniform.
+    Draws from :data:`~repro.faults.coverage.MONTE_CARLO_SEED` at
+    :data:`~repro.faults.coverage.FAULT_PROBABILITY`, so it is deterministic;
+    when every record is homogeneous the variance component vanishes and the
+    proposal degrades gracefully to uniform.
     """
     if not isinstance(dictionary, FaultDictionary):
         raise ValidationError("dictionary must be a FaultDictionary")
     limits = limits if limits is not None else TestLimits()
-    fault_probability = check_probability(fault_probability, "fault_probability")
     num_trials = check_integer(num_trials, "num_trials", minimum=1)
-    proposal_floor = check_in_range(
-        proposal_floor, "proposal_floor", 0.0, 1.0, inclusive_low=False
-    )
 
     record_flags = [
         np.array([limits.flags(s) for s in record.signatures], dtype=bool)
@@ -1070,11 +1034,11 @@ def importance_monte_carlo(
     proposal = np.full(num_records, 1.0 / num_records)
     if variance.sum() > 0.0:
         proposal = (
-            proposal_floor * proposal + (1.0 - proposal_floor) * variance / variance.sum()
+            PROPOSAL_FLOOR * proposal + (1.0 - PROPOSAL_FLOOR) * variance / variance.sum()
         )
     proposal /= proposal.sum()
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(MONTE_CARLO_SEED)
     choices = rng.choice(num_records, size=num_trials, p=proposal)
     repeat_draw = rng.random(num_trials)
     passed = np.zeros(num_trials, dtype=bool)
@@ -1100,20 +1064,20 @@ def importance_monte_carlo(
     yield_loss_rate = float(reference_flags.mean())
     good_pass_rate = 1.0 - yield_loss_rate
     shipped = (
-        fault_probability * faulty_pass_rate
-        + (1.0 - fault_probability) * good_pass_rate
+        FAULT_PROBABILITY * faulty_pass_rate
+        + (1.0 - FAULT_PROBABILITY) * good_pass_rate
     )
     test_escape_rate = (
-        fault_probability * faulty_pass_rate / shipped if shipped > 0.0 else 0.0
+        FAULT_PROBABILITY * faulty_pass_rate / shipped if shipped > 0.0 else 0.0
     )
     return ImportanceEscapeEstimate(
-        fault_probability=fault_probability,
+        fault_probability=FAULT_PROBABILITY,
         num_trials=num_trials,
         test_escape_rate=float(test_escape_rate),
         yield_loss_rate=yield_loss_rate,
         faulty_pass_rate=faulty_pass_rate,
         standard_error=standard_error,
         effective_sample_size=float(effective_sample_size),
-        proposal_floor=proposal_floor,
-        seed=int(seed),
+        proposal_floor=PROPOSAL_FLOOR,
+        seed=MONTE_CARLO_SEED,
     )

@@ -10,7 +10,8 @@ engineer actually asks for:
 * a :class:`TestLimits` set — by default the BIST's own per-profile verdict,
   optionally tightened with explicit global bounds (including the
   skew-deviation bound that catches acquisition-side timing faults the
-  calibration would otherwise silently absorb);
+  calibration would otherwise silently absorb); a scenario that errored is
+  always flagged (a unit that crashes the test program does not ship);
 * a :class:`FaultDictionary` mapping every fault point to its signature
   population and the fault-free reference population, from which it
   computes per-fault detection probabilities, overall fault coverage,
@@ -32,7 +33,7 @@ import numpy as np
 from ..bist.report import Verdict
 from ..errors import ValidationError
 from ..utils.serialization import field_dict, known_field_kwargs
-from ..utils.validation import check_integer, check_probability
+from ..utils.validation import check_integer
 from .injection import REFERENCE_FAMILY, FaultCampaignResult, FaultPoint
 from .models import FAULT_FAMILIES
 
@@ -44,6 +45,15 @@ __all__ = [
     "EscapeYieldEstimate",
     "FaultDictionary",
 ]
+
+#: Detection probability at which a fault point counts as covered.
+DETECTION_THRESHOLD = 0.5
+
+#: Defect prevalence the escape/yield Monte Carlo assumes.
+FAULT_PROBABILITY = 0.05
+
+#: Seed of the escape/yield Monte Carlo draws.
+MONTE_CARLO_SEED = 20140324
 
 
 @dataclass(frozen=True)
@@ -126,34 +136,24 @@ class TestLimits:
     (ACPR / OBW / EVM / spectral mask against the active
     :class:`~repro.signals.standards.WaveformProfile` limits) as the
     baseline screen; the explicit bounds tighten it globally.  A scenario
-    that errored is flagged when ``flag_errors`` is set (a unit that crashes
-    the test program does not ship).
+    that errored is always flagged.
     """
 
     #: Tell pytest this production class is not a test case.
     __test__ = False
 
     use_bist_verdict: bool = True
-    max_evm_percent: float | None = None
     max_acpr_db: float | None = None
     max_occupied_bandwidth_hz: float | None = None
-    min_mask_margin_db: float | None = None
     max_skew_deviation_ps: float | None = None
-    flag_errors: bool = True
 
     def flags(self, signature: FaultSignature) -> bool:
         """Whether the limit set rejects the unit behind this signature."""
         if not isinstance(signature, FaultSignature):
             raise ValidationError("signature must be a FaultSignature")
         if not signature.executed:
-            return self.flag_errors
-        if self.use_bist_verdict and signature.bist_failed:
             return True
-        if (
-            self.max_evm_percent is not None
-            and signature.evm_percent is not None
-            and signature.evm_percent > self.max_evm_percent
-        ):
+        if self.use_bist_verdict and signature.bist_failed:
             return True
         if (
             self.max_acpr_db is not None
@@ -165,12 +165,6 @@ class TestLimits:
             self.max_occupied_bandwidth_hz is not None
             and signature.occupied_bandwidth_hz is not None
             and signature.occupied_bandwidth_hz > self.max_occupied_bandwidth_hz
-        ):
-            return True
-        if (
-            self.min_mask_margin_db is not None
-            and signature.mask_margin_db is not None
-            and signature.mask_margin_db < self.min_mask_margin_db
         ):
             return True
         if (
@@ -187,8 +181,20 @@ class TestLimits:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TestLimits":
-        """Rebuild limits serialized with :meth:`to_dict` (unknown keys ignored)."""
-        return cls(**known_field_kwargs(cls, data))
+        """Rebuild limits serialized with :meth:`to_dict`.
+
+        Unknown keys are ignored.  Limits archived with an EVM or mask-margin
+        bound, or with errored scenarios passed, raise ``ValidationError``:
+        this version cannot apply them.
+        """
+        return cls(**known_field_kwargs(cls, data, fixed=_FIXED_LIMITS))
+
+
+#: Limits earlier :class:`TestLimits` archives stored, at their fixed values.
+_FIXED_LIMITS = {"max_evm_percent": None, "min_mask_margin_db": None, "flag_errors": True}
+
+#: Fault parameters earlier archives stored, at their fixed values.
+_FIXED_FAULT_PARAMS = {"max_q_offset": 0.0, "max_inl_lsb": 0.0, "phase_deg": 0.0}
 
 
 @dataclass(frozen=True)
@@ -214,7 +220,11 @@ class FaultRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultRecord":
-        """Rebuild a record serialized with :meth:`to_dict`."""
+        """Rebuild a record serialized with :meth:`to_dict`.
+
+        A fault parameter that is now a constant of its family loads only at
+        that constant's value.
+        """
         point_data = data["point"]
         fault_data = point_data["fault"]
         fault_cls = FAULT_FAMILIES.get(fault_data["family"])
@@ -226,7 +236,9 @@ class FaultRecord:
         point = FaultPoint(
             label=point_data["label"],
             profile_name=point_data["profile"],
-            fault=fault_cls(**fault_data["params"]),
+            fault=fault_cls(
+                **known_field_kwargs(fault_cls, fault_data["params"], fixed=_FIXED_FAULT_PARAMS)
+            ),
         )
         return cls(
             point=point,
@@ -239,10 +251,10 @@ class CoverageResult:
     """Fault coverage of a limit set over a dictionary.
 
     A fault point is *covered* when its detection probability reaches
-    ``detection_threshold``; *marginal* detection (strictly between 0 and 1)
-    means the verdict depends on the measurement-noise realisation — those
-    points sit on the detectability boundary and deserve a tightened limit
-    or a longer acquisition.
+    ``detection_threshold`` (:data:`DETECTION_THRESHOLD`); *marginal*
+    detection (strictly between 0 and 1) means the verdict depends on the
+    measurement-noise realisation — those points sit on the detectability
+    boundary and deserve a tightened limit or a longer acquisition.
     """
 
     detection_threshold: float
@@ -287,7 +299,8 @@ class EscapeYieldEstimate:
     ----------
     fault_probability:
         Assumed defect prevalence (probability a manufactured unit carries
-        one of the dictionary's faults, uniformly over fault points).
+        one of the dictionary's faults, uniformly over fault points):
+        :data:`FAULT_PROBABILITY`.
     num_trials:
         Monte Carlo sample size.
     test_escape_rate:
@@ -302,7 +315,7 @@ class EscapeYieldEstimate:
     num_faulty, num_good, num_faulty_passed, num_good_failed, num_passed:
         Raw Monte Carlo counters.
     seed:
-        The seed the estimate was drawn with (kept for reproducibility).
+        The seed the estimate was drawn with, :data:`MONTE_CARLO_SEED`.
     """
 
     fault_probability: float
@@ -393,36 +406,24 @@ class FaultDictionary:
     # ------------------------------------------------------------------ #
     # Detection analytics
     # ------------------------------------------------------------------ #
-    def detection_probability(self, label: str, limits: TestLimits | None = None) -> float:
-        """Detection probability of one fault point under a limit set."""
-        limits = limits if limits is not None else TestLimits()
-        return self.record(label).detection_probability(limits)
-
     def false_alarm_rate(self, limits: TestLimits | None = None) -> float:
         """Fraction of the fault-free population the limit set rejects."""
         limits = limits if limits is not None else TestLimits()
         flagged = sum(limits.flags(signature) for signature in self.references)
         return flagged / len(self.references)
 
-    def coverage(
-        self,
-        limits: TestLimits | None = None,
-        detection_threshold: float = 0.5,
-    ) -> CoverageResult:
-        """Fault coverage of the limit set at a detection threshold."""
+    def coverage(self, limits: TestLimits | None = None) -> CoverageResult:
+        """Fault coverage of the limit set at :data:`DETECTION_THRESHOLD`."""
         limits = limits if limits is not None else TestLimits()
-        detection_threshold = check_probability(detection_threshold, "detection_threshold")
         probabilities = {
             record.point.label: record.detection_probability(limits)
             for record in self.records
         }
-        covered = tuple(
-            label for label, p in probabilities.items() if p >= detection_threshold and p > 0.0
-        )
+        covered = tuple(label for label, p in probabilities.items() if p >= DETECTION_THRESHOLD)
         uncovered = tuple(label for label in probabilities if label not in covered)
         marginal = tuple(label for label, p in probabilities.items() if 0.0 < p < 1.0)
         return CoverageResult(
-            detection_threshold=detection_threshold,
+            detection_threshold=DETECTION_THRESHOLD,
             covered=covered,
             uncovered=uncovered,
             marginal=marginal,
@@ -433,15 +434,11 @@ class FaultDictionary:
     # Escape / yield Monte Carlo
     # ------------------------------------------------------------------ #
     def monte_carlo(
-        self,
-        limits: TestLimits | None = None,
-        fault_probability: float = 0.05,
-        num_trials: int = 20000,
-        seed: int = 20140324,
+        self, limits: TestLimits | None = None, num_trials: int = 20000
     ) -> EscapeYieldEstimate:
         """Resample good/faulty populations against the limits.
 
-        Each trial manufactures a unit: faulty with ``fault_probability``
+        Each trial manufactures a unit: faulty with :data:`FAULT_PROBABILITY`
         (the fault point drawn uniformly, its signature drawn uniformly from
         that point's repeats — i.e. a fresh measurement-noise realisation),
         good otherwise (signature drawn from the reference population).  The
@@ -454,10 +451,10 @@ class FaultDictionary:
         needed.  All random draws still happen up front, so the estimate is
         bit-identical to the fully-resampled one.
 
-        Returns a deterministic-under-seed :class:`EscapeYieldEstimate`.
+        Returns a :class:`EscapeYieldEstimate` drawn from
+        :data:`MONTE_CARLO_SEED`, so it is deterministic.
         """
         limits = limits if limits is not None else TestLimits()
-        fault_probability = check_probability(fault_probability, "fault_probability")
         num_trials = check_integer(num_trials, "num_trials", minimum=1)
 
         # Pre-evaluate the limit set over both populations once.
@@ -467,8 +464,8 @@ class FaultDictionary:
         ]
         reference_flags = np.array([limits.flags(s) for s in self.references], dtype=bool)
 
-        rng = np.random.default_rng(seed)
-        faulty = rng.random(num_trials) < fault_probability
+        rng = np.random.default_rng(MONTE_CARLO_SEED)
+        faulty = rng.random(num_trials) < FAULT_PROBABILITY
         num_faulty = int(np.count_nonzero(faulty))
         num_good = num_trials - num_faulty
 
@@ -502,7 +499,7 @@ class FaultDictionary:
         yield_loss_rate = num_good_failed / num_good if num_good else 0.0
         faulty_pass_rate = num_faulty_passed / num_faulty if num_faulty else 0.0
         return EscapeYieldEstimate(
-            fault_probability=fault_probability,
+            fault_probability=FAULT_PROBABILITY,
             num_trials=num_trials,
             test_escape_rate=float(test_escape_rate),
             yield_loss_rate=float(yield_loss_rate),
@@ -512,7 +509,7 @@ class FaultDictionary:
             num_faulty_passed=num_faulty_passed,
             num_good_failed=num_good_failed,
             num_passed=num_passed,
-            seed=int(seed),
+            seed=MONTE_CARLO_SEED,
         )
 
     # ------------------------------------------------------------------ #

@@ -24,7 +24,6 @@ from ..bist.campaign import CampaignScenario, ConverterSpec
 from ..bist.engine import BistConfig
 from ..errors import ValidationError
 from ..signals.standards import WaveformProfile, get_profile
-from ..transmitter.config import ImpairmentConfig
 from .models import FaultModel
 
 __all__ = ["FaultPoint", "FaultCampaign", "FaultCampaignResult", "REFERENCE_FAMILY"]
@@ -74,12 +73,6 @@ class FaultCampaign:
     bist_config:
         Campaign-level engine configuration; its seed anchors every random
         stream of the campaign.
-    base_impairments:
-        Impairment configuration faults are injected *on top of* (defaults
-        to the fault-free ideal).
-    base_converter:
-        Converter specification faults are injected on top of; also the
-        converter used by the reference population.
     num_repeats:
         BIST executions per fault point, each under a decorrelated noise
         realisation — the sample the per-fault detection probability is
@@ -87,8 +80,11 @@ class FaultCampaign:
     num_reference:
         Fault-free executions per profile forming the "good unit"
         population (yield-loss / false-alarm side of the dictionary).
-    num_symbols:
-        Optional explicit burst length forwarded to every scenario.
+
+    Faults are injected on top of the fault-free ideal impairments and the
+    paper converter (:class:`~repro.bist.campaign.ConverterSpec` defaults),
+    which the reference population also runs on; every scenario uses its
+    profile's default burst length.
     """
 
     def __init__(
@@ -96,11 +92,8 @@ class FaultCampaign:
         profiles,
         faults,
         bist_config: BistConfig | None = None,
-        base_impairments: ImpairmentConfig | None = None,
-        base_converter: ConverterSpec | None = None,
         num_repeats: int = 3,
         num_reference: int = 8,
-        num_symbols: int | None = None,
     ) -> None:
         profiles = tuple(profiles)
         if not profiles:
@@ -125,13 +118,8 @@ class FaultCampaign:
         self._profiles = tuple(resolved)
         self._faults = faults
         self._bist_config = bist_config if bist_config is not None else BistConfig()
-        self._base_impairments = (
-            base_impairments if base_impairments is not None else ImpairmentConfig()
-        )
-        self._base_converter = base_converter if base_converter is not None else ConverterSpec()
         self._num_repeats = num_repeats
         self._num_reference = num_reference
-        self._num_symbols = num_symbols
 
     # ------------------------------------------------------------------ #
     # Expansion
@@ -165,24 +153,14 @@ class FaultCampaign:
         """
         scenarios = []
         for profile in self._profiles:
-            reference = CampaignScenario(
-                profile=profile,
-                impairments=self._base_impairments,
-                converter=self._base_converter,
-                num_symbols=self._num_symbols,
-            )
+            reference = CampaignScenario(profile=profile, converter=ConverterSpec())
             for repeat in range(self._num_reference):
                 scenarios.append(
                     replace(reference, label=f"{profile.name}/{REFERENCE_FAMILY}/r{repeat}")
                 )
         for point in self.points:
             profile = next(p for p in self._profiles if p.name == point.profile_name)
-            base = CampaignScenario(
-                profile=profile,
-                impairments=self._base_impairments,
-                converter=self._base_converter,
-                num_symbols=self._num_symbols,
-            )
+            base = CampaignScenario(profile=profile, converter=ConverterSpec())
             faulty = point.fault.apply_scenario(base, label=point.label)
             for repeat in range(self._num_repeats):
                 scenarios.append(replace(faulty, label=f"{point.label}/r{repeat}"))
@@ -216,7 +194,7 @@ class FaultCampaign:
 
         runner = CampaignRunner(
             bist_config=self._bist_config,
-            converter_factory=self._base_converter,
+            converter_factory=ConverterSpec(),
             max_workers=max_workers,
             seed_policy="per-scenario",
             progress_callback=progress_callback,

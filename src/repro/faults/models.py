@@ -81,7 +81,8 @@ class FaultModel(ABC):
     severity:
         Normalised fault magnitude in ``[0, 1]``: 0 keeps the hardware
         nominal, 1 is the family's worst modelled corner.  Families
-        interpolate their physical parameters between the two.
+        interpolate their physical parameters between the two; a corner
+        that no campaign varies is a class constant, not a field.
     """
 
     severity: float = 1.0
@@ -301,22 +302,14 @@ class LoLeakageFault(FaultModel):
 
     family: ClassVar[str] = "lo-leakage"
 
-    max_i_offset: float = 0.4
-    max_q_offset: float = 0.0
+    max_i_offset: ClassVar[float] = 0.4
 
     @property
     def i_offset(self) -> float:
         return self.severity * self.max_i_offset
 
-    @property
-    def q_offset(self) -> float:
-        return self.severity * self.max_q_offset
-
     def apply_transmitter(self, impairments: ImpairmentConfig) -> ImpairmentConfig:
-        return replace(
-            impairments,
-            dc_offset=DcOffset(i_offset=self.i_offset, q_offset=self.q_offset),
-        )
+        return replace(impairments, dc_offset=DcOffset(i_offset=self.i_offset))
 
 
 @register_fault
@@ -330,8 +323,8 @@ class PhaseNoiseFault(FaultModel):
 
     family: ClassVar[str] = "phase-noise"
 
-    max_linewidth_hz: float = 50.0e3
-    max_rms_jitter_seconds: float = 30.0e-12
+    max_linewidth_hz: ClassVar[float] = 50.0e3
+    max_rms_jitter_seconds: ClassVar[float] = 30.0e-12
 
     @property
     def linewidth_hz(self) -> float:
@@ -354,38 +347,27 @@ class PhaseNoiseFault(FaultModel):
 @register_fault
 @dataclass(frozen=True)
 class DacResolutionFault(FaultModel):
-    """Transmit-DAC degradation: effective resolution loss plus an INL bow.
+    """Transmit-DAC degradation: effective resolution loss.
 
     Severity interpolates the resolution from ``nominal_resolution_bits``
-    down to ``worst_resolution_bits`` (rounded) and scales the INL bow up to
-    ``max_inl_lsb``.  Mild severities are *intentionally* invisible to the
-    BIST — the extra quantisation noise stays far below the acquisition's
-    jitter-limited noise floor — which makes this family the canonical
-    "known-undetectable at low severity" coverage probe.
+    down to ``worst_resolution_bits`` (rounded).  Mild severities are
+    *intentionally* invisible to the BIST — the extra quantisation noise
+    stays far below the acquisition's jitter-limited noise floor — which
+    makes this family the canonical "known-undetectable at low severity"
+    coverage probe.
     """
 
     family: ClassVar[str] = "dac-resolution"
 
-    nominal_resolution_bits: int = 14
-    worst_resolution_bits: int = 4
-    max_inl_lsb: float = 0.0
+    nominal_resolution_bits: ClassVar[int] = 14
+    worst_resolution_bits: ClassVar[int] = 4
 
     @property
     def resolution_bits(self) -> int:
         return int(round(_lerp(self.nominal_resolution_bits, self.worst_resolution_bits, self.severity)))
 
-    @property
-    def inl_fraction_lsb(self) -> float:
-        return self.severity * self.max_inl_lsb
-
     def apply_transmitter(self, impairments: ImpairmentConfig) -> ImpairmentConfig:
-        return replace(
-            impairments,
-            dac=TransmitDac(
-                resolution_bits=self.resolution_bits,
-                inl_fraction_lsb=self.inl_fraction_lsb,
-            ),
-        )
+        return replace(impairments, dac=TransmitDac(resolution_bits=self.resolution_bits))
 
 
 @register_fault
@@ -402,7 +384,7 @@ class FilterDriftFault(FaultModel):
 
     family: ClassVar[str] = "filter-drift"
 
-    worst_bandwidth_scale: float = 0.06
+    worst_bandwidth_scale: ClassVar[float] = 0.06
 
     @property
     def bandwidth_scale(self) -> float:
@@ -450,8 +432,8 @@ class TiadcMismatchFault(FaultModel):
 
     family: ClassVar[str] = "tiadc-mismatch"
 
-    max_gain_error: float = 0.15
-    max_offset: float = 0.2
+    max_gain_error: ClassVar[float] = 0.15
+    max_offset: ClassVar[float] = 0.2
 
     @property
     def gain_error(self) -> float:
@@ -480,8 +462,8 @@ class TiadcBandwidthFault(FaultModel):
 
     family: ClassVar[str] = "tiadc-bandwidth"
 
-    nominal_bandwidth_hz: float = 30.0e9
-    worst_bandwidth_hz: float = 1.2e9
+    nominal_bandwidth_hz: ClassVar[float] = 30.0e9
+    worst_bandwidth_hz: ClassVar[float] = 1.2e9
     reference_frequency_hz: float = 1.0e9
 
     @property
@@ -518,7 +500,7 @@ class DcdeErrorFault(FaultModel):
 
     family: ClassVar[str] = "dcde-error"
 
-    max_static_error_seconds: float = 8.0e-12
+    max_static_error_seconds: ClassVar[float] = 8.0e-12
 
     @property
     def static_error_seconds(self) -> float:
@@ -544,9 +526,8 @@ class TxLeakageFault(FaultModel):
 
     family: ClassVar[str] = "tx-leakage"
 
-    floor_db: float = -70.0
-    worst_coupling_db: float = -12.0
-    phase_deg: float = 0.0
+    floor_db: ClassVar[float] = -70.0
+    worst_coupling_db: ClassVar[float] = -12.0
 
     @property
     def coupling_db(self) -> float:
@@ -556,9 +537,7 @@ class TxLeakageFault(FaultModel):
     def apply_mimo(self, spec):
         if self.severity == 0.0:
             return spec
-        return replace(
-            spec, tx_leakage_db=self.coupling_db, tx_leakage_phase_deg=self.phase_deg
-        )
+        return replace(spec, tx_leakage_db=self.coupling_db)
 
 
 @register_fault
@@ -574,8 +553,8 @@ class SharedLoCorrelationFault(FaultModel):
 
     family: ClassVar[str] = "shared-lo"
 
-    max_correlation: float = 1.0
-    max_linewidth_hz: float = 80.0e3
+    max_correlation: ClassVar[float] = 1.0
+    max_linewidth_hz: ClassVar[float] = 80.0e3
 
     @property
     def correlation(self) -> float:
@@ -607,8 +586,8 @@ class ChannelSpreadFault(FaultModel):
 
     family: ClassVar[str] = "channel-spread"
 
-    max_gain_spread_db: float = 6.0
-    max_skew_spread_seconds: float = 80.0e-12
+    max_gain_spread_db: ClassVar[float] = 6.0
+    max_skew_spread_seconds: ClassVar[float] = 80.0e-12
 
     @property
     def gain_spread_db(self) -> float:

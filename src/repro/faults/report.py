@@ -83,10 +83,7 @@ class FaultCoverageReport:
         cls,
         dictionary: FaultDictionary,
         limits: TestLimits | None = None,
-        detection_threshold: float = 0.5,
-        fault_probability: float = 0.05,
         num_trials: int = 20000,
-        seed: int = 20140324,
     ) -> "FaultCoverageReport":
         """Analyse a dictionary under a limit set.
 
@@ -98,7 +95,7 @@ class FaultCoverageReport:
         if not isinstance(dictionary, FaultDictionary):
             raise ValidationError("dictionary must be a FaultDictionary")
         limits = limits if limits is not None else TestLimits()
-        coverage = dictionary.coverage(limits, detection_threshold=detection_threshold)
+        coverage = dictionary.coverage(limits)
         entries = []
         for record in dictionary.records:
             label = record.point.label
@@ -121,12 +118,7 @@ class FaultCoverageReport:
             limits=limits,
             coverage_result=coverage,
             false_alarm_rate=dictionary.false_alarm_rate(limits),
-            escape=dictionary.monte_carlo(
-                limits,
-                fault_probability=fault_probability,
-                num_trials=num_trials,
-                seed=seed,
-            ),
+            escape=dictionary.monte_carlo(limits, num_trials=num_trials),
         )
 
     # ------------------------------------------------------------------ #

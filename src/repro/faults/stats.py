@@ -2,19 +2,11 @@
 
 Detection probabilities are estimated from small Bernoulli samples (a handful
 of BIST repeats per probe severity), so the planner's early-stopping rule
-needs honest interval estimates rather than raw fractions.  Two standard
-intervals are provided:
-
-* :func:`wilson_interval` — the Wilson score interval, the default: good
-  coverage at small ``n`` without the overshoot of the normal approximation;
-* :func:`clopper_pearson_interval` — the exact (conservative) interval from
-  inverting the binomial test, computed through the regularized incomplete
-  beta function so no SciPy dependency is needed.
-
-The supporting special functions (:func:`normal_quantile`,
-:func:`regularized_incomplete_beta`, :func:`beta_quantile`) are exposed for
-tests; they are deterministic, pure-Python implementations accurate to far
-better than the statistical resolution of any campaign.
+needs honest interval estimates rather than raw fractions:
+:func:`wilson_interval` is the Wilson score interval at a fixed 95 %
+confidence, with good coverage at small ``n`` and without the overshoot of
+the normal approximation.  Its quantile, :func:`normal_quantile`, is a
+deterministic pure-Python implementation (no SciPy dependency).
 """
 
 from __future__ import annotations
@@ -22,20 +14,12 @@ from __future__ import annotations
 import math
 
 from ..errors import ValidationError
-from ..utils.validation import check_in_range, check_integer, check_probability
+from ..utils.validation import check_in_range, check_integer
 
-__all__ = [
-    "INTERVAL_METHODS",
-    "normal_quantile",
-    "regularized_incomplete_beta",
-    "beta_quantile",
-    "wilson_interval",
-    "clopper_pearson_interval",
-    "binomial_interval",
-]
+__all__ = ["normal_quantile", "wilson_interval"]
 
-#: Interval methods understood by :func:`binomial_interval`.
-INTERVAL_METHODS = ("wilson", "clopper-pearson")
+#: Confidence level of every interval (the planner's credible brackets too).
+CONFIDENCE = 0.95
 
 
 def normal_quantile(p: float) -> float:
@@ -77,87 +61,6 @@ def normal_quantile(p: float) -> float:
     return x - u / (1.0 + x * u / 2.0)
 
 
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz method)."""
-    max_iterations = 300
-    eps = 3.0e-15
-    fpmin = 1.0e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < fpmin:
-        d = fpmin
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iterations + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return h
-    raise ValidationError(
-        f"incomplete beta continued fraction failed to converge (a={a}, b={b}, x={x})"
-    )
-
-
-def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
-    """``I_x(a, b)``, the CDF of the Beta(a, b) distribution at ``x``."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValidationError(f"beta parameters must be positive, got a={a!r}, b={b!r}")
-    x = check_in_range(x, "x", 0.0, 1.0)
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    log_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(log_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
-def beta_quantile(p: float, a: float, b: float) -> float:
-    """Inverse Beta(a, b) CDF by bisection on the monotone CDF."""
-    p = check_probability(p, "p")
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    low, high = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (low + high)
-        if regularized_incomplete_beta(mid, a, b) < p:
-            low = mid
-        else:
-            high = mid
-        if high - low < 1.0e-14:
-            break
-    return 0.5 * (low + high)
-
-
 def _check_counts(successes: int, trials: int) -> tuple:
     trials = check_integer(trials, "trials", minimum=1)
     successes = check_integer(successes, "successes", minimum=0)
@@ -168,17 +71,15 @@ def _check_counts(successes: int, trials: int) -> tuple:
     return successes, trials
 
 
-def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(successes: int, trials: int) -> tuple:
+    """Wilson score interval for a binomial proportion at :data:`CONFIDENCE`.
 
-    Returns ``(low, high)`` clamped to ``[0, 1]``.  The default interval of
-    the adaptive planner: near-nominal coverage at the tiny sample sizes a
-    probe runs before its early-stopping rule can fire.
+    Returns ``(low, high)`` clamped to ``[0, 1]``.  The adaptive planner's
+    interval: near-nominal coverage at the tiny sample sizes a probe runs
+    before its early-stopping rule can fire.
     """
     successes, trials = _check_counts(successes, trials)
-    confidence = check_in_range(confidence, "confidence", 0.0, 1.0,
-                                inclusive_low=False, inclusive_high=False)
-    z = normal_quantile(0.5 + confidence / 2.0)
+    z = normal_quantile(0.5 + CONFIDENCE / 2.0)
     p_hat = successes / trials
     z2 = z * z
     denominator = 1.0 + z2 / trials
@@ -191,43 +92,3 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
     low = 0.0 if successes == 0 else max(0.0, centre - half)
     high = 1.0 if successes == trials else min(1.0, centre + half)
     return (low, high)
-
-
-def clopper_pearson_interval(
-    successes: int, trials: int, confidence: float = 0.95
-) -> tuple:
-    """Exact (Clopper-Pearson) interval for a binomial proportion.
-
-    Conservative by construction — actual coverage is at least the nominal
-    confidence for every true proportion, which is the guarantee the
-    statistical acceptance suite checks against.
-    """
-    successes, trials = _check_counts(successes, trials)
-    confidence = check_in_range(confidence, "confidence", 0.0, 1.0,
-                                inclusive_low=False, inclusive_high=False)
-    alpha = 1.0 - confidence
-    if successes == 0:
-        low = 0.0
-    else:
-        low = beta_quantile(alpha / 2.0, successes, trials - successes + 1)
-    if successes == trials:
-        high = 1.0
-    else:
-        high = beta_quantile(1.0 - alpha / 2.0, successes + 1, trials - successes)
-    return (low, high)
-
-
-def binomial_interval(
-    successes: int,
-    trials: int,
-    confidence: float = 0.95,
-    method: str = "wilson",
-) -> tuple:
-    """Dispatch to the configured binomial interval method."""
-    if method == "wilson":
-        return wilson_interval(successes, trials, confidence)
-    if method == "clopper-pearson":
-        return clopper_pearson_interval(successes, trials, confidence)
-    raise ValidationError(
-        f"interval method must be one of {INTERVAL_METHODS}, got {method!r}"
-    )

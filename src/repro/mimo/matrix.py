@@ -18,8 +18,7 @@ from dataclasses import dataclass, replace
 from ..bist.campaign import ConverterSpec
 from ..bist.engine import BistConfig, TransmitterBist
 from ..bist.report import BistReport, check_margin
-from ..errors import ConfigurationError, ValidationError
-from ..signals.standards import WaveformProfile, get_profile
+from ..errors import ValidationError
 from .transmitter import MimoTransmitter
 
 __all__ = [
@@ -235,36 +234,31 @@ class ChannelMatrixReport:
 
 def run_channel_matrix(
     transmitter: MimoTransmitter,
-    profile: WaveformProfile | str | None = None,
     config: BistConfig | None = None,
     rx_specs=None,
-    num_rx: int | None = None,
     seed: int | None = 0,
     source_factory=None,
-    num_symbols: int | None = None,
 ) -> ChannelMatrixReport:
     """Run the complete BIST for every TX×RX combination.
 
-    Every chain transmits once (simultaneously, through the MIMO coupling),
-    then each combination acquires that burst through its own acquisition
-    source and runs the full calibration/measurement/verdict loop.
+    Every chain transmits once (simultaneously, through the MIMO coupling)
+    for the engine's required burst duration, then each combination acquires
+    that burst through its own acquisition source and runs the full
+    calibration/measurement/verdict loop against the engine's default
+    limits (no waveform profile).
 
     Parameters
     ----------
     transmitter:
         The multi-chain transmitter under test; its chain count is the
         matrix's TX dimension.
-    profile:
-        Waveform profile whose limits every combination is checked against.
     config:
         BIST engine configuration shared by every combination.
     rx_specs:
         Converter specification(s) of the receive paths: one
-        :class:`~repro.bist.campaign.ConverterSpec` shared by every RX, or a
-        sequence with one spec per RX (which also fixes ``num_rx``).
-    num_rx:
-        Number of receive paths; defaults to the number of ``rx_specs``
-        entries, or the TX chain count for a square (2T2R-style) matrix.
+        :class:`~repro.bist.campaign.ConverterSpec` shared by as many RX
+        paths as there are TX chains (a square, 2T2R-style matrix), or a
+        sequence with one spec per RX.
     seed:
         Base seed; each combination's converter jitter is reseeded on a
         deterministically derived stream (``None`` keeps the specs as-is).
@@ -274,23 +268,16 @@ def run_channel_matrix(
         recording captures or replaying them through a
         :class:`~repro.adc.acquisition.CapturedSamplesSource` (indices
         0-based).
-    num_symbols:
-        Explicit burst length per chain; the engine's required duration is
-        used when ``None``.
     """
     if not isinstance(transmitter, MimoTransmitter):
         raise ValidationError("transmitter must be a MimoTransmitter")
     config = config if config is not None else BistConfig()
-    if isinstance(profile, str):
-        profile = get_profile(profile)
 
     if rx_specs is None or isinstance(rx_specs, ConverterSpec):
         shared = rx_specs if isinstance(rx_specs, ConverterSpec) else ConverterSpec()
-        specs = [shared] * (num_rx if num_rx is not None else transmitter.num_chains)
+        specs = [shared] * transmitter.num_chains
     else:
         specs = list(rx_specs)
-        if num_rx is not None and len(specs) != num_rx:
-            raise ConfigurationError(f"{len(specs)} rx_specs for num_rx={num_rx}")
     for spec in specs:
         if not isinstance(spec, ConverterSpec):
             raise ValidationError("rx_specs entries must be ConverterSpec instances")
@@ -310,19 +297,12 @@ def run_channel_matrix(
             else:
                 source = spec.build(bandwidth)
             engines[(tx_index, rx_index)] = TransmitterBist(
-                transmitter.chain(tx_index),
-                source,
-                profile=profile,
-                config=config,
+                transmitter.chain(tx_index), source, config=config
             )
 
-    first_engine = engines[(0, 0)]
-    if num_symbols is not None:
-        transmission = transmitter.transmit(num_symbols=num_symbols)
-    else:
-        transmission = transmitter.transmit_for_duration(
-            first_engine.required_burst_duration()
-        )
+    transmission = transmitter.transmit_for_duration(
+        engines[(0, 0)].required_burst_duration()
+    )
 
     entries = []
     for tx_index in range(transmitter.num_chains):

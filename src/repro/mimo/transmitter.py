@@ -63,9 +63,8 @@ class MimoSpec:
         Number of transmit chains (2 for a 2T2R front end).
     tx_leakage_db:
         TX-to-TX coupling magnitude in dB (e.g. ``-30.0`` for 30 dB of
-        isolation); ``None`` disables leakage entirely.
-    tx_leakage_phase_deg:
-        Phase of the complex coupling coefficient.
+        isolation); ``None`` disables leakage entirely.  The coupling
+        coefficient is real.
     shared_lo_correlation:
         Fraction (``[0, 1]``) of one common LO phase-noise realisation mixed
         into every chain; 0 keeps the chains' oscillators independent.
@@ -81,7 +80,6 @@ class MimoSpec:
 
     num_chains: int = 2
     tx_leakage_db: float | None = None
-    tx_leakage_phase_deg: float = 0.0
     shared_lo_correlation: float = 0.0
     shared_lo_linewidth_hz: float = 0.0
     gain_spread_db: float = 0.0
@@ -103,9 +101,7 @@ class MimoSpec:
         """The complex TX-to-TX coupling coefficient (0 when leakage is off)."""
         if self.tx_leakage_db is None:
             return 0.0 + 0.0j
-        magnitude = 10.0 ** (self.tx_leakage_db / 20.0)
-        phase = np.deg2rad(self.tx_leakage_phase_deg)
-        return complex(magnitude * np.cos(phase), magnitude * np.sin(phase))
+        return complex(10.0 ** (self.tx_leakage_db / 20.0), 0.0)
 
     def chain_gain_offsets_db(self) -> np.ndarray:
         """Per-chain deterministic gain offsets spanning the configured spread."""
@@ -121,8 +117,12 @@ class MimoSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MimoSpec":
-        """Rebuild a spec serialized with :meth:`to_dict` (unknown keys ignored)."""
-        return cls(**known_field_kwargs(cls, data))
+        """Rebuild a spec serialized with :meth:`to_dict`.
+
+        Unknown keys are ignored; a spec archived with a non-zero coupling
+        phase raises ``ValidationError``.
+        """
+        return cls(**known_field_kwargs(cls, data, fixed={"tx_leakage_phase_deg": 0.0}))
 
 
 def _spread_offsets(spread: float, num_chains: int) -> np.ndarray:
@@ -209,7 +209,6 @@ class MimoTransmitter:
                     "or a TransmitterConfig"
                 )
             configs.append(config)
-        self._configs = tuple(configs)
         self._chains = tuple(HomodyneTransmitter(config) for config in configs)
         # Persistent stream: successive bursts see fresh (but deterministic,
         # in call order) shared-LO realisations.
@@ -227,16 +226,6 @@ class MimoTransmitter:
     def num_chains(self) -> int:
         """Number of transmit chains."""
         return self._spec.num_chains
-
-    @property
-    def chains(self) -> tuple:
-        """The underlying per-chain :class:`HomodyneTransmitter` instances."""
-        return self._chains
-
-    @property
-    def configs(self) -> tuple:
-        """The resolved per-chain transmitter configurations."""
-        return self._configs
 
     def chain(self, index: int) -> HomodyneTransmitter:
         """One underlying chain (0-based)."""

@@ -32,8 +32,8 @@ import numpy as np
 
 from ..dsp.spectrum import SpectrumEstimate, periodogram_rows, welch_psd
 from ..errors import MeasurementError, ValidationError
-from ..utils.validation import check_in_range, check_integer, check_positive
-from ..utils.windows import make_window
+from ..utils.validation import check_integer, check_positive
+from ..utils.windows import hann_window
 
 __all__ = ["StreamingAccumulator"]
 
@@ -46,13 +46,8 @@ class StreamingAccumulator:
     sample_rate:
         Sample rate of the ingested stream (Hz).
     segment_length:
-        Welch segment length (same meaning as :func:`repro.dsp.welch_psd`).
-    overlap_fraction:
-        Segment overlap in ``[0, 1)``.
-    window / kaiser_beta:
-        Taper applied to each segment (see :func:`repro.utils.make_window`).
-        It is built once, here, so a bad name or beta raises
-        :class:`~repro.errors.ValidationError` before any sample is counted.
+        Welch segment length (same meaning as :func:`repro.dsp.welch_psd`:
+        Hann-tapered segments at 50 % overlap).
 
     Notes
     -----
@@ -63,23 +58,11 @@ class StreamingAccumulator:
     accumulated PSD is bit-identical, not merely close.
     """
 
-    def __init__(
-        self,
-        sample_rate: float,
-        segment_length: int = 1024,
-        overlap_fraction: float = 0.5,
-        window: str = "hann",
-        kaiser_beta: float = 8.0,
-    ) -> None:
+    def __init__(self, sample_rate: float, segment_length: int = 1024) -> None:
         self._sample_rate = check_positive(sample_rate, "sample_rate")
         self._segment_length = check_integer(segment_length, "segment_length", minimum=8)
-        self._overlap_fraction = check_in_range(
-            overlap_fraction, "overlap_fraction", 0.0, 1.0, inclusive_high=False
-        )
-        self._window = str(window)
-        self._kaiser_beta = float(kaiser_beta)
-        self._taper = make_window(self._window, self._segment_length, beta=self._kaiser_beta)
-        self._step = max(1, int(round(self._segment_length * (1.0 - self._overlap_fraction))))
+        self._taper = hann_window(self._segment_length)
+        self._step = int(round(self._segment_length * 0.5))
         self._buffer: np.ndarray | None = None
         self._accumulated: np.ndarray | None = None
         self._frequencies: np.ndarray | None = None
@@ -99,11 +82,6 @@ class StreamingAccumulator:
     def segment_length(self) -> int:
         """Welch segment length in samples."""
         return self._segment_length
-
-    @property
-    def step(self) -> int:
-        """Advance between consecutive segment starts, in samples."""
-        return self._step
 
     @property
     def samples_ingested(self) -> int:
@@ -213,11 +191,4 @@ class StreamingAccumulator:
                 "stream too short for any spectral estimate "
                 f"({self._ingested} sample(s) ingested)"
             )
-        return welch_psd(
-            self._buffer,
-            self._sample_rate,
-            segment_length=self._segment_length,
-            overlap_fraction=self._overlap_fraction,
-            window=self._window,
-            kaiser_beta=self._kaiser_beta,
-        )
+        return welch_psd(self._buffer, self._sample_rate, segment_length=self._segment_length)

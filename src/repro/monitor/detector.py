@@ -17,6 +17,7 @@ asserted by the seeded test suite rather than just documented.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from ..errors import ValidationError
 from ..store.baseline import BaselineComparator, BaselineTolerances
@@ -49,54 +50,40 @@ class DriftDetectorConfig:
         Alarm threshold on the chart statistic, in tolerance units.  For
         CUSUM this is the classic ``h``; for EWMA the level the smoothed
         score must exceed.
-    drift_reference:
-        CUSUM reference (allowance) ``k``: per-window score slack absorbed
-        before the sum grows.  Scores are ``|value - baseline| / tolerance``,
-        so ``1.0`` means "inside the one-shot gate's tolerance is free".
-        Ignored by EWMA.
-    ewma_alpha:
-        EWMA smoothing factor in ``(0, 1]``.  Ignored by CUSUM.
     warmup_windows:
         Windows used to learn the per-metric baseline (mean of the warm-up
         values, unless an explicit baseline was supplied) *and* the natural
         window-to-window noise scale.  Charting starts only after warm-up;
         with explicit baselines warm-up may be ``0`` (noise adaptation is
         then unavailable and scores are in pure tolerance units).
-    noise_multiplier:
-        Scores are normalised by
-        ``max(tolerance, noise_multiplier * warmup_std)``: the one-shot
-        gate's tolerance is the floor, but when a metric's honest
-        window-to-window variation exceeds it (short windows measure small
-        sample counts), the chart widens to that measured noise so
-        stationary traffic does not alarm.  Drift must then clear the noise,
-        which is the correct sequential-detection trade.
     tolerances:
         Tolerance model shared with :class:`~repro.store.BaselineComparator`.
     """
 
     method: str = "cusum"
     threshold: float = 5.0
-    drift_reference: float = 1.0
-    ewma_alpha: float = 0.3
     warmup_windows: int = 5
-    noise_multiplier: float = 3.0
     tolerances: BaselineTolerances = field(default_factory=BaselineTolerances)
+
+    #: CUSUM reference (allowance) ``k``: per-window score slack absorbed
+    #: before the sum grows.  Scores are ``|value - baseline| / tolerance``,
+    #: so ``1.0`` means "inside the one-shot gate's tolerance is free".
+    #: Ignored by EWMA.
+    drift_reference: ClassVar[float] = 1.0
+    #: EWMA smoothing factor in ``(0, 1]``.  Ignored by CUSUM.
+    ewma_alpha: ClassVar[float] = 0.3
+    #: Scores are normalised by ``max(tolerance, noise_multiplier *
+    #: warmup_std)``: the one-shot gate's tolerance is the floor, but when a
+    #: metric's honest window-to-window variation exceeds it (short windows
+    #: measure small sample counts), the chart widens to that measured noise
+    #: so stationary traffic does not alarm.  Drift must then clear the
+    #: noise, which is the correct sequential-detection trade.
+    noise_multiplier: ClassVar[float] = 3.0
 
     def __post_init__(self) -> None:
         check_choice(self.method, "method", ("cusum", "ewma"))
         check_positive(self.threshold, "threshold")
-        if not self.drift_reference >= 0.0:
-            raise ValidationError(
-                f"drift_reference must be non-negative, got {self.drift_reference!r}"
-            )
-        check_positive(self.ewma_alpha, "ewma_alpha")
-        if self.ewma_alpha > 1.0:
-            raise ValidationError(f"ewma_alpha must be <= 1, got {self.ewma_alpha!r}")
         check_integer(self.warmup_windows, "warmup_windows", minimum=0)
-        if not self.noise_multiplier >= 0.0:
-            raise ValidationError(
-                f"noise_multiplier must be non-negative, got {self.noise_multiplier!r}"
-            )
 
     def to_dict(self) -> dict:
         """Plain JSON-friendly dictionary."""
@@ -106,7 +93,11 @@ class DriftDetectorConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DriftDetectorConfig":
-        """Rebuild a config serialized with :meth:`to_dict` (unknown keys ignored)."""
+        """Rebuild a config serialized with :meth:`to_dict`.
+
+        Unknown keys are ignored; a config archived with a chart constant
+        other than the class constant raises ``ValidationError``.
+        """
         kwargs = known_field_kwargs(cls, data)
         if isinstance(kwargs.get("tolerances"), dict):
             kwargs["tolerances"] = BaselineTolerances.from_dict(kwargs["tolerances"])

@@ -204,11 +204,6 @@ class SymbolKernelTable:
             base - (taps.size - 1 - taps.size // 2) - (_INTERPOLATION_TAPS // 2 - 1)
         )
 
-    @property
-    def num_rows(self) -> int:
-        """Kernel rows built for the session; 0 when each window builds its own."""
-        return 0 if self._rows is None else len(self._rows)
-
     def _kernels(self, phases: np.ndarray) -> np.ndarray:
         """The ``(len(phases), width)`` kernels at fractional sample ``phases``."""
         half = _INTERPOLATION_TAPS // 2

@@ -25,18 +25,14 @@ Two invariants the test suite leans on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from ..dsp.spectrum import SpectrumEstimate, occupied_bandwidth, welch_psd
 from ..errors import MeasurementError, ValidationError
 from ..utils.serialization import field_dict, known_field_kwargs
-from ..utils.validation import (
-    check_in_range,
-    check_integer,
-    check_positive,
-)
-from ..utils.windows import make_window
+from ..utils.validation import check_integer, check_positive
 from .accumulator import StreamingAccumulator
 from .detector import DriftAlarm, DriftDetector, DriftDetectorConfig
 from .evm import (
@@ -63,22 +59,19 @@ class ChannelSpec:
 
     For a complex-envelope stream the wanted channel is centred at 0 Hz;
     for a real passband stream it is centred on the carrier.  ``spacing_hz``
-    defaults to contiguous adjacent channels, and the occupied-bandwidth
-    search window defaults to ``bandwidth_hz`` either side of the centre.
+    defaults to contiguous adjacent channels, and the occupied bandwidth is
+    searched within ``bandwidth_hz`` either side of the centre.
     """
 
     centre_hz: float
     bandwidth_hz: float
     spacing_hz: float | None = None
-    obw_search_half_width_hz: float | None = None
 
     def __post_init__(self) -> None:
         float(self.centre_hz)
         check_positive(self.bandwidth_hz, "bandwidth_hz")
         if self.spacing_hz is not None:
             check_positive(self.spacing_hz, "spacing_hz")
-        if self.obw_search_half_width_hz is not None:
-            check_positive(self.obw_search_half_width_hz, "obw_search_half_width_hz")
 
     def to_dict(self) -> dict:
         """Plain JSON-friendly dictionary."""
@@ -86,8 +79,12 @@ class ChannelSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChannelSpec":
-        """Rebuild a spec serialized with :meth:`to_dict` (unknown keys ignored)."""
-        return cls(**known_field_kwargs(cls, data))
+        """Rebuild a spec serialized with :meth:`to_dict`.
+
+        Unknown keys are ignored; a spec archived with its own
+        occupied-bandwidth search width raises ``ValidationError``.
+        """
+        return cls(**known_field_kwargs(cls, data, fixed={"obw_search_half_width_hz": None}))
 
 
 @dataclass(frozen=True)
@@ -101,20 +98,14 @@ class MonitorConfig:
     window_samples:
         Measurement window size in samples; every metric/alarm decision is
         made once per window.  Must hold at least one Welch segment.
-    segment_length / overlap_fraction / window / kaiser_beta:
-        Welch parameters of both the per-window and the cumulative spectrum
-        (see :func:`repro.dsp.welch_psd`).  ``window`` and ``kaiser_beta``
-        are checked by :func:`repro.utils.make_window`'s rules (aliases
-        accepted; the beta only matters for ``"kaiser"``) when the config
-        is built.
+    segment_length:
+        Welch segment length of both the per-window and the cumulative
+        spectrum (see :func:`repro.dsp.welch_psd`).
     channel:
         Channel geometry for ACPR / occupied bandwidth; ``None`` monitors
         output power (and EVM when a reference is supplied) only.
     detector:
         Sequential drift-detector configuration.
-    min_evm_symbols:
-        Minimum cleanly demodulated symbols for a window EVM (fewer →
-        ``None`` for that window).
     start_time:
         Stream time of the first ingested sample (seconds), used to place
         the known symbol instants for EVM.
@@ -123,25 +114,18 @@ class MonitorConfig:
     sample_rate: float
     window_samples: int
     segment_length: int = 256
-    overlap_fraction: float = 0.5
-    window: str = "hann"
-    kaiser_beta: float = 8.0
     channel: ChannelSpec | None = None
     detector: DriftDetectorConfig = field(default_factory=DriftDetectorConfig)
-    min_evm_symbols: int = 16
     start_time: float = 0.0
+
+    #: Minimum cleanly demodulated symbols for a window EVM (fewer →
+    #: ``None`` for that window).
+    min_evm_symbols: ClassVar[int] = 16
 
     def __post_init__(self) -> None:
         check_positive(self.sample_rate, "sample_rate")
         check_integer(self.segment_length, "segment_length", minimum=8)
         check_integer(self.window_samples, "window_samples", minimum=self.segment_length)
-        check_in_range(
-            self.overlap_fraction, "overlap_fraction", 0.0, 1.0, inclusive_high=False
-        )
-        # A throwaway taper: a bad window name or Kaiser beta fails here,
-        # not at the first complete Welch segment.
-        make_window(self.window, self.segment_length, beta=self.kaiser_beta)
-        check_integer(self.min_evm_symbols, "min_evm_symbols", minimum=1)
         if self.channel is not None and not isinstance(self.channel, ChannelSpec):
             raise ValidationError("channel must be a ChannelSpec (or None)")
         if not isinstance(self.detector, DriftDetectorConfig):
@@ -156,13 +140,24 @@ class MonitorConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MonitorConfig":
-        """Rebuild a config serialized with :meth:`to_dict` (unknown keys ignored)."""
-        kwargs = known_field_kwargs(cls, data)
+        """Rebuild a config serialized with :meth:`to_dict`.
+
+        Unknown keys are ignored; a config archived with another Welch taper
+        or overlap than Hann at 50 %, or another EVM symbol floor, raises
+        ``ValidationError``.
+        """
+        kwargs = known_field_kwargs(cls, data, fixed=_FIXED_WELCH)
         if isinstance(kwargs.get("channel"), dict):
             kwargs["channel"] = ChannelSpec.from_dict(kwargs["channel"])
         if isinstance(kwargs.get("detector"), dict):
             kwargs["detector"] = DriftDetectorConfig.from_dict(kwargs["detector"])
         return cls(**kwargs)
+
+
+#: Welch settings earlier :class:`MonitorConfig` archives stored, at the
+#: values :func:`~repro.dsp.welch_psd` fixes.  Their Kaiser beta only shaped
+#: a Kaiser taper, so it loads at any value.
+_FIXED_WELCH = {"overlap_fraction": 0.5, "window": "hann"}
 
 
 @dataclass(frozen=True)
@@ -310,11 +305,7 @@ class StreamingMonitor:
         )
         self._detector = DriftDetector(config.detector, baseline=baseline)
         self._cumulative = StreamingAccumulator(
-            config.sample_rate,
-            segment_length=config.segment_length,
-            overlap_fraction=config.overlap_fraction,
-            window=config.window,
-            kaiser_beta=config.kaiser_beta,
+            config.sample_rate, segment_length=config.segment_length
         )
         self._window_pieces: list[np.ndarray] = []
         self._window_fill = 0
@@ -396,14 +387,7 @@ class StreamingMonitor:
         samples = np.concatenate(self._window_pieces)
         start_sample = self._window_index * config.window_samples
         output_power = float(np.mean(np.abs(samples) ** 2))
-        spectrum = welch_psd(
-            samples,
-            config.sample_rate,
-            segment_length=config.segment_length,
-            overlap_fraction=config.overlap_fraction,
-            window=config.window,
-            kaiser_beta=config.kaiser_beta,
-        )
+        spectrum = welch_psd(samples, config.sample_rate, segment_length=config.segment_length)
         acpr_worst = self._measure_acpr(spectrum)
         obw = self._measure_obw(spectrum)
         evm, evm_skipped_reason = self._measure_evm(samples, start_sample)
@@ -451,14 +435,11 @@ class StreamingMonitor:
                 return float(bandwidth)
             from ..bist.measurements import measure_occupied_bandwidth
 
-            half_width = channel.obw_search_half_width_hz
-            if half_width is None:
-                half_width = channel.bandwidth_hz
             return float(
                 measure_occupied_bandwidth(
                     spectrum,
                     channel_centre_hz=channel.centre_hz,
-                    search_half_width_hz=half_width,
+                    search_half_width_hz=channel.bandwidth_hz,
                 )
             )
         except MeasurementError:
@@ -524,8 +505,6 @@ class StreamingMonitor:
         segment_length: int = 256,
         detector: DriftDetectorConfig | None = None,
         channel: ChannelSpec | None = None,
-        measure_evm: bool = True,
-        baseline: dict | None = None,
     ) -> "StreamingMonitor":
         """Monitor the complex envelope of a :class:`~repro.transmitter.TransmissionResult`.
 
@@ -564,10 +543,8 @@ class StreamingMonitor:
             detector=detector if detector is not None else DriftDetectorConfig(),
             start_time=float(envelope.start_time),
         )
-        reference = None
-        if measure_evm:
-            if config.ofdm is None:
-                reference = SymbolReference.from_transmission(burst)
-            else:
-                reference = OfdmSymbolReference.from_transmission(burst)
-        return cls(monitor_config, reference=reference, baseline=baseline)
+        if config.ofdm is None:
+            reference = SymbolReference.from_transmission(burst)
+        else:
+            reference = OfdmSymbolReference.from_transmission(burst)
+        return cls(monitor_config, reference=reference)

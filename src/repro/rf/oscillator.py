@@ -58,16 +58,14 @@ class LocalOscillator:
     frequency_hz:
         Nominal oscillation frequency.
     phase_noise:
-        Phase-noise description; defaults to a noiseless oscillator.
-    initial_phase:
-        Deterministic phase offset in radians.
+        Phase-noise description; defaults to a noiseless oscillator (zero
+        phase).
     seed:
         Randomness control for the phase-noise realisation.
     """
 
     frequency_hz: float
     phase_noise: PhaseNoiseModel = PhaseNoiseModel()
-    initial_phase: float = 0.0
     seed: SeedLike = None
 
     def __post_init__(self) -> None:
@@ -78,7 +76,7 @@ class LocalOscillator:
         if num_samples <= 0:
             raise ValidationError("num_samples must be positive")
         sample_rate = check_positive(sample_rate, "sample_rate")
-        phase = np.full(num_samples, float(self.initial_phase))
+        phase = np.zeros(num_samples)
         if self.phase_noise.is_ideal:
             return phase
         rng = ensure_generator(self.seed)
@@ -96,7 +94,7 @@ class LocalOscillator:
         """Rotate a complex envelope by a fresh phase-noise realisation."""
         if not isinstance(envelope, ComplexEnvelope):
             raise ValidationError("envelope must be a ComplexEnvelope")
-        if self.phase_noise.is_ideal and self.initial_phase == 0.0:
+        if self.phase_noise.is_ideal:
             return envelope
         phase = self.phase_realisation(len(envelope), envelope.sample_rate)
         return envelope.with_samples(envelope.samples * np.exp(1j * phase))

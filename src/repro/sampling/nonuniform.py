@@ -170,19 +170,17 @@ class KohlenbergKernel:
     band:
         Bandpass support ``[f_l, f_l + B]`` of the signal to reconstruct.
     delay:
-        Inter-sequence delay ``D`` (seconds).  Must satisfy Eq. (3).
-    delay_tolerance:
-        Tolerance forwarded to :func:`check_delay`.
+        Inter-sequence delay ``D`` (seconds).  Must satisfy Eq. (3) within
+        :data:`DEFAULT_DELAY_TOLERANCE`.
     """
 
     band: BandpassBand
     delay: float
-    delay_tolerance: float = DEFAULT_DELAY_TOLERANCE
 
     def __post_init__(self) -> None:
         if not isinstance(self.band, BandpassBand):
             raise ValidationError("band must be a BandpassBand")
-        delay = check_delay(self.band, self.delay, tolerance=self.delay_tolerance)
+        delay = check_delay(self.band, self.delay, tolerance=DEFAULT_DELAY_TOLERANCE)
         object.__setattr__(self, "delay", delay)
 
     # ------------------------------------------------------------------ #

@@ -27,6 +27,28 @@ __all__ = ["CampaignSpec"]
 _SEED_POLICIES = ("shared", "per-scenario")
 
 
+def _pairs(entries, axis: str) -> tuple:
+    """``entries`` as ``(label, value)`` pairs, or :class:`ValidationError`."""
+    if not isinstance(entries, (list, tuple)):
+        raise ValidationError(f"{axis} must be a list of [label, value] pairs, got {entries!r}")
+    for entry in entries:
+        pair = isinstance(entry, (list, tuple)) and len(entry) == 2
+        if not (pair and isinstance(entry[0], str)):
+            raise ValidationError(
+                f"{axis} entries must be [label, value] pairs with a string label, got {entry!r}"
+            )
+    return tuple(tuple(entry) for entry in entries)
+
+
+def _decoded(entries, axis: str, kind) -> tuple:
+    """The ``[label, payload]`` pairs of one axis with each payload rebuilt as ``kind``."""
+    pairs = _pairs(entries, axis)
+    for label, payload in pairs:
+        if not isinstance(payload, dict):
+            raise ValidationError(f"{axis} entry {label!r} must carry a JSON object")
+    return tuple((label, kind.from_dict(payload)) for label, payload in pairs)
+
+
 @dataclass(frozen=True)
 class CampaignSpec:
     """One submittable campaign: profiles × impairments × converters.
@@ -34,7 +56,8 @@ class CampaignSpec:
     Attributes
     ----------
     profiles:
-        Waveform profile names (see :mod:`repro.signals.standards`).
+        Waveform profile names (see :mod:`repro.signals.standards`), as a
+        list or tuple.
     impairments:
         Optional labelled transmitter-impairment axis:
         ``(label, ImpairmentConfig)`` pairs.
@@ -42,7 +65,7 @@ class CampaignSpec:
         Optional labelled converter-fault axis: ``(label, ConverterSpec)``
         pairs.
     num_symbols:
-        Optional explicit burst length for every scenario.
+        Optional explicit burst length for every scenario (an integer >= 1).
     bist_config:
         Engine configuration shared by every scenario.
     seed_policy:
@@ -62,9 +85,13 @@ class CampaignSpec:
     compile_groups: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.profiles, (list, tuple)):
+            raise ValidationError(
+                f"spec profiles must be a list of profile names, got {self.profiles!r}"
+            )
         object.__setattr__(self, "profiles", tuple(self.profiles))
-        object.__setattr__(self, "impairments", tuple(tuple(pair) for pair in self.impairments))
-        object.__setattr__(self, "converters", tuple(tuple(pair) for pair in self.converters))
+        object.__setattr__(self, "impairments", _pairs(self.impairments, "impairments"))
+        object.__setattr__(self, "converters", _pairs(self.converters, "converters"))
         if not self.profiles:
             raise ValidationError("a campaign spec needs at least one profile")
         for name in self.profiles:
@@ -82,6 +109,13 @@ class CampaignSpec:
                 raise ValidationError(
                     f"converter axis entry {label!r} must carry a ConverterSpec"
                 )
+        num_symbols = self.num_symbols
+        if num_symbols is not None and (
+            isinstance(num_symbols, bool) or not isinstance(num_symbols, int) or num_symbols < 1
+        ):
+            raise ValidationError(
+                f"num_symbols must be None or an integer >= 1, got {num_symbols!r}"
+            )
         if not isinstance(self.bist_config, BistConfig):
             raise ValidationError("bist_config must be a BistConfig")
         if self.seed_policy not in _SEED_POLICIES:
@@ -137,19 +171,13 @@ class CampaignSpec:
         if not isinstance(data, dict):
             raise ValidationError("a campaign spec payload must be a JSON object")
         try:
-            profiles = tuple(data["profiles"])
+            profiles = data["profiles"]
         except KeyError as exc:
             raise ValidationError("campaign spec payload is missing 'profiles'") from exc
         return cls(
             profiles=profiles,
-            impairments=tuple(
-                (label, ImpairmentConfig.from_dict(payload))
-                for label, payload in data.get("impairments", [])
-            ),
-            converters=tuple(
-                (label, ConverterSpec.from_dict(payload))
-                for label, payload in data.get("converters", [])
-            ),
+            impairments=_decoded(data.get("impairments", []), "impairments", ImpairmentConfig),
+            converters=_decoded(data.get("converters", []), "converters", ConverterSpec),
             num_symbols=data.get("num_symbols"),
             bist_config=BistConfig.from_dict(data.get("bist_config", BistConfig().to_dict())),
             seed_policy=data.get("seed_policy", "shared"),

@@ -69,23 +69,9 @@ class ComplexEnvelope:
         """Time stamps of every sample."""
         return self.start_time + np.arange(self.samples.size) / self.sample_rate
 
-    @property
-    def in_phase(self) -> np.ndarray:
-        """The I (real) component."""
-        return self.samples.real
-
-    @property
-    def quadrature(self) -> np.ndarray:
-        """The Q (imaginary) component."""
-        return self.samples.imag
-
     def mean_power(self) -> float:
         """Mean envelope power ``mean(|samples|^2)``."""
         return float(np.mean(np.abs(self.samples) ** 2))
-
-    def rms(self) -> float:
-        """RMS envelope magnitude."""
-        return float(np.sqrt(self.mean_power()))
 
     # ------------------------------------------------------------------ #
     # Transformations (all return new instances; the container is frozen)
@@ -110,25 +96,13 @@ class ComplexEnvelope:
         """Shift the record's time axis (metadata only; samples unchanged)."""
         return ComplexEnvelope(self.samples, self.sample_rate, self.start_time + float(delay_seconds))
 
-    def filtered(self, taps) -> "ComplexEnvelope":
-        """Apply an FIR filter, compensating its bulk (integer) group delay."""
-        taps = check_1d_array(taps, "taps", dtype=float)
-        filtered = np.convolve(self.samples, taps.astype(complex))
-        bulk = (len(taps) - 1) // 2
-        trimmed = filtered[bulk : bulk + self.samples.size]
-        return self.with_samples(trimmed)
-
     # ------------------------------------------------------------------ #
     # Continuous-time evaluation
     # ------------------------------------------------------------------ #
-    def evaluate(self, times, num_taps: int = 32) -> np.ndarray:
-        """Evaluate the envelope at arbitrary times via band-limited interpolation."""
+    def evaluate(self, times) -> np.ndarray:
+        """Evaluate the envelope at arbitrary times via 32-tap band-limited interpolation."""
         return sinc_interpolate(
-            self.samples,
-            self.sample_rate,
-            times,
-            start_time=self.start_time,
-            num_taps=num_taps,
+            self.samples, self.sample_rate, times, start_time=self.start_time, num_taps=32
         )
 
     def __add__(self, other: "ComplexEnvelope") -> "ComplexEnvelope":

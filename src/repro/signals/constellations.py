@@ -119,7 +119,7 @@ def qpsk() -> Constellation:
     return psk(4, name="qpsk")
 
 
-def qam(order: int, name: str | None = None) -> Constellation:
+def qam(order: int) -> Constellation:
     """Square M-QAM with per-axis Gray coding and unit average energy."""
     order = check_power_of_two(order, "order")
     side = int(round(np.sqrt(order)))
@@ -134,8 +134,7 @@ def qam(order: int, name: str | None = None) -> Constellation:
     i_index = symbols >> bits_per_axis
     q_index = symbols & (side - 1)
     points = levels[i_index] + 1j * levels[q_index]
-    label = name or f"{order}qam"
-    return Constellation(label, _normalise(points))
+    return Constellation(f"{order}qam", _normalise(points))
 
 
 def get_constellation(name: str) -> Constellation:

@@ -71,20 +71,15 @@ class ToneSignal(AnalogSignal):
         """Average power of the multitone (sum of per-tone ``A^2 / 2``)."""
         return float(np.sum(self.amplitudes**2) / 2.0)
 
-    @property
-    def num_tones(self) -> int:
-        """Number of sinusoidal components."""
-        return int(self.frequencies_hz.size)
 
-
-def single_tone(frequency_hz: float, amplitude: float = 1.0, phase: float = 0.0) -> ToneSignal:
-    """Build a single real sinusoid."""
+def single_tone(frequency_hz: float, amplitude: float = 1.0) -> ToneSignal:
+    """Build a single real sinusoid of zero phase."""
     frequency_hz = check_positive(frequency_hz, "frequency_hz")
     amplitude = check_positive(amplitude, "amplitude")
     return ToneSignal(
         frequencies_hz=np.array([frequency_hz]),
         amplitudes=np.array([amplitude]),
-        phases=np.array([float(phase)]),
+        phases=np.array([0.0]),
     )
 
 
@@ -93,10 +88,9 @@ def multitone_in_band(
     high_hz: float,
     num_tones: int,
     amplitude: float = 1.0,
-    random_phases: bool = True,
     seed: SeedLike = None,
 ) -> ToneSignal:
-    """Build a multitone spread uniformly across ``[low_hz, high_hz]``.
+    """Build a multitone of random phases spread uniformly across ``[low_hz, high_hz]``.
 
     Parameters
     ----------
@@ -107,11 +101,9 @@ def multitone_in_band(
         Number of tones.
     amplitude:
         Per-tone amplitude.
-    random_phases:
-        If true, draw uniform random phases (reduces the crest factor
-        coherence of the stimulus); otherwise all phases are zero.
     seed:
-        Randomness control for the phases.
+        Randomness control for the uniform random phases, which reduce the
+        crest-factor coherence of the stimulus.
     """
     low_hz = check_positive(low_hz, "low_hz")
     high_hz = check_positive(high_hz, "high_hz")
@@ -121,11 +113,7 @@ def multitone_in_band(
     amplitude = check_positive(amplitude, "amplitude")
     # Exclude the exact band edges to keep all energy strictly inside the band.
     frequencies = np.linspace(low_hz, high_hz, num_tones + 2)[1:-1]
-    if random_phases:
-        rng = ensure_generator(seed)
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=num_tones)
-    else:
-        phases = np.zeros(num_tones)
+    phases = ensure_generator(seed).uniform(0.0, 2.0 * np.pi, size=num_tones)
     return ToneSignal(
         frequencies_hz=frequencies,
         amplitudes=np.full(num_tones, amplitude),

@@ -74,28 +74,21 @@ class ModulatedPassbandSignal(AnalogSignal):
     envelope:
         The complex envelope (I/Q) of the signal.
     carrier_frequency:
-        Carrier frequency ``fc`` in Hz.
-    carrier_phase:
-        Carrier phase offset in radians.
+        Carrier frequency ``fc`` in Hz (zero carrier phase).
     occupied_bandwidth:
         Bandwidth (Hz) declared for :attr:`band`.  Defaults to the envelope
         sample rate (a conservative bound: the envelope cannot represent
         content beyond it).
-    interpolation_taps:
-        Number of taps used for the band-limited envelope interpolation.
     """
 
     envelope: ComplexEnvelope
     carrier_frequency: float
-    carrier_phase: float = 0.0
     occupied_bandwidth: float | None = None
-    interpolation_taps: int = 32
 
     def __post_init__(self) -> None:
         if not isinstance(self.envelope, ComplexEnvelope):
             raise ValidationError("envelope must be a ComplexEnvelope")
         fc = check_positive(self.carrier_frequency, "carrier_frequency")
-        phase = float(self.carrier_phase)
         bandwidth = (
             self.envelope.sample_rate
             if self.occupied_bandwidth is None
@@ -107,7 +100,6 @@ class ModulatedPassbandSignal(AnalogSignal):
                 "for a physically meaningful passband signal"
             )
         object.__setattr__(self, "carrier_frequency", fc)
-        object.__setattr__(self, "carrier_phase", phase)
         object.__setattr__(self, "occupied_bandwidth", bandwidth)
 
     @property
@@ -117,8 +109,8 @@ class ModulatedPassbandSignal(AnalogSignal):
 
     def evaluate(self, times) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        envelope_values = self.envelope.evaluate(times, num_taps=self.interpolation_taps)
-        carrier = np.exp(1j * (2.0 * np.pi * self.carrier_frequency * times + self.carrier_phase))
+        envelope_values = self.envelope.evaluate(times)
+        carrier = np.exp(1j * (2.0 * np.pi * self.carrier_frequency * times))
         return np.real(envelope_values * carrier)
 
     def mean_power(self) -> float:

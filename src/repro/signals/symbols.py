@@ -34,11 +34,6 @@ class SymbolSource:
         self._constellation = constellation
         self._rng = ensure_generator(seed)
 
-    @property
-    def constellation(self) -> Constellation:
-        """The constellation used by this source."""
-        return self._constellation
-
     def draw_indices(self, count: int) -> np.ndarray:
         """Draw ``count`` uniform symbol indices."""
         count = check_integer(count, "count", minimum=1)

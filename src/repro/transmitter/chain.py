@@ -91,9 +91,9 @@ class HomodyneTransmitter:
     Parameters
     ----------
     config:
-        Transmitter configuration (waveform, impairments, seed).
-    dac:
-        Transmit DAC model; a transparent high-resolution DAC by default.
+        Transmitter configuration (waveform, impairments, seed).  Its
+        ``impairments.dac`` is the transmit DAC model; a transparent
+        high-resolution DAC when unset.
 
     Examples
     --------
@@ -104,14 +104,13 @@ class HomodyneTransmitter:
     1000000000.0
     """
 
-    def __init__(self, config: TransmitterConfig, dac: TransmitDac | None = None) -> None:
+    def __init__(self, config: TransmitterConfig) -> None:
         if not isinstance(config, TransmitterConfig):
             raise ValidationError("config must be a TransmitterConfig")
         self._config = config
-        # Explicit constructor DAC wins; otherwise the impairment configuration
-        # may carry a faulty DAC model (resolution / INL fault injection).
-        if dac is None:
-            dac = config.impairments.dac
+        # The impairment configuration may carry a faulty DAC model
+        # (resolution / INL fault injection).
+        dac = config.impairments.dac
         self._dac = dac if dac is not None else TransmitDac()
         self._constellation = get_constellation(config.modulation)
         if config.ofdm is not None:
@@ -155,11 +154,6 @@ class HomodyneTransmitter:
     def config(self) -> TransmitterConfig:
         """The transmitter configuration."""
         return self._config
-
-    @property
-    def constellation(self) -> Constellation:
-        """The constellation in use."""
-        return self._constellation
 
     @property
     def waveform_family(self) -> str:

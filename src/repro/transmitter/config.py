@@ -254,17 +254,15 @@ class TransmitterConfig:
         cls,
         profile: WaveformProfile,
         impairments: ImpairmentConfig | None = None,
-        samples_per_symbol: int | None = None,
         seed: int | None = 2014,
     ) -> "TransmitterConfig":
         """Build a transmitter configuration from a multistandard waveform profile.
 
-        ``samples_per_symbol`` defaults per family: 16 for single-carrier
+        ``samples_per_symbol`` is set per family: 16 for single-carrier
         (regrowth headroom for SRRC) and 4 for OFDM (the comb is already
         nearly critically dense).
         """
-        if samples_per_symbol is None:
-            samples_per_symbol = 4 if profile.family == "ofdm" else 16
+        samples_per_symbol = 4 if profile.family == "ofdm" else 16
         return cls(
             carrier_frequency_hz=profile.carrier_frequency_hz,
             symbol_rate_hz=profile.symbol_rate_hz,

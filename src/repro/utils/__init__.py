@@ -10,18 +10,9 @@ from .validation import (
     check_non_negative,
     check_positive,
     check_power_of_two,
-    check_probability,
     check_same_length,
 )
-from .windows import (
-    AVAILABLE_WINDOWS,
-    blackman_window,
-    hamming_window,
-    hann_window,
-    kaiser_window,
-    make_window,
-    rectangular_window,
-)
+from .windows import hann_window, kaiser_window
 
 __all__ = [
     "SeedLike",
@@ -33,15 +24,9 @@ __all__ = [
     "check_in_range",
     "check_integer",
     "check_power_of_two",
-    "check_probability",
     "check_1d_array",
     "check_same_length",
     "check_choice",
-    "AVAILABLE_WINDOWS",
     "kaiser_window",
     "hann_window",
-    "hamming_window",
-    "blackman_window",
-    "rectangular_window",
-    "make_window",
 ]

@@ -19,7 +19,6 @@ __all__ = [
     "check_in_range",
     "check_integer",
     "check_power_of_two",
-    "check_probability",
     "check_1d_array",
     "check_same_length",
     "check_choice",
@@ -79,11 +78,6 @@ def check_power_of_two(value, name: str) -> int:
     if value & (value - 1) != 0:
         raise ValidationError(f"{name} must be a power of two, got {value}")
     return value
-
-
-def check_probability(value: float, name: str) -> float:
-    """Validate that ``value`` is a probability in ``[0, 1]``."""
-    return check_in_range(value, name, 0.0, 1.0)
 
 
 def check_1d_array(values, name: str, min_length: int = 1, dtype=None) -> np.ndarray:

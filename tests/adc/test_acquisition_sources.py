@@ -20,7 +20,7 @@ from repro.adc.acquisition import (
     CapturedSamplesSource,
     RecordingSource,
 )
-from repro.bist import BistConfig, ConverterSpec, TransmitterBist, default_converter
+from repro.bist import BistConfig, ConverterSpec, TransmitterBist
 from repro.errors import ConfigurationError, ValidationError
 from repro.sampling import BandpassBand
 from repro.transmitter import HomodyneTransmitter, TransmitterConfig
@@ -35,12 +35,11 @@ FAST = BistConfig(
 
 
 def make_converter(config: BistConfig = FAST) -> BpTiadc:
-    return default_converter(
-        config.acquisition_bandwidth_hz,
+    return ConverterSpec(
         dcde_static_error_seconds=5e-12,
         channel1_skew_seconds=2e-12,
         seed=5,
-    )
+    )(config.acquisition_bandwidth_hz)
 
 
 #: The band the synthetic capture's records were acquired around.

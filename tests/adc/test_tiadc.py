@@ -24,8 +24,8 @@ def make_adc(**kwargs):
     defaults = dict(
         sample_rate=90e6,
         dcde=DigitallyControlledDelayElement(),
-        channel0=AdcChannel(quantizer=UniformQuantizer(12, 2.0), seed=1),
-        channel1=AdcChannel(quantizer=UniformQuantizer(12, 2.0), seed=2),
+        channel0=AdcChannel(quantizer=UniformQuantizer(12, 2.0)),
+        channel1=AdcChannel(quantizer=UniformQuantizer(12, 2.0)),
         seed=42,
     )
     defaults.update(kwargs)
@@ -34,12 +34,12 @@ def make_adc(**kwargs):
 
 class TestDcde:
     def test_code_round_trip(self):
-        dcde = DigitallyControlledDelayElement(resolution_seconds=1e-12, max_delay_seconds=1e-9)
+        dcde = DigitallyControlledDelayElement(resolution_seconds=1e-12)
         code = dcde.code_for_delay(180e-12)
         assert dcde.programmed_delay(code) == pytest.approx(180e-12)
 
     def test_quantised_to_resolution(self):
-        dcde = DigitallyControlledDelayElement(resolution_seconds=5e-12, max_delay_seconds=1e-9)
+        dcde = DigitallyControlledDelayElement(resolution_seconds=5e-12)
         code = dcde.code_for_delay(182e-12)
         assert dcde.programmed_delay(code) == pytest.approx(180e-12)
 
@@ -49,18 +49,19 @@ class TestDcde:
         assert dcde.actual_delay(code) - dcde.programmed_delay(code) == pytest.approx(4e-12)
 
     def test_out_of_range_rejected(self):
-        dcde = DigitallyControlledDelayElement(max_delay_seconds=500e-12)
+        dcde = DigitallyControlledDelayElement()
         with pytest.raises(ConfigurationError):
-            dcde.code_for_delay(1e-9)
+            dcde.code_for_delay(2.5e-9)
 
     def test_num_codes(self):
-        dcde = DigitallyControlledDelayElement(resolution_seconds=1e-12, max_delay_seconds=100e-12)
-        assert dcde.num_codes == 101
+        # The 2 ns range in 5 ps steps, both ends included.
+        dcde = DigitallyControlledDelayElement(resolution_seconds=5e-12)
+        assert dcde.num_codes == 401
 
     def test_invalid_code(self):
-        dcde = DigitallyControlledDelayElement(resolution_seconds=1e-12, max_delay_seconds=10e-12)
+        dcde = DigitallyControlledDelayElement(resolution_seconds=5e-12)
         with pytest.raises(ConfigurationError):
-            dcde.programmed_delay(99)
+            dcde.programmed_delay(401)
 
 
 class TestBpTiadc:
@@ -70,7 +71,6 @@ class TestBpTiadc:
             channel1=AdcChannel(
                 quantizer=UniformQuantizer(12, 2.0),
                 mismatch=ChannelMismatch(skew_seconds=2e-12),
-                seed=2,
             ),
         )
         adc.program_delay(180e-12)
@@ -107,7 +107,6 @@ class TestBpTiadc:
             channel1=AdcChannel(
                 quantizer=UniformQuantizer(12, 2.0),
                 mismatch=ChannelMismatch(offset=0.1, gain_error=0.05),
-                seed=2,
             ),
         )
         adc.program_delay(180e-12)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bist import BistConfig, CampaignScenario, default_converter, scenario_bandwidth
+from repro.bist import BistConfig, CampaignScenario, ConverterSpec, scenario_bandwidth
 from repro.rf import RappAmplifier
 from repro.signals import get_profile
 from repro.transmitter import ImpairmentConfig
@@ -10,20 +10,21 @@ from repro.transmitter import ImpairmentConfig
 
 class TestDefaultConverter:
     def test_paper_configuration(self):
-        converter = default_converter(90e6)
+        converter = ConverterSpec()(90e6)
         assert converter.sample_rate == pytest.approx(90e6)
         assert converter.channel0.quantizer.resolution_bits == 10
         assert converter.skew_jitter_rms_seconds == pytest.approx(3e-12)
 
     def test_injected_timing_errors(self):
-        converter = default_converter(
-            90e6, dcde_static_error_seconds=6e-12, channel1_skew_seconds=2e-12
-        )
+        converter = ConverterSpec(
+            dcde_static_error_seconds=6e-12,
+            channel1_skew_seconds=2e-12,
+        )(90e6)
         converter.program_delay(180e-12)
         assert converter.true_delay == pytest.approx(188e-12)
 
     def test_resolution_override(self):
-        converter = default_converter(90e6, resolution_bits=12)
+        converter = ConverterSpec(resolution_bits=12)(90e6)
         assert converter.channel1.quantizer.resolution_bits == 12
 
 

@@ -287,7 +287,7 @@ class TestCompiledExecution:
             scenarios, budget=budget, compile=True
         )
         assert all(outcome.ok for outcome in execution.outcomes)
-        assert budget.remaining == 0
+        assert budget._spent == budget._max_scenarios
 
     def test_progress_callback_fires_for_compiled_scenarios(self):
         seen = []

@@ -7,8 +7,8 @@ from repro.bist import (
     BistConfig,
     CampaignRunner,
     CampaignScenario,
+    ConverterSpec,
     ScenarioGrid,
-    default_converter,
     execute_scenario,
     skew_sweep,
 )
@@ -107,7 +107,7 @@ class TestFingerprintDedup:
         # each identical scenario executes on its own.
         execution = CampaignRunner(
             bist_config=FAST_CONFIG,
-            converter_factory=lambda bandwidth: default_converter(bandwidth),
+            converter_factory=lambda bandwidth: ConverterSpec()(bandwidth),
         ).run(identical_scenarios(3))
         assert execution.dedup_hits == 0
         assert all(outcome.worker.startswith("pid-") for outcome in execution.outcomes)
@@ -119,7 +119,7 @@ class TestFingerprintDedup:
         execution = CampaignRunner(bist_config=FAST_CONFIG).run(
             identical_scenarios(3), budget=budget
         )
-        assert budget.spent == 1
+        assert budget._spent == 1
         assert execution.dedup_hits == 2
         assert all(outcome.ok for outcome in execution.outcomes)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.adc import AdcChannel, BpTiadc, DigitallyControlledDelayElement, UniformQuantizer
-from repro.bist import BistConfig, TransmitterBist, Verdict, default_converter
+from repro.bist import BistConfig, ConverterSpec, TransmitterBist, Verdict
 from repro.errors import ConfigurationError, ValidationError
 from repro.rf import RappAmplifier
 from repro.transmitter import HomodyneTransmitter, ImpairmentConfig, TransmitterConfig
@@ -26,12 +26,11 @@ def small_config(**overrides):
 def healthy_report():
     config = small_config()
     transmitter = HomodyneTransmitter(TransmitterConfig.paper_default(seed=21))
-    converter = default_converter(
-        config.acquisition_bandwidth_hz,
+    converter = ConverterSpec(
         dcde_static_error_seconds=5e-12,
         channel1_skew_seconds=2e-12,
         seed=5,
-    )
+    )(config.acquisition_bandwidth_hz)
     engine = TransmitterBist(transmitter, converter, config=config)
     return engine.run()
 
@@ -82,7 +81,7 @@ class TestFaultDetection:
         transmitter = HomodyneTransmitter(
             TransmitterConfig.paper_default(impairments=faulty, seed=22)
         )
-        converter = default_converter(config.acquisition_bandwidth_hz, seed=6)
+        converter = ConverterSpec(seed=6)(config.acquisition_bandwidth_hz)
         report = TransmitterBist(transmitter, converter, config=config).run()
         spectral_verdicts = [report.check("acpr").verdict, report.check("spectral_mask").verdict]
         assert Verdict.FAIL in spectral_verdicts
@@ -93,12 +92,12 @@ class TestConfigurationErrors:
     def test_rate_mismatch_rejected(self):
         config = small_config()
         transmitter = HomodyneTransmitter(TransmitterConfig.paper_default())
-        converter = default_converter(45e6)  # wrong rate vs config's 90 MHz
+        converter = ConverterSpec()(45e6)  # wrong rate vs config's 90 MHz
         with pytest.raises(ConfigurationError):
             TransmitterBist(transmitter, converter, config=config)
 
     def test_invalid_transmitter_type(self):
-        converter = default_converter(90e6)
+        converter = ConverterSpec()(90e6)
         with pytest.raises(ValidationError):
             TransmitterBist("transmitter", converter)
 
@@ -110,7 +109,7 @@ class TestConfigurationErrors:
     def test_required_burst_duration_covers_acquisitions(self):
         config = small_config()
         transmitter = HomodyneTransmitter(TransmitterConfig.paper_default())
-        converter = default_converter(config.acquisition_bandwidth_hz)
+        converter = ConverterSpec()(config.acquisition_bandwidth_hz)
         engine = TransmitterBist(transmitter, converter, config=config)
         duration = engine.required_burst_duration()
         assert duration >= config.num_samples_slow / (config.acquisition_bandwidth_hz / 2.0)

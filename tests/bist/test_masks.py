@@ -119,7 +119,7 @@ class TestMaskChecking:
             limits_db=np.array([0.0, -20.0, -40.0]),
         )
         with pytest.raises(MaskError):
-            mask.check(narrow, channel_centre_hz=1e9, exclude_in_band_hz=20e6)
+            mask.check(narrow, channel_centre_hz=1e9)
 
 
 class TestMaskEdgeCases:

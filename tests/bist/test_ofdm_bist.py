@@ -142,9 +142,7 @@ class TestOfdmFaultDetection:
             num_reference=2,
         )
         dictionary = campaign.run().dictionary()
-        assert (
-            dictionary.detection_probability("ofdm-uhf-qpsk-400mhz/iq-imbalance-s1") == 1.0
-        )
+        assert dictionary.coverage().probabilities["ofdm-uhf-qpsk-400mhz/iq-imbalance-s1"] == 1.0
         assert dictionary.coverage().coverage == 1.0
         assert dictionary.false_alarm_rate() == 0.0
 

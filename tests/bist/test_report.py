@@ -53,7 +53,6 @@ class TestSkewCalibrationReport:
     def test_estimation_error(self):
         report = dummy_calibration()
         assert report.estimation_error_seconds == pytest.approx(0.2e-12)
-        assert report.relative_error == pytest.approx(0.2 / 187.0, rel=1e-3)
 
     def test_unknown_true_delay(self):
         report = SkewCalibrationReport(
@@ -65,7 +64,6 @@ class TestSkewCalibrationReport:
             final_cost=0.0,
         )
         assert report.estimation_error_seconds is None
-        assert report.relative_error is None
 
 
 class TestCheckResult:

@@ -21,7 +21,6 @@ from repro.bist import (
     CampaignSummary,
     ConverterSpec,
     ScenarioGrid,
-    default_converter,
     derive_scenario_seed,
     iq_imbalance_sweep,
     pa_saturation_sweep,
@@ -85,17 +84,6 @@ def reports_identical(a, b) -> bool:
 
 
 class TestConverterSpec:
-    def test_matches_default_converter(self):
-        spec = ConverterSpec(dcde_static_error_seconds=5e-12, channel1_skew_seconds=2e-12, seed=7)
-        built = spec(90e6)
-        reference = default_converter(
-            90e6, dcde_static_error_seconds=5e-12, channel1_skew_seconds=2e-12, seed=7
-        )
-        assert built.sample_rate == pytest.approx(reference.sample_rate)
-        built.program_delay(180e-12)
-        reference.program_delay(180e-12)
-        assert built.true_delay == pytest.approx(reference.true_delay)
-
     def test_channel_mismatch_fields(self):
         spec = ConverterSpec(channel1_gain_error=0.02, channel1_offset=0.01)
         converter = spec.build(90e6)
@@ -123,12 +111,12 @@ class TestScenarioGrid:
     def test_labels_compose_axes(self):
         scenarios = (
             ScenarioGrid()
-            .add_profile("paper-qpsk-1ghz", label="paper")
+            .add_profile("paper-qpsk-1ghz")
             .add_impairment("nominal", ImpairmentConfig())
             .add_converters(skew_sweep([5e-12]))
             .build()
         )
-        assert scenarios[0].label == "paper/nominal/skew-5ps"
+        assert scenarios[0].label == "paper-qpsk-1ghz/nominal/skew-5ps"
 
     def test_axes_optional(self):
         scenarios = ScenarioGrid().add_profiles("paper-qpsk-1ghz").build()
@@ -204,7 +192,7 @@ class TestRunnerValidation:
     def test_unpicklable_factory_rejected_for_parallel(self):
         runner = CampaignRunner(
             bist_config=FAST_CONFIG,
-            converter_factory=lambda bandwidth: default_converter(bandwidth),
+            converter_factory=lambda bandwidth: ConverterSpec()(bandwidth),
             max_workers=2,
         )
         with pytest.raises(ConfigurationError):
@@ -223,7 +211,7 @@ class TestRunnerValidation:
         assert seen == [], "the store was consulted before the budget was checked"
         budget = ExecutionBudget(1)
         assert runner.run(scenarios, budget=budget).cache_hits == 1
-        assert budget.spent == 0
+        assert budget._spent == 0
 
 
 @pytest.mark.slow
@@ -367,7 +355,7 @@ class TestRunnerExecution:
         # in-process; only the pool and the store need a ConverterSpec.
         execution = CampaignRunner(
             bist_config=FAST_CONFIG,
-            converter_factory=lambda bandwidth: default_converter(bandwidth, seed=5),
+            converter_factory=lambda bandwidth: ConverterSpec(seed=5)(bandwidth),
         ).run(small_grid()[:2])
         assert not execution.errors
         assert len(execution.reports) == 2

@@ -11,6 +11,7 @@ from repro.calibration import (
     select_slow_sample_rate,
     uniqueness_conditions_met,
 )
+from repro.calibration import cost as cost_module
 from repro.errors import CalibrationError, ValidationError
 from repro.sampling import BandpassBand, IdealNonuniformSampler
 from repro.signals import single_tone
@@ -70,9 +71,10 @@ class TestRateSelection:
         # 0.5 violates Eq. (9) at 800 MHz; 0.48 is next on the list and holds.
         assert select_slow_sample_rate(800e6, 90e6) == 0.48 * 90e6
 
-    def test_selection_fails_when_no_ratio_meets_eq9(self):
+    def test_selection_fails_when_no_ratio_meets_eq9(self, monkeypatch):
+        monkeypatch.setattr(cost_module, "SLOW_RATE_RATIOS", (0.5, 0.45))
         with pytest.raises(CalibrationError, match="Eq. 9"):
-            select_slow_sample_rate(800e6, 90e6, candidate_ratios=(0.5, 0.45))
+            select_slow_sample_rate(800e6, 90e6)
 
 
 class TestEvaluationTimes:

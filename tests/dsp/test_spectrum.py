@@ -19,7 +19,6 @@ from repro.dsp import (
 )
 from repro.errors import MeasurementError, MeasurementWarning, ValidationError
 from repro.monitor import StreamingAccumulator
-from repro.utils import AVAILABLE_WINDOWS
 
 
 RATE = 100e6
@@ -108,24 +107,20 @@ class TestWelch:
         trimmed = welch_psd(noise[: 256 + 512], RATE, segment_length=512)
         np.testing.assert_array_equal(full.psd, trimmed.psd)
 
-    def test_bad_overlap_rejected(self):
-        with pytest.raises(ValidationError):
-            welch_psd(make_tone(1e6), RATE, overlap_fraction=1.0)
 
-
-def segment_loop_welch(samples, segment_length, overlap, window, beta):
+def segment_loop_welch(samples, segment_length):
     """The Welch definition spelled out: one ``periodogram`` per segment.
 
     Segments are clamped to the record and start every
-    ``max(1, round(L * (1 - overlap)))`` samples, as in :func:`welch_psd`;
+    ``round(L / 2)`` samples, as in :func:`welch_psd`;
     their PSDs are summed in segment order and divided by the count.
     """
     length = min(segment_length, samples.size)
-    step = max(1, int(round(length * (1.0 - overlap))))
+    step = int(round(length * 0.5))
     total = None
     count = 0
     for start in range(0, samples.size - length + 1, step):
-        psd = periodogram(samples[start : start + length], RATE, window=window, kaiser_beta=beta).psd
+        psd = periodogram(samples[start : start + length], RATE).psd
         total = psd.copy() if total is None else total + psd
         count += 1
     return total / count
@@ -140,30 +135,23 @@ class TestBatchedWelchMatchesSegmentLoop:
         size=st.integers(min_value=8, max_value=3000),
         complex_domain=st.booleans(),
         segment_length=st.integers(min_value=8, max_value=300),
-        overlap=st.floats(min_value=0.0, max_value=0.9, exclude_max=True),
-        window=st.sampled_from(AVAILABLE_WINDOWS),
-        beta=st.floats(min_value=0.0, max_value=20.0),
         block_sizes=st.lists(st.integers(min_value=1, max_value=512), min_size=1, max_size=12),
         seed=st.integers(min_value=0, max_value=2**16),
     )
     @settings(max_examples=100, deadline=None)
     def test_batched_welch_equals_per_segment_periodograms(
-        self, size, complex_domain, segment_length, overlap, window, beta, block_sizes, seed
+        self, size, complex_domain, segment_length, block_sizes, seed
     ):
         rng = np.random.default_rng(seed)
         samples = rng.standard_normal(size)
         if complex_domain:
             samples = samples + 1j * rng.standard_normal(size)
-        expected = segment_loop_welch(samples, segment_length, overlap, window, beta)
+        expected = segment_loop_welch(samples, segment_length)
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", MeasurementWarning)
-            batch = welch_psd(
-                samples, RATE, segment_length, overlap, window=window, kaiser_beta=beta
-            )
-            accumulator = StreamingAccumulator(
-                RATE, segment_length, overlap, window=window, kaiser_beta=beta
-            )
+            batch = welch_psd(samples, RATE, segment_length)
+            accumulator = StreamingAccumulator(RATE, segment_length)
             start, index = 0, 0
             while start < size:
                 stop = start + block_sizes[index % len(block_sizes)]
@@ -230,7 +218,7 @@ class TestBandPower:
 class TestOccupiedBandwidth:
     def test_narrow_tone(self):
         estimate = periodogram(make_tone(12.5e6), RATE)
-        bandwidth, low, high = occupied_bandwidth(estimate, 0.99)
+        bandwidth, low, high = occupied_bandwidth(estimate)
         assert bandwidth < 1e6
         assert low < 12.5e6 < high
 
@@ -238,13 +226,8 @@ class TestOccupiedBandwidth:
         rng = np.random.default_rng(2)
         noise = rng.normal(size=65536)
         estimate = welch_psd(noise, RATE, segment_length=2048)
-        bandwidth, _, _ = occupied_bandwidth(estimate, 0.99)
+        bandwidth, _, _ = occupied_bandwidth(estimate)
         assert bandwidth > 0.9 * 0.99 * RATE / 2.0
-
-    def test_invalid_fraction(self):
-        estimate = periodogram(make_tone(10e6), RATE)
-        with pytest.raises(ValidationError):
-            occupied_bandwidth(estimate, 1.0)
 
 
 class TestAcpr:

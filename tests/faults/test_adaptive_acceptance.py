@@ -27,6 +27,7 @@ from repro.faults import (
     SyntheticProbeBackend,
     TestLimits,
 )
+from repro.faults.coverage import DETECTION_THRESHOLD
 
 SEEDS = range(20)
 
@@ -86,15 +87,11 @@ class TestOracleAgreement:
             )
 
     def test_probabilistic_strategy_within_one_step_over_seeds(self):
-        # The noisy family flips verdicts ~30% of the time one step off its
-        # threshold, so the Horstein posterior must assume a matching
-        # verdict error rate (and gets a larger query budget to pay for it).
-        config = AdaptiveConfig(
-            num_steps=16,
-            strategy="probabilistic",
-            verdict_error_rate=0.3,
-            pba_max_queries=40,
-        )
+        # The noisy family flips verdicts ~17% of the time one step off its
+        # threshold, so the Horstein posterior must assume a verdict error
+        # rate at least that large (AdaptiveConfig.verdict_error_rate).
+        config = AdaptiveConfig(num_steps=16, strategy="probabilistic")
+        assert 1.0 / (1.0 + math.exp(NOISY.steepness * STEP)) < config.verdict_error_rate
         for seed in SEEDS:
             synthetic = backend(seed)
             planner = AdaptivePlanner(synthetic, config)
@@ -227,7 +224,7 @@ def real_search():
                 start=0,
             )
             rate = sum(flags) / len(flags)
-            if oracle[family] is None and rate >= REAL_CONFIG.detection_threshold:
+            if oracle[family] is None and rate >= DETECTION_THRESHOLD:
                 oracle[family] = severity
     return result, oracle
 

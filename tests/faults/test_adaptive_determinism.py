@@ -116,7 +116,7 @@ class TestInterruptResume:
         budget = ExecutionBudget(1)
         replay = run_search(store=CampaignStore(tmp_path / "store"), budget=budget)
         assert replay.report == first.report
-        assert budget.spent == 0
+        assert budget._spent == 0
         assert replay.summary().cache_hits == len(first.outcomes)
 
     def test_report_survives_json_archive(self, tmp_path):

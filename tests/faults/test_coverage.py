@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.errors import ValidationError
+from repro.faults.coverage import DETECTION_THRESHOLD, FAULT_PROBABILITY, MONTE_CARLO_SEED
 from repro.faults import (
     CoverageResult,
     DcdeErrorFault,
@@ -18,6 +19,7 @@ from repro.faults import (
     FaultPoint,
     FaultRecord,
     FaultSignature,
+    LoLeakageFault,
     PaCompressionFault,
     TestLimits,
     TiadcSkewFault,
@@ -70,45 +72,56 @@ class TestTestLimits:
         assert not limits.flags(signature("x", failed=False))
 
     def test_explicit_bounds_tighten(self):
-        limits = TestLimits(max_evm_percent=2.0)
-        assert limits.flags(signature("x", evm=3.0))
         limits = TestLimits(max_acpr_db=-45.0)
         assert limits.flags(signature("x", acpr=-43.0))
         limits = TestLimits(max_occupied_bandwidth_hz=10e6)
         assert limits.flags(signature("x", obw=14e6))
-        limits = TestLimits(min_mask_margin_db=6.0)
-        assert limits.flags(signature("x", mask=5.0))
         limits = TestLimits(max_skew_deviation_ps=1.0)
         assert limits.flags(signature("x", skew=2.0))
 
     def test_missing_measurements_do_not_flag(self):
-        limits = TestLimits(max_evm_percent=2.0)
-        assert not limits.flags(signature("x", evm=None))
+        limits = TestLimits(max_acpr_db=-45.0)
+        assert not limits.flags(signature("x", acpr=None))
 
     def test_errored_scenarios_flagged_by_default(self):
         errored = signature("x", executed=False, error="boom")
         assert TestLimits().flags(errored)
-        assert not TestLimits(flag_errors=False).flags(errored)
+        assert TestLimits(use_bist_verdict=False).flags(errored)
 
     def test_round_trip(self):
-        limits = TestLimits(max_skew_deviation_ps=20.0, max_evm_percent=8.0)
+        limits = TestLimits(max_skew_deviation_ps=20.0, max_acpr_db=-40.0)
         assert TestLimits.from_dict(json.loads(json.dumps(limits.to_dict()))) == limits
+
+    def test_limits_written_with_removed_bounds_still_load(self):
+        data = TestLimits(max_skew_deviation_ps=20.0).to_dict()
+        data.update(max_evm_percent=None, min_mask_margin_db=None, flag_errors=True)
+        assert TestLimits.from_dict(data) == TestLimits(max_skew_deviation_ps=20.0)
+
+    @pytest.mark.parametrize(
+        "removed",
+        [{"max_evm_percent": 5.0}, {"min_mask_margin_db": 0.0}, {"flag_errors": False}],
+    )
+    def test_limits_written_with_a_removed_screen_are_refused(self, removed):
+        data = {**TestLimits(max_skew_deviation_ps=20.0).to_dict(), **removed}
+        with pytest.raises(ValidationError):
+            TestLimits.from_dict(data)
 
 
 class TestDetectionAndCoverage:
     def test_detection_probability(self):
-        dictionary = make_dictionary()
-        assert dictionary.detection_probability(f"{PROFILE}/pa-compression-s1") == 1.0
-        assert dictionary.detection_probability(f"{PROFILE}/pa-compression-s0.5") == 0.5
-        assert dictionary.detection_probability(f"{PROFILE}/dcde-error-s1") == 0.0
+        probabilities = make_dictionary().coverage().probabilities
+        assert probabilities[f"{PROFILE}/pa-compression-s1"] == 1.0
+        assert probabilities[f"{PROFILE}/pa-compression-s0.5"] == 0.5
+        assert probabilities[f"{PROFILE}/dcde-error-s1"] == 0.0
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValidationError):
-            make_dictionary().detection_probability("nope")
+            make_dictionary().record("nope")
 
     def test_coverage_classification(self):
-        coverage = make_dictionary().coverage(detection_threshold=0.5)
+        coverage = make_dictionary().coverage()
         assert isinstance(coverage, CoverageResult)
+        assert coverage.detection_threshold == DETECTION_THRESHOLD == 0.5
         assert set(coverage.covered) == {
             f"{PROFILE}/pa-compression-s1",
             f"{PROFILE}/pa-compression-s0.5",
@@ -117,12 +130,6 @@ class TestDetectionAndCoverage:
         assert set(coverage.marginal) == {f"{PROFILE}/pa-compression-s0.5"}
         assert coverage.coverage == pytest.approx(2.0 / 3.0)
         assert coverage.weighted_coverage == pytest.approx((1.0 + 0.5 + 0.0) / 3.0)
-
-    def test_undetectable_fault_reported_uncovered_at_any_threshold(self):
-        dictionary = make_dictionary()
-        for threshold in (0.0, 0.5, 1.0):
-            coverage = dictionary.coverage(detection_threshold=threshold)
-            assert f"{PROFILE}/dcde-error-s1" in coverage.uncovered
 
     def test_false_alarm_rate(self):
         dictionary = FaultDictionary(
@@ -146,20 +153,18 @@ class TestDetectionAndCoverage:
 
 
 class TestMonteCarlo:
-    def test_deterministic_under_seed(self):
+    def test_deterministic(self):
         dictionary = make_dictionary()
-        a = dictionary.monte_carlo(seed=7)
-        b = dictionary.monte_carlo(seed=7)
-        assert a == b
-        c = dictionary.monte_carlo(seed=8)
-        assert c != a
+        a = dictionary.monte_carlo()
+        assert a == dictionary.monte_carlo()
+        assert (a.seed, a.fault_probability) == (MONTE_CARLO_SEED, FAULT_PROBABILITY)
 
     def test_perfect_screen_has_no_escapes(self):
         dictionary = FaultDictionary(
             records=(record(PaCompressionFault(), "pa-compression-s1", [True, True]),),
             references=tuple(signature(f"r{i}") for i in range(4)),
         )
-        estimate = dictionary.monte_carlo(fault_probability=0.2, num_trials=5000)
+        estimate = dictionary.monte_carlo(num_trials=5000)
         assert estimate.test_escape_rate == 0.0
         assert estimate.yield_loss_rate == 0.0
         assert estimate.num_faulty + estimate.num_good == 5000
@@ -169,25 +174,23 @@ class TestMonteCarlo:
             records=(record(DcdeErrorFault(), "dcde-error-s1", [False, False]),),
             references=tuple(signature(f"r{i}") for i in range(4)),
         )
-        estimate = dictionary.monte_carlo(fault_probability=0.1, num_trials=20000)
+        estimate = dictionary.monte_carlo(num_trials=20000)
         # Nothing is ever flagged: every faulty unit ships, so the escape
         # rate equals the realised prevalence and no yield is lost.
         assert estimate.faulty_pass_rate == 1.0
         assert estimate.yield_loss_rate == 0.0
-        assert estimate.test_escape_rate == pytest.approx(0.1, abs=0.02)
+        assert estimate.test_escape_rate == pytest.approx(FAULT_PROBABILITY, abs=0.01)
 
     def test_false_alarms_cost_yield(self):
         dictionary = FaultDictionary(
             records=(record(PaCompressionFault(), "pa-compression-s1", [True]),),
             references=(signature("r0", failed=True), signature("r1"), signature("r2"), signature("r3")),
         )
-        estimate = dictionary.monte_carlo(fault_probability=0.0, num_trials=20000)
+        estimate = dictionary.monte_carlo(num_trials=20000)
         assert estimate.yield_loss_rate == pytest.approx(0.25, abs=0.02)
 
     def test_validation(self):
         dictionary = make_dictionary()
-        with pytest.raises(ValidationError):
-            dictionary.monte_carlo(fault_probability=1.5)
         with pytest.raises(ValidationError):
             dictionary.monte_carlo(num_trials=0)
 
@@ -199,7 +202,7 @@ class TestMonteCarlo:
             records=(record(DcdeErrorFault(), "dcde-error-s1", [False] * 3),),
             references=tuple(signature(f"r{i}") for i in range(4)),
         )
-        estimate = dictionary.monte_carlo(fault_probability=0.3, num_trials=5000)
+        estimate = dictionary.monte_carlo(num_trials=5000)
         assert estimate.faulty_pass_rate == 1.0
 
     def test_homogeneous_short_circuit_is_draw_identical(self):
@@ -216,8 +219,8 @@ class TestMonteCarlo:
                 references=tuple(signature(f"r{i}") for i in range(4)),
             )
 
-        short = build(2).monte_carlo(fault_probability=0.4, num_trials=8000, seed=5)
-        long = build(6).monte_carlo(fault_probability=0.4, num_trials=8000, seed=5)
+        short = build(2).monte_carlo(num_trials=8000)
+        long = build(6).monte_carlo(num_trials=8000)
         assert short == long
 
 
@@ -227,6 +230,31 @@ class TestSerialization:
         payload = json.loads(json.dumps(dictionary.to_dict()))
         rebuilt = FaultDictionary.from_dict(payload)
         assert rebuilt == dictionary
+
+    def test_dictionary_written_with_fault_corner_params_still_loads(self):
+        # Fault corners such as the DCDE error's were fields; dictionaries
+        # archived with them in the fault parameters still load.
+        dictionary = make_dictionary()
+        payload = dictionary.to_dict()
+        for entry in payload["records"]:
+            if entry["point"]["fault"]["family"] == "dcde-error":
+                entry["point"]["fault"]["params"]["max_static_error_seconds"] = 8e-12
+        assert FaultDictionary.from_dict(payload) == dictionary
+
+    @pytest.mark.parametrize(
+        "fault, param, fixed, other",
+        [
+            (DcdeErrorFault(severity=1.0), "max_static_error_seconds", 8e-12, 5e-12),
+            (LoLeakageFault(severity=1.0), "max_q_offset", 0.0, 0.1),
+        ],
+    )
+    def test_fault_corner_loads_only_at_its_fixed_value(self, fault, param, fixed, other):
+        data = record(fault, "x", [True]).to_dict()
+        data["point"]["fault"]["params"][param] = fixed
+        assert FaultRecord.from_dict(data) == record(fault, "x", [True])
+        data["point"]["fault"]["params"][param] = other
+        with pytest.raises(ValidationError):
+            FaultRecord.from_dict(data)
 
     def test_signature_round_trip(self):
         original = signature("x", failed=True, evm=None)
@@ -300,7 +328,7 @@ class TestCoverageReport:
         assert payload["escape"]["num_trials"] == 2000
 
     def test_same_seed_same_escape_numbers(self):
-        a = FaultCoverageReport.from_dictionary(make_dictionary(), seed=3, num_trials=2000)
-        b = FaultCoverageReport.from_dictionary(make_dictionary(), seed=3, num_trials=2000)
+        a = FaultCoverageReport.from_dictionary(make_dictionary(), num_trials=2000)
+        b = FaultCoverageReport.from_dictionary(make_dictionary(), num_trials=2000)
         assert a.escape == b.escape
         assert a.to_dict() == b.to_dict()

@@ -12,7 +12,6 @@ from repro.faults import (
     fault_grid,
 )
 from repro.signals import get_profile
-from repro.transmitter import ImpairmentConfig
 
 
 def two_family_campaign(**kwargs):
@@ -62,34 +61,6 @@ class TestExpansion:
         assert skew.converter.channel1_skew_seconds == pytest.approx(40e-12)
         reference = by_label["paper-qpsk-1ghz/reference/r0"]
         assert reference.converter == ConverterSpec()
-
-    def test_base_impairments_and_converter_respected(self):
-        base_impairments = ImpairmentConfig(output_snr_db=30.0)
-        base_converter = ConverterSpec(resolution_bits=12)
-        campaign = FaultCampaign(
-            ["paper-qpsk-1ghz"],
-            [PaCompressionFault()],
-            base_impairments=base_impairments,
-            base_converter=base_converter,
-            num_repeats=1,
-            num_reference=1,
-        )
-        scenarios = campaign.build_scenarios()
-        by_label = {scenario.label: scenario for scenario in scenarios}
-        faulty = by_label["paper-qpsk-1ghz/pa-compression-s1/r0"]
-        assert faulty.impairments.output_snr_db == pytest.approx(30.0)
-        assert faulty.converter.resolution_bits == 12
-
-    def test_num_symbols_propagates(self):
-        campaign = FaultCampaign(
-            ["paper-qpsk-1ghz"],
-            [PaCompressionFault()],
-            num_repeats=1,
-            num_reference=1,
-            num_symbols=128,
-        )
-        for scenario in campaign.build_scenarios():
-            assert scenario.num_symbols == 128
 
 
 class TestValidation:

@@ -105,11 +105,9 @@ class TestTransmitterInjection:
         assert impaired.iq_imbalance.phase_imbalance_deg == pytest.approx(10.0)
 
     def test_lo_leakage_sets_offsets(self):
-        impaired = LoLeakageFault(severity=1.0, max_i_offset=0.3, max_q_offset=0.1).apply_transmitter(
-            ImpairmentConfig()
-        )
-        assert impaired.dc_offset.i_offset == pytest.approx(0.3)
-        assert impaired.dc_offset.q_offset == pytest.approx(0.1)
+        impaired = LoLeakageFault(severity=0.5).apply_transmitter(ImpairmentConfig())
+        assert impaired.dc_offset.i_offset == pytest.approx(0.2)
+        assert impaired.dc_offset.q_offset == 0.0
 
     def test_phase_noise_scales(self):
         impaired = PhaseNoiseFault(severity=0.5).apply_transmitter(ImpairmentConfig())
@@ -124,10 +122,8 @@ class TestTransmitterInjection:
         assert mild.dac.resolution_bits == 14
 
     def test_filter_drift_scales_bandwidth(self):
-        impaired = FilterDriftFault(severity=1.0, worst_bandwidth_scale=0.1).apply_transmitter(
-            ImpairmentConfig()
-        )
-        assert impaired.output_filter_bandwidth_scale == pytest.approx(0.1)
+        impaired = FilterDriftFault(severity=1.0).apply_transmitter(ImpairmentConfig())
+        assert impaired.output_filter_bandwidth_scale == pytest.approx(0.06)
 
     def test_transmitter_faults_leave_converter_untouched(self):
         spec = ConverterSpec()
@@ -145,10 +141,11 @@ class TestConverterInjection:
         assert spec.channel1_offset == pytest.approx(0.2)
 
     def test_tiadc_bandwidth_geometric_interpolation(self):
-        fault = TiadcBandwidthFault(severity=0.5, nominal_bandwidth_hz=100e9, worst_bandwidth_hz=1e9)
-        assert fault.bandwidth_hz == pytest.approx(10e9)
+        # Halfway between 30 GHz and 1.2 GHz on a log scale: 6 GHz.
+        fault = TiadcBandwidthFault(severity=0.5)
+        assert fault.bandwidth_hz == pytest.approx(6e9)
         spec = fault.apply_converter(ConverterSpec())
-        assert spec.channel1_bandwidth_hz == pytest.approx(10e9)
+        assert spec.channel1_bandwidth_hz == pytest.approx(6e9)
         assert spec.bandwidth_reference_hz == fault.reference_frequency_hz
 
     def test_tiadc_bandwidth_zero_severity_is_identity(self):
@@ -161,10 +158,8 @@ class TestConverterInjection:
         assert fault.reference_frequency_hz == profile.carrier_frequency_hz
 
     def test_dcde_error(self):
-        spec = DcdeErrorFault(severity=1.0, max_static_error_seconds=5e-12).apply_converter(
-            ConverterSpec()
-        )
-        assert spec.dcde_static_error_seconds == pytest.approx(5e-12)
+        spec = DcdeErrorFault(severity=0.5).apply_converter(ConverterSpec())
+        assert spec.dcde_static_error_seconds == pytest.approx(4e-12)
 
     def test_converter_faults_leave_transmitter_untouched(self):
         impairments = ImpairmentConfig()

@@ -35,8 +35,8 @@ def paper_converter(sample_rate=BANDWIDTH, seed=77):
     return BpTiadc(
         sample_rate=sample_rate,
         dcde=DigitallyControlledDelayElement(resolution_seconds=1e-13),
-        channel0=AdcChannel(quantizer=UniformQuantizer(10, 3.0), seed=seed + 1),
-        channel1=AdcChannel(quantizer=UniformQuantizer(10, 3.0), seed=seed + 2),
+        channel0=AdcChannel(quantizer=UniformQuantizer(10, 3.0)),
+        channel1=AdcChannel(quantizer=UniformQuantizer(10, 3.0)),
         skew_jitter_rms_seconds=3.0e-12,
         seed=seed,
     )

@@ -10,7 +10,7 @@ import pytest
 
 from repro.adc.acquisition import CapturedSamplesSource, RecordingSource
 from repro.bist import BistConfig, ConverterSpec
-from repro.errors import ConfigurationError, ValidationError
+from repro.errors import ValidationError
 from repro.mimo import (
     ChannelMatrixReport,
     MimoSpec,
@@ -151,11 +151,6 @@ class TestValidation:
     def test_transmitter_type_is_checked(self):
         with pytest.raises(ValidationError, match="MimoTransmitter"):
             run_channel_matrix("not-a-transmitter")
-
-    def test_rx_specs_length_must_match_num_rx(self):
-        transmitter = MimoTransmitter(spec=MimoSpec(num_chains=2))
-        with pytest.raises(ConfigurationError, match="rx_specs"):
-            run_channel_matrix(transmitter, rx_specs=[QUIET, QUIET], num_rx=3)
 
     def test_rx_specs_entries_are_type_checked(self):
         transmitter = MimoTransmitter(spec=MimoSpec(num_chains=2))

@@ -29,10 +29,9 @@ class TestMimoSpec:
             MimoSpec(tx_leakage_db=float("inf"))
 
     def test_leakage_coefficient_magnitude_and_phase(self):
-        spec = MimoSpec(tx_leakage_db=-20.0, tx_leakage_phase_deg=90.0)
-        coefficient = spec.leakage_coefficient
+        coefficient = MimoSpec(tx_leakage_db=-20.0).leakage_coefficient
         assert np.isclose(abs(coefficient), 0.1)
-        assert np.isclose(coefficient.imag, 0.1)
+        assert coefficient.imag == 0.0
 
     def test_spread_offsets_are_symmetric(self):
         spec = MimoSpec(num_chains=3, gain_spread_db=6.0)
@@ -42,6 +41,14 @@ class TestMimoSpec:
     def test_round_trips_through_dict(self):
         spec = MimoSpec(tx_leakage_db=-25.0, gain_spread_db=2.0, seed=3)
         assert MimoSpec.from_dict(spec.to_dict()) == spec
+
+    def test_spec_archived_with_a_coupling_phase_loads_only_at_zero(self):
+        data = MimoSpec(tx_leakage_db=-25.0).to_dict()
+        assert MimoSpec.from_dict({**data, "tx_leakage_phase_deg": 0.0}) == MimoSpec(
+            tx_leakage_db=-25.0
+        )
+        with pytest.raises(ValidationError):
+            MimoSpec.from_dict({**data, "tx_leakage_phase_deg": 90.0})
 
 
 class TestChainSeeds:
@@ -62,7 +69,7 @@ class TestMimoTransmitter:
         mimo = MimoTransmitter(base_config=BASE, spec=MimoSpec(num_chains=2))
         transmission = mimo.transmit(num_symbols=64)
         for index in range(2):
-            config = mimo.configs[index]
+            config = mimo.chain(index).config
             solo = HomodyneTransmitter(config).transmit(num_symbols=64)
             np.testing.assert_array_equal(
                 transmission.chain(index).output_envelope.samples,
@@ -85,9 +92,9 @@ class TestMimoTransmitter:
             spec=MimoSpec(num_chains=2),
             chain_overrides=[None, {"impairments": impaired}],
         )
-        assert mimo.configs[0].impairments != impaired
-        assert mimo.configs[1].impairments == impaired
-        assert mimo.configs[1].seed == derive_chain_seed(BASE.seed, 1)
+        assert mimo.chain(0).config.impairments != impaired
+        assert mimo.chain(1).config.impairments == impaired
+        assert mimo.chain(1).config.seed == derive_chain_seed(BASE.seed, 1)
 
     def test_too_many_overrides_are_rejected(self):
         with pytest.raises(ConfigurationError, match="override"):
@@ -150,9 +157,8 @@ class TestMimoFaultHooks:
             assert fault.apply_mimo(spec) == spec
 
     def test_tx_leakage_fault_patches_coupling(self):
-        patched = TxLeakageFault(severity=1.0, phase_deg=45.0).apply_mimo(MimoSpec())
+        patched = TxLeakageFault(severity=1.0).apply_mimo(MimoSpec())
         assert patched.tx_leakage_db == -12.0
-        assert patched.tx_leakage_phase_deg == 45.0
 
     def test_shared_lo_fault_patches_correlation(self):
         patched = SharedLoCorrelationFault(severity=0.5).apply_mimo(MimoSpec())

@@ -35,7 +35,6 @@ class TestConfig:
         config = DriftDetectorConfig(
             method="ewma",
             threshold=2.5,
-            ewma_alpha=0.2,
             tolerances=BaselineTolerances(output_power_rel=0.05),
         )
         rebuilt = DriftDetectorConfig.from_dict(config.to_dict())
@@ -46,11 +45,7 @@ class TestConfig:
         [
             {"method": "sprt"},
             {"threshold": 0.0},
-            {"drift_reference": -1.0},
-            {"ewma_alpha": 0.0},
-            {"ewma_alpha": 1.5},
             {"warmup_windows": -1},
-            {"noise_multiplier": -0.5},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
@@ -97,7 +92,7 @@ class TestWarmupAndBaselines:
 
 class TestAlarmBehaviour:
     def make_detector(self, **config_overrides) -> DriftDetector:
-        kwargs = dict(warmup_windows=5, threshold=5.0, noise_multiplier=3.0)
+        kwargs = dict(warmup_windows=5, threshold=5.0)
         kwargs.update(config_overrides)
         return DriftDetector(DriftDetectorConfig(**kwargs))
 

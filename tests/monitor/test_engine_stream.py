@@ -8,7 +8,7 @@ loopback path the paper evaluates offline gates continuously too.
 import pytest
 
 from repro.bist import BistConfig, CampaignScenario, TransmitterBist, build_scenario_engine
-from repro.bist.campaign import default_converter
+from repro.bist.campaign import ConverterSpec
 from repro.monitor import MonitorReport
 from repro.signals.standards import get_profile
 from repro.transmitter import HomodyneTransmitter, TransmitterConfig
@@ -55,9 +55,10 @@ class TestEngineStream:
             num_cost_points=120,
         )
         transmitter = HomodyneTransmitter(TransmitterConfig.from_profile(profile, seed=3))
-        converter = default_converter(
-            config.acquisition_bandwidth_hz, skew_jitter_rms_seconds=1.0e-12, seed=5
-        )
+        converter = ConverterSpec(
+            skew_jitter_rms_seconds=1.0e-12,
+            seed=5,
+        )(config.acquisition_bandwidth_hz)
         engine = TransmitterBist(transmitter, converter, profile=profile, config=config)
         report = engine.stream()
         measured = [w for w in report.windows if w.evm_percent is not None]

@@ -12,6 +12,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.monitor import (
+    MonitorConfig,
     OfdmSymbolReference,
     StreamingMonitor,
     SymbolReference,
@@ -125,8 +126,11 @@ class TestStreamingMonitorOfdm:
 
 class TestSkipReasons:
     def test_no_reference_is_an_explicit_reason(self, ofdm_burst):
-        monitor = StreamingMonitor.from_transmission(
-            ofdm_burst, window_samples=1024, segment_length=128, measure_evm=False
+        envelope = ofdm_burst.output_envelope
+        monitor = StreamingMonitor(
+            MonitorConfig(
+                sample_rate=envelope.sample_rate, window_samples=1024, segment_length=128
+            )
         )
         monitor.ingest(ofdm_burst.output_envelope.samples[:1024])
         (window,) = monitor.windows

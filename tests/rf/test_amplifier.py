@@ -34,7 +34,7 @@ class TestIdealAmplifier:
         amplifier = IdealAmplifier(gain_db=20.0)
         envelope = make_envelope(0.1)
         amplified = amplifier.apply(envelope)
-        assert amplified.rms() == pytest.approx(10.0 * envelope.rms())
+        assert amplified.mean_power() == pytest.approx(100.0 * envelope.mean_power())
 
     def test_no_distortion(self):
         amplifier = IdealAmplifier(gain_db=6.0)

@@ -61,12 +61,6 @@ class TestPhaseNoise:
         oscillator = LocalOscillator(frequency_hz=1e9)
         assert oscillator.apply_phase_noise(envelope) is envelope
 
-    def test_initial_phase_rotation(self):
-        envelope = flat_envelope(128)
-        oscillator = LocalOscillator(frequency_hz=1e9, initial_phase=np.pi / 2.0)
-        rotated = oscillator.apply_phase_noise(envelope)
-        np.testing.assert_allclose(rotated.samples, 1j * envelope.samples, atol=1e-12)
-
     def test_magnitude_preserved(self):
         envelope = flat_envelope(4096)
         oscillator = LocalOscillator(

@@ -170,7 +170,7 @@ class TestKernelValues:
         safe = KohlenbergKernel(PAPER_BAND, 180e-12)
         _, k_plus = band_order(PAPER_BAND)
         near_forbidden_delay = (1.0 / PAPER_BAND.bandwidth) / k_plus * 0.99
-        risky = KohlenbergKernel(PAPER_BAND, near_forbidden_delay, delay_tolerance=1e-4)
+        risky = KohlenbergKernel(PAPER_BAND, near_forbidden_delay)
         t = np.linspace(5e-9, 100e-9, 64)
         assert np.max(np.abs(risky.s(t))) > np.max(np.abs(safe.s(t)))
 

@@ -283,14 +283,14 @@ class TestBudget:
         scenarios = grid_scenarios(3)
         budget = ExecutionBudget(10)
         make_coordinator(tmp_path).run(scenarios, budget=budget)
-        assert budget.spent == 3
+        assert budget._spent == 3
 
     def test_cache_hits_cost_nothing(self, tmp_path):
         scenarios = grid_scenarios(3)
         make_coordinator(tmp_path).run(scenarios)
         budget = ExecutionBudget(10)
         execution = make_coordinator(tmp_path).run(scenarios, budget=budget)
-        assert budget.spent == 0
+        assert budget._spent == 0
         assert execution.stats.warm_hit_rate == 1.0
 
     def test_retry_after_worker_death_does_not_double_charge(self, tmp_path):
@@ -300,8 +300,8 @@ class TestBudget:
             tmp_path, num_workers=2, chaos_kill_worker=0
         ).run(scenarios, budget=budget)
         assert execution.stats.retries >= 1
-        assert budget.spent == 6
-        assert budget.remaining == 0
+        assert budget._spent == 6
+        assert budget._spent == budget._max_scenarios
 
     def test_exhausted_budget_raises_after_flushing_in_flight_work(self, tmp_path):
         scenarios = grid_scenarios(4)
@@ -315,5 +315,5 @@ class TestBudget:
         resume_budget = ExecutionBudget(4)
         execution = make_coordinator(tmp_path).run(scenarios, budget=resume_budget)
         assert not execution.execution.errors
-        assert resume_budget.spent == 4 - execution.stats.planned_cache_hits
+        assert resume_budget._spent == 4 - execution.stats.planned_cache_hits
         assert execution.stats.planned_cache_hits >= 1

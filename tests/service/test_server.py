@@ -131,6 +131,12 @@ class TestProtocolErrors:
         assert status == 400
         assert "invalid campaign spec" in payload["error"]
 
+    def test_malformed_axis_entry_is_400_not_500(self, service):
+        body = {"profiles": ["paper-qpsk-1ghz"], "impairments": [["x"]]}
+        status, payload = raw_request(service, "POST", "/jobs", json.dumps(body).encode())
+        assert status == 400
+        assert "invalid campaign spec" in payload["error"]
+
     def test_non_json_body_is_400(self, service):
         status, payload = raw_request(service, "POST", "/jobs", b"not json")
         assert status == 400

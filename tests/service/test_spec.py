@@ -43,6 +43,42 @@ class TestValidation:
         with pytest.raises(ValidationError, match="BistConfig"):
             CampaignSpec(profiles=("paper-qpsk-1ghz",), bist_config={"seed": 1})
 
+    def test_a_bare_profile_string_is_rejected(self):
+        # Iterating the string would make one-letter profile names.
+        with pytest.raises(ValidationError, match="list of profile names"):
+            CampaignSpec(profiles="paper-qpsk-1ghz")
+
+    @pytest.mark.parametrize("entry", [("x",), ("x", ImpairmentConfig(), 1), (1, ImpairmentConfig())])
+    def test_axis_entries_are_labelled_pairs(self, entry):
+        with pytest.raises(ValidationError, match="pairs"):
+            CampaignSpec(profiles=("paper-qpsk-1ghz",), impairments=(entry,))
+
+    @pytest.mark.parametrize("num_symbols", [-5, 0, 2.5, True, "abc"])
+    def test_num_symbols_is_a_positive_integer(self, num_symbols):
+        with pytest.raises(ValidationError, match="num_symbols"):
+            CampaignSpec(profiles=("paper-qpsk-1ghz",), num_symbols=num_symbols)
+
+
+#: Malformed ``POST /jobs`` bodies; each must fail as a ValidationError (HTTP 400).
+MALFORMED_PAYLOADS = [
+    {"profiles": ["paper-qpsk-1ghz"], "impairments": [["x"]]},
+    {"profiles": ["paper-qpsk-1ghz"], "converters": [["x", {}, 1]]},
+    {"profiles": ["paper-qpsk-1ghz"], "converters": [["x", "not an object"]]},
+    {"profiles": ["paper-qpsk-1ghz"], "impairments": "x"},
+    {"profiles": "paper-qpsk-1ghz"},
+    {"profiles": ["paper-qpsk-1ghz"], "num_symbols": -5},
+    {"profiles": ["paper-qpsk-1ghz"], "num_symbols": 0},
+    {"profiles": ["paper-qpsk-1ghz"], "num_symbols": 2.5},
+    {"profiles": ["paper-qpsk-1ghz"], "num_symbols": True},
+    {"profiles": ["paper-qpsk-1ghz"], "num_symbols": "abc"},
+]
+
+
+@pytest.mark.parametrize("payload", MALFORMED_PAYLOADS)
+def test_from_dict_rejects_malformed_payloads(payload):
+    with pytest.raises(ValidationError):
+        CampaignSpec.from_dict(payload)
+
 
 class TestExpansion:
     def test_cartesian_product_size(self):

@@ -27,11 +27,6 @@ class TestBasics:
         assert times[0] == pytest.approx(1e-6)
         np.testing.assert_allclose(np.diff(times), 1.0 / 50e6)
 
-    def test_iq_components(self):
-        envelope = ComplexEnvelope(np.array([1 + 2j, 3 - 4j]), 1e6)
-        np.testing.assert_allclose(envelope.in_phase, [1.0, 3.0])
-        np.testing.assert_allclose(envelope.quadrature, [2.0, -4.0])
-
     def test_invalid_rate(self):
         with pytest.raises(ValidationError):
             ComplexEnvelope(np.ones(4, dtype=complex), 0.0)
@@ -45,10 +40,6 @@ class TestPowerMetrics:
     def test_mean_power_of_constant(self):
         envelope = ComplexEnvelope(np.full(100, 2.0 + 0.0j), 1e6)
         assert envelope.mean_power() == pytest.approx(4.0)
-
-    def test_rms(self):
-        envelope = ComplexEnvelope(np.full(100, 3.0j), 1e6)
-        assert envelope.rms() == pytest.approx(3.0)
 
     def test_scaled_to_power(self):
         envelope = make_envelope().scaled_to_power(2.5)
@@ -66,17 +57,6 @@ class TestTransformations:
         delayed = envelope.delayed(1e-6)
         assert delayed.start_time == pytest.approx(1e-6)
         np.testing.assert_array_equal(delayed.samples, envelope.samples)
-
-    def test_filtered_preserves_length(self):
-        envelope = make_envelope(512)
-        taps = np.ones(11) / 11.0
-        assert len(envelope.filtered(taps)) == 512
-
-    def test_filtered_dc_gain(self):
-        envelope = ComplexEnvelope(np.full(256, 1.0 + 0j), 1e6)
-        taps = np.ones(15) / 15.0
-        filtered = envelope.filtered(taps)
-        np.testing.assert_allclose(filtered.samples[32:-32], 1.0, atol=1e-9)
 
     def test_add_same_grid(self):
         a = make_envelope(seed=1)

@@ -16,6 +16,3 @@ class TestSymbolSource:
         b = SymbolSource(qpsk(), seed=11).draw_indices(64)
         np.testing.assert_array_equal(a, b)
 
-    def test_constellation_property(self):
-        constellation = qpsk()
-        assert SymbolSource(constellation).constellation is constellation

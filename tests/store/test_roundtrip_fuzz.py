@@ -306,30 +306,18 @@ def random_signature(rng: random.Random) -> FaultSignature:
 def random_limits(rng: random.Random) -> TestLimits:
     return TestLimits(
         use_bist_verdict=rng.random() < 0.5,
-        max_evm_percent=maybe(rng, rng.uniform(1.0, 20.0)),
         max_acpr_db=maybe(rng, rng.uniform(-60.0, -20.0)),
         max_occupied_bandwidth_hz=maybe(rng, rng.uniform(5e6, 40e6)),
-        min_mask_margin_db=maybe(rng, rng.uniform(-5.0, 5.0)),
         max_skew_deviation_ps=maybe(rng, rng.uniform(0.5, 10.0)),
-        flag_errors=rng.random() < 0.5,
     )
 
 
 def random_adaptive_config(rng: random.Random) -> AdaptiveConfig:
-    min_severity = rng.uniform(0.0, 0.3)
     return AdaptiveConfig(
         num_steps=rng.randrange(2, 64),
-        min_severity=min_severity,
-        max_severity=rng.uniform(min_severity + 0.1, 1.0),
         repeats_per_round=rng.randrange(1, 6),
         max_rounds_per_probe=rng.randrange(1, 4),
-        detection_threshold=rng.uniform(0.2, 0.8),
-        confidence=rng.uniform(0.8, 0.99),
-        interval_method=rng.choice(["wilson", "clopper-pearson"]),
         strategy=rng.choice(["bisection", "probabilistic"]),
-        verdict_error_rate=rng.uniform(0.0, 0.4),
-        pba_stop_posterior=rng.uniform(0.7, 0.99),
-        pba_max_queries=rng.randrange(1, 50),
     )
 
 
@@ -386,7 +374,6 @@ def random_mimo_spec(rng: random.Random) -> MimoSpec:
     return MimoSpec(
         num_chains=rng.randrange(1, 5),
         tx_leakage_db=maybe(rng, rng.uniform(-60.0, -10.0)),
-        tx_leakage_phase_deg=rng.uniform(-180.0, 180.0),
         shared_lo_correlation=rng.uniform(0.0, 1.0),
         shared_lo_linewidth_hz=rng.uniform(0.0, 1e5),
         gain_spread_db=rng.uniform(0.0, 6.0),

@@ -72,19 +72,6 @@ class TestImpairmentHooks:
         error = coarse.output_envelope.samples - clean.output_envelope.samples
         assert np.sqrt(np.mean(np.abs(error) ** 2)) > 0.05
 
-    def test_explicit_dac_argument_wins(self):
-        from repro.transmitter import TransmitDac
-
-        config = TransmitterConfig.paper_default(
-            impairments=ImpairmentConfig(dac=TransmitDac(resolution_bits=3, full_scale=4.0)),
-            seed=7,
-        )
-        explicit = HomodyneTransmitter(config, dac=TransmitDac()).transmit(64)
-        clean = HomodyneTransmitter(TransmitterConfig.paper_default(seed=7)).transmit(64)
-        np.testing.assert_allclose(
-            explicit.output_envelope.samples, clean.output_envelope.samples
-        )
-
     def test_filter_drift_narrows_output(self):
         drifted_config = TransmitterConfig.paper_default(
             impairments=ImpairmentConfig(output_filter_bandwidth_scale=0.06),

@@ -34,11 +34,6 @@ class TestScalarChecks:
         with pytest.raises(ValidationError):
             validation.check_in_range(0.0, "x", 0.0, 1.0, inclusive_low=False)
 
-    def test_check_probability(self):
-        assert validation.check_probability(0.5, "p") == 0.5
-        with pytest.raises(ValidationError):
-            validation.check_probability(1.5, "p")
-
 
 class TestIntegerChecks:
     def test_check_integer_accepts_int_like_float(self):
