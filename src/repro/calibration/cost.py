@@ -189,11 +189,12 @@ class SkewCostFunction:
     :meth:`reconstruct_many`, the one hook a subclass overrides to swap the
     reconstruction; :meth:`__call__` is its one-candidate case.
 
-    Each plan folds its taper, samples and Eq. (2) kernel tables into one
-    delay-free array, so a candidate delay costs each plan one reciprocal
-    table ``1 / (v + D)`` and one matmul.  The search bound ``m`` is
-    computed once, and each candidate is checked against its two bands'
-    forbidden-delay spacings, which are cached per band.
+    Each plan folds its taper into its samples and factors the Eq. (2)
+    kernel into a tap basis and per-point row tables, so a candidate delay
+    costs each plan one ``(points, taps)`` division and one matmul.  The
+    search bound ``m`` is computed once, and each candidate is checked
+    against its two bands' forbidden-delay spacings, which are cached per
+    band.
 
     Parameters
     ----------

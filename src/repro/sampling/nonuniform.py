@@ -48,8 +48,8 @@ __all__ = [
     "KohlenbergKernel",
 ]
 
-#: Relative closeness to a forbidden delay that is rejected by default.
-DEFAULT_DELAY_TOLERANCE = 1e-3
+#: Relative closeness to a forbidden delay that :func:`check_delay` rejects.
+DELAY_TOLERANCE = 1e-3
 
 
 def band_order(band: BandpassBand) -> tuple[int, int]:
@@ -113,12 +113,14 @@ def optimal_delay(band: BandpassBand) -> float:
     return 1.0 / (4.0 * band.centre)
 
 
-def check_delay(
-    band: BandpassBand,
-    delay: float,
-    tolerance: float = DEFAULT_DELAY_TOLERANCE,
-) -> float:
+def check_delay(band: BandpassBand, delay: float) -> float:
     """Validate a candidate inter-channel delay against Eq. (3).
+
+    A delay within :data:`DELAY_TOLERANCE` of a forbidden one, as a fraction
+    of the local forbidden-delay spacing, is rejected too: the kernel
+    coefficients grow without bound as the distance shrinks, so values that
+    are merely *near* a forbidden delay are also unusable in finite
+    precision.
 
     Parameters
     ----------
@@ -126,12 +128,6 @@ def check_delay(
         The bandpass support to be reconstructed.
     delay:
         Candidate delay ``D`` in seconds.
-    tolerance:
-        Relative distance to a forbidden delay (as a fraction of the local
-        forbidden-delay spacing) below which the delay is rejected.  The
-        kernel coefficients grow without bound as the distance shrinks, so
-        values that are merely *near* a forbidden delay are also unusable in
-        finite precision.
 
     Returns
     -------
@@ -148,9 +144,9 @@ def check_delay(
         raise DelayConstraintError(f"delay must be strictly positive, got {delay!r}")
     for order, spacing in _forbidden_spacings(band):
         distance = abs(delay / spacing - round(delay / spacing))
-        if distance < tolerance:
+        if distance < DELAY_TOLERANCE:
             raise DelayConstraintError(
-                f"delay {delay} s is within {tolerance:.1%} of a forbidden multiple of "
+                f"delay {delay} s is within {DELAY_TOLERANCE:.1%} of a forbidden multiple of "
                 f"T/{order} = {spacing} s (Eq. 3); the reconstruction kernel would be unstable"
             )
     return delay
@@ -171,7 +167,7 @@ class KohlenbergKernel:
         Bandpass support ``[f_l, f_l + B]`` of the signal to reconstruct.
     delay:
         Inter-sequence delay ``D`` (seconds).  Must satisfy Eq. (3) within
-        :data:`DEFAULT_DELAY_TOLERANCE`.
+        :data:`DELAY_TOLERANCE`.
     """
 
     band: BandpassBand
@@ -180,7 +176,7 @@ class KohlenbergKernel:
     def __post_init__(self) -> None:
         if not isinstance(self.band, BandpassBand):
             raise ValidationError("band must be a BandpassBand")
-        delay = check_delay(self.band, self.delay, tolerance=DEFAULT_DELAY_TOLERANCE)
+        delay = check_delay(self.band, self.delay)
         object.__setattr__(self, "delay", delay)
 
     # ------------------------------------------------------------------ #

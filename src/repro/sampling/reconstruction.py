@@ -16,17 +16,18 @@ taps and a Kaiser window).  This module provides:
 * :class:`ReconstructionPlan` — the precompiled evaluator of Eq. (6) for
   *many delays over a few instants* (the Section IV skew calibration): for a
   fixed ``(sample_set, evaluation_times, num_taps)`` it computes the Kaiser
-  taper (``beta = 8``, as in the paper), the delay-independent kernel tables
-  and the on-grid channel's contribution **once**, then evaluates the
+  taper (``beta = 8``, as in the paper), the weighted samples and the
+  on-grid channel's contribution **once**, then evaluates the
   reconstruction for any assumed delay ``D_hat`` — including a batched
   :meth:`ReconstructionPlan.evaluate_many` that adds a leading delay axis.
-  The Eq. (2) kernel tables are factored by angle addition along both of
-  their axes: every kernel argument is a row offset plus a tap offset, so
-  each table costs ``rows + taps`` sines and cosines; and the delayed
-  channel's kernel at ``v + D`` is four delay-free tables per term times
-  scalars of ``D``, over one shared ``v + D``, so a candidate delay costs
-  one reciprocal table and one contraction.  A plan keeps one row per point
-  and gathers each point's tap window;
+  The Eq. (2) kernel is factored into a tap part and a row part instead of
+  being tabulated per point and tap: by product to sum each term is a
+  difference of two cosines over its argument, every argument is a row
+  offset plus a tap offset (plus ``D``), so a weighted tap sum is one matmul
+  against a ``(taps, 4 terms)`` basis of tap cosines and sines, turned by
+  each point's row angle and by a scalar of ``D``.  A candidate delay costs
+  one ``(points, taps)`` division and one matmul.  A plan keeps one row per
+  point and gathers each point's tap window;
 * the dense render behind :meth:`NonuniformReconstructor.evaluate` — *one
   delay over a dense uniform grid* (the measurement renders).  Such a grid
   at rate ``fs`` has only as many distinct kernel offsets as the numerator
@@ -39,8 +40,8 @@ taps and a Kaiser window).  This module provides:
   formulas: the factored one above for many delays, the direct one here for
   a single delay;
 * :class:`PlanStructureCache` — shares the *sample-independent* half of a
-  plan (tap windows, taper, kernel trigonometry — the expensive part)
-  between plans whose acquisition geometry and evaluation grid coincide.
+  plan (tap windows, taper, the kernel's tap basis and row tables) between
+  plans whose acquisition geometry and evaluation grid coincide.
   Fingerprint-adjacent campaign scenarios with the same cost instants share
   their LMS cost plans through it when the campaign compiler runs a group
   over one cache; dense renders keep no structure and never look one up;
@@ -75,7 +76,6 @@ from ..utils.validation import check_1d_array, check_integer, check_positive
 from ..utils.windows import evaluate_taper
 from .bandpass import BandpassBand
 from .nonuniform import (
-    DEFAULT_DELAY_TOLERANCE,
     KohlenbergKernel,
     band_order,
     check_delay,
@@ -231,11 +231,12 @@ class IdealNonuniformSampler:
 
 #: Upper bound on ``num_delays * num_times * num_taps`` elements materialised
 #: at once by :meth:`ReconstructionPlan.evaluate_many`.  Larger batches are
-#: processed in chunks along the delay axis: the ``1 / (v + D)`` block must
+#: processed in chunks along the delay axis: the ``w / (v + D)`` block must
 #: stay cache-resident or the batch becomes memory-bandwidth-bound.  On the
 #: 300-point, 61-tap cost plans this is 16 delays a chunk.  A 128-candidate
-#: ``evaluate_many`` on one cost plan took the same 12-17 ms at 4 to 64 delays
-#: a chunk, and 21-27 ms in one chunk of 128 (2-CPU container).
+#: ``evaluate_many`` on one cost plan took 7.4-7.5 ms at 4 to 16 delays a
+#: chunk, 8.5 ms at 64, 12.0 ms in one chunk of 128 and 11.2 ms one delay at
+#: a time (2-CPU container).
 _BATCH_ELEMENT_BUDGET = 300_000
 
 #: Upper bound on the ``rows * (num_taps + 1)`` kernel values per channel a
@@ -247,10 +248,10 @@ _BATCH_ELEMENT_BUDGET = 300_000
 #: a block, 185 ms at 128k and 241 ms at 256k (2-CPU container).
 _RENDER_ELEMENT_BUDGET = 32_768
 
-#: Sinc arguments smaller than this are evaluated exactly (``np.sinc``, or
-#: the Taylor series ``1 - (pi x)^2 / 6`` for the on-grid tables and the
-#: dense render) instead of as an angle-addition quotient, whose absolute
-#: error (~1e-16 / (pi x)) would otherwise grow as the argument shrinks.
+#: Sinc arguments smaller than this are evaluated exactly (``np.sinc`` in
+#: plans, the Taylor series ``1 - (pi x)^2 / 6`` in the dense render) instead
+#: of as a quotient over ``x``, whose absolute error (~1e-16 / (pi x)) would
+#: otherwise grow as the argument shrinks.
 _SINC_SERIES_THRESHOLD = 1.0e-6
 
 
@@ -270,31 +271,12 @@ def _sinc_from_parts(sin_pi_x, x):
     return out
 
 
-def _angle_tables(rate: float, row: np.ndarray, tap: np.ndarray):
-    """``sin`` and ``cos`` of ``rate * (row[:, None] + tap)`` by angle addition.
-
-    Every kernel argument of a structure is a row offset plus a tap offset,
-    so each ``(rows, taps)`` table costs ``rows + taps`` sines and cosines
-    and four products, instead of ``rows * taps`` of each.
-    """
-    row_angle = rate * row
-    tap_angle = rate * tap
-    sin_row = np.sin(row_angle)[:, None]
-    cos_row = np.cos(row_angle)[:, None]
-    sin_tap = np.sin(tap_angle)
-    cos_tap = np.cos(tap_angle)
-    sine = sin_row * cos_tap
-    sine += cos_row * sin_tap
-    cosine = cos_row * cos_tap
-    cosine -= sin_row * sin_tap
-    return sine, cosine
-
-
 def _angle_sine(rate: float, row: np.ndarray, tap: np.ndarray, phase: float = 0.0):
     """``sin(rate * (row[:, None] + tap) + phase)`` by angle addition.
 
-    The sine half of :func:`_angle_tables`, with ``phase`` added to each
-    row's angle.
+    Every kernel argument of a render is a row offset plus a tap offset, so
+    the ``(rows, taps)`` table costs ``rows + taps`` sines and cosines and
+    two products instead of ``rows * taps`` sines.
     """
     row_angle = rate * row + phase
     tap_angle = rate * tap
@@ -321,85 +303,6 @@ def _kernel_terms(band: BandpassBand) -> list[tuple[int, float, float, float]]:
         terms.append((k, k - 2.0 * f_low / bandwidth, f_mirror + f_low, f_mirror - f_low))
     terms.append((k_plus, 2.0 * f_low / bandwidth + 1.0 - k, f_high + f_mirror, f_high - f_mirror))
     return terms
-
-
-class _KernelTermCache:
-    """Delay-independent tables of one Kohlenberg kernel term.
-
-    Each of the two terms of Eq. (2) has the shape
-
-        ``s_i(t; D) = scale * sinc(c_env * t)
-                      * (cos(c_osc * t) - sin(c_osc * t) * cot(phi))``
-
-    with ``phi = order * pi * B * D`` (:func:`_kernel_terms`, with the
-    delay-dependent ``sin(. - phi) / sin(phi)`` quotient of
-    :class:`KohlenbergKernel` expanded by angle addition).  Reconstruction
-    evaluates the term at the two argument families ``-v`` (on-grid
-    channel) and ``v + D`` (delayed channel), where ``v = nT - t`` is fixed
-    by the plan structure.
-
-    * On-grid: sinc is even and ``cos(c_osc v)``, ``-sin(c_osc v)`` are the
-      cosine and sine at ``-v``, so the term is ``on_grid_cos + on_grid_sin
-      * cot(phi)``.
-    * Delayed: angle addition in ``D`` gives
-
-          ``s_i(v + D) = sum_c factor_c(D) * delayed[c] / (v + D)``
-
-      over four delay-free tables, ``delayed = scale / (pi c_env) *
-      [sin_env cos_osc, sin_env sin_osc, cos_env cos_osc, cos_env sin_osc]``,
-      and four scalars of ``D`` (:meth:`_PlanStructure.delay_factors`).
-    """
-
-    __slots__ = (
-        "order",
-        "scale",
-        "c_osc",
-        "c_env",
-        "c_phi",
-        "on_grid_cos",
-        "on_grid_sin",
-        "delayed",
-    )
-
-    def __init__(
-        self,
-        order: int,
-        scale: float,
-        oscillation_hz: float,
-        envelope_hz: float,
-        bandwidth: float,
-        row: np.ndarray,
-        tap: np.ndarray,
-        v: np.ndarray,
-    ) -> None:
-        self.order = int(order)
-        self.scale = float(scale)
-        self.c_osc = np.pi * oscillation_hz
-        self.c_env = float(envelope_hz)
-        self.c_phi = self.order * np.pi * bandwidth
-        sin_osc, cos_osc = _angle_tables(self.c_osc, row, tap)
-        sin_env, cos_env = _angle_tables(np.pi * self.c_env, row, tap)
-        scaled_envelope = self.scale * _sinc_from_parts(sin_env, self.c_env * v)
-        self.on_grid_cos = scaled_envelope * cos_osc
-        self.on_grid_sin = scaled_envelope * sin_osc
-        sin_env *= self.scale / (np.pi * self.c_env)
-        cos_env *= self.scale / (np.pi * self.c_env)
-        # Four (rows, taps) tables, in the order of the delay factors.
-        self.delayed = (
-            sin_env * cos_osc,
-            sin_env * sin_osc,
-            cos_env * cos_osc,
-            cos_env * sin_osc,
-        )
-
-    def exact(self, argument: np.ndarray, cot_phi: np.ndarray) -> np.ndarray:
-        """The term at ``argument`` in product form (``np.sinc`` handles zero)."""
-        oscillation = self.c_osc * argument
-        return (
-            self.scale
-            * np.sinc(self.c_env * argument)
-            * (np.cos(oscillation) - np.sin(oscillation) * cot_phi)
-        )
 
 
 def _kernel_rows(
@@ -446,9 +349,17 @@ def _kernel_rows(
     residual = centre - centre[phase] - (index // p) * q
     if np.abs(residual).max() > 1:
         return None
-    _, first, row_index = np.unique(3 * phase + residual, return_index=True, return_inverse=True)
+    # Keys 3 phase + residual + 1 lie in [0, 3p).  NumPy writes repeated
+    # indices in order, so a scatter in reverse leaves each key's first
+    # point; rows are numbered in key order, as sorting the keys would.
+    key = 3 * phase + residual + 1
+    first_of_key = np.full(3 * p, num_times)
+    first_of_key[key[::-1]] = index[::-1]
+    present = first_of_key < num_times
+    first = first_of_key[present]
     if first.size >= num_times:
         return None
+    row_index = (np.cumsum(present) - 1)[key]
     centre_argument = (start + centre * period) - times
     tolerance = 4.0 * np.spacing(np.abs(times).max() + abs(start))
     if np.abs(centre_argument - centre_argument[first][row_index]).max() > tolerance:
@@ -603,24 +514,30 @@ class _PlanStructure:
     Everything here depends only on the acquisition *geometry* (start time,
     period, record length, band) and the evaluation grid — not on the sample
     values or the candidate delay: where each point's taps lie, the Kaiser
-    taper and the kernel term tables.  Fingerprint-adjacent campaign
-    scenarios share all of it, which is what :class:`PlanStructureCache`
-    exploits.
+    taper and the Eq. (2) kernel's tap and row parts.  Fingerprint-adjacent
+    campaign scenarios share all of it, which is what
+    :class:`PlanStructureCache` exploits.
 
-    The kernel arguments ``v``, the taper and the kernel tables have one row
-    per point and ``num_taps + 1`` columns, and are factored by angle
-    addition along both axes:
+    Entry ``(n, j)`` of the kernel arguments ``v = nT - t`` and of the taper
+    is point ``n``'s centre-sample offset ``row[n]`` plus tap ``j``'s offset
+    ``tau_j = (j - nw/2) T``.  By product to sum, term ``t`` of the kernel
+    (:func:`_kernel_terms`) is
 
-    * *taps*: entry ``(r, j)`` has argument ``v = u_r + tau_j``, the offset
-      of point ``r``'s centre sample from the point plus the tap's offset
-      ``(j - nw/2) T``, so each sine or cosine table costs ``rows + taps``
-      trigonometric values (:func:`_angle_tables`);
-    * *delay*: each term keeps two on-grid tables and four delay-free
-      delayed-channel tables (:class:`_KernelTermCache`).  A candidate delay
-      then needs a few scalars per term (:meth:`delay_factors`) and one
-      table ``1 / (v + D)`` shared by the terms (:meth:`reciprocal`), whose
-      rare entries at the sinc's removable singularity are found from
-      ``sorted_v`` and evaluated in product form (:meth:`exact_kernel`).
+        ``s_t(x) = c_t [cos(P_t x - phi_t) - cos(Q_t x + phi_t)] / (x sin(phi_t))``
+
+    with ``c_t = scale / (2 pi envelope)``, ``P_t = pi (envelope +
+    oscillation)``, ``Q_t = pi (envelope - oscillation)`` and ``phi_t = order
+    pi B D``.  So a weighted tap sum over a kernel argument ``v + D`` needs
+    ``sum_j W cos(r v)`` and ``sum_j W sin(r v)`` at the ``R = 2 terms``
+    rates ``r``, with ``W`` the weights over ``v + D``
+    (:meth:`rotated_sums`): one matmul against the ``(taps, 2 R)`` tap
+    ``basis`` of ``cos(r tau)`` and ``sin(r tau)``, rotated by each point's
+    row angle through the ``(R, points)`` tables ``row_cos`` and
+    ``row_sin``.  The delay enters as one rotation per rate, by ``beta = r D
+    - sign phi``.  Entries within ``singular_radius`` of ``v + D = 0``, the
+    sinc's removable singularity, cannot be divided by: :meth:`arguments`
+    finds them from ``sorted_v`` and they are evaluated in product form
+    (:meth:`product_form`).
 
     Plans gather each point's samples around its ``centre`` sample and give
     the taps off the record zero weight.
@@ -632,7 +549,13 @@ class _PlanStructure:
         "centre",
         "taper",
         "terms",
+        "phase_rates",
+        "rates",
         "delay_rates",
+        "gains",
+        "basis",
+        "row_cos",
+        "row_sin",
         "v",
         "sorted_v",
         "singular_radius",
@@ -660,79 +583,50 @@ class _PlanStructure:
         v = row[:, None] + tap
         taper = evaluate_taper(v / (half * period + period))
 
+        terms = tuple(_kernel_terms(sample_set.band))
         bandwidth = sample_set.band.bandwidth
-        terms = [
-            _KernelTermCache(*term, bandwidth=bandwidth, row=row, tap=tap, v=v)
-            for term in _kernel_terms(sample_set.band)
-        ]
+        # Term t contributes the rates P_t (sign +1) and Q_t (sign -1): rate
+        # r = pi (envelope + sign oscillation) with gain sign c_t, turned at
+        # delay D by beta = r D - sign phi_t = D (r - sign order pi B).
+        rates, delay_rates, gains = [], [], []
+        for order, scale, oscillation_hz, envelope_hz in terms:
+            for sign in (1.0, -1.0):
+                rate = np.pi * (envelope_hz + sign * oscillation_hz)
+                rates.append(rate)
+                delay_rates.append(rate - sign * order * np.pi * bandwidth)
+                gains.append(sign * scale / (2.0 * np.pi * envelope_hz))
+        self.rates = np.array(rates)
+        self.delay_rates = np.array(delay_rates)
+        self.gains = np.array(gains)
+        self.phase_rates = np.array([order * np.pi * bandwidth for order, _, _, _ in terms])
+        tap_angle = tap[:, None] * self.rates
+        self.basis = np.concatenate([np.cos(tap_angle), np.sin(tap_angle)], axis=1)
+        row_angle = self.rates[:, None] * row
+        self.row_cos = np.cos(row_angle)
+        self.row_sin = np.sin(row_angle)
 
         self.times = times
         self.num_taps = num_taps
         self.centre = centre
         self.taper = taper
-        self.terms = tuple(terms)
-        # Per term: the rates of phi = order pi B D, alpha and gamma.
-        self.delay_rates = np.array(
-            [[term.c_phi, term.c_osc, np.pi * term.c_env] for term in terms]
-        ).T
+        self.terms = terms
         self.v = v
         # One sorted copy of v finds, for every delay of a batch, whether any
         # entry sits within the sinc's Taylor threshold of v + D = 0 (for any
         # term) without scanning the (delays, rows, taps) block.
         self.sorted_v = np.sort(v, axis=None)
-        self.singular_radius = _SINC_SERIES_THRESHOLD / min(term.c_env for term in terms)
-        held = [times, centre, taper, v, self.sorted_v]
-        held += [table for term in terms for table in (term.on_grid_cos, term.on_grid_sin)]
-        held += self.delayed_tables()
+        self.singular_radius = _SINC_SERIES_THRESHOLD / min(envelope for _, _, _, envelope in terms)
+        held = [times, centre, taper, self.basis, self.row_cos, self.row_sin, v, self.sorted_v]
         self.num_elements = sum(array.size for array in held)
 
-    def delay_factors(self, delays: np.ndarray):
-        """Per-delay scalars of every term: ``cot(phi)``, ``(terms, m)``, and the
-        factors of :meth:`delayed_tables`, ``(m, 4 terms)``.
+    def arguments(self, delays: np.ndarray):
+        """``v + D`` of each delay, ``(m, rows, taps)``, and the entries a quotient cannot take.
 
-        ``cos(c_osc (v + D)) - sin(c_osc (v + D)) cot(phi)`` is
-        ``cos_osc F - sin_osc Q`` with ``F = cos(alpha) - cot(phi) sin(alpha)``
-        and ``Q = sin(alpha) + cot(phi) cos(alpha)``, ``alpha = c_osc D``;
-        ``sin(pi c_env (v + D))`` is ``sin_env cos(gamma) + cos_env sin(gamma)``,
-        ``gamma = pi c_env D``.  Their product pairs each of a term's four
-        tables with one factor: ``cos(gamma) F``, ``-cos(gamma) Q``,
-        ``sin(gamma) F`` and ``-sin(gamma) Q``.
-        """
-        phase_rate, oscillation_rate, envelope_rate = self.delay_rates
-        column = delays[:, None]
-        phi = phase_rate * column
-        cot_phi = np.cos(phi) / np.sin(phi)
-        alpha = oscillation_rate * column
-        sin_alpha = np.sin(alpha)
-        cos_alpha = np.cos(alpha)
-        in_phase = cos_alpha - cot_phi * sin_alpha
-        quadrature = sin_alpha + cot_phi * cos_alpha
-        gamma = envelope_rate * column
-        cos_gamma = np.cos(gamma)
-        sin_gamma = np.sin(gamma)
-        factors = np.stack(
-            [
-                cos_gamma * in_phase,
-                -cos_gamma * quadrature,
-                sin_gamma * in_phase,
-                -sin_gamma * quadrature,
-            ],
-            axis=-1,
-        )
-        return cot_phi.T, factors.reshape(delays.size, -1)
-
-    def delayed_tables(self):
-        """The delay-free numerator tables of every term, in factor order."""
-        return [table for term in self.terms for table in term.delayed]
-
-    def reciprocal(self, delays: np.ndarray):
-        """``1 / (v + D)`` of each delay, ``(m, rows, taps)``, and the entries it leaves out.
-
-        Entries within the sinc's Taylor threshold of ``v + D = 0`` cannot
-        be evaluated as a quotient: their reciprocal is zeroed before it is
-        taken (so no inf or NaN reaches a contraction) and they are returned
-        as ``None`` or ``(delay, row, tap, v + D)`` index and argument arrays,
-        for :meth:`exact_kernel`.  Each delay's entries depend on that delay
+        Entries within the sinc's Taylor threshold of ``v + D = 0`` cannot be
+        divided by: they are set to infinity (so a weight over them is zero
+        and no inf or NaN reaches a contraction) and returned as ``None`` or
+        ``(delay, row, tap, v + D)`` index and argument arrays, for
+        :meth:`product_form`.  Each delay's entries depend on that delay
         alone, not on the batch it shares.
         """
         arguments = self.v + delays[:, None, None]
@@ -740,7 +634,7 @@ class _PlanStructure:
         upper = np.searchsorted(self.sorted_v, -delays + self.singular_radius, "right")
         singular = None
         if np.any(upper > lower):
-            # Rare: a point lies within ~1e-6 / c_env of a delayed sample.
+            # Rare: a point lies within ~1e-6 / envelope of a sample instant.
             # The closed-interval bounds overcount; this scan decides.
             flat = arguments.reshape(-1)
             index = np.flatnonzero(np.abs(flat) < self.singular_radius)
@@ -748,12 +642,41 @@ class _PlanStructure:
                 delay, entry = np.divmod(index, self.v.size)
                 singular = (delay, *np.unravel_index(entry, self.v.shape), flat[index])
                 flat[index] = np.inf
-        return np.reciprocal(arguments, out=arguments), singular
+        return arguments, singular
 
-    def exact_kernel(self, singular, cot_phi: np.ndarray) -> np.ndarray:
-        """The whole kernel at the entries :meth:`reciprocal` left out."""
-        delay, _, _, argument = singular
-        return sum(term.exact(argument, cot[delay]) for term, cot in zip(self.terms, cot_phi))
+    def rotated_sums(self, weighted: np.ndarray):
+        """``sum_j W cos(r v)`` and ``sum_j W sin(r v)`` of ``(m, rows, taps)`` weights: ``(m, R, rows)`` each.
+
+        One fixed-shape matmul per leading index against the tap basis, so
+        a delay's sums never depend on the delays that share its batch, then
+        each point's rotation by its row angle ``r row``.
+        """
+        num_rates = self.rates.size
+        sums = np.empty(weighted.shape[:2] + (2 * num_rates,))
+        for index, block in enumerate(weighted):
+            np.matmul(block, self.basis, out=sums[index])
+        # Rate-major, so each product below runs over a whole row of points
+        # rather than over R values at a time.
+        sums = np.ascontiguousarray(sums.transpose(0, 2, 1))
+        tap_cos, tap_sin = sums[:, :num_rates], sums[:, num_rates:]
+        cosines = self.row_cos * tap_cos
+        cosines -= self.row_sin * tap_sin
+        sines = self.row_sin * tap_cos
+        sines += self.row_cos * tap_sin
+        return cosines, sines
+
+    def product_form(self, argument: np.ndarray):
+        """Each term at ``argument`` as ``(scale sinc(envelope x) cos(pi oscillation x), ... sin(...))``.
+
+        The term is the first part minus ``cot(phi)`` times the second
+        (:func:`_kernel_terms`); ``np.sinc`` handles ``x = 0``.
+        """
+        parts = []
+        for _, scale, oscillation_hz, envelope_hz in self.terms:
+            envelope = scale * np.sinc(envelope_hz * argument)
+            oscillation = np.pi * oscillation_hz * argument
+            parts.append((envelope * np.cos(oscillation), envelope * np.sin(oscillation)))
+        return parts
 
 
 def _structure_key(sample_set: NonuniformSampleSet, times: np.ndarray, num_taps: int) -> tuple:
@@ -783,15 +706,15 @@ class PlanStructureCache:
     campaign group: the first scenario pays for the taper and kernel
     trigonometry of each cost grid, the rest of the group reuse them when
     they draw the same instants.  Eviction is sized in the values each
-    structure holds (its ``num_elements``, ~15 per point and tap) rather
+    structure holds (its ``num_elements``, ~3 per point and tap) rather
     than entry count, because grids differ in size.  The most recent entry
     is never evicted, so an oversized structure still serves the group
     being executed.
     """
 
     #: Retained-value budget (16 MB of float64).  One paper-default ``run()``
-    #: builds ~0.55M values of structures: two 300-point calibration grids at
-    #: 0.275M each.
+    #: builds ~0.12M values of structures: two 300-point calibration grids at
+    #: 58k each.
     MAX_ELEMENTS = 2_000_000
 
     def __init__(self) -> None:
@@ -849,21 +772,21 @@ class ReconstructionPlan:
     gathering, the taper (a modified-Bessel evaluation for the Kaiser window)
     and the full kernel trigonometry on every call.  A plan performs all of
     that delay-independent work once at construction; a candidate delay
-    then costs a handful of scalar trigonometric calls, one reciprocal
-    table ``1 / (v + D)`` and one contraction.
+    then costs a handful of scalar trigonometric calls, one ``(points,
+    taps)`` division and one matmul.
 
-    The on-grid channel's tap sums are computed once, at construction; the
-    delayed channel's once per candidate delay, through the structure's
-    delay-free tables (see :class:`_PlanStructure`).  The plan gathers each
-    point's tap window, masks the taps off the record and folds the taper,
-    the masked delayed-channel samples and the delayed tables into one
-    ``(points, taps, 4 terms)`` array.  A batch of delays is one matmul
-    ``(delays, points, 1, taps) @ (points, taps, 4 terms)`` of their
-    reciprocal tables against it, then each (delay, point) row against its
-    delay's factors, so a delay's row is the same whatever delays share its
-    batch.  A plan holds ``(points, taps)`` arrays: one delay over a dense
-    uniform grid goes through :meth:`NonuniformReconstructor.evaluate`'s
-    render instead.
+    The plan gathers each point's tap window, masks the taps off the record
+    and folds the taper into the samples of both channels.  The on-grid
+    channel's tap sums are computed once, at construction, as two
+    delay-free dot products per term (:meth:`_on_grid_terms`); the delayed
+    channel's once per candidate delay: its weighted samples over ``v + D``,
+    one ``(points, taps) @ (taps, 4 terms)`` matmul against the structure's
+    tap basis, then a turn by the row tables and the delay's scalars (see
+    :class:`_PlanStructure`).  Each delay of a batch gets its own matmul and
+    the rates are summed in a fixed order, so a delay's row is the same
+    whatever delays share its batch.  A plan holds ``(points, taps)``
+    arrays: one delay over a dense uniform grid goes through
+    :meth:`NonuniformReconstructor.evaluate`'s render instead.
 
     Parameters
     ----------
@@ -913,31 +836,39 @@ class ReconstructionPlan:
             if structure_cache is not None:
                 structure_cache.store(key, structure)
         self._structure = structure
-        # The on-grid channel's only delay dependence is the scalar cot_phi
-        # of each term, so its tap contraction folds into two delay-free dot
-        # products per term; evaluating a candidate then reduces the channel
-        # to (num_times,)-sized work instead of (num_times, num_taps).
         half = num_taps // 2
         tap_index = structure.centre[:, None] + np.arange(-half, half + 1)
         valid = (tap_index >= 0) & (tap_index < len(sample_set))
         clipped = np.clip(tap_index, 0, len(sample_set) - 1)
         weight = np.where(valid, structure.taper, 0.0)
-        weighted_on_grid = sample_set.on_grid[clipped] * weight
         self._weighted_delayed = sample_set.delayed[clipped] * weight
-        self._on_grid_dots = tuple(
-            (
-                np.einsum("np,np->n", weighted_on_grid, term.on_grid_cos),
-                np.einsum("np,np->n", weighted_on_grid, term.on_grid_sin),
-            )
-            for term in structure.terms
-        )
-        # The delayed tables with the taper, the samples and the mask folded
-        # in, (points, taps, 4 terms): a delay batch is then one matmul of
-        # its reciprocal table against them.
-        tables = structure.delayed_tables()
-        self._delayed_tables = np.empty(weight.shape + (len(tables),))
-        for column, table in enumerate(tables):
-            np.multiply(table, self._weighted_delayed, out=self._delayed_tables[..., column])
+        self._on_grid_dots = self._on_grid_terms(sample_set.on_grid[clipped] * weight)
+
+    def _on_grid_terms(self, weighted: np.ndarray):
+        """Each term's on-grid tap sums ``(cos part, sin part)``, ``(points,)`` each.
+
+        At ``-v`` term ``t`` is ``scale sinc(envelope v) (cos(pi oscillation v) +
+        cot(phi) sin(pi oscillation v))``, and by product to sum the two
+        parts are ``c_t (sin(P_t v) + sin(Q_t v)) / v`` and ``c_t (cos(Q_t v) -
+        cos(P_t v)) / v``: one :meth:`_PlanStructure.rotated_sums` of the
+        weights over ``v`` gives both, and a candidate delay only weighs the
+        second by ``cot(phi)``.  Points on a sample instant take their
+        ``v = 0`` tap in product form.
+        """
+        structure = self._structure
+        arguments, singular = structure.arguments(np.zeros(1))
+        cosines, sines = structure.rotated_sums(np.divide(weighted, arguments, out=arguments))
+        dots = []
+        for p in range(0, structure.rates.size, 2):
+            # Rates p and p + 1 are a term's P and Q; gain p is its c_t.
+            gain, q = structure.gains[p], p + 1
+            dots.append((gain * (sines[0, p] + sines[0, q]), gain * (cosines[0, q] - cosines[0, p])))
+        if singular is not None:
+            _, row, tap, argument = singular
+            for (dot_cos, dot_sin), (cos_part, sin_part) in zip(dots, structure.product_form(argument)):
+                np.add.at(dot_cos, row, weighted[row, tap] * cos_part)
+                np.add.at(dot_sin, row, weighted[row, tap] * sin_part)
+        return tuple(dots)
 
     # ------------------------------------------------------------------ #
     # Public attributes
@@ -1002,34 +933,47 @@ class ReconstructionPlan:
     def _evaluate_batch(self, delays: np.ndarray) -> np.ndarray:
         """Core batched evaluation over a validated chunk of delays.
 
-        Every step is elementwise or contracts one (delay, point) or one
-        delay's rows at a time, so a delay's row never depends on the other
-        delays of its batch.
+        Every step is elementwise, sums the rates in a fixed order or is one
+        matmul per delay, so a delay's row never depends on the other delays
+        of its batch.
         """
         structure = self._structure
-        cot_phi, factors = structure.delay_factors(delays)
+        phi = delays[:, None] * structure.phase_rates
+        sin_phi = np.sin(phi)
+        cot_phi = np.cos(phi) / sin_phi
         on_grid_total = None
-        for cot, (dot_cos, dot_sin) in zip(cot_phi, self._on_grid_dots):
+        for cot, (dot_cos, dot_sin) in zip(cot_phi.T, self._on_grid_dots):
             on_grid = dot_cos + cot[:, None] * dot_sin
             if on_grid_total is None:
                 on_grid_total = on_grid
             else:
                 on_grid_total += on_grid
-        reciprocal, singular = structure.reciprocal(delays)
-        # (delays, points, 1, taps) @ (points, taps, 4 terms), then each
-        # (delay, point) row against its delay's factors.
-        sums = np.matmul(reciprocal[:, :, None, :], self._delayed_tables)
-        delayed = np.matmul(sums, factors[:, None, :, None])[:, :, 0, 0]
+        arguments, singular = structure.arguments(delays)
+        weighted = np.divide(self._weighted_delayed, arguments, out=arguments)
+        cosines, sines = structure.rotated_sums(weighted)
+        # cos(r (v + D) - sign phi) = cos(r v) cos(beta) - sin(r v) sin(beta)
+        # with beta = r D - sign phi, each rate weighted by sign c_t / sin(phi).
+        beta = delays[:, None] * structure.delay_rates
+        gain = structure.gains / np.repeat(sin_phi, 2, axis=1)
+        cosines *= (gain * np.cos(beta))[:, :, None]
+        sines *= (gain * np.sin(beta))[:, :, None]
+        cosines -= sines
+        delayed = cosines[:, 0] + cosines[:, 1]
+        for rate in range(2, structure.rates.size):
+            delayed += cosines[:, rate]
         if singular is not None:
-            delay, row, tap, _ = singular
-            exact = structure.exact_kernel(singular, cot_phi)
+            delay, row, tap, argument = singular
+            exact = sum(
+                cos_part - cot_phi[delay, term] * sin_part
+                for term, (cos_part, sin_part) in enumerate(structure.product_form(argument))
+            )
             np.add.at(delayed, (delay, row), self._weighted_delayed[row, tap] * exact)
         return on_grid_total + delayed
 
     def _validate_delay(self, delay: float) -> float:
         """Reject delays Eq. (3) forbids, mirroring the direct evaluator."""
         delay = check_positive(delay, "assumed_delay")
-        return check_delay(self._samples.band, delay, tolerance=DEFAULT_DELAY_TOLERANCE)
+        return check_delay(self._samples.band, delay)
 
 
 def evaluate_stacked(plans, assumed_delays, validate: bool = True) -> np.ndarray:

@@ -54,7 +54,10 @@ __all__ = [
 #: v6: the Kaiser taper is evaluated as its power series and dense renders
 #: build their kernels at the estimated delay directly, which moves report
 #: metrics in their last bits.
-SCHEMA_VERSION = 6
+#: v7: the LMS cost plans factor the Eq. (2) kernel into a tap basis and
+#: per-point row tables (one matmul per candidate delay), which moves the
+#: reported final cost in its last bits.
+SCHEMA_VERSION = 7
 
 
 def canonical_json(payload) -> str:

@@ -18,8 +18,13 @@ delays that :func:`~repro.sampling.nonuniform.check_delay` accepts:
   ``evaluate_many([d, x])`` is ``evaluate(d)`` bit for bit for generated
   companion delays ``x``;
 * every value is finite;
-* the angle-addition trigonometry tables agree with direct ``np.sin`` and
-  ``np.cos`` of the kernel arguments to within a few ulp of the angle.
+* a plan's tap basis and row tables, composed by angle addition, agree with
+  direct ``np.sin`` and ``np.cos`` of the kernel angles ``r (row + tau)`` to
+  within a few ulp of the angle;
+* a paper-sized LMS cost plan and its structure hold at most four arrays of
+  ``points * (nw + 1)`` values or more;
+* :func:`_kernel_rows`'s one pass over bounded keys groups a grid's points
+  exactly as sorting the keys with ``np.unique`` does.
 
 Half the generated grids are uniform, ``start + m T + arange(n) / fs`` with
 ``fs = B p / q``: most take the reconstructor's dense render.  Even ``p``
@@ -30,13 +35,15 @@ or wholly off the record.  ``q`` is either at most 16 or coarser than the
 kernel (``q > nw + 1``, windows that never overlap), and some grids are
 reversed: a decreasing grid takes a plan.  Half of the grids, uniform or
 random, put one point on a delayed-sample instant ``t = nT + D``, give or
-take a few ulp, for the first delay only.  That entry of ``1 / (v + D)``
-sits at the sinc's removable singularity and is evaluated in product form
-(plans) or as its Taylor series (renders); no other entry or row may change
-by a bit.
+take a few ulp, for the first delay only, and half of the random grids put
+one point on an on-grid sample instant ``t = nT``, again give or take a few
+ulp.  Those entries of ``v + D`` and ``v`` sit at the sinc's removable
+singularity and are evaluated in product form (plans) or as its Taylor
+series (renders); no other entry or row may change by a bit.
 """
 
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -44,9 +51,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.bist.measurements import render_uniform
+from repro.calibration import SkewCostFunction
 from repro.errors import DelayConstraintError
 from repro.sampling import (
     BandpassBand,
+    IdealNonuniformSampler,
     NonuniformReconstructor,
     NonuniformSampleSet,
     PlanStructureCache,
@@ -56,7 +65,8 @@ from repro.sampling import (
 )
 from repro.sampling.nonuniform import check_delay, delay_upper_bound
 from repro.sampling import reconstruction
-from repro.sampling.reconstruction import _angle_tables, _DenseRender
+from repro.sampling.reconstruction import _DenseRender, _kernel_rows
+from repro.signals import multitone_in_band
 
 
 def accepted(band, delay) -> bool:
@@ -124,6 +134,11 @@ def kernel_cases(draw, uniform=None, row_shared=False):
         times = start + period * rng.uniform(-3.0, num_samples + 3.0, draw(st.integers(1, 30)))
         if planted is not None:
             times = np.insert(times, draw(st.integers(0, times.size)), planted)
+        if draw(st.booleans()):
+            # An on-grid sample instant nT, a few ulp off.
+            on_grid = start + draw(st.integers(0, num_samples - 1)) * period
+            on_grid += draw(st.integers(-3, 3)) * np.spacing(on_grid)
+            times = np.insert(times, draw(st.integers(0, times.size)), on_grid)
 
     geometry = NonuniformSampleSet(
         on_grid=np.zeros(num_samples),
@@ -202,26 +217,102 @@ def test_row_is_independent_of_its_batch(case, data):
 
 @settings(max_examples=40, deadline=None)
 @given(kernel_cases())
-def test_angle_tables_match_direct_trigonometry(case):
-    # One row per point, as a per-point structure builds them: each row's
-    # offset from its centre sample, plus each tap's offset from the centre.
+def test_tap_basis_and_row_tables_match_direct_trigonometry(case):
+    # Each kernel angle r (row + tau) is a point's row angle plus a tap's:
+    # the row tables hold cos and sin of the first, the tap basis of the
+    # second, and angle addition composes them.
     plans, _ = case
     plan = plans[0]
+    structure = plan.structure
     samples = plan.sample_set
     period, start = samples.sample_period, samples.start_time
     half = plan.num_taps // 2
     times = plan.evaluation_times
     row = (start + np.round((times - start) / period) * period) - times
     tap = np.arange(-half, half + 1) * period
-    for term in plan.structure.terms:
-        for rate in (term.c_osc, np.pi * term.c_env):
-            angle = rate * (row[:, None] + tap)
-            # A few ulp of the largest angle the two routes round.
-            largest = np.maximum(np.abs(angle), np.abs(rate * row)[:, None] + np.abs(rate * tap))
-            bound = 4.0 * np.spacing(largest) + 4.0 * np.finfo(float).eps
-            sine, cosine = _angle_tables(rate, row, tap)
-            assert np.all(np.abs(sine - np.sin(angle)) <= bound)
-            assert np.all(np.abs(cosine - np.cos(angle)) <= bound)
+    num_rates = structure.rates.size
+    assert structure.basis.shape == (tap.size, 2 * num_rates)
+    assert structure.row_cos.shape == structure.row_sin.shape == (num_rates, times.size)
+    for index, rate in enumerate(structure.rates):
+        angle = rate * (row[:, None] + tap)
+        # A few ulp of the largest angle the two routes round.
+        largest = np.maximum(np.abs(angle), np.abs(rate * row)[:, None] + np.abs(rate * tap))
+        bound = 4.0 * np.spacing(largest) + 4.0 * np.finfo(float).eps
+        tap_cos, tap_sin = structure.basis[:, index], structure.basis[:, num_rates + index]
+        row_cos, row_sin = structure.row_cos[index, :, None], structure.row_sin[index, :, None]
+        assert np.all(np.abs(row_sin * tap_cos + row_cos * tap_sin - np.sin(angle)) <= bound)
+        assert np.all(np.abs(row_cos * tap_cos - row_sin * tap_sin - np.cos(angle)) <= bound)
+
+
+def test_cost_plan_holds_no_per_tap_kernel_tables(paper_band):
+    # A paper-default LMS cost plan: 300 instants, nw = 60, 400 and 200
+    # sample pairs.  It keeps v, its sorted copy, the taper and the weighted
+    # delayed samples at points x (nw + 1); everything else it holds is
+    # per point, per tap or per sample.
+    tone = multitone_in_band(0.995e9, 1.005e9, 5, amplitude=0.3, seed=3)
+    fast = IdealNonuniformSampler(paper_band, delay=180e-12).acquire(tone, num_samples=400)
+    slow = IdealNonuniformSampler(
+        paper_band, delay=180e-12, sample_rate=paper_band.bandwidth / 2.0
+    ).acquire(tone, num_samples=200)
+    cost = SkewCostFunction(fast, slow, seed=1)
+    cost.evaluate_many([170e-12, 190e-12])
+    for plan in (cost.plan_fast, cost.plan_slow):
+        size = plan.evaluation_times.size * (plan.num_taps + 1)
+        held = [array for array in retained_arrays(plan) if array.size >= size]
+        assert len(held) <= 4
+
+
+def unique_kernel_rows(times, centre, start, period):
+    """:func:`_kernel_rows` with ``np.unique`` sorting its keys: the reference."""
+    num_times = times.size
+    if num_times < 2:
+        return None
+    ratio = (times[-1] - times[0]) / (num_times - 1) / period
+    if not abs(ratio) < 2**32:
+        return None
+    step = Fraction(ratio).limit_denominator(num_times - 1)
+    p, q = step.denominator, step.numerator
+    if q <= 0:
+        return None
+    index = np.arange(num_times)
+    phase = index % p
+    residual = centre - centre[phase] - (index // p) * q
+    if np.abs(residual).max() > 1:
+        return None
+    _, first, row_index = np.unique(3 * phase + residual, return_index=True, return_inverse=True)
+    if first.size >= num_times:
+        return None
+    centre_argument = (start + centre * period) - times
+    tolerance = 4.0 * np.spacing(np.abs(times).max() + abs(start))
+    if np.abs(centre_argument - centre_argument[first][row_index]).max() > tolerance:
+        return None
+    order = np.argsort(centre[first] - (first // p) * q, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[row_index], p, q
+
+
+def assert_kernel_rows_match_reference(times, start, period):
+    centre = np.round((times - start) / period).astype(np.int64)
+    rows = _kernel_rows(times, centre, start, period)
+    expected = unique_kernel_rows(times, centre, start, period)
+    if expected is None:
+        assert rows is None
+    else:
+        first, row_index, p, q = rows
+        assert np.array_equal(first, expected[0])
+        assert np.array_equal(row_index, expected[1])
+        assert (p, q) == expected[2:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(kernel_cases(row_shared=True), kernel_cases(uniform=True)))
+def test_kernel_rows_equal_the_sorting_reference(case):
+    plans, _ = case
+    samples = plans[0].sample_set
+    assert_kernel_rows_match_reference(
+        plans[0].evaluation_times, samples.start_time, samples.sample_period
+    )
 
 
 def dense_render(plan):
@@ -350,6 +441,7 @@ def test_paper_dense_grids_share_kernel_rows(paper_band):
     grids = ((None, 419, (418, 9), 10), (48 * paper_band.bandwidth, 49, (48, 1), 2))
     for rate, rows, step, groups in grids:
         times, _, _ = render_uniform(reconstructor, low, high, rate)
+        assert_kernel_rows_match_reference(times, samples.start_time, samples.sample_period)
         render = _DenseRender.of(samples, times, reconstructor.num_taps)
         assert render.row.shape == (rows,)
         assert render.point_index.shape == times.shape

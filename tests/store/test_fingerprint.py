@@ -128,20 +128,20 @@ class TestPayload:
 
 #: Hex digests pinned when scenario resolution moved into
 #: ``repro.bist.campaign.resolve_scenario``, re-pinned for ``SCHEMA_VERSION``
-#: 6.  A change here re-keys every archived store (all lookups go cold): bump
+#: 7.  A change here re-keys every archived store (all lookups go cold): bump
 #: ``SCHEMA_VERSION`` on purpose instead of editing a digest.
 PAPER = "paper-qpsk-1ghz"
 PINNED = {
     "paper-shared": (
         dict(scenario=CampaignScenario(profile=PAPER)),
-        "d7fa4d54ad995a1adc79d5ca9a23554b70efa692b5371df01b7e20ce56e1f93c",
+        "527b6279e60d63ec1379faa568fde16c05f73772fd7cddbc78db241164485c75",
     ),
     "paper-per-scenario-seed": (
         dict(
             scenario=CampaignScenario(profile=PAPER),
             seed=derive_scenario_seed(BistConfig().seed, 2, PAPER),
         ),
-        "bf941c9894cb5403effb07eba9516988ba0c1b1db3178d27ef4a8e5c373ef059",
+        "cbfb672c693a8cee16d9e1147ec04230699c2c3b4265bde04ec1abd0e023810b",
     ),
     "scenario-converter-spec": (
         dict(
@@ -150,7 +150,7 @@ PINNED = {
             ),
             seed=12345,
         ),
-        "7ba10e5ab19f36d25e7dc7c595a39f139ced4e0cc8765a8e382e4b2fec03d577",
+        "fb6c943d293432915ba530034de431793336cd163e77b3e91d7f48668d98af55",
     ),
     "fault-model-impairment": (
         dict(
@@ -158,15 +158,15 @@ PINNED = {
                 profile=PAPER, impairments=pa_saturation_sweep([0.75])[0][1]
             )
         ),
-        "dec76f41764451b50dbc5e7f64e663985d318c93b62d9c1c574d57dfdd4cf706",
+        "39c7edc866290e711ea19038baeeaa12959c15789d356f2f846aa8601dfd5c68",
     ),
     "ofdm-profile": (
         dict(scenario=CampaignScenario(profile="ofdm-uhf-qpsk-400mhz")),
-        "58ab977173b758352dcff61a0e951017d2bf9782cabb38cbae1e888901269d01",
+        "46c9343a635cfb509b5c3a1e3e937b5dac46e2ae6cc8c07838a29ae2a4846e6f",
     ),
     "explicit-num-symbols": (
         dict(scenario=CampaignScenario(profile="uhf-8psk-400mhz", num_symbols=256)),
-        "92bd11a40e90d485b1350ab1c67e1cbf86895668c57f39d4d1c127e1ca8692e7",
+        "ef92cd461a5e6505d75461964b7109432386622708d5455f093e36b357ed2c0b",
     ),
 }
 
