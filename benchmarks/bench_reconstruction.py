@@ -17,19 +17,24 @@ document so the performance trajectory accumulates across PRs:
 * ``full_bist`` — ``TransmitterBist.run`` with the plan layer and the dense
   render vs the same engine with every reconstruction routed through the
   reference path;
-* ``dense_render`` — the paper-default record (400 samples) rendered over its
-  valid range at the spectrum rate (4 f_high), at the single-carrier EVM
-  rate and at the ``uhf-8psk-400mhz`` spectrum grid's ``fs/B`` (20162/81,
-  the most kernel rows of any shipped profile), through
-  :func:`~repro.bist.measurements.render_uniform` (the reconstructor's
-  render: a polyphase filter bank over one kernel row per distinct grid
-  offset, its kernels built at the delay a block at a time) and through the
-  reference path.  Each grid reports its kernel rows and window groups from
-  the render's layout, and the ``tracemalloc`` peak of one render.
+* ``dense_render`` — 400-sample records rendered over their valid range
+  through :func:`~repro.bist.measurements.render_uniform` (the
+  reconstructor's render: a polyphase filter bank over one kernel row per
+  distinct grid offset, its kernels built at the delay a block at a time)
+  and through the reference path: the paper-default record at the spectrum
+  rate (4 f_high) and at the single-carrier EVM rate; ideal acquisitions in
+  the acquisition bands of the three profiles whose spectrum grids have the
+  most kernel rows, at their spectrum rate (``uhf-8psk-400mhz``, fs/B =
+  20162/81, 20,163 rows; ``lband-64qam-1p5ghz``, 15122/61, 15,123 rows;
+  ``narrowband-vhf-bpsk``, 6268/9, 6,269 rows over 236,791 points); and a
+  band a hair above integer positioning (2 f_l/B = 5 + 1e-8, whose second
+  kernel term's envelope is ~1e-8 B) at 14 B.  Each grid reports its
+  kernel rows and window groups from the render's layout, and the
+  ``tracemalloc`` peak of one render.
 
 Every comparison also records the worst relative deviation between the two
-paths; the script exits non-zero if the single-eval, sweep or dense-render
-deviation exceeds ``--tolerance`` (1e-9), if a batched sweep row differs
+paths; the script exits non-zero if the single-eval, sweep or any
+dense-render deviation exceeds ``--tolerance`` (1e-9), if a batched sweep row differs
 from its per-delay evaluation in any bit, if the two LMS estimates differ
 by more than the estimator's minimal step (``min_step_seconds``, 1e-3 ps),
 or if the ``uhf-8psk`` render's ``tracemalloc`` peak exceeds 64 MB.
@@ -56,6 +61,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from repro.bist import BistConfig, TransmitterBist
+from repro.bist.campaign import CampaignScenario, scenario_bist_config
 from repro.bist.measurements import render_uniform
 from repro.calibration import LmsSkewEstimator, SkewCostFunction
 from repro.sampling import (
@@ -64,6 +70,7 @@ from repro.sampling import (
     NonuniformReconstructor,
     reference_evaluate,
 )
+from repro.sampling.nonuniform import delay_upper_bound
 from repro.sampling.reconstruction import ReconstructionPlan, _DenseRender
 from repro.signals import multitone_in_band
 from repro.transmitter import HomodyneTransmitter, TransmitterConfig
@@ -73,11 +80,15 @@ BANDWIDTH_HZ = 90.0e6
 TRUE_DELAY_S = 180.0e-12
 NUM_TAPS = 60
 PAPER_NUM_SAMPLES = 400
-#: fs/B of the ``uhf-8psk-400mhz`` spectrum grid: 4 f_high / B at its 400 MHz
-#: carrier and 6.48 MHz acquisition band.  On the paper record it renders
-#: 20,163 kernel rows in 82 window groups, the worst case of any shipped
-#: profile.
-UHF_8PSK_RATE_OVER_B = 20162 / 81
+#: The profiles whose spectrum grids (4 f_high over the acquisition band B)
+#: have the most kernel rows, by their grid's name.
+LARGE_NUMERATOR_PROFILES = {
+    "uhf-8psk": "uhf-8psk-400mhz",
+    "lband-64qam": "lband-64qam-1p5ghz",
+    "vhf-bpsk": "narrowband-vhf-bpsk",
+}
+#: 2 f_l / B of a band a hair above integer positioning, rendered at 14 B.
+NEAR_INTEGER_POSITION = 5.0 + 1e-8
 #: Points per ``reference_evaluate`` call when rendering the oracle; each
 #: point is evaluated on its own, so the split bounds memory only.
 REFERENCE_CHUNK_POINTS = 8192
@@ -327,18 +338,46 @@ def bench_full_bist(smoke: bool, repeats: int) -> dict:
     }
 
 
-DENSE_GRIDS = ("spectrum", "evm", "uhf-8psk")
+DENSE_GRIDS = ("spectrum", "evm", *LARGE_NUMERATOR_PROFILES, "near-integer")
+
+
+def _ideal_record(band: BandpassBand, delay: float):
+    """400 ideal sample pairs of a nine-tone multitone over the middle of ``band``."""
+    signal = multitone_in_band(
+        band.centre - 0.3 * band.bandwidth,
+        band.centre + 0.3 * band.bandwidth,
+        num_tones=9,
+        amplitude=0.3,
+        seed=20140324,
+    )
+    return IdealNonuniformSampler(band, delay=delay).acquire(signal, num_samples=PAPER_NUM_SAMPLES)
+
+
+def dense_cases():
+    """``(record, rate)`` of each dense grid; a ``None`` rate is 4 f_high."""
+    fast_set, _ = build_acquisitions(PAPER_NUM_SAMPLES)
+    envelope_rate = TransmitterConfig.paper_default().envelope_sample_rate
+    evm_rate = np.ceil(4.0 * fast_set.band.f_high / envelope_rate) * envelope_rate
+    cases = [(fast_set, None), (fast_set, evm_rate)]
+    for profile in LARGE_NUMERATOR_PROFILES.values():
+        scenario = CampaignScenario(profile=profile)
+        config = scenario_bist_config(scenario, BistConfig())
+        band = BandpassBand.from_centre(
+            scenario.resolved_profile().carrier_frequency_hz, config.acquisition_bandwidth_hz
+        )
+        cases.append((_ideal_record(band, config.programmed_delay_seconds), None))
+    band = BandpassBand(
+        NEAR_INTEGER_POSITION * BANDWIDTH_HZ / 2.0, (NEAR_INTEGER_POSITION + 2.0) * BANDWIDTH_HZ / 2.0
+    )
+    cases.append((_ideal_record(band, 0.37 * delay_upper_bound(band)), 14.0 * BANDWIDTH_HZ))
+    return cases
 
 
 def bench_dense_render(repeats: int) -> dict:
-    fast_set, _ = build_acquisitions(PAPER_NUM_SAMPLES)
-    reconstructor = NonuniformReconstructor(fast_set, num_taps=NUM_TAPS)
-    low, high = reconstructor.valid_time_range()
-    envelope_rate = TransmitterConfig.paper_default().envelope_sample_rate
-    evm_rate = np.ceil(4.0 * fast_set.band.f_high / envelope_rate) * envelope_rate
-    rates = (None, evm_rate, UHF_8PSK_RATE_OVER_B * fast_set.band.bandwidth)
     results = {}
-    for name, rate in zip(DENSE_GRIDS, rates):
+    for name, (record, rate) in zip(DENSE_GRIDS, dense_cases()):
+        reconstructor = NonuniformReconstructor(record, num_taps=NUM_TAPS)
+        low, high = reconstructor.valid_time_range()
         render_s = best_of(lambda: render_uniform(reconstructor, low, high, rate), repeats)
         tracemalloc.start()
         try:
@@ -346,12 +385,12 @@ def bench_dense_render(repeats: int) -> dict:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        layout = _DenseRender.of(fast_set, times, NUM_TAPS)
+        layout = _DenseRender.of(record, times, NUM_TAPS)
         start = time.perf_counter()
         reference = np.concatenate(
             [
                 reference_evaluate(
-                    fast_set, times[first : first + REFERENCE_CHUNK_POINTS], TRUE_DELAY_S,
+                    record, times[first : first + REFERENCE_CHUNK_POINTS], record.delay,
                     num_taps=NUM_TAPS,
                 )
                 for first in range(0, times.size, REFERENCE_CHUNK_POINTS)
@@ -424,7 +463,7 @@ def main(argv=None) -> int:
           f"({results['full_bist']['speedup']:.1f}x)")
     for name in DENSE_GRIDS:
         dense = results["dense_render"][name]
-        print(f"dense {name:<8}: reference {dense['reference_s'] * 1e3:6.0f} ms  "
+        print(f"dense {name:<12}: reference {dense['reference_s'] * 1e3:6.0f} ms  "
               f"render {dense['render_s'] * 1e3:8.2f} ms  "
               f"({dense['num_times']} times, {dense['kernel_rows']} kernel rows, "
               f"{dense['window_groups']} window groups, "

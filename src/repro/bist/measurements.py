@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..dsp.filters import lowpass_fir
 from ..dsp.interpolation import sinc_interpolate
@@ -175,11 +176,13 @@ def envelope_from_dense_samples(
     analytic = samples * np.exp(-2j * np.pi * carrier_frequency_hz * times)
     cutoff = min(envelope_rate / 2.0, carrier_frequency_hz * 0.8)
     taps = lowpass_fir(cutoff, dense_rate, num_taps=129)
-    filtered = np.convolve(analytic, taps.astype(complex))
-    bulk = (len(taps) - 1) // 2
-    filtered = filtered[bulk : bulk + samples.size]
+    # Only the kept outputs are filtered: the output centred on sample i is
+    # the window of the zero-padded record starting at i against the
+    # reversed taps, so the decimation strides over the windows.
+    bulk = (taps.size - 1) // 2
+    windows = sliding_window_view(np.pad(analytic, bulk), taps.size)[::decimation]
     # Factor 2: the complex mixing halves the envelope amplitude.
-    return times[::decimation], 2.0 * filtered[::decimation]
+    return times[::decimation], 2.0 * (windows @ taps[::-1])
 
 
 def measure_spectrum_from_samples(

@@ -35,10 +35,11 @@ taps and a Kaiser window).  This module provides:
   polyphase filter bank: each group of rows that shares a window base is one
   matmul of its kernels against one strided window of the zero-padded
   record per grid period.  The on-grid and delayed kernels are built at
-  ``D_hat`` directly, a block of groups at a time, and dropped once
-  contracted; nothing is kept.  The delayed channel therefore has two
-  formulas: the factored one above for many delays, the direct one here for
-  a single delay;
+  ``D_hat`` from the same factored kernel, a block of groups at a time: each
+  row's angles, turned by ``D_hat``, are its coefficients on the tap basis,
+  one matmul per group gives the numerators, and a division by the argument
+  and the taper finish them.  They are dropped once contracted; nothing is
+  kept;
 * :class:`PlanStructureCache` — shares the *sample-independent* half of a
   plan (tap windows, taper, the kernel's tap basis and row tables) between
   plans whose acquisition geometry and evaluation grid coincide.
@@ -244,45 +245,23 @@ _BATCH_ELEMENT_BUDGET = 300_000
 #: groups are built together up to this budget, contracted and dropped, so
 #: the temporaries stay cache-sized.  Both paper grids are one block (419 and
 #: 49 rows of 61 taps); the 20,163 rows of the ``uhf-8psk-400mhz`` spectrum
-#: grid take 41.  On that grid a render took 132-138 ms at 32k and 64k values
-#: a block, 185 ms at 128k and 241 ms at 256k (2-CPU container).
+#: grid take 41.  On that grid a render took 45-53 ms at 16k to 64k values a
+#: block, 50 ms at 8k, 53-54 ms at 128k and 81-87 ms at 256k (medians of
+#: five, two runs, 2-CPU container).
 _RENDER_ELEMENT_BUDGET = 32_768
 
-#: Sinc arguments smaller than this are evaluated exactly (``np.sinc`` in
-#: plans, the Taylor series ``1 - (pi x)^2 / 6`` in the dense render) instead
-#: of as a quotient over ``x``, whose absolute error (~1e-16 / (pi x)) would
-#: otherwise grow as the argument shrinks.
+#: A band's singular radius is this over its kernel's smallest envelope:
+#: arguments ``x`` closer to 0 are evaluated in product form (``np.sinc``)
+#: instead of as a quotient over ``x``, whose absolute error (~1e-16 / x)
+#: would otherwise grow as ``x`` shrinks.
 _SINC_SERIES_THRESHOLD = 1.0e-6
 
-
-def _sinc_from_parts(sin_pi_x, x):
-    """``sinc(x) = sin(pi x) / (pi x)`` given ``sin(pi x)`` already computed.
-
-    The numerator comes from an exact angle-addition expansion, so near the
-    removable singularity the quotient is replaced by its Taylor series
-    (accurate to ~1e-24 at the switch-over point).
-    """
-    denominator = np.pi * x
-    small = np.abs(x) < _SINC_SERIES_THRESHOLD
-    out = np.empty_like(denominator)
-    np.divide(sin_pi_x, denominator, out=out, where=~small)
-    if small.any():
-        out[small] = 1.0 - denominator[small] ** 2 / 6.0
-    return out
-
-
-def _angle_sine(rate: float, row: np.ndarray, tap: np.ndarray, phase: float = 0.0):
-    """``sin(rate * (row[:, None] + tap) + phase)`` by angle addition.
-
-    Every kernel argument of a render is a row offset plus a tap offset, so
-    the ``(rows, taps)`` table costs ``rows + taps`` sines and cosines and
-    two products instead of ``rows * taps`` sines.
-    """
-    row_angle = rate * row + phase
-    tap_angle = rate * tap
-    sine = np.sin(row_angle)[:, None] * np.cos(tap_angle)
-    sine += np.cos(row_angle)[:, None] * np.sin(tap_angle)
-    return sine
+#: Floor, as a fraction of ``B``, on the envelope that sizes that radius.  A
+#: term's quotient errs by ~1e-16 ``c_t / |x|`` with ``c_t = scale / (2 pi
+#: envelope) = 1 / (2 pi B)`` (``scale = envelope / B``), so a vanishing
+#: envelope needs no wider radius.  Every shipped profile's smallest envelope
+#: is above ``0.049 B``, so the floor never sets their radius.
+_RADIUS_ENVELOPE_FLOOR = 0.01
 
 
 def _kernel_terms(band: BandpassBand) -> list[tuple[int, float, float, float]]:
@@ -303,6 +282,75 @@ def _kernel_terms(band: BandpassBand) -> list[tuple[int, float, float, float]]:
         terms.append((k, k - 2.0 * f_low / bandwidth, f_mirror + f_low, f_mirror - f_low))
     terms.append((k_plus, 2.0 * f_low / bandwidth + 1.0 - k, f_high + f_mirror, f_high - f_mirror))
     return terms
+
+
+class _FactoredKernel:
+    """The Eq. (2) kernel of one band by product to sum, for plans and renders alike.
+
+    Term ``t`` of the kernel (:func:`_kernel_terms`) is
+
+        ``s_t(x) = c_t [cos(P_t x - phi_t) - cos(Q_t x + phi_t)] / (x sin(phi_t))``
+
+    with ``c_t = scale / (2 pi envelope)``, ``P_t = pi (envelope +
+    oscillation)``, ``Q_t = pi (envelope - oscillation)`` and ``phi_t = order
+    pi B D``: the sum over the term's two ``rates`` (``P_t`` with sign +1,
+    ``Q_t`` with sign -1) of ``gain cos(r x - sign phi_t) / (x sin phi_t)``,
+    ``gain = sign c_t``.  Every argument is a row offset plus a tap offset
+    (plus ``D``), so each cosine splits by angle addition into the
+    :meth:`tap_basis` and per-row angles (:meth:`row_tables`); at ``x = v +
+    D`` the delay turns rate ``r`` by ``beta = r D - sign phi = D
+    delay_rate``.  Entries within ``singular_radius`` of ``x = 0``, the
+    sinc's removable singularity, go through :meth:`product_form`.
+    """
+
+    __slots__ = ("terms", "rates", "delay_rates", "gains", "phase_rates", "singular_radius")
+
+    def __init__(self, band: BandpassBand) -> None:
+        terms = tuple(_kernel_terms(band))
+        bandwidth = band.bandwidth
+        rates, delay_rates, gains = [], [], []
+        for order, scale, oscillation_hz, envelope_hz in terms:
+            for sign in (1.0, -1.0):
+                rate = np.pi * (envelope_hz + sign * oscillation_hz)
+                rates.append(rate)
+                delay_rates.append(rate - sign * order * np.pi * bandwidth)
+                gains.append(sign * scale / (2.0 * np.pi * envelope_hz))
+        self.terms = terms
+        self.rates = np.array(rates)
+        self.delay_rates = np.array(delay_rates)
+        self.gains = np.array(gains)
+        self.phase_rates = np.array([order * np.pi * bandwidth for order, _, _, _ in terms])
+        envelope = max(min(term[3] for term in terms), _RADIUS_ENVELOPE_FLOOR * bandwidth)
+        self.singular_radius = _SINC_SERIES_THRESHOLD / envelope
+
+    def tap_basis(self, tap: np.ndarray) -> np.ndarray:
+        """``cos(r tau)`` then ``sin(r tau)`` of each tap offset ``tau``: ``(taps, 2 R)``."""
+        angle = tap[:, None] * self.rates
+        return np.concatenate([np.cos(angle), np.sin(angle)], axis=1)
+
+    def row_tables(self, row: np.ndarray):
+        """``cos(r row)`` and ``sin(r row)`` of each row offset: ``(R, rows)`` each."""
+        angle = self.rates[:, None] * row
+        return np.cos(angle), np.sin(angle)
+
+    def phases(self, delays: np.ndarray):
+        """``sin(phi)`` and ``cot(phi)`` of each term at each delay: ``(delays, terms)`` each."""
+        phi = delays[:, None] * self.phase_rates
+        sin_phi = np.sin(phi)
+        return sin_phi, np.cos(phi) / sin_phi
+
+    def product_form(self, argument: np.ndarray):
+        """Each term at ``argument`` as ``(scale sinc(envelope x) cos(pi oscillation x), ... sin(...))``.
+
+        The term is the first part minus ``cot(phi)`` times the second
+        (:func:`_kernel_terms`); ``np.sinc`` handles ``x = 0``.
+        """
+        parts = []
+        for _, scale, oscillation_hz, envelope_hz in self.terms:
+            envelope = scale * np.sinc(envelope_hz * argument)
+            oscillation = np.pi * oscillation_hz * argument
+            parts.append((envelope * np.cos(oscillation), envelope * np.sin(oscillation)))
+        return parts
 
 
 def _kernel_rows(
@@ -387,11 +435,11 @@ class _DenseRender:
     ``i`` at ``(i // p, row_index[i])`` of the ``(periods, rows)`` sums.
 
     :meth:`evaluate` builds the on-grid and delayed kernels at the one delay
-    directly (:meth:`_kernels`), for consecutive groups of up to
-    :data:`_RENDER_ELEMENT_BUDGET` kernel values at a time, and drops each
-    block once contracted.  The layout is all a render holds: ``row`` (each
-    row's centre sample minus its point) and ``row_base`` per row,
-    ``point_index`` per point.
+    from the cost plans' factored kernel (:meth:`_kernels`), for consecutive
+    groups of up to :data:`_RENDER_ELEMENT_BUDGET` kernel values at a time,
+    and drops each block once contracted.  The layout is all a render holds:
+    ``row`` (each row's centre sample minus its point) and ``row_base`` per
+    row, ``point_index`` per point.
     """
 
     __slots__ = (
@@ -462,10 +510,11 @@ class _DenseRender:
         width = self.num_taps + 1
         on_grid = sliding_window_view(np.pad(samples.on_grid, self.num_taps), width)
         delayed = sliding_window_view(np.pad(samples.delayed, self.num_taps), width)
+        kernel = _FactoredKernel(samples.band)
         sums = np.zeros((self.num_periods, self.row.size))
         for block in self._blocks():
             first_row = block[0][0].start
-            kernels = self._kernels(self.row[first_row : block[-1][0].stop], delay)
+            kernels = self._kernels(kernel, block, delay)
             for rows, windows, periods in block:
                 local = slice(rows.start - first_row, rows.stop - first_row)
                 # Windows q < num_taps + 1 samples apart overlap, a layout
@@ -475,36 +524,61 @@ class _DenseRender:
                 sums[periods, rows] = group_sums
         return sums.reshape(-1)[self.point_index]
 
-    def _kernels(self, row: np.ndarray, delay: float) -> np.ndarray:
-        """The tapered on-grid and delayed kernels of ``row`` at ``delay``: ``(2, rows, taps)``.
+    def _kernels(self, kernel: _FactoredKernel, block, delay: float) -> np.ndarray:
+        """The tapered on-grid and delayed kernels of a block of groups: ``(2, rows, taps)``.
 
-        In the product form of :class:`KohlenbergKernel`, term ``i`` on-grid
-        (at ``-v``) is ``scale sinc(c_env v) sin(c_osc v + phi) / sin(phi)``,
-        which is ``scale sinc(c_env v) (cos(c_osc v) + cot(phi) sin(c_osc
-        v))``; delayed, at ``v + D``, it is ``-scale sinc(c_env (v + D))
-        sin(c_osc (v + D) - phi) / sin(phi)``.  ``v + D`` is still a row
-        offset plus a tap offset, so :func:`_angle_sine` builds the delayed
-        sines from the rows shifted by ``D``, and :func:`_sinc_from_parts`
-        takes their singular entries as it does on-grid.  Both kernels are
-        tapered at ``v``.
+        At argument ``x`` rate ``r`` adds ``gain cos(r x - sign phi) / (x sin
+        phi)``: on-grid (``x = -v``) ``-gain cos(r v + sign phi) / (v sin
+        phi)``, delayed (``x = v + D``) ``gain cos(r v + beta) / ((v + D) sin
+        phi)``.  As ``cos(r (row + tau) + a) = cos(r row + a) cos(r tau) -
+        sin(r row + a) sin(r tau)``, each row's angles turned by ``a`` are its
+        coefficients on the tap basis.  One matmul per window group gives the
+        numerators (a group's rows are fixed by the grid, whatever block
+        builds them), which are divided by ``v`` or ``v + D`` and tapered at
+        ``v``.  Entries within the singular radius of zero, widened by ``1 /
+        |sin phi|``, take product form.
         """
-        samples = self.sample_set
-        period = samples.sample_period
+        period = self.sample_set.sample_period
         half = self.num_taps // 2
         tap = np.arange(-half, half + 1) * period
+        basis = np.ascontiguousarray(kernel.tap_basis(tap).T)
+        sin_phi, cot_phi = (array[0] for array in kernel.phases(np.array([delay])))
+        first_row = block[0][0].start
+        row = self.row[first_row : block[-1][0].stop]
+        row_cos, row_sin = (table.T for table in kernel.row_tables(row))
+        gain = kernel.gains / np.repeat(sin_phi, 2)
+        sign_phi = np.repeat(delay * kernel.phase_rates, 2) * np.tile([1.0, -1.0], sin_phi.size)
+        # (on-grid, delayed) x rows x 2 R, C-ordered: each group's slice is then
+        # laid out as it would be in a block of its own.
+        turn = np.stack([sign_phi, delay * kernel.delay_rates])[:, None]
+        weight = np.stack([-gain, gain])[:, None]
+        cos_turn, sin_turn = weight * np.cos(turn), weight * np.sin(turn)
+        turned_cos = row_cos * cos_turn - row_sin * sin_turn
+        turned_sin = row_sin * cos_turn + row_cos * sin_turn
+        coefficients = np.ascontiguousarray(np.concatenate([turned_cos, -turned_sin], axis=2))
         v = row[:, None] + tap
-        shifted = row + delay
-        channels = ((row, v, 1.0), (shifted, shifted[:, None] + tap, -1.0))
-        kernels = np.zeros((2,) + v.shape)
-        for order, scale, oscillation_hz, envelope_hz in _kernel_terms(samples.band):
-            phi = order * np.pi * samples.band.bandwidth * delay
-            for kernel, (offset, argument, sign) in zip(kernels, channels):
-                term = _angle_sine(np.pi * oscillation_hz, offset, tap, sign * phi)
-                envelope = _angle_sine(np.pi * envelope_hz, offset, tap)
-                term *= _sinc_from_parts(envelope, envelope_hz * argument)
-                term *= sign * scale / np.sin(phi)
-                kernel += term
-        kernels *= evaluate_taper(v / (half * period + period))
+        kernels = np.empty((2,) + v.shape)
+        for rows, _, _ in block:
+            local = slice(rows.start - first_row, rows.stop - first_row)
+            np.matmul(coefficients[:, local], basis, out=kernels[:, local])
+        taper = evaluate_taper(v / (half * period + period))
+        # The coefficients carry 1 / sin(phi), and so does the quotient's
+        # rounding error near x = 0, where the kernel stays of order one.
+        radius = kernel.singular_radius / np.abs(sin_phi).min()
+        # In product form a term is cos_part - cot(phi) sin_part at x; on-grid
+        # x = -v, so at v the sine part changes sign.  (v + D is formed before
+        # the singular entries of v are overwritten.)
+        for values, argument, cot in ((kernels[0], v, -cot_phi), (kernels[1], v + delay, cot_phi)):
+            flat = argument.reshape(-1)
+            index = np.flatnonzero(np.abs(flat) < radius)
+            if index.size:
+                parts = kernel.product_form(flat[index])
+                exact = sum(cos_part - c * sin_part for c, (cos_part, sin_part) in zip(cot, parts))
+                flat[index] = np.inf
+            values /= argument
+            if index.size:
+                values.reshape(-1)[index] = exact
+        kernels *= taper
         return kernels
 
 
@@ -520,24 +594,15 @@ class _PlanStructure:
 
     Entry ``(n, j)`` of the kernel arguments ``v = nT - t`` and of the taper
     is point ``n``'s centre-sample offset ``row[n]`` plus tap ``j``'s offset
-    ``tau_j = (j - nw/2) T``.  By product to sum, term ``t`` of the kernel
-    (:func:`_kernel_terms`) is
-
-        ``s_t(x) = c_t [cos(P_t x - phi_t) - cos(Q_t x + phi_t)] / (x sin(phi_t))``
-
-    with ``c_t = scale / (2 pi envelope)``, ``P_t = pi (envelope +
-    oscillation)``, ``Q_t = pi (envelope - oscillation)`` and ``phi_t = order
-    pi B D``.  So a weighted tap sum over a kernel argument ``v + D`` needs
-    ``sum_j W cos(r v)`` and ``sum_j W sin(r v)`` at the ``R = 2 terms``
-    rates ``r``, with ``W`` the weights over ``v + D``
-    (:meth:`rotated_sums`): one matmul against the ``(taps, 2 R)`` tap
-    ``basis`` of ``cos(r tau)`` and ``sin(r tau)``, rotated by each point's
-    row angle through the ``(R, points)`` tables ``row_cos`` and
-    ``row_sin``.  The delay enters as one rotation per rate, by ``beta = r D
-    - sign phi``.  Entries within ``singular_radius`` of ``v + D = 0``, the
-    sinc's removable singularity, cannot be divided by: :meth:`arguments`
-    finds them from ``sorted_v`` and they are evaluated in product form
-    (:meth:`product_form`).
+    ``tau_j = (j - nw/2) T``.  In the factored kernel (:class:`_FactoredKernel`)
+    a weighted tap sum over a kernel argument ``v + D`` needs ``sum_j W cos(r
+    v)`` and ``sum_j W sin(r v)`` at its rates ``r``, with ``W`` the weights
+    over ``v + D`` (:meth:`rotated_sums`): one matmul against the tap
+    ``basis``, rotated by each point's row angle through the ``(R, points)``
+    tables ``row_cos`` and ``row_sin``.  Entries within the kernel's
+    ``singular_radius`` of ``v + D = 0`` cannot be divided by:
+    :meth:`arguments` finds them from ``sorted_v`` and they are evaluated in
+    product form.
 
     Plans gather each point's samples around its ``centre`` sample and give
     the taps off the record zero weight.
@@ -548,17 +613,12 @@ class _PlanStructure:
         "num_taps",
         "centre",
         "taper",
-        "terms",
-        "phase_rates",
-        "rates",
-        "delay_rates",
-        "gains",
+        "kernel",
         "basis",
         "row_cos",
         "row_sin",
         "v",
         "sorted_v",
-        "singular_radius",
         "num_elements",
     )
 
@@ -583,61 +643,41 @@ class _PlanStructure:
         v = row[:, None] + tap
         taper = evaluate_taper(v / (half * period + period))
 
-        terms = tuple(_kernel_terms(sample_set.band))
-        bandwidth = sample_set.band.bandwidth
-        # Term t contributes the rates P_t (sign +1) and Q_t (sign -1): rate
-        # r = pi (envelope + sign oscillation) with gain sign c_t, turned at
-        # delay D by beta = r D - sign phi_t = D (r - sign order pi B).
-        rates, delay_rates, gains = [], [], []
-        for order, scale, oscillation_hz, envelope_hz in terms:
-            for sign in (1.0, -1.0):
-                rate = np.pi * (envelope_hz + sign * oscillation_hz)
-                rates.append(rate)
-                delay_rates.append(rate - sign * order * np.pi * bandwidth)
-                gains.append(sign * scale / (2.0 * np.pi * envelope_hz))
-        self.rates = np.array(rates)
-        self.delay_rates = np.array(delay_rates)
-        self.gains = np.array(gains)
-        self.phase_rates = np.array([order * np.pi * bandwidth for order, _, _, _ in terms])
-        tap_angle = tap[:, None] * self.rates
-        self.basis = np.concatenate([np.cos(tap_angle), np.sin(tap_angle)], axis=1)
-        row_angle = self.rates[:, None] * row
-        self.row_cos = np.cos(row_angle)
-        self.row_sin = np.sin(row_angle)
-
+        self.kernel = _FactoredKernel(sample_set.band)
+        self.basis = self.kernel.tap_basis(tap)
+        self.row_cos, self.row_sin = self.kernel.row_tables(row)
         self.times = times
         self.num_taps = num_taps
         self.centre = centre
         self.taper = taper
-        self.terms = terms
         self.v = v
         # One sorted copy of v finds, for every delay of a batch, whether any
-        # entry sits within the sinc's Taylor threshold of v + D = 0 (for any
-        # term) without scanning the (delays, rows, taps) block.
+        # entry sits within the singular radius of v + D = 0 without scanning
+        # the (delays, rows, taps) block.
         self.sorted_v = np.sort(v, axis=None)
-        self.singular_radius = _SINC_SERIES_THRESHOLD / min(envelope for _, _, _, envelope in terms)
         held = [times, centre, taper, self.basis, self.row_cos, self.row_sin, v, self.sorted_v]
         self.num_elements = sum(array.size for array in held)
 
     def arguments(self, delays: np.ndarray):
         """``v + D`` of each delay, ``(m, rows, taps)``, and the entries a quotient cannot take.
 
-        Entries within the sinc's Taylor threshold of ``v + D = 0`` cannot be
+        Entries within the singular radius of ``v + D = 0`` cannot be
         divided by: they are set to infinity (so a weight over them is zero
         and no inf or NaN reaches a contraction) and returned as ``None`` or
         ``(delay, row, tap, v + D)`` index and argument arrays, for
-        :meth:`product_form`.  Each delay's entries depend on that delay
-        alone, not on the batch it shares.
+        :meth:`_FactoredKernel.product_form`.  Each delay's entries depend
+        on that delay alone, not on the batch it shares.
         """
+        radius = self.kernel.singular_radius
         arguments = self.v + delays[:, None, None]
-        lower = np.searchsorted(self.sorted_v, -delays - self.singular_radius, "left")
-        upper = np.searchsorted(self.sorted_v, -delays + self.singular_radius, "right")
+        lower = np.searchsorted(self.sorted_v, -delays - radius, "left")
+        upper = np.searchsorted(self.sorted_v, -delays + radius, "right")
         singular = None
         if np.any(upper > lower):
             # Rare: a point lies within ~1e-6 / envelope of a sample instant.
             # The closed-interval bounds overcount; this scan decides.
             flat = arguments.reshape(-1)
-            index = np.flatnonzero(np.abs(flat) < self.singular_radius)
+            index = np.flatnonzero(np.abs(flat) < radius)
             if index.size:
                 delay, entry = np.divmod(index, self.v.size)
                 singular = (delay, *np.unravel_index(entry, self.v.shape), flat[index])
@@ -651,7 +691,7 @@ class _PlanStructure:
         a delay's sums never depend on the delays that share its batch, then
         each point's rotation by its row angle ``r row``.
         """
-        num_rates = self.rates.size
+        num_rates = self.kernel.rates.size
         sums = np.empty(weighted.shape[:2] + (2 * num_rates,))
         for index, block in enumerate(weighted):
             np.matmul(block, self.basis, out=sums[index])
@@ -664,19 +704,6 @@ class _PlanStructure:
         sines = self.row_sin * tap_cos
         sines += self.row_cos * tap_sin
         return cosines, sines
-
-    def product_form(self, argument: np.ndarray):
-        """Each term at ``argument`` as ``(scale sinc(envelope x) cos(pi oscillation x), ... sin(...))``.
-
-        The term is the first part minus ``cot(phi)`` times the second
-        (:func:`_kernel_terms`); ``np.sinc`` handles ``x = 0``.
-        """
-        parts = []
-        for _, scale, oscillation_hz, envelope_hz in self.terms:
-            envelope = scale * np.sinc(envelope_hz * argument)
-            oscillation = np.pi * oscillation_hz * argument
-            parts.append((envelope * np.cos(oscillation), envelope * np.sin(oscillation)))
-        return parts
 
 
 def _structure_key(sample_set: NonuniformSampleSet, times: np.ndarray, num_taps: int) -> tuple:
@@ -856,16 +883,17 @@ class ReconstructionPlan:
         ``v = 0`` tap in product form.
         """
         structure = self._structure
+        kernel = structure.kernel
         arguments, singular = structure.arguments(np.zeros(1))
         cosines, sines = structure.rotated_sums(np.divide(weighted, arguments, out=arguments))
         dots = []
-        for p in range(0, structure.rates.size, 2):
+        for p in range(0, kernel.rates.size, 2):
             # Rates p and p + 1 are a term's P and Q; gain p is its c_t.
-            gain, q = structure.gains[p], p + 1
+            gain, q = kernel.gains[p], p + 1
             dots.append((gain * (sines[0, p] + sines[0, q]), gain * (cosines[0, q] - cosines[0, p])))
         if singular is not None:
             _, row, tap, argument = singular
-            for (dot_cos, dot_sin), (cos_part, sin_part) in zip(dots, structure.product_form(argument)):
+            for (dot_cos, dot_sin), (cos_part, sin_part) in zip(dots, kernel.product_form(argument)):
                 np.add.at(dot_cos, row, weighted[row, tap] * cos_part)
                 np.add.at(dot_sin, row, weighted[row, tap] * sin_part)
         return tuple(dots)
@@ -938,9 +966,8 @@ class ReconstructionPlan:
         of its batch.
         """
         structure = self._structure
-        phi = delays[:, None] * structure.phase_rates
-        sin_phi = np.sin(phi)
-        cot_phi = np.cos(phi) / sin_phi
+        kernel = structure.kernel
+        sin_phi, cot_phi = kernel.phases(delays)
         on_grid_total = None
         for cot, (dot_cos, dot_sin) in zip(cot_phi.T, self._on_grid_dots):
             on_grid = dot_cos + cot[:, None] * dot_sin
@@ -953,19 +980,19 @@ class ReconstructionPlan:
         cosines, sines = structure.rotated_sums(weighted)
         # cos(r (v + D) - sign phi) = cos(r v) cos(beta) - sin(r v) sin(beta)
         # with beta = r D - sign phi, each rate weighted by sign c_t / sin(phi).
-        beta = delays[:, None] * structure.delay_rates
-        gain = structure.gains / np.repeat(sin_phi, 2, axis=1)
+        beta = delays[:, None] * kernel.delay_rates
+        gain = kernel.gains / np.repeat(sin_phi, 2, axis=1)
         cosines *= (gain * np.cos(beta))[:, :, None]
         sines *= (gain * np.sin(beta))[:, :, None]
         cosines -= sines
         delayed = cosines[:, 0] + cosines[:, 1]
-        for rate in range(2, structure.rates.size):
+        for rate in range(2, kernel.rates.size):
             delayed += cosines[:, rate]
         if singular is not None:
             delay, row, tap, argument = singular
             exact = sum(
                 cos_part - cot_phi[delay, term] * sin_part
-                for term, (cos_part, sin_part) in enumerate(structure.product_form(argument))
+                for term, (cos_part, sin_part) in enumerate(kernel.product_form(argument))
             )
             np.add.at(delayed, (delay, row), self._weighted_delayed[row, tap] * exact)
         return on_grid_total + delayed

@@ -57,7 +57,11 @@ __all__ = [
 #: v7: the LMS cost plans factor the Eq. (2) kernel into a tap basis and
 #: per-point row tables (one matmul per candidate delay), which moves the
 #: reported final cost in its last bits.
-SCHEMA_VERSION = 7
+#: v8: dense renders build their kernels from the cost plans' factored
+#: Eq. (2) (row coefficients against the tap basis, one matmul per window
+#: group) and the envelope filter computes only its decimated outputs, which
+#: moves spectra, ACPR and EVM in their last bits.
+SCHEMA_VERSION = 8
 
 
 def canonical_json(payload) -> str:

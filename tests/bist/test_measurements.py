@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.bist import (
     measure_acpr,
@@ -11,6 +13,7 @@ from repro.bist import (
     render_uniform,
 )
 from repro.bist.measurements import envelope_from_dense_samples
+from repro.dsp.filters import lowpass_fir
 from repro.errors import MeasurementError, ValidationError
 from repro.sampling import BandpassBand, IdealNonuniformSampler, NonuniformReconstructor
 from repro.signals import single_tone
@@ -118,3 +121,49 @@ class TestEnvelopeFromDenseSamples:
             envelope_from_dense_samples(
                 times, samples, rate, carrier_frequency_hz=1.0e9, envelope_rate=80e6
             )
+
+
+def convolve_then_slice_envelope(times, samples, dense_rate, carrier_frequency_hz, envelope_rate):
+    """The reference: filter every dense sample, then keep one in ``decimation``."""
+    decimation = int(round(dense_rate / envelope_rate))
+    analytic = samples * np.exp(-2j * np.pi * carrier_frequency_hz * times)
+    cutoff = min(envelope_rate / 2.0, carrier_frequency_hz * 0.8)
+    taps = lowpass_fir(cutoff, dense_rate, num_taps=129)
+    filtered = np.convolve(analytic, taps.astype(complex))
+    bulk = (len(taps) - 1) // 2
+    filtered = filtered[bulk : bulk + samples.size]
+    return times[::decimation], 2.0 * filtered[::decimation]
+
+
+# 27 and 25 are the single-carrier and an OFDM profile's dense-to-envelope
+# ratios; records from one sample to past the 129-tap filter's length.
+@pytest.mark.parametrize("decimation", [1, 25, 27, 64])
+@settings(max_examples=30, deadline=None)
+@given(
+    num_samples=st.integers(1, 3000),
+    carrier_fraction=st.floats(0.02, 0.98),
+    start=st.floats(-1e-6, 1e-6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(num_samples=100, carrier_fraction=0.5, start=0.0, seed=0)
+def test_decimating_filter_equals_filtering_every_sample(
+    decimation, num_samples, carrier_fraction, start, seed
+):
+    envelope_rate = 160e6
+    dense_rate = decimation * envelope_rate
+    times = start + np.arange(num_samples) / dense_rate
+    samples = np.random.default_rng(seed).standard_normal(num_samples)
+    # Below the dense Nyquist rate, and low enough at decimation 1 that the
+    # filter's cutoff, 0.8 of the carrier, is too.
+    carrier = carrier_fraction * dense_rate / 2.0
+    times_out, envelope = envelope_from_dense_samples(
+        times, samples, dense_rate, carrier_frequency_hz=carrier, envelope_rate=envelope_rate
+    )
+    expected_times, expected = convolve_then_slice_envelope(
+        times, samples, dense_rate, carrier, envelope_rate
+    )
+    assert np.array_equal(times_out, expected_times)
+    assert envelope.shape == expected.shape
+    np.testing.assert_allclose(
+        envelope, expected, rtol=0.0, atol=1e-14 * np.max(np.abs(expected))
+    )

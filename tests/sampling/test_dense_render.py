@@ -2,11 +2,13 @@
 
 :meth:`NonuniformReconstructor.evaluate` renders every grid that
 ``_kernel_rows`` accepts by building the on-grid and delayed kernels at the
-assumed delay directly, a block of window groups at a time.  These tests
+assumed delay from the cost plans' factored kernel, a block of window groups
+at a time.  These tests
 pin it to the oracle on the paper's two measurement grids, on the grid with
-the most kernel rows of any shipped profile and on a grid through a
-delayed-sample instant; to the per-point plan on the paper spectrum grid;
-and bound the memory a large render takes.
+the most kernel rows of any shipped profile, on a grid through a
+delayed-sample instant and on a grid with a row just off the sample
+instants at a delay near a forbidden one; to the per-point plan on the
+paper spectrum grid; and bound the memory a large render takes.
 """
 
 import tracemalloc
@@ -16,8 +18,10 @@ import pytest
 
 from repro.bist.measurements import render_uniform
 from repro.sampling import (
+    BandpassBand,
     IdealNonuniformSampler,
     NonuniformReconstructor,
+    NonuniformSampleSet,
     ReconstructionPlan,
     reference_evaluate,
 )
@@ -76,7 +80,7 @@ def test_render_matches_the_oracle(paper_record, reconstructor, grid):
 def test_render_through_a_delayed_sample_instant(paper_record, reconstructor):
     # Point 100 of the grid sits on the delayed sample 200 T + D, so one of
     # its delayed-channel kernel arguments v + D is zero to rounding: the
-    # sinc's Taylor branch takes it.
+    # product form takes it.
     period = paper_record.sample_period
     planted = paper_record.start_time + 200 * period + DELAY
     step = 1.0 / (4.0 * paper_record.band.f_high)
@@ -89,6 +93,33 @@ def test_render_through_a_delayed_sample_instant(paper_record, reconstructor):
     np.testing.assert_allclose(
         reconstructor.evaluate(times), oracle(paper_record, times), rtol=0.0, atol=1e-9
     )
+
+
+@pytest.mark.parametrize("offset", [1.3e-6, 2.5e-6])
+def test_render_near_a_forbidden_delay_through_a_near_sample_row(offset):
+    # At 2 f_l / B = 1 and D = 0.499 T, phi = 2 pi B D is 0.2 % from pi and
+    # sin(phi) = 0.006.  The factored kernel's coefficients carry
+    # 1 / sin(phi), and so does its quotient's rounding error near x = 0,
+    # where the kernel stays of order one: one row of this grid sits
+    # `offset` T from the sample instants, just past the radius the plans
+    # use; divided there, it read 4.4e-9 and 4.9e-9 from the oracle.
+    bandwidth = 14817653.0
+    period = 1.0 / bandwidth
+    delay = 0.499 * period
+    rng = np.random.default_rng(1)
+    samples = NonuniformSampleSet(
+        on_grid=rng.standard_normal(60),
+        delayed=rng.standard_normal(60),
+        sample_period=period,
+        delay=delay,
+        start_time=0.0,
+        band=BandpassBand(bandwidth / 2.0, 1.5 * bandwidth),
+    )
+    times = (20.0 + offset) * period + np.arange(140) * period / 7.0
+    render = _DenseRender.of(samples, times, 20)
+    assert render is not None
+    expected = reference_evaluate(samples, times, delay, num_taps=20)
+    np.testing.assert_allclose(render.evaluate(delay), expected, rtol=0.0, atol=1e-9)
 
 
 def test_render_equals_the_per_point_plan_permuted(paper_record, reconstructor):

@@ -24,9 +24,12 @@ delays that :func:`~repro.sampling.nonuniform.check_delay` accepts:
 * a paper-sized LMS cost plan and its structure hold at most four arrays of
   ``points * (nw + 1)`` values or more;
 * :func:`_kernel_rows`'s one pass over bounded keys groups a grid's points
-  exactly as sorting the keys with ``np.unique`` does.
+  exactly as sorting the keys with ``np.unique`` does;
+* a kernel term whose envelope nearly vanishes (2 f_l / B = 5 + 1e-8) keeps
+  the singular radius below a sample period.
 
-Half the generated grids are uniform, ``start + m T + arange(n) / fs`` with
+Band positions ``2 f_l / B`` are integers, floats in ``[1, 30]`` or ``5 +
+1e-8``.  Half the generated grids are uniform, ``start + m T + arange(n) / fs`` with
 ``fs = B p / q``: most take the reconstructor's dense render.  Even ``p``
 with an aligned start puts some points on half-sample ties; ``m`` starts the
 grid up to a kernel span before the record, and half the grids cover the
@@ -38,8 +41,8 @@ random, put one point on a delayed-sample instant ``t = nT + D``, give or
 take a few ulp, for the first delay only, and half of the random grids put
 one point on an on-grid sample instant ``t = nT``, again give or take a few
 ulp.  Those entries of ``v + D`` and ``v`` sit at the sinc's removable
-singularity and are evaluated in product form (plans) or as its Taylor
-series (renders); no other entry or row may change by a bit.
+singularity and are evaluated in product form; no other entry or row may
+change by a bit.
 """
 
 import math
@@ -69,6 +72,11 @@ from repro.sampling.reconstruction import _DenseRender, _kernel_rows
 from repro.signals import multitone_in_band
 
 
+#: A band position 2 f_l / B a hair above an integer: its second kernel
+#: term's scale and envelope are ~1e-8 of 1 and of B.
+NEAR_INTEGER = 5.0 + 1e-8
+
+
 def accepted(band, delay) -> bool:
     try:
         check_delay(band, delay)
@@ -85,8 +93,11 @@ def kernel_cases(draw, uniform=None, row_shared=False):
     take the dense render whenever they have fewer kernel rows than points.
     """
     bandwidth = draw(st.floats(10e6, 100e6))
-    # 2 f_l / B; integer positions exercise the single-term kernel.
-    position = draw(st.one_of(st.integers(1, 30).map(float), st.floats(1.0, 30.0)))
+    # 2 f_l / B; integer positions exercise the single-term kernel, and
+    # 5 + 1e-8 a two-term kernel whose second term nearly vanishes.
+    position = draw(
+        st.one_of(st.integers(1, 30).map(float), st.floats(1.0, 30.0), st.just(NEAR_INTEGER))
+    )
     band = BandpassBand(position * bandwidth / 2.0, (position + 2.0) * bandwidth / 2.0)
     bound = delay_upper_bound(band)
     fractions = draw(st.lists(st.floats(0.02, 1.98), min_size=2, max_size=5, unique=True))
@@ -230,10 +241,10 @@ def test_tap_basis_and_row_tables_match_direct_trigonometry(case):
     times = plan.evaluation_times
     row = (start + np.round((times - start) / period) * period) - times
     tap = np.arange(-half, half + 1) * period
-    num_rates = structure.rates.size
+    num_rates = structure.kernel.rates.size
     assert structure.basis.shape == (tap.size, 2 * num_rates)
     assert structure.row_cos.shape == structure.row_sin.shape == (num_rates, times.size)
-    for index, rate in enumerate(structure.rates):
+    for index, rate in enumerate(structure.kernel.rates):
         angle = rate * (row[:, None] + tap)
         # A few ulp of the largest angle the two routes round.
         largest = np.maximum(np.abs(angle), np.abs(rate * row)[:, None] + np.abs(rate * tap))
@@ -260,6 +271,38 @@ def test_cost_plan_holds_no_per_tap_kernel_tables(paper_band):
         size = plan.evaluation_times.size * (plan.num_taps + 1)
         held = [array for array in retained_arrays(plan) if array.size >= size]
         assert len(held) <= 4
+
+
+def test_a_vanishing_kernel_term_keeps_the_singular_radius_small():
+    # At 2 f_l / B = 5 + 1e-8 and B = 90 MHz the second term's envelope is
+    # ~0.9 Hz.  A radius sized by it spans ~100 T, and every entry of every
+    # plan and render goes through product form.  That term's gain, like
+    # every term's, is 1 / (2 pi B), so its quotient needs no wider radius.
+    bandwidth = 90e6
+    period = 1.0 / bandwidth
+    band = BandpassBand(NEAR_INTEGER * bandwidth / 2.0, (NEAR_INTEGER + 2.0) * bandwidth / 2.0)
+    delay = 0.37 * delay_upper_bound(band)
+    rng = np.random.default_rng(5)
+    samples = NonuniformSampleSet(
+        on_grid=rng.standard_normal(200),
+        delayed=rng.standard_normal(200),
+        sample_period=period,
+        delay=delay,
+        start_time=0.0,
+        band=band,
+    )
+    reconstructor = NonuniformReconstructor(samples)
+    low, high = reconstructor.valid_time_range()
+    instants = np.sort(rng.uniform(low, high, 300))
+    kernel = ReconstructionPlan(samples, instants).structure.kernel
+    assert len(kernel.terms) == 2
+    assert kernel.singular_radius < period
+    # 14 points a sample period: a render, with points on sample instants.
+    grid, rendered, _ = render_uniform(reconstructor, low, high, 14.0 * bandwidth)
+    assert _DenseRender.of(samples, grid, reconstructor.num_taps) is not None
+    for times, values in ((instants, reconstructor.evaluate(instants)), (grid, rendered)):
+        expected = reference_evaluate(samples, times, delay)
+        np.testing.assert_allclose(values, expected, rtol=1e-9, atol=1e-9)
 
 
 def unique_kernel_rows(times, centre, start, period):

@@ -128,20 +128,20 @@ class TestPayload:
 
 #: Hex digests pinned when scenario resolution moved into
 #: ``repro.bist.campaign.resolve_scenario``, re-pinned for ``SCHEMA_VERSION``
-#: 7.  A change here re-keys every archived store (all lookups go cold): bump
+#: 8.  A change here re-keys every archived store (all lookups go cold): bump
 #: ``SCHEMA_VERSION`` on purpose instead of editing a digest.
 PAPER = "paper-qpsk-1ghz"
 PINNED = {
     "paper-shared": (
         dict(scenario=CampaignScenario(profile=PAPER)),
-        "527b6279e60d63ec1379faa568fde16c05f73772fd7cddbc78db241164485c75",
+        "2bc141884ec9d69793308adc54849a0045acf231bb4b887a0f8e3142510de39e",
     ),
     "paper-per-scenario-seed": (
         dict(
             scenario=CampaignScenario(profile=PAPER),
             seed=derive_scenario_seed(BistConfig().seed, 2, PAPER),
         ),
-        "cbfb672c693a8cee16d9e1147ec04230699c2c3b4265bde04ec1abd0e023810b",
+        "b9aea2dd4929ddf7b7699d467bf8c8f00f0ac5488fbc52bb72209fc6d62ee70c",
     ),
     "scenario-converter-spec": (
         dict(
@@ -150,7 +150,7 @@ PINNED = {
             ),
             seed=12345,
         ),
-        "fb6c943d293432915ba530034de431793336cd163e77b3e91d7f48668d98af55",
+        "d087e40b074d77e5dc564e7102b840ab515caf7c1142695fea68eaa96ddb00fb",
     ),
     "fault-model-impairment": (
         dict(
@@ -158,15 +158,15 @@ PINNED = {
                 profile=PAPER, impairments=pa_saturation_sweep([0.75])[0][1]
             )
         ),
-        "39c7edc866290e711ea19038baeeaa12959c15789d356f2f846aa8601dfd5c68",
+        "1e8cd44fc74d4660851918695e81b54b2ef7d7706d0d819be03f7784b4252ed0",
     ),
     "ofdm-profile": (
         dict(scenario=CampaignScenario(profile="ofdm-uhf-qpsk-400mhz")),
-        "46c9343a635cfb509b5c3a1e3e937b5dac46e2ae6cc8c07838a29ae2a4846e6f",
+        "afc1c59dc56aee48670833dbced25654f147fb1a174d89d11c2277e28440005b",
     ),
     "explicit-num-symbols": (
         dict(scenario=CampaignScenario(profile="uhf-8psk-400mhz", num_symbols=256)),
-        "ef92cd461a5e6505d75461964b7109432386622708d5455f093e36b357ed2c0b",
+        "2460af206a141ddc105ba9624dfc28e301d782e40cb8867e1f104bb0ae229a9c",
     ),
 }
 

@@ -46,9 +46,6 @@ ALLOWED = {
     "repro.sampling.nonuniform.forbidden_delays": (
         "Section II Eq. 3 forbidden delays that docs/paper_mapping.md cites"
     ),
-    "repro.sampling.nonuniform.delay_upper_bound": (
-        "Section II Eq. 3 delay bound that docs/paper_mapping.md cites"
-    ),
     "repro.calibration.lms.LmsSkewEstimate.estimate_trajectory": (
         "the per-iteration LMS trace that explainable verdicts (ROADMAP) will report"
     ),
