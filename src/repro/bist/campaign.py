@@ -15,6 +15,7 @@ in :mod:`repro.bist.runner`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -61,7 +62,6 @@ class ConverterSpec:
     the acquisition bandwidth returns the :class:`~repro.adc.tiadc.BpTiadc`.
     """
 
-    resolution_bits: int = 10
     skew_jitter_rms_seconds: float = 3.0e-12
     dcde_static_error_seconds: float = 0.0
     channel1_skew_seconds: float = 0.0
@@ -69,8 +69,11 @@ class ConverterSpec:
     channel1_offset: float = 0.0
     channel1_bandwidth_hz: float | None = None
     bandwidth_reference_hz: float | None = None
-    full_scale: float = 3.0
     seed: int | None = 99
+
+    #: Resolution and full-scale amplitude of both channels' quantizers.
+    resolution_bits: ClassVar[int] = 10
+    full_scale: ClassVar[float] = 3.0
 
     def build(self, acquisition_bandwidth_hz: float) -> BpTiadc:
         """Construct the converter for the given per-channel rate."""

@@ -6,8 +6,11 @@
 2. the (idle) receiver ADCs, reconfigured as a BP-TIADC with the DCDE delay,
    acquire the PA output twice — once at the full per-channel rate ``B`` and
    once at ``B1 = B/2``;
-3. the static gain/offset mismatch is corrected and the inter-channel delay
-   is estimated with the LMS algorithm (Section IV);
+3. the inter-channel delay is estimated with the LMS algorithm (Section IV,
+   Algorithm 1), starting from the programmed DCDE delay with a 1 ps step;
+   like the paper's experiments, the engine assumes gain/offset-matched
+   converters (:mod:`repro.calibration.gain_offset` holds the §III
+   correction as a reference the engine does not call);
 4. the output waveform is reconstructed from the nonuniform samples with the
    estimated delay (Section II);
 5. the spectrum, ACPR, occupied bandwidth and EVM are measured and compared
@@ -21,12 +24,12 @@ instrumentation is involved, which is the paper's cost argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from ..adc.acquisition import AcquisitionSource
 from ..calibration.cost import SkewCostFunction, select_slow_sample_rate
-from ..calibration.gain_offset import correct_gain_offset
 from ..calibration.lms import LmsSkewEstimator
 from ..errors import ConfigurationError, MeasurementError, ValidationError
 from ..sampling.bandpass import BandpassBand
@@ -37,6 +40,7 @@ from ..utils.serialization import field_dict, known_field_kwargs
 from ..utils.validation import check_integer, check_positive
 from .masks import SpectralMask
 from .measurements import (
+    OBW_MIN_BINS,
     OFDM_DENSE_OVERSAMPLING,
     TxMeasurements,
     measure_acpr,
@@ -68,25 +72,12 @@ class BistConfig:
     programmed_delay_seconds:
         Delay programmed into the DCDE; the paper uses 180 ps (and the
         magnitude-optimal value would be ``1/(4 fc)``).
-    num_taps:
-        Reconstruction kernel truncation ``nw``.
-    lms_initial_delay_seconds:
-        Starting point of the LMS skew estimation; defaults to the programmed
-        delay.
-    lms_initial_step_seconds:
-        Initial LMS step size ``mu``.
     lms_max_iterations:
-        LMS iteration budget.
+        LMS iteration budget.  The LMS starts at the programmed delay with
+        :class:`~repro.calibration.lms.LmsSkewEstimator`'s 1 ps step, as
+        Algorithm 1 does.
     num_cost_points:
         Number of random evaluation instants of the cost function.
-    correct_static_mismatch:
-        Whether to run the gain/offset correction before skew estimation.
-        Off by default: the paper's experiments assume gain/offset-matched
-        converters, and the simple statistics-based estimator in
-        :mod:`repro.calibration.gain_offset` needs long records (and a
-        favourable ``fc / B`` ratio) before its own estimation noise stays
-        below the mismatch it corrects.  Enable it when the converter
-        channels are known to carry static mismatch.
     measure_evm_enabled:
         Whether to demodulate and compute EVM (slightly slower).
     seed:
@@ -97,28 +88,20 @@ class BistConfig:
     num_samples_fast: int = 400
     num_samples_slow: int = 200
     programmed_delay_seconds: float = 180.0e-12
-    num_taps: int = 60
-    lms_initial_delay_seconds: float | None = None
-    lms_initial_step_seconds: float = 1.0e-12
     lms_max_iterations: int = 50
     num_cost_points: int = 300
-    correct_static_mismatch: bool = False
     measure_evm_enabled: bool = True
     seed: int | None = 20140324
+
+    #: Reconstruction kernel truncation ``nw`` (even: Eq. (6) places nw/2
+    #: sample pairs on each side of the evaluation instant).
+    num_taps: ClassVar[int] = 60
 
     def __post_init__(self) -> None:
         check_positive(self.acquisition_bandwidth_hz, "acquisition_bandwidth_hz")
         check_integer(self.num_samples_fast, "num_samples_fast", minimum=64)
         check_integer(self.num_samples_slow, "num_samples_slow", minimum=64)
         check_positive(self.programmed_delay_seconds, "programmed_delay_seconds")
-        check_integer(self.num_taps, "num_taps", minimum=2)
-        if self.num_taps % 2 != 0:
-            raise ConfigurationError(
-                f"num_taps (the kernel truncation nw) must be even — Eq. (6) places nw/2 "
-                f"sample pairs on each side of the evaluation instant, so the filter has "
-                f"nw + 1 taps — got {self.num_taps}; use {self.num_taps - 1} or {self.num_taps + 1}"
-            )
-        check_positive(self.lms_initial_step_seconds, "lms_initial_step_seconds")
         check_integer(self.lms_max_iterations, "lms_max_iterations", minimum=1)
         check_integer(self.num_cost_points, "num_cost_points", minimum=10)
 
@@ -133,8 +116,23 @@ class BistConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BistConfig":
-        """Rebuild a configuration serialized with :meth:`to_dict` (unknown keys ignored)."""
-        return cls(**known_field_kwargs(cls, data))
+        """Rebuild a configuration serialized with :meth:`to_dict`.
+
+        Unknown keys are ignored; a configuration archived with a kernel
+        truncation, an LMS start, an LMS step or a static-mismatch correction
+        other than the fixed one raises ``ValidationError``.
+        """
+        return cls(**known_field_kwargs(cls, data, fixed=_FIXED_SETTINGS))
+
+
+#: Settings earlier :class:`BistConfig` archives stored, at their fixed values:
+#: the LMS starts at the programmed delay with a 1 ps step, and no gain/offset
+#: correction runs.
+_FIXED_SETTINGS = {
+    "lms_initial_delay_seconds": None,
+    "lms_initial_step_seconds": 1.0e-12,
+    "correct_static_mismatch": False,
+}
 
 
 @dataclass(frozen=True)
@@ -254,8 +252,8 @@ class TransmitterBist:
     def prepare(self, burst: TransmissionResult | None = None) -> BistStage:
         """Run the BIST up to the calibrated reconstructor (no measurements).
 
-        Performs transmission, both acquisitions, optional static-mismatch
-        correction and the LMS skew estimation, returning a
+        Performs transmission, both acquisitions and the LMS skew
+        estimation, returning a
         :class:`BistStage` for :meth:`finish` or :meth:`stream`.
         """
         config = self._config
@@ -263,10 +261,6 @@ class TransmitterBist:
             burst = self._transmitter.transmit_for_duration(self.required_burst_duration())
 
         fast_set, slow_set = self._acquire(burst)
-        if config.correct_static_mismatch:
-            fast_set = correct_gain_offset(fast_set)
-            slow_set = correct_gain_offset(slow_set)
-
         calibration, estimate = self._estimate_skew(fast_set, slow_set)
         reconstructor = NonuniformReconstructor(
             fast_set, assumed_delay=estimate, num_taps=config.num_taps
@@ -325,6 +319,10 @@ class TransmitterBist:
             Measurement window and Welch segment sizes in envelope samples;
             by default both adapt to the reconstructed record (eight windows
             of four segments each) since the paper's acquisitions are short.
+            The default window widens towards the span a window EVM needs,
+            as far as the record still holds the detector's warm-up windows
+            plus one charted window, and the default segment towards the
+            resolution the occupied bandwidth needs, as far as the window.
         detector:
             Optional :class:`repro.monitor.DriftDetectorConfig`.
         baseline:
@@ -372,29 +370,40 @@ class TransmitterBist:
                 reference = SymbolReference.from_transmission(stage.burst)
             else:
                 reference = OfdmSymbolReference.from_transmission(stage.burst)
+        if detector is None:
+            detector = DriftDetectorConfig()
         if window_samples is None:
             window_samples = max(64, envelope.size // 8)
             # A window only yields an EVM when it holds enough symbols inside
-            # the demodulator's edge guards; widen the default so short
-            # paper-style acquisitions still measure: whole OFDM symbols plus
-            # the interpolation guards, or min_evm_symbols single-carrier
-            # instants at any symbol phase.
+            # the demodulator's edge guards: whole OFDM symbols plus the
+            # interpolation guards, or min_evm_symbols single-carrier instants
+            # at any symbol phase.  Widen the default towards that, but only
+            # while the record still holds warmup_windows + 1 windows: a
+            # detector that never leaves warm-up charts nothing, whereas a
+            # window too short for EVM reports why in evm_skipped_reason.
+            widest = max(window_samples, envelope.size // (detector.warmup_windows + 1))
+            needed = None
             if isinstance(reference, OfdmSymbolReference):
                 span = (
                     stage.burst.config.ofdm.symbol_length
                     * stage.burst.config.samples_per_symbol
                 )
-                window_samples = max(
-                    window_samples, min(envelope.size, 3 * span + 64)
-                )
+                needed = 3 * span + 64
             elif reference is not None:
                 needed = _narrowest_evm_window(
                     reference, envelope_rate, MonitorConfig.min_evm_symbols
                 )
-                window_samples = max(window_samples, min(envelope.size, needed))
-        if segment_length is None:
-            segment_length = max(8, min(int(window_samples) // 4, 256))
+            if needed is not None:
+                window_samples = max(window_samples, min(widest, needed))
         profile = self._profile
+        if segment_length is None:
+            # Four segments per window, but long enough that the channel's
+            # occupied-bandwidth search (+-channel bandwidth) spans
+            # OBW_MIN_BINS bins.
+            resolving = int(OBW_MIN_BINS // 2 * envelope_rate / profile.channel_bandwidth_hz) + 1
+            segment_length = min(
+                int(window_samples), max(8, min(int(window_samples) // 4, 256), resolving)
+            )
         monitor_config = MonitorConfig(
             sample_rate=envelope_rate,
             window_samples=int(window_samples),
@@ -404,7 +413,7 @@ class TransmitterBist:
                 bandwidth_hz=profile.channel_bandwidth_hz,
                 spacing_hz=profile.channel_spacing_hz,
             ),
-            detector=detector if detector is not None else DriftDetectorConfig(),
+            detector=detector,
             start_time=float(times[0]),
         )
         monitor = StreamingMonitor(monitor_config, reference=reference, baseline=baseline)
@@ -467,17 +476,8 @@ class TransmitterBist:
             seed=config.seed,
             structure_cache=self._structure_cache,
         )
-        initial = (
-            config.programmed_delay_seconds
-            if config.lms_initial_delay_seconds is None
-            else config.lms_initial_delay_seconds
-        )
-        estimator = LmsSkewEstimator(
-            cost,
-            initial_step_seconds=config.lms_initial_step_seconds,
-            max_iterations=config.lms_max_iterations,
-        )
-        result = estimator.estimate(initial)
+        estimator = LmsSkewEstimator(cost, max_iterations=config.lms_max_iterations)
+        result = estimator.estimate(config.programmed_delay_seconds)
         report = SkewCalibrationReport(
             estimated_delay_seconds=result.estimate,
             programmed_delay_seconds=config.programmed_delay_seconds,

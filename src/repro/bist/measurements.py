@@ -58,6 +58,9 @@ OFDM_DENSE_OVERSAMPLING = 2.5
 #: Transmitted symbols (from the first) that single-carrier EVM compares.
 EVM_MAX_SYMBOLS = 256
 
+#: Spectrum bins the occupied-bandwidth search window must hold.
+OBW_MIN_BINS = 16
+
 
 def render_uniform(
     reconstructor: NonuniformReconstructor,
@@ -232,7 +235,7 @@ def measure_occupied_bandwidth(
     low = channel_centre_hz - search_half_width_hz
     high = channel_centre_hz + search_half_width_hz
     mask = (spectrum.frequencies_hz >= low) & (spectrum.frequencies_hz <= high)
-    if np.count_nonzero(mask) < 16:
+    if np.count_nonzero(mask) < OBW_MIN_BINS:
         raise MeasurementError("spectrum does not cover the requested measurement window")
     windowed = SpectrumEstimate(
         frequencies_hz=spectrum.frequencies_hz[mask],

@@ -21,7 +21,8 @@ itself into the campaign data model:
   multi-chain front end: TX-to-TX leakage, shared-LO phase-noise
   correlation, per-channel gain/skew spread);
 * :meth:`FaultModel.apply_scenario` injects both single-channel sides into
-  a base :class:`~repro.bist.campaign.CampaignScenario`.
+  a base :class:`~repro.bist.campaign.CampaignScenario` (and rejects the
+  cross-channel families, which have neither side).
 
 Families register themselves in :data:`FAULT_FAMILIES` via
 :func:`register_fault`, so campaigns can be described by family name plus a
@@ -141,9 +142,24 @@ class FaultModel(ABC):
         attached to the scenario only when the fault actually touches the
         acquisition side (or the base scenario already carried one), so
         transmitter faults keep using the campaign-level converter factory.
+
+        Raises :class:`~repro.errors.ValidationError` for a fault that acts
+        on neither side (a cross-channel family that only overrides
+        :meth:`apply_mimo`): its scenario would be the fault-free one, and a
+        campaign would report a good unit as an undetected fault.
         """
         if not isinstance(scenario, CampaignScenario):
             raise ValidationError("scenario must be a CampaignScenario")
+        cls = type(self)
+        if (
+            cls.apply_transmitter is FaultModel.apply_transmitter
+            and cls.apply_converter is FaultModel.apply_converter
+        ):
+            raise ValidationError(
+                f"fault family {self.family!r} acts only on a multi-chain front end "
+                "(apply_mimo), so a single-chain scenario cannot carry it; run it "
+                "through repro.mimo.run_channel_matrix"
+            )
         base_spec = scenario.converter if scenario.converter is not None else ConverterSpec()
         patched_spec = self.apply_converter(base_spec)
         converter = patched_spec if (scenario.converter is not None or patched_spec != base_spec) else None

@@ -1,4 +1,4 @@
-"""Behavioural RF blocks: PA models, IQ impairments, noise, LO and analog filters."""
+"""Behavioural RF blocks: PA models, IQ impairments, noise, LO and the output filter."""
 
 from .amplifier import (
     Amplifier,
@@ -7,7 +7,7 @@ from .amplifier import (
     RappAmplifier,
     SalehAmplifier,
 )
-from .filters import AnalogBandpass, AnalogLowpass
+from .filters import AnalogBandpass
 from .impairments import DcOffset, IqImbalance
 from .mixer import QuadratureModulator
 from .noise import AdditiveWhiteNoise, add_noise_for_snr
@@ -20,7 +20,6 @@ __all__ = [
     "RappAmplifier",
     "SalehAmplifier",
     "AnalogBandpass",
-    "AnalogLowpass",
     "DcOffset",
     "IqImbalance",
     "QuadratureModulator",

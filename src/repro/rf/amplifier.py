@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -110,17 +111,13 @@ class SalehAmplifier(Amplifier):
     ``A(r) = alpha_a * r / (1 + beta_a * r^2)``      (output amplitude)
     ``phi(r) = alpha_p * r^2 / (1 + beta_p * r^2)``  (output phase, radians)
 
-    The defaults are the widely used normalised Saleh coefficients.
+    The coefficients are the widely used normalised Saleh ones.
     """
 
-    alpha_amplitude: float = 2.1587
-    beta_amplitude: float = 1.1517
-    alpha_phase: float = 4.0033
-    beta_phase: float = 9.1040
-
-    def __post_init__(self) -> None:
-        check_positive(self.alpha_amplitude, "alpha_amplitude")
-        check_positive(self.beta_amplitude, "beta_amplitude")
+    alpha_amplitude: ClassVar[float] = 2.1587
+    beta_amplitude: ClassVar[float] = 1.1517
+    alpha_phase: ClassVar[float] = 4.0033
+    beta_phase: ClassVar[float] = 9.1040
 
     def gain(self, envelope_magnitude: np.ndarray) -> np.ndarray:
         magnitude = np.abs(np.asarray(envelope_magnitude, dtype=float))
@@ -135,18 +132,12 @@ class PolynomialAmplifier(Amplifier):
     """Odd-order memoryless polynomial PA: ``out = a1*x + a3*x|x|^2 + a5*x|x|^4``.
 
     The complex coefficients ``a3``/``a5`` set the third- and fifth-order
-    nonlinearity (and, through their phases, AM/PM conversion).  This is the
-    natural model for injecting controlled spectral-regrowth faults in the
-    BIST campaign.
+    nonlinearity (and, through their phases, AM/PM conversion).
     """
 
-    a1: complex = 10.0 + 0.0j
-    a3: complex = -0.5 + 0.05j
-    a5: complex = 0.0 + 0.0j
-
-    def __post_init__(self) -> None:
-        if self.a1 == 0:
-            raise ValidationError("the linear coefficient a1 must be non-zero")
+    a1: ClassVar[complex] = 10.0 + 0.0j
+    a3: ClassVar[complex] = -0.5 + 0.05j
+    a5: ClassVar[complex] = 0.0 + 0.0j
 
     def gain(self, envelope_magnitude: np.ndarray) -> np.ndarray:
         magnitude = np.abs(np.asarray(envelope_magnitude, dtype=float))

@@ -1,11 +1,10 @@
-"""Behavioural analog filters (reconstruction low-pass, output band-pass).
+"""Behavioural analog output filter (band-pass after the PA).
 
-The homodyne chain of Fig. 1 contains analog low-pass filters after the DACs
-and a band-pass filter after the PA.  At the complex-envelope modelling level
-both are adequately represented by discrete-time Butterworth filters applied
-to the envelope: the LPF limits the envelope bandwidth directly, and the RF
-band-pass filter becomes an envelope low-pass of half its RF bandwidth
-(possibly frequency-shifted if the filter is not centred on the carrier).
+The homodyne chain of Fig. 1 contains a band-pass filter after the PA.  At
+the complex-envelope modelling level it is adequately represented by a
+discrete-time Butterworth filter applied to the envelope: the RF band-pass
+filter becomes an envelope low-pass of half its RF bandwidth (possibly
+frequency-shifted if the filter is not centred on the carrier).
 """
 
 from __future__ import annotations
@@ -19,39 +18,7 @@ from ..errors import ValidationError
 from ..signals.baseband import ComplexEnvelope
 from ..utils.validation import check_integer, check_positive
 
-__all__ = ["AnalogLowpass", "AnalogBandpass"]
-
-
-@dataclass(frozen=True)
-class AnalogLowpass:
-    """Butterworth low-pass applied to the complex envelope (both I and Q paths).
-
-    Parameters
-    ----------
-    cutoff_hz:
-        -3 dB cutoff frequency.
-    order:
-        Butterworth order (higher = sharper).
-    """
-
-    cutoff_hz: float
-    order: int = 5
-
-    def __post_init__(self) -> None:
-        check_positive(self.cutoff_hz, "cutoff_hz")
-        check_integer(self.order, "order", minimum=1)
-
-    def apply(self, envelope: ComplexEnvelope) -> ComplexEnvelope:
-        """Filter a complex envelope (zero-phase, so no group-delay bias)."""
-        if not isinstance(envelope, ComplexEnvelope):
-            raise ValidationError("envelope must be a ComplexEnvelope")
-        nyquist = envelope.sample_rate / 2.0
-        if self.cutoff_hz >= nyquist:
-            # The filter is wider than the representable band: nothing to do.
-            return envelope
-        return envelope.with_samples(
-            zero_phase_butterworth(envelope.samples, self.cutoff_hz, envelope.sample_rate, self.order)
-        )
+__all__ = ["AnalogBandpass"]
 
 
 @dataclass(frozen=True)

@@ -76,28 +76,27 @@ class IqImbalance:
 
 @dataclass(frozen=True)
 class DcOffset:
-    """DC offsets on the I and Q branches (LO leakage at the carrier).
+    """DC offset on the I branch (LO leakage at the carrier).
 
     Parameters
     ----------
-    i_offset, q_offset:
-        Additive offsets, expressed as a fraction of the RMS envelope of a
-        unit-power signal (i.e. they are added directly to the normalised
-        complex envelope).
+    i_offset:
+        Additive offset, expressed as a fraction of the RMS envelope of a
+        unit-power signal (i.e. it is added directly to the normalised
+        complex envelope).  The Q branch carries none.
     """
 
     i_offset: float = 0.0
-    q_offset: float = 0.0
 
     @property
     def complex_offset(self) -> complex:
         """The offset as a single complex number."""
-        return complex(self.i_offset, self.q_offset)
+        return complex(self.i_offset, 0.0)
 
     @property
     def is_ideal(self) -> bool:
-        """Whether both offsets are zero."""
-        return self.i_offset == 0.0 and self.q_offset == 0.0
+        """Whether the offset is zero."""
+        return self.i_offset == 0.0
 
     def apply(self, envelope: ComplexEnvelope) -> ComplexEnvelope:
         """Add the DC offset to a complex envelope."""

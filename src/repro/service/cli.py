@@ -31,21 +31,13 @@ import sys
 from ..bist.engine import BistConfig
 from ..bist.runner import ExecutionBudget
 from ..errors import ReproError
+from ..store.cli import _FAST_CONFIG
 from .client import ServiceClient
 from .coordinator import Coordinator
 from .lifecycle import GcPolicy, compact_store, run_gc
 from .spec import CampaignSpec
 
 __all__ = ["main", "build_parser"]
-
-#: Reduced engine configuration for smoke runs (matches the CI preset).
-_FAST_CONFIG = dict(
-    num_samples_fast=128,
-    num_samples_slow=64,
-    lms_max_iterations=25,
-    num_cost_points=60,
-    measure_evm_enabled=False,
-)
 
 
 def _save_json(path: str, payload: dict) -> None:

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from ..errors import ValidationError
-from ..store import CampaignStore
+from ..store import CampaignStore, CampaignStoreWarning
 from ..store.fingerprint import SCHEMA_VERSION, canonical_json
 
 __all__ = ["GcPolicy", "GcReport", "run_gc", "compact_store", "load_tombstones"]
@@ -156,21 +156,32 @@ class GcReport:
 
 
 def load_tombstones(store: CampaignStore) -> dict:
-    """The store's tombstone ledger (fingerprint → collection metadata)."""
+    """The store's tombstone ledger (fingerprint → collection metadata).
+
+    A ledger that does not parse as a JSON object (a torn or foreign file)
+    warns with :class:`~repro.store.CampaignStoreWarning` and reads as empty,
+    so the next collection starts a fresh ledger instead of failing.
+    """
     path = store.root / TOMBSTONES_FILE
     if not path.is_file():
         return {}
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    return payload if isinstance(payload, dict) else {}
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError:
+        payload = None
+    if not isinstance(payload, dict):
+        warnings.warn(
+            f"tombstone ledger {path} is not a JSON object; starting an empty ledger",
+            CampaignStoreWarning,
+            stacklevel=2,
+        )
+        return {}
+    return payload
 
 
 def _write_tombstones(store: CampaignStore, tombstones: dict) -> None:
-    # Route through replace-style durability: tombstones.json is tiny, a
-    # plain atomic write via a sibling tmp name suffices.
-    path = store.root / TOMBSTONES_FILE
-    tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(canonical_json(tombstones) + "\n", encoding="utf-8")
-    tmp.replace(path)
+    """Replace the ledger through the store's fsync'd atomic write."""
+    store.replace_shard(store.root / TOMBSTONES_FILE, [canonical_json(tombstones)])
 
 
 def _clamped_age(age_seconds: float, what: str) -> float:

@@ -36,7 +36,7 @@ import numpy as np
 from ..dsp.interpolation import sinc_interpolate
 from ..errors import MeasurementError, ValidationError
 from ..utils.serialization import field_dict, known_field_kwargs
-from ..utils.validation import check_1d_array, check_integer, check_positive, check_power_of_two
+from ..utils.validation import check_1d_array, check_integer, check_power_of_two
 
 __all__ = [
     "OfdmParams",
@@ -65,16 +65,13 @@ class OfdmParams:
     pilot_spacing:
         Every ``pilot_spacing``-th used subcarrier (in ascending index
         order, starting from the lowest) carries a fixed BPSK pilot instead
-        of data.
-    pilot_amplitude:
-        Pilot magnitude (1.0 = same as a unit-power constellation).
+        of data, at the magnitude of a unit-power constellation.
     """
 
     fft_size: int = 32
     num_subcarriers: int = 26
     cp_length: int = 8
     pilot_spacing: int = 7
-    pilot_amplitude: float = 1.0
 
     def __post_init__(self) -> None:
         check_power_of_two(self.fft_size, "fft_size")
@@ -95,7 +92,6 @@ class OfdmParams:
         if self.cp_length >= self.fft_size:
             raise ValidationError("cp_length must be shorter than fft_size")
         check_integer(self.pilot_spacing, "pilot_spacing", minimum=2)
-        check_positive(self.pilot_amplitude, "pilot_amplitude")
         if self.num_data_subcarriers < 1:
             raise ValidationError("the pilot pattern leaves no data subcarriers")
 
@@ -124,7 +120,7 @@ class OfdmParams:
     def pilot_values(self) -> np.ndarray:
         """The fixed BPSK pilot symbols (alternating polarity comb)."""
         polarity = np.where(np.arange(self.pilot_positions.size) % 2 == 0, 1.0, -1.0)
-        return self.pilot_amplitude * polarity.astype(complex)
+        return polarity.astype(complex)
 
     @property
     def num_pilot_subcarriers(self) -> int:
@@ -165,8 +161,12 @@ class OfdmParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "OfdmParams":
-        """Rebuild parameters serialized with :meth:`to_dict` (unknown keys ignored)."""
-        return cls(**known_field_kwargs(cls, data))
+        """Rebuild parameters serialized with :meth:`to_dict`.
+
+        Unknown keys are ignored; parameters archived with a pilot amplitude
+        other than 1.0 raise ``ValidationError``.
+        """
+        return cls(**known_field_kwargs(cls, data, fixed={"pilot_amplitude": 1.0}))
 
 
 def build_used_grid(params: OfdmParams, data_symbols) -> np.ndarray:

@@ -40,7 +40,8 @@ from .store import CampaignStore
 
 __all__ = ["main", "build_parser"]
 
-#: Reduced engine configuration for smoke runs (matches the CI preset).
+#: Reduced engine configuration of ``--fast`` smoke runs (matches the CI
+#: preset); the service CLI's ``--fast`` uses it too.
 _FAST_CONFIG = dict(
     num_samples_fast=128,
     num_samples_slow=64,

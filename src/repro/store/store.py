@@ -348,13 +348,14 @@ class CampaignStore:
         return len(scanned)
 
     def replace_shard(self, path: Path, lines: list[str]) -> None:
-        """Atomically replace one shard of this store with the given lines.
+        """Atomically replace one file of this store with the given lines.
 
         The shard-lifecycle layer (:mod:`repro.service.lifecycle`) rewrites
-        shards record-by-record during garbage collection; routing the write
-        through the store keeps the tmp-file + ``os.replace`` durability
-        model in one place.  An empty ``lines`` list removes the shard.
-        Invalidates the in-memory index (next read rescans).
+        shards record-by-record during garbage collection, and its tombstone
+        ledger as one line; routing the write through the store keeps the
+        tmp-file + ``fsync`` + ``os.replace`` durability model in one place.
+        An empty ``lines`` list removes the file.  Invalidates the in-memory
+        index (next read rescans).
         """
         path = Path(path)
         if path.parent != self._root:

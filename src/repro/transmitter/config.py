@@ -9,7 +9,8 @@ campaign can inject faults by swapping a single object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 from ..errors import ConfigurationError
 from ..rf.amplifier import (
@@ -23,7 +24,7 @@ from ..rf.impairments import DcOffset, IqImbalance
 from ..rf.oscillator import PhaseNoiseModel
 from ..signals.ofdm import OfdmParams
 from ..signals.standards import WaveformProfile
-from ..utils.serialization import known_field_kwargs
+from ..utils.serialization import field_dict, known_field_kwargs
 from ..utils.validation import check_integer, check_positive
 from .dac import TransmitDac
 
@@ -36,25 +37,34 @@ _AMPLIFIER_TYPES: dict[str, type] = {
 }
 
 
-def _encode_dataclass(obj) -> dict:
-    """Field dict of a flat dataclass; complex values become [re, im] pairs."""
-    encoded = {}
-    for spec in fields(obj):
-        value = getattr(obj, spec.name)
-        if isinstance(value, complex):
-            value = [value.real, value.imag]
-        encoded[spec.name] = value
-    return encoded
+#: Settings earlier archives stored for an impairment model that now fixes
+#: them, at their fixed values (a ``ClassVar`` constant needs no entry).
+_FIXED_MODEL_SETTINGS: dict[type, dict] = {
+    DcOffset: {"q_offset": 0.0},
+    TransmitDac: {
+        "apply_zero_order_hold_droop": False,
+        "reconstruction_cutoff_hz": None,
+        "reconstruction_order": 5,
+        "inl_fraction_lsb": 0.0,
+    },
+}
 
 
 def _decode_dataclass(cls: type, data: dict):
-    """Rebuild a flat dataclass, turning [re, im] pairs back into complex."""
-    kwargs = {}
-    for key, value in data.items():
-        if isinstance(value, (list, tuple)) and len(value) == 2:
-            value = complex(value[0], value[1])
-        kwargs[key] = value
-    return cls(**kwargs)
+    """Rebuild a flat dataclass from its field dict.
+
+    ``[re, im]`` pairs, which earlier archives wrote for the polynomial PA's
+    complex coefficients, turn back into complex numbers.  Unknown keys are
+    ignored; a key for a setting the model now fixes loads only at its fixed
+    value (see :func:`~repro.utils.serialization.known_field_kwargs`).
+    """
+    decoded = {
+        key: complex(value[0], value[1])
+        if isinstance(value, (list, tuple)) and len(value) == 2
+        else value
+        for key, value in data.items()
+    }
+    return cls(**known_field_kwargs(cls, decoded, fixed=_FIXED_MODEL_SETTINGS.get(cls)))
 
 
 @dataclass(frozen=True)
@@ -78,7 +88,7 @@ class ImpairmentConfig:
     dac:
         Optional transmit-DAC model override.  ``None`` keeps the
         transmitter's default (transparent 14-bit) DAC; setting it lets a
-        fault campaign inject DAC resolution / INL faults through the same
+        fault campaign inject DAC resolution faults through the same
         single-object swap as every other impairment.
     output_filter_bandwidth_scale:
         Multiplicative drift of the output band-pass filter's bandwidth
@@ -113,8 +123,7 @@ class ImpairmentConfig:
         """Render as a plain JSON-friendly dictionary (see :meth:`from_dict`).
 
         The amplifier is stored as ``{"type": class name, "params": fields}``
-        so any of the built-in behavioural PA models round-trips; complex
-        polynomial coefficients are stored as ``[real, imag]`` pairs.
+        so any of the built-in behavioural PA models round-trips.
         """
         amplifier = self.amplifier
         if type(amplifier).__name__ not in _AMPLIFIER_TYPES:
@@ -125,19 +134,25 @@ class ImpairmentConfig:
         return {
             "amplifier": {
                 "type": type(amplifier).__name__,
-                "params": _encode_dataclass(amplifier),
+                "params": field_dict(amplifier),
             },
-            "iq_imbalance": _encode_dataclass(self.iq_imbalance),
-            "dc_offset": _encode_dataclass(self.dc_offset),
-            "phase_noise": _encode_dataclass(self.phase_noise),
+            "iq_imbalance": field_dict(self.iq_imbalance),
+            "dc_offset": field_dict(self.dc_offset),
+            "phase_noise": field_dict(self.phase_noise),
             "output_snr_db": self.output_snr_db,
-            "dac": None if self.dac is None else _encode_dataclass(self.dac),
+            "dac": None if self.dac is None else field_dict(self.dac),
             "output_filter_bandwidth_scale": self.output_filter_bandwidth_scale,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ImpairmentConfig":
-        """Rebuild a configuration serialized with :meth:`to_dict`."""
+        """Rebuild a configuration serialized with :meth:`to_dict`.
+
+        Unknown keys, top-level or inside a model, are ignored; a model
+        archived with a setting that is now fixed at another value (a Saleh
+        or polynomial PA coefficient, a DAC's full scale, droop, low-pass or
+        INL, a Q-branch DC offset) raises ``ValidationError``.
+        """
         amplifier_data = data.get("amplifier", {"type": "IdealAmplifier", "params": {"gain_db": 0.0}})
         type_name = amplifier_data.get("type")
         if type_name not in _AMPLIFIER_TYPES:
@@ -181,8 +196,6 @@ class TransmitterConfig:
         critically dense, so 4 suffices there).
     pulse_span_symbols:
         SRRC filter span in symbols (unused by OFDM).
-    output_power:
-        Mean envelope power at the PA output (normalised units).
     impairments:
         Analog impairment configuration.
     seed:
@@ -199,17 +212,18 @@ class TransmitterConfig:
     rolloff: float = 0.5
     samples_per_symbol: int = 16
     pulse_span_symbols: int = 10
-    output_power: float = 1.0
     impairments: ImpairmentConfig = field(default_factory=ImpairmentConfig)
     seed: int | None = 2014
     ofdm: OfdmParams | None = None
+
+    #: Mean envelope power at the PA output (normalised units).
+    output_power: ClassVar[float] = 1.0
 
     def __post_init__(self) -> None:
         check_positive(self.carrier_frequency_hz, "carrier_frequency_hz")
         check_positive(self.symbol_rate_hz, "symbol_rate_hz")
         check_integer(self.samples_per_symbol, "samples_per_symbol", minimum=2)
         check_integer(self.pulse_span_symbols, "pulse_span_symbols", minimum=2)
-        check_positive(self.output_power, "output_power")
         if not 0.0 <= self.rolloff <= 1.0:
             raise ConfigurationError("rolloff must lie in [0, 1]")
         if self.ofdm is not None and not isinstance(self.ofdm, OfdmParams):
@@ -290,7 +304,6 @@ class TransmitterConfig:
             "rolloff": self.rolloff,
             "samples_per_symbol": self.samples_per_symbol,
             "pulse_span_symbols": self.pulse_span_symbols,
-            "output_power": self.output_power,
             "impairments": self.impairments.to_dict(),
             "seed": self.seed,
         }
@@ -300,7 +313,11 @@ class TransmitterConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TransmitterConfig":
-        """Rebuild a configuration serialized with :meth:`to_dict` (unknown keys ignored)."""
+        """Rebuild a configuration serialized with :meth:`to_dict`.
+
+        Unknown keys are ignored; a configuration archived with an output
+        power other than 1.0 raises ``ValidationError``.
+        """
         kwargs = known_field_kwargs(cls, data)
         impairments = kwargs.pop("impairments", None)
         if impairments is not None:

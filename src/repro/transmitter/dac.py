@@ -1,24 +1,22 @@
-"""Transmit DAC model: quantisation, zero-order hold droop and image filtering.
+"""Transmit DAC model: amplitude quantisation of the I/Q branches.
 
-The I/Q DACs of the homodyne transmitter are modelled at the envelope level:
-amplitude quantisation to the configured resolution, the sinc-shaped droop of
-the zero-order hold across the envelope band, and the analog reconstruction
-low-pass that removes DAC images.  For the paper's experiments the DAC is
-effectively transparent (14-bit converters and a generous reconstruction
-filter); the knobs exist so that converter faults can be injected by the BIST
+The I/Q DACs of the homodyne transmitter are modelled at the envelope level
+as amplitude quantisation to the configured resolution.  For the paper's
+experiments the DAC is effectively transparent (14-bit converters); the
+resolution exists so that converter faults can be injected by the BIST
 campaign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from ..errors import ValidationError
-from ..rf.filters import AnalogLowpass
 from ..signals.baseband import ComplexEnvelope
-from ..utils.validation import check_integer, check_positive
+from ..utils.validation import check_integer
 
 __all__ = ["TransmitDac"]
 
@@ -31,36 +29,16 @@ class TransmitDac:
     ----------
     resolution_bits:
         DAC resolution; quantisation is applied symmetrically around zero
-        over the ``full_scale`` range.
-    full_scale:
-        Peak amplitude representable by the converter (per branch).
-    apply_zero_order_hold_droop:
-        Whether to apply the in-band sinc droop of the zero-order hold.
-    reconstruction_cutoff_hz:
-        Cutoff of the analog reconstruction low-pass; ``None`` disables it.
-    reconstruction_order:
-        Butterworth order of the reconstruction filter.
-    inl_fraction_lsb:
-        Peak integral nonlinearity of each branch, in LSBs.  Modelled as a
-        smooth half-sine bow ``inl * step * sin(pi * v / full_scale)`` added
-        after quantisation: zero at code zero and at full scale, maximal at
-        mid scale, odd-symmetric around zero so it creates odd-order
-        distortion products.  Negative values flip the bow direction.
+        over the :attr:`full_scale` range.
     """
 
     resolution_bits: int = 14
-    full_scale: float = 4.0
-    apply_zero_order_hold_droop: bool = False
-    reconstruction_cutoff_hz: float | None = None
-    reconstruction_order: int = 5
-    inl_fraction_lsb: float = 0.0
+
+    #: Peak amplitude representable by the converter (per branch).
+    full_scale: ClassVar[float] = 4.0
 
     def __post_init__(self) -> None:
         check_integer(self.resolution_bits, "resolution_bits", minimum=1)
-        check_positive(self.full_scale, "full_scale")
-        if self.reconstruction_cutoff_hz is not None:
-            check_positive(self.reconstruction_cutoff_hz, "reconstruction_cutoff_hz")
-        check_integer(self.reconstruction_order, "reconstruction_order", minimum=1)
 
     @property
     def step_size(self) -> float:
@@ -69,12 +47,7 @@ class TransmitDac:
 
     def _quantise_branch(self, values: np.ndarray) -> np.ndarray:
         clipped = np.clip(values, -self.full_scale, self.full_scale - self.step_size)
-        codes = np.round(clipped / self.step_size) * self.step_size
-        if self.inl_fraction_lsb != 0.0:
-            codes = codes + self.inl_fraction_lsb * self.step_size * np.sin(
-                np.pi * codes / self.full_scale
-            )
-        return codes
+        return np.round(clipped / self.step_size) * self.step_size
 
     def convert(self, envelope: ComplexEnvelope) -> ComplexEnvelope:
         """Convert a digital complex envelope to its analog representation."""
@@ -82,19 +55,4 @@ class TransmitDac:
             raise ValidationError("envelope must be a ComplexEnvelope")
         i_branch = self._quantise_branch(envelope.samples.real)
         q_branch = self._quantise_branch(envelope.samples.imag)
-        converted = envelope.with_samples(i_branch + 1j * q_branch)
-
-        if self.apply_zero_order_hold_droop:
-            converted = self._apply_droop(converted)
-        if self.reconstruction_cutoff_hz is not None:
-            lowpass = AnalogLowpass(self.reconstruction_cutoff_hz, order=self.reconstruction_order)
-            converted = lowpass.apply(converted)
-        return converted
-
-    @staticmethod
-    def _apply_droop(envelope: ComplexEnvelope) -> ComplexEnvelope:
-        """Apply the zero-order-hold sinc droop across the envelope band."""
-        spectrum = np.fft.fft(envelope.samples)
-        frequencies = np.fft.fftfreq(len(envelope), d=1.0 / envelope.sample_rate)
-        droop = np.sinc(frequencies / envelope.sample_rate)
-        return envelope.with_samples(np.fft.ifft(spectrum * droop))
+        return envelope.with_samples(i_branch + 1j * q_branch)

@@ -31,7 +31,6 @@ def recordings(draw):
     config = BistConfig(
         num_samples_fast=num_samples_fast,
         num_samples_slow=max(64, num_samples_fast // 2),
-        num_taps=draw(st.sampled_from((20, 40))),
         lms_max_iterations=draw(st.integers(3, 8)),
         num_cost_points=draw(st.integers(10, 30)),
         measure_evm_enabled=draw(st.booleans()),

@@ -28,7 +28,6 @@ from repro.store import CampaignStore
 CONFIG = BistConfig(
     num_samples_fast=128,
     num_samples_slow=64,
-    num_taps=20,
     lms_max_iterations=5,
     num_cost_points=10,
     measure_evm_enabled=False,

@@ -23,10 +23,6 @@ class TestDefaultConverter:
         converter.program_delay(180e-12)
         assert converter.true_delay == pytest.approx(188e-12)
 
-    def test_resolution_override(self):
-        converter = ConverterSpec(resolution_bits=12)(90e6)
-        assert converter.channel1.quantizer.resolution_bits == 12
-
 
 class TestConverterSpecBandwidth:
     def test_bandwidth_folds_into_channel1_mismatch(self):

@@ -117,11 +117,3 @@ class TestConfigurationErrors:
     def test_invalid_bist_config_values(self):
         with pytest.raises(ValidationError):
             BistConfig(num_samples_fast=10)
-
-    def test_odd_num_taps_rejected_at_config_time(self):
-        """An odd nw must fail when the config is built, not deep inside Eq. (6)."""
-        with pytest.raises(ConfigurationError, match="must be even"):
-            BistConfig(num_taps=61)
-
-    def test_even_num_taps_accepted(self):
-        assert BistConfig(num_taps=62).num_taps == 62

@@ -24,6 +24,17 @@ def two_family_campaign(**kwargs):
     )
 
 
+class TestMimoOnlyFamilies:
+    @pytest.mark.parametrize("family", ["tx-leakage", "shared-lo", "channel-spread"])
+    def test_single_chain_campaign_rejects_them(self, family):
+        # They act only through apply_mimo: the scenario would be the
+        # fault-free one, and the campaign would count a good unit as an
+        # undetected fault.
+        campaign = FaultCampaign(["paper-qpsk-1ghz"], fault_grid([family], [1.0]))
+        with pytest.raises(ValidationError, match="run_channel_matrix"):
+            campaign.build_scenarios()
+
+
 class TestExpansion:
     def test_scenario_count(self):
         campaign = two_family_campaign()

@@ -107,7 +107,6 @@ class TestTransmitterInjection:
     def test_lo_leakage_sets_offsets(self):
         impaired = LoLeakageFault(severity=0.5).apply_transmitter(ImpairmentConfig())
         assert impaired.dc_offset.i_offset == pytest.approx(0.2)
-        assert impaired.dc_offset.q_offset == 0.0
 
     def test_phase_noise_scales(self):
         impaired = PhaseNoiseFault(severity=0.5).apply_transmitter(ImpairmentConfig())
@@ -182,10 +181,10 @@ class TestScenarioInjection:
         assert faulty.label == "custom"
 
     def test_existing_converter_used_as_base(self):
-        base = ConverterSpec(resolution_bits=12)
+        base = ConverterSpec(channel1_offset=0.01)
         scenario = CampaignScenario(profile="paper-qpsk-1ghz", converter=base)
         faulty = TiadcSkewFault().apply_scenario(scenario)
-        assert faulty.converter.resolution_bits == 12
+        assert faulty.converter.channel1_offset == 0.01
 
     def test_non_scenario_rejected(self):
         with pytest.raises(ValidationError):

@@ -9,7 +9,7 @@ import pytest
 
 from repro.bist import BistConfig, CampaignScenario, TransmitterBist, build_scenario_engine
 from repro.bist.campaign import ConverterSpec
-from repro.monitor import MonitorReport
+from repro.monitor import DriftDetectorConfig, MonitorReport
 from repro.signals.standards import get_profile
 from repro.transmitter import HomodyneTransmitter, TransmitterConfig
 
@@ -34,19 +34,40 @@ class TestEngineStream:
         report = engine.stream(burst)
         assert report.alarms == ()
 
-    def test_single_carrier_default_window_measures_evm(self, engine_and_burst):
-        # The default window used to be an eighth of the ~900-sample
-        # envelope, too narrow to hold 16 symbols inside the demodulator's
-        # edge guards, so every window skipped EVM; it must now widen.
-        engine, burst = engine_and_burst
-        report = engine.stream(burst)
+    def test_single_carrier_default_window_measures_evm(self):
+        # An eighth of the envelope is too narrow to hold 16 symbols inside
+        # the demodulator's edge guards; on a record long enough for the
+        # warm-up windows plus one, the default window widens to measure.
+        engine, _ = build_scenario_engine(
+            CampaignScenario(profile="paper-qpsk-1ghz"),
+            BistConfig(num_samples_fast=1200, num_samples_slow=600),
+        )
+        report = engine.stream()
+        assert report.num_windows >= DriftDetectorConfig().warmup_windows + 1
         measured = [w for w in report.windows if w.evm_percent is not None]
         assert measured
         assert all(window.evm_percent < 5.0 for window in measured)
 
+    def test_default_session_leaves_warm_up(self):
+        # At BistConfig() the paper envelope holds 605 samples; widening the
+        # window to the 481 samples a window EVM needs left one window
+        # against five warm-up windows, so no metric ever got a baseline.
+        config = BistConfig()
+        transmitter = HomodyneTransmitter(TransmitterConfig.paper_default())
+        converter = ConverterSpec()(config.acquisition_bandwidth_hz)
+        report = TransmitterBist(transmitter, converter, config=config).stream()
+        assert report.num_windows >= DriftDetectorConfig().warmup_windows + 1
+        for metric in ("output_power", "acpr_worst_db", "occupied_bandwidth_hz"):
+            assert report.baselines[metric] is not None, metric
+        # Windows too short for EVM say so instead of dropping it silently.
+        for window in report.windows:
+            assert window.evm_percent is not None or window.evm_skipped_reason
+
     def test_ofdm_default_window_holds_whole_symbols(self):
         # The default window used to shrink below one OFDM symbol span, so
-        # every window skipped EVM; it must now widen to fit whole symbols.
+        # every window skipped EVM; it must widen to fit whole symbols as far
+        # as the detector's warm-up allows (none here: the 884-sample record
+        # holds one such window, not six).
         profile = get_profile("ofdm-uhf-qpsk-400mhz")
         config = BistConfig(
             num_samples_fast=2048,
@@ -60,7 +81,7 @@ class TestEngineStream:
             seed=5,
         )(config.acquisition_bandwidth_hz)
         engine = TransmitterBist(transmitter, converter, profile=profile, config=config)
-        report = engine.stream()
+        report = engine.stream(detector=DriftDetectorConfig(warmup_windows=0))
         measured = [w for w in report.windows if w.evm_percent is not None]
         assert measured
         assert all(window.evm_percent < 5.0 for window in measured)

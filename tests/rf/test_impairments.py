@@ -67,9 +67,9 @@ class TestDcOffset:
 
     def test_offset_added(self):
         envelope = tone_envelope()
-        impaired = DcOffset(i_offset=0.1, q_offset=-0.05).apply(envelope)
+        impaired = DcOffset(i_offset=0.1).apply(envelope)
         assert np.mean(impaired.samples).real == pytest.approx(0.1, abs=1e-3)
-        assert np.mean(impaired.samples).imag == pytest.approx(-0.05, abs=1e-3)
+        assert np.mean(impaired.samples).imag == pytest.approx(0.0, abs=1e-3)
 
     def test_creates_carrier_spur(self):
         """DC offset appears as energy at zero envelope frequency (the carrier)."""
@@ -79,8 +79,8 @@ class TestDcOffset:
         assert spectrum[0] > 100.0 * np.abs(np.fft.fft(envelope.samples))[0] + 1.0
 
     def test_complex_offset_property(self):
-        assert DcOffset(0.1, 0.2).complex_offset == pytest.approx(0.1 + 0.2j)
+        assert DcOffset(0.1).complex_offset == 0.1 + 0.0j
 
     def test_type_check(self):
         with pytest.raises(ValidationError):
-            DcOffset(0.1, 0.1).apply([1, 2, 3])
+            DcOffset(0.1).apply([1, 2, 3])

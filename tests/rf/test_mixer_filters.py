@@ -7,7 +7,6 @@ from repro.dsp import zero_phase_butterworth
 from repro.errors import ValidationError
 from repro.rf import (
     AnalogBandpass,
-    AnalogLowpass,
     DcOffset,
     IqImbalance,
     LocalOscillator,
@@ -25,41 +24,6 @@ def tone_envelope(offset_hz, rate=100e6, num=4096, amplitude=1.0):
 def noise_envelope(seed, rate=100e6, num=2048):
     rng = np.random.default_rng(seed)
     return ComplexEnvelope(rng.standard_normal(num) + 1j * rng.standard_normal(num), rate, start_time=1e-6)
-
-
-class TestAnalogLowpass:
-    def test_passband_tone_survives(self):
-        envelope = tone_envelope(2e6)
-        filtered = AnalogLowpass(cutoff_hz=10e6, order=5).apply(envelope)
-        assert filtered.mean_power() == pytest.approx(envelope.mean_power(), rel=0.02)
-
-    def test_stopband_tone_attenuated(self):
-        envelope = tone_envelope(40e6)
-        filtered = AnalogLowpass(cutoff_hz=10e6, order=5).apply(envelope)
-        assert filtered.mean_power() < 0.01 * envelope.mean_power()
-
-    def test_cutoff_above_nyquist_is_identity(self):
-        envelope = tone_envelope(2e6)
-        assert AnalogLowpass(cutoff_hz=80e6).apply(envelope) is envelope
-
-    def test_type_check(self):
-        with pytest.raises(ValidationError):
-            AnalogLowpass(cutoff_hz=1e6).apply(np.ones(10))
-
-    def test_apply_is_the_zero_phase_butterworth(self):
-        envelope = noise_envelope(1)
-        filtered = AnalogLowpass(cutoff_hz=10e6, order=5).apply(envelope)
-        np.testing.assert_array_equal(
-            filtered.samples, zero_phase_butterworth(envelope.samples, 10e6, envelope.sample_rate, 5)
-        )
-        assert (filtered.sample_rate, filtered.start_time) == (envelope.sample_rate, envelope.start_time)
-
-    @pytest.mark.parametrize(
-        "kwargs", [{"cutoff_hz": 0.0}, {"cutoff_hz": 1e6, "order": 0}], ids=["cutoff", "order"]
-    )
-    def test_invalid_parameters_rejected(self, kwargs):
-        with pytest.raises(ValidationError):
-            AnalogLowpass(**kwargs)
 
 
 class TestAnalogBandpass:

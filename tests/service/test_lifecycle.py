@@ -11,7 +11,7 @@ from repro.bist.runner import ScenarioOutcome
 from repro.dsp.spectrum import SpectrumEstimate
 from repro.errors import ValidationError
 from repro.service import GcPolicy, GcReport, compact_store, load_tombstones, run_gc
-from repro.store import CampaignStore
+from repro.store import CampaignStore, CampaignStoreWarning
 from repro.store.fingerprint import SCHEMA_VERSION
 
 
@@ -124,6 +124,29 @@ class TestSchemaTombstones:
         run_gc(tmp_path, GcPolicy(), now=NOW)
         tombstones = load_tombstones(CampaignStore(tmp_path))
         assert set(tombstones) == {"first", "second"}
+
+    @pytest.mark.parametrize("ledger", ["", '{"first": {"schema_v', "[]"])
+    def test_torn_ledger_warns_and_starts_afresh(self, tmp_path, ledger):
+        write_shard(tmp_path, "a", [record("second", schema_version=1_000)])
+        (tmp_path / "tombstones.json").write_text(ledger)
+        with pytest.warns(CampaignStoreWarning, match="tombstone ledger"):
+            report = run_gc(tmp_path, GcPolicy(), now=NOW)
+        assert report.tombstoned == 1
+        assert set(load_tombstones(CampaignStore(tmp_path))) == {"second"}
+
+    def test_ledger_is_written_through_the_store(self, tmp_path, monkeypatch):
+        written = []
+        replace_shard = CampaignStore.replace_shard
+
+        def spy(store, path, lines):
+            written.append(path.name)
+            replace_shard(store, path, lines)
+
+        monkeypatch.setattr(CampaignStore, "replace_shard", spy)
+        write_shard(tmp_path, "a", [record("old", schema_version=1_000)])
+        run_gc(tmp_path, GcPolicy(), now=NOW)
+        assert "tombstones.json" in written
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["tombstones.json"]
 
 
 class TestAgeRetention:

@@ -69,7 +69,6 @@ class TestParams:
             {"cp_length": 0},
             {"cp_length": 32},
             {"pilot_spacing": 1},
-            {"pilot_amplitude": 0.0},
         ],
     )
     def test_invalid_parameters_raise(self, kwargs):

@@ -76,7 +76,7 @@ class TestSensitivity:
         )
 
     def test_bist_config_changes_identity(self):
-        other = replace(CONFIG, num_taps=40)
+        other = replace(CONFIG, num_cost_points=40)
         assert self.fingerprints_differ(
             dict(scenario=BASE, bist_config=CONFIG), dict(scenario=BASE, bist_config=other)
         )
@@ -128,20 +128,20 @@ class TestPayload:
 
 #: Hex digests pinned when scenario resolution moved into
 #: ``repro.bist.campaign.resolve_scenario``, re-pinned for ``SCHEMA_VERSION``
-#: 8.  A change here re-keys every archived store (all lookups go cold): bump
+#: 9.  A change here re-keys every archived store (all lookups go cold): bump
 #: ``SCHEMA_VERSION`` on purpose instead of editing a digest.
 PAPER = "paper-qpsk-1ghz"
 PINNED = {
     "paper-shared": (
         dict(scenario=CampaignScenario(profile=PAPER)),
-        "2bc141884ec9d69793308adc54849a0045acf231bb4b887a0f8e3142510de39e",
+        "5ba27bc7834a17031cdbd5ba5750595fd36c72b50a55e845b9f8f78fff752fad",
     ),
     "paper-per-scenario-seed": (
         dict(
             scenario=CampaignScenario(profile=PAPER),
             seed=derive_scenario_seed(BistConfig().seed, 2, PAPER),
         ),
-        "b9aea2dd4929ddf7b7699d467bf8c8f00f0ac5488fbc52bb72209fc6d62ee70c",
+        "9cbcd4ee1d8d0cfa13bccd84fa85248502ff53ef489efd0ab61474df745fac09",
     ),
     "scenario-converter-spec": (
         dict(
@@ -150,7 +150,7 @@ PINNED = {
             ),
             seed=12345,
         ),
-        "d087e40b074d77e5dc564e7102b840ab515caf7c1142695fea68eaa96ddb00fb",
+        "69d825ac588bb941556aec8a49350d85303c8b631aacb86d57071fc9f6b5eb8a",
     ),
     "fault-model-impairment": (
         dict(
@@ -158,15 +158,15 @@ PINNED = {
                 profile=PAPER, impairments=pa_saturation_sweep([0.75])[0][1]
             )
         ),
-        "1e8cd44fc74d4660851918695e81b54b2ef7d7706d0d819be03f7784b4252ed0",
+        "b9bdee8b94792301525ee428cf267086bfb0d3b8d4969861cadaafbe33899e02",
     ),
     "ofdm-profile": (
         dict(scenario=CampaignScenario(profile="ofdm-uhf-qpsk-400mhz")),
-        "afc1c59dc56aee48670833dbced25654f147fb1a174d89d11c2277e28440005b",
+        "10d79abb7f2e5d5a5da0c0a0ae4d79721421689bd8473754846abe8f11ddb9f9",
     ),
     "explicit-num-symbols": (
         dict(scenario=CampaignScenario(profile="uhf-8psk-400mhz", num_symbols=256)),
-        "2460af206a141ddc105ba9624dfc28e301d782e40cb8867e1f104bb0ae229a9c",
+        "509085c5cffd3265ecfdadd108a1377a9214dc3cd79ee5939c296e2f4529bdd6",
     ),
 }
 

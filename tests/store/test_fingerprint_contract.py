@@ -64,18 +64,13 @@ BIST_FIELDS = {
     "num_samples_fast": st.integers(64, 2048),
     "num_samples_slow": st.integers(64, 512),
     "programmed_delay_seconds": st.sampled_from([150e-12, 180e-12, 200e-12]) | floats(1e-12, 5e-10),
-    "num_taps": st.integers(1, 40).map(lambda half: 2 * half),
-    "lms_initial_delay_seconds": st.none() | floats(1e-12, 5e-10),
-    "lms_initial_step_seconds": floats(1e-14, 1e-10),
     "lms_max_iterations": st.integers(1, 100),
     "num_cost_points": st.integers(10, 600),
-    "correct_static_mismatch": st.booleans(),
     "measure_evm_enabled": st.booleans(),
     "seed": st.none() | st.integers(0, 2**32 - 1),
 }
 
 CONVERTER_FIELDS = {
-    "resolution_bits": st.integers(4, 16),
     "skew_jitter_rms_seconds": floats(0.0, 1e-11),
     "dcde_static_error_seconds": floats(-1e-11, 1e-11),
     "channel1_skew_seconds": floats(-5e-12, 5e-12),
@@ -83,7 +78,6 @@ CONVERTER_FIELDS = {
     "channel1_offset": floats(-0.1, 0.1),
     "channel1_bandwidth_hz": st.none() | floats(1e8, 1e10),
     "bandwidth_reference_hz": st.none() | floats(1e8, 3e9),
-    "full_scale": floats(0.5, 5.0),
     "seed": st.none() | st.integers(0, 2**32 - 1),
 }
 
@@ -91,7 +85,7 @@ IMPAIRMENT_FIELDS = {
     "output_snr_db": st.none() | floats(10.0, 90.0),
     "output_filter_bandwidth_scale": floats(0.2, 3.0),
     "iq_imbalance": st.builds(IqImbalance, floats(-1.0, 1.0), floats(-5.0, 5.0)),
-    "dc_offset": st.builds(DcOffset, floats(-0.05, 0.05), floats(-0.05, 0.05)),
+    "dc_offset": st.builds(DcOffset, floats(-0.05, 0.05)),
 }
 
 SCENARIO_FIELDS = {

@@ -61,17 +61,8 @@ def random_amplifier(rng: random.Random):
             smoothness=rng.uniform(1.0, 4.0),
         )
     if kind == 2:
-        return SalehAmplifier(
-            alpha_amplitude=rng.uniform(1.0, 3.0),
-            beta_amplitude=rng.uniform(0.5, 2.0),
-            alpha_phase=rng.uniform(1.0, 5.0),
-            beta_phase=rng.uniform(5.0, 12.0),
-        )
-    return PolynomialAmplifier(
-        a1=complex(rng.uniform(5.0, 12.0), rng.uniform(-0.5, 0.5)),
-        a3=complex(rng.uniform(-1.0, 0.0), rng.uniform(-0.1, 0.1)),
-        a5=complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.05, 0.05)),
-    )
+        return SalehAmplifier()
+    return PolynomialAmplifier()
 
 
 def random_impairments(rng: random.Random) -> ImpairmentConfig:
@@ -81,24 +72,13 @@ def random_impairments(rng: random.Random) -> ImpairmentConfig:
             gain_imbalance_db=rng.uniform(-1.0, 1.0),
             phase_imbalance_deg=rng.uniform(-10.0, 10.0),
         ),
-        dc_offset=DcOffset(
-            i_offset=rng.uniform(-0.05, 0.05), q_offset=rng.uniform(-0.05, 0.05)
-        ),
+        dc_offset=DcOffset(i_offset=rng.uniform(-0.05, 0.05)),
         phase_noise=PhaseNoiseModel(
             linewidth_hz=rng.uniform(0.0, 1e4),
             rms_jitter_seconds=rng.uniform(0.0, 1e-12),
         ),
         output_snr_db=maybe(rng, rng.uniform(20.0, 60.0)),
-        dac=maybe(
-            rng,
-            TransmitDac(
-                resolution_bits=rng.randrange(6, 16),
-                full_scale=rng.uniform(1.0, 5.0),
-                apply_zero_order_hold_droop=rng.random() < 0.5,
-                inl_fraction_lsb=rng.uniform(0.0, 2.0),
-            ),
-            probability=0.5,
-        ),
+        dac=maybe(rng, TransmitDac(resolution_bits=rng.randrange(6, 16)), probability=0.5),
         output_filter_bandwidth_scale=rng.uniform(0.5, 1.5),
     )
 
@@ -111,7 +91,6 @@ def random_ofdm_params(rng: random.Random) -> OfdmParams:
         num_subcarriers=num_subcarriers,
         cp_length=rng.randrange(1, fft_size),
         pilot_spacing=rng.randrange(2, max(3, num_subcarriers + 1)),
-        pilot_amplitude=rng.uniform(0.5, 2.0),
     )
 
 
@@ -123,7 +102,6 @@ def random_transmitter_config(rng: random.Random) -> TransmitterConfig:
         rolloff=rng.uniform(0.1, 0.9),
         samples_per_symbol=rng.randrange(4, 17),
         pulse_span_symbols=rng.randrange(4, 12),
-        output_power=rng.uniform(0.5, 2.0),
         impairments=random_impairments(rng),
         seed=maybe(rng, rng.randrange(2**31)),
         ofdm=maybe(rng, random_ofdm_params(rng), probability=0.6),
@@ -158,7 +136,6 @@ def random_profile(rng: random.Random) -> WaveformProfile:
 def random_converter_spec(rng: random.Random) -> ConverterSpec:
     reference = maybe(rng, rng.uniform(0.5e9, 1.5e9), probability=0.5)
     return ConverterSpec(
-        resolution_bits=rng.randrange(6, 14),
         skew_jitter_rms_seconds=rng.uniform(0.0, 5e-12),
         dcde_static_error_seconds=rng.uniform(-5e-12, 5e-12),
         channel1_skew_seconds=rng.uniform(-5e-12, 5e-12),
@@ -166,7 +143,6 @@ def random_converter_spec(rng: random.Random) -> ConverterSpec:
         channel1_offset=rng.uniform(-0.05, 0.05),
         channel1_bandwidth_hz=None if reference is None else rng.uniform(1e9, 5e9),
         bandwidth_reference_hz=reference,
-        full_scale=rng.uniform(1.0, 5.0),
         seed=maybe(rng, rng.randrange(2**31)),
     )
 
@@ -177,12 +153,8 @@ def random_bist_config(rng: random.Random) -> BistConfig:
         num_samples_fast=rng.randrange(64, 512),
         num_samples_slow=rng.randrange(64, 256),
         programmed_delay_seconds=rng.uniform(50e-12, 300e-12),
-        num_taps=2 * rng.randrange(1, 40),
-        lms_initial_delay_seconds=maybe(rng, rng.uniform(50e-12, 300e-12)),
-        lms_initial_step_seconds=rng.uniform(0.1e-12, 5e-12),
         lms_max_iterations=rng.randrange(1, 100),
         num_cost_points=rng.randrange(10, 500),
-        correct_static_mismatch=rng.random() < 0.5,
         measure_evm_enabled=rng.random() < 0.5,
         seed=maybe(rng, rng.randrange(2**31)),
     )

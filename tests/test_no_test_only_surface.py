@@ -46,6 +46,10 @@ ALLOWED = {
     "repro.sampling.nonuniform.forbidden_delays": (
         "Section II Eq. 3 forbidden delays that docs/paper_mapping.md cites"
     ),
+    "repro.calibration.gain_offset.correct_gain_offset": (
+        "Section III static gain/offset correction that docs/paper_mapping.md cites; "
+        "the engine assumes matched converters, as the paper's experiments do"
+    ),
     "repro.calibration.lms.LmsSkewEstimate.estimate_trajectory": (
         "the per-iteration LMS trace that explainable verdicts (ROADMAP) will report"
     ),
@@ -69,31 +73,12 @@ ALLOWED = {
     ),
 }
 
-_FINGERPRINTED = "fingerprinted: dropping it re-keys the store, so it waits for a SCHEMA_VERSION bump"
 _TIMING_SEAM = "test seam for a clock or a timeout"
 
 #: Test-only settings that stay, by qualified name, with the reason.  A field
 #: is ``module.Class.field``; a parameter is ``module.function(name)``,
 #: ``module.Class(name)`` for ``__init__`` or ``module.Class.method(name)``.
 ALLOWED_SETTINGS = {
-    "repro.bist.engine.BistConfig.lms_initial_delay_seconds": _FINGERPRINTED,
-    "repro.bist.engine.BistConfig.lms_initial_step_seconds": _FINGERPRINTED,
-    "repro.bist.engine.BistConfig.correct_static_mismatch": _FINGERPRINTED,
-    "repro.rf.amplifier.SalehAmplifier.alpha_amplitude": _FINGERPRINTED,
-    "repro.rf.amplifier.SalehAmplifier.beta_amplitude": _FINGERPRINTED,
-    "repro.rf.amplifier.SalehAmplifier.alpha_phase": _FINGERPRINTED,
-    "repro.rf.amplifier.SalehAmplifier.beta_phase": _FINGERPRINTED,
-    "repro.rf.amplifier.PolynomialAmplifier.a1": _FINGERPRINTED,
-    "repro.rf.amplifier.PolynomialAmplifier.a3": _FINGERPRINTED,
-    "repro.rf.amplifier.PolynomialAmplifier.a5": _FINGERPRINTED,
-    "repro.transmitter.dac.TransmitDac.apply_zero_order_hold_droop": _FINGERPRINTED,
-    "repro.transmitter.dac.TransmitDac.reconstruction_cutoff_hz": _FINGERPRINTED,
-    "repro.transmitter.dac.TransmitDac.reconstruction_order": _FINGERPRINTED,
-    "repro.transmitter.dac.TransmitDac.full_scale": _FINGERPRINTED,
-    "repro.transmitter.dac.TransmitDac.inl_fraction_lsb": _FINGERPRINTED,
-    "repro.rf.impairments.DcOffset.q_offset": _FINGERPRINTED,
-    "repro.bist.campaign.ConverterSpec.full_scale": _FINGERPRINTED,
-    "repro.signals.ofdm.OfdmParams.pilot_amplitude": _FINGERPRINTED,
     "repro.service.lifecycle.run_gc(now)": _TIMING_SEAM,
     "repro.store.store.CampaignStore.put(stored_at)": _TIMING_SEAM,
     "repro.service.client.ServiceClient.wait(poll_seconds)": _TIMING_SEAM,

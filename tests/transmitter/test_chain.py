@@ -63,7 +63,7 @@ class TestImpairmentHooks:
         from repro.transmitter import TransmitDac
 
         config = TransmitterConfig.paper_default(
-            impairments=ImpairmentConfig(dac=TransmitDac(resolution_bits=3, full_scale=4.0)),
+            impairments=ImpairmentConfig(dac=TransmitDac(resolution_bits=3)),
             seed=7,
         )
         coarse = HomodyneTransmitter(config).transmit(64)
