@@ -36,7 +36,7 @@ Every comparison also records the worst relative deviation between the two
 paths; the script exits non-zero if the single-eval, sweep or any
 dense-render deviation exceeds ``--tolerance`` (1e-9), if a batched sweep row differs
 from its per-delay evaluation in any bit, if the two LMS estimates differ
-by more than the estimator's minimal step (``min_step_seconds``, 1e-3 ps),
+by more than 1e-3 ps (a hundredth of the estimator's 0.1 ps step floor),
 or if the ``uhf-8psk`` render's ``tracemalloc`` peak exceeds 64 MB.
 
 Run with::
@@ -94,6 +94,11 @@ NEAR_INTEGER_POSITION = 5.0 + 1e-8
 REFERENCE_CHUNK_POINTS = 8192
 #: Largest ``tracemalloc`` peak of the ``uhf-8psk`` render, in MB.
 UHF_8PSK_PEAK_LIMIT_MB = 64.0
+#: Largest gap between the plan and oracle LMS estimates, in ps.  Fixed
+#: rather than tied to ``LmsSkewEstimator.min_step_seconds`` (0.1 ps), the
+#: resolution the search stops at: the two reconstructions agree to 1e-9,
+#: so both searches should take the same steps and end on the same delay.
+LMS_ESTIMATE_GAP_LIMIT_PS = 1e-3
 
 
 class _ReferenceSkewCost(SkewCostFunction):
@@ -290,7 +295,6 @@ def bench_lms(fast_set, slow_set, cost_points: int, repeats: int) -> dict:
         "plan_estimate_ps": plan_result.estimate * 1e12,
         "reference_estimate_ps": reference_result.estimate * 1e12,
         "estimate_abs_difference_ps": abs(plan_result.estimate - reference_result.estimate) * 1e12,
-        "min_step_ps": plan_estimator.min_step_seconds * 1e12,
     }
 
 
@@ -492,11 +496,11 @@ def main(argv=None) -> int:
         )
         return 1
     lms = results["lms"]
-    if lms["estimate_abs_difference_ps"] > lms["min_step_ps"]:
+    if lms["estimate_abs_difference_ps"] > LMS_ESTIMATE_GAP_LIMIT_PS:
         print(
             f"ERROR: the plan-based LMS estimate differs from the reference one by "
-            f"{lms['estimate_abs_difference_ps']:.3e} ps (> one minimal step, "
-            f"{lms['min_step_ps']:.0e} ps)",
+            f"{lms['estimate_abs_difference_ps']:.3e} ps "
+            f"(> {LMS_ESTIMATE_GAP_LIMIT_PS:.0e} ps)",
             file=sys.stderr,
         )
         return 1

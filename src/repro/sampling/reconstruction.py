@@ -77,6 +77,7 @@ from ..utils.validation import check_1d_array, check_integer, check_positive
 from ..utils.windows import evaluate_taper
 from .bandpass import BandpassBand
 from .nonuniform import (
+    DELAY_TOLERANCE,
     KohlenbergKernel,
     band_order,
     check_delay,
@@ -262,6 +263,13 @@ _SINC_SERIES_THRESHOLD = 1.0e-6
 #: envelope needs no wider radius.  Every shipped profile's smallest envelope
 #: is above ``0.049 B``, so the floor never sets their radius.
 _RADIUS_ENVELOPE_FLOOR = 0.01
+
+#: The smallest ``|sin phi|`` of any term at a delay :func:`check_delay`
+#: admits (``DELAY_TOLERANCE`` of the forbidden spacing from a forbidden
+#: delay).  A plan's on-grid sums are built once, before any delay, and
+#: weighted by ``cot phi`` per delay, so their radius is widened by its
+#: inverse (~318).
+_MIN_SIN_PHI = float(np.sin(np.pi * DELAY_TOLERANCE))
 
 
 def _kernel_terms(band: BandpassBand) -> list[tuple[int, float, float, float]]:
@@ -599,10 +607,12 @@ class _PlanStructure:
     v)`` and ``sum_j W sin(r v)`` at its rates ``r``, with ``W`` the weights
     over ``v + D`` (:meth:`rotated_sums`): one matmul against the tap
     ``basis``, rotated by each point's row angle through the ``(R, points)``
-    tables ``row_cos`` and ``row_sin``.  Entries within the kernel's
-    ``singular_radius`` of ``v + D = 0`` cannot be divided by:
-    :meth:`arguments` finds them from ``sorted_v`` and they are evaluated in
-    product form.
+    tables ``row_cos`` and ``row_sin``.  Entries within a radius of ``v + D
+    = 0`` cannot be divided by: :meth:`arguments` finds them from
+    ``sorted_v`` and they are evaluated in product form.  The radius is the
+    kernel's ``singular_radius`` over ``|sin phi|``, since the quotient's
+    weights carry ``1 / sin phi`` (on-grid, ``cot phi``) and so does its
+    rounding error near ``x = 0``, where the kernel stays of order one.
 
     Plans gather each point's samples around its ``centre`` sample and give
     the taps off the record zero weight.
@@ -652,32 +662,32 @@ class _PlanStructure:
         self.taper = taper
         self.v = v
         # One sorted copy of v finds, for every delay of a batch, whether any
-        # entry sits within the singular radius of v + D = 0 without scanning
+        # entry sits within the delay's radius of v + D = 0 without scanning
         # the (delays, rows, taps) block.
         self.sorted_v = np.sort(v, axis=None)
         held = [times, centre, taper, self.basis, self.row_cos, self.row_sin, v, self.sorted_v]
         self.num_elements = sum(array.size for array in held)
 
-    def arguments(self, delays: np.ndarray):
+    def arguments(self, delays: np.ndarray, radius: np.ndarray):
         """``v + D`` of each delay, ``(m, rows, taps)``, and the entries a quotient cannot take.
 
-        Entries within the singular radius of ``v + D = 0`` cannot be
+        Entries within ``radius`` (one per delay) of ``v + D = 0`` cannot be
         divided by: they are set to infinity (so a weight over them is zero
         and no inf or NaN reaches a contraction) and returned as ``None`` or
         ``(delay, row, tap, v + D)`` index and argument arrays, for
         :meth:`_FactoredKernel.product_form`.  Each delay's entries depend
-        on that delay alone, not on the batch it shares.
+        on that delay and its radius alone, not on the batch it shares.
         """
-        radius = self.kernel.singular_radius
         arguments = self.v + delays[:, None, None]
         lower = np.searchsorted(self.sorted_v, -delays - radius, "left")
         upper = np.searchsorted(self.sorted_v, -delays + radius, "right")
         singular = None
         if np.any(upper > lower):
-            # Rare: a point lies within ~1e-6 / envelope of a sample instant.
-            # The closed-interval bounds overcount; this scan decides.
+            # Rare: a point lies within ~1e-6 / (envelope sin phi) of a
+            # sample instant.  The closed-interval bounds overcount; this
+            # scan decides.
             flat = arguments.reshape(-1)
-            index = np.flatnonzero(np.abs(flat) < radius)
+            index = np.flatnonzero(np.abs(arguments) < radius[:, None, None])
             if index.size:
                 delay, entry = np.divmod(index, self.v.size)
                 singular = (delay, *np.unravel_index(entry, self.v.shape), flat[index])
@@ -879,12 +889,14 @@ class ReconstructionPlan:
         parts are ``c_t (sin(P_t v) + sin(Q_t v)) / v`` and ``c_t (cos(Q_t v) -
         cos(P_t v)) / v``: one :meth:`_PlanStructure.rotated_sums` of the
         weights over ``v`` gives both, and a candidate delay only weighs the
-        second by ``cot(phi)``.  Points on a sample instant take their
-        ``v = 0`` tap in product form.
+        second by ``cot(phi)``.  A tap within the singular radius of ``v =
+        0``, widened by the largest ``|cot phi|`` an admitted delay gives,
+        takes product form.
         """
         structure = self._structure
         kernel = structure.kernel
-        arguments, singular = structure.arguments(np.zeros(1))
+        radius = np.array([kernel.singular_radius / _MIN_SIN_PHI])
+        arguments, singular = structure.arguments(np.zeros(1), radius)
         cosines, sines = structure.rotated_sums(np.divide(weighted, arguments, out=arguments))
         dots = []
         for p in range(0, kernel.rates.size, 2):
@@ -975,7 +987,8 @@ class ReconstructionPlan:
                 on_grid_total = on_grid
             else:
                 on_grid_total += on_grid
-        arguments, singular = structure.arguments(delays)
+        radius = kernel.singular_radius / np.abs(sin_phi).min(axis=1)
+        arguments, singular = structure.arguments(delays, radius)
         weighted = np.divide(self._weighted_delayed, arguments, out=arguments)
         cosines, sines = structure.rotated_sums(weighted)
         # cos(r (v + D) - sign phi) = cos(r v) cos(beta) - sin(r v) sin(beta)

@@ -31,7 +31,9 @@ Why one queue *per worker* rather than one shared queue: a worker killed
 mid-``put`` (the chaos path CI exercises) can die holding the queue's write
 lock or leave a torn pickle in the pipe; with a private queue the damage is
 confined to the dead worker's channel and every other worker keeps
-streaming.
+streaming.  The coordinator closes its copy of each queue's write end once
+the worker has started, so a torn pickle ends in end of file when the
+worker dies rather than in a read that waits forever.
 """
 
 from __future__ import annotations
@@ -318,6 +320,9 @@ class Coordinator:
                 daemon=True,
             )
             process.start()
+            # Leave the worker the only write end: a message it tears by dying
+            # then reads as end of file (see the module docstring).
+            results_queue._writer.close()
             in_flight[entry.partition.partition_id] = _ActiveWorker(
                 worker_id, spawned, process, entry.partition, results_queue, entry.retries
             )

@@ -26,7 +26,7 @@ from __future__ import annotations
 import asyncio
 import json
 
-from ..errors import JobNotFoundError, ServiceError, ValidationError
+from ..errors import ConfigurationError, JobNotFoundError, ServiceError, ValidationError
 from .queue import JobQueue
 from .spec import CampaignSpec
 
@@ -186,7 +186,9 @@ class BistServiceServer:
             return 400, {"error": f"request body is not valid JSON: {exc}"}
         try:
             spec = CampaignSpec.from_dict(payload)
-        except (ValidationError, TypeError, KeyError) as exc:
+        except (ValidationError, ConfigurationError, TypeError, KeyError) as exc:
+            # ConfigurationError: a model the body names that does not exist
+            # (an unknown amplifier type) or settings that contradict.
             return 400, {"error": f"invalid campaign spec: {exc}"}
         try:
             job_id = self._queue.submit(spec)

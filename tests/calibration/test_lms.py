@@ -3,8 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.bist import (
+    BistConfig,
+    CampaignScenario,
+    ConverterSpec,
+    TransmitterBist,
+    build_scenario_engine,
+)
 from repro.calibration import LmsSkewEstimator, SkewCostFunction
 from repro.errors import CalibrationError, ValidationError
+from repro.sampling import relative_error_for_delay_error
+from repro.signals import get_profile, list_profiles
+from repro.transmitter import HomodyneTransmitter, TransmitterConfig
 
 
 DELAY = 180e-12
@@ -108,3 +118,50 @@ class TestConfiguration:
         estimator = LmsSkewEstimator(cost_function, initial_step_seconds=20e-12, max_iterations=60)
         result = estimator.estimate(50e-12)
         assert abs(result.estimate - DELAY) < 1e-12
+
+
+class TestStepFloor:
+    """The search stops at the delay resolution Eq. (4) says a 1 % measurement needs."""
+
+    @pytest.mark.parametrize("profile", list_profiles())
+    def test_one_step_is_a_fifth_of_eq5_on_every_campaign_band(self, profile):
+        # Eq. (5) asks for 1 % relative error; one step of the floor may
+        # cost a fifth of it (1.3e-3 on wideband-16qam-2ghz, the largest).
+        engine, _ = build_scenario_engine(CampaignScenario(profile=profile), BistConfig())
+        error = relative_error_for_delay_error(engine.band, LmsSkewEstimator.min_step_seconds)
+        assert error <= 2e-3
+
+    def test_paper_devices_stop_early_within_a_tenth_of_a_picosecond(self, monkeypatch):
+        # Fault-free paper devices drawn as the benchmark draws them: each
+        # estimate lies within 0.1 ps of what a search down to 1 fs reaches,
+        # at about half its cost evaluations (45-65 to 1 fs here).
+        profile = get_profile("paper-qpsk-1ghz")
+        config = BistConfig()
+        evaluations = []
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            transmitter = HomodyneTransmitter(
+                TransmitterConfig.from_profile(profile, seed=int(rng.integers(2**31)))
+            )
+            converter = ConverterSpec(
+                dcde_static_error_seconds=float(rng.uniform(-8e-12, 8e-12)),
+                channel1_skew_seconds=float(rng.uniform(-3e-12, 3e-12)),
+                seed=int(rng.integers(2**31)),
+            ).build(config.acquisition_bandwidth_hz)
+            stage = TransmitterBist(transmitter, converter, profile=profile, config=config).prepare()
+            cost = SkewCostFunction(
+                stage.fast_set,
+                stage.slow_set,
+                num_taps=config.num_taps,
+                num_evaluation_points=config.num_cost_points,
+                seed=config.seed,
+            )
+            estimator = LmsSkewEstimator(cost, max_iterations=config.lms_max_iterations)
+            result = estimator.estimate(config.programmed_delay_seconds)
+            assert result.estimate == stage.calibration.estimated_delay_seconds
+            evaluations.append(result.cost_evaluations)
+            with monkeypatch.context() as patch:
+                patch.setattr(LmsSkewEstimator, "min_step_seconds", 1e-15)
+                finest = estimator.estimate(config.programmed_delay_seconds)
+            assert abs(result.estimate - finest.estimate) <= 0.1e-12
+        assert np.mean(evaluations) <= 35

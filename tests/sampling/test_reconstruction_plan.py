@@ -15,6 +15,7 @@ from repro.sampling import (
     BandpassBand,
     IdealNonuniformSampler,
     NonuniformReconstructor,
+    NonuniformSampleSet,
     ReconstructionPlan,
     reference_evaluate,
 )
@@ -141,6 +142,44 @@ class TestPlanReferenceEquivalence:
             reference_evaluate(fast_sample_set, times, DELAY, num_taps=60),
             rtol=RTOL,
             atol=ATOL,
+        )
+
+    @pytest.mark.parametrize(
+        "position, delay_periods", [(1.0, 0.499), (24.0 - 1.8e-14, 0.0401)]
+    )
+    def test_times_near_sample_instants_at_a_near_forbidden_delay(
+        self, position, delay_periods
+    ):
+        """Near a forbidden delay, points just off a sample instant stay exact.
+
+        ``sin(phi)`` is 0.006 and 0.008 here.  The quotient's weights carry
+        ``1 / sin(phi)`` (on-grid, ``cot(phi)``), and so does its rounding
+        error near ``x = 0``, where the kernel stays of order one.  With the
+        unwidened radius these points, a few 1e-6 T off the on-grid and
+        delayed sample instants, read up to 7.1e-9 and 8.4e-9 from the oracle.
+        """
+        bandwidth = 90e6
+        period = 1.0 / bandwidth
+        delay = delay_periods * period
+        band = BandpassBand(position * bandwidth / 2.0, (position + 2.0) * bandwidth / 2.0)
+        rng = np.random.default_rng(0)
+        samples = NonuniformSampleSet(
+            on_grid=rng.standard_normal(160),
+            delayed=rng.standard_normal(160),
+            sample_period=period,
+            delay=delay,
+            start_time=0.0,
+            band=band,
+        )
+        offsets = np.array([1.3e-6, -1.3e-6, 2e-6, 3e-6, 1e-5])
+        near = (np.arange(40, 120, 7)[:, None] + offsets).reshape(-1) * period
+        times = np.concatenate([near, near + delay])
+        plan = ReconstructionPlan(samples, times, num_taps=60)
+        np.testing.assert_allclose(
+            plan.evaluate(delay),
+            reference_evaluate(samples, times, delay, num_taps=60),
+            rtol=1e-9,
+            atol=1e-9,
         )
 
 

@@ -248,6 +248,35 @@ class TestRetriesExhausted:
         assert "died" in outcome.error
         assert "exit code 13" in outcome.error
 
+    def test_worker_death_mid_message_is_detected(self, tmp_path, monkeypatch):
+        # A worker killed while its queue feeder sends a ~250 KB outcome
+        # leaves a frame header whose payload never arrives.  The coordinator
+        # must read the torn frame as end of file once the worker is dead,
+        # not wait for the rest.  It runs in a thread so that a hang fails
+        # this test instead of stalling the suite.
+        import os
+        import struct
+        import threading
+
+        def die_mid_message(worker_id, partition, settings, results_queue):
+            os.write(results_queue._writer.fileno(), struct.pack("!i", 250_000))
+            os._exit(9)
+
+        monkeypatch.setattr(coordinator_module, "run_partition_worker", die_mid_message)
+        coordinator = make_coordinator(tmp_path, num_workers=1, max_retries=0)
+        result = {}
+        thread = threading.Thread(
+            target=lambda: result.update(execution=coordinator.run(grid_scenarios(1))),
+            daemon=True,
+        )
+        thread.start()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive(), "the coordinator is still waiting on a torn message"
+        outcome = result["execution"].execution.outcomes[0]
+        assert not outcome.ok
+        assert "died" in outcome.error
+        assert "exit code 9" in outcome.error
+
 
 class TestDrain:
     def test_drain_before_run_reports_undispatched_partitions(self, tmp_path):

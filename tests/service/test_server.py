@@ -137,6 +137,14 @@ class TestProtocolErrors:
         assert status == 400
         assert "invalid campaign spec" in payload["error"]
 
+    def test_unknown_amplifier_type_is_400_not_500(self, service):
+        impairment = {"amplifier": {"type": "Foo", "params": {}}}
+        body = {"profiles": ["paper-qpsk-1ghz"], "impairments": [["foo", impairment]]}
+        status, payload = raw_request(service, "POST", "/jobs", json.dumps(body).encode())
+        assert status == 400
+        assert "invalid campaign spec" in payload["error"]
+        assert "'Foo'" in payload["error"]
+
     def test_non_json_body_is_400(self, service):
         status, payload = raw_request(service, "POST", "/jobs", b"not json")
         assert status == 400

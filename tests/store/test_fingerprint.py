@@ -128,20 +128,20 @@ class TestPayload:
 
 #: Hex digests pinned when scenario resolution moved into
 #: ``repro.bist.campaign.resolve_scenario``, re-pinned for ``SCHEMA_VERSION``
-#: 9.  A change here re-keys every archived store (all lookups go cold): bump
+#: 10.  A change here re-keys every archived store (all lookups go cold): bump
 #: ``SCHEMA_VERSION`` on purpose instead of editing a digest.
 PAPER = "paper-qpsk-1ghz"
 PINNED = {
     "paper-shared": (
         dict(scenario=CampaignScenario(profile=PAPER)),
-        "5ba27bc7834a17031cdbd5ba5750595fd36c72b50a55e845b9f8f78fff752fad",
+        "35cb0df9e46579f8f87992c2645b336315df7ea94cf59773b5ff8080787d7b80",
     ),
     "paper-per-scenario-seed": (
         dict(
             scenario=CampaignScenario(profile=PAPER),
             seed=derive_scenario_seed(BistConfig().seed, 2, PAPER),
         ),
-        "9cbcd4ee1d8d0cfa13bccd84fa85248502ff53ef489efd0ab61474df745fac09",
+        "a7094d4bffb543daa049aa6168bd0aaf02f573488a3dd0c80fb939da7a986494",
     ),
     "scenario-converter-spec": (
         dict(
@@ -150,7 +150,7 @@ PINNED = {
             ),
             seed=12345,
         ),
-        "69d825ac588bb941556aec8a49350d85303c8b631aacb86d57071fc9f6b5eb8a",
+        "bffedac6ebbc9f3d5a666074c4e166951b4d676aae969119ee8c2e81a98dc2e5",
     ),
     "fault-model-impairment": (
         dict(
@@ -158,15 +158,15 @@ PINNED = {
                 profile=PAPER, impairments=pa_saturation_sweep([0.75])[0][1]
             )
         ),
-        "b9bdee8b94792301525ee428cf267086bfb0d3b8d4969861cadaafbe33899e02",
+        "514d84f2755c9af2e31ac3d3d9e3e46d91df3d04a9276c37e96a1945680acad5",
     ),
     "ofdm-profile": (
         dict(scenario=CampaignScenario(profile="ofdm-uhf-qpsk-400mhz")),
-        "10d79abb7f2e5d5a5da0c0a0ae4d79721421689bd8473754846abe8f11ddb9f9",
+        "460487a16dc1ba580fa81866f87b31c502a1d652b6a3ea45157f87a156e49957",
     ),
     "explicit-num-symbols": (
         dict(scenario=CampaignScenario(profile="uhf-8psk-400mhz", num_symbols=256)),
-        "509085c5cffd3265ecfdadd108a1377a9214dc3cd79ee5939c296e2f4529bdd6",
+        "c23e25b27512c7cb386ea0239019730ed8221541917b7e644dedbcc8ada1f361",
     ),
 }
 
