@@ -24,6 +24,7 @@ from ..dsp.interpolation import sinc_interpolate
 from ..dsp.metrics import error_vector_magnitude
 from ..dsp.spectrum import (
     SpectrumEstimate,
+    _band_bins,
     adjacent_channel_power_ratio,
     occupied_bandwidth,
     welch_psd,
@@ -232,14 +233,16 @@ def measure_occupied_bandwidth(
     search_half_width_hz: float,
 ) -> float:
     """Occupied bandwidth (Hz) measured inside a window around the carrier."""
-    low = channel_centre_hz - search_half_width_hz
-    high = channel_centre_hz + search_half_width_hz
-    mask = (spectrum.frequencies_hz >= low) & (spectrum.frequencies_hz <= high)
-    if np.count_nonzero(mask) < OBW_MIN_BINS:
+    window = _band_bins(
+        spectrum.frequencies_hz,
+        channel_centre_hz - search_half_width_hz,
+        channel_centre_hz + search_half_width_hz,
+    )
+    if window.stop - window.start < OBW_MIN_BINS:
         raise MeasurementError("spectrum does not cover the requested measurement window")
     windowed = SpectrumEstimate(
-        frequencies_hz=spectrum.frequencies_hz[mask],
-        psd=spectrum.psd[mask],
+        frequencies_hz=spectrum.frequencies_hz[window],
+        psd=spectrum.psd[window],
         resolution_hz=spectrum.resolution_hz,
         two_sided=spectrum.two_sided,
     )

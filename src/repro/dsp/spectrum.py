@@ -63,8 +63,10 @@ class SpectrumEstimate:
             raise ValidationError("frequencies_hz and psd must have the same length")
         # Every comparison with NaN is False, so a NaN bin fails the step
         # test; strictly increasing bins between finite ends are all finite.
+        # Neighbours are compared, not subtracted: a difference of two finite
+        # bins can overflow.
         ends_finite = math.isfinite(freqs[0]) and math.isfinite(freqs[-1])
-        if not (ends_finite and np.all(np.diff(freqs) > 0)):
+        if not (ends_finite and np.all(freqs[1:] > freqs[:-1])):
             raise ValidationError("frequencies_hz must be finite and strictly increasing")
         object.__setattr__(self, "frequencies_hz", freqs)
         object.__setattr__(self, "psd", psd)
@@ -140,31 +142,38 @@ def periodogram_rows(
     rows.  Every PSD estimator here runs through this function, so a row
     is bit for bit the :func:`periodogram` of that segment alone (NumPy's
     FFT transforms each row of a stack exactly as it does a lone record).
+    A complex stack's PSD is moved into ``fftshift`` order by two slice
+    copies, and its axis is built in that order: the same integers times
+    the same bin spacing as ``fftshift(fftfreq(L, 1 / sample_rate))``.
 
     Returns
     -------
     tuple
-        ``(frequencies_hz, psd_rows, two_sided)``; ``psd_rows`` has one row
-        per segment, over the two-sided (complex input) or one-sided (real
-        input) frequency axis.
+        ``(frequencies_hz, psd_rows, two_sided)``; ``psd_rows`` has one
+        C-contiguous row per segment, over the two-sided (complex input) or
+        one-sided (real input) frequency axis.
     """
     segments = np.asarray(segments)
     if segments.ndim != 2:
         raise ValidationError(f"segments must be two-dimensional, got shape {segments.shape}")
     sample_rate = check_positive(sample_rate, "sample_rate")
     n = segments.shape[1]
-    power_compensation = np.sum(taper**2)
+    scale = sample_rate * np.sum(taper**2)
     windowed = segments * taper
 
     if np.iscomplexobj(segments):
-        spectrum = np.fft.fftshift(np.fft.fft(windowed, axis=-1), axes=-1)
-        frequencies = np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / sample_rate))
-        psd = np.abs(spectrum) ** 2 / (sample_rate * power_compensation)
+        unshifted = np.abs(np.fft.fft(windowed, axis=-1)) ** 2 / scale
+        # fftshift: the n // 2 negative-frequency bins go first.
+        positive = n - n // 2
+        psd = np.empty_like(unshifted)
+        psd[:, : n // 2] = unshifted[:, positive:]
+        psd[:, n // 2 :] = unshifted[:, :positive]
+        frequencies = np.arange(-(n // 2), positive) * (1.0 / (n * (1.0 / sample_rate)))
         return frequencies, psd, True
 
     spectrum = np.fft.rfft(windowed, axis=-1)
     frequencies = np.fft.rfftfreq(n, d=1.0 / sample_rate)
-    psd = np.abs(spectrum) ** 2 / (sample_rate * power_compensation)
+    psd = np.abs(spectrum) ** 2 / scale
     # One-sided estimate: double all bins except DC and (if present) Nyquist.
     psd *= 2.0
     psd[:, 0] /= 2.0
@@ -196,8 +205,9 @@ def welch_psd(samples, sample_rate: float, segment_length: int = 1024) -> Spectr
     Segments are Hann-tapered and overlap by 50 %: they start every
     ``round(segment_length / 2)`` samples.  Every complete segment is
     periodogrammed at once by :func:`periodogram_rows` over a strided view of
-    the record, and the rows are summed in segment order, so the estimate is
-    bit for bit the average of one-segment :func:`periodogram` calls.
+    the record, and one ``np.add.reduce`` over axis 0 sums the rows; over a
+    C-contiguous stack it adds them in segment order, so the estimate is bit
+    for bit the average of one-segment :func:`periodogram` calls.
 
     When ``segment_length`` exceeds the record length it is clamped to the
     record length, degrading the estimate to a single periodogram with *no*
@@ -227,11 +237,22 @@ def welch_psd(samples, sample_rate: float, segment_length: int = 1024) -> Spectr
     frequencies, rows, two_sided = periodogram_rows(
         segments, sample_rate, hann_window(segment_length)
     )
-    accumulated = rows[0].copy()
-    for row in rows[1:]:
-        accumulated += row
-    return SpectrumEstimate(
-        frequencies, accumulated / len(rows), sample_rate / segment_length, two_sided=two_sided
+    psd = np.add.reduce(rows, axis=0) / len(rows)
+    return SpectrumEstimate(frequencies, psd, sample_rate / segment_length, two_sided=two_sided)
+
+
+def _band_bins(frequencies: np.ndarray, low_hz: float, high_hz: float) -> slice:
+    """The bins with ``low_hz <= f <= high_hz``, as a slice of the axis.
+
+    The axis is strictly increasing (:class:`SpectrumEstimate` checks it),
+    so those bins are one run, found by two binary searches.  No comparison
+    with NaN holds, so a NaN bound selects no bin.
+    """
+    if math.isnan(low_hz) or math.isnan(high_hz):
+        return slice(0, 0)
+    return slice(
+        int(np.searchsorted(frequencies, low_hz, side="left")),
+        int(np.searchsorted(frequencies, high_hz, side="right")),
     )
 
 
@@ -251,9 +272,9 @@ def band_power(estimate: SpectrumEstimate, low_hz: float, high_hz: float) -> flo
     if high_hz <= low_hz:
         raise ValidationError(f"high_hz ({high_hz}) must exceed low_hz ({low_hz})")
     frequencies = estimate.frequencies_hz
-    mask = (frequencies >= low_hz) & (frequencies <= high_hz)
-    if np.any(mask):
-        return float(np.sum(estimate.psd[mask]) * estimate.resolution_hz)
+    inside = _band_bins(frequencies, low_hz, high_hz)
+    if inside.stop > inside.start:
+        return float(np.sum(estimate.psd[inside]) * estimate.resolution_hz)
     # Sub-resolution band: no bin centre inside [low_hz, high_hz].  Snap to
     # the overlapped bin rectangle(s) and integrate the fractional coverage.
     half = estimate.resolution_hz / 2.0

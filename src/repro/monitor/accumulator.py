@@ -7,9 +7,10 @@ never *has* the whole record — samples arrive block by block for hours — so
 ingested block is appended to a bounded carry-over buffer, every complete
 segment in the buffer is periodogrammed at once — one
 :func:`~repro.dsp.spectrum.periodogram_rows` call, the batch estimator's own
-helper, over a strided view — and accumulated in segment order exactly as
-the batch estimator would, and the buffer retains only the overlap / tail
-samples the next segment needs.
+helper, over a strided view — and the running sum is folded into the first
+row and the stack summed by one axis-0 ``np.add.reduce``, which adds the
+rows in segment order exactly as the batch estimator does, and the buffer
+retains only the overlap / tail samples the next segment needs.
 
 The contract is *bit-identity*: at any point, :meth:`spectrum` equals
 ``welch_psd`` of the concatenated samples ingested so far (restricted to the
@@ -54,8 +55,9 @@ class StreamingAccumulator:
     The first ingested block pins the stream's domain (real or complex);
     mixing domains raises :class:`~repro.errors.ValidationError`.  Each
     block's complete segments are periodogrammed in one batched FFT and
-    summed in stream order, the same order as the batch estimator, so the
-    accumulated PSD is bit-identical, not merely close.
+    added to the running sum by one ``np.add.reduce`` over the stack, in
+    stream order, the same order as the batch estimator, so the accumulated
+    PSD is bit-identical, not merely close.
     """
 
     def __init__(self, sample_rate: float, segment_length: int = 1024) -> None:
@@ -136,12 +138,12 @@ class StreamingAccumulator:
         )[:: self._step]
         frequencies, rows, two_sided = periodogram_rows(segments, self._sample_rate, self._taper)
         if self._accumulated is None:
-            self._accumulated = rows[0].copy()
             self._frequencies = frequencies
             self._two_sided = two_sided
-            rows = rows[1:]
-        for row in rows:
-            self._accumulated += row
+        else:
+            # Addition commutes bit for bit, so this is ``accumulated + row``.
+            rows[0] += self._accumulated
+        self._accumulated = np.add.reduce(rows, axis=0)
         added = len(segments)
         self._segments += added
         self._buffer = self._buffer[added * self._step :]

@@ -108,7 +108,7 @@ class SymbolReference:
 
 
 def _shared_phases(positions: np.ndarray, tolerance: float):
-    """Group symbols whose instants share a sample phase: ``(base, phases, row_of)``.
+    """Group symbols whose instants share a sample phase: ``(base, phases)``.
 
     Symbol ``k`` sits ``positions[k]`` samples into the stream.  A symbol
     train whose step is ``p/q`` samples repeats its fractional phase every
@@ -118,8 +118,9 @@ def _shared_phases(positions: np.ndarray, tolerance: float):
     its row's phase to within ``tolerance`` samples, the noise of computing
     the instants directly.
 
-    Returns each symbol's base sample, the ``q`` phases (each in ``[0, 1)``)
-    and each symbol's row, or ``None`` when the check fails.
+    Returns each symbol's base sample and the ``q`` phases (each in
+    ``[0, 1)``; symbol ``k`` has phase ``k % q``), or ``None`` when the check
+    fails.
     """
     count = positions.size
     if count < 2:
@@ -135,7 +136,7 @@ def _shared_phases(positions: np.ndarray, tolerance: float):
     base = first.astype(np.int64)[row_of] + (index // step.denominator) * step.numerator
     if np.abs(positions - base - phases[row_of]).max() > tolerance:
         return None
-    return base, phases, row_of
+    return base, phases
 
 
 class SymbolKernelTable:
@@ -152,9 +153,9 @@ class SymbolKernelTable:
     The table holds each symbol's first kernel sample in the stream and one
     row per distinct phase, found from the symbol instants (see
     :func:`_shared_phases`): a whole number of samples per symbol gives one
-    row, a verified ``p/q`` step ``q`` rows.  Instants that fail the check
-    get one row per symbol, built for each window's own symbols rather than
-    held for the whole session.
+    row, a verified ``p/q`` step ``q`` rows, symbol ``k`` taking row
+    ``k % q``.  Instants that fail the check get one row per symbol, built
+    for each window's own symbols rather than held for the whole session.
 
     Parameters
     ----------
@@ -194,7 +195,7 @@ class SymbolKernelTable:
             self._phases = positions - base
             self._rows = None
         else:
-            base, phases, self._row_of = shared
+            base, phases = shared
             self._rows = self._kernels(phases)
         # The interpolator reads from half - 1 samples before the base, and
         # the matched filter, trimmed by N // 2 (the transmitter trimmed
@@ -216,15 +217,24 @@ class SymbolKernelTable:
 
         ``envelope`` is the window's samples, starting at stream sample
         ``start_sample``; every chosen symbol's kernel must lie inside it.
+        With shared rows, the symbols of each row are read by one
+        matrix-vector product of their spans with that row (one product in
+        all for a whole number of samples per symbol); otherwise each
+        symbol's own kernel meets its span.
         """
         chosen = slice(first, last + 1)
+        starts = self._first_sample[chosen] - start_sample
         if self._rows is None:
             kernels = self._kernels(self._phases[chosen])
-        else:
-            kernels = self._rows[self._row_of[chosen]]
-        spans = sliding_window_view(envelope, kernels.shape[1])
-        spans = spans[self._first_sample[chosen] - start_sample]
-        return (spans[:, None, :] @ kernels[:, :, None])[:, 0, 0]
+            spans = sliding_window_view(envelope, kernels.shape[1])[starts]
+            return (spans[:, None, :] @ kernels[:, :, None])[:, 0, 0]
+        spans = sliding_window_view(envelope, self._rows.shape[1])
+        count = len(self._rows)
+        received = np.empty(starts.size, dtype=complex)
+        for offset in range(min(count, starts.size)):
+            row = self._rows[(first + offset) % count]
+            received[offset::count] = spans[starts[offset::count]] @ row
+        return received
 
 
 @dataclass(frozen=True)

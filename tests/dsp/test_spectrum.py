@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bist.measurements import OBW_MIN_BINS, measure_occupied_bandwidth
 from repro.dsp import (
     SpectrumEstimate,
     adjacent_channel_power_ratio,
@@ -215,6 +216,126 @@ class TestBandPower:
         assert band_power(estimate, nyquist + 1e6, nyquist + 2e6) == 0.0
 
 
+def mask_band_power(estimate, low_hz, high_hz):
+    """``band_power`` selecting its bins by boolean masks, the definition."""
+    if high_hz <= low_hz:
+        raise ValidationError(f"high_hz ({high_hz}) must exceed low_hz ({low_hz})")
+    frequencies = estimate.frequencies_hz
+    mask = (frequencies >= low_hz) & (frequencies <= high_hz)
+    if np.any(mask):
+        return float(np.sum(estimate.psd[mask]) * estimate.resolution_hz)
+    half = estimate.resolution_hz / 2.0
+    overlapping = (frequencies + half > low_hz) & (frequencies - half < high_hz)
+    if not np.any(overlapping):
+        return 0.0
+    centres = frequencies[overlapping]
+    coverage = np.minimum(high_hz, centres + half) - np.maximum(low_hz, centres - half)
+    return float(np.sum(estimate.psd[overlapping] * np.maximum(coverage, 0.0)))
+
+
+def mask_occupied_bandwidth(spectrum, channel_centre_hz, search_half_width_hz):
+    """``measure_occupied_bandwidth`` selecting its window by a boolean mask."""
+    low = channel_centre_hz - search_half_width_hz
+    high = channel_centre_hz + search_half_width_hz
+    mask = (spectrum.frequencies_hz >= low) & (spectrum.frequencies_hz <= high)
+    if np.count_nonzero(mask) < OBW_MIN_BINS:
+        raise MeasurementError("spectrum does not cover the requested measurement window")
+    windowed = SpectrumEstimate(
+        spectrum.frequencies_hz[mask],
+        spectrum.psd[mask],
+        spectrum.resolution_hz,
+        spectrum.two_sided,
+    )
+    return occupied_bandwidth(windowed)[0]
+
+
+def outcome(function, *args):
+    """A call's result bits, or its exception's type and message."""
+    try:
+        return "value", np.float64(function(*args)).tobytes()
+    except (MeasurementError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def axes_and_bounds(draw):
+    """A strictly increasing axis, its PSD, and two band bounds.
+
+    The bounds are drawn from the axis's own bin centres, points between
+    and beside them, points a fraction of a bin off a centre, points past
+    either end, and ``±inf`` and NaN, and the upper one may sit a fraction
+    of a bin above the lower, so bands lie inside, straddle an end, sit on
+    bin centres, are narrower than a bin or lie wholly outside.
+    """
+    if draw(st.booleans()):
+        size = draw(st.integers(min_value=1, max_value=80))
+        start = draw(st.floats(min_value=-1e9, max_value=1e9))
+        spacing = draw(st.floats(min_value=1e-3, max_value=1e6))
+        frequencies = start + np.arange(size) * spacing
+        resolution = spacing * draw(st.sampled_from([1.0, 0.5, 3.0]))
+    else:
+        values = draw(
+            st.lists(
+                st.floats(min_value=-1e9, max_value=1e9), min_size=1, max_size=80, unique=True
+            )
+        )
+        frequencies = np.array(sorted(values))
+        resolution = draw(st.floats(min_value=1e-3, max_value=1e6))
+    psd = np.array(
+        draw(
+            st.lists(
+                st.floats(min_value=0.0, max_value=1e6),
+                min_size=frequencies.size,
+                max_size=frequencies.size,
+            )
+        )
+    )
+    estimate = SpectrumEstimate(frequencies, psd, resolution, False)
+
+    centre = st.sampled_from(frequencies.tolist())
+    span = float(frequencies[-1] - frequencies[0]) + resolution
+    bound = st.one_of(
+        centre,
+        st.tuples(centre, centre).map(lambda pair: (pair[0] + pair[1]) / 2.0),
+        st.tuples(centre, st.sampled_from([-0.3, -0.05, 0.05, 0.3])).map(
+            lambda pair: pair[0] + pair[1] * resolution
+        ),
+        st.sampled_from(
+            [frequencies[0] - span, frequencies[-1] + span, -np.inf, np.inf, np.nan]
+        ),
+        st.floats(min_value=-2e9, max_value=2e9),
+    )
+    low = float(draw(bound))
+    narrow = st.sampled_from([0.1, 0.6]).map(lambda width: low + width * resolution)
+    high = float(draw(st.one_of(bound, narrow).filter(lambda value: value != low)))
+    if high < low:
+        low, high = high, low
+    return estimate, low, high
+
+
+class TestBandEdgesByIndex:
+    """``band_power`` and ``measure_occupied_bandwidth`` find their bins by
+    binary search on the axis; the boolean masks they replaced are the
+    definition, and the two must agree bit for bit, errors included."""
+
+    @given(case=axes_and_bounds())
+    @settings(max_examples=400, deadline=None)
+    def test_band_power_equals_the_mask_reference(self, case):
+        estimate, low, high = case
+        assert outcome(band_power, estimate, low, high) == outcome(
+            mask_band_power, estimate, low, high
+        )
+
+    @given(case=axes_and_bounds())
+    @settings(max_examples=400, deadline=None)
+    def test_occupied_bandwidth_window_equals_the_mask_reference(self, case):
+        estimate, low, high = case
+        for centre, half_width in ((low, high - low), ((low + high) / 2.0, (high - low) / 2.0)):
+            assert outcome(measure_occupied_bandwidth, estimate, centre, half_width) == outcome(
+                mask_occupied_bandwidth, estimate, centre, half_width
+            )
+
+
 class TestOccupiedBandwidth:
     def test_narrow_tone(self):
         estimate = periodogram(make_tone(12.5e6), RATE)
@@ -360,6 +481,17 @@ class TestArchiveEncoding:
         # so the increasing-bins check alone lets these through.
         with pytest.raises(ValidationError, match="frequencies_hz must be finite"):
             SpectrumEstimate(np.array(frequencies), np.ones(len(frequencies)), 1.0, False)
+
+    def test_axis_spanning_the_float_range_builds_without_overflow(self):
+        # Neighbours are compared, not subtracted: 1.7e308 - (-1.7e308)
+        # overflows, and under warnings-as-errors that used to raise.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimate = SpectrumEstimate(np.array([-1.7e308, 1.7e308]), np.ones(2), 1.0, True)
+            assert estimate.frequencies_hz[-1] == 1.7e308
+            for frequencies in ([0.0, np.nan, 2.0], [0.0, 1.0, 1.0], [2.0, 1.0, 0.0]):
+                with pytest.raises(ValidationError, match="frequencies_hz must be finite"):
+                    SpectrumEstimate(np.array(frequencies), np.ones(3), 1.0, False)
 
     def test_archived_nan_frequency_bin_raises(self):
         data = SpectrumEstimate(np.array([0.0, 1.0, 2.0]), np.ones(3), 1.0, False).to_dict()

@@ -29,19 +29,36 @@ FAST_CONFIG = BistConfig(
 )
 
 
-class RecordingQueue:
-    """Queue stand-in that just records every message, thread-safely."""
+#: Longest a held-back outcome waits for the first heartbeat (seconds).
+HEARTBEAT_WAIT_SECONDS = 5.0
 
-    def __init__(self, fail_after: int | None = None):
+
+class RecordingQueue:
+    """Queue stand-in that just records every message, thread-safely.
+
+    With ``outcome_after_heartbeat`` it holds each ``"outcome"`` put until a
+    ``"heartbeat"`` has been recorded (at most :data:`HEARTBEAT_WAIT_SECONDS`),
+    so a live heartbeat thread beats during execution however fast the
+    partition runs, while a dead one still leaves no beat in the record.
+    """
+
+    def __init__(self, fail_after: int | None = None, outcome_after_heartbeat: bool = False):
         self.messages = []
         self._lock = threading.Lock()
         self._fail_after = fail_after
+        self._outcome_after_heartbeat = outcome_after_heartbeat
+        self._heartbeat = threading.Event()
 
     def put(self, message):
+        if self._outcome_after_heartbeat and message[0] == "outcome":
+            # Outside the lock, so the heartbeat thread can record its beat.
+            self._heartbeat.wait(HEARTBEAT_WAIT_SECONDS)
         with self._lock:
             if self._fail_after is not None and len(self.messages) >= self._fail_after:
                 raise OSError("queue torn")
             self.messages.append(message)
+            if message[0] == "heartbeat":
+                self._heartbeat.set()
 
     def outcomes(self) -> list:
         with self._lock:
@@ -65,7 +82,7 @@ def one_partition(profiles=("paper-qpsk-1ghz",)):
 
 class TestSuccessPath:
     def test_message_sequence_and_done_payload(self, tmp_path):
-        queue = RecordingQueue()
+        queue = RecordingQueue(outcome_after_heartbeat=True)
         partition = one_partition()
         settings = WorkerSettings(
             store_root=str(tmp_path / "store"),
@@ -78,7 +95,7 @@ class TestSuccessPath:
         assert kinds[0] == "started"
         assert kinds[-1] == "partition_done"
         assert kinds.count("outcome") == 1
-        # The 10 ms heartbeat thread had time to beat during real execution.
+        # The outcome waited for the 10 ms heartbeat thread's first beat.
         assert "heartbeat" in kinds
         done = queue.messages[-1]
         assert done[1] == "worker-000"
