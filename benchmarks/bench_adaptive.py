@@ -9,9 +9,7 @@ that saving and guards the statistical machinery:
   >= 5x**, the headline efficiency target;
 * real execution path: a coarse-grid search over six fault families
   through genuine BIST scenarios, wall clock and per-family thresholds
-  (the DCDE control must report "no threshold found");
-* importance-sampled escape Monte Carlo vs the uniform resampler at
-  equal trial counts: standard error and effective sample size.
+  (the DCDE control must report "no threshold found").
 
 Run with:  PYTHONPATH=../src python bench_adaptive.py [--smoke]
 ``--output bench.json`` writes the efficiency numbers as JSON.
@@ -27,15 +25,9 @@ from repro.faults import (
     AdaptiveConfig,
     AdaptivePlanner,
     CampaignProbeBackend,
-    FaultDictionary,
-    FaultPoint,
-    FaultRecord,
-    FaultSignature,
-    PaCompressionFault,
     SyntheticFamily,
     SyntheticProbeBackend,
     TestLimits,
-    importance_monte_carlo,
 )
 
 REAL_FAMILIES = [
@@ -128,54 +120,6 @@ def real_stage(smoke: bool, workers: int) -> dict:
     }
 
 
-def importance_stage(smoke: bool) -> dict:
-    """Importance vs uniform Monte Carlo on a hand-built dictionary."""
-
-    def signature(label, failed):
-        return FaultSignature(
-            label=label, profile_name="bench", executed=True, bist_failed=failed
-        )
-
-    def record(fault, label, flags):
-        return FaultRecord(
-            point=FaultPoint(label=label, profile_name="bench", fault=fault),
-            signatures=tuple(
-                signature(f"{label}/r{i}", flag) for i, flag in enumerate(flags)
-            ),
-        )
-
-    # One boundary-marginal record among homogeneous ones: the uniform
-    # resampler wastes most trials on the zero-variance records.
-    dictionary = FaultDictionary(
-        records=(
-            record(PaCompressionFault(severity=1.0), "pa-s1", [True] * 8),
-            record(PaCompressionFault(severity=0.6), "pa-s0.6", [True] * 4 + [False] * 4),
-            record(PaCompressionFault(severity=0.2), "pa-s0.2", [False] * 8),
-        ),
-        references=tuple(signature(f"ref/r{i}", False) for i in range(8)),
-    )
-    limits = TestLimits()
-    num_trials = 20000 if smoke else 200000
-
-    start = time.perf_counter()
-    uniform = dictionary.monte_carlo(limits, num_trials=num_trials)
-    uniform_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    weighted = importance_monte_carlo(dictionary, limits, num_trials=num_trials)
-    weighted_seconds = time.perf_counter() - start
-
-    return {
-        "num_trials": num_trials,
-        "uniform_faulty_pass_rate": uniform.faulty_pass_rate,
-        "uniform_seconds": uniform_seconds,
-        "importance_faulty_pass_rate": weighted.faulty_pass_rate,
-        "importance_standard_error": weighted.standard_error,
-        "importance_effective_sample_size": weighted.effective_sample_size,
-        "importance_seconds": weighted_seconds,
-    }
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true", help="minimal sizes for CI")
@@ -190,7 +134,6 @@ def main() -> None:
 
     synthetic = synthetic_stage()
     real = real_stage(args.smoke, args.workers)
-    importance = importance_stage(args.smoke)
 
     title = "Extension - adaptive threshold search vs exhaustive grid (AdaptivePlanner)"
     print("=" * len(title))
@@ -210,15 +153,6 @@ def main() -> None:
     )
     for family, threshold in real["thresholds"].items():
         print(f"  {family:<16} {'none' if threshold is None else f'{threshold:.4f}'}")
-    print(
-        f"escape MC ({importance['num_trials']} trials): uniform "
-        f"{importance['uniform_faulty_pass_rate']:.4f} "
-        f"({importance['uniform_seconds'] * 1e3:.1f} ms) vs importance "
-        f"{importance['importance_faulty_pass_rate']:.4f} "
-        f"+- {importance['importance_standard_error']:.4f} "
-        f"(ESS {importance['importance_effective_sample_size']:.0f}, "
-        f"{importance['importance_seconds'] * 1e3:.1f} ms)"
-    )
 
     # --- Expected behaviour --------------------------------------------------
     # The headline efficiency target: >= 5x fewer scenarios than the grid.
@@ -228,11 +162,6 @@ def main() -> None:
     assert real["num_errors"] == 0
     # The DCDE control is absorbed by the LMS calibration by design.
     assert real["thresholds"]["dcde-error"] is None, real["thresholds"]
-    # The marginal record passes half its repeats; uniform target over the
-    # 3 records puts the true faulty pass rate at (0 + 0.5 + 1) / 3 = 0.5.
-    assert abs(importance["importance_faulty_pass_rate"] - 0.5) <= max(
-        5 * importance["importance_standard_error"], 0.02
-    )
 
     if args.output:
         payload = {
@@ -240,7 +169,6 @@ def main() -> None:
             "workers": args.workers,
             "synthetic": synthetic,
             "real": real,
-            "importance": importance,
         }
         with open(args.output, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)

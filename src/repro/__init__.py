@@ -19,7 +19,8 @@ radio transmitters end to end:
 * :mod:`repro.bist` — the complete transmitter BIST: spectral-mask / ACPR /
   EVM measurements, verdicts and multistandard campaigns;
 * :mod:`repro.faults` — fault models, fault-injection campaigns, the fault
-  dictionary and coverage / test-escape / yield-loss analytics;
+  dictionary, coverage and false-alarm (yield-loss) rates and the exact
+  test-escape rate;
 * :mod:`repro.store` — persistent content-addressed campaign store:
   resumable execution, shard merging and golden-baseline regression gating.
 """

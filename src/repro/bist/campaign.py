@@ -28,6 +28,7 @@ from ..signals.standards import WaveformProfile, get_profile
 from ..transmitter.chain import HomodyneTransmitter
 from ..transmitter.config import ImpairmentConfig, TransmitterConfig
 from ..utils.serialization import field_dict, known_field_kwargs
+from ..utils.validation import check_finite, check_integer, check_non_negative, check_positive
 from .engine import BistConfig, TransmitterBist
 from .report import BistReport
 
@@ -48,10 +49,9 @@ __all__ = [
 class ConverterSpec:
     """Declarative, picklable description of the BIST acquisition converter.
 
-    A campaign may take an arbitrary ``converter_factory`` callable, but
-    lambdas and closures cannot cross process boundaries, so the parallel
-    :class:`~repro.bist.runner.CampaignRunner` needs a *value* that builds
-    the converter instead.  A ``ConverterSpec`` captures the paper's
+    Campaigns take their converter as this *value*, not as a callable: it
+    crosses process boundaries, fingerprints by content and reseeds per
+    scenario.  A ``ConverterSpec`` captures the paper's
     BP-TIADC (two 10-bit channels, 3 ps rms skew jitter) with the unknown
     timing errors that make the programmed delay differ from the physical
     one (``dcde_static_error_seconds``, ``channel1_skew_seconds``) — the
@@ -74,6 +74,21 @@ class ConverterSpec:
     #: Resolution and full-scale amplitude of both channels' quantizers.
     resolution_bits: ClassVar[int] = 10
     full_scale: ClassVar[float] = 3.0
+
+    def __post_init__(self) -> None:
+        check_non_negative(self.skew_jitter_rms_seconds, "skew_jitter_rms_seconds")
+        for name in (
+            "dcde_static_error_seconds",
+            "channel1_skew_seconds",
+            "channel1_gain_error",
+            "channel1_offset",
+        ):
+            check_finite(getattr(self, name), name)
+        for name in ("channel1_bandwidth_hz", "bandwidth_reference_hz"):
+            if getattr(self, name) is not None:
+                check_positive(getattr(self, name), name)
+        if self.seed is not None:
+            check_integer(self.seed, "seed", minimum=0)
 
     def build(self, acquisition_bandwidth_hz: float) -> BpTiadc:
         """Construct the converter for the given per-channel rate."""
@@ -240,23 +255,29 @@ def scenario_bist_config(
 def resolve_scenario(
     scenario: CampaignScenario,
     bist_config: BistConfig | None = None,
-    converter_factory=None,
+    converter_factory: ConverterSpec | None = None,
     seed: int | None | type(...) = ...,
 ) -> tuple:
     """The effective inputs of one scenario execution.
 
     Returns ``(profile, config, transmitter_config, factory)``: the resolved
     profile, the per-scenario :func:`scenario_bist_config`, the transmitter
-    configuration and the converter factory (the scenario's own
-    :class:`ConverterSpec`, else ``converter_factory``, else a nominal
-    spec).  A ``seed`` override reseeds the transmitter and, for a
-    ``ConverterSpec`` factory, the converter jitter, each on its own derived
-    stream.  Execution (:func:`build_scenario_engine`) and the campaign-store
-    fingerprint (:func:`repro.store.fingerprint_payload`) both resolve here,
-    so a fingerprint covers exactly what the execution uses.
+    configuration and the converter :class:`ConverterSpec` (the scenario's
+    own, else ``converter_factory``, else a nominal spec).  A converter that
+    is not a ``ConverterSpec`` raises :class:`~repro.errors.ValidationError`.
+    A ``seed`` override reseeds the transmitter and the converter jitter,
+    each on its own derived stream.  Execution
+    (:func:`build_scenario_engine`) and the campaign-store fingerprint
+    (:func:`repro.store.fingerprint_payload`) both resolve here, so a
+    fingerprint covers exactly what the execution uses.
     """
     if not isinstance(scenario, CampaignScenario):
         raise ValidationError("scenario must be a CampaignScenario")
+    for spec in (scenario.converter, converter_factory):
+        if spec is not None and not isinstance(spec, ConverterSpec):
+            raise ValidationError(
+                f"a campaign converter must be a ConverterSpec, got {type(spec).__name__}"
+            )
     base_config = bist_config if bist_config is not None else BistConfig()
     profile = scenario.resolved_profile()
     config = scenario_bist_config(scenario, base_config, seed=seed)
@@ -270,16 +291,15 @@ def resolve_scenario(
         transmitter_config = TransmitterConfig.from_profile(
             profile, impairments=scenario.impairments, seed=transmitter_seed
         )
-        if isinstance(factory, ConverterSpec):
-            converter_seed = None if seed is None else (int(seed) + 0x2545F491) % (2**32)
-            factory = replace(factory, seed=converter_seed)
+        converter_seed = None if seed is None else (int(seed) + 0x2545F491) % (2**32)
+        factory = replace(factory, seed=converter_seed)
     return profile, config, transmitter_config, factory
 
 
 def build_scenario_engine(
     scenario: CampaignScenario,
     bist_config: BistConfig | None = None,
-    converter_factory=None,
+    converter_factory: ConverterSpec | None = None,
     seed: int | None | type(...) = ...,
     plan_structure_cache=None,
 ):
@@ -313,7 +333,7 @@ def build_scenario_engine(
 def execute_scenario(
     scenario: CampaignScenario,
     bist_config: BistConfig | None = None,
-    converter_factory=None,
+    converter_factory: ConverterSpec | None = None,
     seed: int | None | type(...) = ...,
     plan_structure_cache=None,
 ) -> BistReport:
@@ -331,16 +351,14 @@ def execute_scenario(
     bist_config:
         Campaign-level engine configuration (defaults to ``BistConfig()``).
     converter_factory:
-        Callable ``(acquisition_bandwidth_hz) -> BpTiadc``; used when the
-        scenario carries no :class:`ConverterSpec` of its own.  Defaults to
-        a nominal :class:`ConverterSpec`.
+        The :class:`ConverterSpec` used when the scenario carries none of its
+        own.  Defaults to a nominal spec.
     seed:
         Optional override of the run's randomness (the ``...`` sentinel keeps
         the historical defaults).  The override reseeds the engine's
         cost-function instants, the transmitter (symbols, noise, phase noise)
-        and — when the effective factory is a :class:`ConverterSpec` — the
-        converter's jitter realisation, each on a distinct derived stream;
-        an arbitrary factory callable is used as-is.
+        and the converter's jitter realisation, each on a distinct derived
+        stream.
     plan_structure_cache:
         Optional :class:`~repro.sampling.reconstruction.PlanStructureCache`
         shared with other scenarios (the campaign compiler passes one per

@@ -104,6 +104,12 @@ class BistConfig:
         check_positive(self.programmed_delay_seconds, "programmed_delay_seconds")
         check_integer(self.lms_max_iterations, "lms_max_iterations", minimum=1)
         check_integer(self.num_cost_points, "num_cost_points", minimum=10)
+        if not isinstance(self.measure_evm_enabled, bool):
+            raise ValidationError(
+                f"measure_evm_enabled must be a boolean, got {self.measure_evm_enabled!r}"
+            )
+        if self.seed is not None:
+            check_integer(self.seed, "seed", minimum=0)
 
     def to_dict(self) -> dict:
         """Plain JSON-friendly dictionary (exact round trip via :meth:`from_dict`).

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
-import pickle
 import time
 import traceback
 import zlib
@@ -347,7 +346,7 @@ class _ScenarioTask:
     label: str
     scenario: CampaignScenario
     bist_config: BistConfig
-    converter_factory: object
+    converter_factory: ConverterSpec
     seed: int | None | type(...) = ...
 
 
@@ -399,10 +398,9 @@ class CampaignRunner:
     bist_config:
         Campaign-level engine configuration (defaults to ``BistConfig()``).
     converter_factory:
-        Callable ``(acquisition_bandwidth_hz) -> BpTiadc`` used for scenarios
-        without their own :class:`~repro.bist.campaign.ConverterSpec`.
-        Must be picklable for ``max_workers > 1`` — prefer a
-        ``ConverterSpec`` over a lambda.
+        The :class:`~repro.bist.campaign.ConverterSpec` used for scenarios
+        without their own (default: a nominal spec).  Anything else raises
+        :class:`~repro.errors.ValidationError`.
     max_workers:
         1 (default) executes serially in-process; larger values distribute
         scenarios over a ``ProcessPoolExecutor`` with that many workers.
@@ -411,12 +409,10 @@ class CampaignRunner:
         own seed — the historical behaviour; ``"per-scenario"`` derives a
         deterministic, decorrelated seed per scenario with
         :func:`derive_scenario_seed` and reseeds the cost-function instants,
-        the transmitter realisation and (for :class:`ConverterSpec`
-        factories) the converter jitter from it, so fault statistics are not
-        correlated through a common noise realisation.  An arbitrary factory
-        callable keeps its own internal seeding either way.  Both policies
-        are deterministic and produce identical results for serial and
-        parallel execution.
+        the transmitter realisation and the converter jitter from it, so
+        fault statistics are not correlated through a common noise
+        realisation.  Both policies are deterministic and produce identical
+        results for serial and parallel execution.
     progress_callback:
         Optional ``callable(ScenarioOutcome)`` invoked as each scenario
         completes (completion order, which differs from submission order
@@ -430,15 +426,12 @@ class CampaignRunner:
         executing (``cached=True`` outcomes), and every freshly executed
         successful outcome is flushed to the store as it completes — so an
         interrupted campaign resumes from where it stopped and re-runs are
-        incremental.  Requires declarative :class:`ConverterSpec` converter
-        factories (arbitrary callables cannot be fingerprinted).
+        incremental.
 
     Scenarios sharing a fingerprint within one :meth:`run` execute once and
     the result fans out to every duplicate label (``deduplicated=True``
     outcomes).  Identical fingerprints guarantee bit-identical reports, so
-    dedup never changes results; it stands down silently when the converter
-    factory is not a declarative :class:`ConverterSpec` (nothing can be
-    fingerprinted).  Pool submission ships scenarios in about
+    dedup never changes results.  Pool submission ships scenarios in about
     :attr:`_CHUNKS_PER_WORKER` chunks per worker, which amortises the
     per-future pickle/IPC overhead on large grids while keeping the pool
     load-balanced; serial==parallel bit-identity is unaffected.
@@ -450,7 +443,7 @@ class CampaignRunner:
     def __init__(
         self,
         bist_config: BistConfig | None = None,
-        converter_factory=None,
+        converter_factory: ConverterSpec | None = None,
         max_workers: int = 1,
         seed_policy: str = "shared",
         progress_callback=None,
@@ -462,9 +455,12 @@ class CampaignRunner:
             raise ValidationError(
                 f"seed_policy must be one of {_SEED_POLICIES}, got {seed_policy!r}"
             )
+        if converter_factory is not None and not isinstance(converter_factory, ConverterSpec):
+            raise ValidationError(
+                "converter_factory must be a ConverterSpec, got "
+                f"{type(converter_factory).__name__}"
+            )
         self._bist_config = bist_config if bist_config is not None else BistConfig()
-        # The nominal ConverterSpec builds the paper converter and stays
-        # reseedable under "per-scenario".
         self._converter_factory = (
             converter_factory if converter_factory is not None else ConverterSpec()
         )
@@ -562,14 +558,7 @@ class CampaignRunner:
         """
         if budget is not None and not isinstance(budget, ExecutionBudget):
             raise ValidationError("budget must be an ExecutionBudget")
-        try:
-            cached, pending, fingerprints = self.plan(scenarios, indices=indices)
-        except ConfigurationError:
-            if self._store is not None:
-                raise
-            # An arbitrary converter factory: nothing can be fingerprinted,
-            # so every task executes and dedup stands down.
-            cached, pending, fingerprints = [], self._build_tasks(scenarios, indices), {}
+        cached, pending, fingerprints = self.plan(scenarios, indices=indices)
         for outcome in cached:
             self._notify(outcome)
         pending, duplicates = self._dedup_pending(pending, fingerprints)
@@ -607,9 +596,7 @@ class CampaignRunner:
         execute in submission order, and each fingerprinted task's
         fingerprint by index.  A task whose scenario content does not
         resolve (:class:`~repro.errors.ValidationError`) stays
-        unfingerprinted and executes, surfacing its own error.  A converter
-        factory that is not a declarative :class:`ConverterSpec` cannot be
-        fingerprinted and raises :class:`~repro.errors.ConfigurationError`.
+        unfingerprinted and executes, surfacing its own error.
         """
         from ..store.fingerprint import scenario_fingerprint
 
@@ -708,24 +695,11 @@ class CampaignRunner:
             outcomes.append(outcome)
         return outcomes
 
-    def _check_picklable(self, tasks) -> None:
-        for task in tasks:
-            try:
-                pickle.dumps(task)
-            except Exception as exc:
-                raise ConfigurationError(
-                    f"scenario {task.label!r} cannot be shipped to a worker process "
-                    f"({type(exc).__name__}: {exc}); use a picklable converter factory "
-                    "such as ConverterSpec instead of a lambda, or run with "
-                    "max_workers=1"
-                ) from exc
-
     #: Pool rounds attempted when worker processes die (a dead worker fails
     #: every outstanding future, so innocent scenarios deserve a fresh pool).
     _MAX_POOL_ROUNDS = 2
 
     def _run_parallel(self, tasks, fingerprints) -> list[ScenarioOutcome]:
-        self._check_picklable(tasks)
         outcomes: dict[int, ScenarioOutcome] = {}
         pending = list(tasks)
         for _ in range(self._MAX_POOL_ROUNDS):

@@ -12,15 +12,13 @@ with no RF instrumentation; this package quantifies that claim:
   executing them through the parallel campaign runner;
 * :mod:`repro.faults.coverage` — the :class:`FaultDictionary`: measurement
   signatures per fault point, detection probabilities under a
-  :class:`TestLimits` screen, fault coverage, false alarms, and the
-  test-escape / yield-loss Monte Carlo;
+  :class:`TestLimits` screen, fault coverage and false alarms;
 * :mod:`repro.faults.report` — :class:`FaultCoverageReport`, the ranked,
-  JSON-serialisable detectability report;
+  JSON-serialisable detectability report with the exact test-escape rate;
 * :mod:`repro.faults.adaptive` — :class:`AdaptivePlanner`, locating each
   family's minimal detectable severity by (probabilistic) bisection with
-  CI-based early stopping, plus the importance-sampled escape/yield Monte
-  Carlo; every adaptive step runs as an ordinary fingerprinted scenario
-  through the campaign runner and store;
+  CI-based early stopping; every adaptive step runs as an ordinary
+  fingerprinted scenario through the campaign runner and store;
 * :mod:`repro.faults.stats` — the 95 % Wilson binomial interval (no SciPy
   dependency) backing the early-stopping rules.
 """
@@ -32,17 +30,14 @@ from .adaptive import (
     AdaptivePlanner,
     CampaignProbeBackend,
     FamilyThreshold,
-    ImportanceEscapeEstimate,
     ProbeBackend,
     ProbeResult,
     SyntheticFamily,
     SyntheticProbeBackend,
     ThresholdReport,
-    importance_monte_carlo,
 )
 from .coverage import (
     CoverageResult,
-    EscapeYieldEstimate,
     FaultDictionary,
     FaultRecord,
     FaultSignature,
@@ -98,7 +93,6 @@ __all__ = [
     "TestLimits",
     "FaultRecord",
     "CoverageResult",
-    "EscapeYieldEstimate",
     "FaultDictionary",
     "FaultCoverageReport",
     "FaultReportEntry",
@@ -107,12 +101,10 @@ __all__ = [
     "AdaptiveCampaignResult",
     "CampaignProbeBackend",
     "FamilyThreshold",
-    "ImportanceEscapeEstimate",
     "ProbeBackend",
     "ProbeResult",
     "SEARCH_STRATEGIES",
     "SyntheticFamily",
     "SyntheticProbeBackend",
     "ThresholdReport",
-    "importance_monte_carlo",
 ]

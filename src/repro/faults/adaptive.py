@@ -1,4 +1,4 @@
-"""Adaptive threshold-finding campaigns: bisection, PBA and importance MC.
+"""Adaptive threshold-finding campaigns: bisection and probabilistic bisection.
 
 The exhaustive fault dictionary answers "what is the detection probability
 of every fault × severity × profile point" by brute force — ``num_steps ×
@@ -38,12 +38,6 @@ The :class:`SyntheticProbeBackend` swaps the BIST for an analytic
 detection-probability curve with deterministic pseudo-random verdicts; the
 statistical acceptance suite uses it to verify oracle agreement and CI
 coverage over many seeds at negligible cost.
-
-:func:`importance_monte_carlo` complements the threshold search on the
-escape/yield side: instead of resampling fault points uniformly (most of
-which are either always or never flagged), the proposal concentrates trials
-on the records whose verdicts actually vary near the :class:`TestLimits`
-boundary, and Horvitz-Thompson weights keep the estimate unbiased.
 """
 
 from __future__ import annotations
@@ -63,14 +57,7 @@ from ..errors import ValidationError
 from ..signals.standards import WaveformProfile, get_profile
 from ..utils.serialization import field_dict, known_field_kwargs
 from ..utils.validation import check_choice, check_integer
-from .coverage import (
-    DETECTION_THRESHOLD,
-    FAULT_PROBABILITY,
-    MONTE_CARLO_SEED,
-    FaultDictionary,
-    FaultSignature,
-    TestLimits,
-)
+from .coverage import DETECTION_THRESHOLD, FaultSignature, TestLimits
 from .models import get_fault_family
 from .stats import CONFIDENCE, wilson_interval
 
@@ -85,16 +72,11 @@ __all__ = [
     "SyntheticFamily",
     "SyntheticProbeBackend",
     "AdaptivePlanner",
-    "ImportanceEscapeEstimate",
-    "importance_monte_carlo",
     "SEARCH_STRATEGIES",
 ]
 
 #: Threshold-search strategies understood by :class:`AdaptivePlanner`.
 SEARCH_STRATEGIES = ("bisection", "probabilistic")
-
-#: Share of the importance proposal kept uniform across fault records.
-PROPOSAL_FLOOR = 0.25
 
 #: The one profile a :class:`SyntheticProbeBackend` serves.
 SYNTHETIC_PROFILE = "synthetic"
@@ -944,140 +926,3 @@ class AdaptivePlanner:
             probes=tuple(probes),
             posterior_confidence=posterior_confidence,
         )
-
-
-# --------------------------------------------------------------------------- #
-# Importance-sampled escape / yield Monte Carlo
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ImportanceEscapeEstimate:
-    """Importance-sampled test-escape / yield-loss numbers.
-
-    Attributes
-    ----------
-    test_escape_rate, yield_loss_rate, faulty_pass_rate:
-        Same semantics as :class:`~repro.faults.coverage.EscapeYieldEstimate`
-        — the estimators differ, not the quantities.  The good-unit side is
-        computed exactly from the reference population (its flags are
-        deterministic given the limits), so ``yield_loss_rate`` carries no
-        Monte Carlo error at all.
-    standard_error:
-        Estimated standard error of ``faulty_pass_rate``.
-    effective_sample_size:
-        Kish effective sample size of the importance weights — how many
-        uniform trials the weighted sample is worth.
-    proposal_floor:
-        Minimum share of the proposal kept uniform across fault records
-        (guards the weights against unbounded variance): :data:`PROPOSAL_FLOOR`.
-    """
-
-    fault_probability: float
-    num_trials: int
-    test_escape_rate: float
-    yield_loss_rate: float
-    faulty_pass_rate: float
-    standard_error: float
-    effective_sample_size: float
-    proposal_floor: float
-    seed: int
-
-    def to_dict(self) -> dict:
-        """Plain JSON-friendly dictionary."""
-        return field_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ImportanceEscapeEstimate":
-        """Rebuild an estimate serialized with :meth:`to_dict` (unknown keys ignored)."""
-        return cls(**known_field_kwargs(cls, data))
-
-
-def importance_monte_carlo(
-    dictionary: FaultDictionary,
-    limits: TestLimits | None = None,
-    num_trials: int = 20000,
-) -> ImportanceEscapeEstimate:
-    """Escape/yield Monte Carlo concentrated on the limit boundary.
-
-    The uniform resampler of :meth:`FaultDictionary.monte_carlo` spends most
-    trials on fault records whose verdict never varies (always or never
-    flagged) — those contribute zero variance and zero information.  Here
-    the proposal over fault records mixes a uniform floor with a component
-    proportional to each record's verdict variance ``p̂ (1 - p̂)``, i.e. the
-    records sitting *near* the :class:`TestLimits` boundary, and
-    Horvitz-Thompson weights (uniform target over records) keep the
-    ``faulty_pass_rate`` estimate unbiased.  The good-unit side needs no
-    sampling at all: the reference flags are deterministic, so the
-    yield-loss rate is exact.
-
-    Draws from :data:`~repro.faults.coverage.MONTE_CARLO_SEED` at
-    :data:`~repro.faults.coverage.FAULT_PROBABILITY`, so it is deterministic;
-    when every record is homogeneous the variance component vanishes and the
-    proposal degrades gracefully to uniform.
-    """
-    if not isinstance(dictionary, FaultDictionary):
-        raise ValidationError("dictionary must be a FaultDictionary")
-    limits = limits if limits is not None else TestLimits()
-    num_trials = check_integer(num_trials, "num_trials", minimum=1)
-
-    record_flags = [
-        np.array([limits.flags(s) for s in record.signatures], dtype=bool)
-        for record in dictionary.records
-    ]
-    reference_flags = np.array(
-        [limits.flags(s) for s in dictionary.references], dtype=bool
-    )
-    num_records = len(record_flags)
-
-    # Proposal: uniform floor + verdict-variance component (boundary records).
-    detection = np.array([flags.mean() for flags in record_flags])
-    variance = detection * (1.0 - detection)
-    proposal = np.full(num_records, 1.0 / num_records)
-    if variance.sum() > 0.0:
-        proposal = (
-            PROPOSAL_FLOOR * proposal + (1.0 - PROPOSAL_FLOOR) * variance / variance.sum()
-        )
-    proposal /= proposal.sum()
-
-    rng = np.random.default_rng(MONTE_CARLO_SEED)
-    choices = rng.choice(num_records, size=num_trials, p=proposal)
-    repeat_draw = rng.random(num_trials)
-    passed = np.zeros(num_trials, dtype=bool)
-    for index, flags in enumerate(record_flags):
-        mask = choices == index
-        if not np.any(mask):
-            continue
-        if flags.all():
-            continue  # every repeat flagged -> never passes
-        if not flags.any():
-            passed[mask] = True
-            continue
-        picks = (repeat_draw[mask] * flags.size).astype(int)
-        passed[mask] = ~flags[picks]
-
-    weights = (1.0 / num_records) / proposal[choices]
-    weighted = weights * passed
-    faulty_pass_rate = float(weighted.mean())
-    standard_error = float(weighted.std(ddof=1) / math.sqrt(num_trials)) if num_trials > 1 else 0.0
-    weight_sum = float(weights.sum())
-    effective_sample_size = weight_sum**2 / float((weights**2).sum())
-
-    yield_loss_rate = float(reference_flags.mean())
-    good_pass_rate = 1.0 - yield_loss_rate
-    shipped = (
-        FAULT_PROBABILITY * faulty_pass_rate
-        + (1.0 - FAULT_PROBABILITY) * good_pass_rate
-    )
-    test_escape_rate = (
-        FAULT_PROBABILITY * faulty_pass_rate / shipped if shipped > 0.0 else 0.0
-    )
-    return ImportanceEscapeEstimate(
-        fault_probability=FAULT_PROBABILITY,
-        num_trials=num_trials,
-        test_escape_rate=float(test_escape_rate),
-        yield_loss_rate=yield_loss_rate,
-        faulty_pass_rate=faulty_pass_rate,
-        standard_error=standard_error,
-        effective_sample_size=float(effective_sample_size),
-        proposal_floor=PROPOSAL_FLOOR,
-        seed=MONTE_CARLO_SEED,
-    )

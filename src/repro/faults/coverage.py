@@ -1,4 +1,4 @@
-"""Fault dictionary, detection metrics and the escape/yield Monte Carlo.
+"""Fault dictionary and detection metrics.
 
 This module turns raw campaign outcomes into the numbers a production test
 engineer actually asks for:
@@ -14,14 +14,13 @@ engineer actually asks for:
   always flagged (a unit that crashes the test program does not ship);
 * a :class:`FaultDictionary` mapping every fault point to its signature
   population and the fault-free reference population, from which it
-  computes per-fault detection probabilities, overall fault coverage,
-  the false-alarm rate, and — via a seeded Monte Carlo that resamples the
-  good/faulty populations against the limit set — the test-escape and
-  yield-loss rates.
+  computes per-fault detection probabilities, overall fault coverage and
+  the false-alarm rate.  The test-escape rate at :data:`FAULT_PROBABILITY`
+  is a closed form of the mean detection probability and the false-alarm
+  rate (see :attr:`~repro.faults.report.FaultCoverageReport.test_escape_rate`).
 
-Every estimator is deterministic under a fixed seed, and the populations
-come from the deterministic campaign runner, so serial and parallel
-campaigns yield bit-identical dictionaries.
+The populations come from the deterministic campaign runner, so serial and
+parallel campaigns yield bit-identical dictionaries.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import numpy as np
 from ..bist.report import Verdict
 from ..errors import ValidationError
 from ..utils.serialization import field_dict, known_field_kwargs
-from ..utils.validation import check_integer
 from .injection import REFERENCE_FAMILY, FaultCampaignResult, FaultPoint
 from .models import FAULT_FAMILIES
 
@@ -42,18 +40,16 @@ __all__ = [
     "TestLimits",
     "FaultRecord",
     "CoverageResult",
-    "EscapeYieldEstimate",
     "FaultDictionary",
 ]
 
 #: Detection probability at which a fault point counts as covered.
 DETECTION_THRESHOLD = 0.5
 
-#: Defect prevalence the escape/yield Monte Carlo assumes.
+#: Defect prevalence the test-escape rate assumes: the probability that a
+#: manufactured unit carries one of the dictionary's faults, uniformly over
+#: its fault points.
 FAULT_PROBABILITY = 0.05
-
-#: Seed of the escape/yield Monte Carlo draws.
-MONTE_CARLO_SEED = 20140324
 
 
 @dataclass(frozen=True)
@@ -292,50 +288,6 @@ class CoverageResult:
 
 
 @dataclass(frozen=True)
-class EscapeYieldEstimate:
-    """Monte Carlo test-escape / yield-loss numbers for one limit set.
-
-    Attributes
-    ----------
-    fault_probability:
-        Assumed defect prevalence (probability a manufactured unit carries
-        one of the dictionary's faults, uniformly over fault points):
-        :data:`FAULT_PROBABILITY`.
-    num_trials:
-        Monte Carlo sample size.
-    test_escape_rate:
-        Fraction of *shipped* (test-passing) units that are actually faulty
-        — the defect level seen by the customer.
-    yield_loss_rate:
-        Fraction of *good* units the limit set rejects — production yield
-        thrown away to false alarms.
-    faulty_pass_rate:
-        Probability a faulty unit passes the screen (1 - effective
-        coverage per unit).
-    num_faulty, num_good, num_faulty_passed, num_good_failed, num_passed:
-        Raw Monte Carlo counters.
-    seed:
-        The seed the estimate was drawn with, :data:`MONTE_CARLO_SEED`.
-    """
-
-    fault_probability: float
-    num_trials: int
-    test_escape_rate: float
-    yield_loss_rate: float
-    faulty_pass_rate: float
-    num_faulty: int
-    num_good: int
-    num_faulty_passed: int
-    num_good_failed: int
-    num_passed: int
-    seed: int
-
-    def to_dict(self) -> dict:
-        """Plain JSON-friendly dictionary."""
-        return field_dict(self)
-
-
-@dataclass(frozen=True)
 class FaultDictionary:
     """Fault points mapped to signatures, plus the good-unit population.
 
@@ -428,88 +380,6 @@ class FaultDictionary:
             uncovered=uncovered,
             marginal=marginal,
             probabilities=probabilities,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Escape / yield Monte Carlo
-    # ------------------------------------------------------------------ #
-    def monte_carlo(
-        self, limits: TestLimits | None = None, num_trials: int = 20000
-    ) -> EscapeYieldEstimate:
-        """Resample good/faulty populations against the limits.
-
-        Each trial manufactures a unit: faulty with :data:`FAULT_PROBABILITY`
-        (the fault point drawn uniformly, its signature drawn uniformly from
-        that point's repeats — i.e. a fresh measurement-noise realisation),
-        good otherwise (signature drawn from the reference population).  The
-        unit ships when the limit set does not flag its signature.
-
-        Fault points whose repeats are *homogeneous* under the limit set —
-        never flagged (zero detected scenarios, e.g. a designed-undetectable
-        family) or always flagged — are short-circuited: their trials have a
-        known outcome, so no per-trial resampling of the flag grid is
-        needed.  All random draws still happen up front, so the estimate is
-        bit-identical to the fully-resampled one.
-
-        Returns a :class:`EscapeYieldEstimate` drawn from
-        :data:`MONTE_CARLO_SEED`, so it is deterministic.
-        """
-        limits = limits if limits is not None else TestLimits()
-        num_trials = check_integer(num_trials, "num_trials", minimum=1)
-
-        # Pre-evaluate the limit set over both populations once.
-        record_flags = [
-            np.array([limits.flags(s) for s in record.signatures], dtype=bool)
-            for record in self.records
-        ]
-        reference_flags = np.array([limits.flags(s) for s in self.references], dtype=bool)
-
-        rng = np.random.default_rng(MONTE_CARLO_SEED)
-        faulty = rng.random(num_trials) < FAULT_PROBABILITY
-        num_faulty = int(np.count_nonzero(faulty))
-        num_good = num_trials - num_faulty
-
-        # Faulty units: uniform fault point, then uniform repeat within it.
-        record_choice = rng.integers(0, len(self.records), size=num_faulty)
-        repeat_draw = rng.random(num_faulty)
-        faulty_flagged = np.zeros(num_faulty, dtype=bool)
-        for index, flags in enumerate(record_flags):
-            mask = record_choice == index
-            if not np.any(mask):
-                continue
-            if not flags.any():
-                # Zero detected scenarios: every unit with this fault
-                # escapes; faulty_flagged already holds False for them.
-                continue
-            if flags.all():
-                faulty_flagged[mask] = True
-                continue
-            picks = (repeat_draw[mask] * flags.size).astype(int)
-            faulty_flagged[mask] = flags[picks]
-
-        # Good units: uniform draw from the reference population.
-        good_picks = rng.integers(0, reference_flags.size, size=num_good)
-        good_flagged = reference_flags[good_picks]
-
-        num_faulty_passed = int(num_faulty - np.count_nonzero(faulty_flagged))
-        num_good_failed = int(np.count_nonzero(good_flagged))
-        num_passed = num_faulty_passed + (num_good - num_good_failed)
-
-        test_escape_rate = num_faulty_passed / num_passed if num_passed else 0.0
-        yield_loss_rate = num_good_failed / num_good if num_good else 0.0
-        faulty_pass_rate = num_faulty_passed / num_faulty if num_faulty else 0.0
-        return EscapeYieldEstimate(
-            fault_probability=FAULT_PROBABILITY,
-            num_trials=num_trials,
-            test_escape_rate=float(test_escape_rate),
-            yield_loss_rate=float(yield_loss_rate),
-            faulty_pass_rate=float(faulty_pass_rate),
-            num_faulty=num_faulty,
-            num_good=num_good,
-            num_faulty_passed=num_faulty_passed,
-            num_good_failed=num_good_failed,
-            num_passed=num_passed,
-            seed=MONTE_CARLO_SEED,
         )
 
     # ------------------------------------------------------------------ #

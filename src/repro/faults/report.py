@@ -5,9 +5,9 @@ A :class:`FaultCoverageReport` condenses a
 the document a test-program review wants to see: every fault point ranked
 from most to least detectable, the marginal points whose verdict flips with
 the measurement noise, the uncovered points (test holes), the false-alarm
-rate paid for the screen, and the Monte Carlo test-escape / yield-loss
-numbers.  The report is a frozen value object and serialises to JSON for
-archival next to the campaign artifacts.
+(yield-loss) rate paid for the screen, and the exact test-escape rate.  The
+report is a frozen value object and serialises to JSON for archival next to
+the campaign artifacts.
 """
 
 from __future__ import annotations
@@ -15,12 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ValidationError
-from .coverage import (
-    CoverageResult,
-    EscapeYieldEstimate,
-    FaultDictionary,
-    TestLimits,
-)
+from .coverage import FAULT_PROBABILITY, CoverageResult, FaultDictionary, TestLimits
 
 __all__ = ["FaultReportEntry", "FaultCoverageReport"]
 
@@ -72,7 +67,6 @@ class FaultCoverageReport:
     limits: TestLimits
     coverage_result: CoverageResult
     false_alarm_rate: float
-    escape: EscapeYieldEstimate
 
     def __post_init__(self) -> None:
         if not self.entries:
@@ -83,14 +77,13 @@ class FaultCoverageReport:
         cls,
         dictionary: FaultDictionary,
         limits: TestLimits | None = None,
-        num_trials: int = 20000,
     ) -> "FaultCoverageReport":
         """Analyse a dictionary under a limit set.
 
         The same ``limits`` drive the per-fault detection probabilities, the
-        coverage/threshold classification, the false-alarm rate over the
-        reference population and the escape/yield Monte Carlo, so every
-        number in the report describes the *same* screen.
+        coverage/threshold classification and the false-alarm rate over the
+        reference population, so every number in the report, the test-escape
+        rate included, describes the *same* screen.
         """
         if not isinstance(dictionary, FaultDictionary):
             raise ValidationError("dictionary must be a FaultDictionary")
@@ -118,7 +111,6 @@ class FaultCoverageReport:
             limits=limits,
             coverage_result=coverage,
             false_alarm_rate=dictionary.false_alarm_rate(limits),
-            escape=dictionary.monte_carlo(limits, num_trials=num_trials),
         )
 
     # ------------------------------------------------------------------ #
@@ -133,6 +125,21 @@ class FaultCoverageReport:
     def weighted_coverage(self) -> float:
         """Mean detection probability over all fault points."""
         return self.coverage_result.weighted_coverage
+
+    @property
+    def test_escape_rate(self) -> float:
+        """Share of shipped (test-passing) units that are faulty.
+
+        A unit is faulty with :data:`~repro.faults.coverage.FAULT_PROBABILITY`
+        ``p``, its fault point uniform over the records and its signature
+        uniform over that point's repeats, so it passes with
+        ``q = 1 - weighted_coverage``; a good unit's signature is uniform over
+        the references, so it fails with the false-alarm rate ``y``.  The
+        escape is ``p q / (p q + (1 - p)(1 - y))``, or 0 when no unit ships.
+        """
+        faulty_shipped = FAULT_PROBABILITY * (1.0 - self.weighted_coverage)
+        shipped = faulty_shipped + (1.0 - FAULT_PROBABILITY) * (1.0 - self.false_alarm_rate)
+        return faulty_shipped / shipped if shipped > 0.0 else 0.0
 
     def marginal_faults(self) -> list:
         """Entries whose detection depends on the noise realisation."""
@@ -155,11 +162,9 @@ class FaultCoverageReport:
                 f"(weighted {self.weighted_coverage * 100.0:.1f}%)"
             ),
             (
-                f"false-alarm rate {self.false_alarm_rate * 100.0:.1f}%  |  "
-                f"test escape {self.escape.test_escape_rate * 100.0:.2f}%  |  "
-                f"yield loss {self.escape.yield_loss_rate * 100.0:.2f}%  "
-                f"(prevalence {self.escape.fault_probability * 100.0:.1f}%, "
-                f"{self.escape.num_trials} trials)"
+                f"false-alarm (yield-loss) rate {self.false_alarm_rate * 100.0:.1f}%  |  "
+                f"test escape {self.test_escape_rate * 100.0:.2f}%  "
+                f"(prevalence {FAULT_PROBABILITY * 100.0:.1f}%)"
             ),
         ]
         header = (
@@ -194,7 +199,8 @@ class FaultCoverageReport:
             "detection_threshold": self.coverage_result.detection_threshold,
             "false_alarm_rate": self.false_alarm_rate,
             "limits": self.limits.to_dict(),
-            "escape": self.escape.to_dict(),
+            "test_escape_rate": self.test_escape_rate,
+            "fault_probability": FAULT_PROBABILITY,
             "entries": [entry.to_dict() for entry in self.entries],
             "marginal": [entry.label for entry in self.marginal_faults()],
             "uncovered": [entry.label for entry in self.uncovered_faults()],

@@ -28,7 +28,7 @@ import numpy as np
 from ..errors import ValidationError
 from ..signals.baseband import ComplexEnvelope
 from ..utils.units import db_to_amplitude_ratio
-from ..utils.validation import check_positive
+from ..utils.validation import check_finite, check_positive
 
 __all__ = [
     "Amplifier",
@@ -66,6 +66,9 @@ class IdealAmplifier(Amplifier):
 
     gain_db: float = 20.0
 
+    def __post_init__(self) -> None:
+        check_finite(self.gain_db, "gain_db")
+
     def gain(self, envelope_magnitude: np.ndarray) -> np.ndarray:
         linear = db_to_amplitude_ratio(self.gain_db)
         return np.full_like(np.asarray(envelope_magnitude, dtype=float), linear, dtype=complex)
@@ -92,6 +95,7 @@ class RappAmplifier(Amplifier):
     smoothness: float = 2.0
 
     def __post_init__(self) -> None:
+        check_finite(self.gain_db, "gain_db")
         check_positive(self.saturation_amplitude, "saturation_amplitude")
         check_positive(self.smoothness, "smoothness")
 

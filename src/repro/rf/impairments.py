@@ -16,6 +16,7 @@ import numpy as np
 from ..errors import ValidationError
 from ..signals.baseband import ComplexEnvelope
 from ..utils.units import db_to_amplitude_ratio
+from ..utils.validation import check_finite
 
 __all__ = ["IqImbalance", "DcOffset"]
 
@@ -44,6 +45,10 @@ class IqImbalance:
 
     gain_imbalance_db: float = 0.0
     phase_imbalance_deg: float = 0.0
+
+    def __post_init__(self) -> None:
+        check_finite(self.gain_imbalance_db, "gain_imbalance_db")
+        check_finite(self.phase_imbalance_deg, "phase_imbalance_deg")
 
     @property
     def mu(self) -> complex:
@@ -87,6 +92,9 @@ class DcOffset:
     """
 
     i_offset: float = 0.0
+
+    def __post_init__(self) -> None:
+        check_finite(self.i_offset, "i_offset")
 
     @property
     def complex_offset(self) -> complex:

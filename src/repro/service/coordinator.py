@@ -126,7 +126,7 @@ class Coordinator:
     partitions_per_worker:
         Planned partitions per worker slot (>1 trades dispatch overhead for
         finer-grained retries and better balance on heterogeneous grids).
-    bist_config / converter_factory / seed_policy / compile_groups:
+    bist_config / seed_policy / compile_groups:
         Forwarded to each worker's :class:`~repro.bist.runner.CampaignRunner`
         (and to partition planning, so fingerprints agree).
     heartbeat_interval / heartbeat_timeout:
@@ -152,7 +152,6 @@ class Coordinator:
         num_workers: int = 4,
         partitions_per_worker: int = 1,
         bist_config=None,
-        converter_factory=None,
         seed_policy: str = "shared",
         compile_groups: bool = False,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
@@ -168,7 +167,6 @@ class Coordinator:
             partitions_per_worker, "partitions_per_worker", minimum=1
         )
         self._bist_config = bist_config if bist_config is not None else BistConfig()
-        self._converter_factory = converter_factory
         self._seed_policy = seed_policy
         self._compile_groups = bool(compile_groups)
         if heartbeat_interval <= 0.0 or heartbeat_timeout <= 0.0:
@@ -232,7 +230,6 @@ class Coordinator:
             scenarios,
             num_partitions=self._num_workers * self._partitions_per_worker,
             bist_config=self._bist_config,
-            converter_factory=self._converter_factory,
             seed_policy=self._seed_policy,
             store=store,
         )
@@ -309,7 +306,6 @@ class Coordinator:
             settings = WorkerSettings(
                 store_root=self._store_root,
                 bist_config=self._bist_config,
-                converter_factory=self._converter_factory,
                 seed_policy=self._seed_policy,
                 compile_groups=self._compile_groups,
                 heartbeat_interval=self._heartbeat_interval,

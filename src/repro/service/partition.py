@@ -107,7 +107,6 @@ def plan_partitions(
     scenarios,
     num_partitions: int,
     bist_config=None,
-    converter_factory=None,
     seed_policy: str = "shared",
     store=None,
 ) -> PartitionPlan:
@@ -115,10 +114,7 @@ def plan_partitions(
 
     Parameters mirror :class:`~repro.bist.runner.CampaignRunner`; ``store``
     (when given) is consulted so already-archived scenarios never reach a
-    partition.  A converter factory that is not a declarative
-    :class:`~repro.bist.campaign.ConverterSpec` raises
-    :class:`~repro.errors.ConfigurationError`: such scenarios cannot be
-    fingerprinted.  ``num_partitions`` is an upper bound — trailing empty
+    partition.  ``num_partitions`` is an upper bound — trailing empty
     partitions are dropped, so a four-way plan over three pending scenarios
     yields three singleton partitions.
     """
@@ -127,7 +123,6 @@ def plan_partitions(
     # fingerprints exactly as the workers' runners will.
     cached, pending, fingerprints = CampaignRunner(
         bist_config=bist_config,
-        converter_factory=converter_factory,
         seed_policy=seed_policy,
         store=store,
     ).plan(scenarios)

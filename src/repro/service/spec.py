@@ -122,6 +122,8 @@ class CampaignSpec:
             raise ValidationError(
                 f"seed_policy must be one of {_SEED_POLICIES}, got {self.seed_policy!r}"
             )
+        if not isinstance(self.compile_groups, bool):
+            raise ValidationError(f"compile_groups must be a boolean, got {self.compile_groups!r}")
 
     def build_grid(self) -> ScenarioGrid:
         """The spec's :class:`ScenarioGrid` (profiles × impairments × converters)."""
@@ -181,5 +183,5 @@ class CampaignSpec:
             num_symbols=data.get("num_symbols"),
             bist_config=BistConfig.from_dict(data.get("bist_config", BistConfig().to_dict())),
             seed_policy=data.get("seed_policy", "shared"),
-            compile_groups=bool(data.get("compile_groups", False)),
+            compile_groups=data.get("compile_groups", False),
         )

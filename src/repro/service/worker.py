@@ -60,7 +60,6 @@ class WorkerSettings:
 
     store_root: str
     bist_config: BistConfig = field(default_factory=BistConfig)
-    converter_factory: object = None
     seed_policy: str = "shared"
     compile_groups: bool = False
     heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL
@@ -95,7 +94,6 @@ def run_partition_worker(worker_id, partition, settings, results_queue) -> int:
         store = CampaignStore(settings.store_root, shard=worker_id)
         runner = CampaignRunner(
             bist_config=settings.bist_config,
-            converter_factory=settings.converter_factory,
             max_workers=1,
             seed_policy=settings.seed_policy,
             store=store,

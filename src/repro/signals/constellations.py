@@ -149,12 +149,10 @@ def get_constellation(name: str) -> Constellation:
         return qpsk()
     if key == "8psk":
         return psk(8)
-    if key.endswith("qam"):
-        order = check_integer(key[:-3], "QAM order", minimum=4)
-        return qam(order)
-    if key.endswith("psk"):
-        order = check_integer(key[:-3], "PSK order", minimum=2)
-        return psk(order)
+    if key[:-3].isdigit() and key.endswith("qam"):
+        return qam(check_integer(int(key[:-3]), "QAM order", minimum=4))
+    if key[:-3].isdigit() and key.endswith("psk"):
+        return psk(check_integer(int(key[:-3]), "PSK order", minimum=2))
     raise ValidationError(
         f"unknown constellation {name!r}; expected one of {AVAILABLE_CONSTELLATIONS}"
     )

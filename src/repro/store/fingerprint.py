@@ -28,7 +28,7 @@ import json
 
 from ..bist.campaign import CampaignScenario, ConverterSpec, resolve_scenario
 from ..bist.engine import BistConfig
-from ..errors import ConfigurationError, ValidationError
+from ..errors import ValidationError
 from ..signals.standards import WaveformProfile
 
 __all__ = [
@@ -114,7 +114,7 @@ def _unsigned_zeros(value):
 def fingerprint_payload(
     scenario: CampaignScenario,
     bist_config: BistConfig | None = None,
-    converter_factory=None,
+    converter_factory: ConverterSpec | None = None,
     seed: int | None | type(...) = ...,
 ) -> dict:
     """The canonical payload a scenario fingerprint hashes over.
@@ -127,22 +127,10 @@ def fingerprint_payload(
     invariant to how the scenario was described and sensitive to everything
     that changes the result.  Float zeros are spelled ``0.0`` whatever
     their sign, as the dataclasses compare them.
-
-    Raises :class:`~repro.errors.ConfigurationError` when the effective
-    converter factory is an arbitrary callable: only declarative
-    :class:`~repro.bist.campaign.ConverterSpec` factories serialize, and a
-    non-serializable factory cannot be fingerprinted safely.
     """
     profile, config, transmitter_config, factory = resolve_scenario(
         scenario, bist_config=bist_config, converter_factory=converter_factory, seed=seed
     )
-    if not isinstance(factory, ConverterSpec):
-        label = scenario.label if scenario.label is not None else profile.name
-        raise ConfigurationError(
-            f"cannot fingerprint scenario {label!r}: the converter factory "
-            f"({type(factory).__name__}) is not a ConverterSpec; the campaign store "
-            "needs declarative converter specifications to address outcomes by content"
-        )
     return _unsigned_zeros(
         {
             "schema_version": SCHEMA_VERSION,
@@ -158,7 +146,7 @@ def fingerprint_payload(
 def scenario_fingerprint(
     scenario: CampaignScenario,
     bist_config: BistConfig | None = None,
-    converter_factory=None,
+    converter_factory: ConverterSpec | None = None,
     seed: int | None | type(...) = ...,
 ) -> str:
     """Stable SHA-256 fingerprint (hex) of a scenario's effective inputs."""

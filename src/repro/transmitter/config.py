@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ValidationError
 from ..rf.amplifier import (
     Amplifier,
     IdealAmplifier,
@@ -25,7 +25,7 @@ from ..rf.oscillator import PhaseNoiseModel
 from ..signals.ofdm import OfdmParams
 from ..signals.standards import WaveformProfile
 from ..utils.serialization import field_dict, known_field_kwargs
-from ..utils.validation import check_integer, check_positive
+from ..utils.validation import check_finite, check_integer, check_positive
 from .dac import TransmitDac
 
 __all__ = ["ImpairmentConfig", "TransmitterConfig"]
@@ -56,8 +56,11 @@ def _decode_dataclass(cls: type, data: dict):
     ``[re, im]`` pairs, which earlier archives wrote for the polynomial PA's
     complex coefficients, turn back into complex numbers.  Unknown keys are
     ignored; a key for a setting the model now fixes loads only at its fixed
-    value (see :func:`~repro.utils.serialization.known_field_kwargs`).
+    value (see :func:`~repro.utils.serialization.known_field_kwargs`).  A
+    ``data`` that is not a dict (a JSON object) raises ``ValidationError``.
     """
+    if not isinstance(data, dict):
+        raise ValidationError(f"{cls.__name__} must be given as a JSON object, got {data!r}")
     decoded = {
         key: complex(value[0], value[1])
         if isinstance(value, (list, tuple)) and len(value) == 2
@@ -108,6 +111,8 @@ class ImpairmentConfig:
     def __post_init__(self) -> None:
         if self.dac is not None and not isinstance(self.dac, TransmitDac):
             raise ConfigurationError("dac must be a TransmitDac (or None for the default)")
+        if self.output_snr_db is not None:
+            check_finite(self.output_snr_db, "output_snr_db")
         check_positive(self.output_filter_bandwidth_scale, "output_filter_bandwidth_scale")
 
     @classmethod
@@ -154,8 +159,10 @@ class ImpairmentConfig:
         INL, a Q-branch DC offset) raises ``ValidationError``.
         """
         amplifier_data = data.get("amplifier", {"type": "IdealAmplifier", "params": {"gain_db": 0.0}})
+        if not isinstance(amplifier_data, dict):
+            raise ValidationError(f"amplifier must be a JSON object, got {amplifier_data!r}")
         type_name = amplifier_data.get("type")
-        if type_name not in _AMPLIFIER_TYPES:
+        if not isinstance(type_name, str) or type_name not in _AMPLIFIER_TYPES:
             raise ConfigurationError(
                 f"unknown amplifier type {type_name!r}; known types: "
                 f"{sorted(_AMPLIFIER_TYPES)}"

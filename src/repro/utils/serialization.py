@@ -38,8 +38,11 @@ def known_field_kwargs(cls: type, data: dict, fixed: dict | None = None) -> dict
     ``ClassVar`` constant of ``cls``, or a key of ``fixed`` mapped to its
     fixed value — is dropped only at that value.  Any other value raises
     :class:`~repro.errors.ValidationError`: loading it as the constant would
-    misreport what the archive describes.
+    misreport what the archive describes.  So does a ``data`` that is not a
+    dict (a JSON object).
     """
+    if not isinstance(data, dict):
+        raise ValidationError(f"{cls.__name__} must be given as a JSON object, got {data!r}")
     known = {spec.name for spec in fields(cls)}
     retired = {**_class_constants(cls), **(fixed or {})}
     for key, value in data.items():

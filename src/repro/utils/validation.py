@@ -14,6 +14,7 @@ import numpy as np
 from ..errors import ValidationError
 
 __all__ = [
+    "check_finite",
     "check_positive",
     "check_non_negative",
     "check_in_range",
@@ -25,9 +26,31 @@ __all__ = [
 ]
 
 
+def _real(value, name: str, requirement: str = "a number") -> float:
+    """``value`` as a float, or :class:`ValidationError` naming ``requirement``.
+
+    A string, null, boolean, list or object is not a number even where
+    ``float()`` would take it; NumPy scalars are.
+    """
+    if value is None or isinstance(value, (str, bool, np.bool_)):
+        raise ValidationError(f"{name} must be {requirement}, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be {requirement}, got {value!r}") from exc
+
+
+def check_finite(value: float, name: str) -> float:
+    """Validate that ``value`` is a finite real number."""
+    value = _real(value, name)
+    if not np.isfinite(value):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
 def check_positive(value: float, name: str) -> float:
     """Validate that ``value`` is a finite, strictly positive number."""
-    value = float(value)
+    value = _real(value, name)
     if not np.isfinite(value) or value <= 0.0:
         raise ValidationError(f"{name} must be a finite, strictly positive number, got {value!r}")
     return value
@@ -35,7 +58,7 @@ def check_positive(value: float, name: str) -> float:
 
 def check_non_negative(value: float, name: str) -> float:
     """Validate that ``value`` is a finite number greater than or equal to zero."""
-    value = float(value)
+    value = _real(value, name)
     if not np.isfinite(value) or value < 0.0:
         raise ValidationError(f"{name} must be a finite, non-negative number, got {value!r}")
     return value
@@ -50,7 +73,7 @@ def check_in_range(
     inclusive_high: bool = True,
 ) -> float:
     """Validate that ``value`` lies in the interval defined by ``low``/``high``."""
-    value = float(value)
+    value = _real(value, name)
     low_ok = value >= low if inclusive_low else value > low
     high_ok = value <= high if inclusive_high else value < high
     if not (np.isfinite(value) and low_ok and high_ok):
@@ -64,7 +87,7 @@ def check_in_range(
 
 def check_integer(value, name: str, minimum: int | None = None) -> int:
     """Validate that ``value`` is an integer (optionally at least ``minimum``)."""
-    if isinstance(value, bool) or not float(value).is_integer():
+    if not _real(value, name, "an integer").is_integer():
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if minimum is not None and value < minimum:

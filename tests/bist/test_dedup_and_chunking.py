@@ -7,7 +7,6 @@ from repro.bist import (
     BistConfig,
     CampaignRunner,
     CampaignScenario,
-    ConverterSpec,
     ScenarioGrid,
     execute_scenario,
     skew_sweep,
@@ -101,16 +100,6 @@ class TestFingerprintDedup:
         assert not execution.outcomes[0].ok and not execution.outcomes[1].ok
         assert not any(outcome.deduplicated for outcome in execution.outcomes)
         assert execution.dedup_hits == 0
-
-    def test_arbitrary_factory_executes_every_scenario(self):
-        # A lambda factory cannot be fingerprinted, so dedup stands down and
-        # each identical scenario executes on its own.
-        execution = CampaignRunner(
-            bist_config=FAST_CONFIG,
-            converter_factory=lambda bandwidth: ConverterSpec()(bandwidth),
-        ).run(identical_scenarios(3))
-        assert execution.dedup_hits == 0
-        assert all(outcome.worker.startswith("pid-") for outcome in execution.outcomes)
 
     def test_duplicates_are_not_charged_to_the_budget(self):
         # Only the primary executes, so a one-scenario budget covers a batch

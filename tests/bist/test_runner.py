@@ -22,6 +22,7 @@ from repro.bist import (
     ConverterSpec,
     ScenarioGrid,
     derive_scenario_seed,
+    execute_scenario,
     iq_imbalance_sweep,
     pa_saturation_sweep,
     skew_sweep,
@@ -189,14 +190,16 @@ class TestRunnerValidation:
         with pytest.raises(ValidationError):
             CampaignRunner().run(["not a scenario"])
 
-    def test_unpicklable_factory_rejected_for_parallel(self):
-        runner = CampaignRunner(
-            bist_config=FAST_CONFIG,
-            converter_factory=lambda bandwidth: ConverterSpec()(bandwidth),
-            max_workers=2,
-        )
-        with pytest.raises(ConfigurationError):
-            runner.run(small_grid())
+    @pytest.mark.parametrize(
+        "factory",
+        [lambda bandwidth: ConverterSpec()(bandwidth), ConverterSpec().build, "paper"],
+        ids=["lambda", "bound-method", "string"],
+    )
+    def test_non_spec_converter_factory_rejected(self, factory):
+        with pytest.raises(ValidationError, match="ConverterSpec"):
+            CampaignRunner(bist_config=FAST_CONFIG, converter_factory=factory)
+        with pytest.raises(ValidationError, match="ConverterSpec"):
+            execute_scenario(small_grid()[0], FAST_CONFIG, converter_factory=factory)
 
     def test_bad_budget_rejected_when_fully_cached(self, tmp_path):
         # Nothing executes on a fully cached grid, yet the budget's type is
@@ -349,17 +352,6 @@ class TestRunnerExecution:
             fault.calibration.true_delay_seconds - nominal.calibration.true_delay_seconds
         )
         assert delta == pytest.approx(8e-12)
-
-    def test_lambda_factory_runs_serially(self):
-        # Arbitrary (unpicklable, unfingerprintable) factories stay usable
-        # in-process; only the pool and the store need a ConverterSpec.
-        execution = CampaignRunner(
-            bist_config=FAST_CONFIG,
-            converter_factory=lambda bandwidth: ConverterSpec(seed=5)(bandwidth),
-        ).run(small_grid()[:2])
-        assert not execution.errors
-        assert len(execution.reports) == 2
-        assert execution.dedup_hits == 0
 
 
 class TestCampaignSummary:

@@ -1,8 +1,7 @@
 """Unit tests for repro.faults.adaptive and repro.faults.stats.
 
-Everything here runs against the synthetic probe backend (or hand-built
-dictionaries), so the search logic, the interval arithmetic and the
-importance-sampled Monte Carlo are pinned down exactly without touching
+Everything here runs against the synthetic probe backend, so the search
+logic and the interval arithmetic are pinned down exactly without touching
 the (slow) BIST execution path.  The end-to-end campaign-backend tests
 live in test_adaptive_determinism.py and test_adaptive_acceptance.py.
 """
@@ -18,62 +17,11 @@ from repro.faults import (
     AdaptiveCampaignResult,
     AdaptiveConfig,
     AdaptivePlanner,
-    DcdeErrorFault,
-    FaultDictionary,
-    FaultPoint,
-    FaultRecord,
-    FaultSignature,
-    PaCompressionFault,
     SyntheticFamily,
     SyntheticProbeBackend,
-    TestLimits,
     ThresholdReport,
-    importance_monte_carlo,
 )
-from repro.faults.coverage import MONTE_CARLO_SEED
 from repro.faults.stats import normal_quantile, wilson_interval
-
-PROFILE = "paper-qpsk-1ghz"
-
-
-# --------------------------------------------------------------------------- #
-# Shared builders (mirrors tests/faults/test_coverage.py)
-# --------------------------------------------------------------------------- #
-def signature(label, failed=False, executed=True, error=None):
-    return FaultSignature(
-        label=label,
-        profile_name=PROFILE if executed else None,
-        executed=executed,
-        bist_failed=failed,
-        evm_percent=3.0,
-        acpr_worst_db=-43.0,
-        occupied_bandwidth_hz=14e6,
-        mask_margin_db=5.0,
-        skew_deviation_ps=2.0,
-        error=error,
-    )
-
-
-def record(fault, label, flags):
-    return FaultRecord(
-        point=FaultPoint(label=f"{PROFILE}/{label}", profile_name=PROFILE, fault=fault),
-        signatures=tuple(
-            signature(f"{PROFILE}/{label}/r{i}", failed=flag)
-            for i, flag in enumerate(flags)
-        ),
-    )
-
-
-def make_dictionary():
-    """3 faults: always detected, marginal (1/2), never detected."""
-    return FaultDictionary(
-        records=(
-            record(PaCompressionFault(severity=1.0), "pa-compression-s1", [True, True]),
-            record(PaCompressionFault(severity=0.5), "pa-compression-s0.5", [True, False]),
-            record(DcdeErrorFault(severity=1.0), "dcde-error-s1", [False, False]),
-        ),
-        references=tuple(signature(f"{PROFILE}/reference/r{i}") for i in range(4)),
-    )
 
 
 def sharp_backend(seed=0):
@@ -343,48 +291,3 @@ class TestThresholdReport:
         assert result.outcomes == ()
         with pytest.raises(ValidationError):
             result.summary()
-
-
-# --------------------------------------------------------------------------- #
-# Importance-sampled escape / yield Monte Carlo
-# --------------------------------------------------------------------------- #
-class TestImportanceMonteCarlo:
-    def test_deterministic(self):
-        dictionary = make_dictionary()
-        a = importance_monte_carlo(dictionary, num_trials=4000)
-        b = importance_monte_carlo(dictionary, num_trials=4000)
-        assert a == b
-        assert a.seed == MONTE_CARLO_SEED
-
-    def test_unbiased_on_mixed_dictionary(self):
-        # Records pass the screen at rates 0, 0.5 and 1 → the uniform-over-
-        # records truth is a faulty pass rate of 0.5.
-        estimate = importance_monte_carlo(make_dictionary(), num_trials=20000)
-        assert estimate.faulty_pass_rate == pytest.approx(0.5, abs=0.03)
-        assert abs(estimate.faulty_pass_rate - 0.5) <= 4 * estimate.standard_error
-        # Yield loss is exact (computed from the reference flags, no MC error).
-        assert estimate.yield_loss_rate == 0.0
-        assert 0.0 < estimate.effective_sample_size <= estimate.num_trials
-
-    def test_degenerate_homogeneous_records(self):
-        # All-detected and never-detected records carry zero variance; the
-        # proposal degrades to uniform and the estimate stays unbiased.
-        dictionary = FaultDictionary(
-            records=(
-                record(PaCompressionFault(severity=1.0), "pa-compression-s1", [True, True]),
-                record(DcdeErrorFault(severity=1.0), "dcde-error-s1", [False, False]),
-            ),
-            references=tuple(signature(f"r{i}") for i in range(4)),
-        )
-        estimate = importance_monte_carlo(dictionary, num_trials=20000)
-        assert estimate.faulty_pass_rate == pytest.approx(0.5, abs=0.03)
-
-    def test_validation(self):
-        dictionary = make_dictionary()
-        with pytest.raises(ValidationError):
-            importance_monte_carlo(dictionary, num_trials=0)
-
-    def test_round_trip(self):
-        estimate = importance_monte_carlo(make_dictionary(), num_trials=2000)
-        rebuilt = type(estimate).from_dict(json.loads(json.dumps(estimate.to_dict())))
-        assert rebuilt == estimate

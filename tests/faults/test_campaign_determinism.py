@@ -3,8 +3,8 @@
 The campaign executes genuine (small) BIST runs; the tests pin down the
 subsystem's headline contract:
 
-* the FaultDictionary and every derived number (coverage, test escape,
-  yield loss) is deterministic under a fixed seed;
+* the FaultDictionary and every derived number (coverage, false alarms,
+  test escape) is deterministic under a fixed seed;
 * serial and process-pool execution produce the identical dictionary;
 * a known-undetectable fault (the DCDE static error the LMS calibration is
   designed to absorb) is reported as uncovered.
@@ -77,7 +77,10 @@ class TestAcceptance:
     def test_deterministic_under_fixed_seed(self, serial_dictionary):
         repeat = build_campaign().run(max_workers=1).dictionary()
         assert repeat.to_dict() == serial_dictionary.to_dict()
-        assert repeat.monte_carlo(LIMITS) == serial_dictionary.monte_carlo(LIMITS)
+        assert (
+            FaultCoverageReport.from_dictionary(repeat, LIMITS).to_dict()
+            == FaultCoverageReport.from_dictionary(serial_dictionary, LIMITS).to_dict()
+        )
 
     def test_parallel_identical_to_serial(self, serial_dictionary):
         parallel = build_campaign().run(max_workers=2).dictionary()
@@ -85,7 +88,10 @@ class TestAcceptance:
         assert (
             parallel.coverage(LIMITS).to_dict() == serial_dictionary.coverage(LIMITS).to_dict()
         )
-        assert parallel.monte_carlo(LIMITS) == serial_dictionary.monte_carlo(LIMITS)
+        assert (
+            FaultCoverageReport.from_dictionary(parallel, LIMITS).to_dict()
+            == FaultCoverageReport.from_dictionary(serial_dictionary, LIMITS).to_dict()
+        )
 
     def test_known_undetectable_fault_uncovered(self, serial_dictionary):
         """The LMS calibration absorbs the DCDE static error by design."""
@@ -103,13 +109,13 @@ class TestAcceptance:
         assert coverage.probabilities["paper-qpsk-1ghz/tiadc-skew-s1"] == 1.0
 
     def test_report_numbers_deterministic_and_archivable(self, serial_dictionary):
-        a = FaultCoverageReport.from_dictionary(serial_dictionary, LIMITS, num_trials=4000)
-        b = FaultCoverageReport.from_dictionary(serial_dictionary, LIMITS, num_trials=4000)
+        a = FaultCoverageReport.from_dictionary(serial_dictionary, LIMITS)
+        b = FaultCoverageReport.from_dictionary(serial_dictionary, LIMITS)
         assert a.to_dict() == b.to_dict()
         # The whole analysis survives a JSON archive cycle.
         payload = json.loads(json.dumps(serial_dictionary.to_dict()))
         rebuilt = FaultDictionary.from_dict(payload)
         assert (
-            FaultCoverageReport.from_dictionary(rebuilt, LIMITS, num_trials=4000).to_dict()
+            FaultCoverageReport.from_dictionary(rebuilt, LIMITS).to_dict()
             == a.to_dict()
         )

@@ -1,16 +1,19 @@
 """Tests for repro.faults.coverage and repro.faults.report.
 
 These tests build the dictionary from synthetic signatures, so the
-detection / coverage / escape / yield arithmetic is pinned down exactly and
-independently of the (slow) BIST execution path.
+detection / coverage / false-alarm / test-escape arithmetic is pinned down
+exactly and independently of the (slow) BIST execution path.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ValidationError
-from repro.faults.coverage import DETECTION_THRESHOLD, FAULT_PROBABILITY, MONTE_CARLO_SEED
+from repro.faults.coverage import DETECTION_THRESHOLD, FAULT_PROBABILITY
 from repro.faults import (
     CoverageResult,
     DcdeErrorFault,
@@ -152,76 +155,112 @@ class TestDetectionAndCoverage:
             )
 
 
-class TestMonteCarlo:
-    def test_deterministic(self):
-        dictionary = make_dictionary()
-        a = dictionary.monte_carlo()
-        assert a == dictionary.monte_carlo()
-        assert (a.seed, a.fault_probability) == (MONTE_CARLO_SEED, FAULT_PROBABILITY)
+def enumerated_test_escape(dictionary, limits) -> Fraction:
+    """Shipped-faulty share of every manufactured unit, weighted exactly.
+
+    A unit is faulty with ``FAULT_PROBABILITY``, its fault point uniform over
+    the records and its signature uniform over that point's repeats; a good
+    unit's signature is uniform over the references.  Each unit ships when
+    the limits do not flag its signature.
+    """
+    prevalence = Fraction(FAULT_PROBABILITY)
+    shipped_faulty = shipped_good = Fraction(0)
+    for fault_record in dictionary.records:
+        weight = prevalence / len(dictionary.records) / len(fault_record.signatures)
+        for item in fault_record.signatures:
+            if not limits.flags(item):
+                shipped_faulty += weight
+    for item in dictionary.references:
+        if not limits.flags(item):
+            shipped_good += (1 - prevalence) / len(dictionary.references)
+    shipped = shipped_faulty + shipped_good
+    return shipped_faulty / shipped if shipped else Fraction(0)
+
+
+def generated_signature(draw, label):
+    executed = draw(st.booleans())
+    return signature(
+        label,
+        failed=draw(st.booleans()),
+        acpr=draw(st.floats(-60.0, -20.0)),
+        obw=draw(st.floats(5e6, 20e6)),
+        skew=draw(st.floats(0.0, 40.0)),
+        executed=executed,
+        error=None if executed else "RuntimeError: boom",
+    )
+
+
+@st.composite
+def dictionaries(draw):
+    """1-10 records of 1-8 signatures, 1-16 references, errored signatures included."""
+    records = []
+    for index in range(draw(st.integers(1, 10))):
+        label = f"{PROFILE}/pa-compression-{index}"
+        records.append(
+            FaultRecord(
+                point=FaultPoint(label=label, profile_name=PROFILE, fault=PaCompressionFault()),
+                signatures=tuple(
+                    generated_signature(draw, f"{label}/r{repeat}")
+                    for repeat in range(draw(st.integers(1, 8)))
+                ),
+            )
+        )
+    references = tuple(
+        generated_signature(draw, f"{PROFILE}/reference/r{index}")
+        for index in range(draw(st.integers(1, 16)))
+    )
+    return FaultDictionary(records=tuple(records), references=references)
+
+
+limit_sets = st.builds(
+    TestLimits,
+    use_bist_verdict=st.booleans(),
+    max_acpr_db=st.none() | st.floats(-60.0, -20.0),
+    max_occupied_bandwidth_hz=st.none() | st.floats(5e6, 20e6),
+    max_skew_deviation_ps=st.none() | st.floats(0.0, 40.0),
+)
+
+
+class TestTestEscape:
+    @settings(max_examples=200, deadline=None)
+    @given(dictionary=dictionaries(), limits=limit_sets)
+    def test_matches_exact_enumeration(self, dictionary, limits):
+        report = FaultCoverageReport.from_dictionary(dictionary, limits)
+        expected = enumerated_test_escape(dictionary, limits)
+        assert report.test_escape_rate == pytest.approx(float(expected), rel=0.0, abs=1e-12)
+
+    def test_three_record_dictionary(self):
+        # Detection 1, 1/2 and 0: a faulty unit passes with q = 1/2, so the
+        # escape is p q / (p q + 1 - p) = 0.025 / 0.975.
+        report = FaultCoverageReport.from_dictionary(make_dictionary())
+        assert report.test_escape_rate == pytest.approx(0.025 / 0.975, rel=0.0, abs=1e-15)
 
     def test_perfect_screen_has_no_escapes(self):
         dictionary = FaultDictionary(
             records=(record(PaCompressionFault(), "pa-compression-s1", [True, True]),),
             references=tuple(signature(f"r{i}") for i in range(4)),
         )
-        estimate = dictionary.monte_carlo(num_trials=5000)
-        assert estimate.test_escape_rate == 0.0
-        assert estimate.yield_loss_rate == 0.0
-        assert estimate.num_faulty + estimate.num_good == 5000
+        assert FaultCoverageReport.from_dictionary(dictionary).test_escape_rate == 0.0
 
     def test_blind_screen_escapes_at_prevalence(self):
+        # Nothing is ever flagged: every unit ships, so the shipped-faulty
+        # share is the prevalence itself.
         dictionary = FaultDictionary(
             records=(record(DcdeErrorFault(), "dcde-error-s1", [False, False]),),
             references=tuple(signature(f"r{i}") for i in range(4)),
         )
-        estimate = dictionary.monte_carlo(num_trials=20000)
-        # Nothing is ever flagged: every faulty unit ships, so the escape
-        # rate equals the realised prevalence and no yield is lost.
-        assert estimate.faulty_pass_rate == 1.0
-        assert estimate.yield_loss_rate == 0.0
-        assert estimate.test_escape_rate == pytest.approx(FAULT_PROBABILITY, abs=0.01)
+        report = FaultCoverageReport.from_dictionary(dictionary)
+        assert report.false_alarm_rate == 0.0
+        assert report.test_escape_rate == pytest.approx(FAULT_PROBABILITY, rel=0.0, abs=1e-15)
 
-    def test_false_alarms_cost_yield(self):
+    def test_screen_flagging_every_unit_ships_nothing(self):
         dictionary = FaultDictionary(
-            records=(record(PaCompressionFault(), "pa-compression-s1", [True]),),
-            references=(signature("r0", failed=True), signature("r1"), signature("r2"), signature("r3")),
+            records=(record(PaCompressionFault(), "pa-compression-s1", [True, True]),),
+            references=tuple(signature(f"r{i}", failed=True) for i in range(4)),
         )
-        estimate = dictionary.monte_carlo(num_trials=20000)
-        assert estimate.yield_loss_rate == pytest.approx(0.25, abs=0.02)
-
-    def test_validation(self):
-        dictionary = make_dictionary()
-        with pytest.raises(ValidationError):
-            dictionary.monte_carlo(num_trials=0)
-
-    def test_zero_detected_family_short_circuits_exactly(self):
-        # Regression: a family with zero detected scenarios must not
-        # re-derive its detection from the flag grid — every unit carrying
-        # it escapes, with no Monte Carlo noise on that contribution.
-        dictionary = FaultDictionary(
-            records=(record(DcdeErrorFault(), "dcde-error-s1", [False] * 3),),
-            references=tuple(signature(f"r{i}") for i in range(4)),
-        )
-        estimate = dictionary.monte_carlo(num_trials=5000)
-        assert estimate.faulty_pass_rate == 1.0
-
-    def test_homogeneous_short_circuit_is_draw_identical(self):
-        # The short-circuit skips the per-trial repeat lookup for
-        # homogeneous families, so the *number* of archived repeats of such
-        # a family must not perturb any random stream: estimates over
-        # dictionaries differing only in that count are bit-identical.
-        def build(num_dcde_repeats):
-            return FaultDictionary(
-                records=(
-                    record(PaCompressionFault(severity=0.5), "pa-compression-s0.5", [True, False]),
-                    record(DcdeErrorFault(), "dcde-error-s1", [False] * num_dcde_repeats),
-                ),
-                references=tuple(signature(f"r{i}") for i in range(4)),
-            )
-
-        short = build(2).monte_carlo(num_trials=8000)
-        long = build(6).monte_carlo(num_trials=8000)
-        assert short == long
+        report = FaultCoverageReport.from_dictionary(dictionary)
+        assert report.false_alarm_rate == 1.0
+        assert report.test_escape_rate == 0.0
 
 
 class TestSerialization:
@@ -263,7 +302,7 @@ class TestSerialization:
 
 class TestCoverageReport:
     def test_ranking_and_statuses(self):
-        report = FaultCoverageReport.from_dictionary(make_dictionary(), num_trials=2000)
+        report = FaultCoverageReport.from_dictionary(make_dictionary())
         labels = [entry.label for entry in report.entries]
         assert labels == [
             f"{PROFILE}/pa-compression-s1",
@@ -304,7 +343,7 @@ class TestCoverageReport:
             ),
             references=tuple(signature(f"{PROFILE}/reference/r{i}") for i in range(4)),
         )
-        report = FaultCoverageReport.from_dictionary(dictionary, num_trials=2000)
+        report = FaultCoverageReport.from_dictionary(dictionary)
         uncovered = [entry.label for entry in report.uncovered_faults()]
         assert set(uncovered) == set(report.coverage_result.uncovered)
         assert f"{PROFILE}/pa-compression-s0.5" in uncovered
@@ -314,21 +353,19 @@ class TestCoverageReport:
         assert f"{PROFILE}/pa-compression-s0.5" in payload["marginal"]
 
     def test_to_text_mentions_holes(self):
-        report = FaultCoverageReport.from_dictionary(make_dictionary(), num_trials=2000)
+        report = FaultCoverageReport.from_dictionary(make_dictionary())
         text = report.to_text()
         assert "fault coverage" in text
+        assert "false-alarm (yield-loss) rate 0.0%" in text
+        assert "test escape 2.56%" in text
         assert "uncovered (test holes)" in text
         assert "dcde-error-s1" in text
 
     def test_to_dict_is_json_friendly(self):
-        report = FaultCoverageReport.from_dictionary(make_dictionary(), num_trials=2000)
+        report = FaultCoverageReport.from_dictionary(make_dictionary())
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["coverage"] == pytest.approx(2.0 / 3.0)
         assert payload["uncovered"] == [f"{PROFILE}/dcde-error-s1"]
-        assert payload["escape"]["num_trials"] == 2000
-
-    def test_same_seed_same_escape_numbers(self):
-        a = FaultCoverageReport.from_dictionary(make_dictionary(), num_trials=2000)
-        b = FaultCoverageReport.from_dictionary(make_dictionary(), num_trials=2000)
-        assert a.escape == b.escape
-        assert a.to_dict() == b.to_dict()
+        assert payload["test_escape_rate"] == report.test_escape_rate
+        assert payload["fault_probability"] == FAULT_PROBABILITY
+        assert "escape" not in payload

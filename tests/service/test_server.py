@@ -10,11 +10,13 @@ import urllib.request
 
 import pytest
 
-from repro.bist import BistConfig
+from repro.bist import BistConfig, ConverterSpec
 from repro.errors import JobNotFoundError, ServiceError
+from repro.rf import DcOffset, IqImbalance, PhaseNoiseModel, RappAmplifier
 from repro.service import CampaignSpec, JobQueue
 from repro.service.client import ServiceClient
 from repro.service.server import BistServiceServer
+from repro.transmitter import ImpairmentConfig, TransmitDac
 
 FAST_CONFIG = BistConfig(
     num_samples_fast=128,
@@ -176,6 +178,145 @@ class TestProtocolErrors:
         status, payload = raw_exchange(service, request_bytes)
         assert status == 400
         assert "Content-Length" in payload["error"]
+        assert service.jobs() == []
+
+
+def valid_body() -> dict:
+    """A submittable spec body with one impairment and one converter entry."""
+    impairment = ImpairmentConfig(
+        amplifier=RappAmplifier(gain_db=0.0, saturation_amplitude=2.0),
+        iq_imbalance=IqImbalance(gain_imbalance_db=0.5, phase_imbalance_deg=2.0),
+        dc_offset=DcOffset(i_offset=0.01),
+        phase_noise=PhaseNoiseModel(linewidth_hz=10.0),
+        output_snr_db=60.0,
+        dac=TransmitDac(resolution_bits=12),
+    )
+    converter = ConverterSpec(
+        channel1_skew_seconds=1e-12, channel1_bandwidth_hz=5e9, bandwidth_reference_hz=1e9
+    )
+    spec = CampaignSpec(
+        profiles=("paper-qpsk-1ghz",),
+        impairments=(("rapp", impairment),),
+        converters=(("skew", converter),),
+        bist_config=FAST_CONFIG,
+        seed_policy="per-scenario",
+    )
+    return json.loads(json.dumps(spec.to_dict()))
+
+
+#: Keys whose value may be null, with the JSON type they hold otherwise.
+NULLABLE = {
+    "num_symbols": "integer",
+    "seed": "integer",
+    "output_snr_db": "number",
+    "channel1_bandwidth_hz": "number",
+    "bandwidth_reference_hz": "number",
+    "dac": "object",
+}
+
+#: One JSON value of each type.
+JSON_VALUES = ["x", None, True, 1.5, 3, [], {}]
+
+
+def json_type(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, int):
+        return "integer"
+    if isinstance(value, float):
+        return "number"
+    if isinstance(value, str):
+        return "string"
+    return "array" if isinstance(value, list) else "object"
+
+
+def nodes(document, path=()):
+    """``(path, value)`` of every node below the root of a JSON document."""
+    if isinstance(document, dict):
+        children = document.items()
+    elif isinstance(document, list):
+        children = enumerate(document)
+    else:
+        children = ()
+    for key, child in children:
+        yield path + (key,), child
+        yield from nodes(child, path + (key,))
+
+
+def replaced(document, path, value):
+    """A deep copy of ``document`` with the node at ``path`` set to ``value``."""
+    document = json.loads(json.dumps(document))
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return document
+
+
+def mistyped_bodies():
+    """Every single-node replacement by a JSON value of a type the node cannot hold."""
+    body = valid_body()
+    for path, value in nodes(body):
+        base = NULLABLE.get(path[-1], json_type(value))
+        allowed = {base} | ({"integer"} if base == "number" else set())
+        if path[-1] in NULLABLE:
+            allowed.add("null")
+        for candidate in JSON_VALUES:
+            if json_type(candidate) not in allowed:
+                yield path, candidate, replaced(body, path, candidate)
+
+
+IMPAIRMENT = ("impairments", 0, 1)
+CONVERTER = ("converters", 0, 1)
+
+#: Bodies that answered 500 or were accepted and then misread before the
+#: decoders and validators checked JSON types.
+MALFORMED_LEAVES = [
+    (("bist_config",), []),
+    (("bist_config",), "fast"),
+    (("bist_config", "acquisition_bandwidth_hz"), "x"),
+    (("bist_config", "acquisition_bandwidth_hz"), "9e7"),
+    (("bist_config", "measure_evm_enabled"), "no"),
+    (("bist_config", "seed"), "x"),
+    (IMPAIRMENT + ("amplifier",), 5),
+    (IMPAIRMENT + ("amplifier",), []),
+    (IMPAIRMENT + ("amplifier", "params", "gain_db"), "x"),
+    (IMPAIRMENT + ("iq_imbalance",), "x"),
+    (IMPAIRMENT + ("iq_imbalance", "gain_imbalance_db"), "x"),
+    (IMPAIRMENT + ("output_snr_db",), "x"),
+    (CONVERTER + ("skew_jitter_rms_seconds",), -1.0),
+    (CONVERTER + ("skew_jitter_rms_seconds",), "x"),
+    (CONVERTER + ("seed",), "x"),
+    (("compile_groups",), "no"),
+]
+
+
+class TestMalformedSpecs:
+    def test_every_mistyped_node_is_400_and_the_server_keeps_serving(self, service):
+        answers = {}
+        for path, value, body in mistyped_bodies():
+            status, payload = raw_request(service, "POST", "/jobs", json.dumps(body).encode())
+            answers[(path, json.dumps(value))] = (status, payload)
+        wrong = {key: answer for key, answer in answers.items() if answer[0] != 400}
+        assert not wrong
+        assert len(answers) > 150
+        assert service.jobs() == []
+        status, payload = raw_request(service, "POST", "/jobs", json.dumps(valid_body()).encode())
+        assert status == 200, payload
+        assert service.wait(payload["job_id"], timeout_seconds=120.0)["state"] == "done"
+
+    @pytest.mark.parametrize(
+        "path, value",
+        MALFORMED_LEAVES,
+        ids=[".".join(map(str, path)) + f"={value!r}" for path, value in MALFORMED_LEAVES],
+    )
+    def test_malformed_leaf_is_400(self, service, path, value):
+        body = replaced(valid_body(), path, value)
+        status, payload = raw_request(service, "POST", "/jobs", json.dumps(body).encode())
+        assert status == 400, payload
+        assert "invalid campaign spec" in payload["error"]
         assert service.jobs() == []
 
 

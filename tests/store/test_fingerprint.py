@@ -18,7 +18,7 @@ from repro.bist import (
     derive_scenario_seed,
     pa_saturation_sweep,
 )
-from repro.errors import ConfigurationError, ValidationError
+from repro.errors import ValidationError
 from repro.faults import IqImbalanceFault
 from repro.store import canonical_json, fingerprint_payload, scenario_fingerprint
 from repro.transmitter import ImpairmentConfig
@@ -118,8 +118,13 @@ class TestPayload:
         canonical_json(fingerprint_payload(BASE, CONFIG, seed=7))
 
     def test_arbitrary_callable_factory_rejected(self):
-        with pytest.raises(ConfigurationError, match="ConverterSpec"):
+        with pytest.raises(ValidationError, match="ConverterSpec"):
             scenario_fingerprint(BASE, CONFIG, converter_factory=lambda bandwidth: None)
+        with pytest.raises(ValidationError, match="ConverterSpec"):
+            scenario_fingerprint(
+                CampaignScenario(profile="paper-qpsk-1ghz", converter=lambda bandwidth: None),
+                CONFIG,
+            )
 
     def test_scenario_type_checked(self):
         with pytest.raises(ValidationError):

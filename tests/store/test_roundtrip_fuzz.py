@@ -23,7 +23,6 @@ from repro.faults import (
     AdaptiveConfig,
     FamilyThreshold,
     FaultSignature,
-    ImportanceEscapeEstimate,
     ProbeResult,
     TestLimits,
     ThresholdReport,
@@ -354,20 +353,6 @@ def random_mimo_spec(rng: random.Random) -> MimoSpec:
     )
 
 
-def random_importance_estimate(rng: random.Random) -> ImportanceEscapeEstimate:
-    return ImportanceEscapeEstimate(
-        fault_probability=rng.uniform(0.01, 0.2),
-        num_trials=rng.randrange(1, 10**5),
-        test_escape_rate=rng.uniform(0.0, 0.1),
-        yield_loss_rate=rng.uniform(0.0, 0.1),
-        faulty_pass_rate=rng.uniform(0.0, 1.0),
-        standard_error=rng.uniform(0.0, 0.05),
-        effective_sample_size=rng.uniform(1.0, 10**4),
-        proposal_floor=rng.uniform(0.05, 1.0),
-        seed=rng.randrange(2**31),
-    )
-
-
 def random_matrix_entry(rng: random.Random, tx: int = 1, rx: int = 1) -> ChannelMatrixEntry:
     return ChannelMatrixEntry(tx=tx, rx=rx, report=random_report(rng))
 
@@ -407,11 +392,6 @@ CASES = {
     "ProbeResult": (random_probe_result, ProbeResult.from_dict, True),
     "FamilyThreshold": (random_family_threshold, FamilyThreshold.from_dict, True),
     "ThresholdReport": (random_threshold_report, ThresholdReport.from_dict, True),
-    "ImportanceEscapeEstimate": (
-        random_importance_estimate,
-        ImportanceEscapeEstimate.from_dict,
-        True,
-    ),
     "MimoSpec": (random_mimo_spec, MimoSpec.from_dict, True),
     "ChannelMatrixEntry": (random_matrix_entry, ChannelMatrixEntry.from_dict, False),
     "ChannelMatrixReport": (random_channel_matrix, ChannelMatrixReport.from_dict, False),

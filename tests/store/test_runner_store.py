@@ -174,22 +174,6 @@ class TestInterruptAndResume:
 
 
 class TestErrorHandling:
-    def test_callable_factory_with_store_raises_loudly(self, tmp_path):
-        # Mirrors the picklability contract: a campaign-level factory that
-        # cannot be fingerprinted is a configuration error, not a silent
-        # cache bypass.
-        from repro.errors import ConfigurationError
-
-        runner = CampaignRunner(
-            bist_config=FAST_CONFIG,
-            converter_factory=lambda bandwidth: None,
-            store=CampaignStore(tmp_path / "store"),
-        )
-        # A scenario without its own ConverterSpec makes the campaign-level
-        # callable the effective factory.
-        with pytest.raises(ConfigurationError, match="ConverterSpec"):
-            runner.run((CampaignScenario(profile="paper-qpsk-1ghz"),))
-
     def test_errored_scenarios_are_not_cached(self, tmp_path):
         scenarios = (CampaignScenario(profile="no-such-profile"),)
         store_root = tmp_path / "store"

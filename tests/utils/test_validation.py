@@ -35,6 +35,40 @@ class TestScalarChecks:
             validation.check_in_range(0.0, "x", 0.0, 1.0, inclusive_low=False)
 
 
+#: Values of JSON types no numeric check takes, though ``float()`` takes some.
+NOT_NUMBERS = ["9e7", "x", None, True, np.bool_(False), [], [1.0], {}]
+
+NUMERIC_CHECKS = pytest.mark.parametrize(
+    "check",
+    [
+        lambda value: validation.check_finite(value, "x"),
+        lambda value: validation.check_positive(value, "x"),
+        lambda value: validation.check_non_negative(value, "x"),
+        lambda value: validation.check_in_range(value, "x", -10.0, 10.0),
+        lambda value: validation.check_integer(value, "x"),
+    ],
+    ids=["finite", "positive", "non-negative", "in-range", "integer"],
+)
+
+
+class TestNumberTypes:
+    @pytest.mark.parametrize("bad", NOT_NUMBERS, ids=repr)
+    @NUMERIC_CHECKS
+    def test_non_numbers_raise_validation_error(self, check, bad):
+        with pytest.raises(ValidationError):
+            check(bad)
+
+    @pytest.mark.parametrize("good", [3, 3.0, np.float32(3.0), np.int64(3), np.float64(3.0)])
+    @NUMERIC_CHECKS
+    def test_python_and_numpy_numbers_pass(self, check, good):
+        assert check(good) == 3
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_check_finite_rejects_non_finite(self, bad):
+        with pytest.raises(ValidationError):
+            validation.check_finite(bad, "x")
+
+
 class TestIntegerChecks:
     def test_check_integer_accepts_int_like_float(self):
         assert validation.check_integer(4.0, "n") == 4
